@@ -39,6 +39,12 @@ let stage = Staged.stage
    recorder use. *)
 let now_s () = Int64.to_float (Trace.now_ns ()) /. 1e9
 
+(* The upper median of a sample (the middle element for odd sizes). *)
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
 (* Host provenance stamped into every BENCH_*.json header: scaling and
    overhead numbers are meaningless without the core count and the
    compiler that produced them. *)
@@ -329,7 +335,7 @@ let engine_report () =
       "{\"workload\":\"paper-family\",%s,\"reps\":%d,\"elapsed_sec\":%.6f,\
        \"queries_per_sec\":%.1f,\"engine\":%s}"
       host_json reps elapsed qps
-      (Dlz_engine.Stats.to_json st)
+      (Dlz_obs.Jsonx.to_string (Dlz_engine.Stats.to_json st))
   in
   let oc = open_out "BENCH_engine.json" in
   output_string oc json;
@@ -568,11 +574,6 @@ let cache_report () =
   let misses = Dlz_engine.Stats.cache_misses st in
   if misses > 0 then
     Printf.printf "cache: warning: %d warm-trial misses (capacity?)\n" misses;
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
   let cold = median populate and warm = median warmload in
   let speedup = if warm > 0. then cold /. warm else 0. in
   let fc = median full_cold and fw = median full_warm in
@@ -618,127 +619,6 @@ let cache_report () =
   Sys.remove snap;
   Dlz_engine.Engine.reset_metrics ();
   let oc = open_out "BENCH_cache.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  print_endline json
-
-(* --- polybench corpus throughput (BENCH_corpus.json) ---------------------- *)
-
-(* End-to-end bulk analysis of the vendored polybench-style mini-C
-   corpus: parse, lower, normalize and run every dependence query for
-   all ~20 kernels.  Two arms, interleaved:
-
-   - cold: metrics (and the shared query cache) reset before every
-     rep, so each rep pays the full solve cost;
-   - warm: the cache retained across reps, so repeated canonical forms
-     ride on earlier solves — the bulk-directory steady state.
-
-   The medians give kernels/s for both regimes; the verdict histogram
-   and decided_by aggregate come from one structured report.  Any
-   ok:false row fails the arm — the vendored corpus must analyze
-   cleanly. *)
-let corpus_report () =
-  let module Bulk = Dlz_driver.Bulk in
-  let module Polybench = Dlz_corpus.Polybench in
-  let dir = Filename.temp_file "dlz_bench_corpus" "" in
-  Sys.remove dir;
-  Polybench.write_dir dir;
-  let reports = Bulk.reports dir (* warm-up + the reported histogram *) in
-  let kernels = List.length reports in
-  (match List.filter (fun r -> r.Bulk.fr_error <> None) reports with
-  | [] -> ()
-  | bad ->
-      failwith
-        (Printf.sprintf "bench corpus: %d kernels failed (first: %s: %s)"
-           (List.length bad)
-           (List.hd bad).Bulk.fr_file
-           (Option.value (List.hd bad).Bulk.fr_error ~default:"?")));
-  let timed f =
-    let t0 = now_s () in
-    ignore (f ());
-    now_s () -. t0
-  in
-  let trials = 7 in
-  let cold = Array.make trials 0. and warm = Array.make trials 0. in
-  for i = 0 to trials - 1 do
-    Dlz_engine.Engine.reset_metrics ();
-    cold.(i) <- timed (fun () -> Bulk.reports dir);
-    (* The cache the cold rep just populated stays live for the warm
-       rep: the steady state of repeated bulk runs. *)
-    warm.(i) <- timed (fun () -> Bulk.reports dir)
-  done;
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let cold_s = median cold and warm_s = median warm in
-  let kps t = if t > 0. then float_of_int kernels /. t else 0. in
-  let total f = List.fold_left (fun n r -> n + f r) 0 reports in
-  let pairs = total (fun r -> r.Bulk.fr_pairs) in
-  let indep = total (fun r -> r.Bulk.fr_independent) in
-  let dep = total (fun r -> r.Bulk.fr_dependent) in
-  let inap = total (fun r -> r.Bulk.fr_inapplicable) in
-  let deps = total (fun r -> r.Bulk.fr_deps) in
-  let par = total (fun r -> r.Bulk.fr_loops_parallel) in
-  let ser = total (fun r -> r.Bulk.fr_loops_serial) in
-  let decided =
-    List.fold_left
-      (fun acc r ->
-        List.fold_left
-          (fun acc (name, n) ->
-            match List.assoc_opt name acc with
-            | Some m -> (name, m + n) :: List.remove_assoc name acc
-            | None -> (name, n) :: acc)
-          acc r.Bulk.fr_decided_by)
-      [] reports
-    |> List.sort compare
-  in
-  let t =
-    Tbl.create
-      ~aligns:[ Tbl.Left; Tbl.Right; Tbl.Right ]
-      [ "corpus sweep"; "median (s)"; "kernels/s" ]
-  in
-  Tbl.add_row t
-    [ "cold (cache reset)"; Printf.sprintf "%.4f" cold_s;
-      Printf.sprintf "%.1f" (kps cold_s) ];
-  Tbl.add_row t
-    [ "warm (cache retained)"; Printf.sprintf "%.4f" warm_s;
-      Printf.sprintf "%.1f" (kps warm_s) ];
-  print_string (Tbl.render t);
-  Printf.printf
-    "corpus: %d kernels, %d pairs (independent %d / dependent %d / \
-     inapplicable %d), %d deps, loops %d parallel / %d serial\n"
-    kernels pairs indep dep inap deps par ser;
-  let fruns a =
-    String.concat "," (List.map (Printf.sprintf "%.6f") (Array.to_list a))
-  in
-  let decided_json =
-    String.concat ","
-      (List.map (fun (name, n) -> Printf.sprintf "\"%s\":%d" name n) decided)
-  in
-  let json =
-    Printf.sprintf
-      "{\"workload\":\"polybench-corpus\",%s,\"kernels\":%d,\"trials\":%d,\
-       \"cold_median_sec\":%.6f,\"warm_median_sec\":%.6f,\
-       \"cold_kernels_per_sec\":%.1f,\"warm_kernels_per_sec\":%.1f,\
-       \"warm_speedup\":%.2f,\"pairs\":%d,\
-       \"verdicts\":{\"independent\":%d,\"dependent\":%d,\
-       \"inapplicable\":%d},\"deps\":%d,\"decided_by\":{%s},\
-       \"loops\":{\"parallel\":%d,\"serial\":%d},\
-       \"cold_runs_sec\":[%s],\"warm_runs_sec\":[%s]}"
-      host_json kernels trials cold_s warm_s (kps cold_s) (kps warm_s)
-      (if warm_s > 0. then cold_s /. warm_s else 0.)
-      pairs indep dep inap deps decided_json par ser (fruns cold) (fruns warm)
-  in
-  List.iter
-    (fun (k : Polybench.kernel) ->
-      Sys.remove (Filename.concat dir (k.Polybench.k_name ^ ".c")))
-    Polybench.kernels;
-  (try Sys.rmdir dir with Sys_error _ -> ());
-  Dlz_engine.Engine.reset_metrics ();
-  let oc = open_out "BENCH_corpus.json" in
   output_string oc json;
   output_char oc '\n';
   close_out oc;
@@ -852,11 +732,6 @@ let trace_report () =
     dt
   in
   for _ = 1 to 6 do ignore (pass Trace.Off) done;
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
   (* Best-of-two on each side of a pair shaves one-off hiccups without
      widening the window the pair spans. *)
   let ratios level =
@@ -1278,11 +1153,6 @@ let run_cache_only () =
     "== Warm-start snapshot speedup (written to BENCH_cache.json) ==";
   cache_report ()
 
-let run_corpus_only () =
-  print_endline
-    "== Polybench corpus throughput (written to BENCH_corpus.json) ==";
-  corpus_report ()
-
 let run_serve_only () =
   print_endline
     "== Daemon throughput, overload, warm restart (written to \
@@ -1333,8 +1203,6 @@ let run_full () =
   print_newline ();
   run_oracle_only ();
   print_newline ();
-  run_corpus_only ();
-  print_newline ();
   run_serve_only ()
 
 let () =
@@ -1347,12 +1215,11 @@ let () =
   | _ :: "robustness" :: _ -> run_robustness_only ()
   | _ :: "trace" :: _ -> run_trace_only ()
   | _ :: "oracle" :: _ -> run_oracle_only ()
-  | _ :: "corpus" :: _ -> run_corpus_only ()
   | _ :: "serve" :: _ -> run_serve_only ()
   | _ :: "perf-smoke" :: _ -> perf_smoke ()
   | _ :: [] -> run_full ()
   | _ ->
       prerr_endline
         "usage: bench/main.exe [parallel|cache|robustness|trace|oracle|\
-         corpus|serve|perf-smoke]";
+         serve|perf-smoke]";
       exit 2

@@ -84,29 +84,51 @@ let dir_arg =
                  summary line.  The default fields are deterministic:\n\
                  the report is byte-identical for any --jobs N.")
 
-let cache_load_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-load" ] ~docv:"FILE"
-           ~doc:"Warm-start: bulk-load a snapshot of the memo cache\n\
-                 saved by an earlier run (--cache-save).  A missing,\n\
-                 corrupt, or strategy-set-mismatched snapshot is\n\
-                 refused and the run starts cold (counted in --stats;\n\
-                 never an error).")
+(* --cache-load, --cache-save and --cache-auto, resolved to the snapshot
+   paths to use: an explicit path wins, --cache-auto fills in the
+   per-user default.  [cache_explicit_load] records whether the load
+   path came from --cache-load, the one case that warns when the
+   snapshot is refused. *)
+type cache_paths = {
+  cache_load : string option;
+  cache_save : string option;
+  cache_explicit_load : bool;
+}
 
-let cache_save_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-save" ] ~docv:"FILE"
-           ~doc:"On exit, snapshot the memo cache to FILE (atomic\n\
-                 write; key-sorted, so equal caches give byte-identical\n\
-                 files) for a later --cache-load.")
-
-let cache_auto_arg =
-  Arg.(value & flag
-       & info [ "cache-auto" ]
-           ~doc:"Shorthand for --cache-load and --cache-save on the\n\
-                 per-user default snapshot path (under\n\
-                 \\$XDG_CACHE_HOME/vic or ~/.cache/vic, keyed by the\n\
-                 strategy-set hash).")
+let cache_term =
+  let load_arg =
+    Arg.(value & opt (some string) None
+         & info [ "cache-load" ] ~docv:"FILE"
+             ~doc:"Warm-start: bulk-load a snapshot of the memo cache\n\
+                   saved by an earlier run (--cache-save).  A missing,\n\
+                   corrupt, or strategy-set-mismatched snapshot is\n\
+                   refused and the run starts cold (counted in --stats;\n\
+                   never an error).")
+  in
+  let save_arg =
+    Arg.(value & opt (some string) None
+         & info [ "cache-save" ] ~docv:"FILE"
+             ~doc:"On exit, snapshot the memo cache to FILE (atomic\n\
+                   write; key-sorted, so equal caches give byte-identical\n\
+                   files) for a later --cache-load.")
+  in
+  let auto_arg =
+    Arg.(value & flag
+         & info [ "cache-auto" ]
+             ~doc:"Shorthand for --cache-load and --cache-save on the\n\
+                   per-user default snapshot path (under\n\
+                   \\$XDG_CACHE_HOME/vic or ~/.cache/vic, keyed by the\n\
+                   strategy-set hash).")
+  in
+  let resolve load save auto =
+    let pick = function
+      | Some _ as p -> p
+      | None -> if auto then Some (Dlz_engine.Persist.default_path ()) else None
+    in
+    { cache_load = pick load; cache_save = pick save;
+      cache_explicit_load = load <> None }
+  in
+  Term.(const resolve $ load_arg $ save_arg $ auto_arg)
 
 let stats_json_arg =
   Arg.(value & flag
@@ -440,8 +462,8 @@ let analyze_one ~lang ~mode ~cascade ~budget ~pool ~chunk ~env ~ranges file =
 
 let analyze_cmd =
   let run file dir lang mode assumes ranges cascade stats stats_json jobs
-      chunk fuel timeout_ms chaos cache_load cache_save cache_auto timings
-      trace_out trace_sample trace_mask sort =
+      chunk fuel timeout_ms chaos cache timings trace_out trace_sample
+      trace_mask sort =
     with_diagnostics (fun () ->
         let jobs = check_jobs jobs in
         let chunk = check_chunk chunk in
@@ -451,19 +473,9 @@ let analyze_cmd =
           ~trace_sample ();
         let budget = budget_of ~fuel ~timeout_ms in
         let module Persist = Dlz_engine.Persist in
-        let load_path =
-          match cache_load with
-          | Some _ as p -> p
-          | None -> if cache_auto then Some (Persist.default_path ()) else None
-        in
-        let save_path =
-          match cache_save with
-          | Some _ as p -> p
-          | None -> if cache_auto then Some (Persist.default_path ()) else None
-        in
         Dlz_engine.Engine.reset_metrics ();
         Dlz_base.Pool.with_jobs ~jobs (fun pool ->
-            (match load_path with
+            (match cache.cache_load with
             | None -> ()
             | Some p -> (
                 match Persist.load ?pool p with
@@ -473,7 +485,7 @@ let analyze_cmd =
                        word; the quiet path is --cache-auto before any
                        snapshot exists.  Either way the run proceeds
                        cold (the refusal is counted in --stats). *)
-                    if cache_load <> None then
+                    if cache.cache_explicit_load then
                       Printf.eprintf
                         "warning: snapshot %s: %s; starting cold\n%!" p
                         reason));
@@ -492,7 +504,7 @@ let analyze_cmd =
             | None, None ->
                 prerr_endline "analyze: expected FILE or --dir";
                 exit 1);
-            match save_path with
+            match cache.cache_save with
             | None -> ()
             | Some p -> (
                 match Persist.save p with
@@ -528,7 +540,9 @@ let analyze_cmd =
           | None -> ())
         end;
         if stats_json then
-          print_endline (Dlz_engine.Stats.to_json Dlz_engine.Stats.global);
+          print_endline
+            (Dlz_obs.Jsonx.to_string
+               (Dlz_engine.Stats.to_json Dlz_engine.Stats.global));
         write_trace trace_out)
   in
   Cmd.v
@@ -536,7 +550,7 @@ let analyze_cmd =
     Term.(const run $ file_opt_arg $ dir_arg $ lang_arg $ mode_arg
           $ assume_arg $ ranges_arg $ cascade_arg $ stats_arg $ stats_json_arg
           $ jobs_arg $ chunk_arg $ fuel_arg $ timeout_arg $ chaos_arg
-          $ cache_load_arg $ cache_save_arg $ cache_auto_arg $ timings_arg
+          $ cache_term $ timings_arg
           $ trace_out_arg $ trace_sample_arg $ trace_mask_arg $ sort_arg)
 
 let vectorize_cmd =
@@ -596,7 +610,7 @@ let trace_cmd =
         let module Algo = Dlz_core.Algo in
         let module Symalgo = Dlz_core.Symalgo in
         let shown = ref 0 in
-        List.iter
+        Seq.iter
           (fun (pr : Dlz_engine.Engine.pair) ->
             let a = pr.Dlz_engine.Engine.src
             and b = pr.Dlz_engine.Engine.dst in
@@ -672,7 +686,7 @@ let trace_cmd =
                           Printf.printf "  verdict: %s\n"
                             (Dlz_deptest.Verdict.to_string r.Symalgo.verdict))
               p.Problem.equations)
-          (Dlz_engine.Engine.pairs accs);
+          (Dlz_engine.Engine.pairs_seq accs);
         if !shown = 0 then print_endline "No testable reference pairs.")
   in
   Cmd.v
@@ -1015,24 +1029,12 @@ let serve_cmd =
                    1000, clamped to at least 50).")
   in
   let run addr workers queue request_fuel request_timeout_ms idle_timeout_ms
-      max_frame retry_after_ms fuel timeout_ms cascade chaos cache_load
-      cache_save cache_auto stats_json quiet metrics_dump
-      metrics_dump_interval_ms trace_mask =
+      max_frame retry_after_ms fuel timeout_ms cascade chaos cache stats_json
+      quiet metrics_dump metrics_dump_interval_ms trace_mask =
     set_chaos chaos;
     set_trace_mask trace_mask;
     let cascade = cascade_of cascade in
     let address = resolve_addr ~flag:"--listen" addr in
-    let module Persist = Dlz_engine.Persist in
-    let snapshot_load =
-      match cache_load with
-      | Some _ as p -> p
-      | None -> if cache_auto then Some (Persist.default_path ()) else None
-    in
-    let snapshot_save =
-      match cache_save with
-      | Some _ as p -> p
-      | None -> if cache_auto then Some (Persist.default_path ()) else None
-    in
     let cfg =
       {
         Dlz_serve.Server.address;
@@ -1046,8 +1048,8 @@ let serve_cmd =
         global_fuel = fuel;
         global_timeout_ms = timeout_ms;
         cascade;
-        snapshot_load;
-        snapshot_save;
+        snapshot_load = cache.cache_load;
+        snapshot_save = cache.cache_save;
         metrics_dump;
         metrics_dump_interval_ms = max 50 metrics_dump_interval_ms;
       }
@@ -1064,7 +1066,7 @@ let serve_cmd =
     Term.(const run $ addr_arg $ workers_arg $ queue_arg $ request_fuel_arg
           $ request_timeout_arg $ idle_timeout_arg $ max_frame_arg
           $ retry_after_arg $ fuel_arg $ timeout_arg $ cascade_arg $ chaos_arg
-          $ cache_load_arg $ cache_save_arg $ cache_auto_arg $ stats_json_arg
+          $ cache_term $ stats_json_arg
           $ quiet_arg $ metrics_dump_arg $ metrics_dump_interval_arg
           $ trace_mask_arg)
 

@@ -325,23 +325,8 @@ let instant ?(cat = "") ?(args = []) ?lazy_args ?ts name =
 
 (* --- Chrome trace_event export -------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_chrome_json () =
+  let module J = Dlz_obs.Jsonx in
   let evs = events () in
   let t0 = match evs with [] -> 0L | (_, e) :: _ -> e.ev_ts in
   let us_of ts = Int64.to_float (Int64.sub ts t0) /. 1_000. in
@@ -350,20 +335,20 @@ let to_chrome_json () =
   let first = ref true in
   let emit ~ph ~name ~cat ~ts_us ~dom ~args ~extra =
     if !first then first := false else Buffer.add_char buf ',';
-    Printf.bprintf buf "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-      (json_escape name) ph ts_us dom;
-    if cat <> "" then Printf.bprintf buf ",\"cat\":\"%s\"" (json_escape cat);
-    List.iter (fun (k, v) -> Printf.bprintf buf ",\"%s\":%s" k v) extra;
-    (match args with
-    | [] -> ()
-    | args ->
-        Buffer.add_string buf ",\"args\":{";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-          args;
-        Buffer.add_char buf '}');
+    Buffer.add_char buf '{';
+    J.write_fields buf [ ("name", J.Str name); ("ph", J.Str ph) ];
+    (* [ts] is the one field the codec does not print: microseconds
+       with three decimals keep nanosecond resolution at any trace
+       length, where nine significant digits would lose it after 1 s. *)
+    Printf.bprintf buf ",\"ts\":%.3f," ts_us;
+    J.write_fields buf
+      ([ ("pid", J.Int 1); ("tid", J.Int dom) ]
+      @ (if cat = "" then [] else [ ("cat", J.Str cat) ])
+      @ extra
+      @
+      match args with
+      | [] -> []
+      | args -> [ ("args", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) args)) ]);
     Buffer.add_char buf '}'
   in
   (* One named track per domain. *)
@@ -407,7 +392,7 @@ let to_chrome_json () =
       | I ->
           emit ~ph:"i" ~name:ev.ev_name ~cat:ev.ev_cat ~ts_us ~dom:d
             ~args:ev.ev_args
-            ~extra:[ ("s", "\"t\"") ])
+            ~extra:[ ("s", J.Str "t") ])
     evs;
   let end_us = us_of !last_ts in
   Hashtbl.iter
@@ -419,9 +404,14 @@ let to_chrome_json () =
             ~extra:[])
         !s)
     stacks;
-  Printf.bprintf buf
-    "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":\"%d\"}}"
-    (dropped ());
+  Buffer.add_string buf "],";
+  J.write_fields buf
+    [
+      ("displayTimeUnit", J.Str "ms");
+      ( "otherData",
+        J.Obj [ ("dropped_events", J.Str (string_of_int (dropped ()))) ] );
+    ];
+  Buffer.add_char buf '}';
   Buffer.contents buf
 
 let export_chrome path =

@@ -7,6 +7,7 @@ module Engine = Dlz_engine.Engine
 module Stats = Dlz_engine.Stats
 module Verdict = Dlz_deptest.Verdict
 module Parallel = Dlz_vec.Parallel
+module Jsonx = Dlz_obs.Jsonx
 
 let rec walk acc root rel =
   let dir = if rel = "" then root else Filename.concat root rel in
@@ -32,6 +33,8 @@ let rec walk acc root rel =
    order (hence the report order) a function of the tree alone. *)
 let kernels root = List.sort String.compare (walk [] root "")
 
+(* One analyzed kernel.  [fr_error = Some _] marks a failed file; the
+   remaining counters are zero in that case. *)
 type file_report = {
   fr_file : string;
   fr_error : string option;
@@ -148,86 +151,64 @@ let analyze_file ~mode ~cascade ~budget ~env root rel =
 
 (* {2 NDJSON} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The pairs/verdicts/deps fields and the loops field, each counter
+   read through [get]: a file line passes [fun f -> f fr], the summary
+   the sum over every file. *)
+let count_fields get =
+  ( [
+      ("pairs", Jsonx.Int (get (fun f -> f.fr_pairs)));
+      ( "verdicts",
+        Jsonx.ints
+          [ ("independent", get (fun f -> f.fr_independent));
+            ("dependent", get (fun f -> f.fr_dependent));
+            ("inapplicable", get (fun f -> f.fr_inapplicable)) ] );
+      ("deps", Jsonx.Int (get (fun f -> f.fr_deps)));
+    ],
+    ( "loops",
+      Jsonx.ints
+        [ ("parallel", get (fun f -> f.fr_loops_parallel));
+          ("serial", get (fun f -> f.fr_loops_serial)) ] ) )
 
 let file_line ~timings fr =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "{\"file\":\"%s\"" (json_escape fr.fr_file));
-  (match fr.fr_error with
-  | Some e ->
-      Buffer.add_string b
-        (Printf.sprintf ",\"ok\":false,\"error\":\"%s\"" (json_escape e))
-  | None ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"ok\":true,\"statements\":%d,\"accesses\":%d,\"pairs\":%d,\
-            \"verdicts\":{\"independent\":%d,\"dependent\":%d,\
-            \"inapplicable\":%d},\"deps\":%d"
-           fr.fr_statements fr.fr_accesses fr.fr_pairs fr.fr_independent
-           fr.fr_dependent fr.fr_inapplicable fr.fr_deps);
-      Buffer.add_string b ",\"decided_by\":{";
-      List.iteri
-        (fun i (name, n) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":%d" (json_escape name) n))
-        fr.fr_decided_by;
-      Buffer.add_string b
-        (Printf.sprintf "},\"loops\":{\"parallel\":%d,\"serial\":%d}"
-           fr.fr_loops_parallel fr.fr_loops_serial));
-  if timings then
-    Buffer.add_string b
-      (Printf.sprintf ",\"elapsed_ns\":%Ld" fr.fr_elapsed_ns);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let body =
+    match fr.fr_error with
+    | Some e -> [ ("ok", Jsonx.Bool false); ("error", Jsonx.Str e) ]
+    | None ->
+        let counts, loops = count_fields (fun f -> f fr) in
+        [ ("ok", Jsonx.Bool true); ("statements", Jsonx.Int fr.fr_statements);
+          ("accesses", Jsonx.Int fr.fr_accesses) ]
+        @ counts @ [ ("decided_by", Jsonx.ints fr.fr_decided_by); loops ]
+  in
+  let timing =
+    if timings then [ ("elapsed_ns", Jsonx.Int (Int64.to_int fr.fr_elapsed_ns)) ]
+    else []
+  in
+  Jsonx.Obj ((("file", Jsonx.Str fr.fr_file) :: body) @ timing)
 
 let summary_line ~timings ~dir ~elapsed_ns frs =
-  let total f = List.fold_left (fun n fr -> n + f fr) 0 frs in
   let ok = List.length (List.filter (fun fr -> fr.fr_error = None) frs) in
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"summary\":true,\"dir\":\"%s\",\"files\":%d,\"ok\":%d,\
-        \"errors\":%d,\"pairs\":%d,\"verdicts\":{\"independent\":%d,\
-        \"dependent\":%d,\"inapplicable\":%d},\"deps\":%d,\
-        \"loops\":{\"parallel\":%d,\"serial\":%d}"
-       (json_escape dir) (List.length frs) ok
-       (List.length frs - ok)
-       (total (fun f -> f.fr_pairs))
-       (total (fun f -> f.fr_independent))
-       (total (fun f -> f.fr_dependent))
-       (total (fun f -> f.fr_inapplicable))
-       (total (fun f -> f.fr_deps))
-       (total (fun f -> f.fr_loops_parallel))
-       (total (fun f -> f.fr_loops_serial)));
-  if timings then begin
-    let s = Stats.global in
-    Buffer.add_string b
-      (Printf.sprintf
-         ",\"elapsed_ns\":%Ld,\"cache\":{\"queries\":%d,\"hits\":%d,\
-          \"warm_hits\":%d,\"cold_hits\":%d,\"misses\":%d,\
-          \"snapshot_loaded\":%d,\"snapshot_loads\":%d,\
-          \"snapshot_rejects\":%d}"
-         elapsed_ns (Stats.queries s) (Stats.cache_hits s) (Stats.warm_hits s)
-         (Stats.cold_hits s) (Stats.cache_misses s) (Stats.snapshot_loaded s)
-         (Stats.snapshot_loads s) (Stats.snapshot_rejects s))
-  end;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let counts, loops =
+    count_fields (fun f -> List.fold_left (fun n fr -> n + f fr) 0 frs)
+  in
+  let timing =
+    if not timings then []
+    else
+      let s = Stats.global in
+      [ ("elapsed_ns", Jsonx.Int (Int64.to_int elapsed_ns));
+        ( "cache",
+          Jsonx.ints
+            [ ("queries", Stats.queries s); ("hits", Stats.cache_hits s);
+              ("warm_hits", Stats.warm_hits s); ("cold_hits", Stats.cold_hits s);
+              ("misses", Stats.cache_misses s);
+              ("snapshot_loaded", Stats.snapshot_loaded s);
+              ("snapshot_loads", Stats.snapshot_loads s);
+              ("snapshot_rejects", Stats.snapshot_rejects s) ] ) ]
+  in
+  Jsonx.Obj
+    ([ ("summary", Jsonx.Bool true); ("dir", Jsonx.Str dir);
+       ("files", Jsonx.Int (List.length frs)); ("ok", Jsonx.Int ok);
+       ("errors", Jsonx.Int (List.length frs - ok)) ]
+    @ counts @ [ loops ] @ timing)
 
 let reports ?(mode = Analyze.Delinearize) ?cascade ?budget ?pool ?env dir =
   let env = Option.value env ~default:Assume.empty in
@@ -247,5 +228,6 @@ let run ?mode ?cascade ?budget ?pool ?env ?(timings = false) dir =
   let t0 = Trace.now_ns () in
   let reports = reports ?mode ?cascade ?budget ?pool ?env dir in
   let elapsed_ns = Int64.sub (Trace.now_ns ()) t0 in
-  List.map (file_line ~timings) reports
-  @ [ summary_line ~timings ~dir ~elapsed_ns reports ]
+  List.map Jsonx.to_string
+    (List.map (file_line ~timings) reports
+    @ [ summary_line ~timings ~dir ~elapsed_ns reports ])

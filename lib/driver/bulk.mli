@@ -28,37 +28,6 @@ val kernels : string -> string list
 (** The relative paths (sorted, ['/']-separated) of every [.f] and
     [.c] file under the directory, recursively. *)
 
-type file_report = {
-  fr_file : string;
-  fr_error : string option;
-  fr_statements : int;
-  fr_accesses : int;
-  fr_pairs : int;
-  fr_independent : int;
-  fr_dependent : int;
-  fr_inapplicable : int;
-  fr_deps : int;
-  fr_decided_by : (string * int) list;
-  fr_loops_parallel : int;
-  fr_loops_serial : int;
-  fr_elapsed_ns : int64;
-}
-(** One analyzed kernel.  [fr_error = Some _] marks a failed file; the
-    remaining counters are zero in that case. *)
-
-val reports :
-  ?mode:Dlz_engine.Analyze.mode ->
-  ?cascade:Dlz_engine.Cascade.t ->
-  ?budget:Dlz_base.Budget.t ->
-  ?pool:Dlz_base.Pool.t ->
-  ?env:Dlz_symbolic.Assume.t ->
-  string ->
-  file_report list
-(** [reports dir] analyzes every kernel under [dir] and returns the
-    structured per-file reports in sorted path order — the data [run]
-    renders to NDJSON, for callers (the bench corpus arm) that want the
-    verdict histogram without re-parsing JSON. *)
-
 val run :
   ?mode:Dlz_engine.Analyze.mode ->
   ?cascade:Dlz_engine.Cascade.t ->

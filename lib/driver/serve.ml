@@ -4,7 +4,7 @@ module Problem = Dlz_deptest.Problem
 module Stats = Dlz_engine.Stats
 module Addr = Dlz_serve.Addr
 module Client = Dlz_serve.Client
-module Jsonx = Dlz_serve.Jsonx
+module Jsonx = Dlz_obs.Jsonx
 module Metrics = Dlz_serve.Metrics
 module Proto = Dlz_serve.Proto
 module Server = Dlz_serve.Server
@@ -43,10 +43,13 @@ let run_cli ?(stats_json = false) ?(quiet = false) cfg =
         (* The whole picture behind one flag: daemon counters, engine
            counters, and the full obs snapshot (which additionally
            carries per-client attribution and latency histograms). *)
-        Printf.printf "{\"version\":1,\"serve\":%s,\"engine\":%s,\"obs\":%s}\n%!"
-          (Metrics.snapshot_to_json s.Server.sm_metrics)
-          (Stats.to_json Stats.global)
-          (Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ()))
+        print_endline
+          (Jsonx.to_string
+             (Jsonx.Obj
+                [ ("version", Jsonx.Int 1);
+                  ("serve", Metrics.snapshot_to_json s.Server.sm_metrics);
+                  ("engine", Stats.to_json Stats.global);
+                  ("obs", Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ())) ]))
       else if not quiet then begin
         let m = s.Server.sm_metrics in
         Printf.eprintf

@@ -59,8 +59,6 @@ let pairs_seq accs =
   in
   from 0 0
 
-let pairs accs = List.of_seq (pairs_seq accs)
-
 (* Candidate (i, j) index pairs, in enumeration order.  Two ints per
    candidate — the O(n²) set is never materialized as pairs (closures +
    problems); those are built per chunk, inside the workers. *)

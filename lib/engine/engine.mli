@@ -36,10 +36,6 @@ val pairs_seq : Access.t list -> pair Seq.t
 (** The same enumeration as an on-demand sequence (pairs and their
     problems are built as the sequence is forced). *)
 
-val pairs : Access.t list -> pair list
-(** [List.of_seq (pairs_seq accs)] — compatibility wrapper for callers
-    that want the materialized list. *)
-
 val map_pairs :
   ?pool:Pool.t -> ?chunk:int -> (pair -> 'r) -> Access.t list -> 'r list
 (** [map_pairs f accs] is [f] applied to every candidate pair, results

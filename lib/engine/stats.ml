@@ -324,51 +324,50 @@ let pp ?sort ppf t =
   Format.fprintf ppf "@]"
 
 let to_json t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"queries\":%d,\"cache\":{\"hits\":%d,\"warm_hits\":%d,\
-        \"cold_hits\":%d,\"misses\":%d,\
-        \"uncacheable\":%d,\"flushes\":%d,\"hit_ratio\":%.4f},\
-        \"snapshot\":{\"loaded_entries\":%d,\"loads\":%d,\"rejects\":%d,\
-        \"saves\":%d,\"save_fails\":%d},\
-        \"alloc\":{\"minor_words\":%d,\"hit_minor_words\":%d,\
-        \"per_query\":%.1f,\"per_hit\":%.1f},\"strategies\":["
-       (queries t) (cache_hits t) (warm_hits t) (cold_hits t)
-       (cache_misses t) (cache_uncacheable t)
-       (cache_flushes t) (hit_ratio t) (snapshot_loaded t) (snapshot_loads t)
-       (snapshot_rejects t) (snapshot_saves t) (snapshot_save_fails t)
-       (alloc_words t) (hit_alloc_words t)
-       (allocs_per_query t) (allocs_per_hit t));
-  List.iteri
-    (fun i (name, c) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"attempts\":%d,\"independent\":%d,\
-            \"dependent\":%d,\"passed\":%d}"
-           name c.attempts c.independent c.dependent c.passed))
-    (rows t);
-  Buffer.add_string buf "],\"degradations\":[";
-  List.iteri
-    (fun i ((name, reason), n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"strategy\":\"%s\",\"reason\":\"%s\",\"count\":%d}"
-           name reason n))
-    (degradation_rows t);
-  Buffer.add_string buf
-    (Printf.sprintf "],\"oracle\":{\"checks\":%d,\"divergences\":["
-       (oracle_checks t));
-  List.iteri
-    (fun i ((name, cls), n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"strategy\":\"%s\",\"class\":\"%s\",\"count\":%d}"
-           name cls n))
-    (divergence_rows t);
-  Buffer.add_string buf "]}}";
-  Buffer.contents buf
+  let open Dlz_obs.Jsonx in
+  let tagged key rows =
+    List
+      (List.map
+         (fun ((name, tag), n) ->
+           Obj [ ("strategy", Str name); (key, Str tag); ("count", Int n) ])
+         rows)
+  in
+  Obj
+    [
+      ("queries", Int (queries t));
+      ( "cache",
+        Obj
+          [ ("hits", Int (cache_hits t)); ("warm_hits", Int (warm_hits t));
+            ("cold_hits", Int (cold_hits t)); ("misses", Int (cache_misses t));
+            ("uncacheable", Int (cache_uncacheable t));
+            ("flushes", Int (cache_flushes t));
+            ("hit_ratio", Float (hit_ratio t)) ] );
+      ( "snapshot",
+        ints
+          [ ("loaded_entries", snapshot_loaded t); ("loads", snapshot_loads t);
+            ("rejects", snapshot_rejects t); ("saves", snapshot_saves t);
+            ("save_fails", snapshot_save_fails t) ] );
+      ( "alloc",
+        Obj
+          [ ("minor_words", Int (alloc_words t));
+            ("hit_minor_words", Int (hit_alloc_words t));
+            ("per_query", Float (allocs_per_query t));
+            ("per_hit", Float (allocs_per_hit t)) ] );
+      ( "strategies",
+        List
+          (List.map
+             (fun (name, c) ->
+               Obj
+                 [ ("name", Str name); ("attempts", Int c.attempts);
+                   ("independent", Int c.independent);
+                   ("dependent", Int c.dependent); ("passed", Int c.passed) ])
+             (rows t)) );
+      ("degradations", tagged "reason" (degradation_rows t));
+      ( "oracle",
+        Obj
+          [ ("checks", Int (oracle_checks t));
+            ("divergences", tagged "class" (divergence_rows t)) ] );
+    ]
 
 (* Every counter above, rendered as one scrapeable collector.  The
    samples are built at scrape time from the live atomics, so the

@@ -168,5 +168,5 @@ val query_hist : unit -> Dlz_base.Trace.Hist.t
 
 val pp : ?sort:sort -> Format.formatter -> t -> unit
 
-val to_json : t -> string
-(** One-line JSON object (queries, cache counters, per-strategy rows). *)
+val to_json : t -> Dlz_obs.Jsonx.t
+(** JSON object: queries, cache counters, per-strategy rows. *)

@@ -3,8 +3,9 @@
    Determinism is the contract: samples arrive sorted from
    Registry.collect, families are emitted in name order, labels in
    the order the collector rendered them (collectors render sorted),
-   and float formatting is value-deterministic — so the same metric
-   state produces byte-identical text at any --jobs N. *)
+   and gauge values use the JSON codec's value-deterministic number
+   rule ([Jsonx.number]) — so the same metric state produces
+   byte-identical text at any --jobs N. *)
 
 open Registry
 
@@ -57,12 +58,6 @@ let escape_help s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
-
-(* Integral floats print without an exponent or trailing zeros;
-   everything else gets %.9g.  Deterministic for a given value. *)
-let fmt_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
 
 let add_labels b labels =
   match labels with
@@ -121,7 +116,7 @@ let write_sample b s =
   let name = sanitize_name s.s_name in
   match s.s_value with
   | Counter n -> add_line b name s.s_labels (string_of_int n)
-  | Gauge f -> add_line b name s.s_labels (fmt_float f)
+  | Gauge f -> add_line b name s.s_labels (Jsonx.number f)
   | Hist h ->
       List.iter
         (fun (le, cum) ->

@@ -15,9 +15,6 @@ val escape_label_value : string -> string
 (** Escape backslash, double-quote and newline for a label value
     body. *)
 
-val fmt_float : float -> string
-(** Deterministic float rendering used for gauge values. *)
-
 val write : Buffer.t -> Registry.sample list -> unit
 
 val to_string : Registry.sample list -> string

@@ -10,75 +10,36 @@ open Registry
 
 let version = 1
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* JSON numbers must stay finite; a pathological gauge (NaN/inf)
-   degrades to 0 rather than corrupting the stream. *)
-let fmt_float f =
-  if not (Float.is_finite f) then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
-let add_labels b labels =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)))
-    labels;
-  Buffer.add_char b '}'
-
-let add_sample b s =
-  Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"," (escape s.s_name));
-  Buffer.add_string b "\"labels\":";
-  add_labels b s.s_labels;
-  Buffer.add_char b ',';
-  (match s.s_value with
-  | Counter n ->
-      Buffer.add_string b (Printf.sprintf "\"kind\":\"counter\",\"value\":%d" n)
-  | Gauge f ->
-      Buffer.add_string b
-        (Printf.sprintf "\"kind\":\"gauge\",\"value\":%s" (fmt_float f))
-  | Hist h ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"kind\":\"histogram\",\"count\":%d,\"sum_ns\":%Ld,\
-            \"max_ns\":%Ld,\"p50_ns\":%s,\"p99_ns\":%s,\"buckets\":["
-           h.h_count h.h_sum_ns h.h_max_ns (fmt_float h.h_p50_ns)
-           (fmt_float h.h_p99_ns));
-      List.iteri
-        (fun i (le, cum) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "[%Ld,%d]" le cum))
-        h.h_buckets;
-      Buffer.add_char b ']');
-  Buffer.add_char b '}'
-
-let write b samples =
-  Buffer.add_string b (Printf.sprintf "{\"version\":%d,\"metrics\":[" version);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      add_sample b s)
-    samples;
-  Buffer.add_string b "]}"
+let sample s =
+  let value =
+    match s.s_value with
+    | Counter n -> [ ("kind", Jsonx.Str "counter"); ("value", Jsonx.Int n) ]
+    | Gauge f -> [ ("kind", Jsonx.Str "gauge"); ("value", Jsonx.Float f) ]
+    | Hist h ->
+        [
+          ("kind", Jsonx.Str "histogram");
+          ("count", Jsonx.Int h.h_count);
+          ("sum_ns", Jsonx.Int (Int64.to_int h.h_sum_ns));
+          ("max_ns", Jsonx.Int (Int64.to_int h.h_max_ns));
+          ("p50_ns", Jsonx.Float h.h_p50_ns);
+          ("p99_ns", Jsonx.Float h.h_p99_ns);
+          ( "buckets",
+            Jsonx.List
+              (List.map
+                 (fun (le, cum) ->
+                   Jsonx.List [ Jsonx.Int (Int64.to_int le); Jsonx.Int cum ])
+                 h.h_buckets) );
+        ]
+  in
+  Jsonx.Obj
+    (("name", Jsonx.Str s.s_name)
+    :: ( "labels",
+         Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Str v)) s.s_labels) )
+    :: value)
 
 let to_json samples =
-  let b = Buffer.create 4096 in
-  write b samples;
-  Buffer.contents b
+  Jsonx.Obj
+    [
+      ("version", Jsonx.Int version);
+      ("metrics", Jsonx.List (List.map sample samples));
+    ]

@@ -19,7 +19,4 @@
 
 val version : int
 
-val write : Buffer.t -> Registry.sample list -> unit
-
-val to_json : Registry.sample list -> string
-(** One line, no trailing newline — ready for NDJSON appending. *)
+val to_json : Registry.sample list -> Jsonx.t

@@ -203,7 +203,7 @@ let near_overflow ~seed ~count =
 let cases_of_program ~family ~env ~start prog =
   let accs, env = Access.of_program ~env prog in
   let idx = ref (start - 1) in
-  List.filter_map
+  List.of_seq @@ Seq.filter_map
     (fun (pr : Dlz_engine.Engine.pair) ->
       let p = pr.Dlz_engine.Engine.problem in
       match Problem.to_numeric p with
@@ -230,7 +230,7 @@ let cases_of_program ~family ~env ~start prog =
                 Some { id = Printf.sprintf "%s:%d" family !idx; family;
                        problem = p; ground = np; env }
             | exception Invalid_argument _ -> None))
-    (Dlz_engine.Engine.pairs accs)
+    (Dlz_engine.Engine.pairs_seq accs)
 
 let progen ~seed ~count =
   let g = Prng.create seed in

@@ -116,12 +116,12 @@ let register_obs t =
     (fun () -> obs_samples t)
 
 let snapshot_to_json s =
-  Printf.sprintf
-    "{\"accepted\":%d,\"shed\":%d,\"rejected_draining\":%d,\"active\":%d,\
-     \"requests\":%d,\"responses\":%d,\"errors\":%d,\"malformed\":%d,\
-     \"disconnects\":%d,\"timeouts\":%d,\"contained\":%d}"
-    s.s_accepted s.s_shed s.s_rejected_draining s.s_active s.s_requests
-    s.s_responses s.s_errors s.s_malformed s.s_disconnects s.s_timeouts
-    s.s_contained
+  Jsonx.ints
+    [ ("accepted", s.s_accepted); ("shed", s.s_shed);
+      ("rejected_draining", s.s_rejected_draining); ("active", s.s_active);
+      ("requests", s.s_requests); ("responses", s.s_responses);
+      ("errors", s.s_errors); ("malformed", s.s_malformed);
+      ("disconnects", s.s_disconnects); ("timeouts", s.s_timeouts);
+      ("contained", s.s_contained) ]
 
 let to_json t = snapshot_to_json (snapshot t)

@@ -43,5 +43,5 @@ val register_obs : t -> unit
     Replace semantics: the latest server to start owns the name. *)
 
 val snapshot : t -> snapshot
-val snapshot_to_json : snapshot -> string
-val to_json : t -> string
+val snapshot_to_json : snapshot -> Jsonx.t
+val to_json : t -> Jsonx.t

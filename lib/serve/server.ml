@@ -168,7 +168,9 @@ let dump_loop sh path =
   | exception Sys_error _ -> ()
   | oc ->
       let emit () =
-        match Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ()) with
+        match
+          Jsonx.to_string (Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ()))
+        with
         | line ->
             output_string oc line;
             output_char oc '\n';

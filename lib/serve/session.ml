@@ -72,25 +72,6 @@ let request_budget ctx ~fuel ~timeout_ms =
     ?timeout_ms:(min_opt timeout_ms ctx.request_timeout_ms)
     ctx.budget
 
-let stats_payload ctx ~rid ~id =
-  (* Engine stats are already rendered JSON; splice the fragment in
-     rather than round-tripping it through the parser. *)
-  Printf.sprintf
-    "{\"id\":%s,\"rid\":%d,\"ok\":true,\"op\":\"stats\",\"serve\":%s,\"engine\":%s}"
-    (Jsonx.to_string id) rid
-    (Metrics.to_json ctx.metrics)
-    (Stats.to_json Stats.global)
-
-(* The JSON metrics body is the Snap codec's single line, spliced in
-   raw like the stats fragments; the Prometheus body travels as a JSON
-   string field so the frame stays one JSON object either way. *)
-let metrics_json_payload ~rid ~id samples =
-  Printf.sprintf
-    "{\"id\":%s,\"rid\":%d,\"ok\":true,\"op\":\"metrics\",\"format\":\"json\",\
-     \"metrics\":%s}"
-    (Jsonx.to_string id) rid
-    (Dlz_obs.Snap.to_json samples)
-
 let parse_program ~lang source =
   match lang with
   | `C -> Dlz_passes.Pointers.lower (Dlz_frontend.C_parser.parse source)
@@ -153,21 +134,24 @@ let dispatch ctx fd ~rid ~client ~id req =
       send_ok ctx fd ~rid ~id ~op:"ping" [];
       true
   | Proto.Stats ->
-      send ctx fd (stats_payload ctx ~rid ~id);
-      Atomic.incr ctx.metrics.Metrics.responses;
+      send_ok ctx fd ~rid ~id ~op:"stats"
+        [
+          ("serve", Metrics.to_json ctx.metrics);
+          ("engine", Stats.to_json Stats.global);
+        ];
       true
   | Proto.Metrics { format } ->
+      (* The JSON body is the Snap object; the Prometheus body travels
+         as a string field, so the frame is one JSON object either way. *)
       let samples = Dlz_obs.Registry.collect () in
-      (match format with
-      | `Prom ->
-          send_ok ctx fd ~rid ~id ~op:"metrics"
-            [
-              ("format", Jsonx.Str "prom");
-              ("body", Jsonx.Str (Dlz_obs.Prom.to_string samples));
-            ]
-      | `Json ->
-          send ctx fd (metrics_json_payload ~rid ~id samples);
-          Atomic.incr ctx.metrics.Metrics.responses);
+      send_ok ctx fd ~rid ~id ~op:"metrics"
+        (match format with
+        | `Prom ->
+            [ ("format", Jsonx.Str "prom");
+              ("body", Jsonx.Str (Dlz_obs.Prom.to_string samples)) ]
+        | `Json ->
+            [ ("format", Jsonx.Str "json");
+              ("metrics", Dlz_obs.Snap.to_json samples) ]);
       true
   | Proto.Shutdown ->
       send_ok ctx fd ~rid ~id ~op:"shutdown" [ ("draining", Jsonx.Bool true) ];

@@ -44,21 +44,10 @@ let replace_first ~sub ~by s =
   | Some i ->
       String.sub s 0 i ^ by ^ String.sub s (i + m) (n - i - m)
 
-let json_escape s =
-  (* Mirrors Bulk's escaping for the "dir" value; directory paths only
-     ever need the backslash case in practice. *)
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let normalize ~dir line =
+  let dir_field d = "\"dir\":" ^ Dlz_obs.Jsonx.(to_string (Str d)) in
   if String.length line > 16 && String.sub line 0 16 = "{\"summary\":true," then
-    replace_first
-      ~sub:(Printf.sprintf "\"dir\":\"%s\"" (json_escape dir))
-      ~by:(Printf.sprintf "\"dir\":\"%s\"" canonical_dir)
-      line
+    replace_first ~sub:(dir_field dir) ~by:(dir_field canonical_dir) line
   else line
 
 let check_drift dir =

@@ -56,7 +56,9 @@ let workload_programs () =
 
 let problems_of_prog prog =
   let accs, env = Access.of_program prog in
-  ( List.map (fun (pr : Engine.pair) -> pr.Engine.problem) (Engine.pairs accs),
+  ( List.of_seq
+      (Seq.map (fun (pr : Engine.pair) -> pr.Engine.problem)
+         (Engine.pairs_seq accs)),
     env )
 
 (* --- configuration parsing ------------------------------------------------ *)

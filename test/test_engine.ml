@@ -50,8 +50,10 @@ let twin_src =
 
 let problems_of src =
   let accs, env = accesses src in
-  (List.map (fun (pr : Engine.pair) -> pr.Engine.problem) (Engine.pairs accs),
-   env)
+  ( List.of_seq
+      (Seq.map (fun (pr : Engine.pair) -> pr.Engine.problem)
+         (Engine.pairs_seq accs)),
+    env )
 
 (* --- memo cache ----------------------------------------------------------- *)
 
@@ -143,7 +145,7 @@ let test_key_of_none_for_symbolic () =
 let check_presets_on src =
   let prog = prepare src in
   let accs, env = Access.of_program prog in
-  List.iter
+  Seq.iter
     (fun (pr : Engine.pair) ->
       List.iter
         (fun (mode, cascade) ->
@@ -168,7 +170,7 @@ let check_presets_on src =
           (Analyze.Classic, Cascade.classic);
           (Analyze.ExactMode, Cascade.exact);
         ])
-    (Engine.pairs accs)
+    (Engine.pairs_seq accs)
 
 let test_presets_match_modes_fragments () =
   Engine.reset_metrics ();
@@ -191,7 +193,7 @@ let test_presets_match_modes_corpus () =
       let spec = List.find (fun s -> s.Corpus.name = name) Corpus.riceps in
       let prog = Pipeline.prepare_program (Corpus.generate spec) in
       let accs, env = Access.of_program prog in
-      List.iter
+      Seq.iter
         (fun (pr : Engine.pair) ->
           let via_mode = Analyze.vectors ~env pr.Engine.problem in
           let direct =
@@ -200,7 +202,7 @@ let test_presets_match_modes_corpus () =
           in
           Alcotest.check verdict "delin preset matches mode on corpus"
             direct.Strategy.verdict via_mode.Analyze.verdict)
-        (Engine.pairs accs))
+        (Engine.pairs_seq accs))
     [ "SPHOT"; "SIMPLE" ]
 
 let test_of_names () =
@@ -289,7 +291,7 @@ let test_stats_reporting () =
        (fun (n, (c : Stats.strategy_counters)) ->
          n = "delinearize" && c.Stats.attempts > 0)
        (Stats.rows st));
-  let json = Stats.to_json st in
+  let json = Dlz_obs.Jsonx.to_string (Stats.to_json st) in
   let contains needle =
     let nl = String.length needle and jl = String.length json in
     let rec go i = i + nl <= jl && (String.sub json i nl = needle || go (i + 1)) in
@@ -306,7 +308,7 @@ let test_pairs_write_first () =
   List.iter
     (fun src ->
       let accs, _env = accesses src in
-      List.iter
+      Seq.iter
         (fun (pr : Engine.pair) ->
           let has_write =
             pr.Engine.src.Access.rw = `Write
@@ -322,12 +324,12 @@ let test_pairs_write_first () =
           Alcotest.(check bool)
             "self flag matches ids" pr.Engine.self
             (pr.Engine.src.Access.acc_id = pr.Engine.dst.Access.acc_id))
-        (Engine.pairs accs))
+        (Engine.pairs_seq accs))
     [ numeric_src; twin_src; Fragments.ib_program; Fragments.fig3_program ]
 
 (* --- analyzer/depgraph consistency (the orientation regression) ----------- *)
 
-(* Both consumers enumerate through Engine.pairs; the depgraph
+(* Both consumers enumerate through Engine.pairs_seq; the depgraph
    additionally reorients lexicographically-backward vectors and — by
    design — drops within-statement loop-independent dependences (an
    all-[=] vector on a single statement does not constrain loop

@@ -1,6 +1,6 @@
 (* Tests for the observability plane (lib/obs): the metric registry,
-   the Prometheus text exposition writer, and the versioned JSON
-   snapshot codec.
+   the Prometheus text exposition writer, the versioned JSON snapshot
+   codec, and the JSON codec every writer prints through.
 
    Determinism is the contract under test: the same metric state must
    render to byte-identical text regardless of registration order,
@@ -19,6 +19,7 @@ module Hist = Trace.Hist
 module Registry = Dlz_obs.Registry
 module Prom = Dlz_obs.Prom
 module Snap = Dlz_obs.Snap
+module Jsonx = Dlz_obs.Jsonx
 
 let test_jobs =
   match Sys.getenv_opt "DLZ_TEST_JOBS" with
@@ -71,8 +72,8 @@ let test_prom_escaping () =
     (Prom.to_string samples);
   check_str "leading digit sanitized" "_lives" (Prom.sanitize_name "9lives");
   check_str "empty name sanitized" "_" (Prom.sanitize_name "");
-  check_str "integral floats print bare" "42" (Prom.fmt_float 42.);
-  check_str "fractional floats print %.9g" "1512.5" (Prom.fmt_float 1512.5)
+  check_str "integral floats print bare" "42" (Jsonx.number 42.);
+  check_str "fractional floats print %.9g" "1512.5" (Jsonx.number 1512.5)
 
 (* Histogram exposition: cumulative non-decreasing buckets, an
    explicit +Inf equal to the count, _sum/_count lines, and derived
@@ -181,39 +182,131 @@ let test_snap_shape () =
       Registry.sample "t_nan" (Registry.Gauge Float.nan);
     ]
   in
-  let line = Snap.to_json samples in
+  let line = Jsonx.to_string (Snap.to_json samples) in
   check_bool "one line, NDJSON-ready" true (not (String.contains line '\n'));
-  (* The codec's output must parse as JSON — use the serve-side parser
-     as the independent reader. *)
+  (* The rendered line must parse back as JSON. *)
   let j =
-    match Dlz_serve.Jsonx.parse line with
+    match Jsonx.parse line with
     | Ok j -> j
     | Error m -> Alcotest.fail ("snap output does not parse: " ^ m)
   in
   let member k =
-    match Dlz_serve.Jsonx.member k j with
+    match Jsonx.member k j with
     | Some v -> v
     | None -> Alcotest.failf "missing %S" k
   in
   check_int "version field" Snap.version
-    (Option.get (Dlz_serve.Jsonx.to_int (member "version")));
-  let metrics =
-    Option.get (Dlz_serve.Jsonx.to_list (member "metrics"))
-  in
+    (Option.get (Jsonx.to_int (member "version")));
+  let metrics = Option.get (Jsonx.to_list (member "metrics")) in
   check_int "all samples present" (List.length samples) (List.length metrics);
-  let kind_of m =
-    Option.get
-      (Option.bind (Dlz_serve.Jsonx.member "kind" m) Dlz_serve.Jsonx.to_str)
-  in
+  let kind_of m = Option.get (Option.bind (Jsonx.member "kind" m) Jsonx.to_str) in
   check_str "counter kind" "counter" (kind_of (List.nth metrics 0));
   check_str "gauge kind" "gauge" (kind_of (List.nth metrics 1));
   check_str "histogram kind" "histogram" (kind_of (List.nth metrics 2));
   (* A NaN gauge degrades to 0 instead of corrupting the stream. *)
-  (match Dlz_serve.Jsonx.member "value" (List.nth metrics 3) with
+  (match Jsonx.member "value" (List.nth metrics 3) with
   | Some v ->
-      check_int "NaN gauge degrades to 0" 0
-        (Option.get (Dlz_serve.Jsonx.to_int v))
+      check_int "NaN gauge degrades to 0" 0 (Option.get (Jsonx.to_int v))
   | None -> Alcotest.fail "NaN gauge lost its value field")
+
+(* --- JSON codec ------------------------------------------------------------- *)
+
+(* A fixed registry state covering every number shape (integral,
+   fractional, huge, negative, non-finite) and every escape class. *)
+let fixed_samples =
+  let hist =
+    {
+      Registry.h_count = 3;
+      h_sum_ns = 4242L;
+      h_max_ns = 3000L;
+      h_p50_ns = 1386.75768;
+      h_p99_ns = 2999.5;
+      h_buckets = [ (1024L, 1); (2048L, 2); (4096L, 3) ];
+    }
+  in
+  [
+    Registry.sample ~help:"requests"
+      ~labels:[ ("client", "a\"b\\c\n\001") ]
+      "t_req_total" (Registry.Counter 5);
+    Registry.sample ~help:"depth" "t_depth" (Registry.Gauge 2.5);
+    Registry.sample "t_big" (Registry.Gauge 1e20);
+    Registry.sample "t_neg" (Registry.Gauge (-3.));
+    Registry.sample "t_frac" (Registry.Gauge (1. /. 3.));
+    Registry.sample "t_inf" (Registry.Gauge Float.infinity);
+    Registry.sample ~help:"latency"
+      ~labels:[ ("verb", "query") ]
+      "t_lat_ns" (Registry.Hist hist);
+  ]
+
+(* Both renderings of the fixed state, byte for byte as the metrics
+   plane has always printed them. *)
+let test_fixed_state_golden () =
+  check_str "snap line"
+    {|{"version":1,"metrics":[{"name":"t_req_total","labels":{"client":"a\"b\\c\n\u0001"},"kind":"counter","value":5},{"name":"t_depth","labels":{},"kind":"gauge","value":2.5},{"name":"t_big","labels":{},"kind":"gauge","value":1e+20},{"name":"t_neg","labels":{},"kind":"gauge","value":-3},{"name":"t_frac","labels":{},"kind":"gauge","value":0.333333333},{"name":"t_inf","labels":{},"kind":"gauge","value":0},{"name":"t_lat_ns","labels":{"verb":"query"},"kind":"histogram","count":3,"sum_ns":4242,"max_ns":3000,"p50_ns":1386.75768,"p99_ns":2999.5,"buckets":[[1024,1],[2048,2],[4096,3]]}]}|}
+    (Jsonx.to_string (Snap.to_json fixed_samples));
+  check_str "prometheus text"
+    "# HELP t_big t_big\n\
+     # TYPE t_big gauge\n\
+     t_big 1e+20\n\
+     # HELP t_depth depth\n\
+     # TYPE t_depth gauge\n\
+     t_depth 2.5\n\
+     # HELP t_frac t_frac\n\
+     # TYPE t_frac gauge\n\
+     t_frac 0.333333333\n\
+     # HELP t_inf t_inf\n\
+     # TYPE t_inf gauge\n\
+     t_inf inf\n\
+     # HELP t_lat_ns latency\n\
+     # TYPE t_lat_ns histogram\n\
+     t_lat_ns_bucket{verb=\"query\",le=\"1024\"} 1\n\
+     t_lat_ns_bucket{verb=\"query\",le=\"2048\"} 2\n\
+     t_lat_ns_bucket{verb=\"query\",le=\"4096\"} 3\n\
+     t_lat_ns_bucket{verb=\"query\",le=\"+Inf\"} 3\n\
+     t_lat_ns_sum{verb=\"query\"} 4242\n\
+     t_lat_ns_count{verb=\"query\"} 3\n\
+     # HELP t_lat_ns_p50 p50 of t_lat_ns\n\
+     # TYPE t_lat_ns_p50 gauge\n\
+     t_lat_ns_p50{verb=\"query\"} 1386.75768\n\
+     # HELP t_lat_ns_p99 p99 of t_lat_ns\n\
+     # TYPE t_lat_ns_p99 gauge\n\
+     t_lat_ns_p99{verb=\"query\"} 2999.5\n\
+     # HELP t_neg t_neg\n\
+     # TYPE t_neg gauge\n\
+     t_neg -3\n\
+     # HELP t_req_total requests\n\
+     # TYPE t_req_total counter\n\
+     t_req_total{client=\"a\\\"b\\\\c\\n\001\"} 5\n"
+    (Prom.to_string fixed_samples)
+
+(* `vic stats --format json` parses the daemon's Snap line and prints
+   it again; the reprint (fractional p50 included) must not drift. *)
+let test_snap_reprint () =
+  let line = Jsonx.to_string (Snap.to_json fixed_samples) in
+  match Jsonx.parse line with
+  | Ok j -> check_str "parse then print is the identity" line (Jsonx.to_string j)
+  | Error m -> Alcotest.fail ("snap line does not parse: " ^ m)
+
+let test_nonfinite_float () =
+  List.iter
+    (fun f ->
+      check_bool
+        (Printf.sprintf "%h prints as valid JSON 0" f)
+        true
+        (Jsonx.parse (Jsonx.to_string (Jsonx.Float f)) = Ok (Jsonx.Int 0)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* Every byte, with control bytes, quote and backslash over-weighted,
+   survives print then parse. *)
+let str_roundtrip =
+  let byte =
+    QCheck.Gen.(
+      frequency
+        [ (2, char_range '\000' '\031'); (1, oneofl [ '"'; '\\' ]); (3, char) ])
+  in
+  QCheck.Test.make ~name:"parse (to_string (Str s)) = Ok (Str s)" ~count:1000
+    (QCheck.string_gen byte) (fun s ->
+      Jsonx.parse (Jsonx.to_string (Jsonx.Str s)) = Ok (Jsonx.Str s))
 
 (* --- registry semantics --------------------------------------------------- *)
 
@@ -299,6 +392,16 @@ let () =
         ] );
       ( "snap",
         [ Alcotest.test_case "versioned JSON shape" `Quick test_snap_shape ] );
+      ( "jsonx",
+        [
+          Alcotest.test_case "fixed-state snap and prom goldens" `Quick
+            test_fixed_state_golden;
+          Alcotest.test_case "snap line reprints byte-identical" `Quick
+            test_snap_reprint;
+          Alcotest.test_case "non-finite floats print as 0" `Quick
+            test_nonfinite_float;
+          QCheck_alcotest.to_alcotest str_roundtrip;
+        ] );
       ( "registry",
         [
           Alcotest.test_case "replace semantics and reset coverage" `Quick

@@ -63,8 +63,10 @@ let many_distances_src n =
 
 let problems_of_prog prog =
   let accs, env = Access.of_program prog in
-  (List.map (fun (pr : Engine.pair) -> pr.Engine.problem) (Engine.pairs accs),
-   env)
+  ( List.of_seq
+      (Seq.map (fun (pr : Engine.pair) -> pr.Engine.problem)
+         (Engine.pairs_seq accs)),
+    env )
 
 (* --- Pool ----------------------------------------------------------------- *)
 
@@ -227,7 +229,7 @@ let test_pairs_seq_matches_pairs () =
   List.iter
     (fun prog ->
       let accs, _env = Access.of_program prog in
-      let legacy = List.map triple (Engine.pairs accs) in
+      let legacy = List.map triple (List.of_seq (Engine.pairs_seq accs)) in
       let streamed = List.of_seq (Seq.map triple (Engine.pairs_seq accs)) in
       let iterated =
         let out = ref [] in

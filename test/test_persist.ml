@@ -88,9 +88,9 @@ let all_problems () =
   List.concat_map
     (fun prog ->
       let accs, env = Access.of_program prog in
-      List.map
-        (fun (pr : Engine.pair) -> (env, pr.Engine.problem))
-        (Engine.pairs accs))
+      List.of_seq
+        (Seq.map (fun (pr : Engine.pair) -> (env, pr.Engine.problem))
+           (Engine.pairs_seq accs)))
     (workload_progs ())
 
 let query_all ps = List.map (fun (env, p) -> Engine.query ~env p) ps

@@ -35,7 +35,7 @@ module Serve = Dlz_driver.Serve
 module Addr = Dlz_serve.Addr
 module Client = Dlz_serve.Client
 module Frame = Dlz_serve.Frame
-module Jsonx = Dlz_serve.Jsonx
+module Jsonx = Dlz_obs.Jsonx
 module Proto = Dlz_serve.Proto
 module Server = Dlz_serve.Server
 module Metrics = Dlz_serve.Metrics
@@ -321,7 +321,8 @@ let test_oversize_frame_closes =
         (match
            Client.send_raw c
              (Frame.encode
-                (Printf.sprintf "{\"op\":\"ping\",\"pad\":\"%s\"}" big))
+                (Jsonx.to_string
+                   (obj [ ("op", Jsonx.Str "ping"); ("pad", Jsonx.Str big) ])))
          with
         | Ok () -> ()
         | Error _ -> () (* server may already have slammed the door *));
