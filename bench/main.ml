@@ -31,12 +31,13 @@ module Corpus = Dlz_corpus.Corpus
 module Fragments = Dlz_driver.Fragments
 module Workload = Dlz_driver.Workload
 module Experiments = Dlz_driver.Experiments
+module Jsonx = Dlz_obs.Jsonx
 
 let stage = Staged.stage
 
-(* The one wall-clock source for every companion arm (engine, parallel,
-   robustness, trace): the same monotonic clock the budgets and the
-   recorder use. *)
+(* The one wall-clock source for every companion arm (parallel, cache,
+   robustness, trace, oracle): the same monotonic clock the budgets and
+   the recorder use. *)
 let now_s () = Int64.to_float (Trace.now_ns ()) /. 1e9
 
 (* The upper median of a sample (the middle element for odd sizes). *)
@@ -48,10 +49,23 @@ let median a =
 (* Host provenance stamped into every BENCH_*.json header: scaling and
    overhead numbers are meaningless without the core count and the
    compiler that produced them. *)
-let host_json =
-  Printf.sprintf "\"host\":{\"cores\":%d,\"ocaml\":\"%s\"}"
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version
+let host =
+  ( "host",
+    Jsonx.Obj
+      [
+        ("cores", Jsonx.Int (Domain.recommended_domain_count ()));
+        ("ocaml", Jsonx.Str Sys.ocaml_version);
+      ] )
+
+(* Every companion arm reports through here: the host header, then the
+   arm's own fields, as one line in BENCH_<arm>.json and on stdout. *)
+let write_report arm fields =
+  let line = Jsonx.to_string (Jsonx.Obj (host :: fields)) in
+  let oc = open_out ("BENCH_" ^ arm ^ ".json") in
+  output_string oc line;
+  output_char oc '\n';
+  close_out oc;
+  print_endline line
 
 (* --- prebuilt inputs (allocation outside the timed region) ------------- *)
 
@@ -299,49 +313,9 @@ let precision_table () =
   Tbl.add_row t [ "gcd"; string_of_int !gcd ];
   print_string (Tbl.render t)
 
-(* --- engine instrumentation dump (BENCH_engine.json) ---------------------- *)
-
-(* Analyzing the paper-family programs under both preset cascades
-   repeatedly drives the memo cache, so the dump exercises every
-   counter the engine exposes. *)
 let family_prog ~depth ~extent =
   Dlz_passes.Pipeline.prepare_program
     (Dlz_frontend.F77_parser.parse (Workload.family_program ~depth ~extent))
-
-let engine_report () =
-  let family =
-    List.map (fun depth -> family_prog ~depth ~extent:10) [ 1; 2; 3; 4 ]
-  in
-  let progs = family @ [ fig3_prog; mhl_prog; ib_prog ] in
-  Dlz_engine.Engine.reset_metrics ();
-  let reps = 20 in
-  let t0 = now_s () in
-  for _ = 1 to reps do
-    List.iter
-      (fun p ->
-        ignore (An.deps_of_program p);
-        ignore (An.deps_of_program ~mode:An.Classic p))
-      progs
-  done;
-  let elapsed = now_s () -. t0 in
-  let st = Dlz_engine.Stats.global in
-  let qps =
-    if elapsed > 0. then
-      float_of_int (Dlz_engine.Stats.queries st) /. elapsed
-    else 0.
-  in
-  let json =
-    Printf.sprintf
-      "{\"workload\":\"paper-family\",%s,\"reps\":%d,\"elapsed_sec\":%.6f,\
-       \"queries_per_sec\":%.1f,\"engine\":%s}"
-      host_json reps elapsed qps
-      (Dlz_obs.Jsonx.to_string (Dlz_engine.Stats.to_json st))
-  in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  json
 
 (* --- parallel scaling sweep (BENCH_parallel.json) ------------------------- *)
 
@@ -448,28 +422,20 @@ let parallel_report () =
         ])
     runs;
   print_string (Tbl.render t);
-  let json =
-    Printf.sprintf
-      "{\"workload\":\"corpus+paper-family\",%s,\"programs\":%d,\"reps\":%d,\
-       \"runs\":[%s]}"
-      host_json (List.length progs) reps
-      (String.concat ","
-         (List.map
-            (fun r ->
-              Printf.sprintf
-                "{\"jobs\":%d,\"elapsed_sec\":%.6f,\"cold_sec\":%.6f,\
-                 \"warm_rep_sec\":%.6f,\"queries\":%d,\
-                 \"queries_per_sec\":%.1f,\"speedup_vs_serial\":%.3f,\
-                 \"cache_hit_ratio\":%.4f}"
-                r.pr_jobs r.pr_elapsed r.pr_cold r.pr_warm_rep r.pr_queries
-                r.pr_qps r.pr_speedup r.pr_hit_ratio)
-            runs))
+  let run r =
+    Jsonx.(
+      Obj
+        [ ("jobs", Int r.pr_jobs); ("elapsed_sec", Float r.pr_elapsed);
+          ("cold_sec", Float r.pr_cold); ("warm_rep_sec", Float r.pr_warm_rep);
+          ("queries", Int r.pr_queries); ("queries_per_sec", Float r.pr_qps);
+          ("speedup_vs_serial", Float r.pr_speedup);
+          ("cache_hit_ratio", Float r.pr_hit_ratio) ])
   in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  print_endline json
+  write_report "parallel"
+    Jsonx.
+      [ ("workload", Str "corpus+paper-family");
+        ("programs", Int (List.length progs)); ("reps", Int reps);
+        ("runs", List (List.map run runs)) ]
 
 (* --- warm-start snapshot speedup (BENCH_cache.json) ------------------------ *)
 
@@ -600,29 +566,23 @@ let cache_report () =
      sweep cold %.4fs / warm %.4fs; warm hits %d/%d\n"
     (Array.length probs) (Array.length uniq) entries snapshot_bytes fc fw
     warm_hits queries;
-  let fruns a =
-    String.concat "," (List.map (Printf.sprintf "%.6f") (Array.to_list a))
-  in
-  let json =
-    Printf.sprintf
-      "{\"workload\":\"eqgen-corpus\",%s,\"pairs\":%d,\"unique_forms\":%d,\
-       \"trials\":%d,\"snapshot_entries\":%d,\"snapshot_bytes\":%d,\
-       \"cold_median_sec\":%.6f,\"warm_median_sec\":%.6f,\
-       \"warm_speedup\":%.2f,\"target_speedup\":3.0,\
-       \"full_sweep\":{\"cold_sec\":%.6f,\"warm_sec\":%.6f},\
-       \"warm_queries\":%d,\"warm_hits\":%d,\"warm_misses\":%d,\
-       \"cold_runs_sec\":[%s],\"warm_runs_sec\":[%s]}"
-      host_json (Array.length probs) (Array.length uniq) trials entries
-      snapshot_bytes cold warm speedup fc fw queries warm_hits misses
-      (fruns populate) (fruns warmload)
-  in
   Sys.remove snap;
   Dlz_engine.Engine.reset_metrics ();
-  let oc = open_out "BENCH_cache.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  print_endline json
+  let fruns a =
+    Jsonx.List (List.map (fun x -> Jsonx.Float x) (Array.to_list a))
+  in
+  write_report "cache"
+    Jsonx.
+      [ ("workload", Str "eqgen-corpus"); ("pairs", Int (Array.length probs));
+        ("unique_forms", Int (Array.length uniq)); ("trials", Int trials);
+        ("snapshot_entries", Int entries);
+        ("snapshot_bytes", Int snapshot_bytes);
+        ("cold_median_sec", Float cold); ("warm_median_sec", Float warm);
+        ("warm_speedup", Float speedup); ("target_speedup", Float 3.0);
+        ("full_sweep", Obj [ ("cold_sec", Float fc); ("warm_sec", Float fw) ]);
+        ("warm_queries", Int queries); ("warm_hits", Int warm_hits);
+        ("warm_misses", Int misses); ("cold_runs_sec", fruns populate);
+        ("warm_runs_sec", fruns warmload) ]
 
 (* --- containment overhead (BENCH_robustness.json) ------------------------- *)
 
@@ -686,21 +646,15 @@ let robustness_report () =
         [ name; Printf.sprintf "%.3f" x; Printf.sprintf "%.3fx" (ratio x) ])
     [ ("baseline", baseline); ("budgeted", budgeted); ("chaos rate 0", chaos0) ];
   print_string (Tbl.render t);
-  let json =
-    Printf.sprintf
-      "{\"workload\":\"corpus+paper-family\",%s,\"programs\":%d,\"reps\":%d,\
-       \"baseline_sec\":%.6f,\"budgeted_sec\":%.6f,\"chaos0_sec\":%.6f,\
-       \"budgeted_overhead\":%.4f,\"chaos0_overhead\":%.4f,\
-       \"target_overhead\":0.05}"
-      host_json (List.length progs) reps baseline budgeted chaos0
-      (ratio budgeted -. 1.) (ratio chaos0 -. 1.)
-  in
-  let oc = open_out "BENCH_robustness.json" in
-  output_string oc json;
-  output_char oc '
-';
-  close_out oc;
-  print_endline json
+  write_report "robustness"
+    Jsonx.
+      [ ("workload", Str "corpus+paper-family");
+        ("programs", Int (List.length progs)); ("reps", Int reps);
+        ("baseline_sec", Float baseline); ("budgeted_sec", Float budgeted);
+        ("chaos0_sec", Float chaos0);
+        ("budgeted_overhead", Float (ratio budgeted -. 1.));
+        ("chaos0_overhead", Float (ratio chaos0 -. 1.));
+        ("target_overhead", Float 0.05) ]
 
 (* --- tracing overhead + latency profile (BENCH_trace.json) ---------------- *)
 
@@ -770,45 +724,36 @@ let trace_report () =
       (fun (_, h) -> Trace.Hist.count h > 0)
       (("query", Dlz_engine.Stats.query_hist ()) :: Trace.hist_rows ())
   in
-  let mask_json =
-    match Trace.mask () with
-    | None -> "null"
-    | Some cats ->
-        Printf.sprintf "[%s]"
-          (String.concat ","
-             (List.map (fun c -> Printf.sprintf "\"%s\"" c) cats))
+  let row (name, h) =
+    let module H = Trace.Hist in
+    Jsonx.(
+      Obj
+        [ ("name", Str name); ("count", Int (H.count h));
+          ("p50_ns", Float (H.percentile h 0.50));
+          ("p90_ns", Float (H.percentile h 0.90));
+          ("p99_ns", Float (H.percentile h 0.99));
+          ("max_ns", Int (Int64.to_int (H.max_ns h)));
+          ("total_ns", Int (Int64.to_int (H.total_ns h))) ])
   in
-  let json =
-    Printf.sprintf
-      "{\"workload\":\"corpus+paper-family\",%s,\"programs\":%d,\"pairs\":%d,\
-       \"off_pass_sec\":%.6f,\
-       \"timing_overhead\":%.4f,\"full_overhead\":%.4f,\
-       \"target_overhead\":0.03,\"full_target_overhead\":0.06,\
-       \"trace_mask\":%s,\"events\":%d,\"dropped\":%d,\
-       \"latency_profile\":[%s]}"
-      host_json (List.length progs) pairs baseline
-      (timing_ratio -. 1.) (full_ratio -. 1.) mask_json events dropped
-      (String.concat ","
-         (List.map
-            (fun (name, h) ->
-              Printf.sprintf
-                "{\"name\":\"%s\",\"count\":%d,\"p50_ns\":%.0f,\
-                 \"p90_ns\":%.0f,\"p99_ns\":%.0f,\"max_ns\":%Ld,\
-                 \"total_ns\":%Ld}"
-                name (Trace.Hist.count h)
-                (Trace.Hist.percentile h 0.50)
-                (Trace.Hist.percentile h 0.90)
-                (Trace.Hist.percentile h 0.99)
-                (Trace.Hist.max_ns h) (Trace.Hist.total_ns h))
-            profile))
+  let fields =
+    Jsonx.
+      [ ("workload", Str "corpus+paper-family");
+        ("programs", Int (List.length progs)); ("pairs", Int pairs);
+        ("off_pass_sec", Float baseline);
+        ("timing_overhead", Float (timing_ratio -. 1.));
+        ("full_overhead", Float (full_ratio -. 1.));
+        ("target_overhead", Float 0.03); ("full_target_overhead", Float 0.06);
+        ( "trace_mask",
+          match Trace.mask () with
+          | None -> Null
+          | Some cats -> List (List.map (fun c -> Str c) cats) );
+        ("events", Int events); ("dropped", Int dropped);
+        (* Rendered now: the reset below empties the live histograms. *)
+        ("latency_profile", List (List.map row profile)) ]
   in
   (* The profile pass left metrics behind; leave a clean slate. *)
   Dlz_engine.Engine.reset_metrics ();
-  let oc = open_out "BENCH_trace.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  print_endline json
+  write_report "trace" fields
 
 (* --- daemon throughput, overload, warm restart (BENCH_serve.json) --------- *)
 
@@ -971,37 +916,43 @@ let serve_report () =
      hits; overload shed %d/%d (%.0f%%), server p99 %.1fms vs %dms deadline\n"
     (full_overhead *. 100.) loaded_entries warm_hits om.Metrics.s_shed
     arrivals (shed_rate *. 100.) (over_p99 /. 1e6) deadline_ms;
-  let json =
-    Printf.sprintf
-      "{\"workload\":\"mix+query\",%s,\
-       \"capacity\":{\"sessions\":1000,\"requests\":%d,\"ok\":%d,\
-       \"degraded\":%d,\"shed\":%d,\"transport\":%d,\
-       \"throughput_rps\":%.1f,\"client_p50_ns\":%Ld,\"client_p99_ns\":%Ld,\
-       \"server_p50_ns\":%.0f,\"server_p99_ns\":%.0f},\
-       \"trace_overhead\":{\"timing_rps\":%.1f,\"full_rps\":%.1f,\
-       \"full_over_timing\":%.4f},\
-       \"warm_restart\":{\"snapshot_entries\":%d,\"loaded_entries\":%d,\
-       \"warm_hits\":%d,\"cold_ok\":%d,\"warm_ok\":%d,\
-       \"cold_elapsed_ns\":%Ld,\"warm_elapsed_ns\":%Ld},\
-       \"overload\":{\"workers\":1,\"queue\":2,\"deadline_ms\":%d,\
-       \"arrivals\":%d,\"ok\":%d,\"shed\":%d,\"shed_rate\":%.4f,\
-       \"server_p99_ns\":%.0f,\"p99_within_deadline\":%b}}"
-      host_json rep_t.Serve.lg_requests rep_t.Serve.lg_ok
-      rep_t.Serve.lg_degraded rep_t.Serve.lg_shed rep_t.Serve.lg_transport
-      rps_t
-      (Serve.percentile rep_t 50.)
-      (Serve.percentile rep_t 99.)
-      srv_p50 srv_p99 rps_t rps_f full_overhead snap_entries loaded_entries
-      warm_hits rep_cold.Serve.lg_ok rep_warm.Serve.lg_ok
-      rep_cold.Serve.lg_elapsed_ns rep_warm.Serve.lg_elapsed_ns deadline_ms
-      arrivals rep_over.Serve.lg_ok om.Metrics.s_shed shed_rate over_p99
-      (over_p99 <= float_of_int deadline_ms *. 1e6)
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  print_endline json
+  let ns n = Jsonx.Int (Int64.to_int n) in
+  write_report "serve"
+    Jsonx.
+      [ ("workload", Str "mix+query");
+        ( "capacity",
+          Obj
+            [ ("sessions", Int 1000); ("requests", Int rep_t.Serve.lg_requests);
+              ("ok", Int rep_t.Serve.lg_ok);
+              ("degraded", Int rep_t.Serve.lg_degraded);
+              ("shed", Int rep_t.Serve.lg_shed);
+              ("transport", Int rep_t.Serve.lg_transport);
+              ("throughput_rps", Float rps_t);
+              ("client_p50_ns", ns (Serve.percentile rep_t 50.));
+              ("client_p99_ns", ns (Serve.percentile rep_t 99.));
+              ("server_p50_ns", Float srv_p50);
+              ("server_p99_ns", Float srv_p99) ] );
+        ( "trace_overhead",
+          Obj
+            [ ("timing_rps", Float rps_t); ("full_rps", Float rps_f);
+              ("full_over_timing", Float full_overhead) ] );
+        ( "warm_restart",
+          Obj
+            [ ("snapshot_entries", Int snap_entries);
+              ("loaded_entries", Int loaded_entries);
+              ("warm_hits", Int warm_hits);
+              ("cold_ok", Int rep_cold.Serve.lg_ok);
+              ("warm_ok", Int rep_warm.Serve.lg_ok);
+              ("cold_elapsed_ns", ns rep_cold.Serve.lg_elapsed_ns);
+              ("warm_elapsed_ns", ns rep_warm.Serve.lg_elapsed_ns) ] );
+        ( "overload",
+          Obj
+            [ ("workers", Int 1); ("queue", Int 2);
+              ("deadline_ms", Int deadline_ms); ("arrivals", Int arrivals);
+              ("ok", Int rep_over.Serve.lg_ok); ("shed", Int om.Metrics.s_shed);
+              ("shed_rate", Float shed_rate); ("server_p99_ns", Float over_p99);
+              ( "p99_within_deadline",
+                Bool (over_p99 <= float_of_int deadline_ms *. 1e6) ) ] ) ]
 
 (* --- differential oracle throughput (BENCH_oracle.json) -------------------- *)
 
@@ -1066,23 +1017,16 @@ let oracle_report () =
         ])
     rows;
   print_string (Tbl.render t);
-  let json =
-    Printf.sprintf "{\"seed\":1,%s,\"runs\":[%s]}" host_json
-      (String.concat ","
-         (List.map
-            (fun (name, jobs, cases, checks, elapsed, cps) ->
-              Printf.sprintf
-                "{\"workload\":\"%s\",\"jobs\":%d,\"cases\":%d,\
-                 \"checks\":%d,\"elapsed_sec\":%.6f,\"checks_per_sec\":%.1f,\
-                 \"unsound\":0,\"internal\":0}"
-                name jobs cases checks elapsed cps)
-            rows))
+  let run (name, jobs, cases, checks, elapsed, cps) =
+    Jsonx.(
+      Obj
+        [ ("workload", Str name); ("jobs", Int jobs); ("cases", Int cases);
+          ("checks", Int checks); ("elapsed_sec", Float elapsed);
+          ("checks_per_sec", Float cps); ("unsound", Int 0);
+          ("internal", Int 0) ])
   in
-  let oc = open_out "BENCH_oracle.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  print_endline json
+  write_report "oracle"
+    Jsonx.[ ("seed", Int 1); ("runs", List (List.map run rows)) ]
 
 (* --- perf smoke gate (@perf-ci) ------------------------------------------- *)
 
@@ -1189,9 +1133,6 @@ let run_full () =
         ])
     e8_depths;
   print_string (Tbl.render t);
-  print_newline ();
-  print_endline "== Engine instrumentation (written to BENCH_engine.json) ==";
-  print_endline (engine_report ());
   print_newline ();
   run_parallel_only ();
   print_newline ();

@@ -133,11 +133,10 @@ let cache_term =
 let stats_json_arg =
   Arg.(value & flag
        & info [ "stats-json" ]
-           ~doc:"Print the engine statistics as one machine-readable\n\
-                 JSON line after the analysis: queries, hit/miss and\n\
-                 warm/cold cache counters, snapshot load/save/reject\n\
-                 counts, allocation-per-query gauges, per-strategy\n\
-                 rows, and contained degradations.")
+           ~doc:"Print every registered counter, gauge and latency\n\
+                 histogram as one versioned JSON snapshot line on exit\n\
+                 (the shape of `vic stats --format json' and\n\
+                 --metrics-dump).")
 
 let timings_arg =
   Arg.(value & flag
@@ -202,10 +201,11 @@ let cascade_of names =
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"Print engine statistics after the analysis: cache\n\
-                 hit/miss counts, per-shard flush counts, and\n\
+           ~doc:"Print every registered counter and latency histogram\n\
+                 after the run, as padded text: cache dispositions,\n\
                  per-strategy attempt/decide counters (verdict\n\
-                 provenance in aggregate).")
+                 provenance in aggregate), degradations, and per-shard\n\
+                 flush counts.")
 
 let fuel_arg =
   Arg.(value & opt (some int) None
@@ -261,20 +261,18 @@ let trace_sample_arg =
                  sampled; histograms always see every query.")
 
 let sort_arg =
+  let module Text = Dlz_obs.Text in
   let sort_conv =
     Arg.enum
-      (List.map
-         (fun name ->
-           match Dlz_engine.Stats.sort_of_string name with
-           | Some s -> (name, s)
-           | None -> assert false)
-         [ "name"; "attempts"; "time" ])
+      [ ("name", Text.By_name); ("attempts", Text.By_attempts);
+        ("time", Text.By_time) ]
   in
-  Arg.(value & opt sort_conv Dlz_engine.Stats.By_name
+  Arg.(value & opt sort_conv Text.By_name
        & info [ "sort" ] ~docv:"KEY"
-           ~doc:"Order of the --stats strategy and latency tables:\n\
-                 'name' (default), 'attempts', or 'time' (total\n\
-                 recorded latency, descending).")
+           ~doc:"Row order of the --stats readout: 'name' (default,\n\
+                 registry order), 'attempts' (within each counter\n\
+                 family, larger values first), or 'time' (within each\n\
+                 histogram family, larger total latency first).")
 
 let set_trace_sample spec =
   match spec with
@@ -315,55 +313,11 @@ let setup_telemetry ?trace_mask ~stats ~trace_out ~trace_sample () =
   | Some _ -> Trace.set_level Trace.Full
   | None -> if stats then Trace.set_level Trace.Timing
 
-let ns_string ns =
-  if ns < 1_000. then Printf.sprintf "%.0fns" ns
-  else if ns < 1_000_000. then Printf.sprintf "%.1fus" (ns /. 1_000.)
-  else if ns < 1_000_000_000. then Printf.sprintf "%.2fms" (ns /. 1_000_000.)
-  else Printf.sprintf "%.3fs" (ns /. 1_000_000_000.)
-
-let print_latency_table ~sort () =
-  let module Tbl = Dlz_base.Table in
-  (* The hot path records each query once, per cache disposition; the
-     end-to-end "query" row is the merge of those. *)
-  let query = Dlz_engine.Stats.query_hist () in
-  let rows =
-    List.filter (fun (_, h) -> Trace.Hist.count h > 0)
-      (("query", query) :: Trace.hist_rows ())
-  in
-  let rows =
-    match sort with
-    | Dlz_engine.Stats.By_time ->
-        List.sort
-          (fun (na, a) (nb, b) ->
-            match Int64.compare (Trace.Hist.total_ns b) (Trace.Hist.total_ns a)
-            with
-            | 0 -> String.compare na nb
-            | c -> c)
-          rows
-    | _ -> rows
-  in
-  if rows <> [] then begin
-    let t =
-      Tbl.create
-        ~aligns:[ Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right;
-                  Tbl.Right; Tbl.Right ]
-        [ "latency"; "count"; "p50"; "p90"; "p99"; "max"; "total" ]
-    in
-    List.iter
-      (fun (name, h) ->
-        Tbl.add_row t
-          [
-            name;
-            string_of_int (Trace.Hist.count h);
-            ns_string (Trace.Hist.percentile h 0.50);
-            ns_string (Trace.Hist.percentile h 0.90);
-            ns_string (Trace.Hist.percentile h 0.99);
-            ns_string (Int64.to_float (Trace.Hist.max_ns h));
-            ns_string (Int64.to_float (Trace.Hist.total_ns h));
-          ])
-      rows;
-    print_string (Tbl.render t)
-  end
+(* The --stats readout: every registered sample, rendered by the same
+   collectors a Prometheus scrape reads. *)
+let print_stats ~sort =
+  print_newline ();
+  print_string (Dlz_obs.Text.to_string ~sort (Dlz_obs.Registry.collect ()))
 
 let write_trace trace_out =
   match trace_out with
@@ -513,11 +467,7 @@ let analyze_cmd =
                     Printf.eprintf "warning: snapshot save %s: %s\n%!" p
                       reason));
         if stats then begin
-          print_newline ();
-          Format.printf "%a@."
-            (Dlz_engine.Stats.pp ~sort)
-            Dlz_engine.Stats.global;
-          print_latency_table ~sort ();
+          print_stats ~sort;
           let module Query = Dlz_engine.Query in
           let cache = Query.global_cache in
           let ints a =
@@ -542,7 +492,7 @@ let analyze_cmd =
         if stats_json then
           print_endline
             (Dlz_obs.Jsonx.to_string
-               (Dlz_engine.Stats.to_json Dlz_engine.Stats.global));
+               (Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ())));
         write_trace trace_out)
   in
   Cmd.v
@@ -909,13 +859,7 @@ let fuzz_cmd =
             close_out oc;
             Printf.printf "wrote %s\n" path
         | None -> ());
-        if stats then begin
-          print_newline ();
-          Format.printf "%a@."
-            (Dlz_engine.Stats.pp ~sort)
-            Dlz_engine.Stats.global;
-          print_latency_table ~sort ()
-        end;
+        if stats then print_stats ~sort;
         write_trace trace_out;
         let bad =
           Differ.count_class report Differ.Unsound

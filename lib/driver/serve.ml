@@ -1,7 +1,6 @@
 module Trace = Dlz_base.Trace
 module Depeq = Dlz_deptest.Depeq
 module Problem = Dlz_deptest.Problem
-module Stats = Dlz_engine.Stats
 module Addr = Dlz_serve.Addr
 module Client = Dlz_serve.Client
 module Jsonx = Dlz_obs.Jsonx
@@ -40,16 +39,11 @@ let run_cli ?(stats_json = false) ?(quiet = false) cfg =
           Printf.eprintf "vic serve: drain snapshot failed: %s\n%!" m
       | _ -> ());
       if stats_json then
-        (* The whole picture behind one flag: daemon counters, engine
-           counters, and the full obs snapshot (which additionally
-           carries per-client attribution and latency histograms). *)
+        (* The same Snap line a `metrics` scrape in json format carries:
+           daemon, engine and per-client counters plus the latency
+           histograms. *)
         print_endline
-          (Jsonx.to_string
-             (Jsonx.Obj
-                [ ("version", Jsonx.Int 1);
-                  ("serve", Metrics.snapshot_to_json s.Server.sm_metrics);
-                  ("engine", Stats.to_json Stats.global);
-                  ("obs", Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ())) ]))
+          (Jsonx.to_string (Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ())))
       else if not quiet then begin
         let m = s.Server.sm_metrics in
         Printf.eprintf
@@ -131,13 +125,6 @@ let run_stats ~addr ~format ~watch ~interval_ms ~count () =
    (the runtime caps domains at ~128). *)
 
 type workload = Ping | Query | Analyze | Mix
-
-let workload_of_string = function
-  | "ping" -> Some Ping
-  | "query" -> Some Query
-  | "analyze" -> Some Analyze
-  | "mix" -> Some Mix
-  | _ -> None
 
 type report = {
   lg_sessions : int;  (* sessions attempted *)

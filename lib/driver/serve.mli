@@ -10,11 +10,11 @@
 
 val run_cli : ?stats_json:bool -> ?quiet:bool -> Dlz_serve.Server.config -> unit
 (** Start, announce, drain on SIGTERM/SIGINT (or a [shutdown] request),
-    join, report.  [stats_json] prints one machine-readable
-    [{"version":..,"serve":..,"engine":..,"obs":..}] line on exit —
-    daemon counters, engine counters, and the full obs snapshot
-    (per-client attribution included) behind one flag.  Exits the
-    process with code 1 when the server cannot start. *)
+    join, report.  [stats_json] prints one {!Dlz_obs.Snap} line
+    of {!Dlz_obs.Registry.collect} on exit — daemon, engine and
+    per-client counters plus latency histograms, the same line as
+    [vic stats --format json] and [--metrics-dump].  Exits the process
+    with code 1 when the server cannot start. *)
 
 val run_stats :
   addr:Dlz_serve.Addr.t ->
@@ -34,8 +34,6 @@ val run_stats :
 type workload = Ping | Query | Analyze | Mix
 (** [Mix] is query-heavy, like a compiler driving the daemon: 6/8
     queries, 1/8 pings, 1/8 whole-program analyzes. *)
-
-val workload_of_string : string -> workload option
 
 type report = {
   lg_sessions : int;

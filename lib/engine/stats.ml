@@ -194,9 +194,6 @@ let divergence_rows t =
   Mutex.unlock t.lock;
   List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) snap
 
-let divergences t =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (divergence_rows t)
-
 let queries t = Atomic.get t.q_queries
 let alloc_words t = Atomic.get t.q_alloc_words
 let hit_alloc_words t = Atomic.get t.q_hit_alloc_words
@@ -217,32 +214,18 @@ let consistent t =
 
 let per q n = if n = 0 then 0.0 else float_of_int q /. float_of_int n
 
-let allocs_per_query t = per (alloc_words t) (queries t)
 let allocs_per_hit t = per (hit_alloc_words t) (Atomic.get t.q_hits)
 
 let hit_ratio t =
   let total = cache_hits t + cache_misses t in
   if total = 0 then 0.0 else float_of_int (cache_hits t) /. float_of_int total
 
-type sort = By_name | By_attempts | By_time
-
-let sort_of_string = function
-  | "name" -> Some By_name
-  | "attempts" -> Some By_attempts
-  | "time" -> Some By_time
-  | _ -> None
-
-(* Total recorded latency of a strategy, from the trace subsystem's
-   histogram (0 when timing was off — By_time then degenerates to the
-   name order, deterministically). *)
-let strategy_time_ns name = Trace.Hist.total_ns (Trace.hist ("strategy." ^ name))
-
 let query_hist () =
   Trace.Hist.merged
     [ Trace.hist "cache.hit"; Trace.hist "cache.miss";
       Trace.hist "cache.uncacheable" ]
 
-let rows ?(sort = By_name) t =
+let rows t =
   Mutex.lock t.lock;
   let snap =
     Hashtbl.fold
@@ -258,116 +241,7 @@ let rows ?(sort = By_name) t =
       t.strategies []
   in
   Mutex.unlock t.lock;
-  let by_name (a, _) (b, _) = String.compare a b in
-  match sort with
-  | By_name -> List.sort by_name snap
-  | By_attempts ->
-      List.sort
-        (fun ((_, a) as x) ((_, b) as y) ->
-          match compare b.attempts a.attempts with
-          | 0 -> by_name x y
-          | c -> c)
-        snap
-  | By_time ->
-      (* Snapshot the histogram totals once, not per comparison. *)
-      let keyed =
-        List.map (fun ((name, _) as row) -> (strategy_time_ns name, row)) snap
-      in
-      List.sort
-        (fun (ta, x) (tb, y) ->
-          match Int64.compare tb ta with 0 -> by_name x y | c -> c)
-        keyed
-      |> List.map snd
-
-let pp ?sort ppf t =
-  Format.fprintf ppf "@[<v>engine: %d queries, cache %d hit / %d miss"
-    (queries t) (cache_hits t) (cache_misses t);
-  if cache_uncacheable t > 0 then
-    Format.fprintf ppf " / %d uncacheable" (cache_uncacheable t);
-  if cache_flushes t > 0 then
-    Format.fprintf ppf " / %d flushes" (cache_flushes t);
-  Format.fprintf ppf " (hit ratio %.2f)" (hit_ratio t);
-  if warm_hits t > 0 then
-    Format.fprintf ppf "@,  hits %d warm (snapshot) / %d cold (this run)"
-      (warm_hits t) (cold_hits t);
-  if
-    snapshot_loads t > 0 || snapshot_rejects t > 0 || snapshot_saves t > 0
-    || snapshot_save_fails t > 0
-  then begin
-    Format.fprintf ppf
-      "@,  snapshot: %d entries loaded (%d accepted, %d rejected), %d saved"
-      (snapshot_loaded t) (snapshot_loads t) (snapshot_rejects t)
-      (snapshot_saves t);
-    if snapshot_save_fails t > 0 then
-      Format.fprintf ppf " (%d save failures)" (snapshot_save_fails t)
-  end;
-  if queries t > 0 then
-    Format.fprintf ppf
-      "@,  allocations %.1f minor words/query (%.1f on hits)"
-      (allocs_per_query t) (allocs_per_hit t);
-  List.iter
-    (fun (name, c) ->
-      Format.fprintf ppf
-        "@,  %-14s attempts %5d  independent %5d  dependent %5d  passed %5d"
-        name c.attempts c.independent c.dependent c.passed)
-    (rows ?sort t);
-  List.iter
-    (fun ((name, reason), n) ->
-      Format.fprintf ppf "@,  degraded %-14s %-18s %5d" name reason n)
-    (degradation_rows t);
-  if oracle_checks t > 0 then
-    Format.fprintf ppf "@,  oracle checks %d" (oracle_checks t);
-  List.iter
-    (fun ((name, cls), n) ->
-      Format.fprintf ppf "@,  divergence %-14s %-10s %5d" name cls n)
-    (divergence_rows t);
-  Format.fprintf ppf "@]"
-
-let to_json t =
-  let open Dlz_obs.Jsonx in
-  let tagged key rows =
-    List
-      (List.map
-         (fun ((name, tag), n) ->
-           Obj [ ("strategy", Str name); (key, Str tag); ("count", Int n) ])
-         rows)
-  in
-  Obj
-    [
-      ("queries", Int (queries t));
-      ( "cache",
-        Obj
-          [ ("hits", Int (cache_hits t)); ("warm_hits", Int (warm_hits t));
-            ("cold_hits", Int (cold_hits t)); ("misses", Int (cache_misses t));
-            ("uncacheable", Int (cache_uncacheable t));
-            ("flushes", Int (cache_flushes t));
-            ("hit_ratio", Float (hit_ratio t)) ] );
-      ( "snapshot",
-        ints
-          [ ("loaded_entries", snapshot_loaded t); ("loads", snapshot_loads t);
-            ("rejects", snapshot_rejects t); ("saves", snapshot_saves t);
-            ("save_fails", snapshot_save_fails t) ] );
-      ( "alloc",
-        Obj
-          [ ("minor_words", Int (alloc_words t));
-            ("hit_minor_words", Int (hit_alloc_words t));
-            ("per_query", Float (allocs_per_query t));
-            ("per_hit", Float (allocs_per_hit t)) ] );
-      ( "strategies",
-        List
-          (List.map
-             (fun (name, c) ->
-               Obj
-                 [ ("name", Str name); ("attempts", Int c.attempts);
-                   ("independent", Int c.independent);
-                   ("dependent", Int c.dependent); ("passed", Int c.passed) ])
-             (rows t)) );
-      ("degradations", tagged "reason" (degradation_rows t));
-      ( "oracle",
-        Obj
-          [ ("checks", Int (oracle_checks t));
-            ("divergences", tagged "class" (divergence_rows t)) ] );
-    ]
+  List.sort (fun (a, _) (b, _) -> String.compare a b) snap
 
 (* Every counter above, rendered as one scrapeable collector.  The
    samples are built at scrape time from the live atomics, so the

@@ -9,7 +9,10 @@
     losing increments and [queries = hits + misses + uncacheable] stays
     exact.  A process-wide {!global} instance backs the default engine
     entry points so that command-line tools ([vic --stats]) and the
-    bench harness can report without threading state. *)
+    bench harness can report without threading state.  {!global} is
+    rendered only through its ["engine"] collector in
+    {!Dlz_obs.Registry}: [--stats], [--stats-json] and the daemon's
+    [metrics] verb all read that one sample list. *)
 
 type t
 
@@ -118,25 +121,12 @@ val alloc_words : t -> int
 val hit_alloc_words : t -> int
 (** The slice of {!alloc_words} spent on cache hits. *)
 
-val allocs_per_query : t -> float
-(** [alloc_words / queries]; [0.] before any query. *)
-
 val allocs_per_hit : t -> float
 (** [hit_alloc_words / cache_hits]; [0.] before any hit.  Trends to ~0
     once the per-domain key buffers are warm. *)
 
-type sort = By_name | By_attempts | By_time
-(** Row orderings for the per-strategy table: alphabetical, by attempt
-    count (descending), or by total recorded latency (descending, from
-    the {!Dlz_base.Trace} "strategy.*" histograms — requires timing to
-    have been on; ties and the timing-off case fall back to names). *)
-
-val sort_of_string : string -> sort option
-(** ["name"], ["attempts"], ["time"]. *)
-
-val rows : ?sort:sort -> t -> (string * strategy_counters) list
-(** Per-strategy counter snapshots, sorted by [sort] (default
-    {!By_name}). *)
+val rows : t -> (string * strategy_counters) list
+(** Per-strategy counter snapshots, sorted by strategy name. *)
 
 val degradation_rows : t -> ((string * string) * int) list
 (** [((strategy, reason), count)] for every recorded degradation,
@@ -158,15 +148,7 @@ val divergence_rows : t -> ((string * string) * int) list
 (** [((strategy, class), count)] for every recorded divergence,
     sorted. *)
 
-val divergences : t -> int
-(** Total recorded divergences: the sum over {!divergence_rows}. *)
-
 val query_hist : unit -> Dlz_base.Trace.Hist.t
 (** End-to-end query latency: a snapshot merge of the per-disposition
     "cache.hit" / "cache.miss" / "cache.uncacheable" histograms (the
     hot path records each query into exactly one of those). *)
-
-val pp : ?sort:sort -> Format.formatter -> t -> unit
-
-val to_json : t -> Dlz_obs.Jsonx.t
-(** JSON object: queries, cache counters, per-strategy rows. *)

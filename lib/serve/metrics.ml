@@ -114,14 +114,3 @@ let obs_samples t =
 let register_obs t =
   Dlz_obs.Registry.register ~name:"serve" ~reset:(fun () -> reset t)
     (fun () -> obs_samples t)
-
-let snapshot_to_json s =
-  Jsonx.ints
-    [ ("accepted", s.s_accepted); ("shed", s.s_shed);
-      ("rejected_draining", s.s_rejected_draining); ("active", s.s_active);
-      ("requests", s.s_requests); ("responses", s.s_responses);
-      ("errors", s.s_errors); ("malformed", s.s_malformed);
-      ("disconnects", s.s_disconnects); ("timeouts", s.s_timeouts);
-      ("contained", s.s_contained) ]
-
-let to_json t = snapshot_to_json (snapshot t)

@@ -43,5 +43,5 @@ val register_obs : t -> unit
     Replace semantics: the latest server to start owns the name. *)
 
 val snapshot : t -> snapshot
-val snapshot_to_json : snapshot -> Jsonx.t
-val to_json : t -> Jsonx.t
+(** Plain ints for in-process readers ({!Server.join}'s summary); the
+    wire and CLI readouts go through the registry collector. *)

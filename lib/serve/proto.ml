@@ -9,7 +9,6 @@ module Strategy = Dlz_engine.Strategy
 
 type request =
   | Ping
-  | Stats
   | Metrics of { format : [ `Prom | `Json ] }
   | Shutdown
   | Query of { problem : Problem.t; fuel : int option; timeout_ms : int option }
@@ -23,7 +22,6 @@ type request =
 
 let op_name = function
   | Ping -> "ping"
-  | Stats -> "stats"
   | Metrics _ -> "metrics"
   | Shutdown -> "shutdown"
   | Query _ -> "query"
@@ -192,7 +190,6 @@ let parse_request j =
     match Option.bind (Jsonx.member "op" j) Jsonx.to_str with
     | None -> fail "missing \"op\" field"
     | Some "ping" -> Ok Ping
-    | Some "stats" -> Ok Stats
     | Some "metrics" -> (
         match Jsonx.member "format" j with
         | None | Some (Jsonx.Str "prom") -> Ok (Metrics { format = `Prom })

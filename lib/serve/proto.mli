@@ -10,10 +10,11 @@
 
 type request =
   | Ping
-  | Stats
   | Metrics of { format : [ `Prom | `Json ] }
       (** Scrape the {!Dlz_obs.Registry}: Prometheus exposition text
-          (default) or the versioned {!Dlz_obs.Snap} JSON shape. *)
+          (default) or the versioned {!Dlz_obs.Snap} JSON shape.  The
+          one counter readout of the protocol: daemon, engine and
+          per-client counters all travel here. *)
   | Shutdown
   | Query of {
       problem : Dlz_deptest.Problem.t;

@@ -4,7 +4,6 @@ module Assume = Dlz_symbolic.Assume
 module Access = Dlz_ir.Access
 module Analyze = Dlz_engine.Analyze
 module Engine = Dlz_engine.Engine
-module Stats = Dlz_engine.Stats
 module Cascade = Dlz_engine.Cascade
 module Verdict = Dlz_deptest.Verdict
 module Parallel = Dlz_vec.Parallel
@@ -132,13 +131,6 @@ let dispatch ctx fd ~rid ~client ~id req =
   match req with
   | Proto.Ping ->
       send_ok ctx fd ~rid ~id ~op:"ping" [];
-      true
-  | Proto.Stats ->
-      send_ok ctx fd ~rid ~id ~op:"stats"
-        [
-          ("serve", Metrics.to_json ctx.metrics);
-          ("engine", Stats.to_json Stats.global);
-        ];
       true
   | Proto.Metrics { format } ->
       (* The JSON body is the Snap object; the Prometheus body travels

@@ -291,16 +291,40 @@ let test_stats_reporting () =
        (fun (n, (c : Stats.strategy_counters)) ->
          n = "delinearize" && c.Stats.attempts > 0)
        (Stats.rows st));
-  let json = Dlz_obs.Jsonx.to_string (Stats.to_json st) in
-  let contains needle =
-    let nl = String.length needle and jl = String.length json in
-    let rec go i = i + nl <= jl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
+  (* The --stats-json line: the Snap rendering of the registry, whose
+     "engine" collector reads [Stats.global]. *)
+  let line =
+    Dlz_obs.Jsonx.to_string
+      (Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ()))
   in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("json mentions " ^ needle) true (contains needle))
-    [ "\"queries\""; "\"hit_ratio\""; "\"strategies\""; "\"delinearize\"" ]
+  let metrics =
+    match Dlz_obs.Jsonx.parse line with
+    | Ok j ->
+        Option.get (Option.bind (Dlz_obs.Jsonx.member "metrics" j)
+                      Dlz_obs.Jsonx.to_list)
+    | Error m -> Alcotest.fail ("snap line does not parse: " ^ m)
+  in
+  let value name labels =
+    List.find_map
+      (fun m ->
+        let open Dlz_obs.Jsonx in
+        if member "name" m = Some (Str name)
+           && member "labels" m = Some (Obj labels)
+        then Option.bind (member "value" m) to_int
+        else None)
+      metrics
+  in
+  Alcotest.(check (option int))
+    "snap queries = Stats.queries" (Some (Stats.queries st))
+    (value "vic_engine_queries_total" []);
+  Alcotest.(check bool)
+    "snap counts delinearize attempts" true
+    (match
+       value "vic_engine_strategy_attempts_total"
+         [ ("strategy", Dlz_obs.Jsonx.Str "delinearize") ]
+     with
+    | Some n -> n > 0
+    | None -> false)
 
 (* --- pair enumeration and orientation ------------------------------------- *)
 

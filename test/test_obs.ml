@@ -279,6 +279,66 @@ let test_fixed_state_golden () =
      t_req_total{client=\"a\\\"b\\\\c\\n\001\"} 5\n"
     (Prom.to_string fixed_samples)
 
+(* The --stats rendering of the same fixed state: every sample in
+   registry order, padded columns, histograms in their own table. *)
+let test_text_golden () =
+  check_str "text view"
+    "t_big                                   1e+20\n\
+     t_depth                                   2.5\n\
+     t_frac                            0.333333333\n\
+     t_inf                                     inf\n\
+     t_neg                                      -3\n\
+     t_req_total{client=\"a\\\"b\\\\c\\n\001\"}            5\n\
+     \n\
+     histogram               count    p50    p99    max  total\n\
+     t_lat_ns{verb=\"query\"}      3  1.4us  3.0us  3.0us  4.2us\n"
+    (Dlz_obs.Text.to_string fixed_samples)
+
+(* --sort reorders rows within one family only: counter values for
+   [By_attempts], histogram totals for [By_time]; families stay in
+   name order. *)
+let test_text_sort () =
+  let hist sum =
+    Registry.Hist
+      {
+        Registry.h_count = 1;
+        h_sum_ns = sum;
+        h_max_ns = sum;
+        h_p50_ns = Int64.to_float sum;
+        h_p99_ns = Int64.to_float sum;
+        h_buckets = [];
+      }
+  in
+  let samples =
+    [
+      Registry.sample ~labels:[ ("s", "a") ] "t_att" (Registry.Counter 1);
+      Registry.sample ~labels:[ ("s", "b") ] "t_att" (Registry.Counter 9);
+      Registry.sample "t_b" (Registry.Counter 0);
+      Registry.sample ~labels:[ ("op", "a") ] "t_lat" (hist 10L);
+      Registry.sample ~labels:[ ("op", "b") ] "t_lat" (hist 99L);
+    ]
+  in
+  let first_column sort =
+    Dlz_obs.Text.to_string ~sort samples
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' l with
+           | "" :: _ | [] | "histogram" :: _ -> None
+           | k :: _ -> Some k)
+  in
+  let check name sort expected =
+    Alcotest.(check (list string)) name expected (first_column sort)
+  in
+  check "name: registry order" Dlz_obs.Text.By_name
+    [ "t_att{s=\"a\"}"; "t_att{s=\"b\"}"; "t_b"; "t_lat{op=\"a\"}";
+      "t_lat{op=\"b\"}" ];
+  check "attempts: larger counters first" Dlz_obs.Text.By_attempts
+    [ "t_att{s=\"b\"}"; "t_att{s=\"a\"}"; "t_b"; "t_lat{op=\"a\"}";
+      "t_lat{op=\"b\"}" ];
+  check "time: larger totals first" Dlz_obs.Text.By_time
+    [ "t_att{s=\"a\"}"; "t_att{s=\"b\"}"; "t_b"; "t_lat{op=\"b\"}";
+      "t_lat{op=\"a\"}" ]
+
 (* `vic stats --format json` parses the daemon's Snap line and prints
    it again; the reprint (fractional p50 included) must not drift. *)
 let test_snap_reprint () =
@@ -396,6 +456,10 @@ let () =
         [
           Alcotest.test_case "fixed-state snap and prom goldens" `Quick
             test_fixed_state_golden;
+          Alcotest.test_case "fixed-state text golden" `Quick
+            test_text_golden;
+          Alcotest.test_case "text sort within families" `Quick
+            test_text_sort;
           Alcotest.test_case "snap line reprints byte-identical" `Quick
             test_snap_reprint;
           Alcotest.test_case "non-finite floats print as 0" `Quick

@@ -2,7 +2,7 @@
 
    The load-bearing properties:
 
-   - protocol fidelity: ping/stats/query/analyze round-trips over a
+   - protocol fidelity: ping/metrics/query/analyze round-trips over a
      real socket agree with the in-process engine (same process, same
      global cache, so the comparison is exact);
    - containment: a framing violation costs that connection exactly
@@ -129,20 +129,83 @@ let family_source = Workload.family_program ~depth:2 ~extent:8
 
 (* --- protocol round-trips ------------------------------------------------ *)
 
+(* The daemon's counters as one [metrics] json scrape reports them:
+   the [vic_serve_*] samples of the Snap line, keyed by the short names
+   the assertions below use. *)
+let metrics_json id =
+  obj
+    [ ("op", Jsonx.Str "metrics"); ("format", Jsonx.Str "json");
+      ("id", Jsonx.Int id) ]
+
+let snapshot_of r =
+  match
+    Option.bind (Jsonx.member "metrics" r) (fun m ->
+        Option.bind (Jsonx.member "metrics" m) Jsonx.to_list)
+  with
+  | Some ms -> ms
+  | None ->
+      Alcotest.failf "metrics reply carries no snapshot: %s" (Jsonx.to_string r)
+
+let sample_value metrics name labels =
+  List.find_map
+    (fun m ->
+      if Jsonx.member "name" m = Some (Jsonx.Str name)
+         && Jsonx.member "labels" m = Some (Jsonx.Obj labels)
+      then Option.bind (Jsonx.member "value" m) Jsonx.to_int
+      else None)
+    metrics
+
+let serve_counters r =
+  let metrics = snapshot_of r in
+  let counter name labels =
+    match sample_value metrics name labels with
+    | Some n -> n
+    | None -> Alcotest.failf "scrape has no %s sample" name
+  in
+  let outcome o =
+    counter "vic_serve_connections_total" [ ("outcome", Jsonx.Str o) ]
+  in
+  [
+    ("requests", counter "vic_serve_requests_total" []);
+    ("responses", counter "vic_serve_responses_total" []);
+    ("errors", counter "vic_serve_errors_total" []);
+    ("malformed", counter "vic_serve_malformed_total" []);
+    ("timeouts", counter "vic_serve_timeouts_total" []);
+    ("accepted", outcome "accepted");
+    ("shed", outcome "shed");
+  ]
+
 let test_ping_and_stats =
   without_chaos @@ fun () ->
   let (), _ =
     with_server (fun addr ->
         let c = connect addr in
         ping c;
-        let r = request c (obj [ ("op", Jsonx.Str "stats"); ("id", Jsonx.Int 2) ]) in
-        Alcotest.(check bool) "stats ok" true (get_bool r "ok");
+        let r = request c (metrics_json 2) in
+        Alcotest.(check bool) "metrics ok" true (get_bool r "ok");
+        let s = serve_counters r in
         Alcotest.(check bool)
-          "stats carries serve metrics" true
-          (Jsonx.member "serve" r <> None);
+          "scrape carries serve counters" true
+          (List.assoc "requests" s >= 2);
         Alcotest.(check bool)
-          "stats carries engine stats" true
-          (Jsonx.member "engine" r <> None);
+          "scrape carries engine counters" true
+          (sample_value (snapshot_of r) "vic_engine_queries_total" [] <> None);
+        Client.close c)
+  in
+  ()
+
+(* The old [stats] verb is gone: [metrics] is the one scrape, and
+   [stats] is now an unknown op like any other. *)
+let test_stats_op_refused =
+  without_chaos @@ fun () ->
+  let (), _ =
+    with_server (fun addr ->
+        let c = connect addr in
+        let r = request c (obj [ ("op", Jsonx.Str "stats"); ("id", Jsonx.Int 1) ]) in
+        Alcotest.(check bool) "stats refused" false (get_bool r "ok");
+        Alcotest.(check string) "as a bad request" "bad-request"
+          (get_str r "reason");
+        ping ~id:2 c;
         Client.close c)
   in
   ()
@@ -526,18 +589,11 @@ let test_shutdown_drains_and_warm_restarts =
 
 (* --- observability -------------------------------------------------------- *)
 
-let serve_counters r =
-  match Jsonx.member "serve" r with
-  | Some s -> s
-  | None -> Alcotest.failf "stats reply missing serve: %s" (Jsonx.to_string r)
-
-let stats_json id = obj [ ("op", Jsonx.Str "stats"); ("id", Jsonx.Int id) ]
-
 let with_client client = function
   | Jsonx.Obj fields -> Jsonx.Obj (("client", Jsonx.Str client) :: fields)
   | j -> j
 
-(* The stats verb as a regression instrument: a known request mix on
+(* The metrics scrape as a regression instrument: a known request mix on
    one connection must move the serve counters by exactly its own
    weight.  Exactness is a same-connection property — the one worker
    serving the connection orders every increment against the scrapes
@@ -549,7 +605,7 @@ let test_stats_exact_deltas =
   let (deltas, total), _ =
     with_server (fun addr ->
         let c = connect addr in
-        let s0 = serve_counters (request c (stats_json 100)) in
+        let s0 = serve_counters (request c (metrics_json 100)) in
         (* The mix: 3 pings, a cold query + its cache hit, one
            well-framed unknown op. *)
         ping ~id:1 c;
@@ -564,10 +620,10 @@ let test_stats_exact_deltas =
           request c (obj [ ("op", Jsonx.Str "frobnicate"); ("id", Jsonx.Int 6) ])
         in
         Alcotest.(check bool) "unknown op refused" false (get_bool r "ok");
-        let s1 = serve_counters (request c (stats_json 101)) in
+        let s1 = serve_counters (request c (metrics_json 101)) in
         let deltas =
           List.map
-            (fun k -> (k, get_int s1 k - get_int s0 k))
+            (fun k -> (k, List.assoc k s1 - List.assoc k s0))
             [ "requests"; "responses"; "errors"; "shed"; "malformed" ]
         in
         (* A second connection's admission is counted by the accept
@@ -577,8 +633,8 @@ let test_stats_exact_deltas =
         Client.close c2;
         let deadline = Int64.add (Trace.now_ns ()) 5_000_000_000L in
         let rec settle () =
-          let s = serve_counters (request c (stats_json 102)) in
-          let a = get_int s "accepted" in
+          let s = serve_counters (request c (metrics_json 102)) in
+          let a = List.assoc "accepted" s in
           if a >= 2 || Trace.now_ns () > deadline then a else settle ()
         in
         let accepted = settle () in
@@ -610,15 +666,15 @@ let test_stats_books_balance_under_chaos () =
     with_server (fun addr ->
         let rec scrape id tries =
           if tries = 0 then
-            Alcotest.fail "stats verb never answered under chaos"
+            Alcotest.fail "metrics verb never answered under chaos"
           else
             match Client.connect ~timeout_ms:2_000 addr with
             | Error _ -> scrape id (tries - 1)
             | Ok c ->
-                let r = Client.request c (stats_json id) in
+                let r = Client.request c (metrics_json id) in
                 Client.close c;
                 (match r with
-                | Ok r when Jsonx.member "serve" r <> None -> serve_counters r
+                | Ok r when Jsonx.member "metrics" r <> None -> serve_counters r
                 | _ -> scrape id (tries - 1))
         in
         let s0 = scrape 100 50 in
@@ -642,7 +698,7 @@ let test_stats_books_balance_under_chaos () =
               Client.close c
         done;
         let s1 = scrape 101 50 in
-        let d k = get_int s1 k - get_int s0 k in
+        let d k = List.assoc k s1 - List.assoc k s0 in
         (* Every reply has a cause the daemon counted: a well-framed
            request, or a framing/timeout fault it refused (a chaos-torn
            frame draws a ["protocol"] reply with no request behind
@@ -689,9 +745,9 @@ let test_rid_roundtrip =
         in
         let np = family_problem ~depth:2 ~extent:8 ~shifted:false in
         let r_query = request c (query_json ~id:2 np) in
-        let r_stats = request c (stats_json 3) in
+        let r_metrics = request c (metrics_json 3) in
         Client.close c;
-        List.map (fun r -> get_int r "rid") [ r_ping; r_query; r_stats ])
+        List.map (fun r -> get_int r "rid") [ r_ping; r_query; r_metrics ])
   in
   List.iter
     (fun rid -> Alcotest.(check bool) "rid positive" true (rid >= 1))
@@ -888,6 +944,8 @@ let () =
         [
           Alcotest.test_case "ping and stats round-trip" `Quick
             test_ping_and_stats;
+          Alcotest.test_case "stats op refused as bad-request" `Quick
+            test_stats_op_refused;
           Alcotest.test_case "unix socket serves and is cleaned up" `Quick
             test_unix_socket;
           Alcotest.test_case "wire query = in-process engine" `Quick
