@@ -437,6 +437,242 @@ let test_registry_sorted () =
         ]
         keys)
 
+(* --- collector goldens ------------------------------------------------------ *)
+
+(* Only the counter and gauge rows: histogram values are timings. *)
+let counter_rows ~prefixes samples =
+  List.filter
+    (fun s ->
+      List.exists
+        (fun prefix -> String.starts_with ~prefix s.Registry.s_name)
+        prefixes
+      &&
+      match s.Registry.s_value with
+      | Registry.Counter _ | Registry.Gauge _ -> true
+      | Registry.Hist _ -> false)
+    samples
+
+(* [vic_engine_alloc_minor_words_total] measures the allocation of the
+   code under test, not behaviour, so its value is masked; the
+   cache-hit slice stays pinned (the hit path must not allocate more). *)
+let mask_alloc_total s =
+  if s.Registry.s_name = "vic_engine_alloc_minor_words_total" then
+    { s with Registry.s_value = Registry.Counter 0 }
+  else s
+
+let engine_golden_before =
+  "# HELP vic_engine_alloc_minor_words_total minor words allocated inside queries\n\
+   # TYPE vic_engine_alloc_minor_words_total counter\n\
+   vic_engine_alloc_minor_words_total 0\n\
+   # HELP vic_engine_cache_flushes_total shard flushes\n\
+   # TYPE vic_engine_cache_flushes_total counter\n\
+   vic_engine_cache_flushes_total 0\n\
+   # HELP vic_engine_cache_hits_total cache hits by temperature\n\
+   # TYPE vic_engine_cache_hits_total counter\n\
+   vic_engine_cache_hits_total{temp=\"cold\"} 6\n\
+   vic_engine_cache_hits_total{temp=\"warm\"} 6\n\
+   # HELP vic_engine_cache_misses_total cache misses\n\
+   # TYPE vic_engine_cache_misses_total counter\n\
+   vic_engine_cache_misses_total 7\n\
+   # HELP vic_engine_cache_uncacheable_total uncacheable queries\n\
+   # TYPE vic_engine_cache_uncacheable_total counter\n\
+   vic_engine_cache_uncacheable_total 2\n\
+   # HELP vic_engine_degradations_total contained strategy faults\n\
+   # TYPE vic_engine_degradations_total counter\n\
+   vic_engine_degradations_total{strategy=\"delinearize\",reason=\"budget:fuel\"} 1\n\
+   # HELP vic_engine_divergences_total oracle divergences\n\
+   # TYPE vic_engine_divergences_total counter\n\
+   vic_engine_divergences_total{strategy=\"banerjee\",class=\"imprecise\"} 1\n\
+   # HELP vic_engine_hit_alloc_minor_words_total minor words allocated by cache hits\n\
+   # TYPE vic_engine_hit_alloc_minor_words_total counter\n\
+   vic_engine_hit_alloc_minor_words_total 120\n\
+   # HELP vic_engine_oracle_checks_total differential oracle checks\n\
+   # TYPE vic_engine_oracle_checks_total counter\n\
+   vic_engine_oracle_checks_total 1\n\
+   # HELP vic_engine_queries_total dependence queries\n\
+   # TYPE vic_engine_queries_total counter\n\
+   vic_engine_queries_total 21\n\
+   # HELP vic_engine_snapshot_loaded_entries_total entries bulk-loaded from snapshots\n\
+   # TYPE vic_engine_snapshot_loaded_entries_total counter\n\
+   vic_engine_snapshot_loaded_entries_total 6\n\
+   # HELP vic_engine_snapshot_loads_total snapshot files accepted\n\
+   # TYPE vic_engine_snapshot_loads_total counter\n\
+   vic_engine_snapshot_loads_total 1\n\
+   # HELP vic_engine_snapshot_rejects_total snapshot files refused\n\
+   # TYPE vic_engine_snapshot_rejects_total counter\n\
+   vic_engine_snapshot_rejects_total 1\n\
+   # HELP vic_engine_snapshot_save_fails_total snapshot writes that failed (contained)\n\
+   # TYPE vic_engine_snapshot_save_fails_total counter\n\
+   vic_engine_snapshot_save_fails_total 0\n\
+   # HELP vic_engine_snapshot_saves_total snapshot files written\n\
+   # TYPE vic_engine_snapshot_saves_total counter\n\
+   vic_engine_snapshot_saves_total 1\n\
+   # HELP vic_engine_strategy_attempts_total strategy attempts\n\
+   # TYPE vic_engine_strategy_attempts_total counter\n\
+   vic_engine_strategy_attempts_total{strategy=\"delinearize\"} 8\n\
+   # HELP vic_engine_strategy_decisions_total strategy decisions\n\
+   # TYPE vic_engine_strategy_decisions_total counter\n\
+   vic_engine_strategy_decisions_total{strategy=\"delinearize\",verdict=\"dependent\"} 5\n\
+   vic_engine_strategy_decisions_total{strategy=\"delinearize\",verdict=\"independent\"} 3\n\
+   # HELP vic_engine_strategy_passes_total strategy passes\n\
+   # TYPE vic_engine_strategy_passes_total counter\n\
+   vic_engine_strategy_passes_total{strategy=\"delinearize\"} 0\n\
+   # HELP vic_pool_steals_total chunks stolen across domains\n\
+   # TYPE vic_pool_steals_total counter\n\
+   vic_pool_steals_total 0\n"
+
+let engine_golden =
+  "# HELP vic_engine_alloc_minor_words_total minor words allocated inside queries\n\
+   # TYPE vic_engine_alloc_minor_words_total counter\n\
+   vic_engine_alloc_minor_words_total 0\n\
+   # HELP vic_engine_cache_flushes_total shard flushes\n\
+   # TYPE vic_engine_cache_flushes_total counter\n\
+   vic_engine_cache_flushes_total 0\n\
+   # HELP vic_engine_cache_hits_total cache hits by temperature\n\
+   # TYPE vic_engine_cache_hits_total counter\n\
+   vic_engine_cache_hits_total{temp=\"cold\"} 3\n\
+   vic_engine_cache_hits_total{temp=\"warm\"} 0\n\
+   # HELP vic_engine_cache_misses_total cache misses\n\
+   # TYPE vic_engine_cache_misses_total counter\n\
+   vic_engine_cache_misses_total 10\n\
+   # HELP vic_engine_cache_uncacheable_total uncacheable queries\n\
+   # TYPE vic_engine_cache_uncacheable_total counter\n\
+   vic_engine_cache_uncacheable_total 0\n\
+   # HELP vic_engine_degradations_total contained strategy faults\n\
+   # TYPE vic_engine_degradations_total counter\n\
+   vic_engine_degradations_total{strategy=\"gcd\",reason=\"budget:fuel\"} 1\n\
+   # HELP vic_engine_hit_alloc_minor_words_total minor words allocated by cache hits\n\
+   # TYPE vic_engine_hit_alloc_minor_words_total counter\n\
+   vic_engine_hit_alloc_minor_words_total 0\n\
+   # HELP vic_engine_oracle_checks_total differential oracle checks\n\
+   # TYPE vic_engine_oracle_checks_total counter\n\
+   vic_engine_oracle_checks_total 0\n\
+   # HELP vic_engine_queries_total dependence queries\n\
+   # TYPE vic_engine_queries_total counter\n\
+   vic_engine_queries_total 13\n\
+   # HELP vic_engine_snapshot_loaded_entries_total entries bulk-loaded from snapshots\n\
+   # TYPE vic_engine_snapshot_loaded_entries_total counter\n\
+   vic_engine_snapshot_loaded_entries_total 0\n\
+   # HELP vic_engine_snapshot_loads_total snapshot files accepted\n\
+   # TYPE vic_engine_snapshot_loads_total counter\n\
+   vic_engine_snapshot_loads_total 0\n\
+   # HELP vic_engine_snapshot_rejects_total snapshot files refused\n\
+   # TYPE vic_engine_snapshot_rejects_total counter\n\
+   vic_engine_snapshot_rejects_total 0\n\
+   # HELP vic_engine_snapshot_save_fails_total snapshot writes that failed (contained)\n\
+   # TYPE vic_engine_snapshot_save_fails_total counter\n\
+   vic_engine_snapshot_save_fails_total 0\n\
+   # HELP vic_engine_snapshot_saves_total snapshot files written\n\
+   # TYPE vic_engine_snapshot_saves_total counter\n\
+   vic_engine_snapshot_saves_total 0\n\
+   # HELP vic_engine_strategy_attempts_total strategy attempts\n\
+   # TYPE vic_engine_strategy_attempts_total counter\n\
+   vic_engine_strategy_attempts_total{strategy=\"gcd\"} 9\n\
+   # HELP vic_engine_strategy_decisions_total strategy decisions\n\
+   # TYPE vic_engine_strategy_decisions_total counter\n\
+   vic_engine_strategy_decisions_total{strategy=\"gcd\",verdict=\"dependent\"} 0\n\
+   vic_engine_strategy_decisions_total{strategy=\"gcd\",verdict=\"independent\"} 1\n\
+   # HELP vic_engine_strategy_passes_total strategy passes\n\
+   # TYPE vic_engine_strategy_passes_total counter\n\
+   vic_engine_strategy_passes_total{strategy=\"gcd\"} 8\n\
+   # HELP vic_pool_steals_total chunks stolen across domains\n\
+   # TYPE vic_pool_steals_total counter\n\
+   vic_pool_steals_total 0\n"
+
+(* A fixed engine workload, a reset, then a second workload through
+   the gcd filter alone; the engine and pool counters must render
+   exactly as pinned.  The reset step pins which labelled rows survive
+   a reset: only what the second workload touched is shown.  The
+   pool's EMA gauge is wall-clock and left out.  Injection is switched
+   off locally so the @obs-ci chaos run renders the same. *)
+let test_engine_collector_golden () =
+  let module Engine = Dlz_engine.Engine in
+  let module Stats = Dlz_engine.Stats in
+  let module Chaos = Dlz_engine.Chaos in
+  let module Persist = Dlz_engine.Persist in
+  let module Problem = Dlz_deptest.Problem in
+  let saved = Chaos.current () in
+  Chaos.set_current None;
+  let snap = Filename.temp_file "dlz_obs" ".snap" in
+  Fun.protect
+    ~finally:(fun () ->
+      Chaos.set_current saved;
+      (try Sys.remove snap with Sys_error _ -> ());
+      Engine.reset_metrics ())
+    (fun () ->
+      let family ~depth ~extent ~shifted =
+        Problem.synthetic
+          (Problem.numeric_of_equations ~n_common:depth
+             ~common_ubs:(Array.make depth ((extent / 2) - 1))
+             [ Dlz_driver.Workload.paper_family ~depth ~extent ~shifted ])
+      in
+      let probs =
+        List.concat_map
+          (fun depth ->
+            [ family ~depth ~extent:8 ~shifted:false;
+              family ~depth ~extent:8 ~shifted:true ])
+          [ 1; 2; 3 ]
+      in
+      let program src =
+        let accs, env =
+          Dlz_ir.Access.of_program
+            (Dlz_passes.Pipeline.prepare_program
+               (Dlz_frontend.F77_parser.parse src))
+        in
+        (List.of_seq
+           (Seq.map (fun pr -> pr.Engine.problem) (Engine.pairs_seq accs)),
+         env)
+      in
+      let q ?cascade ?budget ?(env = Dlz_symbolic.Assume.empty) p =
+        ignore (Engine.query ?cascade ?budget ~env p)
+      in
+      let exhausted () = Dlz_base.Budget.create ~fuel:0 () in
+      let render () =
+        Registry.collect ()
+        |> counter_rows ~prefixes:[ "vic_engine_"; "vic_pool_" ]
+        |> List.filter (fun s -> s.Registry.s_name <> "vic_pool_ema_elem_ns")
+        |> List.map mask_alloc_total
+        |> Prom.to_string
+      in
+      (* Workload 1: the default cascade, misses then hits, symbolic
+         (uncacheable) pairs, a degraded query, a snapshot round trip
+         (warm hits), a refused snapshot, and oracle bookkeeping. *)
+      Engine.reset_metrics ();
+      List.iter (fun p -> q p) probs;
+      List.iter (fun p -> q p) probs;
+      let sym, senv = program Dlz_driver.Fragments.symbolic_program in
+      List.iter (fun p -> q ~env:senv p) sym;
+      q ~budget:(exhausted ()) (family ~depth:4 ~extent:6 ~shifted:true);
+      ignore (Persist.save snap);
+      Dlz_engine.Query.clear Dlz_engine.Query.global_cache;
+      ignore (Persist.load snap);
+      ignore (Persist.load (snap ^ ".missing"));
+      List.iter (fun p -> q p) probs;
+      Stats.record_oracle_check Stats.global;
+      Stats.record_divergence Stats.global "banerjee" ~cls:"imprecise";
+      check_str "exposition before the reset" engine_golden_before (render ());
+      (* Reset, then workload 2 through the gcd filter alone: a pair gcd
+         decides, pairs it passes, repeats that hit, and one degraded
+         query. *)
+      Engine.reset_metrics ();
+      let gcd =
+        match Dlz_engine.Cascade.of_names [ "gcd" ] with
+        | Ok c -> c
+        | Error m -> Alcotest.fail m
+      in
+      let strided, env =
+        program
+          "      DIMENSION A(400)\n\
+          \      DO I = 0, 99\n\
+          \        A(2*I) = A(2*I+1) + A(I)\n\
+          \      ENDDO\n"
+      in
+      List.iter (fun p -> q ~cascade:gcd ~env p) strided;
+      List.iter (fun p -> q ~cascade:gcd ~env p) strided;
+      List.iter (fun p -> q ~cascade:gcd p) probs;
+      q ~cascade:gcd ~budget:(exhausted ()) (family ~depth:4 ~extent:6 ~shifted:true);
+      check_str "exposition after the reset" engine_golden (render ()))
+
 let () =
   Alcotest.run "obs"
     [
@@ -472,5 +708,10 @@ let () =
             test_registry_replace_and_reset;
           Alcotest.test_case "collect sorts across collectors" `Quick
             test_registry_sorted;
+        ] );
+      ( "collectors",
+        [
+          Alcotest.test_case "engine and pool counters after a reset" `Quick
+            test_engine_collector_golden;
         ] );
     ]

@@ -893,6 +893,100 @@ let test_metrics_verb_prom =
   in
   Sys.remove snap
 
+(* The daemon's counter exposition after a fixed one-connection
+   script, pinned byte for byte: the [vic_serve_*] and [vic_client_*]
+   counter and gauge rows (histograms are timings and left out),
+   rendered after the drain so every worker has recorded.  Injection
+   is off locally, so every @serve-ci configuration renders the same. *)
+let serve_golden =
+  "# HELP vic_client_cache_hits_total engine cache hits per client\n\
+   # TYPE vic_client_cache_hits_total counter\n\
+   vic_client_cache_hits_total{client=\"t-golden\",temp=\"cold\"} 1\n\
+   # HELP vic_client_cache_misses_total engine cache misses per client\n\
+   # TYPE vic_client_cache_misses_total counter\n\
+   vic_client_cache_misses_total{client=\"anon\"} 1\n\
+   vic_client_cache_misses_total{client=\"t-golden\"} 1\n\
+   # HELP vic_client_errors_total error replies per client and reason\n\
+   # TYPE vic_client_errors_total counter\n\
+   vic_client_errors_total{client=\"anon\",reason=\"bad-request\"} 1\n\
+   vic_client_errors_total{client=\"t-golden\",reason=\"bad-request\"} 1\n\
+   # HELP vic_client_requests_total requests dispatched per client and verb\n\
+   # TYPE vic_client_requests_total counter\n\
+   vic_client_requests_total{client=\"anon\",verb=\"invalid\"} 1\n\
+   vic_client_requests_total{client=\"anon\",verb=\"ping\"} 1\n\
+   vic_client_requests_total{client=\"anon\",verb=\"query\"} 1\n\
+   vic_client_requests_total{client=\"t-golden\",verb=\"invalid\"} 1\n\
+   vic_client_requests_total{client=\"t-golden\",verb=\"ping\"} 1\n\
+   vic_client_requests_total{client=\"t-golden\",verb=\"query\"} 2\n\
+   # HELP vic_serve_active connections being served right now\n\
+   # TYPE vic_serve_active gauge\n\
+   vic_serve_active 0\n\
+   # HELP vic_serve_connections_total connections by admission outcome\n\
+   # TYPE vic_serve_connections_total counter\n\
+   vic_serve_connections_total{outcome=\"accepted\"} 1\n\
+   vic_serve_connections_total{outcome=\"rejected_draining\"} 0\n\
+   vic_serve_connections_total{outcome=\"shed\"} 0\n\
+   # HELP vic_serve_contained_total dispatch faults contained to one error reply\n\
+   # TYPE vic_serve_contained_total counter\n\
+   vic_serve_contained_total 0\n\
+   # HELP vic_serve_disconnects_total connections lost mid-stream\n\
+   # TYPE vic_serve_disconnects_total counter\n\
+   vic_serve_disconnects_total 0\n\
+   # HELP vic_serve_errors_total ok:false frames sent\n\
+   # TYPE vic_serve_errors_total counter\n\
+   vic_serve_errors_total 2\n\
+   # HELP vic_serve_malformed_total frames violating framing or JSON\n\
+   # TYPE vic_serve_malformed_total counter\n\
+   vic_serve_malformed_total 1\n\
+   # HELP vic_serve_requests_total well-framed requests received\n\
+   # TYPE vic_serve_requests_total counter\n\
+   vic_serve_requests_total 7\n\
+   # HELP vic_serve_responses_total ok:true frames sent\n\
+   # TYPE vic_serve_responses_total counter\n\
+   vic_serve_responses_total 5\n\
+   # HELP vic_serve_timeouts_total reads that hit the idle timeout\n\
+   # TYPE vic_serve_timeouts_total counter\n\
+   vic_serve_timeouts_total 0\n"
+
+let test_serve_collector_golden =
+  without_chaos @@ fun () ->
+  let (), _ =
+    with_server (fun addr ->
+        let c = connect addr in
+        ping ~id:1 c;
+        let np = family_problem ~depth:2 ~extent:8 ~shifted:false in
+        let r = request c (query_json ~id:2 np) in
+        Alcotest.(check bool) "query ok" true (get_bool r "ok");
+        (match Client.send_raw c (Frame.encode "{not json") with
+        | Ok () -> ()
+        | Error m -> Alcotest.fail m);
+        (match Client.recv c with
+        | Ok r -> Alcotest.(check bool) "bad JSON refused" false (get_bool r "ok")
+        | Error m -> Alcotest.fail m);
+        let named j = request c (with_client "t-golden" j) in
+        let r = named (query_json ~id:3 np) in
+        Alcotest.(check bool) "named query ok" true (get_bool r "ok");
+        let r = named (query_json ~id:4 (family_problem ~depth:3 ~extent:6 ~shifted:true)) in
+        Alcotest.(check bool) "named miss ok" true (get_bool r "ok");
+        let r = named (obj [ ("op", Jsonx.Str "frobnicate"); ("id", Jsonx.Int 5) ]) in
+        Alcotest.(check bool) "named unknown op refused" false (get_bool r "ok");
+        ignore (named (obj [ ("op", Jsonx.Str "ping"); ("id", Jsonx.Int 6) ]));
+        Client.close c)
+  in
+  let rows =
+    List.filter
+      (fun s ->
+        (String.starts_with ~prefix:"vic_serve_" s.Dlz_obs.Registry.s_name
+        || String.starts_with ~prefix:"vic_client_" s.Dlz_obs.Registry.s_name)
+        &&
+        match s.Dlz_obs.Registry.s_value with
+        | Dlz_obs.Registry.Hist _ -> false
+        | Dlz_obs.Registry.Counter _ | Dlz_obs.Registry.Gauge _ -> true)
+      (Dlz_obs.Registry.collect ())
+  in
+  Alcotest.(check string) "serve and client exposition" serve_golden
+    (Dlz_obs.Prom.to_string rows)
+
 (* --- chaos battery ------------------------------------------------------- *)
 
 (* Process-wide injection at the socket boundary (torn frames,
@@ -991,6 +1085,8 @@ let () =
             test_rid_roundtrip;
           Alcotest.test_case "metrics verb: attribution, order, determinism"
             `Quick test_metrics_verb_prom;
+          Alcotest.test_case "serve and client counters pinned" `Quick
+            test_serve_collector_golden;
         ] );
       ( "chaos",
         [
