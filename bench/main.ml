@@ -787,7 +787,7 @@ let serve_report () =
         let r = f (Server.address srv) in
         Server.stop srv;
         let s = Server.join srv in
-        (r, s)
+        (r, s, Server.metrics srv)
   in
   let base_cfg () =
     let cfg = Server.default_config (Dlz_serve.Addr.Tcp ("127.0.0.1", 0)) in
@@ -807,7 +807,7 @@ let serve_report () =
     Dlz_engine.Engine.reset_metrics ();
     Trace.reset_hists ();
     Trace.set_level level;
-    let rep, _ =
+    let rep, _, _ =
       with_server (base_cfg ()) (fun addr ->
           Serve.load_gen ~addr ~clients:16 ~sessions:1_000
             ~requests_per_session:4 ~workload:Serve.Mix ())
@@ -832,7 +832,7 @@ let serve_report () =
   in
   let snap = Filename.temp_file "vic-bench-serve" ".snap" in
   Dlz_engine.Engine.reset_metrics ();
-  let rep_cold, sum_cold =
+  let rep_cold, sum_cold, _ =
     with_server
       { (base_cfg ()) with Server.snapshot_save = Some snap }
       query_load
@@ -841,7 +841,7 @@ let serve_report () =
     match sum_cold.Server.sm_saved with Some (Ok n) -> n | _ -> 0
   in
   Dlz_engine.Engine.reset_metrics ();
-  let rep_warm, sum_warm =
+  let rep_warm, sum_warm, _ =
     with_server
       { (base_cfg ()) with Server.snapshot_load = Some snap }
       query_load
@@ -858,7 +858,7 @@ let serve_report () =
   Dlz_engine.Engine.reset_metrics ();
   Trace.reset_hists ();
   Trace.set_level Trace.Timing;
-  let rep_over, sum_over =
+  let rep_over, _, om =
     with_server
       {
         (base_cfg ()) with
@@ -873,11 +873,10 @@ let serve_report () =
   in
   let over_p99 = Trace.Hist.percentile (Trace.hist "serve.request") 0.99 in
   Trace.set_level Trace.Off;
-  let om = sum_over.Server.sm_metrics in
-  let arrivals = om.Metrics.s_accepted + om.Metrics.s_shed in
+  let shed = Atomic.get om.Metrics.shed in
+  let arrivals = Atomic.get om.Metrics.accepted + shed in
   let shed_rate =
-    if arrivals = 0 then 0.
-    else float_of_int om.Metrics.s_shed /. float_of_int arrivals
+    if arrivals = 0 then 0. else float_of_int shed /. float_of_int arrivals
   in
   Dlz_engine.Engine.reset_metrics ();
   let t =
@@ -885,36 +884,36 @@ let serve_report () =
       ~aligns:[ Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
       [ "phase"; "ok"; "rps"; "p99 (client)"; "p99 (server)" ]
   in
-  let ms ns = Printf.sprintf "%.2fms" (Int64.to_float ns /. 1e6) in
   let msf ns = Printf.sprintf "%.2fms" (ns /. 1e6) in
+  let p99 r = Trace.Hist.percentile r.Serve.lg_latency 0.99 in
   Tbl.add_row t
     [
       "capacity (timing)"; string_of_int rep_t.Serve.lg_ok;
-      Printf.sprintf "%.0f" rps_t; ms (Serve.percentile rep_t 99.);
+      Printf.sprintf "%.0f" rps_t; msf (p99 rep_t);
       msf srv_p99;
     ];
   Tbl.add_row t
     [
       "capacity (full)"; string_of_int rep_f.Serve.lg_ok;
-      Printf.sprintf "%.0f" rps_f; ms (Serve.percentile rep_f 99.); "-";
+      Printf.sprintf "%.0f" rps_f; msf (p99 rep_f); "-";
     ];
   Tbl.add_row t
     [
       "warm restart"; string_of_int rep_warm.Serve.lg_ok;
       Printf.sprintf "%.0f" (Serve.throughput rep_warm);
-      ms (Serve.percentile rep_warm 99.); "-";
+      msf (p99 rep_warm); "-";
     ];
   Tbl.add_row t
     [
       "overload (1w/q2)"; string_of_int rep_over.Serve.lg_ok;
       Printf.sprintf "%.0f" (Serve.throughput rep_over);
-      ms (Serve.percentile rep_over 99.); msf over_p99;
+      msf (p99 rep_over); msf over_p99;
     ];
   print_string (Tbl.render t);
   Printf.printf
     "full-trace overhead %.1f%%; warm restart loaded %d entries, %d warm \
      hits; overload shed %d/%d (%.0f%%), server p99 %.1fms vs %dms deadline\n"
-    (full_overhead *. 100.) loaded_entries warm_hits om.Metrics.s_shed
+    (full_overhead *. 100.) loaded_entries warm_hits shed
     arrivals (shed_rate *. 100.) (over_p99 /. 1e6) deadline_ms;
   let ns n = Jsonx.Int (Int64.to_int n) in
   write_report "serve"
@@ -928,8 +927,9 @@ let serve_report () =
               ("shed", Int rep_t.Serve.lg_shed);
               ("transport", Int rep_t.Serve.lg_transport);
               ("throughput_rps", Float rps_t);
-              ("client_p50_ns", ns (Serve.percentile rep_t 50.));
-              ("client_p99_ns", ns (Serve.percentile rep_t 99.));
+              ( "client_p50_ns",
+                Float (Trace.Hist.percentile rep_t.Serve.lg_latency 0.50) );
+              ("client_p99_ns", Float (p99 rep_t));
               ("server_p50_ns", Float srv_p50);
               ("server_p99_ns", Float srv_p99) ] );
         ( "trace_overhead",
@@ -949,7 +949,7 @@ let serve_report () =
           Obj
             [ ("workers", Int 1); ("queue", Int 2);
               ("deadline_ms", Int deadline_ms); ("arrivals", Int arrivals);
-              ("ok", Int rep_over.Serve.lg_ok); ("shed", Int om.Metrics.s_shed);
+              ("ok", Int rep_over.Serve.lg_ok); ("shed", Int shed);
               ("shed_rate", Float shed_rate); ("server_p99_ns", Float over_p99);
               ( "p99_within_deadline",
                 Bool (over_p99 <= float_of_int deadline_ms *. 1e6) ) ] ) ]

@@ -32,33 +32,29 @@ type t = Seq | Par of pool
 (* --- metrics and tuning --------------------------------------------------- *)
 
 (* Process-wide so they survive the short-lived pools [with_jobs] spins
-   up per run, and so [Engine.reset_metrics] has one thing to reset. *)
+   up per run, and so [Engine.reset_metrics] has one thing to reset.
+   Steal volume says how unbalanced the deal was; the EMA is the
+   exponential moving average of the observed per-element cost (ns) of
+   auto-chunked maps, the feedback that sizes the next map's chunks. *)
 
-let steal_count = Atomic.make 0
+let group = Dlz_obs.Family.group ()
+
+let steal_count =
+  Dlz_obs.Family.cell
+    (Dlz_obs.Family.counter ~group ~help:"chunks stolen across domains"
+       "vic_pool_steals_total")
+    []
+
+let ema_elem_ns =
+  Dlz_obs.Family.cell
+    (Dlz_obs.Family.gauge ~group
+       ~help:"EMA of observed per-element cost (nanoseconds)"
+       "vic_pool_ema_elem_ns")
+    []
+
+let () = Dlz_obs.Family.register ~name:"pool" group
 let steals () = Atomic.get steal_count
-
-(* Exponential moving average of the observed per-element cost (ns) of
-   auto-chunked maps: the feedback that sizes the next map's chunks. *)
-let ema_elem_ns = Atomic.make 0
-
-let reset_metrics () =
-  Atomic.set steal_count 0;
-  Atomic.set ema_elem_ns 0
-
-(* The pool's two process-wide numbers, scrapeable: steal volume says
-   how unbalanced the deal was, the EMA says what the auto-tuner
-   currently believes an element costs. *)
-let () =
-  Dlz_obs.Registry.register ~name:"pool" ~reset:reset_metrics (fun () ->
-      [
-        Dlz_obs.Registry.sample ~help:"chunks stolen across domains"
-          "vic_pool_steals_total"
-          (Dlz_obs.Registry.Counter (Atomic.get steal_count));
-        Dlz_obs.Registry.sample
-          ~help:"EMA of observed per-element cost (nanoseconds)"
-          "vic_pool_ema_elem_ns"
-          (Dlz_obs.Registry.Gauge (float_of_int (Atomic.get ema_elem_ns)));
-      ])
+let reset_metrics () = Dlz_obs.Family.reset_group group
 
 let note_elem_ns ns =
   let old = Atomic.get ema_elem_ns in

@@ -652,24 +652,25 @@ module Hist = struct
       h_p99_ns = percentile t 0.99;
       h_buckets = cumulative;
     }
+
+  let family ?group ?labels ?forget ~help name =
+    Dlz_obs.Family.make ?group ?labels ?forget ~hide_zero:true ~help ~create
+      ~clear:reset
+      ~read:(fun h -> Dlz_obs.Registry.Hist (snapshot h))
+      name
 end
 
-module Smap = Map.Make (String)
+(* The process-wide named histograms: one vic_latency_ns{op=..} family
+   in the metrics plane, whose scrape skips empty histograms so it
+   shows what actually ran. *)
+let group = Dlz_obs.Family.group ()
 
-(* Lock-free registry: a lookup is one atomic load plus a find in a
-   small persistent map; (rare) registration swaps in an extended map
-   via CAS.  The losing side of a registration race retries and finds
-   the winner's histogram, so a name always maps to one instance. *)
-let hists : Hist.t Smap.t Atomic.t = Atomic.make Smap.empty
+let latency =
+  Hist.family ~group ~labels:[ "op" ]
+    ~help:"operation latency histogram (nanoseconds)" "vic_latency_ns"
 
-let rec hist name =
-  let m = Atomic.get hists in
-  match Smap.find_opt name m with
-  | Some h -> h
-  | None ->
-      let h = Hist.create () in
-      if Atomic.compare_and_set hists m (Smap.add name h m) then h
-      else hist name
+let () = Dlz_obs.Family.register ~name:"trace" group
+let hist name = Dlz_obs.Family.cell latency [ name ]
 
 let observe_ns name ns = if timing_on () then Hist.observe (hist name) ns
 
@@ -682,21 +683,7 @@ let time name f =
       f
   end
 
-let hist_rows () = Smap.bindings (Atomic.get hists)
-let reset_hists () = Smap.iter (fun _ h -> Hist.reset h) (Atomic.get hists)
+let hist_rows () =
+  List.map (fun (op, h) -> (List.hd op, h)) (Dlz_obs.Family.cells latency)
 
-(* Every named histogram doubles as a vic_latency_ns{op=..} family in
-   the metrics plane; empty histograms are skipped so a scrape shows
-   what actually ran. *)
-let () =
-  Dlz_obs.Registry.register ~name:"trace" ~reset:reset_hists (fun () ->
-      List.filter_map
-        (fun (name, h) ->
-          if Hist.count h = 0 then None
-          else
-            Some
-              (Dlz_obs.Registry.sample
-                 ~help:"operation latency histogram (nanoseconds)"
-                 ~labels:[ ("op", name) ] "vic_latency_ns"
-                 (Dlz_obs.Registry.Hist (Hist.snapshot h))))
-        (hist_rows ()))
+let reset_hists () = Dlz_obs.Family.reset latency

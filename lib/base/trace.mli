@@ -241,6 +241,16 @@ module Hist : sig
       implicit +Inf bucket covers the rest).  Deterministic for a
       given set of recorded durations. *)
 
+  val family :
+    ?group:Dlz_obs.Family.group ->
+    ?labels:string list ->
+    ?forget:bool ->
+    help:string ->
+    string ->
+    t Dlz_obs.Family.t
+  (** A family of histograms (see {!Dlz_obs.Family.make}); empty ones
+      are left out of the scrape. *)
+
   val buckets : int
   (** Number of buckets. *)
 
@@ -253,9 +263,9 @@ module Hist : sig
 end
 
 val hist : string -> Hist.t
-(** The process-wide named histogram registry ("strategy.gcd",
-    "query", "cache.miss", …): finds or creates.  The lookup takes a
-    mutex — cache the handle on genuinely hot paths. *)
+(** The process-wide named histograms ("strategy.gcd", "query",
+    "cache.miss", …), exposed as the [vic_latency_ns{op}] family:
+    finds or creates.  Cache the handle on genuinely hot paths. *)
 
 val observe_ns : string -> int64 -> unit
 (** [Hist.observe (hist name)] when {!timing_on}, else nothing. *)

@@ -45,13 +45,15 @@ let run_cli ?(stats_json = false) ?(quiet = false) cfg =
         print_endline
           (Jsonx.to_string (Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ())))
       else if not quiet then begin
-        let m = s.Server.sm_metrics in
+        let m = Server.metrics srv in
+        let n = Atomic.get in
         Printf.eprintf
           "vic serve: %d connections (%d shed, %d refused draining), %d \
            requests, %d responses, %d errors\n\
            %!"
-          m.Metrics.s_accepted m.Metrics.s_shed m.Metrics.s_rejected_draining
-          m.Metrics.s_requests m.Metrics.s_responses m.Metrics.s_errors
+          (n m.Metrics.accepted) (n m.Metrics.shed)
+          (n m.Metrics.rejected_draining) (n m.Metrics.requests)
+          (n m.Metrics.responses) (n m.Metrics.errors)
       end
 
 (* {2 Stats poller}
@@ -136,15 +138,8 @@ type report = {
   lg_errors : int;  (* other ok:false replies *)
   lg_transport : int;  (* connects or reads that died *)
   lg_elapsed_ns : int64;
-  lg_latencies_ns : int64 array;  (* sorted; one per answered request *)
+  lg_latency : Trace.Hist.t;  (* one observation per answered request *)
 }
-
-let percentile r p =
-  let n = Array.length r.lg_latencies_ns in
-  if n = 0 then 0L
-  else
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    r.lg_latencies_ns.(max 0 (min (n - 1) rank))
 
 let throughput r =
   if Int64.compare r.lg_elapsed_ns 0L <= 0 then 0.
@@ -222,7 +217,7 @@ type acc = {
   mutable a_draining : int;
   mutable a_errors : int;
   mutable a_transport : int;
-  mutable a_lats : int64 list;
+  a_latency : Trace.Hist.t;
 }
 
 let classify acc frames lat =
@@ -232,7 +227,7 @@ let classify acc frames lat =
       match Jsonx.member "ok" last with
       | Some (Jsonx.Bool true) ->
           acc.a_ok <- acc.a_ok + 1;
-          acc.a_lats <- lat :: acc.a_lats;
+          Trace.Hist.observe acc.a_latency lat;
           let degraded j =
             match Jsonx.member "degraded" j with
             | Some (Jsonx.List (_ :: _)) -> true
@@ -292,7 +287,7 @@ let load_gen ~addr ~clients ~sessions ~requests_per_session ~workload ?fuel
           a_draining = 0;
           a_errors = 0;
           a_transport = 0;
-          a_lats = [];
+          a_latency = Trace.Hist.create ();
         })
   in
   let t0 = Trace.now_ns () in
@@ -315,10 +310,6 @@ let load_gen ~addr ~clients ~sessions ~requests_per_session ~workload ?fuel
   List.iter Thread.join threads;
   let elapsed = Int64.sub (Trace.now_ns ()) t0 in
   let merged f = Array.fold_left (fun n a -> n + f a) 0 accs in
-  let lats =
-    Array.of_list (Array.fold_left (fun l a -> a.a_lats @ l) [] accs)
-  in
-  Array.sort Int64.compare lats;
   {
     lg_sessions = sessions;
     lg_requests = merged (fun a -> a.a_requests);
@@ -329,5 +320,6 @@ let load_gen ~addr ~clients ~sessions ~requests_per_session ~workload ?fuel
     lg_errors = merged (fun a -> a.a_errors);
     lg_transport = merged (fun a -> a.a_transport);
     lg_elapsed_ns = elapsed;
-    lg_latencies_ns = lats;
+    lg_latency =
+      Trace.Hist.merged (Array.to_list (Array.map (fun a -> a.a_latency) accs));
   }

@@ -45,11 +45,11 @@ type report = {
   lg_errors : int;  (** other [ok:false] replies *)
   lg_transport : int;  (** connects or reads that died *)
   lg_elapsed_ns : int64;
-  lg_latencies_ns : int64 array;  (** sorted; one per answered request *)
+  lg_latency : Dlz_base.Trace.Hist.t;
+      (** Client-observed latency, one observation per answered
+          request: each client thread records into its own histogram,
+          merged after the join. *)
 }
-
-val percentile : report -> float -> int64
-(** Client-observed latency percentile (ns); 0 when nothing completed. *)
 
 val throughput : report -> float
 (** Answered requests per second over the fleet's wall-clock. *)

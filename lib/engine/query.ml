@@ -447,8 +447,7 @@ let memoize ?(stats = Stats.global) ?(cache = global_cache) ?(annot = [])
       let sh = shard_of cache h in
       match find_cached cache sh h cascade_name kb with
       | e ->
-          Stats.record_hit stats;
-          if e.e_warm then Stats.record_warm_hit stats;
+          Stats.record_hit stats ~warm:e.e_warm;
           notify observer (if e.e_warm then Hit_warm else Hit_cold);
           settled stats sp t0 w0 ~hit:true "hit" h_hit e.e_res
       | exception Not_found ->

@@ -76,9 +76,9 @@ val load_entries :
   ?pool:Dlz_base.Pool.t -> cache -> (string * Strategy.result) array -> int
 (** [load_entries cache kvs] bulk-inserts pre-solved entries (keys in
     the {!key_of} materialized form), marking them {e warm}: a later
-    hit on one records {!Stats.record_warm_hit} alongside the plain
-    hit.  Entries are grouped by shard first, so with [pool] the shards
-    load in parallel without contending.  Respects the per-shard
+    hit on one records a warm {!Stats.record_hit}.  Entries are
+    grouped by shard first, so with [pool] the shards load in parallel
+    without contending.  Respects the per-shard
     capacity (overflow entries are dropped, never flushed for) and
     skips keys already present; returns the number actually
     inserted. *)

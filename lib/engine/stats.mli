@@ -4,15 +4,16 @@
     One {!t} accumulates everything the engine observes; verdict
     provenance on individual results names the deciding strategy, the
     stats aggregate how often each strategy was tried, decided, or
-    passed.  All counters are [Atomic.t] underneath (the strategy table
-    behind a mutex), so parallel analysis ([--jobs N]) records without
-    losing increments and [queries = hits + misses + uncacheable] stays
-    exact.  A process-wide {!global} instance backs the default engine
-    entry points so that command-line tools ([vic --stats]) and the
-    bench harness can report without threading state.  {!global} is
-    rendered only through its ["engine"] collector in
+    passed.  Every counter is an [Atomic.t] cell of a
+    {!Dlz_obs.Family}, so parallel analysis ([--jobs N]) records
+    without losing increments and [queries = hits + misses +
+    uncacheable] stays exact.  A process-wide {!global} instance backs
+    the default engine entry points so that command-line tools
+    ([vic --stats]) and the bench harness can report without threading
+    state.  {!global}'s families are the ["engine"] collector in
     {!Dlz_obs.Registry}: [--stats], [--stats-json] and the daemon's
-    [metrics] verb all read that one sample list. *)
+    [metrics] verb all read that one sample list, and a registry reset
+    zeroes them and forgets which strategies ran. *)
 
 type t
 
@@ -27,14 +28,12 @@ type strategy_counters = {
 
 val create : unit -> t
 val global : t
-val reset : t -> unit
 val record_query : t -> unit
-val record_hit : t -> unit
 
-val record_warm_hit : t -> unit
-(** A cache hit that landed on an entry bulk-loaded from a snapshot
-    (recorded {e in addition to} {!record_hit}): the warm/cold split
-    shows how much of the hit traffic a persisted cache paid for. *)
+val record_hit : t -> warm:bool -> unit
+(** A cache hit; [warm] when it landed on an entry bulk-loaded from a
+    snapshot.  The warm/cold split shows how much of the hit traffic a
+    persisted cache paid for. *)
 
 val record_miss : t -> unit
 val record_uncacheable : t -> unit

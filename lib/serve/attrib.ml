@@ -8,189 +8,109 @@
 
 module Trace = Dlz_base.Trace
 module Query = Dlz_engine.Query
+module F = Dlz_obs.Family
+module Sset = Set.Make (String)
 
 let default_client = "anon"
 let overflow_client = "other"
 let max_name_bytes = 64
 
-type vcell = {
-  vc_requests : int Atomic.t;  (* requests dispatched for (client, verb) *)
-  vc_hist : Trace.Hist.t;  (* request wall-clock, socket to socket *)
-}
-
-type ccell = {
-  cc_verbs : (string, vcell) Hashtbl.t;
-  cc_hit_warm : int Atomic.t;  (* engine-cache dispositions, per client *)
-  cc_hit_cold : int Atomic.t;
-  cc_miss : int Atomic.t;
-  cc_uncacheable : int Atomic.t;
-  cc_errors : (string, int Atomic.t) Hashtbl.t;  (* by error reason *)
-  cc_degraded : int Atomic.t;  (* ok replies that carried degradations *)
-}
-
+(* Every family is keyed by client first, hides zero cells (a client
+   that never erred has no error rows) and forgets its cells on a
+   reset, like the admitted set. *)
 type t = {
-  mu : Mutex.t;  (* guards the tables; the cells are atomic *)
-  clients : (string, ccell) Hashtbl.t;
+  admitted : Sset.t Atomic.t;  (* names holding their own label *)
   max_clients : int;
+  families : F.group;
+  requests : int Atomic.t F.t;  (* client, verb *)
+  latency : Trace.Hist.t F.t;  (* client, verb: socket to socket *)
+  hits : int Atomic.t F.t;  (* client, temp *)
+  misses : int Atomic.t F.t;
+  uncacheable : int Atomic.t F.t;
+  errors : int Atomic.t F.t;  (* client, reason *)
+  degraded : int Atomic.t F.t;  (* ok replies that carried degradations *)
 }
 
 let create ?(max_clients = 64) () =
+  let group = F.group () in
+  let counter ?(labels = []) help name =
+    F.counter ~group ~labels:("client" :: labels) ~hide_zero:true ~forget:true
+      ~help name
+  in
   {
-    mu = Mutex.create ();
-    clients = Hashtbl.create 16;
+    admitted = Atomic.make Sset.empty;
     max_clients = max 1 max_clients;
+    families = group;
+    requests =
+      counter ~labels:[ "verb" ] "requests dispatched per client and verb"
+        "vic_client_requests_total";
+    latency =
+      Trace.Hist.family ~group ~labels:[ "client"; "verb" ] ~forget:true
+        ~help:"per-client request latency (nanoseconds)"
+        "vic_client_request_ns";
+    hits =
+      counter ~labels:[ "temp" ] "engine cache hits per client"
+        "vic_client_cache_hits_total";
+    misses =
+      counter "engine cache misses per client" "vic_client_cache_misses_total";
+    uncacheable =
+      counter "uncacheable (symbolic) queries per client"
+        "vic_client_uncacheable_total";
+    errors =
+      counter ~labels:[ "reason" ] "error replies per client and reason"
+        "vic_client_errors_total";
+    degraded =
+      counter "ok replies that carried degradations per client"
+        "vic_client_degraded_total";
   }
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 (* Label-value hygiene: bound the bytes (a client name is a label
-   value, not a payload) and default the empty name. *)
+   value, not a payload) without splitting a UTF-8 sequence — a
+   continuation byte (10xxxxxx) never starts a codepoint — and default
+   the empty name. *)
 let normalize name =
   let name = String.trim name in
-  if name = "" then default_client
-  else if String.length name <= max_name_bytes then name
-  else String.sub name 0 max_name_bytes
-
-let fresh_ccell () =
-  {
-    cc_verbs = Hashtbl.create 4;
-    cc_hit_warm = Atomic.make 0;
-    cc_hit_cold = Atomic.make 0;
-    cc_miss = Atomic.make 0;
-    cc_uncacheable = Atomic.make 0;
-    cc_errors = Hashtbl.create 4;
-    cc_degraded = Atomic.make 0;
-  }
-
-(* Must be called with the lock held. *)
-let ccell_locked t client =
-  match Hashtbl.find_opt t.clients client with
-  | Some c -> c
-  | None ->
-      let key =
-        if Hashtbl.length t.clients < t.max_clients then client
-        else overflow_client
+  let name =
+    if String.length name <= max_name_bytes then name
+    else
+      let rec cut i =
+        if i > 0 && Char.code name.[i] land 0xC0 = 0x80 then cut (i - 1) else i
       in
-      (match Hashtbl.find_opt t.clients key with
-      | Some c -> c
-      | None ->
-          let c = fresh_ccell () in
-          Hashtbl.replace t.clients key c;
-          c)
+      String.sub name 0 (cut max_name_bytes)
+  in
+  if name = "" then default_client else name
 
-let vcell_locked cc verb =
-  match Hashtbl.find_opt cc.cc_verbs verb with
-  | Some v -> v
-  | None ->
-      let v = { vc_requests = Atomic.make 0; vc_hist = Trace.Hist.create () } in
-      Hashtbl.replace cc.cc_verbs verb v;
-      v
+(* The label a client records under: its own name while fewer than
+   [max_clients] names hold one, else the overflow bucket. *)
+let rec label t name =
+  let name = normalize name in
+  let s = Atomic.get t.admitted in
+  if Sset.mem name s then name
+  else if Sset.cardinal s >= t.max_clients then overflow_client
+  else if Atomic.compare_and_set t.admitted s (Sset.add name s) then name
+  else label t name
+
+let bump f labels = Atomic.incr (F.cell f labels)
 
 let observe_request t ~client ~verb ns =
-  let client = normalize client in
-  let v = locked t (fun () -> vcell_locked (ccell_locked t client) verb) in
-  Atomic.incr v.vc_requests;
-  Trace.Hist.observe v.vc_hist ns
+  let client = label t client in
+  bump t.requests [ client; verb ];
+  Trace.Hist.observe (F.cell t.latency [ client; verb ]) ns
 
 let record_disposition t ~client (d : Query.disposition) =
-  let client = normalize client in
-  let c = locked t (fun () -> ccell_locked t client) in
-  Atomic.incr
-    (match d with
-    | Query.Hit_warm -> c.cc_hit_warm
-    | Query.Hit_cold -> c.cc_hit_cold
-    | Query.Miss -> c.cc_miss
-    | Query.Uncacheable -> c.cc_uncacheable)
+  let client = label t client in
+  match d with
+  | Query.Hit_warm -> bump t.hits [ client; "warm" ]
+  | Query.Hit_cold -> bump t.hits [ client; "cold" ]
+  | Query.Miss -> bump t.misses [ client ]
+  | Query.Uncacheable -> bump t.uncacheable [ client ]
 
-let record_error t ~client ~reason =
-  let client = normalize client in
-  let cell =
-    locked t (fun () ->
-        let c = ccell_locked t client in
-        match Hashtbl.find_opt c.cc_errors reason with
-        | Some a -> a
-        | None ->
-            let a = Atomic.make 0 in
-            Hashtbl.replace c.cc_errors reason a;
-            a)
-  in
-  Atomic.incr cell
-
-let record_degraded t ~client =
-  let client = normalize client in
-  let c = locked t (fun () -> ccell_locked t client) in
-  Atomic.incr c.cc_degraded
-
-let reset t = locked t (fun () -> Hashtbl.reset t.clients)
-
-(* Scrape: render only non-zero series (a client that never erred has
-   no error rows), sorted downstream by the registry.  The snapshot is
-   taken under the lock so a scrape never sees a half-built cell. *)
-let obs_samples t =
-  let open Dlz_obs.Registry in
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun client cc acc ->
-          let lbl extra = ("client", client) :: extra in
-          let counter ?(extra = []) help name v acc =
-            if v = 0 then acc
-            else sample ~help ~labels:(lbl extra) name (Counter v) :: acc
-          in
-          let acc =
-            Hashtbl.fold
-              (fun verb (v : vcell) acc ->
-                let acc =
-                  if Trace.Hist.count v.vc_hist = 0 then acc
-                  else
-                    sample ~help:"per-client request latency (nanoseconds)"
-                      ~labels:(lbl [ ("verb", verb) ])
-                      "vic_client_request_ns"
-                      (Hist (Trace.Hist.snapshot v.vc_hist))
-                    :: acc
-                in
-                counter
-                  ~extra:[ ("verb", verb) ]
-                  "requests dispatched per client and verb"
-                  "vic_client_requests_total"
-                  (Atomic.get v.vc_requests) acc)
-              cc.cc_verbs acc
-          in
-          let acc =
-            counter
-              ~extra:[ ("temp", "warm") ]
-              "engine cache hits per client" "vic_client_cache_hits_total"
-              (Atomic.get cc.cc_hit_warm) acc
-          in
-          let acc =
-            counter
-              ~extra:[ ("temp", "cold") ]
-              "engine cache hits per client" "vic_client_cache_hits_total"
-              (Atomic.get cc.cc_hit_cold) acc
-          in
-          let acc =
-            counter "engine cache misses per client"
-              "vic_client_cache_misses_total" (Atomic.get cc.cc_miss) acc
-          in
-          let acc =
-            counter "uncacheable (symbolic) queries per client"
-              "vic_client_uncacheable_total"
-              (Atomic.get cc.cc_uncacheable) acc
-          in
-          let acc =
-            Hashtbl.fold
-              (fun reason a acc ->
-                counter
-                  ~extra:[ ("reason", reason) ]
-                  "error replies per client and reason"
-                  "vic_client_errors_total" (Atomic.get a) acc)
-              cc.cc_errors acc
-          in
-          counter "ok replies that carried degradations per client"
-            "vic_client_degraded_total" (Atomic.get cc.cc_degraded) acc)
-        t.clients [])
+let record_error t ~client ~reason = bump t.errors [ label t client; reason ]
+let record_degraded t ~client = bump t.degraded [ label t client ]
 
 let register_obs t =
-  Dlz_obs.Registry.register ~name:"clients" ~reset:(fun () -> reset t)
-    (fun () -> obs_samples t)
+  Dlz_obs.Registry.register ~name:"clients"
+    ~reset:(fun () ->
+      F.reset_group t.families;
+      Atomic.set t.admitted Sset.empty)
+    (fun () -> F.collect t.families)

@@ -7,10 +7,13 @@
     degradation counts.  Cardinality is capped: past [max_clients]
     distinct names, newcomers fold into the ["other"] bucket, so a
     label-churning client cannot grow the metric space without bound.
-    Names are trimmed and truncated to 64 bytes.
+    Names are trimmed and truncated to at most 64 bytes, at a UTF-8
+    codepoint boundary.
 
-    All recording entry points are domain-safe (a mutex guards the
-    tables; the cells are [Atomic.t]s and {!Dlz_base.Trace.Hist}s). *)
+    All recording entry points are domain-safe: the cells are
+    [Atomic.t]s and {!Dlz_base.Trace.Hist}s in [vic_client_*]
+    {!Dlz_obs.Family}s, and the capped set of admitted names is
+    swapped by compare-and-set. *)
 
 type t
 
@@ -31,10 +34,7 @@ val record_disposition : t -> client:string -> Dlz_engine.Query.disposition -> u
 val record_error : t -> client:string -> reason:string -> unit
 val record_degraded : t -> client:string -> unit
 
-val reset : t -> unit
-(** Forget every client. *)
-
 val register_obs : t -> unit
 (** Installs the ["clients"] collector in {!Dlz_obs.Registry}
-    ([vic_client_*] families; zero-valued series are suppressed) with
-    {!reset} as the reset hook. *)
+    ([vic_client_*] families; zero-valued series are suppressed),
+    whose reset hook forgets every client. *)

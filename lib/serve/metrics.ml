@@ -1,7 +1,10 @@
 (* Serve-layer counters, all Atomic so every domain records freely.
    The engine-side numbers (cache hits, degradations, ...) live in
    [Dlz_engine.Stats]; these cover what only the daemon can see:
-   connections, frames, faults at the socket boundary, shed load. *)
+   connections, frames, faults at the socket boundary, shed load.
+   Each field is a cell of one of the [vic_serve_*] families. *)
+
+module F = Dlz_obs.Family
 
 type t = {
   accepted : int Atomic.t;  (* connections admitted to the queue *)
@@ -15,102 +18,43 @@ type t = {
   disconnects : int Atomic.t;  (* connections lost mid-stream *)
   timeouts : int Atomic.t;  (* reads that hit the idle timeout *)
   contained : int Atomic.t;  (* dispatch faults turned into one error *)
-}
-
-type snapshot = {
-  s_accepted : int;
-  s_shed : int;
-  s_rejected_draining : int;
-  s_active : int;
-  s_requests : int;
-  s_responses : int;
-  s_errors : int;
-  s_malformed : int;
-  s_disconnects : int;
-  s_timeouts : int;
-  s_contained : int;
+  families : F.group;
 }
 
 let create () =
+  let group = F.group () in
+  let one name help = F.cell (F.counter ~group ~help name) [] in
+  let connections =
+    F.counter ~group ~labels:[ "outcome" ]
+      ~help:"connections by admission outcome" "vic_serve_connections_total"
+  in
   {
-    accepted = Atomic.make 0;
-    shed = Atomic.make 0;
-    rejected_draining = Atomic.make 0;
-    active = Atomic.make 0;
-    requests = Atomic.make 0;
-    responses = Atomic.make 0;
-    errors = Atomic.make 0;
-    malformed = Atomic.make 0;
-    disconnects = Atomic.make 0;
-    timeouts = Atomic.make 0;
-    contained = Atomic.make 0;
+    accepted = F.cell connections [ "accepted" ];
+    shed = F.cell connections [ "shed" ];
+    rejected_draining = F.cell connections [ "rejected_draining" ];
+    (* A live gauge: a reset must not touch it, or the next disconnect
+       would take it negative. *)
+    active =
+      F.cell
+        (F.gauge ~group ~live:true ~help:"connections being served right now"
+           "vic_serve_active")
+        [];
+    requests = one "vic_serve_requests_total" "well-framed requests received";
+    responses = one "vic_serve_responses_total" "ok:true frames sent";
+    errors = one "vic_serve_errors_total" "ok:false frames sent";
+    malformed =
+      one "vic_serve_malformed_total" "frames violating framing or JSON";
+    disconnects =
+      one "vic_serve_disconnects_total" "connections lost mid-stream";
+    timeouts = one "vic_serve_timeouts_total" "reads that hit the idle timeout";
+    contained =
+      one "vic_serve_contained_total"
+        "dispatch faults contained to one error reply";
+    families = group;
   }
-
-let snapshot t =
-  {
-    s_accepted = Atomic.get t.accepted;
-    s_shed = Atomic.get t.shed;
-    s_rejected_draining = Atomic.get t.rejected_draining;
-    s_active = Atomic.get t.active;
-    s_requests = Atomic.get t.requests;
-    s_responses = Atomic.get t.responses;
-    s_errors = Atomic.get t.errors;
-    s_malformed = Atomic.get t.malformed;
-    s_disconnects = Atomic.get t.disconnects;
-    s_timeouts = Atomic.get t.timeouts;
-    s_contained = Atomic.get t.contained;
-  }
-
-(* Cumulative counters go back to zero; [active] is a live gauge
-   tracking connections currently being served, so a reset must not
-   touch it (zeroing it would make the next disconnect go negative). *)
-let reset t =
-  Atomic.set t.accepted 0;
-  Atomic.set t.shed 0;
-  Atomic.set t.rejected_draining 0;
-  Atomic.set t.requests 0;
-  Atomic.set t.responses 0;
-  Atomic.set t.errors 0;
-  Atomic.set t.malformed 0;
-  Atomic.set t.disconnects 0;
-  Atomic.set t.timeouts 0;
-  Atomic.set t.contained 0
-
-let obs_samples t =
-  let open Dlz_obs.Registry in
-  let counter ?labels help name v = sample ~help ?labels name (Counter v) in
-  [
-    counter ~labels:[ ("outcome", "accepted") ]
-      "connections by admission outcome" "vic_serve_connections_total"
-      (Atomic.get t.accepted);
-    counter ~labels:[ ("outcome", "shed") ]
-      "connections by admission outcome" "vic_serve_connections_total"
-      (Atomic.get t.shed);
-    counter ~labels:[ ("outcome", "rejected_draining") ]
-      "connections by admission outcome" "vic_serve_connections_total"
-      (Atomic.get t.rejected_draining);
-    sample ~help:"connections being served right now" "vic_serve_active"
-      (Gauge (float_of_int (Atomic.get t.active)));
-    counter "well-framed requests received" "vic_serve_requests_total"
-      (Atomic.get t.requests);
-    counter "ok:true frames sent" "vic_serve_responses_total"
-      (Atomic.get t.responses);
-    counter "ok:false frames sent" "vic_serve_errors_total"
-      (Atomic.get t.errors);
-    counter "frames violating framing or JSON" "vic_serve_malformed_total"
-      (Atomic.get t.malformed);
-    counter "connections lost mid-stream" "vic_serve_disconnects_total"
-      (Atomic.get t.disconnects);
-    counter "reads that hit the idle timeout" "vic_serve_timeouts_total"
-      (Atomic.get t.timeouts);
-    counter "dispatch faults contained to one error reply"
-      "vic_serve_contained_total" (Atomic.get t.contained);
-  ]
 
 (* Replace semantics in the registry: the latest daemon to start owns
    the "serve" collector, which is exactly right for sequential test
    servers.  The reset hook folds these counters into
    [Engine.reset_metrics] coverage. *)
-let register_obs t =
-  Dlz_obs.Registry.register ~name:"serve" ~reset:(fun () -> reset t)
-    (fun () -> obs_samples t)
+let register_obs t = F.register ~name:"serve" t.families

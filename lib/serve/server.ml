@@ -40,7 +40,6 @@ let default_config address =
   }
 
 type summary = {
-  sm_metrics : Metrics.snapshot;
   sm_loaded : (int, string) result option;  (* warm-start outcome *)
   sm_saved : (int, string) result option;  (* drain snapshot outcome *)
 }
@@ -279,7 +278,6 @@ let join t =
       in
       let s =
         {
-          sm_metrics = Metrics.snapshot t.sh.metrics;
           sm_loaded = t.loaded;
           sm_saved = saved;
         }

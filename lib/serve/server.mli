@@ -45,7 +45,6 @@ val default_config : Addr.t -> config
     dump (1 s interval when one is enabled). *)
 
 type summary = {
-  sm_metrics : Metrics.snapshot;
   sm_loaded : (int, string) result option;
       (** Warm-start outcome when [snapshot_load] was set. *)
   sm_saved : (int, string) result option;

@@ -38,7 +38,7 @@ module Frame = Dlz_serve.Frame
 module Jsonx = Dlz_obs.Jsonx
 module Proto = Dlz_serve.Proto
 module Server = Dlz_serve.Server
-module Metrics = Dlz_serve.Metrics
+module Registry = Dlz_obs.Registry
 
 let without_chaos f () =
   let saved = Chaos.current () in
@@ -72,6 +72,18 @@ let with_server ?(cfg = Server.default_config loopback) f =
           let s = Server.join srv in
           finished := true;
           (r, s))
+
+(* A [vic_serve_*] counter or gauge as the last server's families
+   expose it; read after [with_server] has drained it. *)
+let served ?(labels = []) name =
+  match
+    List.find_opt
+      (fun s -> s.Registry.s_name = name && s.Registry.s_labels = labels)
+      (Registry.collect ())
+  with
+  | Some { Registry.s_value = Registry.Counter n; _ } -> n
+  | Some { Registry.s_value = Registry.Gauge g; _ } -> int_of_float g
+  | _ -> Alcotest.failf "no %s sample" name
 
 let connect addr =
   match Client.connect ~timeout_ms:5_000 addr with
@@ -346,7 +358,7 @@ let test_bad_json_continues =
 
 let test_malformed_frame_closes =
   without_chaos @@ fun () ->
-  let (), summary =
+  let (), _ =
     with_server (fun addr ->
         let c = connect addr in
         (match Client.send_raw c "not-a-length\n{\"op\":\"ping\"}\n" with
@@ -372,7 +384,7 @@ let test_malformed_frame_closes =
   in
   Alcotest.(check bool)
     "malformed frame counted" true
-    (summary.Server.sm_metrics.Metrics.s_malformed >= 1)
+    (served "vic_serve_malformed_total" >= 1)
 
 let test_oversize_frame_closes =
   without_chaos @@ fun () ->
@@ -436,7 +448,7 @@ let test_slow_loris_timed_out =
   let cfg =
     { (Server.default_config loopback) with Server.idle_timeout_ms = 300 }
   in
-  let (), summary =
+  let (), _ =
     with_server ~cfg (fun addr ->
         let c = connect addr in
         (* Half a frame, then silence: the read timeout must reclaim
@@ -462,7 +474,7 @@ let test_slow_loris_timed_out =
   in
   Alcotest.(check bool)
     "timeout counted" true
-    (summary.Server.sm_metrics.Metrics.s_timeouts >= 1)
+    (served "vic_serve_timeouts_total" >= 1)
 
 (* --- admission ----------------------------------------------------------- *)
 
@@ -475,7 +487,7 @@ let test_overload_sheds_explicitly =
       queue_capacity = 1;
     }
   in
-  let (), summary =
+  let (), _ =
     with_server ~cfg (fun addr ->
         (* A occupies the single worker (a session holds its worker
            until it closes); B fills the queue of 1; C must be shed
@@ -503,7 +515,7 @@ let test_overload_sheds_explicitly =
   in
   Alcotest.(check bool)
     "shed counted" true
-    (summary.Server.sm_metrics.Metrics.s_shed >= 1)
+    (served ~labels:[ ("outcome", "shed") ] "vic_serve_connections_total" >= 1)
 
 (* --- budgets ------------------------------------------------------------- *)
 
@@ -836,8 +848,16 @@ let test_metrics_verb_prom =
           Alcotest.(check string) "format echoed" "prom" (get_str r "format");
           get_str r "body"
         in
+        (* A name past the 64-byte cap is cut at a codepoint boundary:
+           63 bytes of ASCII then a 2-byte [é] keeps only the ASCII. *)
+        let long = String.make 63 'a' in
+        ignore
+          (request c
+             (with_client (long ^ "\xc3\xa9") (obj [ ("op", Jsonx.Str "ping") ])));
         let body = fetch 20 in
         let body2 = fetch 21 in
+        Alcotest.(check bool) "exposition is valid UTF-8" true
+          (String.is_valid_utf_8 body);
         let has needle b =
           let nl = String.length needle and bl = String.length b in
           let rec go i =
@@ -852,6 +872,8 @@ let test_metrics_verb_prom =
         expect "vic_client_cache_hits_total{client=\"t-obs\",temp=\"warm\"} 3\n";
         expect "vic_client_cache_hits_total{client=\"t-obs\",temp=\"cold\"} 1\n";
         expect "vic_client_cache_misses_total{client=\"t-obs\"} 1\n";
+        expect
+          ("vic_client_requests_total{client=\"" ^ long ^ "\",verb=\"ping\"} 1\n");
         expect "vic_client_request_ns_p50{client=\"t-obs\",verb=\"query\"} ";
         expect "vic_client_request_ns_p99{client=\"t-obs\",verb=\"query\"} ";
         (* Scraping must not move the attribution counters. *)
@@ -987,6 +1009,34 @@ let test_serve_collector_golden =
   Alcotest.(check string) "serve and client exposition" serve_golden
     (Dlz_obs.Prom.to_string rows)
 
+(* The cardinality cap: past [max_clients] names, newcomers share the
+   "other" label; a reset forgets every client, so the cap starts
+   over. *)
+let test_client_cap () =
+  let a = Dlz_serve.Attrib.create ~max_clients:2 () in
+  Dlz_serve.Attrib.register_obs a;
+  let degraded () =
+    List.filter_map
+      (fun s ->
+        match (s.Registry.s_name, s.Registry.s_labels, s.Registry.s_value) with
+        | "vic_client_degraded_total", [ ("client", c) ], Registry.Counter n ->
+            Some (c, n)
+        | _ -> None)
+      (Registry.collect ())
+  in
+  List.iter
+    (fun client -> Dlz_serve.Attrib.record_degraded a ~client)
+    [ "x"; "y"; "z"; "w"; "x"; " y " ];
+  Alcotest.(check (list (pair string int)))
+    "two named clients, the rest folded"
+    [ ("other", 2); ("x", 2); ("y", 2) ]
+    (degraded ());
+  Registry.reset_all ();
+  Alcotest.(check (list (pair string int))) "reset forgets" [] (degraded ());
+  Dlz_serve.Attrib.record_degraded a ~client:"z";
+  Alcotest.(check (list (pair string int)))
+    "cap starts over" [ ("z", 1) ] (degraded ())
+
 (* --- chaos battery ------------------------------------------------------- *)
 
 (* Process-wide injection at the socket boundary (torn frames,
@@ -996,7 +1046,7 @@ let test_serve_collector_golden =
    clean ping, and every server-side fault was contained (a counter,
    never a crash). *)
 let chaos_battery seed () =
-  let rep, summary =
+  let rep, _ =
     with_chaos ~seed ~rate:0.05 @@ fun () ->
     with_server
       ~cfg:
@@ -1018,8 +1068,7 @@ let chaos_battery seed () =
     "every request classified, none lost" true
     (classified >= r.Serve.lg_requests);
   Alcotest.(check bool) "some requests survived the faults" true (r.Serve.lg_ok > 0);
-  let m = summary.Server.sm_metrics in
-  Alcotest.(check int) "no connection left active" 0 m.Metrics.s_active;
+  Alcotest.(check int) "no connection left active" 0 (served "vic_serve_active");
   (* The daemon outlived the storm: a clean client gets a clean answer. *)
   let (), _ =
     without_chaos (fun () ->
@@ -1087,6 +1136,8 @@ let () =
             `Quick test_metrics_verb_prom;
           Alcotest.test_case "serve and client counters pinned" `Quick
             test_serve_collector_golden;
+          Alcotest.test_case "client cap folds newcomers into other" `Quick
+            test_client_cap;
         ] );
       ( "chaos",
         [
