@@ -147,8 +147,8 @@ let timings_arg =
                  longer byte-identical across --jobs values.")
 
 let lang_arg =
-  let lang_conv = Arg.enum [ ("f77", Some `F77); ("c", Some `C) ] in
-  Arg.(value & opt lang_conv None & info [ "lang" ] ~docv:"LANG"
+  let lang_conv = Arg.enum [ ("f77", `F77); ("c", `C) ] in
+  Arg.(value & opt (some lang_conv) None & info [ "lang" ] ~docv:"LANG"
          ~doc:"Input language (default: by file extension).")
 
 let mode_arg =
