@@ -23,6 +23,7 @@ module Hierarchy = Dlz_deptest.Hierarchy
 module Algo = Dlz_core.Algo
 module Symalgo = Dlz_core.Symalgo
 module An = Dlz_engine.Analyze
+module Cascade = Dlz_engine.Cascade
 module Budget = Dlz_base.Budget
 module Trace = Dlz_base.Trace
 module Chaos = Dlz_engine.Chaos
@@ -139,7 +140,8 @@ let e3_group =
       Test.make ~name:"fig3-analysis"
         (stage (fun () -> An.deps_of_program fig3_prog));
       Test.make ~name:"fig3-analysis-classic"
-        (stage (fun () -> An.deps_of_program ~mode:An.Classic fig3_prog));
+        (stage (fun () ->
+             An.deps_of_program ~cascade:Cascade.classic fig3_prog));
     ]
 
 let e4_group =
@@ -169,9 +171,9 @@ let e7_group =
   Test.make_grouped ~name:"e7"
     [
       Test.make ~name:"vectorize-delin"
-        (stage (fun () -> Codegen.run ~mode:An.Delinearize ib_prog));
+        (stage (fun () -> Codegen.run ~cascade:Cascade.delin ib_prog));
       Test.make ~name:"vectorize-classic"
-        (stage (fun () -> Codegen.run ~mode:An.Classic ib_prog));
+        (stage (fun () -> Codegen.run ~cascade:Cascade.classic ib_prog));
       Test.make ~name:"parallel-report"
         (stage (fun () -> Dlz_vec.Parallel.report ib_prog));
     ]

@@ -37,11 +37,6 @@ let load ~lang path =
   | `F77 -> Dlz_passes.Inline.expand (Dlz_frontend.F77_parser.parse_units src)
   | `C -> Dlz_passes.Pointers.lower (Dlz_frontend.C_parser.parse src)
 
-let prepare ~lang path =
-  let prog = load ~lang path in
-  Trace.with_span ~cat:"passes" "normalize" @@ fun () ->
-  Dlz_passes.Pipeline.prepare_program prog
-
 let with_diagnostics f =
   try f () with
   | Dlz_frontend.Diag.Parse_error _ as e ->
@@ -62,27 +57,95 @@ let with_diagnostics f =
       prerr_endline ("error: " ^ msg);
       exit 1
 
-(* --- shared options ----------------------------------------------------- *)
+(* --- converters ----------------------------------------------------------- *)
+
+(* Flag values are checked while cmdliner parses them: a rejected value
+   is a usage error (exit 124) naming the flag, and the command bodies
+   only ever see typed, valid values. *)
+
+let conv_of ~parse ~to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
+      Fmt.of_to_string to_string )
+
+let int_where ok ~expected =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when ok n -> Ok n
+    | Ok _ -> Error (`Msg ("expected " ^ expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let non_negative what =
+  int_where (fun n -> n >= 0) ~expected:("a non-negative " ^ what)
+
+let positive what = int_where (fun n -> n > 0) ~expected:("a positive " ^ what)
+
+let comma_list s =
+  String.split_on_char ',' s |> List.map String.trim
+  |> List.filter (fun x -> x <> "")
+
+(* --- shared options ------------------------------------------------------- *)
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
          ~doc:"Input program (.f FORTRAN-77 subset, .c C subset).")
 
-(* analyze also accepts --dir, so its positional is optional and the
-   either-or check happens in the command body. *)
-let file_opt_arg =
-  Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE"
-         ~doc:"Input program (.f FORTRAN-77 subset, .c C subset).\n\
-               Exactly one of FILE or --dir is required.")
+(* analyze also accepts --dir: exactly one of the two names its input. *)
+let file_or_dir_arg =
+  let file =
+    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE"
+           ~doc:"Input program (.f FORTRAN-77 subset, .c C subset).\n\
+                 Exactly one of FILE or --dir is required.")
+  in
+  let dir =
+    Arg.(value & opt (some dir) None
+         & info [ "dir" ] ~docv:"DIR"
+             ~doc:"Bulk mode: analyze every .f and .c kernel under DIR\n\
+                   (recursively, sorted by path) through one shared memo\n\
+                   cache, and print one NDJSON line per kernel plus a\n\
+                   summary line.  The default fields are deterministic:\n\
+                   the report is byte-identical for any --jobs N.")
+  in
+  let pick file dir =
+    match (file, dir) with
+    | Some f, None -> `Ok (`File f)
+    | None, Some d -> `Ok (`Dir d)
+    | Some _, Some _ -> `Error (true, "FILE and --dir are mutually exclusive")
+    | None, None -> `Error (true, "expected FILE or --dir")
+  in
+  Term.(ret (const pick $ file $ dir))
 
-let dir_arg =
-  Arg.(value & opt (some dir) None
-       & info [ "dir" ] ~docv:"DIR"
-           ~doc:"Bulk mode: analyze every .f and .c kernel under DIR\n\
-                 (recursively, sorted by path) through one shared memo\n\
-                 cache, and print one NDJSON line per kernel plus a\n\
-                 summary line.  The default fields are deterministic:\n\
-                 the report is byte-identical for any --jobs N.")
+(* The input a command analyzes, with the --lang and --assume that shape
+   its parse and analysis. *)
+type 'a input = { target : 'a; lang : [ `F77 | `C ] option; env : Assume.t }
+
+let input_term target =
+  let lang_arg =
+    let lang_conv = Arg.enum [ ("f77", `F77); ("c", `C) ] in
+    Arg.(value & opt (some lang_conv) None & info [ "lang" ] ~docv:"LANG"
+           ~doc:"Input language (default: by file extension).")
+  in
+  let assume_arg =
+    Arg.(value & opt_all (pair ~sep:'=' string int) []
+         & info [ "assume" ] ~docv:"SYM=LB"
+             ~doc:"Assume an integer lower bound for a symbol, e.g. N=2.\n\
+                   Repeatable.")
+  in
+  let make target lang assumes =
+    let env =
+      List.fold_left (fun env (s, b) -> Assume.assume_ge s b env) Assume.empty
+        assumes
+    in
+    { target; lang; env }
+  in
+  Term.(const make $ target $ lang_arg $ assume_arg)
+
+let prepare input =
+  let prog = load ~lang:input.lang input.target in
+  Trace.with_span ~cat:"passes" "normalize" @@ fun () ->
+  Dlz_passes.Pipeline.prepare_program prog
 
 (* --cache-load, --cache-save and --cache-auto, resolved to the snapshot
    paths to use: an explicit path wins, --cache-auto fills in the
@@ -138,65 +201,35 @@ let stats_json_arg =
                  (the shape of `vic stats --format json' and\n\
                  --metrics-dump).")
 
-let timings_arg =
-  Arg.(value & flag
-       & info [ "timings" ]
-           ~doc:"Bulk mode: add per-file elapsed_ns and summary cache\n\
-                 warm/cold disposition to the NDJSON report.  These\n\
-                 fields are scheduling-dependent, so the report is no\n\
-                 longer byte-identical across --jobs values.")
-
-let lang_arg =
-  let lang_conv = Arg.enum [ ("f77", `F77); ("c", `C) ] in
-  Arg.(value & opt (some lang_conv) None & info [ "lang" ] ~docv:"LANG"
-         ~doc:"Input language (default: by file extension).")
-
+(* cmdliner prints the default by looking it up in the enum; the preset
+   names differ, so that comparison never reaches a strategy closure. *)
 let mode_arg =
-  let mode_conv =
-    Arg.enum
-      [
-        ("delin", Analyze.Delinearize);
-        ("classic", Analyze.Classic);
-        ("exact", Analyze.ExactMode);
-      ]
-  in
-  Arg.(value & opt mode_conv Analyze.Delinearize
+  Arg.(value & opt (enum Dlz_engine.Cascade.presets) Dlz_engine.Cascade.delin
        & info [ "mode" ] ~docv:"MODE"
            ~doc:"Dependence tester: 'delin' (the paper), 'classic'\n\
                  (GCD+Banerjee hierarchy on the unbroken equations), or\n\
                  'exact' (integer-exact ceiling, exponential).")
 
-let assume_arg =
-  Arg.(value & opt_all (pair ~sep:'=' string int) []
-       & info [ "assume" ] ~docv:"SYM=LB"
-           ~doc:"Assume an integer lower bound for a symbol, e.g. N=2.\n\
-                 Repeatable.")
-
 let cascade_arg =
-  Arg.(value & opt (some string) None
+  let cascade_conv =
+    let parse s =
+      match comma_list s with
+      | [] -> Error "expected a comma-separated strategy list"
+      | names -> Dlz_engine.Cascade.of_names names
+    in
+    conv_of ~parse ~to_string:(fun c -> c.Dlz_engine.Cascade.name)
+  in
+  Arg.(value & opt (some cascade_conv) None
        & info [ "cascade" ] ~docv:"NAMES"
            ~doc:"Custom comma-separated strategy cascade (overrides\n\
                  --mode), e.g. 'gcd,banerjee,delinearize'.  Registered\n\
                  strategies: delinearize, classic, exact, gcd, banerjee,\n\
                  svpc, acyclic, residue, omega.")
 
-let cascade_of names =
-  match names with
-  | None -> None
-  | Some s -> (
-      let names =
-        String.split_on_char ',' s |> List.map String.trim
-        |> List.filter (fun x -> x <> "")
-      in
-      if names = [] then begin
-        prerr_endline "--cascade: expected a comma-separated strategy list";
-        exit 1
-      end;
-      match Dlz_engine.Cascade.of_names names with
-      | Ok c -> Some c
-      | Error msg ->
-          prerr_endline ("--cascade: " ^ msg);
-          exit 1)
+(* The dependence tester: the --mode preset unless --cascade names one. *)
+let tester_term =
+  Term.(const (fun mode cascade -> Option.value cascade ~default:mode)
+        $ mode_arg $ cascade_arg)
 
 let stats_arg =
   Arg.(value & flag
@@ -208,7 +241,7 @@ let stats_arg =
                  flush counts.")
 
 let fuel_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (non_negative "step count")) None
        & info [ "fuel" ] ~docv:"N"
            ~doc:"Engine-wide step budget: the whole analysis may spend\n\
                  at most N solver steps.  Queries that hit the limit\n\
@@ -216,76 +249,39 @@ let fuel_arg =
                  --stats); the run always completes.")
 
 let timeout_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (non_negative "millisecond count")) None
        & info [ "timeout-ms" ] ~docv:"MS"
            ~doc:"Engine-wide wall-clock deadline in milliseconds\n\
                  (monotonic clock).  Queries past the deadline degrade\n\
                  to the conservative verdict; the run always completes.")
 
+(* --fuel and --timeout-ms as one engine-wide budget; none when both
+   are absent. *)
+let budget_term =
+  let make fuel timeout_ms =
+    match (fuel, timeout_ms) with
+    | None, None -> None
+    | _ -> Some (Dlz_base.Budget.create ?fuel ?timeout_ms ())
+  in
+  Term.(const make $ fuel_arg $ timeout_arg)
+
 let chaos_arg =
-  Arg.(value & opt (some string) None
+  let chaos_conv =
+    conv_of ~parse:Dlz_engine.Chaos.of_string
+      ~to_string:Dlz_engine.Chaos.to_string
+  in
+  Arg.(value & opt (some chaos_conv) None
        & info [ "chaos" ] ~docv:"SEED:RATE"
            ~doc:"Deterministic fault injection at strategy boundaries\n\
                  (testing aid), e.g. 42:0.1.  Overrides DLZ_CHAOS.")
 
-let budget_of ~fuel ~timeout_ms =
-  match (fuel, timeout_ms) with
-  | None, None -> None
-  | _ -> Some (Dlz_base.Budget.create ?fuel ?timeout_ms ())
-
-let set_chaos spec =
-  match spec with
-  | None -> ()
-  | Some s -> (
-      match Dlz_engine.Chaos.of_string s with
-      | Ok c -> Dlz_engine.Chaos.set_current (Some c)
-      | Error msg ->
-          prerr_endline ("--chaos: " ^ msg);
-          exit 1)
-
-let trace_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record a structured execution trace (spans for every\n\
-                 query, strategy attempt, parse/normalize phase and\n\
-                 pool chunk, one track per domain) and write it to\n\
-                 FILE in the Chrome trace_event JSON format — open it\n\
-                 in chrome://tracing or https://ui.perfetto.dev.")
-
-let trace_sample_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-sample" ] ~docv:"[SEED:]RATE"
-           ~doc:"Keep each query span with probability RATE\n\
-                 (deterministic in SEED; default 1 = keep all).\n\
-                 Overrides DLZ_TRACE_SAMPLE.  Only span recording is\n\
-                 sampled; histograms always see every query.")
-
-let sort_arg =
-  let module Text = Dlz_obs.Text in
-  let sort_conv =
-    Arg.enum
-      [ ("name", Text.By_name); ("attempts", Text.By_attempts);
-        ("time", Text.By_time) ]
-  in
-  Arg.(value & opt sort_conv Text.By_name
-       & info [ "sort" ] ~docv:"KEY"
-           ~doc:"Row order of the --stats readout: 'name' (default,\n\
-                 registry order), 'attempts' (within each counter\n\
-                 family, larger values first), or 'time' (within each\n\
-                 histogram family, larger total latency first).")
-
-let set_trace_sample spec =
-  match spec with
-  | None -> ()
-  | Some s -> (
-      match Trace.sampling_of_string s with
-      | Ok (seed, rate) -> Trace.set_sampling ~seed rate
-      | Error msg ->
-          prerr_endline ("--trace-sample: " ^ msg);
-          exit 1)
+let set_chaos = Option.iter (fun c -> Dlz_engine.Chaos.set_current (Some c))
 
 let trace_mask_arg =
-  Arg.(value & opt (some string) None
+  let cats_conv =
+    conv_of ~parse:(fun s -> Ok (comma_list s)) ~to_string:(String.concat ",")
+  in
+  Arg.(value & opt (some cats_conv) None
        & info [ "trace-mask" ] ~docv:"CATS"
            ~doc:"Record only spans/instants of these comma-separated\n\
                  categories under Full recording (e.g.\n\
@@ -294,70 +290,110 @@ let trace_mask_arg =
                  phase spans) is always enabled.  Overrides\n\
                  DLZ_TRACE_MASK.")
 
-let set_trace_mask spec =
-  match spec with
-  | None -> ()
-  | Some s ->
-      let cats =
-        String.split_on_char ',' s |> List.map String.trim
-        |> List.filter (fun x -> x <> "")
-      in
-      Trace.set_mask (Some cats)
+let set_trace_mask = Option.iter (fun cats -> Trace.set_mask (Some cats))
 
-(* --stats wants latency percentiles even without span recording, so
-   it turns on Timing; --trace needs the full event stream. *)
-let setup_telemetry ?trace_mask ~stats ~trace_out ~trace_sample () =
-  set_trace_sample trace_sample;
-  set_trace_mask trace_mask;
-  match trace_out with
+(* --stats, --stats-json, --sort and the --trace* flags of one run.
+   Commands without --stats-json or --trace-mask pass no term for them. *)
+type telemetry = {
+  stats : bool;
+  stats_json : bool;
+  sort : Dlz_obs.Text.sort;
+  trace_out : string option;
+  trace_sample : (int64 * float) option;
+  trace_mask : string list option;
+}
+
+let telemetry_term ?(stats_json = Term.const false)
+    ?(trace_mask = Term.const None) () =
+  let trace_out_arg =
+    Arg.(value & opt (some string) None
+         & info [ "trace" ] ~docv:"FILE"
+             ~doc:"Record a structured execution trace (spans for every\n\
+                   query, strategy attempt, parse/normalize phase and\n\
+                   pool chunk, one track per domain) and write it to\n\
+                   FILE in the Chrome trace_event JSON format — open it\n\
+                   in chrome://tracing or https://ui.perfetto.dev.")
+  in
+  let trace_sample_arg =
+    let sampling_conv =
+      conv_of ~parse:Trace.sampling_of_string ~to_string:(fun (seed, rate) ->
+          Printf.sprintf "%Ld:%g" seed rate)
+    in
+    Arg.(value & opt (some sampling_conv) None
+         & info [ "trace-sample" ] ~docv:"[SEED:]RATE"
+             ~doc:"Keep each query span with probability RATE\n\
+                   (deterministic in SEED; default 1 = keep all).\n\
+                   Overrides DLZ_TRACE_SAMPLE.  Only span recording is\n\
+                   sampled; histograms always see every query.")
+  in
+  let sort_arg =
+    let module Text = Dlz_obs.Text in
+    let sort_conv =
+      Arg.enum
+        [ ("name", Text.By_name); ("attempts", Text.By_attempts);
+          ("time", Text.By_time) ]
+    in
+    Arg.(value & opt sort_conv Text.By_name
+         & info [ "sort" ] ~docv:"KEY"
+             ~doc:"Row order of the --stats readout: 'name' (default,\n\
+                   registry order), 'attempts' (within each counter\n\
+                   family, larger values first), or 'time' (within each\n\
+                   histogram family, larger total latency first).")
+  in
+  let make stats stats_json sort trace_out trace_sample trace_mask =
+    { stats; stats_json; sort; trace_out; trace_sample; trace_mask }
+  in
+  Term.(const make $ stats_arg $ stats_json $ sort_arg $ trace_out_arg
+        $ trace_sample_arg $ trace_mask)
+
+(* Runs [f] inside the run's telemetry.  Before it: sampling, mask and
+   recording level (--stats wants latency percentiles even without span
+   recording, so it turns on Timing; --trace needs the full event
+   stream), then a metrics reset so the readout covers exactly this
+   run.  After it: the --stats readout (every registered sample,
+   rendered by the collectors a Prometheus scrape reads) followed by
+   [more_stats], the --stats-json line, and the trace file. *)
+let with_telemetry ?(more_stats = ignore) t f =
+  Option.iter (fun (seed, rate) -> Trace.set_sampling ~seed rate)
+    t.trace_sample;
+  set_trace_mask t.trace_mask;
+  (match t.trace_out with
   | Some _ -> Trace.set_level Trace.Full
-  | None -> if stats then Trace.set_level Trace.Timing
-
-(* The --stats readout: every registered sample, rendered by the same
-   collectors a Prometheus scrape reads. *)
-let print_stats ~sort =
-  print_newline ();
-  print_string (Dlz_obs.Text.to_string ~sort (Dlz_obs.Registry.collect ()))
-
-let write_trace trace_out =
-  match trace_out with
-  | None -> ()
-  | Some path ->
+  | None -> if t.stats || t.stats_json then Trace.set_level Trace.Timing);
+  Dlz_engine.Engine.reset_metrics ();
+  let result = f () in
+  if t.stats then begin
+    print_newline ();
+    print_string
+      (Dlz_obs.Text.to_string ~sort:t.sort (Dlz_obs.Registry.collect ()));
+    more_stats ()
+  end;
+  if t.stats_json then
+    print_endline
+      (Dlz_obs.Jsonx.to_string
+         (Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ())));
+  Option.iter
+    (fun path ->
       let events = List.length (Trace.events ()) in
       Trace.export_chrome path;
       Printf.printf "trace: wrote %s (%d events, %d dropped)\n" path events
-        (Trace.dropped ())
+        (Trace.dropped ()))
+    t.trace_out;
+  result
 
 let jobs_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (non_negative "domain count") 1
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Answer dependence queries on N domains in parallel\n\
                  (default 1 = serial; 0 = the recommended domain count\n\
                  for this machine).  Output is identical for any N.")
 
-let check_jobs jobs =
-  if jobs < 0 then begin
-    prerr_endline "--jobs: expected a non-negative domain count";
-    exit 1
-  end;
-  jobs
-
 let chunk_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (positive "candidate count")) None
        & info [ "chunk" ] ~docv:"K"
            ~doc:"Queries per work-stealing deal (default: auto-tuned\n\
                  from observed per-query cost and queue-wait telemetry).\n\
                  Output is identical for any K.")
-
-let check_chunk = function
-  | Some k when k <= 0 ->
-      prerr_endline "--chunk: expected a positive candidate count";
-      exit 1
-  | c -> c
-
-let env_of assumes =
-  List.fold_left (fun env (s, b) -> Assume.assume_ge s b env) Assume.empty
-    assumes
 
 (* --- commands ------------------------------------------------------------ *)
 
@@ -367,12 +403,13 @@ let ranges_arg =
            ~doc:"Also print Wolf-Lam range vectors (exact per-level\n\
                  delta ranges) for each dependence [WL91].")
 
-let analyze_one ~lang ~mode ~cascade ~budget ~pool ~chunk ~env ~ranges file =
-  let prog = prepare ~lang file in
+let analyze_one ~cascade ~budget ~pool ~chunk ~ranges input =
+  let prog = prepare input in
+  let env = input.env in
   print_endline (Ast.to_string prog);
   print_newline ();
   let deps =
-    Analyze.deps_of_program ~mode ?cascade ?budget ?pool ?chunk ~env prog
+    Analyze.deps_of_program ~cascade ?budget ?pool ?chunk ~env prog
   in
   if deps = [] then print_endline "No dependences: fully parallel."
   else
@@ -412,281 +449,251 @@ let analyze_one ~lang ~mode ~cascade ~budget ~pool ~chunk ~env ~ranges file =
          else
            Printf.sprintf " (%d carried dependence(s))"
              l.Dlz_vec.Parallel.lr_carried))
-    (Dlz_vec.Parallel.report ~mode ?cascade ?budget ?pool ?chunk ~env prog)
+    (Dlz_vec.Parallel.report ~cascade ?budget ?pool ?chunk ~env prog)
+
+(* The --stats lines only analyze prints: cache shard occupancy and the
+   injected fault count. *)
+let print_cache_stats () =
+  let module Query = Dlz_engine.Query in
+  let cache = Query.global_cache in
+  let ints a = String.concat " " (List.map string_of_int (Array.to_list a)) in
+  let flushes = Query.shard_flushes cache in
+  Printf.printf
+    "cache shards: %d x %d entries; sizes [%s]; flushes per shard [%s] \
+     (total %d)\n"
+    (Query.shards cache) (Query.shard_capacity cache)
+    (ints (Query.shard_sizes cache))
+    (ints flushes)
+    (Array.fold_left ( + ) 0 flushes);
+  match Dlz_engine.Chaos.current () with
+  | Some c ->
+      Printf.printf "chaos: seed %Ld rate %g, %d faults injected\n"
+        (Dlz_engine.Chaos.seed c) (Dlz_engine.Chaos.rate c)
+        (Dlz_engine.Chaos.strikes c)
+  | None -> ()
 
 let analyze_cmd =
-  let run file dir lang mode assumes ranges cascade stats stats_json jobs
-      chunk fuel timeout_ms chaos cache timings trace_out trace_sample
-      trace_mask sort =
-    with_diagnostics (fun () ->
-        let jobs = check_jobs jobs in
-        let chunk = check_chunk chunk in
-        let cascade = cascade_of cascade in
-        set_chaos chaos;
-        setup_telemetry ?trace_mask ~stats:(stats || stats_json) ~trace_out
-          ~trace_sample ();
-        let budget = budget_of ~fuel ~timeout_ms in
-        let module Persist = Dlz_engine.Persist in
-        Dlz_engine.Engine.reset_metrics ();
-        Dlz_base.Pool.with_jobs ~jobs (fun pool ->
-            (match cache.cache_load with
-            | None -> ()
-            | Some p -> (
-                match Persist.load ?pool p with
-                | Ok _ -> ()
-                | Error reason ->
-                    (* An explicit --cache-load that fails deserves a
-                       word; the quiet path is --cache-auto before any
-                       snapshot exists.  Either way the run proceeds
-                       cold (the refusal is counted in --stats). *)
-                    if cache.cache_explicit_load then
-                      Printf.eprintf
-                        "warning: snapshot %s: %s; starting cold\n%!" p
-                        reason));
-            let env = env_of assumes in
-            (match (dir, file) with
-            | Some d, None ->
-                List.iter print_endline
-                  (Dlz_driver.Bulk.run ~mode ?cascade ?budget ?pool ~env
-                     ~timings d)
-            | None, Some file ->
-                analyze_one ~lang ~mode ~cascade ~budget ~pool ~chunk ~env
-                  ~ranges file
-            | Some _, Some _ ->
-                prerr_endline "analyze: FILE and --dir are mutually exclusive";
-                exit 1
-            | None, None ->
-                prerr_endline "analyze: expected FILE or --dir";
-                exit 1);
-            match cache.cache_save with
-            | None -> ()
-            | Some p -> (
-                match Persist.save p with
-                | Ok _ -> ()
-                | Error reason ->
-                    Printf.eprintf "warning: snapshot save %s: %s\n%!" p
-                      reason));
-        if stats then begin
-          print_stats ~sort;
-          let module Query = Dlz_engine.Query in
-          let cache = Query.global_cache in
-          let ints a =
-            String.concat " "
-              (List.map string_of_int (Array.to_list a))
-          in
-          let flushes = Query.shard_flushes cache in
-          Printf.printf
-            "cache shards: %d x %d entries; sizes [%s]; flushes per shard \
-             [%s] (total %d)\n"
-            (Query.shards cache) (Query.shard_capacity cache)
-            (ints (Query.shard_sizes cache))
-            (ints flushes)
-            (Array.fold_left ( + ) 0 flushes);
-          (match Dlz_engine.Chaos.current () with
-          | Some c ->
-              Printf.printf "chaos: seed %Ld rate %g, %d faults injected\n"
-                (Dlz_engine.Chaos.seed c) (Dlz_engine.Chaos.rate c)
-                (Dlz_engine.Chaos.strikes c)
-          | None -> ())
-        end;
-        if stats_json then
-          print_endline
-            (Dlz_obs.Jsonx.to_string
-               (Dlz_obs.Snap.to_json (Dlz_obs.Registry.collect ())));
-        write_trace trace_out)
+  let timings_arg =
+    Arg.(value & flag
+         & info [ "timings" ]
+             ~doc:"Bulk mode: add per-file elapsed_ns and summary cache\n\
+                   warm/cold disposition to the NDJSON report.  These\n\
+                   fields are scheduling-dependent, so the report is no\n\
+                   longer byte-identical across --jobs values.")
+  in
+  let run input cascade budget jobs chunk chaos cache ranges timings
+      telemetry =
+    set_chaos chaos;
+    with_telemetry ~more_stats:print_cache_stats telemetry @@ fun () ->
+    let module Persist = Dlz_engine.Persist in
+    Dlz_base.Pool.with_jobs ~jobs (fun pool ->
+        (match cache.cache_load with
+        | None -> ()
+        | Some p -> (
+            match Persist.load ?pool p with
+            | Ok _ -> ()
+            | Error reason ->
+                (* An explicit --cache-load that fails deserves a word;
+                   the quiet path is --cache-auto before any snapshot
+                   exists.  Either way the run proceeds cold (the
+                   refusal is counted in --stats). *)
+                if cache.cache_explicit_load then
+                  Printf.eprintf "warning: snapshot %s: %s; starting cold\n%!"
+                    p reason));
+        (match input.target with
+        | `Dir d ->
+            List.iter print_endline
+              (Dlz_driver.Bulk.run ~cascade ?budget ?pool ~env:input.env
+                 ~timings d)
+        | `File file ->
+            analyze_one ~cascade ~budget ~pool ~chunk ~ranges
+              { input with target = file });
+        match cache.cache_save with
+        | None -> ()
+        | Some p -> (
+            match Persist.save p with
+            | Ok _ -> ()
+            | Error reason ->
+                Printf.eprintf "warning: snapshot save %s: %s\n%!" p reason))
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Normalize a program and report its dependences.")
-    Term.(const run $ file_opt_arg $ dir_arg $ lang_arg $ mode_arg
-          $ assume_arg $ ranges_arg $ cascade_arg $ stats_arg $ stats_json_arg
-          $ jobs_arg $ chunk_arg $ fuel_arg $ timeout_arg $ chaos_arg
-          $ cache_term $ timings_arg
-          $ trace_out_arg $ trace_sample_arg $ trace_mask_arg $ sort_arg)
+    Term.(const run $ input_term file_or_dir_arg $ tester_term $ budget_term
+          $ jobs_arg $ chunk_arg $ chaos_arg $ cache_term $ ranges_arg
+          $ timings_arg
+          $ telemetry_term ~stats_json:stats_json_arg
+              ~trace_mask:trace_mask_arg ())
 
 let vectorize_cmd =
-  let run file lang mode assumes =
-    with_diagnostics (fun () ->
-        let prog = prepare ~lang file in
-        let r = Codegen.run ~mode ~env:(env_of assumes) prog in
-        print_string r.Codegen.text;
-        print_newline ();
-        List.iter
-          (fun (pl : Codegen.plan) ->
-            Printf.printf "%s: sequential levels [%s], vector levels [%s]%s\n"
-              pl.Codegen.stmt_name
-              (String.concat "," (List.map string_of_int pl.Codegen.seq_levels))
-              (String.concat "," (List.map string_of_int pl.Codegen.vec_levels))
-              (match pl.Codegen.interchangeable with
-              | [] -> ""
-              | ls ->
-                  Printf.sprintf ", interchange candidates [%s]"
-                    (String.concat "," (List.map string_of_int ls))))
-          r.Codegen.plans)
+  let run input cascade =
+    let prog = prepare input in
+    let r = Codegen.run ~cascade ~env:input.env prog in
+    print_string r.Codegen.text;
+    print_newline ();
+    List.iter
+      (fun (pl : Codegen.plan) ->
+        Printf.printf "%s: sequential levels [%s], vector levels [%s]%s\n"
+          pl.Codegen.stmt_name
+          (String.concat "," (List.map string_of_int pl.Codegen.seq_levels))
+          (String.concat "," (List.map string_of_int pl.Codegen.vec_levels))
+          (match pl.Codegen.interchangeable with
+          | [] -> ""
+          | ls ->
+              Printf.sprintf ", interchange candidates [%s]"
+                (String.concat "," (List.map string_of_int ls))))
+      r.Codegen.plans
   in
   Cmd.v
     (Cmd.info "vectorize"
        ~doc:"Run the Allen-Kennedy vectorizer over the program.")
-    Term.(const run $ file_arg $ lang_arg $ mode_arg $ assume_arg)
+    Term.(const run $ input_term file_arg $ mode_arg)
 
 let delinearize_cmd =
-  let run file lang assumes =
-    with_diagnostics (fun () ->
-        let prog = prepare ~lang file in
-        let prog', plans = Reshape.apply ~env:(env_of assumes) prog in
-        if plans = [] then
-          print_endline "No array could be reshaped (see --assume)."
-        else
-          List.iter
-            (fun (pl : Reshape.plan) ->
-              Printf.printf "reshaped %s: %d dimensions\n" pl.Reshape.array
-                (List.length pl.Reshape.extents))
-            plans;
-        print_endline (Ast.to_string prog'))
+  let run input =
+    let prog', plans = Reshape.apply ~env:input.env (prepare input) in
+    if plans = [] then print_endline "No array could be reshaped (see --assume)."
+    else
+      List.iter
+        (fun (pl : Reshape.plan) ->
+          Printf.printf "reshaped %s: %d dimensions\n" pl.Reshape.array
+            (List.length pl.Reshape.extents))
+        plans;
+    print_endline (Ast.to_string prog')
   in
   Cmd.v
     (Cmd.info "delinearize"
        ~doc:"Recover multidimensional shapes of linearized arrays.")
-    Term.(const run $ file_arg $ lang_arg $ assume_arg)
+    Term.(const run $ input_term file_arg)
 
 let trace_cmd =
-  let run file lang assumes =
-    with_diagnostics (fun () ->
-        let prog = prepare ~lang file in
-        let env = env_of assumes in
-        let accs, env = Dlz_ir.Access.of_program ~env prog in
-        let module Access = Dlz_ir.Access in
-        let module Problem = Dlz_deptest.Problem in
-        let module Symeq = Dlz_deptest.Symeq in
-        let module Algo = Dlz_core.Algo in
-        let module Symalgo = Dlz_core.Symalgo in
-        let shown = ref 0 in
-        Seq.iter
-          (fun (pr : Dlz_engine.Engine.pair) ->
-            let a = pr.Dlz_engine.Engine.src
-            and b = pr.Dlz_engine.Engine.dst in
-            let p = pr.Dlz_engine.Engine.problem in
-            List.iter
-              (fun eq ->
-                      incr shown;
-                      Printf.printf "=== %s:%s -> %s:%s (dimension %d)\n"
-                        a.Access.stmt_name a.Access.array b.Access.stmt_name
-                        b.Access.array !shown;
-                      match Symeq.to_numeric eq with
-                      | Some neq ->
-                          Format.printf "equation: %a@."
-                            Dlz_deptest.Depeq.pp neq;
-                          let ubs =
-                            match Problem.to_numeric p with
-                            | Some np -> np.Problem.common_ubs
-                            | None -> Array.make p.Problem.n_common max_int
-                          in
-                          let r =
-                            Algo.run ~n_common:p.Problem.n_common
-                              ~common_ubs:ubs neq
-                          in
-                          List.iter
-                            (fun (st : Algo.step) ->
-                              Printf.printf
-                                "  k=%d c=%s smin=%d smax=%d g=%s r=%d%s%s\n"
-                                st.Algo.k
-                                (match st.Algo.coeff with
-                                | Some c -> string_of_int c
-                                | None -> "-")
-                                st.Algo.smin st.Algo.smax
-                                (match st.Algo.gk with
-                                | Some g -> string_of_int g
-                                | None -> "inf")
-                                st.Algo.r
-                                (if st.Algo.barrier then "  <- barrier" else "")
-                                (match st.Algo.separated with
-                                | Some piece ->
-                                    "  separates: "
-                                    ^ Dlz_deptest.Depeq.to_string piece
-                                | None -> ""))
-                            r.Algo.steps;
-                          Printf.printf "  verdict: %s\n"
-                            (Dlz_deptest.Verdict.to_string r.Algo.verdict)
-                      | None ->
-                          Format.printf "equation (symbolic): %a@." Symeq.pp eq;
-                          let r =
-                            Symalgo.run ~env ~n_common:p.Problem.n_common eq
-                          in
-                          List.iter
-                            (fun (st : Symalgo.step) ->
-                              Format.printf
-                                "  k=%d c=%s smin=%s smax=%s g=%s r=%s%s%s@."
-                                st.Symalgo.k
-                                (match st.Symalgo.coeff with
-                                | Some c -> Dlz_symbolic.Poly.to_string c
-                                | None -> "-")
-                                (Dlz_symbolic.Poly.to_string st.Symalgo.smin)
-                                (Dlz_symbolic.Poly.to_string st.Symalgo.smax)
-                                (match st.Symalgo.gk with
-                                | Some g -> Dlz_symbolic.Poly.to_string g
-                                | None -> "inf")
-                                (Dlz_symbolic.Poly.to_string st.Symalgo.r)
-                                (if st.Symalgo.barrier then "  <- barrier"
-                                 else "")
-                                (match st.Symalgo.separated with
-                                | Some piece ->
-                                    "  separates: "
-                                    ^ Format.asprintf "%a" Symeq.pp piece
-                                | None -> ""))
-                            r.Symalgo.steps;
-                          Printf.printf "  verdict: %s\n"
-                            (Dlz_deptest.Verdict.to_string r.Symalgo.verdict))
-              p.Problem.equations)
-          (Dlz_engine.Engine.pairs_seq accs);
-        if !shown = 0 then print_endline "No testable reference pairs.")
+  let run input =
+    let prog = prepare input in
+    let accs, env = Dlz_ir.Access.of_program ~env:input.env prog in
+    let module Access = Dlz_ir.Access in
+    let module Problem = Dlz_deptest.Problem in
+    let module Symeq = Dlz_deptest.Symeq in
+    let module Algo = Dlz_core.Algo in
+    let module Symalgo = Dlz_core.Symalgo in
+    let shown = ref 0 in
+    Seq.iter
+      (fun (pr : Dlz_engine.Engine.pair) ->
+        let a = pr.Dlz_engine.Engine.src
+        and b = pr.Dlz_engine.Engine.dst in
+        let p = pr.Dlz_engine.Engine.problem in
+        List.iter
+          (fun eq ->
+            incr shown;
+            Printf.printf "=== %s:%s -> %s:%s (dimension %d)\n"
+              a.Access.stmt_name a.Access.array b.Access.stmt_name
+              b.Access.array !shown;
+            match Symeq.to_numeric eq with
+            | Some neq ->
+                Format.printf "equation: %a@."
+                  Dlz_deptest.Depeq.pp neq;
+                let ubs =
+                  match Problem.to_numeric p with
+                  | Some np -> np.Problem.common_ubs
+                  | None -> Array.make p.Problem.n_common max_int
+                in
+                let r =
+                  Algo.run ~n_common:p.Problem.n_common
+                    ~common_ubs:ubs neq
+                in
+                List.iter
+                  (fun (st : Algo.step) ->
+                    Printf.printf
+                      "  k=%d c=%s smin=%d smax=%d g=%s r=%d%s%s\n"
+                      st.Algo.k
+                      (match st.Algo.coeff with
+                      | Some c -> string_of_int c
+                      | None -> "-")
+                      st.Algo.smin st.Algo.smax
+                      (match st.Algo.gk with
+                      | Some g -> string_of_int g
+                      | None -> "inf")
+                      st.Algo.r
+                      (if st.Algo.barrier then "  <- barrier" else "")
+                      (match st.Algo.separated with
+                      | Some piece ->
+                          "  separates: "
+                          ^ Dlz_deptest.Depeq.to_string piece
+                      | None -> ""))
+                  r.Algo.steps;
+                Printf.printf "  verdict: %s\n"
+                  (Dlz_deptest.Verdict.to_string r.Algo.verdict)
+            | None ->
+                Format.printf "equation (symbolic): %a@." Symeq.pp eq;
+                let r =
+                  Symalgo.run ~env ~n_common:p.Problem.n_common eq
+                in
+                List.iter
+                  (fun (st : Symalgo.step) ->
+                    Format.printf
+                      "  k=%d c=%s smin=%s smax=%s g=%s r=%s%s%s@."
+                      st.Symalgo.k
+                      (match st.Symalgo.coeff with
+                      | Some c -> Dlz_symbolic.Poly.to_string c
+                      | None -> "-")
+                      (Dlz_symbolic.Poly.to_string st.Symalgo.smin)
+                      (Dlz_symbolic.Poly.to_string st.Symalgo.smax)
+                      (match st.Symalgo.gk with
+                      | Some g -> Dlz_symbolic.Poly.to_string g
+                      | None -> "inf")
+                      (Dlz_symbolic.Poly.to_string st.Symalgo.r)
+                      (if st.Symalgo.barrier then "  <- barrier"
+                       else "")
+                      (match st.Symalgo.separated with
+                      | Some piece ->
+                          "  separates: "
+                          ^ Format.asprintf "%a" Symeq.pp piece
+                      | None -> ""))
+                  r.Symalgo.steps;
+                Printf.printf "  verdict: %s\n"
+                  (Dlz_deptest.Verdict.to_string r.Symalgo.verdict))
+          p.Problem.equations)
+      (Dlz_engine.Engine.pairs_seq accs);
+    if !shown = 0 then print_endline "No testable reference pairs."
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Print the Figure-5-style delinearization trace for every\n\
              dependence equation of the program.")
-    Term.(const run $ file_arg $ lang_arg $ assume_arg)
+    Term.(const run $ input_term file_arg)
 
 let graph_cmd =
   let dot_arg =
     Arg.(value & flag
          & info [ "dot" ] ~doc:"Emit Graphviz DOT instead of plain text.")
   in
-  let run file lang mode assumes dot jobs chunk =
-    with_diagnostics (fun () ->
-        let jobs = check_jobs jobs in
-        let chunk = check_chunk chunk in
-        (* Same scoping discipline as analyze: metrics cover exactly
-           this invocation's work. *)
-        Dlz_engine.Engine.reset_metrics ();
-        let prog = prepare ~lang file in
-        let g =
-          Dlz_vec.Depgraph.build ~mode ~jobs ?chunk ~env:(env_of assumes)
-            prog
-        in
-        if not dot then Format.printf "%a@." Dlz_vec.Depgraph.pp g
-        else begin
-          print_endline "digraph deps {";
-          Array.iteri
-            (fun i name -> Printf.printf "  n%d [label=\"%s\"];\n" i name)
-            g.Dlz_vec.Depgraph.stmt_names;
-          List.iter
-            (fun (e : Dlz_vec.Depgraph.edge) ->
-              Printf.printf
-                "  n%d -> n%d [label=\"%s %s%s\"];\n"
-                e.Dlz_vec.Depgraph.e_src e.Dlz_vec.Depgraph.e_dst
-                (Dlz_deptest.Dirvec.to_string e.Dlz_vec.Depgraph.e_vec)
-                (Dlz_deptest.Classify.to_string e.Dlz_vec.Depgraph.e_kind)
-                (if e.Dlz_vec.Depgraph.e_level = max_int then ""
-                 else
-                   Printf.sprintf " @%d" e.Dlz_vec.Depgraph.e_level))
-            g.Dlz_vec.Depgraph.edges;
-          print_endline "}"
-        end)
+  let run input cascade dot jobs chunk =
+    (* Same scoping discipline as analyze: metrics cover exactly this
+       invocation's work. *)
+    Dlz_engine.Engine.reset_metrics ();
+    let prog = prepare input in
+    let g = Dlz_vec.Depgraph.build ~cascade ~jobs ?chunk ~env:input.env prog in
+    if not dot then Format.printf "%a@." Dlz_vec.Depgraph.pp g
+    else begin
+      print_endline "digraph deps {";
+      Array.iteri
+        (fun i name -> Printf.printf "  n%d [label=\"%s\"];\n" i name)
+        g.Dlz_vec.Depgraph.stmt_names;
+      List.iter
+        (fun (e : Dlz_vec.Depgraph.edge) ->
+          Printf.printf "  n%d -> n%d [label=\"%s %s%s\"];\n"
+            e.Dlz_vec.Depgraph.e_src e.Dlz_vec.Depgraph.e_dst
+            (Dlz_deptest.Dirvec.to_string e.Dlz_vec.Depgraph.e_vec)
+            (Dlz_deptest.Classify.to_string e.Dlz_vec.Depgraph.e_kind)
+            (if e.Dlz_vec.Depgraph.e_level = max_int then ""
+             else Printf.sprintf " @%d" e.Dlz_vec.Depgraph.e_level))
+        g.Dlz_vec.Depgraph.edges;
+      print_endline "}"
+    end
   in
   Cmd.v
     (Cmd.info "graph"
        ~doc:"Print the statement dependence graph (optionally as DOT).")
-    Term.(const run $ file_arg $ lang_arg $ mode_arg $ assume_arg $ dot_arg
-          $ jobs_arg $ chunk_arg)
+    Term.(const run $ input_term file_arg $ mode_arg $ dot_arg $ jobs_arg
+          $ chunk_arg)
 
 let experiments_cmd =
   let id_arg =
@@ -694,25 +701,22 @@ let experiments_cmd =
            ~doc:"Experiment id (e1..e8); all when omitted.")
   in
   let run id jobs chunk =
-    with_diagnostics (fun () ->
-        let jobs = check_jobs jobs in
-        let chunk = check_chunk chunk in
-        (* Same scoping discipline as analyze: metrics cover exactly
-           this invocation's work. *)
-        Dlz_engine.Engine.reset_metrics ();
-        match id with
+    (* Same scoping discipline as analyze: metrics cover exactly this
+       invocation's work. *)
+    Dlz_engine.Engine.reset_metrics ();
+    match id with
+    | None ->
+        List.iter
+          (fun (_, report) ->
+            print_endline report;
+            print_newline ())
+          (Experiments.all ~jobs ?chunk ())
+    | Some id -> (
+        match Experiments.run ~jobs ?chunk id with
+        | Some report -> print_endline report
         | None ->
-            List.iter
-              (fun (_, report) ->
-                print_endline report;
-                print_newline ())
-              (Experiments.all ~jobs ?chunk ())
-        | Some id -> (
-            match Experiments.run ~jobs ?chunk id with
-            | Some report -> print_endline report
-            | None ->
-                prerr_endline ("unknown experiment: " ^ id);
-                exit 1))
+            prerr_endline ("unknown experiment: " ^ id);
+            exit 1)
   in
   Cmd.v
     (Cmd.info "experiments"
@@ -733,34 +737,33 @@ let corpus_cmd =
                    corpus/polybench/).")
   in
   let run dump polybench =
-    with_diagnostics (fun () ->
-        (match polybench with
-        | Some dir ->
-            Dlz_corpus.Polybench.write_dir dir;
-            List.iter
-              (fun (k : Dlz_corpus.Polybench.kernel) ->
-                Printf.printf "wrote %s\n"
-                  (Filename.concat dir (k.k_name ^ ".c")))
-              Dlz_corpus.Polybench.kernels
-        | None -> ());
-        (match dump with
-        | Some dir ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-            List.iter
-              (fun spec ->
-                let prog = Corpus.generate spec in
-                let path =
-                  Filename.concat dir
-                    (String.lowercase_ascii spec.Corpus.name ^ ".f")
-                in
-                let oc = open_out path in
-                output_string oc (Ast.to_string prog);
-                output_char oc '\n';
-                close_out oc;
-                Printf.printf "wrote %s\n" path)
-              Corpus.riceps
-        | None -> ());
-        print_endline (Experiments.e2 ()))
+    (match polybench with
+    | Some dir ->
+        Dlz_corpus.Polybench.write_dir dir;
+        List.iter
+          (fun (k : Dlz_corpus.Polybench.kernel) ->
+            Printf.printf "wrote %s\n"
+              (Filename.concat dir (k.k_name ^ ".c")))
+          Dlz_corpus.Polybench.kernels
+    | None -> ());
+    (match dump with
+    | Some dir ->
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        List.iter
+          (fun spec ->
+            let prog = Corpus.generate spec in
+            let path =
+              Filename.concat dir
+                (String.lowercase_ascii spec.Corpus.name ^ ".f")
+            in
+            let oc = open_out path in
+            output_string oc (Ast.to_string prog);
+            output_char oc '\n';
+            close_out oc;
+            Printf.printf "wrote %s\n" path)
+          Corpus.riceps
+    | None -> ());
+    print_endline (Experiments.e2 ())
   in
   Cmd.v
     (Cmd.info "corpus" ~doc:"Generate and measure the synthetic corpus.")
@@ -818,54 +821,49 @@ let fuzz_cmd =
                    s-expression from FILE and cross-check just that\n\
                    system.")
   in
-  let run seed count shrink corpus polybench limit out replay stats jobs fuel
-      chaos trace_out trace_sample sort =
-    with_diagnostics (fun () ->
-        let jobs = check_jobs jobs in
-        set_chaos chaos;
-        setup_telemetry ~stats ~trace_out ~trace_sample ();
-        Dlz_engine.Engine.reset_metrics ();
-        let cases =
-          match replay with
-          | Some path -> (
-              match Dlz_oracle.Sexp.problem_of_string (read_file path) with
-              | Ok np ->
-                  [ { Eqgen.id = "replay:0"; family = "replay";
-                      problem = Dlz_deptest.Problem.synthetic np;
-                      ground = np; env = Assume.empty } ]
-              | Error msg ->
-                  prerr_endline ("--replay: " ^ msg);
-                  exit 1)
-          | None ->
-              Eqgen.all ~seed ~count
-              @ (if corpus then Eqgen.corpus () else [])
-              @ (if polybench then Eqgen.polybench () else [])
-        in
-        let report =
-          Differ.run ~stats:Dlz_engine.Stats.global ~jobs ?fuel ~limit ~shrink
-            cases
-        in
-        print_string (Differ.report_to_string report);
-        (match out with
-        | Some path ->
-            let oc = open_out path in
-            List.iter
-              (fun (d : Differ.divergence) ->
-                output_string oc
-                  (Printf.sprintf "; %s %s %s\n%s\n"
-                     (Differ.cls_to_string d.Differ.d_class)
-                     d.Differ.d_strategy d.Differ.d_case d.Differ.d_replay))
-              report.Differ.r_divergences;
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-        | None -> ());
-        if stats then print_stats ~sort;
-        write_trace trace_out;
-        let bad =
-          Differ.count_class report Differ.Unsound
-          + Differ.count_class report Differ.Internal
-        in
-        if bad > 0 then exit 1)
+  let run seed count shrink corpus polybench limit out replay jobs fuel chaos
+      telemetry =
+    set_chaos chaos;
+    let bad =
+      with_telemetry telemetry @@ fun () ->
+      let cases =
+        match replay with
+        | Some path -> (
+            match Dlz_oracle.Sexp.problem_of_string (read_file path) with
+            | Ok np ->
+                [ { Eqgen.id = "replay:0"; family = "replay";
+                    problem = Dlz_deptest.Problem.synthetic np;
+                    ground = np; env = Assume.empty } ]
+            | Error msg ->
+                prerr_endline ("--replay: " ^ msg);
+                exit 1)
+        | None ->
+            Eqgen.all ~seed ~count
+            @ (if corpus then Eqgen.corpus () else [])
+            @ (if polybench then Eqgen.polybench () else [])
+      in
+      let report =
+        Differ.run ~stats:Dlz_engine.Stats.global ~jobs ?fuel ~limit ~shrink
+          cases
+      in
+      print_string (Differ.report_to_string report);
+      (match out with
+      | Some path ->
+          let oc = open_out path in
+          List.iter
+            (fun (d : Differ.divergence) ->
+              output_string oc
+                (Printf.sprintf "; %s %s %s\n%s\n"
+                   (Differ.cls_to_string d.Differ.d_class)
+                   d.Differ.d_strategy d.Differ.d_case d.Differ.d_replay))
+            report.Differ.r_divergences;
+          close_out oc;
+          Printf.printf "wrote %s\n" path
+      | None -> ());
+      Differ.count_class report Differ.Unsound
+      + Differ.count_class report Differ.Internal
+    in
+    if bad > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -873,9 +871,8 @@ let fuzz_cmd =
              strategy against a brute-force oracle (and against each\n\
              other) over generated dependence equations.")
     Term.(const run $ seed_arg $ count_arg $ shrink_arg $ corpus_flag
-          $ polybench_flag $ limit_arg $ out_arg $ replay_arg $ stats_arg
-          $ jobs_arg $ fuel_arg $ chaos_arg $ trace_out_arg $ trace_sample_arg
-          $ sort_arg)
+          $ polybench_flag $ limit_arg $ out_arg $ replay_arg $ jobs_arg
+          $ fuel_arg $ chaos_arg $ telemetry_term ())
 
 (* The per-user default socket path, shared by [serve] (listen side)
    and [stats] (scrape side) so `vic serve` + `vic stats` pair up with
@@ -888,24 +885,26 @@ let default_socket () =
   in
   Filename.concat dir (Printf.sprintf "vic-serve-%d.sock" (Unix.getuid ()))
 
-let resolve_addr ~flag = function
-  | None -> Dlz_serve.Addr.Unix_sock (default_socket ())
-  | Some s -> (
-      match Dlz_serve.Addr.of_string s with
-      | Ok a -> a
-      | Error m ->
-          prerr_endline (flag ^ ": " ^ m);
-          exit 1)
+(* A daemon address flag: absent, the per-user default socket. *)
+let addr_term name ~doc =
+  let addr_conv =
+    conv_of ~parse:Dlz_serve.Addr.of_string ~to_string:Dlz_serve.Addr.to_string
+  in
+  let resolve = function
+    | Some a -> a
+    | None -> Dlz_serve.Addr.Unix_sock (default_socket ())
+  in
+  let addr = Arg.info [ name ] ~docv:"ADDR" ~doc in
+  Term.(const resolve $ Arg.(value & opt (some addr_conv) None addr))
 
 let serve_cmd =
-  let addr_arg =
-    Arg.(value & opt (some string) None
-         & info [ "listen" ] ~docv:"ADDR"
-             ~doc:"Address to listen on: 'unix:PATH', a bare socket\n\
-                   path, 'tcp:HOST:PORT', or 'HOST:PORT'.  Port 0\n\
-                   requests an ephemeral TCP port (printed at startup).\n\
-                   Default: a per-user unix socket under\n\
-                   \\$XDG_RUNTIME_DIR or /tmp.")
+  let address_term =
+    addr_term "listen"
+      ~doc:"Address to listen on: 'unix:PATH', a bare socket\n\
+            path, 'tcp:HOST:PORT', or 'HOST:PORT'.  Port 0\n\
+            requests an ephemeral TCP port (printed at startup).\n\
+            Default: a per-user unix socket under\n\
+            \\$XDG_RUNTIME_DIR or /tmp."
   in
   let workers_arg =
     Arg.(value & opt int 2
@@ -922,7 +921,7 @@ let serve_cmd =
                    hint — nothing queues unboundedly.")
   in
   let request_fuel_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (non_negative "step count")) None
          & info [ "request-fuel" ] ~docv:"N"
              ~doc:"Per-request solver-step ceiling.  A client may ask\n\
                    for less (the 'fuel' request field); the effective\n\
@@ -930,7 +929,7 @@ let serve_cmd =
                    server-wide budget.")
   in
   let request_timeout_arg =
-    Arg.(value & opt (some int) (Some 2_000)
+    Arg.(value & opt (some (non_negative "millisecond count")) (Some 2_000)
          & info [ "request-timeout-ms" ] ~docv:"MS"
              ~doc:"Per-request wall-clock deadline (default 2000).\n\
                    Requests past it degrade to the conservative verdict\n\
@@ -972,13 +971,11 @@ let serve_cmd =
              ~doc:"Interval between --metrics-dump lines (default\n\
                    1000, clamped to at least 50).")
   in
-  let run addr workers queue request_fuel request_timeout_ms idle_timeout_ms
-      max_frame retry_after_ms fuel timeout_ms cascade chaos cache stats_json
-      quiet metrics_dump metrics_dump_interval_ms trace_mask =
+  let run address workers queue request_fuel request_timeout_ms
+      idle_timeout_ms max_frame retry_after_ms fuel timeout_ms cascade chaos
+      cache stats_json quiet metrics_dump metrics_dump_interval_ms trace_mask =
     set_chaos chaos;
     set_trace_mask trace_mask;
-    let cascade = cascade_of cascade in
-    let address = resolve_addr ~flag:"--listen" addr in
     let cfg =
       {
         Dlz_serve.Server.address;
@@ -1007,7 +1004,7 @@ let serve_cmd =
              admission with explicit overload shedding, per-request\n\
              deadlines, per-connection fault isolation, and graceful\n\
              SIGTERM drain with a warm-cache snapshot.")
-    Term.(const run $ addr_arg $ workers_arg $ queue_arg $ request_fuel_arg
+    Term.(const run $ address_term $ workers_arg $ queue_arg $ request_fuel_arg
           $ request_timeout_arg $ idle_timeout_arg $ max_frame_arg
           $ retry_after_arg $ fuel_arg $ timeout_arg $ cascade_arg $ chaos_arg
           $ cache_term $ stats_json_arg
@@ -1015,12 +1012,11 @@ let serve_cmd =
           $ trace_mask_arg)
 
 let stats_cmd =
-  let connect_arg =
-    Arg.(value & opt (some string) None
-         & info [ "connect" ] ~docv:"ADDR"
-             ~doc:"Daemon address: 'unix:PATH', a bare socket path,\n\
-                   'tcp:HOST:PORT', or 'HOST:PORT'.  Default: the\n\
-                   per-user unix socket `vic serve` listens on.")
+  let connect_term =
+    addr_term "connect"
+      ~doc:"Daemon address: 'unix:PATH', a bare socket path,\n\
+            'tcp:HOST:PORT', or 'HOST:PORT'.  Default: the\n\
+            per-user unix socket `vic serve` listens on."
   in
   let format_arg =
     let fmt_conv = Arg.enum [ ("prom", `Prom); ("json", `Json) ] in
@@ -1049,8 +1045,7 @@ let stats_cmd =
              ~doc:"--watch: stop after N scrapes (0 = until\n\
                    interrupted).  Useful for scripted sampling.")
   in
-  let run connect format watch interval_ms count =
-    let addr = resolve_addr ~flag:"--connect" connect in
+  let run addr format watch interval_ms count =
     Dlz_driver.Serve.run_stats ~addr ~format ~watch ~interval_ms ~count ()
   in
   Cmd.v
@@ -1059,7 +1054,7 @@ let stats_cmd =
              'metrics' protocol verb): Prometheus exposition text or\n\
              the versioned JSON snapshot, one-shot or as a --watch\n\
              live poller.")
-    Term.(const run $ connect_arg $ format_arg $ watch_arg $ interval_arg
+    Term.(const run $ connect_term $ format_arg $ watch_arg $ interval_arg
           $ count_arg)
 
 let main_cmd =
@@ -1070,4 +1065,4 @@ let main_cmd =
       experiments_cmd; corpus_cmd; fuzz_cmd; serve_cmd; stats_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+let () = exit (with_diagnostics (fun () -> Cmd.eval ~catch:false main_cmd))

@@ -9,6 +9,7 @@
 
 module Fragments = Dlz_driver.Fragments
 module Analyze = Dlz_engine.Analyze
+module Cascade = Dlz_engine.Cascade
 module Codegen = Dlz_vec.Codegen
 module Ast = Dlz_ir.Ast
 
@@ -24,8 +25,8 @@ let () =
   List.iter
     (fun d -> Format.printf "  %a@." Analyze.pp_dep d)
     (Analyze.deps_of_program prog);
-  let report mode label =
-    let r = Codegen.run ~mode prog in
+  let report cascade label =
+    let r = Codegen.run ~cascade prog in
     Format.printf "@.Vectorizer (%s):@.%s" label r.Codegen.text;
     List.iter
       (fun (pl : Codegen.plan) ->
@@ -34,5 +35,5 @@ let () =
           (String.concat "," (List.map string_of_int pl.Codegen.vec_levels)))
       r.Codegen.plans
   in
-  report Analyze.Delinearize "with delinearization";
-  report Analyze.Classic "classic tests only"
+  report Cascade.delin "with delinearization";
+  report Cascade.classic "classic tests only"

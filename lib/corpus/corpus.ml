@@ -278,20 +278,20 @@ let parallel_ablation () =
       if spec.planted = 0 then None
       else begin
         let nests = linearized_nests (generate spec) in
-        let count mode =
+        let count cascade =
           List.length
             (List.filter
                (fun nest ->
                  Dlz_vec.Parallel.fully_parallel
-                   (Dlz_vec.Parallel.report ~mode nest))
+                   (Dlz_vec.Parallel.report ~cascade nest))
                nests)
         in
         Some
           {
             a_name = spec.name;
             a_nests = List.length nests;
-            a_parallel_delin = count Dlz_engine.Analyze.Delinearize;
-            a_parallel_classic = count Dlz_engine.Analyze.Classic;
+            a_parallel_delin = count Dlz_engine.Cascade.delin;
+            a_parallel_classic = count Dlz_engine.Cascade.classic;
           }
       end)
     riceps

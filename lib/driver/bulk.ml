@@ -79,7 +79,7 @@ let bump counts name =
   | Some n -> (name, n + 1) :: List.remove_assoc name counts
   | None -> (name, 1) :: counts
 
-let analyze_file ~mode ~cascade ~budget ~env root rel =
+let analyze_file ~cascade ~budget ~env root rel =
   let t0 = Trace.now_ns () in
   let finish r = { r with fr_elapsed_ns = Int64.sub (Trace.now_ns ()) t0 } in
   Trace.with_span ~cat:"bulk" ~args:[ ("file", rel) ] "bulk.file" @@ fun () ->
@@ -92,7 +92,6 @@ let analyze_file ~mode ~cascade ~budget ~env root rel =
     in
     let prog = Dlz_passes.Pipeline.prepare_program prog in
     let accs, env' = Access.of_program ~env prog in
-    let cascade = Option.value cascade ~default:(Analyze.cascade_of_mode mode) in
     (* Serial on purpose: the pool parallelism is across files, and a
        pool must not be entered from inside one of its own workers. *)
     let results = Engine.query_all ~cascade ?budget ~env:env' accs in
@@ -210,11 +209,11 @@ let summary_line ~timings ~dir ~elapsed_ns frs =
        ("errors", Jsonx.Int (List.length frs - ok)) ]
     @ counts @ [ loops ] @ timing)
 
-let reports ?(mode = Analyze.Delinearize) ?cascade ?budget ?pool ?env dir =
+let reports ?(cascade = Dlz_engine.Cascade.delin) ?budget ?pool ?env dir =
   let env = Option.value env ~default:Assume.empty in
   Trace.with_span ~cat:"bulk" ~args:[ ("dir", dir) ] "bulk.dir" @@ fun () ->
   let files = Array.of_list (kernels dir) in
-  let worker rel = analyze_file ~mode ~cascade ~budget ~env dir rel in
+  let worker rel = analyze_file ~cascade ~budget ~env dir rel in
   let reports =
     match pool with
     (* One file is one unit of steal: file costs vary wildly, so any
@@ -224,9 +223,9 @@ let reports ?(mode = Analyze.Delinearize) ?cascade ?budget ?pool ?env dir =
   in
   Array.to_list reports
 
-let run ?mode ?cascade ?budget ?pool ?env ?(timings = false) dir =
+let run ?cascade ?budget ?pool ?env ?(timings = false) dir =
   let t0 = Trace.now_ns () in
-  let reports = reports ?mode ?cascade ?budget ?pool ?env dir in
+  let reports = reports ?cascade ?budget ?pool ?env dir in
   let elapsed_ns = Int64.sub (Trace.now_ns ()) t0 in
   List.map Jsonx.to_string
     (List.map (file_line ~timings) reports

@@ -29,7 +29,6 @@ val kernels : string -> string list
     [.c] file under the directory, recursively. *)
 
 val run :
-  ?mode:Dlz_engine.Analyze.mode ->
   ?cascade:Dlz_engine.Cascade.t ->
   ?budget:Dlz_base.Budget.t ->
   ?pool:Dlz_base.Pool.t ->

@@ -23,6 +23,7 @@ module Classify = Dlz_deptest.Classify
 module Algo = Dlz_core.Algo
 module Symalgo = Dlz_core.Symalgo
 module Analyze = Dlz_engine.Analyze
+module Cascade = Dlz_engine.Cascade
 module Reshape = Dlz_core.Reshape
 module Codegen = Dlz_vec.Codegen
 module Corpus = Dlz_corpus.Corpus
@@ -427,10 +428,10 @@ let e7 ?(jobs = 1) ?chunk () =
       in
       para buf
         (Printf.sprintf "Vectorizer with delinearization: %s"
-           (plan_str (Codegen.run ~mode:Analyze.Delinearize prog)));
+           (plan_str (Codegen.run ~cascade:Cascade.delin prog)));
       para buf
         (Printf.sprintf "Vectorizer with classic tests:    %s"
-           (plan_str (Codegen.run ~mode:Analyze.Classic prog)));
+           (plan_str (Codegen.run ~cascade:Cascade.classic prog)));
       (* (b) 2-D EQUIVALENCE *)
       para buf "(b) EQUIVALENCE aliasing (2-D):";
       let prog2 = prepare Fragments.equivalence_2d in

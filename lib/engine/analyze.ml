@@ -33,12 +33,8 @@ let cascade_of_mode = function
   | Classic -> Cascade.classic
   | ExactMode -> Cascade.exact
 
-let resolve_cascade ?(mode = Delinearize) ?cascade () =
-  match cascade with Some c -> c | None -> cascade_of_mode mode
-
-let vectors ?mode ?cascade ?budget ~env p =
-  let cascade = resolve_cascade ?mode ?cascade () in
-  let r = Engine.query ~cascade ?budget ~env p in
+let vectors ?cascade ?budget ~env p =
+  let r = Engine.query ?cascade ?budget ~env p in
   {
     verdict = r.Strategy.verdict;
     dirvecs = r.Strategy.dirvecs;
@@ -148,9 +144,8 @@ let deps_of_pair ?budget ~cascade ~env (pr : Engine.pair) =
       summaries
   end
 
-let deps_of_accesses ?mode ?cascade ?budget ?(jobs = 1) ?pool ?chunk ~env accs
-    =
-  let cascade = resolve_cascade ?mode ?cascade () in
+let deps_of_accesses ?(cascade = Cascade.delin) ?budget ?(jobs = 1) ?pool ?chunk
+    ~env accs =
   Dlz_base.Trace.with_span ~cat:"driver"
     ~lazy_args:(fun () -> [ ("cascade", cascade.Cascade.name) ])
     "analyze.accesses"
@@ -159,10 +154,10 @@ let deps_of_accesses ?mode ?cascade ?budget ?(jobs = 1) ?pool ?chunk ~env accs
       List.concat
         (Engine.map_pairs ?pool ?chunk (deps_of_pair ?budget ~cascade ~env) accs))
 
-let deps_of_program ?mode ?cascade ?budget ?jobs ?pool ?chunk
-    ?(env = Assume.empty) prog =
+let deps_of_program ?cascade ?budget ?jobs ?pool ?chunk ?(env = Assume.empty)
+    prog =
   let accs, env = Access.of_program ~env prog in
-  deps_of_accesses ?mode ?cascade ?budget ?jobs ?pool ?chunk ~env accs
+  deps_of_accesses ?cascade ?budget ?jobs ?pool ?chunk ~env accs
 
 let pp_dep ppf d =
   Format.fprintf ppf "%s:%s -> %s:%s  %s  %s  [%s]" d.src.Access.stmt_name

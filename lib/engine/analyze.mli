@@ -8,10 +8,10 @@
     write-write ties), vectors joined when the join's decomposition is
     fully covered.
 
-    The historical closed modes survive as preset cascades
-    ({!Cascade.delin}, {!Cascade.classic}, {!Cascade.exact}); any
-    registered strategy combination can be passed via [?cascade]
-    instead, which takes precedence over [?mode]. *)
+    [?cascade] selects the tester (default {!Cascade.delin}, the
+    paper's method); the historical closed modes are the presets
+    {!Cascade.delin}, {!Cascade.classic} and {!Cascade.exact}, and any
+    registered strategy combination can be passed instead. *)
 
 module Poly = Dlz_symbolic.Poly
 module Assume = Dlz_symbolic.Assume
@@ -58,11 +58,13 @@ type mode =
           for comparisons, not production. *)
 
 val cascade_of_mode : mode -> Cascade.t
-(** The preset cascade reproducing the mode's historical behavior. *)
+(** The preset cascade reproducing the mode's historical behavior.
+    Kept, with [mode], because the perfbench harness names its cascade
+    through them. *)
 
 val vectors :
-  ?mode:mode -> ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
-  env:Assume.t -> Problem.t -> pair_result
+  ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t -> env:Assume.t ->
+  Problem.t -> pair_result
 (** Direction vectors for one problem, answered through the memoized
     engine query path. *)
 
@@ -76,7 +78,7 @@ val summarize : self:bool -> Dirvec.t list -> Dirvec.t list
     the all-[=] identity vector). *)
 
 val deps_of_accesses :
-  ?mode:mode -> ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
+  ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
   ?jobs:int -> ?pool:Dlz_base.Pool.t -> ?chunk:int ->
   env:Assume.t -> Access.t list -> dep list
 (** All dependences among the given accesses (input dependences and
@@ -92,7 +94,7 @@ val deps_of_accesses :
     identical to the serial result. *)
 
 val deps_of_program :
-  ?mode:mode -> ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
+  ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
   ?jobs:int -> ?pool:Dlz_base.Pool.t -> ?chunk:int ->
   ?env:Assume.t -> Dlz_ir.Ast.program -> dep list
 (** Extracts accesses (the program must be normalized) and analyzes

@@ -127,8 +127,8 @@ let render_vector_stmt buf indent info ~from_level =
       Buffer.add_string buf
         (Format.asprintf "%s%a\n" (String.make indent ' ') Ast.pp_stmt s)
 
-let run ?mode ?cascade ?env (p : Ast.program) =
-  let graph = Depgraph.build ?mode ?cascade ?env p in
+let run ?cascade ?env (p : Ast.program) =
+  let graph = Depgraph.build ?cascade ?env p in
   let infos = collect_stmts p in
   let info_of = Array.of_list infos in
   let buf = Buffer.create 256 in

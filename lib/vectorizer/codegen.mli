@@ -30,11 +30,10 @@ type result = {
 }
 
 val run :
-  ?mode:Dlz_engine.Analyze.mode ->
   ?cascade:Dlz_engine.Cascade.t ->
   ?env:Dlz_symbolic.Assume.t ->
   Dlz_ir.Ast.program ->
   result
-(** Vectorizes a normalized program (run {!Dlz_passes} first).  [mode]
-    selects the dependence tester (delinearization vs the classic
-    baseline) — the E7/ablation comparisons flip it. *)
+(** Vectorizes a normalized program (run {!Dlz_passes} first).
+    [cascade] selects the dependence tester (delinearization vs the
+    classic baseline) — the E7/ablation comparisons flip it. *)

@@ -32,9 +32,9 @@ let classify_vec v =
 
 (* Edges contributed by one candidate pair — the unit of work the pool
    fans out. *)
-let edges_of_pair ?mode ?cascade ?budget ~env (pr : Engine.pair) =
+let edges_of_pair ?cascade ?budget ~env (pr : Engine.pair) =
   let a = pr.Engine.src and b = pr.Engine.dst in
-  let r = Analyze.vectors ?mode ?cascade ?budget ~env pr.Engine.problem in
+  let r = Analyze.vectors ?cascade ?budget ~env pr.Engine.problem in
   if r.Analyze.verdict = Verdict.Independent then []
   else
     let basics =
@@ -73,8 +73,8 @@ let edges_of_pair ?mode ?cascade ?budget ~env (pr : Engine.pair) =
             else [])
       basics
 
-let build ?mode ?cascade ?budget ?(jobs = 1) ?pool ?chunk ?(env = Assume.empty)
-    prog =
+let build ?cascade ?budget ?(jobs = 1) ?pool ?chunk ?(env = Assume.empty) prog
+    =
   Dlz_base.Trace.with_span ~cat:"driver" "depgraph.build" @@ fun () ->
   let accs, env = Access.of_program ~env prog in
   let nstmts =
@@ -86,7 +86,7 @@ let build ?mode ?cascade ?budget ?(jobs = 1) ?pool ?chunk ?(env = Assume.empty)
     Dlz_base.Pool.with_jobs ?pool ~jobs (fun pool ->
         List.concat
           (Engine.map_pairs ?pool ?chunk
-             (edges_of_pair ?mode ?cascade ?budget ~env)
+             (edges_of_pair ?cascade ?budget ~env)
              accs))
   in
   (* Deduplicate identical edges (also fixes the final order, so the

@@ -31,7 +31,6 @@ type t = {
 }
 
 val build :
-  ?mode:Dlz_engine.Analyze.mode ->
   ?cascade:Dlz_engine.Cascade.t ->
   ?budget:Dlz_base.Budget.t ->
   ?jobs:int ->

@@ -28,8 +28,8 @@ let loops_with_stmts (p : Ast.program) =
   List.iter (fun s -> ignore (go [] 0 s)) p.body;
   List.rev !loops
 
-let report ?mode ?cascade ?budget ?jobs ?pool ?chunk ?env p =
-  let graph = Depgraph.build ?mode ?cascade ?budget ?jobs ?pool ?chunk ?env p in
+let report ?cascade ?budget ?jobs ?pool ?chunk ?env p =
+  let graph = Depgraph.build ?cascade ?budget ?jobs ?pool ?chunk ?env p in
   List.map
     (fun (var, level, path, stmts) ->
       let carried =

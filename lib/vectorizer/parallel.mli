@@ -16,7 +16,6 @@ type loop_report = {
 }
 
 val report :
-  ?mode:Dlz_engine.Analyze.mode ->
   ?cascade:Dlz_engine.Cascade.t ->
   ?budget:Dlz_base.Budget.t ->
   ?jobs:int ->

@@ -29,11 +29,6 @@ module Chaos = Dlz_engine.Chaos
 module Query = Dlz_engine.Query
 module Stats = Dlz_engine.Stats
 
-let test_jobs =
-  match Sys.getenv_opt "DLZ_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with Failure _ -> 4)
-  | None -> 4
-
 let prepare src = Pipeline.prepare_program (F77.parse src)
 
 let with_chaos chaos f =
@@ -95,8 +90,9 @@ let test_overflow_contained_every_mode () =
   let prog = prepare Fragments.overflow_stress_program in
   List.iter
     (fun mode ->
-      let serial = Analyze.deps_of_program ~mode ~jobs:1 prog in
-      let par = Analyze.deps_of_program ~mode ~jobs:test_jobs prog in
+      let cascade = Analyze.cascade_of_mode mode in
+      let serial = Analyze.deps_of_program ~cascade ~jobs:1 prog in
+      let par = Analyze.deps_of_program ~cascade ~jobs:Width.jobs prog in
       Alcotest.(check bool) "serial = parallel" true (serial = par);
       (* The loop-carried self dependence survives in every mode: a
          faulted strategy degrades to dependent, never drops the row. *)
@@ -108,7 +104,11 @@ let test_overflow_contained_every_mode () =
     [ Analyze.Delinearize; Analyze.Classic; Analyze.ExactMode ];
   (* Classic runs GCD+Banerjee on the unbroken 2^40-coefficient
      equations, so its rows must carry overflow provenance. *)
-  let classic = Analyze.deps_of_program ~mode:Analyze.Classic ~jobs:1 prog in
+  let classic =
+    Analyze.deps_of_program
+      ~cascade:(Analyze.cascade_of_mode Analyze.Classic)
+      ~jobs:1 prog
+  in
   Alcotest.(check bool)
     "classic rows degraded by overflow" true
     (List.for_all
@@ -223,9 +223,9 @@ let test_chaos_parallel_equals_serial () =
               (workload_programs ()))
       in
       let serial = run 1 in
-      let par = run test_jobs in
+      let par = run Width.jobs in
       Alcotest.(check bool)
-        (Printf.sprintf "seed %Ld: jobs %d = jobs 1" seed test_jobs)
+        (Printf.sprintf "seed %Ld: jobs %d = jobs 1" seed Width.jobs)
         true (serial = par))
     [ 7L; 1234L ]
 
@@ -267,7 +267,7 @@ let test_accounting_survives_domains () =
   List.iter
     (fun prog ->
       let accs, env = Access.of_program prog in
-      Pool.with_pool ~domains:test_jobs (fun pool ->
+      Pool.with_pool ~domains:Width.jobs (fun pool ->
           ignore (Engine.query_all ~stats ~cache ~chaos ~pool ~env accs)))
     (workload_programs ());
   let strikes = Chaos.strikes chaos in
@@ -304,7 +304,7 @@ let test_strike_in_stolen_chunk () =
       List.map
         (fun prog ->
           let accs, env = Access.of_program prog in
-          Pool.with_pool ~domains:test_jobs (fun pool ->
+          Pool.with_pool ~domains:Width.jobs (fun pool ->
               List.map
                 (fun (_, (r : Strategy.result)) -> r.Strategy.verdict)
                 (Engine.query_all ~stats ~cache ~chaos ~pool ~chunk:1 ~env

@@ -109,7 +109,10 @@ let props =
       (fun seed ->
         let prog = Progen.random (Prng.create (Int64.of_int seed)) in
         let dyn = Dynamic.dependences prog in
-        let static = Analyze.deps_of_program ~mode:Analyze.ExactMode prog in
+        let static =
+          Analyze.deps_of_program
+            ~cascade:(Analyze.cascade_of_mode Analyze.ExactMode) prog
+        in
         Dynamic.uncovered dyn static = []);
     QCheck.Test.make
       ~name:"classic-mode analyzer also covers dynamic dependences"
@@ -117,7 +120,10 @@ let props =
       (fun seed ->
         let prog = Progen.random (Prng.create (Int64.of_int seed)) in
         let dyn = Dynamic.dependences prog in
-        let static = Analyze.deps_of_program ~mode:Analyze.Classic prog in
+        let static =
+          Analyze.deps_of_program
+            ~cascade:(Analyze.cascade_of_mode Analyze.Classic) prog
+        in
         Dynamic.uncovered dyn static = []);
     QCheck.Test.make
       ~name:"vectorized levels carry no dynamic self dependence" ~count:250

@@ -138,8 +138,8 @@ let test_key_of_none_for_symbolic () =
 
 (* --- presets vs modes ----------------------------------------------------- *)
 
-(* The mode-based API (memoized, global-cache path) and running the
-   preset cascade directly with a private stats instance and no cache
+(* Each mode's cascade through the memoized, global-cache path and
+   running its preset cascade directly with a private stats instance and no cache
    must agree on every pair of a program: memoization and preset wiring
    change no verdicts. *)
 let check_presets_on src =
@@ -149,7 +149,10 @@ let check_presets_on src =
     (fun (pr : Engine.pair) ->
       List.iter
         (fun (mode, cascade) ->
-          let via_mode = Analyze.vectors ~mode ~env pr.Engine.problem in
+          let via_mode =
+            Analyze.vectors ~cascade:(Analyze.cascade_of_mode mode) ~env
+              pr.Engine.problem
+          in
           let direct =
             Cascade.run ~stats:(Stats.create ()) ~env cascade
               pr.Engine.problem
@@ -268,7 +271,11 @@ let test_provenance_populated () =
         deps)
     [ Fragments.eq1_program; Fragments.ib_program; Fragments.mhl_program ];
   (* Exact mode on a numeric program: the exact solver itself decides. *)
-  let deps = Analyze.deps_of_program ~mode:Analyze.ExactMode (prepare numeric_src) in
+  let deps =
+    Analyze.deps_of_program
+      ~cascade:(Analyze.cascade_of_mode Analyze.ExactMode)
+      (prepare numeric_src)
+  in
   Alcotest.(check bool) "numeric nest has deps" true (deps <> []);
   List.iter
     (fun (d : Analyze.dep) ->
@@ -385,8 +392,9 @@ let test_analyze_depgraph_consistent () =
       let prog = prepare src in
       List.iter
         (fun mode ->
-          let deps = Analyze.deps_of_program ~mode prog in
-          let g = Depgraph.build ~mode prog in
+          let cascade = Analyze.cascade_of_mode mode in
+          let deps = Analyze.deps_of_program ~cascade prog in
+          let g = Depgraph.build ~cascade prog in
           Alcotest.(check (list (pair int int)))
             (Printf.sprintf "%s: same dependent statement pairs" name)
             (unordered_pairs_of_deps deps)

@@ -21,11 +21,6 @@ module Prom = Dlz_obs.Prom
 module Snap = Dlz_obs.Snap
 module Jsonx = Dlz_obs.Jsonx
 
-let test_jobs =
-  match Sys.getenv_opt "DLZ_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with Failure _ -> 4)
-  | None -> 4
-
 let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -144,18 +139,18 @@ let test_prom_histogram () =
          | _ -> ())
 
 (* The N-domain determinism claim: a histogram filled concurrently by
-   [test_jobs] domains (each recording the same fixed multiset) must
+   [Width.jobs] domains (each recording the same fixed multiset) must
    render byte-identically to one filled serially with the identical
    total multiset — shards change, state does not. *)
 let test_prom_jobs_identical () =
   let obs = [ 7; 120; 120; 999; 31_000; 31_000; 250_000 ] in
   let serial = Hist.create () in
-  for _ = 1 to test_jobs do
+  for _ = 1 to Width.jobs do
     List.iter (fun ns -> Hist.observe serial (Int64.of_int ns)) obs
   done;
   let parallel = Hist.create () in
   let doms =
-    List.init test_jobs (fun _ ->
+    List.init Width.jobs (fun _ ->
         Domain.spawn (fun () ->
             List.iter (fun ns -> Hist.observe parallel (Int64.of_int ns)) obs))
   in

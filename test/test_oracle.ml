@@ -6,7 +6,8 @@
    the oracle's families were built to flush out.
 
    Under the @oracle-ci alias this binary also runs with DLZ_ORACLE_SEED
-   / DLZ_ORACLE_JOBS overriding the sweep configuration. *)
+   / DLZ_TEST_JOBS overriding the sweep configuration (serial when
+   DLZ_TEST_JOBS is unset). *)
 
 open Dlz_oracle
 module Budget = Dlz_base.Budget
@@ -32,10 +33,7 @@ let sweep_seed =
   | Some s -> ( try Int64.of_string s with Failure _ -> 1L)
   | None -> 1L
 
-let sweep_jobs =
-  match Sys.getenv_opt "DLZ_ORACLE_JOBS" with
-  | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 1)
-  | None -> 1
+let sweep_jobs = match Width.requested with Some n -> max 1 n | None -> 1
 
 (* --- the enumerator ------------------------------------------------------- *)
 
@@ -348,7 +346,7 @@ let shrink_units =
 (* The acceptance bar: the registered cascade has no UNSOUND and no
    INTERNAL divergence on the pinned batches, and the report is
    byte-identical across job counts.  @oracle-ci re-runs this binary
-   with DLZ_ORACLE_SEED=2 and DLZ_ORACLE_JOBS=2. *)
+   with DLZ_ORACLE_SEED=2 and DLZ_TEST_JOBS=2. *)
 let sweep_units =
   [
     Alcotest.test_case

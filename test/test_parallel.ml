@@ -37,11 +37,6 @@ let without_chaos f () =
   Chaos.set_current None;
   Fun.protect ~finally:(fun () -> Chaos.set_current saved) f
 
-let test_jobs =
-  match Sys.getenv_opt "DLZ_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with Failure _ -> 4)
-  | None -> 4
-
 let prepare src = Pipeline.prepare_program (F77.parse src)
 
 let sphot_prog =
@@ -85,16 +80,16 @@ let test_pool_map_matches_array_map () =
             (Printf.sprintf "domains=%d chunk=%d" domains chunk)
             expect got)
         [ 1; 3; 16; 1000 ])
-    [ 1; 2; test_jobs ]
+    [ 1; 2; Width.jobs ]
 
 let test_pool_empty_input () =
-  Pool.with_pool ~domains:test_jobs (fun p ->
+  Pool.with_pool ~domains:Width.jobs (fun p ->
       Alcotest.(check (array int))
         "empty" [||]
         (Pool.map p ~chunk:4 (fun x -> x) [||]))
 
 let test_pool_exception_propagates () =
-  Pool.with_pool ~domains:test_jobs (fun p ->
+  Pool.with_pool ~domains:Width.jobs (fun p ->
       Alcotest.check_raises "worker exception reaches caller"
         (Failure "boom") (fun () ->
           ignore
@@ -109,7 +104,7 @@ let test_pool_exceptions_contained () =
      sequential path would have hit first. *)
   let n = 100 in
   let attempted = Array.init n (fun _ -> Atomic.make false) in
-  Pool.with_pool ~domains:test_jobs (fun p ->
+  Pool.with_pool ~domains:Width.jobs (fun p ->
       Alcotest.check_raises "lowest-index failure wins" (Failure "at 37")
         (fun () ->
           ignore
@@ -152,11 +147,11 @@ let test_pool_resolve_jobs () =
 let test_pool_with_jobs_policy () =
   Pool.with_jobs ~jobs:1 (fun p ->
       Alcotest.(check bool) "jobs 1 takes the serial path" true (p = None));
-  Pool.with_jobs ~jobs:test_jobs (fun p ->
+  Pool.with_jobs ~jobs:Width.jobs (fun p ->
       match p with
       | None -> Alcotest.fail "expected a pool"
       | Some p ->
-          Alcotest.(check int) "pool width" test_jobs (Pool.domains p));
+          Alcotest.(check int) "pool width" Width.jobs (Pool.domains p));
   (* An explicit pool is passed through regardless of [jobs] and must
      survive the call (with_jobs does not own it). *)
   let mine = Pool.create ~domains:2 in
@@ -181,10 +176,10 @@ let test_pool_auto_chunk () =
       Alcotest.(check (array int))
         (Printf.sprintf "auto chunk, domains=%d" domains)
         expect got)
-    [ 1; 2; test_jobs ];
+    [ 1; 2; Width.jobs ];
   Pool.with_pool ~domains:1 (fun p ->
       Alcotest.(check int) "serial auto chunk = n" 5 (Pool.auto_chunk p 5));
-  Pool.with_pool ~domains:test_jobs (fun p ->
+  Pool.with_pool ~domains:Width.jobs (fun p ->
       let c = Pool.auto_chunk p 1000 in
       Alcotest.(check bool) "parallel auto chunk positive and bounded" true
         (c >= 1 && c <= 1000))
@@ -211,7 +206,7 @@ let test_pool_steals_on_skewed_workload () =
   let rec attempt k =
     Pool.reset_metrics ();
     let got =
-      Pool.with_pool ~domains:test_jobs (fun p ->
+      Pool.with_pool ~domains:Width.jobs (fun p ->
           Pool.map p ~chunk:1 work (Array.init n Fun.id))
     in
     Alcotest.(check (array int)) "skewed workload result" expect got;
@@ -257,9 +252,9 @@ let test_deps_deterministic_random_programs () =
   for seed = 0 to 14 do
     let prog = Progen.random (Prng.create (Int64.of_int seed)) in
     let serial = render_deps (Analyze.deps_of_program ~jobs:1 prog) in
-    let par = render_deps (Analyze.deps_of_program ~jobs:test_jobs prog) in
+    let par = render_deps (Analyze.deps_of_program ~jobs:Width.jobs prog) in
     Alcotest.(check (list string))
-      (Printf.sprintf "seed %d: jobs %d = jobs 1" seed test_jobs)
+      (Printf.sprintf "seed %d: jobs %d = jobs 1" seed Width.jobs)
       serial par
   done
 
@@ -270,11 +265,11 @@ let test_deps_deterministic_corpus_and_family () =
   List.iter
     (fun prog ->
       let serial = render_deps (Analyze.deps_of_program ~jobs:1 prog) in
-      let par = render_deps (Analyze.deps_of_program ~jobs:test_jobs prog) in
+      let par = render_deps (Analyze.deps_of_program ~jobs:Width.jobs prog) in
       Alcotest.(check (list string)) "parallel = serial" serial par;
       (* Same check through an explicit caller-owned pool. *)
       let pooled =
-        Pool.with_pool ~domains:test_jobs (fun pool ->
+        Pool.with_pool ~domains:Width.jobs (fun pool ->
             let accs, env = Access.of_program prog in
             render_deps (Analyze.deps_of_accesses ~pool ~env accs))
       in
@@ -289,7 +284,7 @@ let test_depgraph_deterministic () =
   List.iter
     (fun prog ->
       let serial = (Depgraph.build ~jobs:1 prog).Depgraph.edges in
-      let par = (Depgraph.build ~jobs:test_jobs prog).Depgraph.edges in
+      let par = (Depgraph.build ~jobs:Width.jobs prog).Depgraph.edges in
       Alcotest.(check bool) "edge lists identical" true (serial = par))
     [ sphot_prog; prepare (many_distances_src 5) ]
 
@@ -310,7 +305,7 @@ let test_deps_jobs8_byte_identical_corpus () =
 let test_stats_consistent_after_parallel_run () =
   Engine.reset_metrics ();
   List.iter
-    (fun prog -> ignore (Analyze.deps_of_program ~jobs:test_jobs prog))
+    (fun prog -> ignore (Analyze.deps_of_program ~jobs:Width.jobs prog))
     [ sphot_prog; prepare (many_distances_src 6) ];
   let st = Stats.global in
   Alcotest.(check bool) "queries issued" true (Stats.queries st > 0);
@@ -322,7 +317,7 @@ let test_stats_consistent_after_parallel_run () =
 let test_reset_metrics_clears_everything () =
   let prog = prepare (many_distances_src 6) in
   let run () =
-    ignore (Analyze.deps_of_program ~jobs:test_jobs ~chunk:1 prog)
+    ignore (Analyze.deps_of_program ~jobs:Width.jobs ~chunk:1 prog)
   in
   Engine.reset_metrics ();
   run ();
@@ -387,7 +382,7 @@ let test_cache_hammering_from_domains () =
     done;
     !first
   in
-  let domains = List.init test_jobs (fun _ -> Domain.spawn hammer) in
+  let domains = List.init Width.jobs (fun _ -> Domain.spawn hammer) in
   let per_domain = List.map Domain.join domains in
   List.iteri
     (fun i vs ->
@@ -398,7 +393,7 @@ let test_cache_hammering_from_domains () =
     per_domain;
   Alcotest.(check int)
     "every query counted exactly once"
-    (test_jobs * reps * List.length ps)
+    (Width.jobs * reps * List.length ps)
     (Stats.queries stats);
   Alcotest.(check int) "all numeric, none uncacheable" 0
     (Stats.cache_uncacheable stats);

@@ -36,11 +36,6 @@ module Stats = Dlz_engine.Stats
 module Persist = Dlz_engine.Persist
 module Chaos = Dlz_engine.Chaos
 
-let test_jobs =
-  match Sys.getenv_opt "DLZ_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with Failure _ -> 4)
-  | None -> 4
-
 let without_chaos f () =
   let saved = Chaos.current () in
   Chaos.set_current None;
@@ -185,7 +180,7 @@ let test_parallel_load_matches_serial =
   in
   let serial = load_into None in
   let parallel =
-    Pool.with_pool ~domains:test_jobs (fun pool -> load_into (Some pool))
+    Pool.with_pool ~domains:Width.jobs (fun pool -> load_into (Some pool))
   in
   check_strings "parallel shard load = serial load" serial parallel;
   Sys.remove snap
@@ -354,8 +349,8 @@ let test_bulk_deterministic_across_jobs () =
   in
   check_strings "jobs 1 = serial rerun" serial (Bulk.run dir);
   check_strings
-    (Printf.sprintf "jobs %d byte-identical" test_jobs)
-    serial (at_jobs test_jobs);
+    (Printf.sprintf "jobs %d byte-identical" Width.jobs)
+    serial (at_jobs Width.jobs);
   check_strings "jobs 8 byte-identical" serial (at_jobs 8);
   (* The parse failure is contained in its own line and counted once in
      the summary; every other kernel analyzed. *)
@@ -469,7 +464,7 @@ let test_bulk_empty_dir () =
       Alcotest.failf "expected exactly one summary line, got %d"
         (List.length lines));
   check_strings "byte-identical across jobs" lines
-    (Pool.with_pool ~domains:test_jobs (fun pool -> Bulk.run ~pool dir))
+    (Pool.with_pool ~domains:Width.jobs (fun pool -> Bulk.run ~pool dir))
 
 let test_bulk_unreadable_file () =
   let dir = make_kernel_tree () in
@@ -492,7 +487,7 @@ let test_bulk_unreadable_file () =
   in
   Alcotest.(check int) "exactly one io error line" 1 (List.length io_lines);
   check_strings "byte-identical across jobs" serial
-    (Pool.with_pool ~domains:test_jobs (fun pool -> Bulk.run ~pool dir));
+    (Pool.with_pool ~domains:Width.jobs (fun pool -> Bulk.run ~pool dir));
   check_strings "byte-identical at width 8" serial
     (Pool.with_pool ~domains:8 (fun pool -> Bulk.run ~pool dir))
 

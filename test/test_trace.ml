@@ -22,11 +22,6 @@ module Analyze = Dlz_engine.Analyze
 module Stats = Dlz_engine.Stats
 module Chaos = Dlz_engine.Chaos
 
-let test_jobs =
-  match Sys.getenv_opt "DLZ_TEST_JOBS" with
-  | Some s -> ( try max 2 (int_of_string s) with Failure _ -> 4)
-  | None -> 4
-
 let prepare src = Pipeline.prepare_program (F77.parse src)
 
 (* n statements with n distinct dependence distances — plenty of
@@ -709,7 +704,7 @@ let check_engine_trace c =
 let run_analysis () =
   Engine.reset_metrics ();
   let prog = prepare (many_distances_src 10) in
-  ignore (Analyze.deps_of_program ~jobs:test_jobs prog);
+  ignore (Analyze.deps_of_program ~jobs:Width.jobs prog);
   Alcotest.(check bool) "stats consistent" true (Stats.consistent Stats.global);
   if Stats.queries Stats.global = 0 then Alcotest.fail "workload ran no queries"
 

@@ -125,8 +125,13 @@ let codegen_units =
     Alcotest.test_case "delinearization unlocks the IB statement" `Quick
       (fun () ->
         let prog = prepare Dlz_driver.Fragments.ib_program in
-        let delin = Codegen.run ~mode:Analyze.Delinearize prog in
-        let classic = Codegen.run ~mode:Analyze.Classic prog in
+        let delin =
+          Codegen.run ~cascade:(Analyze.cascade_of_mode Analyze.Delinearize)
+            prog
+        in
+        let classic =
+          Codegen.run ~cascade:(Analyze.cascade_of_mode Analyze.Classic) prog
+        in
         let plan_of r name =
           List.find (fun p -> p.Codegen.stmt_name = name) r.Codegen.plans
         in
@@ -197,8 +202,14 @@ let parallel_units =
         Alcotest.(check bool) "fully parallel" true (Parallel.fully_parallel r));
     Alcotest.test_case "ib nest: delin parallel, classic not" `Quick (fun () ->
         let prog = prepare Dlz_driver.Fragments.ib_program in
-        let delin = Parallel.report ~mode:Analyze.Delinearize prog in
-        let classic = Parallel.report ~mode:Analyze.Classic prog in
+        let delin =
+          Parallel.report
+            ~cascade:(Analyze.cascade_of_mode Analyze.Delinearize) prog
+        in
+        let classic =
+          Parallel.report ~cascade:(Analyze.cascade_of_mode Analyze.Classic)
+            prog
+        in
         (* The C(J) recurrence keeps I and K serial either way; the
            point is the J loop (and B's contribution). *)
         let j_of r =
