@@ -12,6 +12,7 @@ module Trace = Dlz_base.Trace
 module Analyze = Dlz_engine.Analyze
 module Reshape = Dlz_core.Reshape
 module Codegen = Dlz_vec.Codegen
+module Depgraph = Dlz_vec.Depgraph
 module Experiments = Dlz_driver.Experiments
 module Corpus = Dlz_corpus.Corpus
 
@@ -57,7 +58,7 @@ let with_diagnostics f =
       prerr_endline ("error: " ^ msg);
       exit 1
 
-(* --- converters ----------------------------------------------------------- *)
+(* --- converters --------------------------------------------------------- *)
 
 (* Flag values are checked while cmdliner parses them: a rejected value
    is a usage error (exit 124) naming the flag, and the command bodies
@@ -86,7 +87,7 @@ let comma_list s =
   String.split_on_char ',' s |> List.map String.trim
   |> List.filter (fun x -> x <> "")
 
-(* --- shared options ------------------------------------------------------- *)
+(* --- shared options ----------------------------------------------------- *)
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -670,22 +671,20 @@ let graph_cmd =
        invocation's work. *)
     Dlz_engine.Engine.reset_metrics ();
     let prog = prepare input in
-    let g = Dlz_vec.Depgraph.build ~cascade ~jobs ?chunk ~env:input.env prog in
-    if not dot then Format.printf "%a@." Dlz_vec.Depgraph.pp g
+    let g = Depgraph.build ~cascade ~jobs ?chunk ~env:input.env prog in
+    if not dot then Format.printf "%a@." Depgraph.pp g
     else begin
       print_endline "digraph deps {";
       Array.iteri
         (fun i name -> Printf.printf "  n%d [label=\"%s\"];\n" i name)
-        g.Dlz_vec.Depgraph.stmt_names;
+        g.Depgraph.stmt_names;
       List.iter
-        (fun (e : Dlz_vec.Depgraph.edge) ->
-          Printf.printf "  n%d -> n%d [label=\"%s %s%s\"];\n"
-            e.Dlz_vec.Depgraph.e_src e.Dlz_vec.Depgraph.e_dst
-            (Dlz_deptest.Dirvec.to_string e.Dlz_vec.Depgraph.e_vec)
-            (Dlz_deptest.Classify.to_string e.Dlz_vec.Depgraph.e_kind)
-            (if e.Dlz_vec.Depgraph.e_level = max_int then ""
-             else Printf.sprintf " @%d" e.Dlz_vec.Depgraph.e_level))
-        g.Dlz_vec.Depgraph.edges;
+        (fun (e : Depgraph.edge) ->
+          Printf.printf "  n%d -> n%d [label=\"%s %s%s\"];\n" e.e_src e.e_dst
+            (Dlz_deptest.Dirvec.to_string e.e_vec)
+            (Dlz_deptest.Classify.to_string e.e_kind)
+            (if e.e_level = max_int then "" else Printf.sprintf " @%d" e.e_level))
+        g.Depgraph.edges;
       print_endline "}"
     end
   in
