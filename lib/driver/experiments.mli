@@ -40,9 +40,9 @@ val e7 : ?jobs:int -> ?chunk:int -> unit -> string
     vectorizer's parallelization verdicts. *)
 
 val e8 : unit -> string
-(** Efficiency: cost and precision of delinearization vs the baseline
-    tests on the linearized family (quick CLI version; the calibrated
-    numbers come from [bench/main.exe]). *)
+(** Efficiency, deterministic part: FM system growth and the precision
+    of delinearization vs the baseline tests on the linearized family.
+    The timings are [bench/main.exe e8]'s. *)
 
 val all : ?jobs:int -> ?chunk:int -> unit -> (string * string) list
 (** [(id, report)] for every experiment.  [jobs]/[chunk] parallelize

@@ -128,16 +128,18 @@ let symbolic_program =
       END
 |}
 
-(* Coefficient 2^40 against an upper bound of 2^24: the Banerjee bound
-   product (and most other per-term arithmetic) lands past
-   [max_int = 2^62 - 1], so every numeric strategy hits
+(* Coefficients 2^40 and 2^40 + 1 against upper bounds of 2^24: the
+   Banerjee bound product (and most other per-term arithmetic) lands
+   past [max_int = 2^62 - 1], so every numeric strategy hits
    [Intx.Overflow] while {e solving} — parsing, normalization and
-   cache-key construction all stay within range.  Exercises the
-   engine's overflow containment. *)
+   cache-key construction all stay within range.  The two coefficients
+   are coprime, so dividing an equation by its gcd cannot shrink it.
+   Exercises the engine's overflow containment. *)
 let overflow_stress_program =
   {|
       REAL A(100)
       DO 10 I = 1, 16777216
-10    A(1099511627776*I+1) = A(1099511627776*I)
+      DO 10 J = 1, 16777216
+10    A(1099511627776*I+1099511627777*J+1) = A(1099511627776*I+1099511627777*J)
       END
 |}

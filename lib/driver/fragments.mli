@@ -44,6 +44,7 @@ val symbolic_program : string
 (** The §4 program [A(N*N*k+N*j+i) = A(N*N*k+j+N*i+N*N+N)]. *)
 
 val overflow_stress_program : string
-(** A loop whose subscript coefficient (2^40) times its bound (2^24)
-    overflows [max_int] inside every numeric dependence test — the
-    stress input for {!Dlz_engine.Cascade} overflow containment. *)
+(** A nest whose subscript coefficients (2^40, 2^40 + 1, coprime) times
+    their bounds (2^24) overflow [max_int] inside every numeric
+    dependence test — the stress input for
+    {!Dlz_engine.Cascade} overflow containment. *)

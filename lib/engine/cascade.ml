@@ -55,6 +55,14 @@ let reason_of_exn = function
   | Stack_overflow -> "stack_overflow"
   | e -> "exn:" ^ Printexc.to_string e
 
+let struck ?chaos t p =
+  match (match chaos with Some _ -> chaos | None -> Chaos.current ()) with
+  | None -> false
+  | Some c ->
+      List.exists
+        (fun (s : Strategy.t) -> Chaos.would_strike c ~strategy:s.name p)
+        t.steps
+
 let run ?(stats = Stats.global) ?(budget = Budget.unlimited) ?chaos ~env t
     (p : Problem.t) =
   let chaos = match chaos with Some _ as c -> c | None -> Chaos.current () in

@@ -58,3 +58,8 @@ val run :
     remaining strategies are skipped with a single [budget:*]
     degradation.  [chaos] (default {!Chaos.current}) injects
     deterministic faults at each strategy boundary — see {!Chaos}. *)
+
+val struck : ?chaos:Chaos.t -> t -> Problem.t -> bool
+(** Whether [chaos] (default {!Chaos.current}) would strike any step of
+    the cascade on this problem ({!Chaos.would_strike}); counts
+    nothing. *)

@@ -71,21 +71,29 @@ let io_strike t ~point ~key =
     else None
   end
 
-let strike t ~strategy (p : Problem.t) =
-  if t.rate_ppm > 0 then begin
-    (* Content-keyed: the decision depends only on seed + (strategy,
-       problem), so every domain, run, and replay sees the same fault
-       at the same query.  [hash_param] with deep limits keeps distinct
-       problems from aliasing. *)
+(* The strike decision for (strategy, problem): the fault kind to
+   raise, if any.  Content-keyed: the decision depends only on seed +
+   (strategy, problem), so every domain, run, and replay sees the same
+   fault at the same query.  [hash_param] with deep limits keeps
+   distinct problems from aliasing. *)
+let draw t ~strategy (p : Problem.t) =
+  if t.rate_ppm = 0 then None
+  else begin
     let h = Hashtbl.hash_param 256 1024 (strategy, p) in
     let g = Prng.create (Int64.logxor t.seed (Int64.of_int h)) in
-    if Prng.int g 1_000_000 < t.rate_ppm then begin
+    if Prng.int g 1_000_000 < t.rate_ppm then Some (Prng.int g 5) else None
+  end
+
+let would_strike t ~strategy p = Option.is_some (draw t ~strategy p)
+
+let strike t ~strategy p =
+  match draw t ~strategy p with
+  | None -> ()
+  | Some kind -> (
       Atomic.incr t.hits;
-      match Prng.int g 5 with
+      match kind with
       | 0 -> raise (Injected "raise")
       | 1 -> raise (Intx.Overflow "chaos")
       | 2 -> raise (Budget.Exhausted "chaos")
       | 3 -> raise (Intx.Div_by_zero "chaos")
-      | _ -> raise (Injected "unknown")
-    end
-  end
+      | _ -> raise (Injected "unknown"))

@@ -56,6 +56,12 @@ val strike : t -> strategy:string -> Dlz_deptest.Problem.t -> unit
     problem.  Deterministically decides whether to inject a fault for
     this (strategy, problem) pair and, if so, counts it and raises. *)
 
+val would_strike : t -> strategy:string -> Dlz_deptest.Problem.t -> bool
+(** Whether {!strike} raises for this pair; counts nothing.  The engine
+    asks it before the cache lookup, so a struck problem is solved (and
+    struck) on every query instead of being answered by a same-key
+    problem's cached result. *)
+
 (** {2 Socket-boundary strikes}
 
     The serve layer injects faults at frame boundaries rather than

@@ -94,7 +94,11 @@ let map_pairs ?pool ?chunk f accs =
 
 let query ?(cascade = Cascade.delin) ?stats ?cache ?budget ?chaos ?annot
     ?observer ~env p =
+  (* A problem chaos strikes is solved on every query, never answered
+     from the cache: a same-key problem's cached result would otherwise
+     decide, by cache order, whether the strike lands. *)
   Query.memoize ?stats ?cache ?annot ?observer
+    ~fresh:(Cascade.struck ?chaos cascade p)
     ~cascade_name:cascade.Cascade.name ~env
     (fun ~env p -> Cascade.run ?stats ?budget ?chaos ~env cascade p)
     p

@@ -66,6 +66,8 @@ val query :
     instances).  Safe to call concurrently from several domains.
     [budget] bounds the cascade (see {!Cascade.run}); degraded results
     are never cached, so a faulted run cannot poison the memo table.
+    A problem [chaos] strikes ({!Cascade.struck}) skips the lookup, so
+    it is struck on every query whatever the cache holds.
     [annot] rides on the query's trace span (the daemon threads its
     request id through here); [observer] receives the cache
     {!Query.disposition} — see {!Query.memoize}. *)

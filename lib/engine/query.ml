@@ -415,7 +415,7 @@ let notify observer d =
   match observer with None -> () | Some f -> f d
 
 let memoize ?(stats = Stats.global) ?(cache = global_cache) ?(annot = [])
-    ?observer ~cascade_name ~env run p =
+    ?observer ?(fresh = false) ~cascade_name ~env run p =
   Stats.record_query stats;
   (* One span per query (the high-volume span class — subject to the
      sampling knob); cache disposition and verdict provenance land as
@@ -445,7 +445,10 @@ let memoize ?(stats = Stats.global) ?(cache = global_cache) ?(annot = [])
     else begin
       let h = hash_key cascade_name kb in
       let sh = shard_of cache h in
-      match find_cached cache sh h cascade_name kb with
+      match
+        if fresh then raise_notrace Not_found
+        else find_cached cache sh h cascade_name kb
+      with
       | e ->
           Stats.record_hit stats ~warm:e.e_warm;
           notify observer (if e.e_warm then Hit_warm else Hit_cold);

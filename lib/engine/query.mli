@@ -93,6 +93,7 @@ val memoize :
   ?cache:cache ->
   ?annot:(string * string) list ->
   ?observer:(disposition -> unit) ->
+  ?fresh:bool ->
   cascade_name:string ->
   env:Dlz_symbolic.Assume.t ->
   (env:Dlz_symbolic.Assume.t -> Problem.t -> Strategy.result) ->
@@ -110,4 +111,6 @@ val memoize :
     be immutable data fixed at call time, since span args render at
     export.  [observer], when given, is called once per query with the
     cache {!disposition} — the hook per-client attribution hangs off
-    without touching the shared counters. *)
+    without touching the shared counters.  [fresh] (default [false])
+    skips the lookup: the query counts as a miss and is solved, and
+    its result cached unless degraded. *)

@@ -3,6 +3,7 @@ module Assume = Dlz_symbolic.Assume
 module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
 module Problem = Dlz_deptest.Problem
+module Depeq = Dlz_deptest.Depeq
 module Symeq = Dlz_deptest.Symeq
 module Hierarchy = Dlz_deptest.Hierarchy
 module Gcd_test = Dlz_deptest.Gcd_test
@@ -34,6 +35,22 @@ let numeric_common_ubs (p : Problem.t) =
   in
   go [] p.common_ubs
 
+(* The equation divided by the gcd of its coefficients and constant, as
+   the cache key divides it.  The solutions are the same, so the answer
+   cannot depend on which of two same-key problems is solved; a common
+   factor near max_int would otherwise overflow the scan. *)
+let reduced (eq : Depeq.t) =
+  let g = Dlz_base.Numth.gcd_list (eq.Depeq.c0 :: Depeq.coeffs eq) in
+  if g <= 1 then eq
+  else
+    {
+      Depeq.c0 = eq.Depeq.c0 / g;
+      terms =
+        List.map
+          (fun (t : Depeq.term) -> { t with Depeq.coeff = t.Depeq.coeff / g })
+          eq.Depeq.terms;
+    }
+
 let run_delinearize ~env ~budget (p : Problem.t) =
   let n_common = p.Problem.n_common in
   let num_ubs = numeric_common_ubs p in
@@ -41,7 +58,9 @@ let run_delinearize ~env ~budget (p : Problem.t) =
     try
       match (Symeq.to_numeric eq, num_ubs) with
       | Some neq, Some ubs ->
-          let r = Algo.run ~n_common ~common_ubs:(Array.of_list ubs) neq in
+          let r =
+            Algo.run ~n_common ~common_ubs:(Array.of_list ubs) (reduced neq)
+          in
           ( r.Algo.verdict,
             r.Algo.dirvecs,
             List.map (fun (l, d) -> (l, Poly.const d)) r.Algo.distances )

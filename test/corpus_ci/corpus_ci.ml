@@ -9,18 +9,18 @@
       conversion and the pipeline without error;
    3. report: the bulk NDJSON report (at DLZ_TEST_JOBS-width, with
       whatever DLZ_CHAOS the alias sets) is byte-identical to the
-      committed GOLDEN.ndjson, modulo the summary line's "dir" field
-      which is normalized to the canonical "corpus/polybench" so the
-      golden does not depend on where the tree was checked out.
+      committed golden named by argv.(2), modulo the summary line's
+      "dir" field which is normalized to the canonical
+      "corpus/polybench" so the golden does not depend on where the
+      tree was checked out.
 
-   `corpus_ci.exe DIR --write` regenerates the golden (run it with the
-   same DLZ_TEST_JOBS/DLZ_CHAOS the dune rule uses). *)
+   `corpus_ci.exe DIR GOLDEN --write` regenerates that golden (run it
+   with the same DLZ_TEST_JOBS/DLZ_CHAOS the dune rule uses). *)
 
 module Polybench = Dlz_corpus.Polybench
 module Bulk = Dlz_driver.Bulk
 module Pool = Dlz_base.Pool
 
-let golden_name = "GOLDEN.ndjson"
 let canonical_dir = "corpus/polybench"
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
@@ -96,12 +96,12 @@ let report ~jobs dir =
   List.map (normalize ~dir) lines
 
 let () =
-  let dir, write =
+  let dir, golden_name, write =
     match Array.to_list Sys.argv with
-    | [ _; dir ] -> (dir, false)
-    | [ _; dir; "--write" ] -> (dir, true)
+    | [ _; dir; golden ] -> (dir, golden, false)
+    | [ _; dir; golden; "--write" ] -> (dir, golden, true)
     | _ ->
-        prerr_endline "usage: corpus_ci.exe DIR [--write]";
+        prerr_endline "usage: corpus_ci.exe DIR GOLDEN [--write]";
         exit 2
   in
   let jobs =
@@ -142,6 +142,6 @@ let () =
       (List.length Polybench.kernels)
       (List.length lines) jobs
       (match Sys.getenv_opt "DLZ_CHAOS" with
-      | Some c -> ", chaos " ^ c
-      | None -> "")
+      | Some c when c <> "" -> ", chaos " ^ c
+      | _ -> "")
   end

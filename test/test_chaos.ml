@@ -20,6 +20,7 @@ module Pipeline = Dlz_passes.Pipeline
 module Fragments = Dlz_driver.Fragments
 module Workload = Dlz_driver.Workload
 module Progen = Dlz_driver.Progen
+module Corpus = Dlz_corpus.Corpus
 module Prng = Dlz_base.Prng
 module Engine = Dlz_engine.Engine
 module Strategy = Dlz_engine.Strategy
@@ -229,6 +230,46 @@ let test_chaos_parallel_equals_serial () =
         true (serial = par))
     [ 7L; 1234L ]
 
+(* The fault boundary changes nothing on the fault-free path: injection
+   configured at rate 0, and a budget that never runs out, must leave
+   every report byte-identical to the plain run, provenance included.
+   Each run starts from an empty cache, so every pair is solved under
+   the configuration being checked.  Injection is switched off locally
+   for the baseline, so the case holds under @chaos-ci too. *)
+let test_fault_free_configs_change_nothing () =
+  let progs =
+    List.map
+      (fun name ->
+        Pipeline.prepare_program
+          (Corpus.generate
+             (List.find (fun s -> s.Corpus.name = name) Corpus.riceps)))
+      [ "SPHOT"; "SIMPLE" ]
+    @ List.map
+        (fun depth -> prepare (Workload.family_program ~depth ~extent:10))
+        [ 1; 2; 3; 4 ]
+    @ List.map prepare
+        [ Fragments.fig3_program; Fragments.mhl_program; Fragments.ib_program ]
+  in
+  let report chaos budget =
+    with_chaos chaos (fun () ->
+        Engine.reset_metrics ();
+        String.concat "\n"
+          (List.concat_map
+             (fun prog ->
+               List.map
+                 (fun (d : Analyze.dep) ->
+                   Format.asprintf "%a  decided_by: %s" Analyze.pp_dep d
+                     d.Analyze.via)
+                 (Analyze.deps_of_program ?budget prog))
+             progs))
+  in
+  let baseline = report None None in
+  Alcotest.(check bool) "the programs have dependences" true (baseline <> "");
+  Alcotest.(check string) "chaos at rate 0" baseline
+    (report (Some (Chaos.make ~seed:7L ~rate:0.0)) None);
+  Alcotest.(check string) "fuel max_int" baseline
+    (report None (Some (Budget.create ~fuel:max_int ())))
+
 (* --- chaos: exact fault accounting ---------------------------------------- *)
 
 let chaos_reasons =
@@ -391,6 +432,8 @@ let () =
             test_chaos_verdicts_only_degrade;
           Alcotest.test_case "jobs N = jobs 1 under injection" `Quick
             test_chaos_parallel_equals_serial;
+          Alcotest.test_case "fault-free configurations change nothing"
+            `Quick test_fault_free_configs_change_nothing;
         ] );
       ( "accounting",
         [

@@ -412,6 +412,61 @@ let test_analyze_depgraph_consistent () =
       ("twin", twin_src);
     ]
 
+(* The invariant the memo cache rests on: problems with equal cache
+   keys are interchangeable.  Eqgen and polybench problems are grouped
+   by key, and within each group a cold solve of every problem must
+   give the first one's verdict, direction and distance vectors, and
+   deciding strategy.  Injection is off: a chaos strike is keyed on the
+   whole problem, not on its key. *)
+let test_equal_keys_equal_answers () =
+  let module Eqgen = Dlz_oracle.Eqgen in
+  let module Chaos = Dlz_engine.Chaos in
+  let module Poly = Dlz_symbolic.Poly in
+  let saved = Chaos.current () in
+  Chaos.set_current None;
+  Fun.protect ~finally:(fun () -> Chaos.set_current saved) @@ fun () ->
+  let groups = Hashtbl.create 1024 in
+  List.iter
+    (fun (c : Eqgen.case) ->
+      match Query.key_of ~cascade:Cascade.delin.Cascade.name c.problem with
+      | Some k ->
+          Hashtbl.replace groups k
+            (c :: Option.value ~default:[] (Hashtbl.find_opt groups k))
+      | None -> ())
+    (Eqgen.polybench () @ Eqgen.all ~seed:3L ~count:2000);
+  let cold (c : Eqgen.case) =
+    let r =
+      Cascade.run ~stats:(Stats.create ()) ~env:c.env Cascade.delin c.problem
+    in
+    String.concat " "
+      (Verdict.to_string r.Strategy.verdict
+      :: r.Strategy.decided_by
+      :: List.map Dirvec.to_string r.Strategy.dirvecs
+      @ List.map
+          (fun (l, d) -> Printf.sprintf "%d:%s" l (Poly.to_string d))
+          r.Strategy.distances)
+  in
+  let shared = ref 0 and differ = ref [] in
+  Hashtbl.iter
+    (fun _ cases ->
+      match List.rev cases with
+      | [] -> ()
+      | first :: rest ->
+          let want = cold first in
+          List.iter
+            (fun (c : Eqgen.case) ->
+              incr shared;
+              let got = cold c in
+              if got <> want then
+                differ :=
+                  Printf.sprintf "%s: %s, %s: %s" first.id want c.id got
+                  :: !differ)
+            rest)
+    groups;
+  Alcotest.(check bool) "some problems share a key" true (!shared > 0);
+  Alcotest.(check (list string)) "same-key problems that answer differently"
+    [] !differ
+
 let () =
   Alcotest.run "engine"
     [
@@ -427,6 +482,8 @@ let () =
             test_cache_flush_on_capacity;
           Alcotest.test_case "key_of symbolic vs numeric" `Quick
             test_key_of_none_for_symbolic;
+          Alcotest.test_case "equal keys, equal cold answers" `Quick
+            test_equal_keys_equal_answers;
         ] );
       ( "presets",
         [
