@@ -406,12 +406,14 @@ let ranges_arg =
 
 let analyze_one ~cascade ~budget ~pool ~chunk ~ranges input =
   let prog = prepare input in
-  let env = input.env in
   print_endline (Ast.to_string prog);
   print_newline ();
-  let deps =
-    Analyze.deps_of_program ~cascade ?budget ?pool ?chunk ~env prog
+  (* One query pass feeds both the dependence rows and the loop report. *)
+  let accs, env = Dlz_ir.Access.of_program ~env:input.env prog in
+  let results =
+    Dlz_engine.Engine.query_all ~cascade ?budget ?pool ?chunk ~env accs
   in
+  let deps = Analyze.deps_of_results results in
   if deps = [] then print_endline "No dependences: fully parallel."
   else
     List.iter
@@ -450,7 +452,7 @@ let analyze_one ~cascade ~budget ~pool ~chunk ~ranges input =
          else
            Printf.sprintf " (%d carried dependence(s))"
              l.Dlz_vec.Parallel.lr_carried))
-    (Dlz_vec.Parallel.report ~cascade ?budget ?pool ?chunk ~env prog)
+    (Dlz_vec.Parallel.of_graph prog (Depgraph.of_results accs results))
 
 (* The --stats lines only analyze prints: cache shard occupancy and the
    injected fault count. *)

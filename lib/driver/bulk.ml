@@ -6,6 +6,7 @@ module Analyze = Dlz_engine.Analyze
 module Engine = Dlz_engine.Engine
 module Stats = Dlz_engine.Stats
 module Verdict = Dlz_deptest.Verdict
+module Depgraph = Dlz_vec.Depgraph
 module Parallel = Dlz_vec.Parallel
 module Jsonx = Dlz_obs.Jsonx
 
@@ -105,8 +106,9 @@ let analyze_file ~cascade ~budget ~env root rel =
           | Verdict.Inapplicable -> (i, d, n + 1, by))
         (0, 0, 0, []) results
     in
-    let deps = Analyze.deps_of_accesses ~cascade ?budget ~env:env' accs in
-    let loops = Parallel.report ~cascade ?budget ~env prog in
+    (* Counts, dep rows and the loop report all read the one pass. *)
+    let deps = Analyze.deps_of_results results in
+    let loops = Parallel.of_graph prog (Depgraph.of_results accs results) in
     let par = List.length (List.filter (fun l -> l.Parallel.lr_parallel) loops) in
     let stmts =
       List.length

@@ -8,7 +8,9 @@
     on earlier files' solves (and on a persisted snapshot, when one was
     loaded).  Files fan out over the work-stealing pool, one file per
     job; the per-file analysis itself stays serial, so no pool is ever
-    entered twice.
+    entered twice.  A file is one {!Dlz_ir.Access.of_program} and one
+    {!Dlz_engine.Engine.query_all} pass: its verdict counts, dep rows
+    and loop report all read that one answer per pair.
 
     The report is one NDJSON line per kernel (sorted by relative path)
     plus a closing summary line, and its default fields are chosen to
@@ -41,4 +43,5 @@ val run :
     With [pool] the files are analyzed in parallel (chunk size 1 — one
     file is one unit of steal).  Each file gets a ["bulk.file"] trace
     span.  [timings] adds the [elapsed_ns] and summary [cache] fields
-    described above. *)
+    described above; the summary's [cache.queries] equals its [pairs],
+    one query per pair. *)

@@ -261,11 +261,11 @@ let e5_distances () =
   | [ w; r ] -> (
       match Problem.of_accesses w r with
       | Some p ->
-          let res = Analyze.vectors ~env p in
+          let res = Dlz_engine.Engine.query ~env p in
           List.filter_map
             (fun (l, d) ->
               Option.map (fun c -> (l, -c)) (Poly.to_const d))
-            res.Analyze.distances
+            res.Dlz_engine.Strategy.distances
           |> List.sort compare
       | None -> [])
   | _ -> []

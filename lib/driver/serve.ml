@@ -1,5 +1,3 @@
-module Trace = Dlz_base.Trace
-module Depeq = Dlz_deptest.Depeq
 module Problem = Dlz_deptest.Problem
 module Addr = Dlz_serve.Addr
 module Client = Dlz_serve.Client
@@ -126,25 +124,14 @@ let run_stats ~addr ~format ~watch ~interval_ms ~count () =
    interleave fine, and thousands of them fit where domains cannot
    (the runtime caps domains at ~128). *)
 
-type workload = Ping | Query | Analyze | Mix
-
 type report = {
-  lg_sessions : int;  (* sessions attempted *)
   lg_requests : int;  (* requests sent *)
   lg_ok : int;  (* requests answered ok:true *)
-  lg_degraded : int;  (* ...of which carried degradations *)
   lg_shed : int;  (* overloaded replies *)
   lg_draining : int;  (* draining replies *)
   lg_errors : int;  (* other ok:false replies *)
   lg_transport : int;  (* connects or reads that died *)
-  lg_elapsed_ns : int64;
-  lg_latency : Trace.Hist.t;  (* one observation per answered request *)
 }
-
-let throughput r =
-  if Int64.compare r.lg_elapsed_ns 0L <= 0 then 0.
-  else
-    float_of_int r.lg_ok /. (Int64.to_float r.lg_elapsed_ns /. 1e9)
 
 (* Distinct canonical forms so cache behaviour is visible: the paper
    family at several depths/shifts, the shape the engine is fastest
@@ -168,96 +155,61 @@ let analyze_pool =
     (Array.init 4 (fun k ->
          Workload.family_program ~depth:(1 + (k mod 2)) ~extent:(6 + (2 * k))))
 
-let build_request ~workload ~fuel ~timeout_ms ~session ~req =
+(* Query-heavy, like a compiler driving the daemon: 6/8 queries, 1/8
+   pings, 1/8 whole-program analyzes. *)
+let build_request ~session ~req =
   let n = (session * 1_000_000) + req in
-  let extra =
-    (match fuel with Some f -> [ ("fuel", Jsonx.Int f) ] | None -> [])
-    @
-    match timeout_ms with
-    | Some ms -> [ ("timeout_ms", Jsonx.Int ms) ]
-    | None -> []
+  let pick pool =
+    let pool = Lazy.force pool in
+    pool.(n mod Array.length pool)
   in
-  let kind =
-    match workload with
-    | Ping -> `Ping
-    | Query -> `Query
-    | Analyze -> `Analyze
-    | Mix -> (
-        (* Query-heavy, like a compiler: mostly queries, a sprinkle of
-           whole-program analyzes and pings. *)
-        match n mod 8 with 0 -> `Ping | 7 -> `Analyze | _ -> `Query)
+  let op, rest =
+    match n mod 8 with
+    | 0 -> ("ping", [])
+    | 7 ->
+        ( "analyze",
+          [ ("lang", Jsonx.Str "f"); ("source", Jsonx.Str (pick analyze_pool)) ]
+        )
+    | _ -> ("query", [ ("problem", pick query_pool) ])
   in
-  match kind with
-  | `Ping -> Jsonx.Obj ([ ("op", Jsonx.Str "ping"); ("id", Jsonx.Int n) ] @ extra)
-  | `Query ->
-      let pool = Lazy.force query_pool in
-      Jsonx.Obj
-        ([
-           ("op", Jsonx.Str "query");
-           ("id", Jsonx.Int n);
-           ("problem", pool.(n mod Array.length pool));
-         ]
-        @ extra)
-  | `Analyze ->
-      let pool = Lazy.force analyze_pool in
-      Jsonx.Obj
-        ([
-           ("op", Jsonx.Str "analyze");
-           ("id", Jsonx.Int n);
-           ("lang", Jsonx.Str "f");
-           ("source", Jsonx.Str pool.(n mod Array.length pool));
-         ]
-        @ extra)
+  Jsonx.Obj (("op", Jsonx.Str op) :: ("id", Jsonx.Int n) :: rest)
 
 type acc = {
   mutable a_requests : int;
   mutable a_ok : int;
-  mutable a_degraded : int;
   mutable a_shed : int;
   mutable a_draining : int;
   mutable a_errors : int;
   mutable a_transport : int;
-  a_latency : Trace.Hist.t;
 }
 
-let classify acc frames lat =
+let classify acc frames =
   match List.rev frames with
   | [] -> acc.a_transport <- acc.a_transport + 1
   | last :: _ -> (
       match Jsonx.member "ok" last with
-      | Some (Jsonx.Bool true) ->
-          acc.a_ok <- acc.a_ok + 1;
-          Trace.Hist.observe acc.a_latency lat;
-          let degraded j =
-            match Jsonx.member "degraded" j with
-            | Some (Jsonx.List (_ :: _)) -> true
-            | _ -> false
-          in
-          if List.exists degraded frames then
-            acc.a_degraded <- acc.a_degraded + 1
+      | Some (Jsonx.Bool true) -> acc.a_ok <- acc.a_ok + 1
       | _ -> (
           match Option.bind (Jsonx.member "reason" last) Jsonx.to_str with
           | Some "overloaded" -> acc.a_shed <- acc.a_shed + 1
           | Some "draining" -> acc.a_draining <- acc.a_draining + 1
           | _ -> acc.a_errors <- acc.a_errors + 1))
 
-let run_session ~addr ~workload ~fuel ~timeout_ms ~requests acc session =
+let run_session ~addr ~requests acc session =
   match Client.connect ~timeout_ms:10_000 addr with
   | Error _ -> acc.a_transport <- acc.a_transport + 1
   | Ok c ->
       let rec go req =
         if req < requests then begin
-          let j = build_request ~workload ~fuel ~timeout_ms ~session ~req in
+          let j = build_request ~session ~req in
           acc.a_requests <- acc.a_requests + 1;
-          let t0 = Trace.now_ns () in
           match Client.send c j with
           | Error _ -> acc.a_transport <- acc.a_transport + 1
           | Ok () -> (
               match Client.read_stream c with
               | Error _ -> acc.a_transport <- acc.a_transport + 1
               | Ok frames ->
-                  let lat = Int64.sub (Trace.now_ns ()) t0 in
-                  classify acc frames lat;
+                  classify acc frames;
                   (* A shed/draining reply closes the connection
                      server-side; stop the session. *)
                   let terminal =
@@ -274,23 +226,19 @@ let run_session ~addr ~workload ~fuel ~timeout_ms ~requests acc session =
       go 0;
       Client.close c
 
-let load_gen ~addr ~clients ~sessions ~requests_per_session ~workload ?fuel
-    ?timeout_ms () =
+let load_gen ~addr ~clients ~sessions ~requests_per_session =
   let clients = max 1 clients in
   let accs =
     Array.init clients (fun _ ->
         {
           a_requests = 0;
           a_ok = 0;
-          a_degraded = 0;
           a_shed = 0;
           a_draining = 0;
           a_errors = 0;
           a_transport = 0;
-          a_latency = Trace.Hist.create ();
         })
   in
-  let t0 = Trace.now_ns () in
   let threads =
     List.init clients (fun tid ->
         Thread.create
@@ -299,8 +247,7 @@ let load_gen ~addr ~clients ~sessions ~requests_per_session ~workload ?fuel
             let rec go s =
               if s < sessions then begin
                 if s mod clients = tid then
-                  run_session ~addr ~workload ~fuel ~timeout_ms
-                    ~requests:requests_per_session acc s;
+                  run_session ~addr ~requests:requests_per_session acc s;
                 go (s + 1)
               end
             in
@@ -308,18 +255,12 @@ let load_gen ~addr ~clients ~sessions ~requests_per_session ~workload ?fuel
           ())
   in
   List.iter Thread.join threads;
-  let elapsed = Int64.sub (Trace.now_ns ()) t0 in
   let merged f = Array.fold_left (fun n a -> n + f a) 0 accs in
   {
-    lg_sessions = sessions;
     lg_requests = merged (fun a -> a.a_requests);
     lg_ok = merged (fun a -> a.a_ok);
-    lg_degraded = merged (fun a -> a.a_degraded);
     lg_shed = merged (fun a -> a.a_shed);
     lg_draining = merged (fun a -> a.a_draining);
     lg_errors = merged (fun a -> a.a_errors);
     lg_transport = merged (fun a -> a.a_transport);
-    lg_elapsed_ns = elapsed;
-    lg_latency =
-      Trace.Hist.merged (Array.to_list (Array.map (fun a -> a.a_latency) accs));
   }

@@ -2,11 +2,11 @@
 
     {!run_cli} wires SIGTERM/SIGINT to the server's graceful drain and
     blocks until shutdown.  {!load_gen} is the simulated-client fleet
-    behind the serve bench arm and the overload tests: a thread per
-    simulated client (threads, not domains — a client's life is
-    blocked socket I/O, and thousands of threads fit where domains
-    cannot), each running framed sessions against the daemon and
-    classifying every reply. *)
+    the daemon's chaos battery drives it with: a thread per simulated
+    client (threads, not domains — a client's life is blocked socket
+    I/O, and thousands of threads fit where domains cannot), each
+    running framed sessions against the daemon and classifying every
+    reply. *)
 
 val run_cli : ?stats_json:bool -> ?quiet:bool -> Dlz_serve.Server.config -> unit
 (** Start, announce, drain on SIGTERM/SIGINT (or a [shutdown] request),
@@ -31,41 +31,24 @@ val run_stats :
     one-shot scrape exits with code 1; under [--watch] it is reported
     and retried on the next tick. *)
 
-type workload = Ping | Query | Analyze | Mix
-(** [Mix] is query-heavy, like a compiler driving the daemon: 6/8
-    queries, 1/8 pings, 1/8 whole-program analyzes. *)
-
 type report = {
-  lg_sessions : int;
   lg_requests : int;
   lg_ok : int;
-  lg_degraded : int;  (** ok replies that carried degradations *)
   lg_shed : int;  (** explicit ["overloaded"] refusals *)
   lg_draining : int;
   lg_errors : int;  (** other [ok:false] replies *)
   lg_transport : int;  (** connects or reads that died *)
-  lg_elapsed_ns : int64;
-  lg_latency : Dlz_base.Trace.Hist.t;
-      (** Client-observed latency, one observation per answered
-          request: each client thread records into its own histogram,
-          merged after the join. *)
 }
-
-val throughput : report -> float
-(** Answered requests per second over the fleet's wall-clock. *)
 
 val load_gen :
   addr:Dlz_serve.Addr.t ->
   clients:int ->
   sessions:int ->
   requests_per_session:int ->
-  workload:workload ->
-  ?fuel:int ->
-  ?timeout_ms:int ->
-  unit ->
   report
 (** Run [sessions] sessions of [requests_per_session] requests each,
-    dealt round-robin over [clients] concurrent threads.  [fuel] and
-    [timeout_ms] are attached to every request (the per-request budget
-    ask).  A shed/draining reply ends its session (the server closes
-    the connection after refusing). *)
+    dealt round-robin over [clients] concurrent threads.  The request
+    mix is query-heavy, like a compiler driving the daemon: 6/8
+    queries, 1/8 pings, 1/8 whole-program analyzes.  A shed/draining
+    reply ends its session (the server closes the connection after
+    refusing). *)

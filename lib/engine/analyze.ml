@@ -4,17 +4,8 @@ module Access = Dlz_ir.Access
 module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
 module Ddvec = Dlz_deptest.Ddvec
-module Problem = Dlz_deptest.Problem
 module Classify = Dlz_deptest.Classify
 module Pool = Dlz_base.Pool
-
-type pair_result = {
-  verdict : Verdict.t;
-  dirvecs : Dirvec.t list;
-  distances : (int * Poly.t) list;
-  decided_by : string;
-  degraded : (string * string) list;
-}
 
 type dep = {
   src : Access.t;
@@ -32,16 +23,6 @@ let cascade_of_mode = function
   | Delinearize -> Cascade.delin
   | Classic -> Cascade.classic
   | ExactMode -> Cascade.exact
-
-let vectors ?cascade ?budget ~env p =
-  let r = Engine.query ?cascade ?budget ~env p in
-  {
-    verdict = r.Strategy.verdict;
-    dirvecs = r.Strategy.dirvecs;
-    distances = r.Strategy.distances;
-    decided_by = r.Strategy.decided_by;
-    degraded = r.Strategy.degraded;
-  }
 
 (* Basic direction vectors admitted by a (possibly non-basic) vector. *)
 let decomposition dv =
@@ -95,23 +76,20 @@ let apply_distances dv distances =
       | _ -> ddv)
     (Ddvec.of_dirvec dv) distances
 
-(* The whole per-pair analysis: one engine query, summarization, one
-   dep row per surviving summarized vector (in summary order).  Pure
-   apart from the engine query, which is domain-safe — this is the unit
-   of work [map_pairs] fans out over the pool. *)
-let deps_of_pair ?budget ~cascade ~env (pr : Engine.pair) =
+(* One answered pair's rows: summarization, one dep row per surviving
+   summarized vector (in summary order). *)
+let deps_of_result ((pr : Engine.pair), (r : Strategy.result)) =
   let src = pr.Engine.src and dst = pr.Engine.dst in
-  let r = vectors ~cascade ?budget ~env pr.Engine.problem in
   let self = pr.Engine.self in
   let identity_only =
     self
     && List.for_all
          (fun dv -> Array.for_all (fun d -> d = Dirvec.Eq) dv)
-         r.dirvecs
+         r.Strategy.dirvecs
   in
-  if r.verdict = Verdict.Independent || identity_only then []
+  if r.Strategy.verdict = Verdict.Independent || identity_only then []
   else begin
-    let summaries = summarize ~self r.dirvecs in
+    let summaries = summarize ~self r.Strategy.dirvecs in
     let is_identity dv = Array.for_all (( = ) Dirvec.Eq) dv in
     let summaries =
       if not self then summaries
@@ -137,12 +115,14 @@ let deps_of_pair ?budget ~cascade ~env (pr : Engine.pair) =
           dst;
           kind;
           dirvec = dv;
-          ddvec = apply_distances dv r.distances;
-          via = r.decided_by;
-          degraded = r.degraded;
+          ddvec = apply_distances dv r.Strategy.distances;
+          via = r.Strategy.decided_by;
+          degraded = r.Strategy.degraded;
         })
       summaries
   end
+
+let deps_of_results results = List.concat_map deps_of_result results
 
 let deps_of_accesses ?(cascade = Cascade.delin) ?budget ?(jobs = 1) ?pool ?chunk
     ~env accs =
@@ -151,8 +131,8 @@ let deps_of_accesses ?(cascade = Cascade.delin) ?budget ?(jobs = 1) ?pool ?chunk
     "analyze.accesses"
   @@ fun () ->
   Pool.with_jobs ?pool ~jobs (fun pool ->
-      List.concat
-        (Engine.map_pairs ?pool ?chunk (deps_of_pair ?budget ~cascade ~env) accs))
+      deps_of_results
+        (Engine.query_all ~cascade ?budget ?pool ?chunk ~env accs))
 
 let deps_of_program ?cascade ?budget ?jobs ?pool ?chunk ?(env = Assume.empty)
     prog =

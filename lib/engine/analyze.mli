@@ -13,25 +13,11 @@
     {!Cascade.delin}, {!Cascade.classic} and {!Cascade.exact}, and any
     registered strategy combination can be passed instead. *)
 
-module Poly = Dlz_symbolic.Poly
 module Assume = Dlz_symbolic.Assume
 module Access = Dlz_ir.Access
-module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
 module Ddvec = Dlz_deptest.Ddvec
-module Problem = Dlz_deptest.Problem
 module Classify = Dlz_deptest.Classify
-
-type pair_result = {
-  verdict : Verdict.t;
-  dirvecs : Dirvec.t list;  (** Basic vectors over the common loops. *)
-  distances : (int * Poly.t) list;
-      (** Distances proven constant; symbolic polynomials allowed. *)
-  decided_by : string;  (** Provenance: the strategy that decided. *)
-  degraded : (string * string) list;
-      (** Contained faults, as [(strategy, reason)] — see
-          {!Strategy.result}. *)
-}
 
 type dep = {
   src : Access.t;  (** The source reference (a write when one exists). *)
@@ -62,12 +48,6 @@ val cascade_of_mode : mode -> Cascade.t
     Kept, with [mode], because the perfbench harness names its cascade
     through them. *)
 
-val vectors :
-  ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t -> env:Assume.t ->
-  Problem.t -> pair_result
-(** Direction vectors for one problem, answered through the memoized
-    engine query path. *)
-
 val decomposition : Dirvec.t -> Dirvec.t list
 (** All basic direction vectors admitted by a vector (3^k worst case for
     k [*] components). *)
@@ -77,14 +57,18 @@ val summarize : self:bool -> Dirvec.t list -> Dirvec.t list
     decomposition is covered by the set ([self] pairs implicitly cover
     the all-[=] identity vector). *)
 
+val deps_of_results : (Engine.pair * Strategy.result) list -> dep list
+(** The dependence rows of answered pairs (input dependences and
+    identity-only self pairs are omitted), in the pairs' order.  Pure:
+    no query is asked, so the rows and any other view built from the
+    same {!Engine.query_all} list agree pair for pair. *)
+
 val deps_of_accesses :
   ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
   ?jobs:int -> ?pool:Dlz_base.Pool.t -> ?chunk:int ->
   env:Assume.t -> Access.t list -> dep list
-(** All dependences among the given accesses (input dependences and
-    identity-only self pairs are omitted), in source order.  Pair
-    enumeration is {!Engine.map_pairs} — the same path the vectorizer's
-    dependence graph uses.
+(** All dependences among the given accesses, in source order:
+    {!deps_of_results} of {!Engine.query_all}.
 
     [jobs] (default 1) is the number of domains the pair queries fan
     out over; [0] means [Domain.recommended_domain_count ()].  An

@@ -33,31 +33,21 @@ let pair_at arr i j =
   | Some problem ->
       Some { src; dst; self = src.Access.acc_id = dst.Access.acc_id; problem }
 
-let iter_pairs f accs =
-  let arr = Array.of_list accs in
-  let n = Array.length arr in
-  for i = 0 to n - 1 do
-    for j = i to n - 1 do
-      if candidate arr i j then
-        match pair_at arr i j with Some pr -> f pr | None -> ()
-    done
-  done
-
 let pairs_seq accs =
   let arr = Array.of_list accs in
   let n = Array.length arr in
   let rec from i j () =
     if i >= n then Seq.Nil
     else if j >= n then from (i + 1) (i + 1) ()
-    else
-      let rest = from i (j + 1) in
-      if candidate arr i j then
-        match pair_at arr i j with
-        | Some pr -> Seq.Cons (pr, rest)
-        | None -> rest ()
-      else rest ()
+    else if candidate arr i j then
+      match pair_at arr i j with
+      | Some pr -> Seq.Cons (pr, from i (j + 1))
+      | None -> from i (j + 1) ()
+    else from i (j + 1) ()
   in
   from 0 0
+
+let iter_pairs f accs = Seq.iter f (pairs_seq accs)
 
 (* Candidate (i, j) index pairs, in enumeration order.  Two ints per
    candidate — the O(n²) set is never materialized as pairs (closures +
@@ -72,26 +62,6 @@ let candidate_indices arr =
   done;
   Array.of_list !out
 
-let map_pairs ?pool ?chunk f accs =
-  let sequential () =
-    let out = ref [] in
-    iter_pairs (fun pr -> out := f pr :: !out) accs;
-    List.rev !out
-  in
-  match pool with
-  | None -> sequential ()
-  | Some pool when Pool.domains pool <= 1 -> sequential ()
-  | Some pool ->
-      let arr = Array.of_list accs in
-      let cands = candidate_indices arr in
-      (* Results land by candidate index: output order is enumeration
-         order regardless of which domain ran (or stole) which chunk. *)
-      Pool.map pool ?chunk
-        (fun (i, j) -> Option.map f (pair_at arr i j))
-        cands
-      |> Array.to_list
-      |> List.filter_map Fun.id
-
 let query ?(cascade = Cascade.delin) ?stats ?cache ?budget ?chaos ?annot
     ?observer ~env p =
   (* A problem chaos strikes is solved on every query, never answered
@@ -105,11 +75,21 @@ let query ?(cascade = Cascade.delin) ?stats ?cache ?budget ?chaos ?annot
 
 let query_all ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ?pool
     ?chunk ~env accs =
-  map_pairs ?pool ?chunk
-    (fun pr ->
-      (pr, query ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ~env
-             pr.problem))
-    accs
+  let answer pr =
+    (pr, query ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ~env
+           pr.problem)
+  in
+  match pool with
+  | Some pool when Pool.domains pool > 1 ->
+      let arr = Array.of_list accs in
+      (* Results land by candidate index: output order is enumeration
+         order regardless of which domain ran (or stole) which chunk. *)
+      Pool.map pool ?chunk
+        (fun (i, j) -> Option.map answer (pair_at arr i j))
+        (candidate_indices arr)
+      |> Array.to_list
+      |> List.filter_map Fun.id
+  | _ -> List.of_seq (Seq.map answer (pairs_seq accs))
 
 (* Everything the obs registry knows how to reset — engine counters,
    pool telemetry, trace histograms, and any serve-side collectors a

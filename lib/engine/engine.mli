@@ -1,16 +1,19 @@
 (** The unified dependence-query engine.
 
     Every consumer — the whole-program analyzer, the vectorizer's
-    dependence graph, the CLI, the bench harness — asks its dependence
-    questions through this one path: {!iter_pairs} / {!pairs_seq}
-    stream the candidate access pairs (write involvement, same array,
-    source = the writing reference with textual order breaking ties),
-    {!map_pairs} fans a per-pair computation out over an optional
-    domain {!Dlz_base.Pool} with deterministic output ordering, and
-    {!query} answers one problem through a strategy {!Cascade} behind
-    the sharded canonical-form memo cache.  This replaces the two
-    formerly independent O(n²) pair loops (analyzer and depgraph),
-    whose source/sink orientation had drifted apart. *)
+    dependence graph, the CLI, the daemon, the bench harness — asks its
+    dependence questions through this one path: {!iter_pairs} /
+    {!pairs_seq} stream the candidate access pairs (write involvement,
+    same array, source = the writing reference with textual order
+    breaking ties), {!query} answers one problem through a strategy
+    {!Cascade} behind the sharded canonical-form memo cache, and
+    {!query_all} answers every pair of a program, optionally fanned out
+    over a domain {!Dlz_base.Pool} with deterministic output order.
+
+    The [(pair * result)] list {!query_all} returns is the one pair pass
+    over a program: dependence rows ({!Analyze.deps_of_results}), the
+    vectorizer's graph and the per-loop report are pure functions of
+    it, so each pair is asked once however many views are built. *)
 
 module Assume = Dlz_symbolic.Assume
 module Access = Dlz_ir.Access
@@ -35,20 +38,6 @@ val iter_pairs : (pair -> unit) -> Access.t list -> unit
 val pairs_seq : Access.t list -> pair Seq.t
 (** The same enumeration as an on-demand sequence (pairs and their
     problems are built as the sequence is forced). *)
-
-val map_pairs :
-  ?pool:Pool.t -> ?chunk:int -> (pair -> 'r) -> Access.t list -> 'r list
-(** [map_pairs f accs] is [f] applied to every candidate pair, results
-    in enumeration order.  Without a pool (or with a sequential one)
-    this runs exactly like {!iter_pairs}.  With a parallel pool, the
-    candidate {e index} pairs (two ints each — never the problems) are
-    partitioned into chunks ([chunk] candidates each; auto-tuned from
-    the pool's observed per-element cost and queue-wait telemetry when
-    omitted), dealt to the pool's work-stealing deques (problem
-    construction and [f] both run in the workers), and merged back by
-    index, so the result is byte-identical to the sequential one for
-    any job count, chunk size, or steal schedule.  [f] must be
-    domain-safe; the {!query} path (sharded cache, atomic stats) is. *)
 
 val query :
   ?cascade:Cascade.t ->
@@ -85,8 +74,18 @@ val query_all :
   env:Assume.t ->
   Access.t list ->
   (pair * Strategy.result) list
-(** {!map_pairs} composed with {!query}.  [observer] must be
-    domain-safe when a pool is given — it may fire from any worker. *)
+(** {!query} applied to every candidate pair of {!iter_pairs}, results
+    in enumeration order.  Without a pool (or with a sequential one)
+    the pairs are answered one at a time in that order.  With a
+    parallel pool, the candidate {e index} pairs (two ints each — never
+    the problems) are partitioned into chunks ([chunk] candidates each;
+    auto-tuned from the pool's observed per-element cost and
+    queue-wait telemetry when omitted), dealt to the pool's
+    work-stealing deques (problem construction and the query both run
+    in the workers), and merged back by index, so the list is
+    byte-identical to the sequential one for any job count, chunk size
+    or steal schedule.  [observer] must be domain-safe when a pool is
+    given — it may fire from any worker. *)
 
 val reset_metrics : unit -> unit
 (** Clears the global cache and the trace event buffers, then runs

@@ -1,73 +1,5 @@
-module Numth = Dlz_base.Numth
 module Trace = Dlz_base.Trace
-module Depeq = Dlz_deptest.Depeq
 module Problem = Dlz_deptest.Problem
-
-(* Canonical form of a numeric problem.  Two problems with the same
-   canonical form have the same integer solution set (term reordering,
-   global sign flip and division by a common factor of every coefficient
-   including the constant all preserve solutions exactly), the same
-   common-loop structure, and hence interchangeable query results. *)
-
-type cterm = { ct_coeff : int; ct_level : int; ct_side : int; ct_ub : int;
-               ct_name : string }
-
-type ceq = { cc0 : int; cterms : cterm list }
-
-type canon = {
-  c_n_common : int;
-  c_ubs : int list;
-  c_opaque : int;
-  c_eqs : ceq list;
-}
-
-let canon_eq (eq : Depeq.t) =
-  let terms =
-    List.map
-      (fun (t : Depeq.term) ->
-        {
-          ct_coeff = t.Depeq.coeff;
-          ct_level = t.Depeq.var.Depeq.v_level;
-          ct_side = (match t.Depeq.var.Depeq.v_side with `Src -> 0 | `Dst -> 1);
-          ct_ub = t.Depeq.var.Depeq.v_ub;
-          (* Level-0 variables are identified by name; paired loop
-             variables by (level, side) alone. *)
-          ct_name =
-            (if t.Depeq.var.Depeq.v_level = 0 then t.Depeq.var.Depeq.v_name
-             else "");
-        })
-      eq.Depeq.terms
-  in
-  let terms =
-    List.sort
-      (fun a b ->
-        Stdlib.compare
-          (a.ct_level, a.ct_side, a.ct_name, a.ct_ub, a.ct_coeff)
-          (b.ct_level, b.ct_side, b.ct_name, b.ct_ub, b.ct_coeff))
-      terms
-  in
-  let flip = match terms with t :: _ -> t.ct_coeff < 0 | [] -> eq.Depeq.c0 < 0 in
-  let c0, terms =
-    if flip then
-      ( -eq.Depeq.c0,
-        List.map (fun t -> { t with ct_coeff = -t.ct_coeff }) terms )
-    else (eq.Depeq.c0, terms)
-  in
-  let g = Numth.gcd_list (c0 :: List.map (fun t -> t.ct_coeff) terms) in
-  let c0, terms =
-    if g > 1 then
-      (c0 / g, List.map (fun t -> { t with ct_coeff = t.ct_coeff / g }) terms)
-    else (c0, terms)
-  in
-  { cc0 = c0; cterms = terms }
-
-let canonicalize (np : Problem.numeric) =
-  {
-    c_n_common = np.Problem.n_common;
-    c_ubs = Array.to_list np.Problem.common_ubs;
-    c_opaque = np.Problem.opaque_dims;
-    c_eqs = List.sort Stdlib.compare (List.map canon_eq np.Problem.eqs);
-  }
 
 (* --- flat cache keys ------------------------------------------------------- *)
 

@@ -14,10 +14,6 @@
 
 module Problem = Dlz_deptest.Problem
 
-type canon
-
-val canonicalize : Problem.numeric -> canon
-
 val key_of : cascade:string -> Problem.t -> string option
 (** The cache key: cascade name, a NUL byte, then the flat canonical
     encoding ({!Problem.Keybuf}); [None] for problems with no numeric

@@ -2,10 +2,11 @@ module Budget = Dlz_base.Budget
 module Trace = Dlz_base.Trace
 module Assume = Dlz_symbolic.Assume
 module Access = Dlz_ir.Access
-module Analyze = Dlz_engine.Analyze
 module Engine = Dlz_engine.Engine
+module Strategy = Dlz_engine.Strategy
 module Cascade = Dlz_engine.Cascade
 module Verdict = Dlz_deptest.Verdict
+module Depgraph = Dlz_vec.Depgraph
 module Parallel = Dlz_vec.Parallel
 
 (* One connection, one [handle] call, on whichever worker domain took
@@ -84,24 +85,21 @@ let run_analyze ctx fd ~rid ~client ~id ~lang ~source ~assume ~budget =
   in
   let accs, env = Access.of_program ~env prog in
   let cascade = Option.value ctx.cascade ~default:Cascade.delin in
-  let indep = ref 0 and dep = ref 0 and inap = ref 0 and pairs = ref 0 in
   (* One annot list and observer closure for the whole request; every
      query span it spawns carries the request id. *)
   let annot = [ ("rid", string_of_int rid); ("client", client) ] in
   let observer = Attrib.record_disposition ctx.attrib ~client in
-  (* Streamed: one frame per candidate pair as it is solved, then a
-     summary.  Serial on purpose — the daemon's parallelism is across
+  (* Streamed: one frame per candidate pair as it is answered, then a
+     summary whose counts and loop report read the same answers.
+     Serial on purpose — the daemon's parallelism is across
      connections, and a worker must not re-enter a pool. *)
+  let answered = ref [] in
   Engine.iter_pairs
     (fun (p : Engine.pair) ->
       let r = Engine.query ~cascade ~budget ~annot ~observer ~env
           p.Engine.problem in
-      incr pairs;
-      (match r.Dlz_engine.Strategy.verdict with
-      | Verdict.Independent -> incr indep
-      | Verdict.Dependent -> incr dep
-      | Verdict.Inapplicable -> incr inap);
-      if r.Dlz_engine.Strategy.degraded <> [] then
+      answered := (p, r) :: !answered;
+      if r.Strategy.degraded <> [] then
         Attrib.record_degraded ctx.attrib ~client;
       send_ok ctx fd ~rid ~id ~op:"pair"
         ([
@@ -112,14 +110,20 @@ let run_analyze ctx fd ~rid ~client ~id ~lang ~source ~assume ~budget =
          ]
         @ Proto.result_fields r))
     accs;
-  let loops = Parallel.report ~cascade ~budget ~env prog in
+  let results = List.rev !answered in
+  let count v =
+    Jsonx.Int
+      (List.length
+         (List.filter (fun (_, r) -> r.Strategy.verdict = v) results))
+  in
+  let loops = Parallel.of_graph prog (Depgraph.of_results accs results) in
   let par = List.length (List.filter (fun l -> l.Parallel.lr_parallel) loops) in
   send_ok ctx fd ~rid ~id ~op:"analyze"
     [
-      ("pairs", Jsonx.Int !pairs);
-      ("independent", Jsonx.Int !indep);
-      ("dependent", Jsonx.Int !dep);
-      ("inapplicable", Jsonx.Int !inap);
+      ("pairs", Jsonx.Int (List.length results));
+      ("independent", count Verdict.Independent);
+      ("dependent", count Verdict.Dependent);
+      ("inapplicable", count Verdict.Inapplicable);
       ("accesses", Jsonx.Int (List.length accs));
       ("loops_parallel", Jsonx.Int par);
       ("loops_serial", Jsonx.Int (List.length loops - par));
@@ -158,7 +162,7 @@ let dispatch ctx fd ~rid ~client ~id req =
           ~observer:(Attrib.record_disposition ctx.attrib ~client)
           ~budget ~env:Assume.empty problem
       in
-      if r.Dlz_engine.Strategy.degraded <> [] then
+      if r.Strategy.degraded <> [] then
         Attrib.record_degraded ctx.attrib ~client;
       send_ok ctx fd ~rid ~id ~op:"query" (Proto.result_fields r);
       true

@@ -5,6 +5,7 @@ module Verdict = Dlz_deptest.Verdict
 module Classify = Dlz_deptest.Classify
 module Analyze = Dlz_engine.Analyze
 module Engine = Dlz_engine.Engine
+module Strategy = Dlz_engine.Strategy
 
 type edge = {
   e_src : int;
@@ -30,15 +31,13 @@ let classify_vec v =
   in
   go 0
 
-(* Edges contributed by one candidate pair — the unit of work the pool
-   fans out. *)
-let edges_of_pair ?cascade ?budget ~env (pr : Engine.pair) =
+(* Edges contributed by one answered pair. *)
+let edges_of_result ((pr : Engine.pair), (r : Strategy.result)) =
   let a = pr.Engine.src and b = pr.Engine.dst in
-  let r = Analyze.vectors ?cascade ?budget ~env pr.Engine.problem in
-  if r.Analyze.verdict = Verdict.Independent then []
+  if r.Strategy.verdict = Verdict.Independent then []
   else
     let basics =
-      List.concat_map Analyze.decomposition r.Analyze.dirvecs
+      List.concat_map Analyze.decomposition r.Strategy.dirvecs
       |> List.sort_uniq Dirvec.compare
       |> List.filter (fun v ->
              (* The identity instance of a single reference is
@@ -73,26 +72,26 @@ let edges_of_pair ?cascade ?budget ~env (pr : Engine.pair) =
             else [])
       basics
 
-let build ?cascade ?budget ?(jobs = 1) ?pool ?chunk ?(env = Assume.empty) prog
-    =
-  Dlz_base.Trace.with_span ~cat:"driver" "depgraph.build" @@ fun () ->
-  let accs, env = Access.of_program ~env prog in
+let of_results accs results =
   let nstmts =
     List.fold_left (fun m a -> max m (a.Access.stmt_id + 1)) 0 accs
   in
   let stmt_names = Array.make nstmts "" in
   List.iter (fun a -> stmt_names.(a.Access.stmt_id) <- a.Access.stmt_name) accs;
-  let edges =
-    Dlz_base.Pool.with_jobs ?pool ~jobs (fun pool ->
-        List.concat
-          (Engine.map_pairs ?pool ?chunk
-             (edges_of_pair ?cascade ?budget ~env)
-             accs))
-  in
   (* Deduplicate identical edges (also fixes the final order, so the
      graph is byte-identical for any job count). *)
-  let edges = List.sort_uniq Stdlib.compare edges in
+  let edges =
+    List.sort_uniq Stdlib.compare (List.concat_map edges_of_result results)
+  in
   { nstmts; stmt_names; edges }
+
+let build ?cascade ?budget ?(jobs = 1) ?pool ?chunk ?(env = Assume.empty) prog
+    =
+  Dlz_base.Trace.with_span ~cat:"driver" "depgraph.build" @@ fun () ->
+  let accs, env = Access.of_program ~env prog in
+  of_results accs
+    (Dlz_base.Pool.with_jobs ?pool ~jobs (fun pool ->
+         Engine.query_all ?cascade ?budget ?pool ?chunk ~env accs))
 
 let edges_at_level g level =
   List.filter (fun e -> e.e_level >= level) g.edges

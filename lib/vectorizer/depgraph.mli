@@ -7,9 +7,9 @@
     reads before the write inside one statement).  This is the graph the
     Allen–Kennedy vectorizer consumes.
 
-    Pair enumeration and dependence queries go through the shared
-    {!Dlz_engine.Engine} path — the same pairs, orientation and memoized
-    cascade answers the whole-program analyzer uses. *)
+    Edges are a pure function of the shared {!Dlz_engine.Engine.query_all}
+    answers — the same pairs, orientation and cascade results the
+    whole-program analyzer turns into dependence rows. *)
 
 module Dirvec = Dlz_deptest.Dirvec
 module Assume = Dlz_symbolic.Assume
@@ -30,6 +30,18 @@ type t = {
   edges : edge list;
 }
 
+val of_results :
+  Dlz_ir.Access.t list ->
+  (Dlz_engine.Engine.pair * Dlz_engine.Strategy.result) list ->
+  t
+(** The graph of a program's answered pairs: [accs] are its accesses
+    (they name the statements), the pairs are {!Dlz_engine.Engine.query_all}
+    over them.  Pure: no query is asked.  Input (read-read) dependences
+    never appear among the pairs; a same-statement all-[=] vector (the
+    read feeding the write of one assignment) carries no constraint and
+    is dropped.  The edge list is sorted and deduplicated, so the graph
+    is identical for any job count or chunk size of the query pass. *)
+
 val build :
   ?cascade:Dlz_engine.Cascade.t ->
   ?budget:Dlz_base.Budget.t ->
@@ -39,13 +51,9 @@ val build :
   ?env:Assume.t ->
   Dlz_ir.Ast.program ->
   t
-(** Analyzes a normalized program.  Input (read-read) dependences are
-    ignored; a same-statement all-[=] vector (the read feeding the write
-    of one assignment) carries no constraint and is dropped.
-
-    [jobs]/[pool]/[chunk] parallelize the pair queries exactly as in
-    {!Dlz_engine.Analyze.deps_of_accesses}; the edge list is sorted, so
-    the graph is identical for any job count or chunk size. *)
+(** {!of_results} of one query pass over a normalized program's
+    accesses.  [jobs]/[pool]/[chunk] parallelize the pass exactly as in
+    {!Dlz_engine.Analyze.deps_of_accesses}. *)
 
 val edges_at_level : t -> int -> edge list
 (** Edges not carried by loops outer than [level]: carrying level

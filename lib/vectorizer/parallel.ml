@@ -28,8 +28,7 @@ let loops_with_stmts (p : Ast.program) =
   List.iter (fun s -> ignore (go [] 0 s)) p.body;
   List.rev !loops
 
-let report ?cascade ?budget ?jobs ?pool ?chunk ?env p =
-  let graph = Depgraph.build ?cascade ?budget ?jobs ?pool ?chunk ?env p in
+let of_graph p (graph : Depgraph.t) =
   List.map
     (fun (var, level, path, stmts) ->
       let carried =
@@ -49,5 +48,8 @@ let report ?cascade ?budget ?jobs ?pool ?chunk ?env p =
         lr_carried = carried;
       })
     (loops_with_stmts p)
+
+let report ?cascade ?budget ?jobs ?pool ?chunk ?env p =
+  of_graph p (Depgraph.build ?cascade ?budget ?jobs ?pool ?chunk ?env p)
 
 let fully_parallel reports = List.for_all (fun r -> r.lr_parallel) reports

@@ -15,6 +15,12 @@ type loop_report = {
   lr_carried : int;  (** Dependences carried at this level. *)
 }
 
+val of_graph : Dlz_ir.Ast.program -> Depgraph.t -> loop_report list
+(** One entry per loop of the (normalized) program, in source order,
+    read off the program's dependence graph: a loop is serial when an
+    edge between two statements of its body is carried at its level.
+    Pure: no query is asked. *)
+
 val report :
   ?cascade:Dlz_engine.Cascade.t ->
   ?budget:Dlz_base.Budget.t ->
@@ -24,9 +30,8 @@ val report :
   ?env:Dlz_symbolic.Assume.t ->
   Dlz_ir.Ast.program ->
   loop_report list
-(** One entry per loop of the (normalized) program, in source order.
-    [jobs]/[pool]/[chunk] parallelize the underlying
-    {!Depgraph.build}. *)
+(** {!of_graph} of {!Depgraph.build}: one query pass over the program.
+    [jobs]/[pool]/[chunk] parallelize that pass. *)
 
 val fully_parallel : loop_report list -> bool
 (** Every loop parallel (the verdict the corpus ablation counts). *)

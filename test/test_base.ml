@@ -1,5 +1,5 @@
 (* Unit and property tests for dlz_base: checked arithmetic, number
-   theory, rationals, intervals, the PRNG, budgets and the table
+   theory, intervals, the PRNG, budgets and the table
    renderer. *)
 
 open Dlz_base
@@ -226,64 +226,6 @@ let numth_props =
            (* no congruent value is strictly closer *)
         && abs (r - target) <= abs (r - g - target)
         && abs (r - target) <= abs (r + g - target));
-  ]
-
-(* --- Rat ----------------------------------------------------------------- *)
-
-let rat_units =
-  [
-    Alcotest.test_case "normalization" `Quick (fun () ->
-        let r = Rat.make 6 (-4) in
-        Alcotest.(check int) "num" (-3) (Rat.num r);
-        Alcotest.(check int) "den" 2 (Rat.den r);
-        Alcotest.(check bool) "zero den raises" true
-          (match Rat.make 1 0 with
-          | exception Division_by_zero -> true
-          | _ -> false));
-    Alcotest.test_case "floor/ceil" `Quick (fun () ->
-        Alcotest.(check int) "floor 7/2" 3 (Rat.floor (Rat.make 7 2));
-        Alcotest.(check int) "floor -7/2" (-4) (Rat.floor (Rat.make (-7) 2));
-        Alcotest.(check int) "ceil 7/2" 4 (Rat.ceil (Rat.make 7 2));
-        Alcotest.(check int) "ceil -7/2" (-3) (Rat.ceil (Rat.make (-7) 2)));
-    Alcotest.test_case "to_int_exn" `Quick (fun () ->
-        Alcotest.(check int) "4/2" 2 (Rat.to_int_exn (Rat.make 4 2));
-        Alcotest.(check bool) "1/2 raises" true
-          (match Rat.to_int_exn (Rat.make 1 2) with
-          | exception Invalid_argument _ -> true
-          | _ -> false));
-    Alcotest.test_case "printing" `Quick (fun () ->
-        Alcotest.(check string) "int prints plain" "3"
-          (Rat.to_string (Rat.of_int 3));
-        Alcotest.(check string) "fraction" "-3/2"
-          (Rat.to_string (Rat.make 3 (-2))));
-  ]
-
-let arb_rat =
-  QCheck.map
-    (fun (n, d) -> Rat.make n (if d = 0 then 1 else d))
-    QCheck.(pair (int_range (-300) 300) (int_range (-30) 30))
-
-let rat_props =
-  [
-    QCheck.Test.make ~name:"add commutative" ~count:300
-      (QCheck.pair arb_rat arb_rat) (fun (a, b) ->
-        Rat.equal (Rat.add a b) (Rat.add b a));
-    QCheck.Test.make ~name:"mul distributes over add" ~count:300
-      (QCheck.triple arb_rat arb_rat arb_rat) (fun (a, b, c) ->
-        Rat.equal (Rat.mul a (Rat.add b c))
-          (Rat.add (Rat.mul a b) (Rat.mul a c)));
-    QCheck.Test.make ~name:"sub then add round-trips" ~count:300
-      (QCheck.pair arb_rat arb_rat) (fun (a, b) ->
-        Rat.equal a (Rat.add (Rat.sub a b) b));
-    QCheck.Test.make ~name:"compare consistent with to_float" ~count:300
-      (QCheck.pair arb_rat arb_rat) (fun (a, b) ->
-        let c = Rat.compare a b in
-        let f = compare (Rat.to_float a) (Rat.to_float b) in
-        c = 0 || c = f);
-    QCheck.Test.make ~name:"floor <= x < floor+1" ~count:300 arb_rat (fun a ->
-        let f = Rat.floor a in
-        Rat.compare (Rat.of_int f) a <= 0
-        && Rat.compare a (Rat.of_int (f + 1)) < 0);
   ]
 
 (* --- Ivl ----------------------------------------------------------------- *)
@@ -520,8 +462,6 @@ let () =
       ("intx-props", List.map QCheck_alcotest.to_alcotest intx_props);
       ("numth", numth_units);
       ("numth-props", List.map QCheck_alcotest.to_alcotest numth_props);
-      ("rat", rat_units);
-      ("rat-props", List.map QCheck_alcotest.to_alcotest rat_props);
       ("ivl", ivl_units);
       ("ivl-props", List.map QCheck_alcotest.to_alcotest ivl_props);
       ("prng", prng_units);

@@ -8,7 +8,7 @@
 
    This binary is meaningful both ways: under `dune runtest` it
    configures chaos explicitly per test (the environment is clean);
-   under the @chaos-ci alias DLZ_CHAOS is set globally, which the
+   under the @matrix-ci alias DLZ_CHAOS is set globally, which the
    explicit configurations simply override. *)
 
 module Budget = Dlz_base.Budget
@@ -235,7 +235,7 @@ let test_chaos_parallel_equals_serial () =
    every report byte-identical to the plain run, provenance included.
    Each run starts from an empty cache, so every pair is solved under
    the configuration being checked.  Injection is switched off locally
-   for the baseline, so the case holds under @chaos-ci too. *)
+   for the baseline, so the case holds under @matrix-ci too. *)
 let test_fault_free_configs_change_nothing () =
   let progs =
     List.map

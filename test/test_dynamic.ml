@@ -163,18 +163,18 @@ let props =
                     match Problem.to_numeric p with
                     | None -> true
                     | Some np -> (
-                        let r = Analyze.vectors ~env p in
+                        let r = Dlz_engine.Engine.query ~env p in
                         match
                           Rangevec.of_exact ~common_ubs:np.Problem.common_ubs
                             np.Problem.eqs
                         with
                         | None -> true
                         | Some exact ->
-                            r.Analyze.dirvecs = []
+                            r.Dlz_engine.Strategy.dirvecs = []
                             || Rangevec.subsumes
                                  (Rangevec.of_directions
                                     ~common_ubs:np.Problem.common_ubs
-                                    r.Analyze.dirvecs)
+                                    r.Dlz_engine.Strategy.dirvecs)
                                  exact)))
               accs)
           accs);

@@ -150,7 +150,7 @@ let check_presets_on src =
       List.iter
         (fun (mode, cascade) ->
           let via_mode =
-            Analyze.vectors ~cascade:(Analyze.cascade_of_mode mode) ~env
+            Engine.query ~cascade:(Analyze.cascade_of_mode mode) ~env
               pr.Engine.problem
           in
           let direct =
@@ -158,16 +158,16 @@ let check_presets_on src =
               pr.Engine.problem
           in
           Alcotest.check verdict "verdicts agree" direct.Strategy.verdict
-            via_mode.Analyze.verdict;
+            via_mode.Strategy.verdict;
           Alcotest.(check string)
             "provenance agrees" direct.Strategy.decided_by
-            via_mode.Analyze.decided_by;
+            via_mode.Strategy.decided_by;
           Alcotest.(check bool)
             "dirvecs agree" true
             (List.length direct.Strategy.dirvecs
-             = List.length via_mode.Analyze.dirvecs
+             = List.length via_mode.Strategy.dirvecs
             && List.for_all2 Dirvec.equal direct.Strategy.dirvecs
-                 via_mode.Analyze.dirvecs))
+                 via_mode.Strategy.dirvecs))
         [
           (Analyze.Delinearize, Cascade.delin);
           (Analyze.Classic, Cascade.classic);
@@ -198,13 +198,13 @@ let test_presets_match_modes_corpus () =
       let accs, env = Access.of_program prog in
       Seq.iter
         (fun (pr : Engine.pair) ->
-          let via_mode = Analyze.vectors ~env pr.Engine.problem in
+          let via_mode = Engine.query ~env pr.Engine.problem in
           let direct =
             Cascade.run ~stats:(Stats.create ()) ~env Cascade.delin
               pr.Engine.problem
           in
           Alcotest.check verdict "delin preset matches mode on corpus"
-            direct.Strategy.verdict via_mode.Analyze.verdict)
+            direct.Strategy.verdict via_mode.Strategy.verdict)
         (Engine.pairs_seq accs))
     [ "SPHOT"; "SIMPLE" ]
 
@@ -360,7 +360,7 @@ let test_pairs_write_first () =
 
 (* --- analyzer/depgraph consistency (the orientation regression) ----------- *)
 
-(* Both consumers enumerate through Engine.pairs_seq; the depgraph
+(* Both views read the same Engine.query_all answers; the depgraph
    additionally reorients lexicographically-backward vectors and — by
    design — drops within-statement loop-independent dependences (an
    all-[=] vector on a single statement does not constrain loop
@@ -393,8 +393,10 @@ let test_analyze_depgraph_consistent () =
       List.iter
         (fun mode ->
           let cascade = Analyze.cascade_of_mode mode in
-          let deps = Analyze.deps_of_program ~cascade prog in
-          let g = Depgraph.build ~cascade prog in
+          let accs, env = Access.of_program prog in
+          let results = Engine.query_all ~cascade ~env accs in
+          let deps = Analyze.deps_of_results results in
+          let g = Depgraph.of_results accs results in
           Alcotest.(check (list (pair int int)))
             (Printf.sprintf "%s: same dependent statement pairs" name)
             (unordered_pairs_of_deps deps)

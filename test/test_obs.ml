@@ -7,8 +7,8 @@
    scrape count, or how many domains did the recording — the registry
    sorts by (name, labels) and the writers are value-deterministic.
    Every assertion here is structural or byte-exact and independent of
-   scheduling, so the suite is injection-proof by design (@obs-ci runs
-   it under a chaos seed and at width 2).
+   scheduling, so the suite is injection-proof by design (@matrix-ci
+   runs it under a chaos seed and at width 2).
 
    Collectors registered by this suite use a "t_..." name prefix and
    are unregistered on exit, so the process-wide collectors the linked
@@ -579,7 +579,7 @@ let engine_golden =
    exactly as pinned.  The reset step pins which labelled rows survive
    a reset: only what the second workload touched is shown.  The
    pool's EMA gauge is wall-clock and left out.  Injection is switched
-   off locally so the @obs-ci chaos run renders the same. *)
+   off locally so the @matrix-ci chaos run renders the same. *)
 let test_engine_collector_golden () =
   let module Engine = Dlz_engine.Engine in
   let module Stats = Dlz_engine.Stats in

@@ -5,7 +5,7 @@
    that must stay clean, and checked-in counterexamples from the bugs
    the oracle's families were built to flush out.
 
-   Under the @oracle-ci alias this binary also runs with DLZ_ORACLE_SEED
+   Under the @matrix-ci alias this binary also runs with DLZ_ORACLE_SEED
    / DLZ_TEST_JOBS overriding the sweep configuration (serial when
    DLZ_TEST_JOBS is unset). *)
 
@@ -345,7 +345,7 @@ let shrink_units =
 
 (* The acceptance bar: the registered cascade has no UNSOUND and no
    INTERNAL divergence on the pinned batches, and the report is
-   byte-identical across job counts.  @oracle-ci re-runs this binary
+   byte-identical across job counts.  @matrix-ci re-runs this binary
    with DLZ_ORACLE_SEED=2 and DLZ_TEST_JOBS=2. *)
 let sweep_units =
   [

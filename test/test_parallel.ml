@@ -5,8 +5,8 @@
    and atomic stats under concurrent hammering.
 
    The parallelism width is taken from DLZ_TEST_JOBS (default 4); CI on
-   constrained runners sets it to 2 via the @parallel-ci alias in
-   test/dune.  The determinism properties are width-independent, so a
+   constrained runners sets it to 2 via the @matrix-ci alias
+   (test/ci_matrix.sh).  The determinism properties are width-independent, so a
    smaller width only reduces scheduling variety, never coverage. *)
 
 module Pool = Dlz_base.Pool
@@ -29,7 +29,7 @@ module Chaos = Dlz_engine.Chaos
 
 (* The cache-accounting tests below assert that every distinct key gets
    inserted — but degraded results are deliberately never cached, so a
-   @chaos-ci run (DLZ_CHAOS set) would violate the arithmetic.  Those
+   @matrix-ci chaos run (DLZ_CHAOS set) would violate the arithmetic.  Those
    tests check cache bookkeeping, not containment; run them with
    injection off and restore whatever was configured. *)
 let without_chaos f () =

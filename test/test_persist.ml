@@ -15,7 +15,7 @@
    tree is byte-identical for any job count, cold or warm.
 
    The suite honors DLZ_TEST_JOBS (default 4) like test_parallel, and
-   runs under @cache-ci at width 2 and with DLZ_CHAOS set.  Tests that
+   runs under @matrix-ci at width 2 and with DLZ_CHAOS set.  Tests that
    assert a load {e succeeds} switch injection off locally (a strike in
    persist.load is a legitimate refusal, which would fail those
    assertions by design, not by bug). *)
@@ -35,6 +35,7 @@ module Query = Dlz_engine.Query
 module Stats = Dlz_engine.Stats
 module Persist = Dlz_engine.Persist
 module Chaos = Dlz_engine.Chaos
+module Jsonx = Dlz_obs.Jsonx
 
 let without_chaos f () =
   let saved = Chaos.current () in
@@ -504,10 +505,23 @@ let test_bulk_timings_fields () =
   in
   Alcotest.(check bool) "every line carries elapsed_ns" true
     (List.for_all (has_frag "\"elapsed_ns\":") lines);
+  let summary =
+    match Option.map Jsonx.parse (List.nth_opt (List.rev lines) 0) with
+    | Some (Ok j) -> j
+    | _ -> Alcotest.fail "no summary line"
+  in
+  let field path =
+    Option.bind
+      (List.fold_left
+         (fun j k -> Option.bind j (Jsonx.member k))
+         (Some summary) path)
+      Jsonx.to_int
+  in
   Alcotest.(check bool) "summary carries the cache disposition" true
-    (match List.rev lines with
-    | summary :: _ -> has_frag "\"warm_hits\":" summary
-    | [] -> false)
+    (field [ "cache"; "warm_hits" ] <> None);
+  (* Counts, dep rows and the loop report read one query pass. *)
+  Alcotest.(check (option int)) "one query per pair" (field [ "pairs" ])
+    (field [ "cache"; "queries" ])
 
 let () =
   Alcotest.run "persist"

@@ -17,7 +17,7 @@
      warm cache, and a restart from that snapshot answers warm.
 
    Exact-assertion tests switch process-wide chaos injection off
-   locally (the @serve-ci alias also runs this suite with DLZ_CHAOS
+   locally (the @matrix-ci alias also runs this suite with DLZ_CHAOS
    set); the two-seed chaos battery at the end sets its own seeds and
    asserts only injection-proof facts: every client terminates, the
    daemon survives, and a clean ping works afterwards. *)
@@ -276,7 +276,7 @@ let test_query_matches_engine =
 
 let test_analyze_stream =
   without_chaos @@ fun () ->
-  let (), _ =
+  let pair_frames, _ =
     with_server (fun addr ->
         let c = connect addr in
         (match
@@ -291,41 +291,48 @@ let test_analyze_stream =
          with
         | Error m -> Alcotest.fail m
         | Ok () -> ());
-        (match Client.read_stream c with
-        | Error m -> Alcotest.fail m
-        | Ok frames ->
-            let pairs, summary =
-              List.partition
-                (fun j ->
-                  match Jsonx.member "op" j with
-                  | Some (Jsonx.Str "pair") -> true
-                  | _ -> false)
-                frames
-            in
-            let s =
-              match summary with
-              | [ s ] -> s
-              | _ -> Alcotest.fail "expected exactly one summary frame"
-            in
-            Alcotest.(check bool) "summary ok" true (get_bool s "ok");
-            Alcotest.(check bool) "summary done" true (get_bool s "done");
-            Alcotest.(check int)
-              "summary pairs = streamed pair frames" (List.length pairs)
-              (get_int s "pairs");
-            Alcotest.(check bool)
-              "found dependences" true
-              (get_int s "dependent" > 0);
-            List.iter
-              (fun p ->
-                ignore (get_str p "verdict");
-                ignore (get_str p "src");
-                Alcotest.(check int) "pair id echoed" 7 (get_int p "id"))
-              pairs);
+        let n =
+          match Client.read_stream c with
+          | Error m -> Alcotest.fail m
+          | Ok frames ->
+              let pairs, summary =
+                List.partition
+                  (fun j ->
+                    match Jsonx.member "op" j with
+                    | Some (Jsonx.Str "pair") -> true
+                    | _ -> false)
+                  frames
+              in
+              let s =
+                match summary with
+                | [ s ] -> s
+                | _ -> Alcotest.fail "expected exactly one summary frame"
+              in
+              Alcotest.(check bool) "summary ok" true (get_bool s "ok");
+              Alcotest.(check bool) "summary done" true (get_bool s "done");
+              Alcotest.(check int)
+                "summary pairs = streamed pair frames" (List.length pairs)
+                (get_int s "pairs");
+              Alcotest.(check bool)
+                "found dependences" true
+                (get_int s "dependent" > 0);
+              List.iter
+                (fun p ->
+                  ignore (get_str p "verdict");
+                  ignore (get_str p "src");
+                  Alcotest.(check int) "pair id echoed" 7 (get_int p "id"))
+                pairs;
+              List.length pairs
+        in
         (* The stream left the connection clean: it still serves. *)
         ping ~id:8 c;
-        Client.close c)
+        Client.close c;
+        n)
   in
-  ()
+  (* The pair frames, the counts and the loop report come from one
+     query per pair. *)
+  Alcotest.(check int) "one engine query per pair frame" pair_frames
+    (served "vic_engine_queries_total")
 
 (* --- containment --------------------------------------------------------- *)
 
@@ -919,7 +926,7 @@ let test_metrics_verb_prom =
    script, pinned byte for byte: the [vic_serve_*] and [vic_client_*]
    counter and gauge rows (histograms are timings and left out),
    rendered after the drain so every worker has recorded.  Injection
-   is off locally, so every @serve-ci configuration renders the same. *)
+   is off locally, so every @matrix-ci configuration renders the same. *)
 let serve_golden =
   "# HELP vic_client_cache_hits_total engine cache hits per client\n\
    # TYPE vic_client_cache_hits_total counter\n\
@@ -1056,8 +1063,7 @@ let chaos_battery seed () =
           queue_capacity = 16;
         }
       (fun addr ->
-        Serve.load_gen ~addr ~clients:8 ~sessions:48 ~requests_per_session:4
-          ~workload:Serve.Mix ())
+        Serve.load_gen ~addr ~clients:8 ~sessions:48 ~requests_per_session:4)
   in
   let r = rep in
   let classified =

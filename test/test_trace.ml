@@ -10,7 +10,7 @@
    restores them on exit, so the suite is insensitive to DLZ_TRACE /
    DLZ_TRACE_SAMPLE in the environment; the engine-facing tests assert
    structural invariants only (balance, one-span-per-query, provenance
-   consistency), which hold under DLZ_CHAOS too — the @trace-ci alias
+   consistency), which hold under DLZ_CHAOS too — the @matrix-ci alias
    runs this binary under one chaos seed on purpose. *)
 
 module Trace = Dlz_base.Trace

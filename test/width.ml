@@ -1,5 +1,6 @@
 (* The parallel width of the test suites, read once from DLZ_TEST_JOBS.
-   The *-ci aliases in test/dune set it to 2 for two-core runners. *)
+   The @matrix-ci rows in test/ci_matrix.sh set it to 2 for two-core
+   runners. *)
 
 (* The requested width; [None] when DLZ_TEST_JOBS is unset or not an
    integer. *)
