@@ -69,19 +69,14 @@ let conv_of ~parse ~to_string =
     ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
       Fmt.of_to_string to_string )
 
-let int_where ok ~expected =
+let non_negative what =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when ok n -> Ok n
-    | Ok _ -> Error (`Msg ("expected " ^ expected))
+    | Ok n when n >= 0 -> Ok n
+    | Ok _ -> Error (`Msg ("expected a non-negative " ^ what))
     | Error _ as e -> e
   in
   Arg.conv (parse, Format.pp_print_int)
-
-let non_negative what =
-  int_where (fun n -> n >= 0) ~expected:("a non-negative " ^ what)
-
-let positive what = int_where (fun n -> n > 0) ~expected:("a positive " ^ what)
 
 let comma_list s =
   String.split_on_char ',' s |> List.map String.trim
@@ -389,13 +384,6 @@ let jobs_arg =
                  (default 1 = serial; 0 = the recommended domain count\n\
                  for this machine).  Output is identical for any N.")
 
-let chunk_arg =
-  Arg.(value & opt (some (positive "candidate count")) None
-       & info [ "chunk" ] ~docv:"K"
-           ~doc:"Queries per work-stealing deal (default: auto-tuned\n\
-                 from observed per-query cost and queue-wait telemetry).\n\
-                 Output is identical for any K.")
-
 (* --- commands ------------------------------------------------------------ *)
 
 let ranges_arg =
@@ -404,14 +392,14 @@ let ranges_arg =
            ~doc:"Also print Wolf-Lam range vectors (exact per-level\n\
                  delta ranges) for each dependence [WL91].")
 
-let analyze_one ~cascade ~budget ~pool ~chunk ~ranges input =
+let analyze_one ~cascade ~budget ~pool ~ranges input =
   let prog = prepare input in
   print_endline (Ast.to_string prog);
   print_newline ();
   (* One query pass feeds both the dependence rows and the loop report. *)
   let accs, env = Dlz_ir.Access.of_program ~env:input.env prog in
   let results =
-    Dlz_engine.Engine.query_all ~cascade ?budget ?pool ?chunk ~env accs
+    Dlz_engine.Engine.query_all ~cascade ?budget ?pool ~env accs
   in
   let deps = Analyze.deps_of_results results in
   if deps = [] then print_endline "No dependences: fully parallel."
@@ -484,7 +472,7 @@ let analyze_cmd =
                    fields are scheduling-dependent, so the report is no\n\
                    longer byte-identical across --jobs values.")
   in
-  let run input cascade budget jobs chunk chaos cache ranges timings
+  let run input cascade budget jobs chaos cache ranges timings
       telemetry =
     set_chaos chaos;
     with_telemetry ~more_stats:print_cache_stats telemetry @@ fun () ->
@@ -509,7 +497,7 @@ let analyze_cmd =
               (Dlz_driver.Bulk.run ~cascade ?budget ?pool ~env:input.env
                  ~timings d)
         | `File file ->
-            analyze_one ~cascade ~budget ~pool ~chunk ~ranges
+            analyze_one ~cascade ~budget ~pool ~ranges
               { input with target = file });
         match cache.cache_save with
         | None -> ()
@@ -522,7 +510,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Normalize a program and report its dependences.")
     Term.(const run $ input_term file_or_dir_arg $ tester_term $ budget_term
-          $ jobs_arg $ chunk_arg $ chaos_arg $ cache_term $ ranges_arg
+          $ jobs_arg $ chaos_arg $ cache_term $ ranges_arg
           $ timings_arg
           $ telemetry_term ~stats_json:stats_json_arg
               ~trace_mask:trace_mask_arg ())
@@ -668,12 +656,15 @@ let graph_cmd =
     Arg.(value & flag
          & info [ "dot" ] ~doc:"Emit Graphviz DOT instead of plain text.")
   in
-  let run input cascade dot jobs chunk =
+  let run input cascade dot jobs =
     (* Same scoping discipline as analyze: metrics cover exactly this
        invocation's work. *)
     Dlz_engine.Engine.reset_metrics ();
     let prog = prepare input in
-    let g = Depgraph.build ~cascade ~jobs ?chunk ~env:input.env prog in
+    let g =
+      Dlz_base.Pool.with_jobs ~jobs (fun pool ->
+          Depgraph.build ~cascade ?pool ~env:input.env prog)
+    in
     if not dot then Format.printf "%a@." Depgraph.pp g
     else begin
       print_endline "digraph deps {";
@@ -693,27 +684,27 @@ let graph_cmd =
   Cmd.v
     (Cmd.info "graph"
        ~doc:"Print the statement dependence graph (optionally as DOT).")
-    Term.(const run $ input_term file_arg $ mode_arg $ dot_arg $ jobs_arg
-          $ chunk_arg)
+    Term.(const run $ input_term file_arg $ mode_arg $ dot_arg $ jobs_arg)
 
 let experiments_cmd =
   let id_arg =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"ID"
            ~doc:"Experiment id (e1..e8); all when omitted.")
   in
-  let run id jobs chunk =
+  let run id jobs =
     (* Same scoping discipline as analyze: metrics cover exactly this
        invocation's work. *)
     Dlz_engine.Engine.reset_metrics ();
+    Dlz_base.Pool.with_jobs ~jobs @@ fun pool ->
     match id with
     | None ->
         List.iter
           (fun (_, report) ->
             print_endline report;
             print_newline ())
-          (Experiments.all ~jobs ?chunk ())
+          (Experiments.all ?pool ())
     | Some id -> (
-        match Experiments.run ~jobs ?chunk id with
+        match Experiments.run ?pool id with
         | Some report -> print_endline report
         | None ->
             prerr_endline ("unknown experiment: " ^ id);
@@ -722,7 +713,7 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's tables and figures (E1-E8).")
-    Term.(const run $ id_arg $ jobs_arg $ chunk_arg)
+    Term.(const run $ id_arg $ jobs_arg)
 
 let corpus_cmd =
   let dump_arg =
@@ -844,8 +835,9 @@ let fuzz_cmd =
             @ (if polybench then Eqgen.polybench () else [])
       in
       let report =
-        Differ.run ~stats:Dlz_engine.Stats.global ~jobs ?fuel ~limit ~shrink
-          cases
+        Dlz_base.Pool.with_jobs ~jobs (fun pool ->
+            Differ.run ~stats:Dlz_engine.Stats.global ?pool ?fuel ~limit
+              ~shrink cases)
       in
       print_string (Differ.report_to_string report);
       (match out with

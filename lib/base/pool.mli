@@ -1,21 +1,21 @@
-(** A work-stealing domain pool (OCaml 5 [Domain] + [Mutex] /
-    [Condition], no external dependencies).
+(** A domain pool (OCaml 5 [Domain] + [Mutex] / [Condition], no
+    external dependencies).
 
     The dependence engine's pair queries are embarrassingly parallel;
     this pool is the one place that owns domains for them.  A pool of
     size [n] uses [n]-way parallelism: [n - 1] spawned worker domains
-    plus the calling domain, which participates as domain slot 0 while
-    a {!map} call is in flight (so a 2-domain pool really runs two
-    chunks at once and no domain sits idle).
+    plus the calling domain, which takes chunks alongside the workers
+    while a {!map} call is in flight (so a 2-domain pool really runs
+    two chunks at once and no domain sits idle).
 
-    Scheduling is work-stealing over per-domain deques: a {!map} deals
-    its chunks round-robin over one deque per domain up front; each
-    domain pops its own deque from the newest end (LIFO) and, when dry,
-    steals the {e oldest} chunk from another domain's deque (FIFO).
-    Contention is per-deque, touched only when dealing, stealing, or
-    parking — never per element.  Scheduling decides only {e who} runs
-    a chunk; results always land by element index, so the output is
-    byte-identical for every pool size and chunk size.
+    Scheduling is one shared counter: a {!map} cuts its input into
+    chunks of [max 1 (n / (8 * width))] elements, wakes the parked
+    workers once, and every domain (the caller included) takes the
+    next chunk index from one [Atomic] counter until none is left.  A
+    domain stuck on a slow chunk simply takes no more; the others
+    finish the rest.  Scheduling decides only {e who} runs a chunk;
+    results always land by element index, so the output is
+    byte-identical for every pool size.
 
     [create ~domains:1] (or less) builds the {e sequential} pool:
     {!map} degrades to a plain [Array.map] on the calling domain, no
@@ -35,39 +35,16 @@ val create : domains:int -> t
 val domains : t -> int
 (** The parallelism width ([1] for the sequential pool). *)
 
-val map : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
+val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f arr] is [Array.map f arr], computed in parallel in
     contiguous chunks.  Results land by index, not by completion order,
-    so the output is deterministic and independent of scheduling,
-    stealing, and chunking.  Exceptions from [f] are contained per
-    element: a raising job never kills a worker domain — whether the
-    chunk ran on its home deque or was stolen — never skips the other
-    elements of its chunk, and never deadlocks the caller; every
-    element is attempted, and then the failure at the {e lowest index}
-    (the one the sequential path would hit first) is re-raised in the
-    caller.  [f] must be safe to run on any domain.
-
-    [chunk] overrides the chunk size (the CLI's [--chunk]); when
-    omitted it is auto-tuned: chunks are sized so each costs at least
-    ~20µs of work — or 32x the median dispatch latency from the
-    ["pool.queue_wait"] histogram when timing is on — based on a moving
-    average of recent per-element cost, capped so every domain still
-    has at least two chunks to expose to thieves.  Raises
-    [Invalid_argument] when [chunk <= 0]. *)
-
-val auto_chunk : t -> int -> int
-(** [auto_chunk pool n] is the chunk size an auto-tuned {!map} over [n]
-    elements would pick right now (introspection for tests and the
-    bench harness; the sequential pool answers [n]). *)
-
-val steals : unit -> int
-(** Process-wide count of chunks taken from another domain's deque
-    since start or {!reset_metrics}. *)
-
-val reset_metrics : unit -> unit
-(** Zeroes the steal counter and the chunk auto-tuner's moving average
-    (the ["pool.queue_wait"] histogram itself is owned by
-    {!Trace.reset_hists}). *)
+    so the output is deterministic and independent of scheduling.
+    Exceptions from [f] are contained per element: a raising job never
+    kills a worker domain, never skips the other elements of its
+    chunk, and never deadlocks the caller; every element is attempted,
+    and then the failure at the {e lowest index} (the one the
+    sequential path would hit first) is re-raised in the caller.  [f]
+    must be safe to run on any domain. *)
 
 val shutdown : t -> unit
 (** Stops and joins the workers.  Idempotent; the sequential pool is a
@@ -82,9 +59,9 @@ val resolve_jobs : int -> int
     [Domain.recommended_domain_count ()], positive counts are
     themselves.  Raises [Invalid_argument] on negatives. *)
 
-val with_jobs : ?pool:t -> jobs:int -> (t option -> 'a) -> 'a
-(** The one pool-provisioning policy shared by the engine consumers:
-    an explicit [pool] is passed through (and {e not} shut down);
-    otherwise [jobs] (per {!resolve_jobs}) domains are spun up for the
-    duration of [f] — or none at all when [jobs <= 1], in which case
-    [f] receives [None] and must take its exact serial path. *)
+val with_jobs : jobs:int -> (t option -> 'a) -> 'a
+(** The one place a job count becomes a pool: [jobs] (per
+    {!resolve_jobs}) domains are spun up for the duration of [f] — or
+    none at all when [jobs <= 1], in which case [f] receives [None] and
+    must take its exact serial path.  Library entry points take the
+    resulting [?pool], never a job count. *)

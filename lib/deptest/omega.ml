@@ -177,23 +177,26 @@ let rec solve_ineqs budget sys =
                     (* Splinter: an integer point outside the dark shadow
                        must sit within (b·c_max - b - c_max)/c_max of some
                        lower bound b·x ≥ -r, so case-split on
-                       b·x + r = i over every lower bound. *)
+                       b·x + r = i over every lower bound.  The cases are
+                       generated lazily: there can be millions, and each
+                       is charged to the budget only as it is tried. *)
                     let c_max =
                       List.fold_left (fun m r -> max m (-r.cs.(v))) 1 uppers
                     in
                     let cases =
-                      List.concat_map
+                      Seq.concat_map
                         (fun l ->
                           let b = l.cs.(v) in
                           let hi = ((b * c_max) - c_max - b) / c_max in
-                          List.init (max 0 (hi + 1)) (fun i ->
+                          Seq.init (max 0 (hi + 1)) (fun i ->
                               { l with k = Intx.sub l.k i }))
-                        lowers
+                        (List.to_seq lowers)
                     in
                     let any_unknown = ref (real_result = Unknown) in
-                    let rec try_splinter = function
-                      | [] -> if !any_unknown then Unknown else Unsat
-                      | eq :: restc -> (
+                    let rec try_splinter cases =
+                      match cases () with
+                      | Seq.Nil -> if !any_unknown then Unknown else Unsat
+                      | Seq.Cons (eq, restc) -> (
                           match
                             solve_full budget
                               { nv = sys.nv; eqs = [ eq ]; ineqs = rows }

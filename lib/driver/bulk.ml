@@ -218,9 +218,7 @@ let reports ?(cascade = Dlz_engine.Cascade.delin) ?budget ?pool ?env dir =
   let worker rel = analyze_file ~cascade ~budget ~env dir rel in
   let reports =
     match pool with
-    (* One file is one unit of steal: file costs vary wildly, so any
-       grouping would serialize the tail. *)
-    | Some p -> Pool.map p ~chunk:1 worker files
+    | Some p -> Pool.map p worker files
     | None -> Array.map worker files
   in
   Array.to_list reports

@@ -6,9 +6,9 @@
     query path — the point being the shared cache: kernels of a family
     raise the same canonical dependence equations, so later files ride
     on earlier files' solves (and on a persisted snapshot, when one was
-    loaded).  Files fan out over the work-stealing pool, one file per
-    job; the per-file analysis itself stays serial, so no pool is ever
-    entered twice.  A file is one {!Dlz_ir.Access.of_program} and one
+    loaded).  Files fan out over the pool, one file per element of
+    {!Dlz_base.Pool.map}; the per-file analysis itself stays serial, so
+    no pool is ever entered twice.  A file is one {!Dlz_ir.Access.of_program} and one
     {!Dlz_engine.Engine.query_all} pass: its verdict counts, dep rows
     and loop report all read that one answer per pair.
 
@@ -40,8 +40,8 @@ val run :
   string list
 (** [run dir] analyzes every kernel under [dir] and returns the NDJSON
     report lines: one per kernel in sorted order, then the summary.
-    With [pool] the files are analyzed in parallel (chunk size 1 — one
-    file is one unit of steal).  Each file gets a ["bulk.file"] trace
+    With [pool] the files are analyzed in parallel by {!Dlz_base.Pool.map},
+    the report order unchanged.  Each file gets a ["bulk.file"] trace
     span.  [timings] adds the [elapsed_ns] and summary [cache] fields
     described above; the summary's [cache.queries] equals its [pairs],
     one query per pair. *)

@@ -153,18 +153,18 @@ let dep_pair_label (d : Analyze.dep) =
     d.Analyze.src.Access.array d.Analyze.dst.Access.stmt_name
     d.Analyze.dst.Access.array
 
-let e3_deps ?(jobs = 1) ?chunk () =
-  Analyze.deps_of_program ~jobs ?chunk (prepare Fragments.fig3_program)
+let e3_deps ?pool () =
+  Analyze.deps_of_program ?pool (prepare Fragments.fig3_program)
 
-let e3_rows ?jobs ?chunk () =
+let e3_rows ?pool () =
   List.map
     (fun (d : Analyze.dep) ->
       ( dep_pair_label d,
         Dirvec.to_string d.Analyze.dirvec,
         Ddvec.to_string d.Analyze.ddvec ))
-    (e3_deps ?jobs ?chunk ())
+    (e3_deps ?pool ())
 
-let e3 ?jobs ?chunk () =
+let e3 ?pool () =
   buf_report (fun buf ->
       heading buf "E3: Figure 3 — dependences of the Allen-Kennedy program";
       Buffer.add_string buf (Ast.to_string (prepare Fragments.fig3_program));
@@ -192,7 +192,7 @@ let e3 ?jobs ?chunk () =
           in
           Table.add_row t
             [ pair; dv; ddv; (if in_paper then "yes" else "extra") ])
-        (e3_rows ?jobs ?chunk ());
+        (e3_rows ?pool ());
       Buffer.add_string buf (Table.render t);
       para buf "";
       para buf
@@ -246,8 +246,8 @@ let e4 () =
 
 (* ---------------------------------------------------------------- E5 -- *)
 
-let e5_dep ?(jobs = 1) ?chunk () =
-  match Analyze.deps_of_program ~jobs ?chunk (prepare Fragments.mhl_program) with
+let e5_dep ?pool () =
+  match Analyze.deps_of_program ?pool (prepare Fragments.mhl_program) with
   | [ d ] -> d
   | deps ->
       failwith
@@ -270,7 +270,7 @@ let e5_distances () =
       | None -> [])
   | _ -> []
 
-let e5 ?jobs ?chunk () =
+let e5 ?pool () =
   buf_report (fun buf ->
       heading buf "E5: exact distance vector for the MHL91 fragment";
       Buffer.add_string buf (Ast.to_string (prepare Fragments.mhl_program));
@@ -279,7 +279,7 @@ let e5 ?jobs ?chunk () =
         "Paper claim: [MHL91] cannot discover that the distance vector is\n\
          (2,0); delinearization proves it exactly (the write at iteration\n\
          (i,j) and the read at iteration (i+2,j) touch the same cell).";
-      let d = e5_dep ?jobs ?chunk () in
+      let d = e5_dep ?pool () in
       para buf
         (Printf.sprintf
            "Reported dependence: %s, direction %s, distance-direction %s"
@@ -401,7 +401,7 @@ let e6 () =
 
 (* ---------------------------------------------------------------- E7 -- *)
 
-let e7 ?(jobs = 1) ?chunk () =
+let e7 ?pool () =
   buf_report (fun buf ->
       heading buf "E7: induction variables, aliasing, and C pointers";
       (* (a) the IB nest *)
@@ -411,7 +411,7 @@ let e7 ?(jobs = 1) ?chunk () =
       let prog = prepare Fragments.ib_program in
       Buffer.add_string buf (Ast.to_string prog);
       Buffer.add_string buf "\n\n";
-      let deps = Analyze.deps_of_program ~jobs ?chunk prog in
+      let deps = Analyze.deps_of_program ?pool prog in
       List.iter
         (fun d -> para buf (Format.asprintf "%a" Analyze.pp_dep d))
         deps;
@@ -439,13 +439,13 @@ let e7 ?(jobs = 1) ?chunk () =
       Buffer.add_string buf "\n\n";
       para buf
         (Printf.sprintf "Dependences after linearization: %d (paper: independent)"
-           (List.length (Analyze.deps_of_program ~jobs ?chunk prog2)));
+           (List.length (Analyze.deps_of_program ?pool prog2)));
       (* (c) 4-D partial linearization *)
       para buf "(c) EQUIVALENCE aliasing (4-D, partial linearization):";
       let prog4 = prepare Fragments.equivalence_4d in
       Buffer.add_string buf (Ast.to_string prog4);
       Buffer.add_string buf "\n\n";
-      let deps4 = Analyze.deps_of_program ~jobs ?chunk prog4 in
+      let deps4 = Analyze.deps_of_program ?pool prog4 in
       List.iter
         (fun d -> para buf (Format.asprintf "%a" Analyze.pp_dep d))
         deps4;
@@ -482,7 +482,7 @@ let e7 ?(jobs = 1) ?chunk () =
            "Dependences: %d — the dummy B(0:4,0:19) associates with the\n\
             actual A(0:9,0:9); per the standard both linearize, and\n\
             delinearization proves the odd/even column accesses disjoint."
-           (List.length (Analyze.deps_of_program ~jobs ?chunk proga)));
+           (List.length (Analyze.deps_of_program ?pool proga)));
       (* (e) C pointers *)
       para buf "(e) C pointer traversal:";
       Buffer.add_string buf Fragments.c_pointers;
@@ -495,7 +495,7 @@ let e7 ?(jobs = 1) ?chunk () =
       Buffer.add_string buf "\n\n";
       para buf
         (Printf.sprintf "Dependences: %d (paper: independent)"
-           (List.length (Analyze.deps_of_program ~jobs ?chunk progc))))
+           (List.length (Analyze.deps_of_program ?pool progc))))
 
 (* ---------------------------------------------------------------- E8 -- *)
 
@@ -552,20 +552,20 @@ let e8 () =
             Banerjee %d, tightened FM %d."
            n !indep_total !delin_ok !ban_ok !fmt_ok))
 
-let all ?jobs ?chunk () =
+let all ?pool () =
   [
-    ("e1", e1 ()); ("e2", e2 ()); ("e3", e3 ?jobs ?chunk ()); ("e4", e4 ());
-    ("e5", e5 ?jobs ?chunk ()); ("e6", e6 ()); ("e7", e7 ?jobs ?chunk ()); ("e8", e8 ());
+    ("e1", e1 ()); ("e2", e2 ()); ("e3", e3 ?pool ()); ("e4", e4 ());
+    ("e5", e5 ?pool ()); ("e6", e6 ()); ("e7", e7 ?pool ()); ("e8", e8 ());
   ]
 
-let run ?jobs ?chunk id =
+let run ?pool id =
   match String.lowercase_ascii id with
   | "e1" -> Some (e1 ())
   | "e2" -> Some (e2 ())
-  | "e3" -> Some (e3 ?jobs ?chunk ())
+  | "e3" -> Some (e3 ?pool ())
   | "e4" -> Some (e4 ())
-  | "e5" -> Some (e5 ?jobs ?chunk ())
+  | "e5" -> Some (e5 ?pool ())
   | "e6" -> Some (e6 ())
-  | "e7" -> Some (e7 ?jobs ?chunk ())
+  | "e7" -> Some (e7 ?pool ())
   | "e8" -> Some (e8 ())
   | _ -> None

@@ -5,7 +5,6 @@ module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
 module Ddvec = Dlz_deptest.Ddvec
 module Classify = Dlz_deptest.Classify
-module Pool = Dlz_base.Pool
 
 type dep = {
   src : Access.t;
@@ -124,20 +123,16 @@ let deps_of_result ((pr : Engine.pair), (r : Strategy.result)) =
 
 let deps_of_results results = List.concat_map deps_of_result results
 
-let deps_of_accesses ?(cascade = Cascade.delin) ?budget ?(jobs = 1) ?pool ?chunk
-    ~env accs =
+let deps_of_accesses ?(cascade = Cascade.delin) ?budget ?pool ~env accs =
   Dlz_base.Trace.with_span ~cat:"driver"
     ~lazy_args:(fun () -> [ ("cascade", cascade.Cascade.name) ])
     "analyze.accesses"
   @@ fun () ->
-  Pool.with_jobs ?pool ~jobs (fun pool ->
-      deps_of_results
-        (Engine.query_all ~cascade ?budget ?pool ?chunk ~env accs))
+  deps_of_results (Engine.query_all ~cascade ?budget ?pool ~env accs)
 
-let deps_of_program ?cascade ?budget ?jobs ?pool ?chunk ?(env = Assume.empty)
-    prog =
+let deps_of_program ?cascade ?budget ?pool ?(env = Assume.empty) prog =
   let accs, env = Access.of_program ~env prog in
-  deps_of_accesses ?cascade ?budget ?jobs ?pool ?chunk ~env accs
+  deps_of_accesses ?cascade ?budget ?pool ~env accs
 
 let pp_dep ppf d =
   Format.fprintf ppf "%s:%s -> %s:%s  %s  %s  [%s]" d.src.Access.stmt_name

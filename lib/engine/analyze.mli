@@ -65,21 +65,18 @@ val deps_of_results : (Engine.pair * Strategy.result) list -> dep list
 
 val deps_of_accesses :
   ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
-  ?jobs:int -> ?pool:Dlz_base.Pool.t -> ?chunk:int ->
+  ?pool:Dlz_base.Pool.t ->
   env:Assume.t -> Access.t list -> dep list
 (** All dependences among the given accesses, in source order:
     {!deps_of_results} of {!Engine.query_all}.
 
-    [jobs] (default 1) is the number of domains the pair queries fan
-    out over; [0] means [Domain.recommended_domain_count ()].  An
-    explicit [pool] takes precedence and is not shut down.  [chunk]
-    overrides the auto-tuned candidates-per-chunk deal size.  The
-    output is deterministic: for any job count and chunk size it is
-    identical to the serial result. *)
+    With [pool] the pair queries fan out over its domains (the pool is
+    not shut down).  The output is deterministic: for any pool width
+    it is identical to the serial result. *)
 
 val deps_of_program :
   ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
-  ?jobs:int -> ?pool:Dlz_base.Pool.t -> ?chunk:int ->
+  ?pool:Dlz_base.Pool.t ->
   ?env:Assume.t -> Dlz_ir.Ast.program -> dep list
 (** Extracts accesses (the program must be normalized) and analyzes
     them. *)

@@ -74,7 +74,7 @@ let query ?(cascade = Cascade.delin) ?stats ?cache ?budget ?chaos ?annot
     p
 
 let query_all ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ?pool
-    ?chunk ~env accs =
+    ~env accs =
   let answer pr =
     (pr, query ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ~env
            pr.problem)
@@ -83,8 +83,8 @@ let query_all ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ?pool
   | Some pool when Pool.domains pool > 1 ->
       let arr = Array.of_list accs in
       (* Results land by candidate index: output order is enumeration
-         order regardless of which domain ran (or stole) which chunk. *)
-      Pool.map pool ?chunk
+         order regardless of which domain ran which chunk. *)
+      Pool.map pool
         (fun (i, j) -> Option.map answer (pair_at arr i j))
         (candidate_indices arr)
       |> Array.to_list
@@ -92,9 +92,9 @@ let query_all ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ?pool
   | _ -> List.of_seq (Seq.map answer (pairs_seq accs))
 
 (* Everything the obs registry knows how to reset — engine counters,
-   pool telemetry, trace histograms, and any serve-side collectors a
-   live daemon registered — plus the two stores the registry does not
-   own: the memo cache and the event rings. *)
+   trace histograms, and any serve-side collectors a live daemon
+   registered — plus the two stores the registry does not own: the
+   memo cache and the event rings. *)
 let reset_metrics () =
   Query.clear Query.global_cache;
   Dlz_base.Trace.clear ();

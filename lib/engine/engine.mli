@@ -70,7 +70,6 @@ val query_all :
   ?annot:(string * string) list ->
   ?observer:(Query.disposition -> unit) ->
   ?pool:Pool.t ->
-  ?chunk:int ->
   env:Assume.t ->
   Access.t list ->
   (pair * Strategy.result) list
@@ -78,20 +77,17 @@ val query_all :
     in enumeration order.  Without a pool (or with a sequential one)
     the pairs are answered one at a time in that order.  With a
     parallel pool, the candidate {e index} pairs (two ints each — never
-    the problems) are partitioned into chunks ([chunk] candidates each;
-    auto-tuned from the pool's observed per-element cost and
-    queue-wait telemetry when omitted), dealt to the pool's
-    work-stealing deques (problem construction and the query both run
-    in the workers), and merged back by index, so the list is
-    byte-identical to the sequential one for any job count, chunk size
-    or steal schedule.  [observer] must be domain-safe when a pool is
-    given — it may fire from any worker. *)
+    the problems) go through {!Pool.map} (problem construction and the
+    query both run in the workers) and are merged back by index, so the
+    list is byte-identical to the sequential one for any job count or
+    schedule.  [observer] must be domain-safe when a pool is given — it
+    may fire from any worker. *)
 
 val reset_metrics : unit -> unit
 (** Clears the global cache and the trace event buffers, then runs
     every reset hook in the {!Dlz_obs.Registry} — global stats
-    (including the allocations-per-query counters), pool steal/
-    auto-chunk telemetry, latency histograms (queue-wait included),
-    and any serve-side collectors a live daemon registered.  Every
+    (including the allocations-per-query counters), latency
+    histograms, and any serve-side collectors a live daemon
+    registered.  Every
     reporting entry point calls this before the work it reports on,
     so back-to-back [--stats] runs never accumulate. *)

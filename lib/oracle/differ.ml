@@ -263,15 +263,14 @@ let shrink_divergence ~budget_fuel ~limit (d : divergence) =
 let default_fuel = 200_000
 let default_limit = 20_000
 
-let run ?stats ?(jobs = 1) ?(fuel = default_fuel) ?(limit = default_limit)
+let run ?stats ?pool ?(fuel = default_fuel) ?(limit = default_limit)
     ?(shrink = false) cases =
   let arr = Array.of_list cases in
   let check case = check_case ?stats ~budget_fuel:fuel ~limit case in
   let results =
-    Pool.with_jobs ~jobs (fun pool ->
-        match pool with
-        | None -> Array.map check arr
-        | Some p -> Pool.map p ~chunk:4 check arr)
+    match pool with
+    | None -> Array.map check arr
+    | Some p -> Pool.map p check arr
   in
   let tally =
     Array.fold_left (fun acc (t, _) -> add_tally acc t) zero_tally results

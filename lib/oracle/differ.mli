@@ -19,8 +19,8 @@
     Independent claim — the strategies are cross-checked against each
     other, not only against the scan.
 
-    The batch is checked with {!Dlz_base.Pool} parallelism; results
-    land by case index, so the report is identical for any job count. *)
+    With a [pool] the batch is checked by {!Dlz_base.Pool.map}; results
+    land by case index, so the report is identical for any pool width. *)
 
 type cls = Unsound | Imprecise | Internal
 
@@ -61,7 +61,7 @@ val default_limit : int
 
 val run :
   ?stats:Dlz_engine.Stats.t ->
-  ?jobs:int ->
+  ?pool:Dlz_base.Pool.t ->
   ?fuel:int ->
   ?limit:int ->
   ?shrink:bool ->

@@ -85,13 +85,10 @@ let of_results accs results =
   in
   { nstmts; stmt_names; edges }
 
-let build ?cascade ?budget ?(jobs = 1) ?pool ?chunk ?(env = Assume.empty) prog
-    =
+let build ?cascade ?budget ?pool ?(env = Assume.empty) prog =
   Dlz_base.Trace.with_span ~cat:"driver" "depgraph.build" @@ fun () ->
   let accs, env = Access.of_program ~env prog in
-  of_results accs
-    (Dlz_base.Pool.with_jobs ?pool ~jobs (fun pool ->
-         Engine.query_all ?cascade ?budget ?pool ?chunk ~env accs))
+  of_results accs (Engine.query_all ?cascade ?budget ?pool ~env accs)
 
 let edges_at_level g level =
   List.filter (fun e -> e.e_level >= level) g.edges

@@ -40,19 +40,17 @@ val of_results :
     never appear among the pairs; a same-statement all-[=] vector (the
     read feeding the write of one assignment) carries no constraint and
     is dropped.  The edge list is sorted and deduplicated, so the graph
-    is identical for any job count or chunk size of the query pass. *)
+    is identical for any pool width of the query pass. *)
 
 val build :
   ?cascade:Dlz_engine.Cascade.t ->
   ?budget:Dlz_base.Budget.t ->
-  ?jobs:int ->
   ?pool:Dlz_base.Pool.t ->
-  ?chunk:int ->
   ?env:Assume.t ->
   Dlz_ir.Ast.program ->
   t
 (** {!of_results} of one query pass over a normalized program's
-    accesses.  [jobs]/[pool]/[chunk] parallelize the pass exactly as in
+    accesses.  [pool] parallelizes the pass exactly as in
     {!Dlz_engine.Analyze.deps_of_accesses}. *)
 
 val edges_at_level : t -> int -> edge list

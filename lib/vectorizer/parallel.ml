@@ -49,7 +49,7 @@ let of_graph p (graph : Depgraph.t) =
       })
     (loops_with_stmts p)
 
-let report ?cascade ?budget ?jobs ?pool ?chunk ?env p =
-  of_graph p (Depgraph.build ?cascade ?budget ?jobs ?pool ?chunk ?env p)
+let report ?cascade ?budget ?pool ?env p =
+  of_graph p (Depgraph.build ?cascade ?budget ?pool ?env p)
 
 let fully_parallel reports = List.for_all (fun r -> r.lr_parallel) reports

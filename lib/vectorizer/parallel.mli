@@ -24,14 +24,12 @@ val of_graph : Dlz_ir.Ast.program -> Depgraph.t -> loop_report list
 val report :
   ?cascade:Dlz_engine.Cascade.t ->
   ?budget:Dlz_base.Budget.t ->
-  ?jobs:int ->
   ?pool:Dlz_base.Pool.t ->
-  ?chunk:int ->
   ?env:Dlz_symbolic.Assume.t ->
   Dlz_ir.Ast.program ->
   loop_report list
 (** {!of_graph} of {!Depgraph.build}: one query pass over the program.
-    [jobs]/[pool]/[chunk] parallelize that pass. *)
+    [pool] parallelizes that pass. *)
 
 val fully_parallel : loop_report list -> bool
 (** Every loop parallel (the verdict the corpus ablation counts). *)

@@ -736,6 +736,36 @@ let omega_units =
             Alcotest.(check bool) "dependent" true
               (Omega.test ~fuel:3 [ eq ] = Verdict.Dependent)
         | _ -> () (* may still finish: fine *));
+    Alcotest.test_case "splinter cases are charged to the budget" `Quick
+      (fun () ->
+        (* Eqgen random case 30 (seed 1): the splinter step of this pair
+           has about 10.6 M cases.  Built eagerly they cost seconds and
+           ~96 M minor words before the first budget check; walked
+           lazily, a 100-step budget stops the search almost at once. *)
+        let v side level ub =
+          var ~side ~level
+            (Printf.sprintf "%c%d" (if side = `Src then 'i' else 'j') level)
+            ub
+        in
+        let i1 = v `Src 1 5 and j1 = v `Dst 1 5 and i2 = v `Src 2 5
+        and j2 = v `Dst 2 5 and i3 = v `Src 3 0 and j3 = v `Dst 3 0 in
+        let e1 =
+          Depeq.make (-27)
+            [ (-8, i1); (7, j1); (6, i2); (7, j2); (5, i3); (-7, j3) ]
+        in
+        let e2 =
+          Depeq.make (-29)
+            [ (7, i1); (1, j1); (-1, i2); (4, j2); (-6, i3); (-6, j3) ]
+        in
+        let w0 = Gc.minor_words () in
+        let r =
+          Omega.solve ~budget:(Dlz_base.Budget.create ~fuel:100 ()) [ e1; e2 ]
+        in
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check bool) "Unknown" true (r = Omega.Unknown);
+        Alcotest.(check bool)
+          (Printf.sprintf "under 1 M minor words (got %.0f)" words)
+          true (words < 1e6));
   ]
 
 let omega_props =

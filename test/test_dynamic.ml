@@ -1,8 +1,9 @@
 (* End-to-end soundness against trace-based (dynamic) ground truth:
    every dependence that actually happens at run time must be covered by
-   a statically reported one, on the paper's fragments and on random
-   generated programs; and the vectorizer must never vectorize a level
-   that dynamically carries a self dependence. *)
+   a statically reported one, on the paper's fragments, on every
+   polybench kernel (C frontend, pointer lowering and normalization
+   included) and on random generated programs; and the vectorizer must
+   never vectorize a level that dynamically carries a self dependence. *)
 
 module Dynamic = Dlz_driver.Dynamic
 module Progen = Dlz_driver.Progen
@@ -77,6 +78,16 @@ let fragment_units =
     coverage_case "symbolic program (N=4)" ~syms:[ ("N", 4) ]
       Fragments.symbolic_program;
   ]
+
+(* Each kernel at its committed sizes, through the whole pipeline. *)
+let polybench_units =
+  List.map
+    (fun (k : Dlz_corpus.Polybench.kernel) ->
+      coverage_units_prog k.k_name
+        (Dlz_passes.Pipeline.prepare_program
+           (Dlz_passes.Pointers.lower
+              (Dlz_frontend.C_parser.parse k.k_source))))
+    Dlz_corpus.Polybench.kernels
 
 let carrying_level (v : Dirvec.t) =
   let n = Array.length v in
@@ -184,5 +195,6 @@ let () =
   Alcotest.run "dynamic"
     [
       ("fragments", fragment_units);
+      ("polybench", polybench_units);
       ("props", List.map QCheck_alcotest.to_alcotest props);
     ]

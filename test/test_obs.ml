@@ -511,10 +511,7 @@ let engine_golden_before =
    vic_engine_strategy_decisions_total{strategy=\"delinearize\",verdict=\"independent\"} 3\n\
    # HELP vic_engine_strategy_passes_total strategy passes\n\
    # TYPE vic_engine_strategy_passes_total counter\n\
-   vic_engine_strategy_passes_total{strategy=\"delinearize\"} 0\n\
-   # HELP vic_pool_steals_total chunks stolen across domains\n\
-   # TYPE vic_pool_steals_total counter\n\
-   vic_pool_steals_total 0\n"
+   vic_engine_strategy_passes_total{strategy=\"delinearize\"} 0\n"
 
 let engine_golden =
   "# HELP vic_engine_alloc_minor_words_total minor words allocated inside queries\n\
@@ -569,17 +566,15 @@ let engine_golden =
    vic_engine_strategy_decisions_total{strategy=\"gcd\",verdict=\"independent\"} 1\n\
    # HELP vic_engine_strategy_passes_total strategy passes\n\
    # TYPE vic_engine_strategy_passes_total counter\n\
-   vic_engine_strategy_passes_total{strategy=\"gcd\"} 8\n\
-   # HELP vic_pool_steals_total chunks stolen across domains\n\
-   # TYPE vic_pool_steals_total counter\n\
-   vic_pool_steals_total 0\n"
+   vic_engine_strategy_passes_total{strategy=\"gcd\"} 8\n"
 
 (* A fixed engine workload, a reset, then a second workload through
    the gcd filter alone; the engine and pool counters must render
-   exactly as pinned.  The reset step pins which labelled rows survive
-   a reset: only what the second workload touched is shown.  The
-   pool's EMA gauge is wall-clock and left out.  Injection is switched
-   off locally so the @matrix-ci chaos run renders the same. *)
+   exactly as pinned (the pool registers none, so no [vic_pool_] row
+   may appear).  The reset step pins which labelled rows survive a
+   reset: only what the second workload touched is shown.  Injection
+   is switched off locally so the @matrix-ci chaos run renders the
+   same. *)
 let test_engine_collector_golden () =
   let module Engine = Dlz_engine.Engine in
   let module Stats = Dlz_engine.Stats in
@@ -625,7 +620,6 @@ let test_engine_collector_golden () =
       let render () =
         Registry.collect ()
         |> counter_rows ~prefixes:[ "vic_engine_"; "vic_pool_" ]
-        |> List.filter (fun s -> s.Registry.s_name <> "vic_pool_ema_elem_ns")
         |> List.map mask_alloc_total
         |> Prom.to_string
       in

@@ -35,6 +35,11 @@ let sweep_seed =
 
 let sweep_jobs = match Width.requested with Some n -> max 1 n | None -> 1
 
+(* [Differ.run] at the sweep width. *)
+let sweep_run ?shrink cases =
+  Dlz_base.Pool.with_jobs ~jobs:sweep_jobs (fun pool ->
+      Differ.run ?pool ?shrink cases)
+
 (* --- the enumerator ------------------------------------------------------- *)
 
 let oracle_units =
@@ -352,7 +357,7 @@ let sweep_units =
     Alcotest.test_case
       (Printf.sprintf "seed %Ld sweep is clean" sweep_seed) `Quick (fun () ->
         let report =
-          Differ.run ~jobs:sweep_jobs ~shrink:true
+          sweep_run ~shrink:true
             (Eqgen.all ~seed:sweep_seed ~count:300)
         in
         Alcotest.(check int) "checks happened" 0
@@ -377,7 +382,7 @@ let sweep_units =
           (* every 7th pair: the full set is the `vic fuzz --corpus`
              run's job; here it would dominate the suite's runtime *)
         in
-        let report = Differ.run ~jobs:sweep_jobs cases in
+        let report = sweep_run cases in
         Alcotest.(check int) "no UNSOUND" 0
           (Differ.count_class report Differ.Unsound);
         Alcotest.(check int) "no INTERNAL" 0
@@ -389,7 +394,7 @@ let sweep_units =
         let cases = Eqgen.polybench () in
         let cases = List.filteri (fun i _ -> i mod 7 = 0) cases in
         Alcotest.(check bool) "cases generated" true (List.length cases > 10);
-        let report = Differ.run ~jobs:sweep_jobs cases in
+        let report = sweep_run cases in
         Alcotest.(check int) "no UNSOUND" 0
           (Differ.count_class report Differ.Unsound);
         Alcotest.(check int) "no INTERNAL" 0
@@ -397,8 +402,11 @@ let sweep_units =
     Alcotest.test_case "report is identical for any job count" `Quick
       (fun () ->
         let cases = Eqgen.all ~seed:sweep_seed ~count:120 in
-        let serial = Differ.report_to_string (Differ.run ~jobs:1 cases) in
-        let par = Differ.report_to_string (Differ.run ~jobs:2 cases) in
+        let serial = Differ.report_to_string (Differ.run cases) in
+        let par =
+          Dlz_base.Pool.with_pool ~domains:2 (fun pool ->
+              Differ.report_to_string (Differ.run ~pool cases))
+        in
         Alcotest.(check string) "jobs 2 = jobs 1" serial par);
     Alcotest.test_case "divergence counters land in stats" `Quick (fun () ->
         with_liar @@ fun () ->

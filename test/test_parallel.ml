@@ -65,35 +65,33 @@ let problems_of_prog prog =
 
 (* --- Pool ----------------------------------------------------------------- *)
 
+(* The chunk size follows the input length, so lengths below and well
+   above 8 x width cover one-element chunks, a ragged last chunk and
+   multi-element chunks. *)
 let test_pool_map_matches_array_map () =
-  let arr = Array.init 101 (fun i -> i - 50) in
   let f x = (x * x) - (3 * x) + 7 in
-  let expect = Array.map f arr in
   List.iter
     (fun domains ->
       List.iter
-        (fun chunk ->
-          let got =
-            Pool.with_pool ~domains (fun p -> Pool.map p ~chunk f arr)
-          in
+        (fun n ->
+          let arr = Array.init n (fun i -> i - 50) in
+          let got = Pool.with_pool ~domains (fun p -> Pool.map p f arr) in
           Alcotest.(check (array int))
-            (Printf.sprintf "domains=%d chunk=%d" domains chunk)
-            expect got)
-        [ 1; 3; 16; 1000 ])
+            (Printf.sprintf "domains=%d n=%d" domains n)
+            (Array.map f arr) got)
+        [ 1; 3; 16; 101; 1000 ])
     [ 1; 2; Width.jobs ]
 
 let test_pool_empty_input () =
-  Pool.with_pool ~domains:Width.jobs (fun p ->
-      Alcotest.(check (array int))
-        "empty" [||]
-        (Pool.map p ~chunk:4 (fun x -> x) [||]))
+  Width.with_pool (fun p ->
+      Alcotest.(check (array int)) "empty" [||] (Pool.map p (fun x -> x) [||]))
 
 let test_pool_exception_propagates () =
-  Pool.with_pool ~domains:Width.jobs (fun p ->
+  Width.with_pool (fun p ->
       Alcotest.check_raises "worker exception reaches caller"
         (Failure "boom") (fun () ->
           ignore
-            (Pool.map p ~chunk:1
+            (Pool.map p
                (fun x -> if x = 37 then failwith "boom" else x)
                (Array.init 100 Fun.id))))
 
@@ -104,11 +102,11 @@ let test_pool_exceptions_contained () =
      sequential path would have hit first. *)
   let n = 100 in
   let attempted = Array.init n (fun _ -> Atomic.make false) in
-  Pool.with_pool ~domains:Width.jobs (fun p ->
+  Width.with_pool (fun p ->
       Alcotest.check_raises "lowest-index failure wins" (Failure "at 37")
         (fun () ->
           ignore
-            (Pool.map p ~chunk:7
+            (Pool.map p
                (fun x ->
                  Atomic.set attempted.(x) true;
                  if x = 37 || x = 38 || x = 71 then
@@ -121,12 +119,6 @@ let test_pool_exceptions_contained () =
         (Printf.sprintf "element %d attempted despite failures" i)
         true (Atomic.get a))
     attempted
-
-let test_pool_bad_chunk () =
-  Pool.with_pool ~domains:1 (fun p ->
-      Alcotest.check_raises "chunk 0"
-        (Invalid_argument "Pool.map: chunk must be > 0") (fun () ->
-          ignore (Pool.map p ~chunk:0 Fun.id [| 1 |])))
 
 let test_pool_shutdown_idempotent () =
   let p = Pool.create ~domains:2 in
@@ -151,46 +143,14 @@ let test_pool_with_jobs_policy () =
       match p with
       | None -> Alcotest.fail "expected a pool"
       | Some p ->
-          Alcotest.(check int) "pool width" Width.jobs (Pool.domains p));
-  (* An explicit pool is passed through regardless of [jobs] and must
-     survive the call (with_jobs does not own it). *)
-  let mine = Pool.create ~domains:2 in
-  Pool.with_jobs ~pool:mine ~jobs:8 (fun p ->
-      match p with
-      | None -> Alcotest.fail "explicit pool dropped"
-      | Some p -> Alcotest.(check int) "same pool" 2 (Pool.domains p));
-  Alcotest.(check (array int))
-    "pool still alive after with_jobs" [| 2; 4 |]
-    (Pool.map mine ~chunk:1 (fun x -> 2 * x) [| 1; 2 |]);
-  Pool.shutdown mine
+          Alcotest.(check int) "pool width" Width.jobs (Pool.domains p))
 
-let test_pool_auto_chunk () =
-  (* No explicit chunk: the auto-tuner picks one; the result must be
-     the same.  Sequential pools answer n (one chunk = the whole
-     array). *)
-  let arr = Array.init 333 (fun i -> 7 * i) in
-  let expect = Array.map succ arr in
-  List.iter
-    (fun domains ->
-      let got = Pool.with_pool ~domains (fun p -> Pool.map p succ arr) in
-      Alcotest.(check (array int))
-        (Printf.sprintf "auto chunk, domains=%d" domains)
-        expect got)
-    [ 1; 2; Width.jobs ];
-  Pool.with_pool ~domains:1 (fun p ->
-      Alcotest.(check int) "serial auto chunk = n" 5 (Pool.auto_chunk p 5));
-  Pool.with_pool ~domains:Width.jobs (fun p ->
-      let c = Pool.auto_chunk p 1000 in
-      Alcotest.(check bool) "parallel auto chunk positive and bounded" true
-        (c >= 1 && c <= 1000))
-
-let test_pool_steals_on_skewed_workload () =
-  (* One heavy element among many light ones, dealt one element per
-     chunk: the domain that hits the heavy chunk stalls with light
-     chunks still in its deque, so the siblings (the caller included)
-     finish by stealing.  Stealing is scheduling-dependent, so the run
-     is retried a few times — but each run's result must equal the
-     serial map regardless. *)
+let test_pool_skewed_workload_leaves_caller () =
+  (* One heavy element among many light ones: while one domain is stuck
+     on the heavy chunk, the others keep taking chunks from the shared
+     counter, so some element runs off the calling domain.  Who runs
+     what is scheduling-dependent, so the run is retried a few times —
+     but each run's result must equal the serial map regardless. *)
   let n = 400 in
   let work x =
     if x = 17 then begin
@@ -203,18 +163,19 @@ let test_pool_steals_on_skewed_workload () =
     else x
   in
   let expect = Array.map work (Array.init n Fun.id) in
+  let caller = Domain.self () in
   let rec attempt k =
-    Pool.reset_metrics ();
     let got =
-      Pool.with_pool ~domains:Width.jobs (fun p ->
-          Pool.map p ~chunk:1 work (Array.init n Fun.id))
+      Width.with_pool (fun p ->
+          Pool.map p (fun x -> (work x, Domain.self ())) (Array.init n Fun.id))
     in
-    Alcotest.(check (array int)) "skewed workload result" expect got;
-    if Pool.steals () = 0 && k < 20 then attempt (k + 1)
+    Alcotest.(check (array int)) "skewed workload result" expect
+      (Array.map fst got);
+    let off_caller = Array.exists (fun (_, d) -> d <> caller) got in
+    if (not off_caller) && k < 20 then attempt (k + 1) else off_caller
   in
-  attempt 1;
-  Alcotest.(check bool) "work was stolen across deques" true
-    (Pool.steals () > 0)
+  Alcotest.(check bool) "some element ran off the calling domain" true
+    (attempt 1)
 
 (* --- streaming enumeration ------------------------------------------------ *)
 
@@ -251,8 +212,11 @@ let render_deps deps =
 let test_deps_deterministic_random_programs () =
   for seed = 0 to 14 do
     let prog = Progen.random (Prng.create (Int64.of_int seed)) in
-    let serial = render_deps (Analyze.deps_of_program ~jobs:1 prog) in
-    let par = render_deps (Analyze.deps_of_program ~jobs:Width.jobs prog) in
+    let serial = render_deps (Analyze.deps_of_program prog) in
+    let par =
+      Width.with_pool (fun pool ->
+          render_deps (Analyze.deps_of_program ~pool prog))
+    in
     Alcotest.(check (list string))
       (Printf.sprintf "seed %d: jobs %d = jobs 1" seed Width.jobs)
       serial par
@@ -264,16 +228,19 @@ let test_deps_deterministic_corpus_and_family () =
   let corpus = List.map (fun s -> Pipeline.prepare_program (Corpus.generate s)) Corpus.riceps in
   List.iter
     (fun prog ->
-      let serial = render_deps (Analyze.deps_of_program ~jobs:1 prog) in
-      let par = render_deps (Analyze.deps_of_program ~jobs:Width.jobs prog) in
+      let serial = render_deps (Analyze.deps_of_program prog) in
+      let par =
+        Width.with_pool (fun pool ->
+            render_deps (Analyze.deps_of_program ~pool prog))
+      in
       Alcotest.(check (list string)) "parallel = serial" serial par;
-      (* Same check through an explicit caller-owned pool. *)
+      (* Same check through the accesses entry point. *)
       let pooled =
-        Pool.with_pool ~domains:Width.jobs (fun pool ->
+        Width.with_pool (fun pool ->
             let accs, env = Access.of_program prog in
             render_deps (Analyze.deps_of_accesses ~pool ~env accs))
       in
-      Alcotest.(check (list string)) "explicit pool = serial" serial pooled)
+      Alcotest.(check (list string)) "accesses entry = serial" serial pooled)
     (corpus
     @ [
         prepare (Workload.family_program ~depth:3 ~extent:6);
@@ -283,8 +250,10 @@ let test_deps_deterministic_corpus_and_family () =
 let test_depgraph_deterministic () =
   List.iter
     (fun prog ->
-      let serial = (Depgraph.build ~jobs:1 prog).Depgraph.edges in
-      let par = (Depgraph.build ~jobs:Width.jobs prog).Depgraph.edges in
+      let serial = (Depgraph.build prog).Depgraph.edges in
+      let par =
+        Width.with_pool (fun pool -> (Depgraph.build ~pool prog).Depgraph.edges)
+      in
       Alcotest.(check bool) "edge lists identical" true (serial = par))
     [ sphot_prog; prepare (many_distances_src 5) ]
 
@@ -295,8 +264,11 @@ let test_deps_jobs8_byte_identical_corpus () =
   List.iter
     (fun spec ->
       let prog = Pipeline.prepare_program (Corpus.generate spec) in
-      let serial = render_deps (Analyze.deps_of_program ~jobs:1 prog) in
-      let par8 = render_deps (Analyze.deps_of_program ~jobs:8 prog) in
+      let serial = render_deps (Analyze.deps_of_program prog) in
+      let par8 =
+        Pool.with_pool ~domains:8 (fun pool ->
+            render_deps (Analyze.deps_of_program ~pool prog))
+      in
       Alcotest.(check (list string))
         (spec.Corpus.name ^ ": jobs 8 = jobs 1 (rendered bytes)")
         serial par8)
@@ -304,9 +276,10 @@ let test_deps_jobs8_byte_identical_corpus () =
 
 let test_stats_consistent_after_parallel_run () =
   Engine.reset_metrics ();
-  List.iter
-    (fun prog -> ignore (Analyze.deps_of_program ~jobs:Width.jobs prog))
-    [ sphot_prog; prepare (many_distances_src 6) ];
+  Width.with_pool (fun pool ->
+      List.iter
+        (fun prog -> ignore (Analyze.deps_of_program ~pool prog))
+        [ sphot_prog; prepare (many_distances_src 6) ]);
   let st = Stats.global in
   Alcotest.(check bool) "queries issued" true (Stats.queries st > 0);
   Alcotest.(check bool)
@@ -317,7 +290,7 @@ let test_stats_consistent_after_parallel_run () =
 let test_reset_metrics_clears_everything () =
   let prog = prepare (many_distances_src 6) in
   let run () =
-    ignore (Analyze.deps_of_program ~jobs:Width.jobs ~chunk:1 prog)
+    Width.with_pool (fun pool -> ignore (Analyze.deps_of_program ~pool prog))
   in
   Engine.reset_metrics ();
   run ();
@@ -325,11 +298,8 @@ let test_reset_metrics_clears_everything () =
   Alcotest.(check bool) "first run issued queries" true (q1 > 0);
   Engine.reset_metrics ();
   Alcotest.(check int) "queries reset" 0 (Stats.queries Stats.global);
-  Alcotest.(check int) "steal counter reset" 0 (Pool.steals ());
   Alcotest.(check int) "alloc counter reset" 0
     (Stats.alloc_words Stats.global);
-  Alcotest.(check int) "queue-wait histogram reset" 0
-    (Trace.Hist.count (Trace.hist "pool.queue_wait"));
   run ();
   Alcotest.(check int)
     "back-to-back runs do not accumulate" q1
@@ -456,16 +426,13 @@ let () =
             test_pool_exception_propagates;
           Alcotest.test_case "exceptions contained per element" `Quick
             test_pool_exceptions_contained;
-          Alcotest.test_case "chunk must be positive" `Quick
-            test_pool_bad_chunk;
           Alcotest.test_case "shutdown idempotent" `Quick
             test_pool_shutdown_idempotent;
           Alcotest.test_case "resolve_jobs" `Quick test_pool_resolve_jobs;
           Alcotest.test_case "with_jobs policy" `Quick
             test_pool_with_jobs_policy;
-          Alcotest.test_case "auto chunk" `Quick test_pool_auto_chunk;
-          Alcotest.test_case "steals on skewed workload" `Quick
-            test_pool_steals_on_skewed_workload;
+          Alcotest.test_case "skewed workload leaves the caller" `Quick
+            test_pool_skewed_workload_leaves_caller;
         ] );
       ( "streaming",
         [

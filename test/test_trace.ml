@@ -704,7 +704,7 @@ let check_engine_trace c =
 let run_analysis () =
   Engine.reset_metrics ();
   let prog = prepare (many_distances_src 10) in
-  ignore (Analyze.deps_of_program ~jobs:Width.jobs prog);
+  Width.with_pool (fun pool -> ignore (Analyze.deps_of_program ~pool prog));
   Alcotest.(check bool) "stats consistent" true (Stats.consistent Stats.global);
   if Stats.queries Stats.global = 0 then Alcotest.fail "workload ran no queries"
 

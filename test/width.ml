@@ -9,3 +9,6 @@ let requested = Option.bind (Sys.getenv_opt "DLZ_TEST_JOBS") int_of_string_opt
 (* The width of the suites that always fan out: the requested width but
    at least 2, so the pool really runs in parallel; 4 by default. *)
 let jobs = match requested with Some n -> max 2 n | None -> 4
+
+(* [f] on a fresh pool of width [jobs], shut down afterwards. *)
+let with_pool f = Dlz_base.Pool.with_pool ~domains:jobs f
