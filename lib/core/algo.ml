@@ -71,12 +71,7 @@ let meet_sets dvs nvs =
   in
   List.sort_uniq Dirvec.compare merged
 
-let run ?(policy = Optimal) ?solver ~n_common ~common_ubs eq =
-  let solver =
-    match solver with
-    | Some s -> s
-    | None -> fun np -> Hierarchy.directions ~test:Hierarchy.gcd_banerjee np
-  in
+let run ?(policy = Optimal) ~n_common ~common_ubs eq =
   let eq = sort_terms eq in
   let terms = Array.of_list eq.terms in
   let n = Array.length terms in
@@ -123,7 +118,8 @@ let run ?(policy = Optimal) ?solver ~n_common ~common_ubs eq =
           | Some (lvl, d) -> distances := (lvl, d) :: !distances
           | None -> ());
           let nv =
-            solver (Problem.numeric_of_equations ~n_common ~common_ubs [ piece ])
+            Hierarchy.directions
+              (Problem.numeric_of_equations ~n_common ~common_ubs [ piece ])
           in
           dirvecs := meet_sets !dirvecs nv;
           if !dirvecs = [] then independent := true

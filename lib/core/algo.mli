@@ -61,16 +61,15 @@ val sort_terms : Depeq.t -> Depeq.t
 
 val run :
   ?policy:residue_policy ->
-  ?solver:(Dlz_deptest.Problem.numeric -> Dirvec.t list) ->
   n_common:int ->
   common_ubs:int array ->
   Depeq.t ->
   result
-(** Runs the algorithm.  [solver] computes direction vectors of separated
-    equations (default {!Dlz_deptest.Hierarchy.directions} with
-    GCD+Banerjee).  [n_common]/[common_ubs] describe the common loops of
-    the dependence pair (used to size direction vectors and check
-    direction feasibility). *)
+(** Runs the algorithm.  {!Dlz_deptest.Hierarchy.directions} computes
+    the direction vectors of each separated equation.
+    [n_common]/[common_ubs] describe the common loops of the dependence
+    pair (used to size direction vectors and check direction
+    feasibility). *)
 
 val test : ?policy:residue_policy -> Depeq.t -> Verdict.t
 (** Independence-only entry point (no direction vectors computed for the

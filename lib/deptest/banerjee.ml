@@ -1,16 +1,24 @@
 open Dlz_base
 
+(* The linear form a*α + b*β at one vertex. *)
+let value a b alpha beta = Intx.add (Intx.mul a alpha) (Intx.mul b beta)
+
+(* The hull of four vertex values, computed in the listed order (so an
+   overflow names the operation of the first vertex that overflows). *)
+let hull4 a b a1 b1 a2 b2 a3 b3 a4 b4 =
+  let v1 = value a b a1 b1 in
+  let v2 = value a b a2 b2 in
+  let v3 = value a b a3 b3 in
+  let v4 = value a b a4 b4 in
+  Ivl.make
+    (Int.min (Int.min v1 v2) (Int.min v3 v4))
+    (Int.max (Int.max v1 v2) (Int.max v3 v4))
+
 (* Extrema of a*α + b*β over the region of the (α, β) box selected by a
    direction, by evaluating at the region's vertices (the region is the
    intersection of a box with a half-plane, so it is a polygon whose
    vertices are integral; a linear form attains its extrema there). *)
 let rec pair_interval a ub_a b ub_b (dir : Dirvec.dir) =
-  let value (alpha, beta) = Intx.add (Intx.mul a alpha) (Intx.mul b beta) in
-  let hull pts =
-    List.fold_left
-      (fun acc p -> Ivl.join acc (Ivl.point (value p)))
-      Ivl.empty pts
-  in
   match dir with
   | Dirvec.Star ->
       Ivl.add (Ivl.scale a (Ivl.make 0 ub_a)) (Ivl.scale b (Ivl.make 0 ub_b))
@@ -22,12 +30,12 @@ let rec pair_interval a ub_a b ub_b (dir : Dirvec.dir) =
       if ub_b < 1 then Ivl.empty
       else
         let tmax = min ub_a (ub_b - 1) in
-        hull [ (0, 1); (0, ub_b); (tmax, tmax + 1); (tmax, ub_b) ]
+        hull4 a b 0 1 0 ub_b tmax (tmax + 1) tmax ub_b
   | Dirvec.Gt ->
       if ub_a < 1 then Ivl.empty
       else
         let smax = min ub_b (ub_a - 1) in
-        hull [ (1, 0); (ub_a, 0); (smax + 1, smax); (ub_a, smax) ]
+        hull4 a b 1 0 ub_a 0 (smax + 1) smax ub_a smax
   | Dirvec.Le | Dirvec.Ge | Dirvec.Ne ->
       List.fold_left
         (fun acc d -> Ivl.join acc (pair_interval a ub_a b ub_b d))

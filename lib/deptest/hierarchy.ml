@@ -1,7 +1,4 @@
-type eq_test = dirs:(int -> Dirvec.dir) -> Depeq.t -> Verdict.t
-
-let gcd_banerjee ~dirs eq =
-  Verdict.both (Gcd_test.test ~dirs eq) (Banerjee.test ~dirs eq)
+open Dlz_base
 
 let feasible_dir ~ub dir =
   match dir with
@@ -9,46 +6,219 @@ let feasible_dir ~ub dir =
   | Dirvec.Ne -> ub >= 1
   | Dirvec.Eq | Dirvec.Le | Dirvec.Ge | Dirvec.Star -> true
 
-let run_test test (p : Problem.numeric) (dv : Dirvec.t) =
-  let dirs lvl = if lvl >= 1 && lvl <= p.n_common then dv.(lvl - 1) else Dirvec.Star in
-  let level_ok =
-    Array.for_all2
-      (fun ub d -> feasible_dir ~ub d)
-      p.common_ubs
-      (Array.sub dv 0 (Array.length p.common_ubs))
+(* Each equation is compiled once per [directions] call into one slot
+   per term, in term order, holding what GCD-with-directions and
+   Banerjee-with-directions read of that term: the lookups
+   ([Depeq.has_side]/[find_coeff]/[find_ub]) are done here, not at every
+   node.  A slot's direction is the vector entry [at], or [*] when
+   [at < 0] (level 0, or a level outside the common loops). *)
+
+(* Banerjee's range of one common level's [a*α + b*β], memoized per
+   direction the first time a node asks for it. *)
+type pair = {
+  a : int;
+  ub_a : int;
+  b : int;
+  ub_b : int;
+  mutable lt : Ivl.t option;
+  mutable eq : Ivl.t option;
+  mutable gt : Ivl.t option;
+  mutable star : Ivl.t option;
+}
+
+type ban =
+  | Box of int * int  (** level 0: [coeff * [0, ub]] *)
+  | Pair of pair  (** the level's pair range, added at its [`Src] term *)
+  | Skip  (** a [`Dst] term whose [`Src] term carries the pair *)
+
+(* The merged coefficient [a + b] of a level with both instances, which
+   the gcd test uses under [=]; computed once, when first needed. *)
+type merged = { coeff : int; other : int; mutable sum : int option }
+
+type gcd =
+  | Coeff of int  (** always its own coefficient *)
+  | Merged of merged  (** a [`Src] term: [a + b] under [=], else [a] *)
+  | Dropped of int  (** a [`Dst] term: nothing under [=] (merged at [`Src]) *)
+
+type slot = { at : int; ban : ban; gcd : gcd }
+type ceq = { c0 : int; slots : slot list }
+
+let compile_eq n (eq : Depeq.t) =
+  let pair a ub_a b ub_b =
+    Pair { a; ub_a; b; ub_b; lt = None; eq = None; gt = None; star = None }
   in
-  if not level_ok then Verdict.Independent
-  else
-    List.fold_left
-      (fun acc eq ->
-        match acc with
-        | Verdict.Independent -> acc
-        | _ -> Verdict.conservative (test ~dirs eq))
-      Verdict.Dependent p.eqs
+  let slot (t : Depeq.term) =
+    let v = t.var and c = t.coeff in
+    let lvl = v.v_level in
+    let at = if lvl >= 1 && lvl <= n then lvl - 1 else -1 in
+    if lvl = 0 then { at = -1; ban = Box (c, v.v_ub); gcd = Coeff c }
+    else
+      match v.v_side with
+      | `Src ->
+          if Depeq.has_side eq ~level:lvl `Dst then
+            let b = Depeq.find_coeff eq ~level:lvl `Dst in
+            {
+              at;
+              ban = pair c v.v_ub b (Depeq.find_ub eq ~level:lvl `Dst);
+              gcd = Merged { coeff = c; other = b; sum = None };
+            }
+          else { at; ban = pair c v.v_ub 0 max_int; gcd = Coeff c }
+      | `Dst ->
+          if Depeq.has_side eq ~level:lvl `Src then
+            { at; ban = Skip; gcd = Dropped c }
+          else { at; ban = pair 0 max_int c v.v_ub; gcd = Coeff c }
+  in
+  { c0 = eq.c0; slots = List.map slot eq.terms }
 
-let test ?(test = gcd_banerjee) (p : Problem.numeric) =
-  run_test test p (Dirvec.all_star p.n_common)
+let dir_at (dv : Dirvec.t) at = if at < 0 then Dirvec.Star else dv.(at)
 
-let directions ?(budget = Dlz_base.Budget.unlimited) ?(test = gcd_banerjee)
-    (p : Problem.numeric) =
+(* The refinement writes only [<], [=], [>] and [*] into the vector, so
+   [_] below is [*]. *)
+let pair_range p (dir : Dirvec.dir) =
+  let memo =
+    match dir with Lt -> p.lt | Eq -> p.eq | Gt -> p.gt | _ -> p.star
+  in
+  match memo with
+  | Some iv -> iv
+  | None ->
+      let iv = Banerjee.pair_interval p.a p.ub_a p.b p.ub_b dir in
+      (match dir with
+      | Lt -> p.lt <- Some iv
+      | Eq -> p.eq <- Some iv
+      | Gt -> p.gt <- Some iv
+      | _ -> p.star <- Some iv);
+      iv
+
+let merged_sum m =
+  match m.sum with
+  | Some s -> s
+  | None ->
+      let s = Intx.add m.coeff m.other in
+      m.sum <- Some s;
+      s
+
+(* Banerjee-with-directions: the equation's range contains zero. *)
+let rec banerjee_range acc dv = function
+  | [] -> ()
+  | s :: rest ->
+      (match s.ban with
+      | Box (c, ub) -> Ivl.Acc.add_scaled acc c ub
+      | Pair p -> Ivl.Acc.add_ivl acc (pair_range p (dir_at dv s.at))
+      | Skip -> ());
+      banerjee_range acc dv rest
+
+let banerjee_dep acc dv e =
+  Ivl.Acc.set_point acc e.c0;
+  banerjee_range acc dv e.slots;
+  Ivl.Acc.contains_zero acc
+
+(* GCD-with-directions: the gcd of the effective coefficients divides
+   the constant. *)
+let rec effective_gcd dv g = function
+  | [] -> g
+  | s :: rest ->
+      let g =
+        match s.gcd with
+        | Coeff c -> Numth.gcd g c
+        | Merged m ->
+            Numth.gcd g
+              (if dir_at dv s.at = Dirvec.Eq then merged_sum m else m.coeff)
+        | Dropped c -> if dir_at dv s.at = Dirvec.Eq then g else Numth.gcd g c
+      in
+      effective_gcd dv g rest
+
+(* The node test, equation by equation until one is independent; per
+   equation Banerjee runs before the gcd test and both always run, so an
+   overflow fires at the same node with the same operation as the
+   per-equation [Verdict.both (Gcd_test.test) (Banerjee.test)]. *)
+let rec dependent acc dv = function
+  | [] -> true
+  | e :: rest ->
+      let ban = banerjee_dep acc dv e in
+      let gcd = Numth.divides (effective_gcd dv 0 e.slots) e.c0 in
+      ban && gcd && dependent acc dv rest
+
+(* Whether some equation has a term at vector entry [at]. *)
+let rec slots_mention at = function
+  | [] -> false
+  | s :: rest -> s.at = at || slots_mention at rest
+
+let rec mentions at = function
+  | [] -> false
+  | e :: rest -> slots_mention at e.slots || mentions at rest
+
+let acc_key = Domain.DLS.new_key Ivl.Acc.create
+let children = [| Dirvec.Lt; Dirvec.Eq; Dirvec.Gt |]
+
+(* The leaves consed onto [leaves] since it was [mark]. *)
+let since mark leaves =
+  let rec go acc l =
+    if l == mark then acc
+    else match l with v :: rest -> go (v :: acc) rest | [] -> acc
+  in
+  go [] leaves
+
+let directions ?(budget = Budget.unlimited) (p : Problem.numeric) =
   let n = p.n_common in
-  let results = ref [] in
-  let rec refine dv level =
-    Dlz_base.Budget.spend budget;
-    match run_test test p dv with
-    | Verdict.Independent -> ()
-    | _ ->
-        if level > n then results := Array.copy dv :: !results
-        else
-          List.iter
-            (fun d ->
-              dv.(level - 1) <- d;
-              refine dv (level + 1);
-              dv.(level - 1) <- Dirvec.Star)
-            [ Dirvec.Lt; Dirvec.Eq; Dirvec.Gt ]
+  let eqs = List.map (compile_eq n) p.eqs in
+  let feasible level d =
+    level > Array.length p.common_ubs
+    || feasible_dir ~ub:p.common_ubs.(level - 1) d
   in
-  refine (Dirvec.all_star n) 1;
-  List.sort Dirvec.compare !results
-
-let directions_exact ?budget (p : Problem.numeric) =
-  Exact.direction_vectors ?budget ~n_common:p.n_common p.eqs
+  let acc = Domain.DLS.get acc_key in
+  let dv = Dirvec.all_star n in
+  let leaves = ref [] in
+  (* [node level] tests the node whose levels below [level] are set in
+     [dv] (already charged) and refines it; it returns the number of
+     nodes its subtree charged, itself included. *)
+  let rec node level =
+    if not (dependent acc dv eqs) then 1
+    else if level > n then begin
+      leaves := Array.copy dv :: !leaves;
+      1
+    end
+    else if mentions (level - 1) eqs then begin
+      let total = ref 1 in
+      for i = 0 to 2 do
+        total := !total + child level children.(i)
+      done;
+      !total
+    end
+    else unmentioned level
+  and child level d =
+    dv.(level - 1) <- d;
+    Budget.spend budget;
+    let k = if feasible level d then node (level + 1) else 1 in
+    dv.(level - 1) <- Dirvec.Star;
+    k
+  (* No equation mentions [level], so every feasible child roots the
+     same subtree: the first is solved, the others copy its leaves and
+     charge the nodes they stand for one spend at a time, so fuel runs
+     out at the same node as a full walk. *)
+  and unmentioned level =
+    let total = ref 1 and model = ref None in
+    for i = 0 to 2 do
+      let d = children.(i) in
+      match !model with
+      | Some (k, sub) when feasible level d ->
+          for _ = 1 to k do
+            Budget.spend budget
+          done;
+          List.iter
+            (fun v ->
+              let v = Array.copy v in
+              v.(level - 1) <- d;
+              leaves := v :: !leaves)
+            sub;
+          total := !total + k
+      | _ ->
+          let mark = !leaves in
+          let k = child level d in
+          if feasible level d then model := Some (k, since mark !leaves);
+          total := !total + k
+    done;
+    !total
+  in
+  Budget.spend budget;
+  ignore (node 1 : int);
+  List.sort Dirvec.compare !leaves

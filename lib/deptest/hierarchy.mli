@@ -1,31 +1,23 @@
 (** Direction-vector hierarchy refinement [WB87, GKT91].
 
     Starting from [(*, ..., *)], each [*] is refined into [<], [=], [>];
-    a subtree is pruned as soon as the per-equation tests disprove
-    dependence under the partial vector.  The surviving leaves are the
-    reported direction vectors — the "existing techniques" the paper's
-    algorithm calls to solve separated equations. *)
+    a subtree is pruned as soon as a level's direction is infeasible in
+    its loop or GCD-with-directions ∧ Banerjee-with-directions disproves
+    dependence for some equation under the partial vector — the
+    combination the paper proves its algorithm matches per dimension.
+    The surviving leaves are the reported direction vectors: the
+    "existing techniques" the paper's algorithm calls to solve
+    separated equations. *)
 
-type eq_test = dirs:(int -> Dirvec.dir) -> Depeq.t -> Verdict.t
-(** A sound single-equation test under direction constraints. *)
-
-val gcd_banerjee : eq_test
-(** GCD-with-directions ∧ Banerjee-with-directions: the combination the
-    paper proves its algorithm matches per dimension. *)
-
-val test : ?test:eq_test -> Problem.numeric -> Verdict.t
-(** Dependence test at the unrefined [(*, ..., *)] vector. *)
-
-val directions :
-  ?budget:Dlz_base.Budget.t -> ?test:eq_test -> Problem.numeric -> Dirvec.t list
+val directions : ?budget:Dlz_base.Budget.t -> Problem.numeric -> Dirvec.t list
 (** All basic direction vectors not disproven, sorted.  The empty list
-    means independence.  One [budget] unit is spent per refinement node;
-    exhaustion raises {!Dlz_base.Budget.Exhausted} (a truncated set
-    would read as proven independence). *)
-
-val directions_exact :
-  ?budget:Dlz_base.Budget.t -> Problem.numeric -> Dirvec.t list
-(** Ground truth via the exact solver (exponential; small problems). *)
+    means independence.  One [budget] unit is spent per refinement node,
+    in the walk's order (children in [<], [=], [>] order); exhaustion
+    raises {!Dlz_base.Budget.Exhausted} (a truncated set would read as
+    proven independence).  A level no equation mentions is solved once
+    and its other children copy the result, but each node a copy stands
+    for is still charged, so fuel runs out where the full walk would.
+    [common_ubs] gives the bounds of the first [n_common] levels. *)
 
 val feasible_dir : ub:int -> Dirvec.dir -> bool
 (** Whether a direction is realizable inside a common loop of the given
