@@ -40,23 +40,15 @@ let load ~lang path =
 
 let with_diagnostics f =
   try f () with
-  | Dlz_frontend.Diag.Parse_error _ as e ->
-      (match Dlz_frontend.Diag.describe e with
-      | Some msg -> prerr_endline msg
-      | None -> ());
-      exit 1
-  | Dlz_passes.Pointers.Unsupported msg ->
-      prerr_endline ("pointer conversion: " ^ msg);
-      exit 1
-  | Dlz_passes.Inline.Unsupported msg ->
-      prerr_endline ("inlining: " ^ msg);
-      exit 1
   | Dlz_driver.Dynamic.Error err ->
       prerr_endline ("dynamic: " ^ Dlz_driver.Dynamic.describe err);
       exit 1
-  | Failure msg ->
-      prerr_endline ("error: " ^ msg);
-      exit 1
+  | e -> (
+      match Dlz_driver.Input_error.describe e with
+      | Some msg ->
+          prerr_endline ("error: " ^ msg);
+          exit 1
+      | None -> raise e)
 
 (* --- converters --------------------------------------------------------- *)
 
@@ -217,10 +209,11 @@ let cascade_arg =
   in
   Arg.(value & opt (some cascade_conv) None
        & info [ "cascade" ] ~docv:"NAMES"
-           ~doc:"Custom comma-separated strategy cascade (overrides\n\
-                 --mode), e.g. 'gcd,banerjee,delinearize'.  Registered\n\
-                 strategies: delinearize, classic, exact, gcd, banerjee,\n\
-                 svpc, acyclic, residue, omega.")
+           ~doc:("Custom comma-separated strategy cascade (overrides\n\
+                  --mode), e.g. 'gcd,banerjee,delinearize'.  Registered\n\
+                  strategies: "
+                 ^ String.concat ", " (Dlz_engine.Registry.names ())
+                 ^ "."))
 
 (* The dependence tester: the --mode preset unless --cascade names one. *)
 let tester_term =
@@ -561,94 +554,66 @@ let trace_cmd =
     let prog = prepare input in
     let accs, env = Dlz_ir.Access.of_program ~env:input.env prog in
     let module Access = Dlz_ir.Access in
-    let module Problem = Dlz_deptest.Problem in
+    let module Depeq = Dlz_deptest.Depeq in
     let module Symeq = Dlz_deptest.Symeq in
-    let module Algo = Dlz_core.Algo in
     let module Symalgo = Dlz_core.Symalgo in
+    let endpoint (a : Access.t) =
+      Printf.sprintf "%s:%s %s" a.stmt_name a.array
+        (match a.rw with `Read -> "read" | `Write -> "write")
+    in
+    (* The 1-based positions of the subscripts that have an equation:
+       both sides affine, as [Problem.of_accesses] pairs them. *)
+    let rec affine_positions i (ss : Access.sub list) (ds : Access.sub list) =
+      match (ss, ds) with
+      | Aff _ :: ss, Aff _ :: ds -> i :: affine_positions (i + 1) ss ds
+      | _ :: ss, _ :: ds -> affine_positions (i + 1) ss ds
+      | _ -> []
+    in
+    let symbolic eq = Format.asprintf "(symbolic) %a" Symeq.pp eq in
     let shown = ref 0 in
-    Seq.iter
-      (fun (pr : Dlz_engine.Engine.pair) ->
-        let a = pr.Dlz_engine.Engine.src
-        and b = pr.Dlz_engine.Engine.dst in
-        let p = pr.Dlz_engine.Engine.problem in
-        List.iter
-          (fun eq ->
+    Seq.iteri
+      (fun i (pr : Dlz_engine.Engine.pair) ->
+        let p = pr.problem in
+        let solve = Symalgo.equation ~env p in
+        List.iter2
+          (fun sub eq ->
             incr shown;
-            Printf.printf "=== %s:%s -> %s:%s (dimension %d)\n"
-              a.Access.stmt_name a.Access.array b.Access.stmt_name
-              b.Access.array !shown;
-            match Symeq.to_numeric eq with
-            | Some neq ->
-                Format.printf "equation: %a@."
-                  Dlz_deptest.Depeq.pp neq;
-                let ubs =
-                  match Problem.to_numeric p with
-                  | Some np -> np.Problem.common_ubs
-                  | None -> Array.make p.Problem.n_common max_int
-                in
-                let r =
-                  Algo.run ~n_common:p.Problem.n_common
-                    ~common_ubs:ubs neq
-                in
-                List.iter
-                  (fun (st : Algo.step) ->
-                    Printf.printf
-                      "  k=%d c=%s smin=%d smax=%d g=%s r=%d%s%s\n"
-                      st.Algo.k
-                      (match st.Algo.coeff with
-                      | Some c -> string_of_int c
-                      | None -> "-")
-                      st.Algo.smin st.Algo.smax
-                      (match st.Algo.gk with
-                      | Some g -> string_of_int g
-                      | None -> "inf")
-                      st.Algo.r
-                      (if st.Algo.barrier then "  <- barrier" else "")
-                      (match st.Algo.separated with
-                      | Some piece ->
-                          "  separates: "
-                          ^ Dlz_deptest.Depeq.to_string piece
-                      | None -> ""))
-                  r.Algo.steps;
-                Printf.printf "  verdict: %s\n"
-                  (Dlz_deptest.Verdict.to_string r.Algo.verdict)
-            | None ->
-                Format.printf "equation (symbolic): %a@." Symeq.pp eq;
-                let r =
-                  Symalgo.run ~env ~n_common:p.Problem.n_common eq
-                in
-                List.iter
-                  (fun (st : Symalgo.step) ->
-                    Format.printf
-                      "  k=%d c=%s smin=%s smax=%s g=%s r=%s%s%s@."
-                      st.Symalgo.k
-                      (match st.Symalgo.coeff with
-                      | Some c -> Dlz_symbolic.Poly.to_string c
-                      | None -> "-")
-                      (Dlz_symbolic.Poly.to_string st.Symalgo.smin)
-                      (Dlz_symbolic.Poly.to_string st.Symalgo.smax)
-                      (match st.Symalgo.gk with
-                      | Some g -> Dlz_symbolic.Poly.to_string g
-                      | None -> "inf")
-                      (Dlz_symbolic.Poly.to_string st.Symalgo.r)
-                      (if st.Symalgo.barrier then "  <- barrier"
-                       else "")
-                      (match st.Symalgo.separated with
-                      | Some piece ->
-                          "  separates: "
-                          ^ Format.asprintf "%a" Symeq.pp piece
-                      | None -> ""))
-                  r.Symalgo.steps;
-                Printf.printf "  verdict: %s\n"
-                  (Dlz_deptest.Verdict.to_string r.Symalgo.verdict))
-          p.Problem.equations)
+            Printf.printf "=== pair %d: %s -> %s, subscript %d\n" (i + 1)
+              (endpoint pr.src) (endpoint pr.dst) sub;
+            let outcome = solve eq in
+            let equation, table =
+              match outcome with
+              | Symalgo.Numeric (reduced, r) ->
+                  ( Depeq.to_string reduced,
+                    Dlz_base.Table.render (Dlz_core.Algo.step_table r.steps) )
+              | Symalgo.Symbolic r ->
+                  ( symbolic eq,
+                    Dlz_base.Table.render (Symalgo.step_table r.steps) )
+              | Symalgo.Overflow op ->
+                  ( (match Symeq.to_numeric eq with
+                    | Some neq -> Depeq.to_string neq
+                    | None -> symbolic eq),
+                    Printf.sprintf "integer overflow in %s: degraded\n" op )
+            in
+            Printf.printf "equation: %s\n%s" equation table;
+            let verdict, dirvecs, _ =
+              Symalgo.answer ~n_common:p.n_common outcome
+            in
+            Printf.printf "verdict: %s\n"
+              (String.concat " "
+                 (Dlz_deptest.Verdict.to_string verdict
+                 :: List.map Dlz_deptest.Dirvec.to_string dirvecs)))
+          (affine_positions 1 pr.src.subs pr.dst.subs)
+          p.equations)
       (Dlz_engine.Engine.pairs_seq accs);
     if !shown = 0 then print_endline "No testable reference pairs."
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Print the Figure-5-style delinearization trace for every\n\
-             dependence equation of the program.")
+       ~doc:"Print the Figure-5-style delinearization trace of every\n\
+             dependence equation of the program: the scan the\n\
+             delinearize strategy runs, on the equation it solves (divided\n\
+             by the gcd of its coefficients).")
     Term.(const run $ input_term file_arg)
 
 let graph_cmd =

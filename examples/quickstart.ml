@@ -29,19 +29,10 @@ let () =
     (Dlz_deptest.Fm.test Dlz_deptest.Fm.Real eq);
   Format.printf "delinearization: %a@.@." Verdict.pp (Algo.test eq);
 
-  (* The full run also yields the separated equations and the trace. *)
+  (* The full run also yields the Figure-5 trace: the scan's steps,
+     with each separated equation at the barrier that singles it out. *)
   let r = Algo.run ~n_common:2 ~common_ubs:[| 4; 9 |] eq in
-  Format.printf "Separated equations:@.";
-  List.iter (fun p -> Format.printf "  %a@." Depeq.pp p) r.Algo.pieces;
-  Format.printf "@.Scan trace (k, coeff, smin, smax, g_k, r, barrier):@.";
-  List.iter
-    (fun (s : Algo.step) ->
-      Format.printf "  k=%d c=%s smin=%d smax=%d g=%s r=%d %s@." s.Algo.k
-        (match s.Algo.coeff with Some c -> string_of_int c | None -> "-")
-        s.Algo.smin s.Algo.smax
-        (match s.Algo.gk with Some g -> string_of_int g | None -> "inf")
-        s.Algo.r
-        (if s.Algo.barrier then "<- barrier" else ""))
-    r.Algo.steps;
-  Format.printf "@.Verdict: %a (the loop nest is fully parallel)@."
+  Format.printf "Scan trace:@.%a@." Dlz_base.Table.pp
+    (Algo.step_table r.Algo.steps);
+  Format.printf "Verdict: %a (the loop nest is fully parallel)@."
     Verdict.pp r.Algo.verdict

@@ -2,7 +2,6 @@ open Dlz_base
 module Depeq = Dlz_deptest.Depeq
 module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
-module Ddvec = Dlz_deptest.Ddvec
 module Problem = Dlz_deptest.Problem
 module Hierarchy = Dlz_deptest.Hierarchy
 
@@ -23,7 +22,6 @@ type result = {
   verdict : Verdict.t;
   pieces : Depeq.t list;
   dirvecs : Dirvec.t list;
-  ddvecs : Ddvec.t list;
   distances : (int * int) list;
   steps : step list;
 }
@@ -62,14 +60,6 @@ let piece_distance (piece : Depeq.t) =
       in
       if Numth.divides a piece.c0 then Some (lvl, piece.c0 / a) else None
   | _ -> None
-
-let meet_sets dvs nvs =
-  let merged =
-    List.concat_map
-      (fun dv -> List.filter_map (fun nv -> Dirvec.meet dv nv) nvs)
-      dvs
-  in
-  List.sort_uniq Dirvec.compare merged
 
 let run ?(policy = Optimal) ~n_common ~common_ubs eq =
   let eq = sort_terms eq in
@@ -121,7 +111,7 @@ let run ?(policy = Optimal) ~n_common ~common_ubs eq =
             Hierarchy.directions
               (Problem.numeric_of_equations ~n_common ~common_ubs [ piece ])
           in
-          dirvecs := meet_sets !dirvecs nv;
+          dirvecs := Dirvec.meet_sets !dirvecs nv;
           if !dirvecs = [] then independent := true
         end;
         smin := 0;
@@ -154,24 +144,11 @@ let run ?(policy = Optimal) ~n_common ~common_ubs eq =
     else Verdict.Dependent
   in
   let dirvecs = if verdict = Verdict.Independent then [] else !dirvecs in
-  let distances = List.sort_uniq Stdlib.compare !distances in
-  let ddvecs =
-    List.map
-      (fun dv ->
-        List.fold_left
-          (fun ddv (lvl, d) ->
-            if lvl >= 1 && lvl <= Array.length dv then
-              Ddvec.with_distance ddv lvl d
-            else ddv)
-          (Ddvec.of_dirvec dv) distances)
-      dirvecs
-  in
   {
     verdict;
     pieces = List.rev !pieces;
     dirvecs;
-    ddvecs;
-    distances;
+    distances = List.sort_uniq Stdlib.compare !distances;
     steps = List.rev !steps;
   }
 
@@ -227,5 +204,26 @@ let test ?(policy = Optimal) eq =
     Verdict.Dependent
   with Indep -> Verdict.Independent
 
-let pieces_of ?policy eq =
-  (run ?policy ~n_common:0 ~common_ubs:[||] eq).pieces
+let step_table steps =
+  let t =
+    Table.create
+      ~aligns:Table.[ Right; Right; Right; Right; Right; Right; Left ]
+      [ "k"; "c_Ik"; "smin"; "smax"; "g_k"; "r"; "separated equation" ]
+  in
+  List.iter
+    (fun s ->
+      Table.add_row t
+        [
+          string_of_int s.k;
+          (match s.coeff with Some c -> string_of_int c | None -> "-");
+          string_of_int s.smin;
+          string_of_int s.smax;
+          (match s.gk with Some g -> string_of_int g | None -> "inf");
+          string_of_int s.r;
+          (match s.separated with
+          | Some p -> Depeq.to_string p
+          | None when not s.barrier -> ""
+          | None -> if s.r = 0 then "(trivial 0 = 0)" else "(independent)");
+        ])
+    steps;
+  t

@@ -14,7 +14,6 @@
 module Depeq = Dlz_deptest.Depeq
 module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
-module Ddvec = Dlz_deptest.Ddvec
 
 type residue_policy =
   | Nonneg  (** [r = c0 mod g ∈ [0, g-1]]: the literal reading. *)
@@ -43,8 +42,6 @@ type result = {
   pieces : Depeq.t list;  (** Separated equations, in emission order. *)
   dirvecs : Dirvec.t list;
       (** Surviving basic direction vectors over the common loops. *)
-  ddvecs : Ddvec.t list;
-      (** Same vectors with exact distances where pieces determine them. *)
   distances : (int * int) list;
       (** [(level, β-α)] distances proven constant by some piece. *)
   steps : step list;  (** Full per-iteration trace (Figure 5). *)
@@ -76,5 +73,8 @@ val test : ?policy:residue_policy -> Depeq.t -> Verdict.t
     pieces — only the inline GCD/Banerjee-equivalent check), matching the
     cost the paper's §3 "Efficiency" paragraph discusses. *)
 
-val pieces_of : ?policy:residue_policy -> Depeq.t -> Depeq.t list
-(** Just the separated equations. *)
+val step_table : step list -> Dlz_base.Table.t
+(** The Figure-5 table of a scan: one row per step, numeric columns
+    right-aligned, and last the equation a barrier separates —
+    "(trivial 0 = 0)" for the first step's empty group, "(independent)"
+    where the inline check ends the scan. *)

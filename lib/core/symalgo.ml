@@ -60,12 +60,6 @@ let residue ~smin ~smax c0 g =
 
 let all_star_set n = [ Dirvec.all_star n ]
 
-let meet_sets dvs nvs =
-  List.concat_map
-    (fun dv -> List.filter_map (fun nv -> Dirvec.meet dv nv) nvs)
-    dvs
-  |> List.sort_uniq Dirvec.compare
-
 (* Feasibility of β - α = d within bounds β ≤ ub_dst, α ≤ ub_src:
    infeasible if d > ub_dst or -d > ub_src. *)
 let delta_feasible env ~ub_src ~ub_dst d =
@@ -198,7 +192,7 @@ let run ?(check_independence = true) ~env ~n_common (eq : Symeq.t) =
             | None -> ());
             if v = Verdict.Independent then independent := true
             else begin
-              dirvecs := meet_sets !dirvecs nv;
+              dirvecs := Dirvec.meet_sets !dirvecs nv;
               if !dirvecs = [] then independent := true
             end
           end
@@ -244,3 +238,81 @@ let run ?(check_independence = true) ~env ~n_common (eq : Symeq.t) =
     distances = List.rev !distances;
     steps = List.rev !steps;
   }
+
+let step_table steps =
+  let t =
+    Table.create
+      [ "k"; "c_Ik"; "smin"; "smax"; "g_k"; "r"; "separated equation" ]
+  in
+  List.iter
+    (fun s ->
+      Table.add_row t
+        [
+          string_of_int s.k;
+          (match s.coeff with Some c -> Poly.to_string c | None -> "-");
+          Poly.to_string s.smin;
+          Poly.to_string s.smax;
+          (match s.gk with Some g -> Poly.to_string g | None -> "inf");
+          Poly.to_string s.r;
+          (match s.separated with
+          | Some piece -> Format.asprintf "%a" Symeq.pp piece
+          | None when not s.barrier -> ""
+          | None ->
+              if Poly.is_zero s.r then "(trivial 0 = 0)" else "(independent)");
+        ])
+    steps;
+  t
+
+(* --- one equation of a dependence problem -------------------------------- *)
+
+type outcome =
+  | Numeric of Depeq.t * Algo.result
+  | Symbolic of result
+  | Overflow of string
+
+let numeric_common_ubs (p : Problem.t) =
+  let rec go acc = function
+    | [] -> Some (Array.of_list (List.rev acc))
+    | u :: rest -> (
+        match Poly.to_const u with
+        | Some c -> go (c :: acc) rest
+        | None -> None)
+  in
+  go [] p.common_ubs
+
+(* The equation divided by the gcd of its coefficients and constant, as
+   the cache key divides it.  The solutions are the same, so the answer
+   cannot depend on which of two same-key problems is solved; a common
+   factor near max_int would otherwise overflow the scan. *)
+let reduced (eq : Depeq.t) =
+  let g = Numth.gcd_list (eq.c0 :: Depeq.coeffs eq) in
+  if g <= 1 then eq
+  else
+    {
+      c0 = eq.c0 / g;
+      terms =
+        List.map (fun (t : Depeq.term) -> { t with coeff = t.coeff / g })
+          eq.terms;
+    }
+
+let equation ~env (p : Problem.t) =
+  let n_common = p.n_common in
+  let common_ubs = numeric_common_ubs p in
+  fun eq ->
+    try
+      match (Symeq.to_numeric eq, common_ubs) with
+      | Some neq, Some common_ubs ->
+          let neq = reduced neq in
+          Numeric (neq, Algo.run ~n_common ~common_ubs neq)
+      | _ -> Symbolic (run ~env ~n_common eq)
+    with Intx.Overflow op -> Overflow op
+
+let answer ~n_common = function
+  | Numeric (_, r) ->
+      ( r.Algo.verdict,
+        r.Algo.dirvecs,
+        List.map (fun (l, d) -> (l, Poly.const d)) r.Algo.distances )
+  | Symbolic r -> (r.verdict, r.dirvecs, r.distances)
+  | Overflow _ ->
+      (* Coefficient/bound products past 63 bits: degrade soundly. *)
+      (Verdict.Dependent, all_star_set n_common, [])

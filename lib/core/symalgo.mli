@@ -14,6 +14,8 @@ module Assume = Dlz_symbolic.Assume
 module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
 module Symeq = Dlz_deptest.Symeq
+module Depeq = Dlz_deptest.Depeq
+module Problem = Dlz_deptest.Problem
 
 type step = {
   k : int;
@@ -61,3 +63,36 @@ val solve_piece :
     the symbolic shapes linearized subscripts produce (single variable,
     and [c·x - c·y + r = 0] pairs, which also yield symbolic
     distances). *)
+
+val step_table : step list -> Dlz_base.Table.t
+(** The §4 table of a scan: {!Algo.step_table}'s columns with
+    polynomial cells, all left-aligned. *)
+
+(** {2 One equation of a dependence problem}
+
+    The per-equation decision of the ["delinearize"] strategy, shared
+    by the engine and [vic trace] so the trace shows the scan the
+    engine ran. *)
+
+type outcome =
+  | Numeric of Depeq.t * Algo.result
+      (** The equation divided by the gcd of its coefficients and
+          constant (as the cache key divides it), and the numeric scan
+          of that reduced equation. *)
+  | Symbolic of result
+      (** Some coefficient or common-loop bound is symbolic. *)
+  | Overflow of string
+      (** A scan overflowed 63 bits in the named operation. *)
+
+val equation : env:Assume.t -> Problem.t -> Symeq.t -> outcome
+(** [equation ~env p eq] delinearizes [eq], one of [p]'s equations:
+    numerically over [p]'s common loops when the equation and every
+    common bound are constants, symbolically otherwise.  An
+    {!Dlz_base.Intx.Overflow} becomes [Overflow], never an exception.
+    Partial application to [p] computes the numeric bounds once. *)
+
+val answer :
+  n_common:int -> outcome -> Verdict.t * Dirvec.t list * (int * Poly.t) list
+(** The verdict, direction vectors and [(level, β-α)] distances an
+    outcome proves; [Overflow] answers dependent in every direction,
+    with no distance. *)

@@ -88,6 +88,10 @@ let reverse v = Array.map rev_dir v
 let equal a b = a = b
 let compare = Stdlib.compare
 
+let meet_sets dvs nvs =
+  List.concat_map (fun dv -> List.filter_map (fun nv -> meet dv nv) nvs) dvs
+  |> List.sort_uniq compare
+
 let dir_to_string = function
   | Lt -> "<"
   | Eq -> "="

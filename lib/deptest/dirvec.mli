@@ -35,6 +35,11 @@ val meet : t -> t -> t option
     length meet on their common prefix, keeping the longer tail (used
     when a separated equation constrains only some levels). *)
 
+val meet_sets : t list -> t list -> t list
+(** Every non-empty pairwise {!meet} of the two sets, sorted and
+    deduplicated: the direction vectors two conjoined constraints
+    admit together. *)
+
 val join : t -> t -> t
 (** Pointwise join of equal-length vectors. *)
 

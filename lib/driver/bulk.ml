@@ -132,23 +132,15 @@ let analyze_file ~cascade ~budget ~env root rel =
         fr_elapsed_ns = 0L;
       }
   with
-  | Dlz_frontend.Diag.Parse_error _ as e ->
-      let msg =
-        match Dlz_frontend.Diag.describe e with
-        | Some m -> m
-        | None -> "parse error"
-      in
-      finish (failed rel msg 0L)
-  | Dlz_passes.Pointers.Unsupported m ->
-      finish (failed rel ("pointer conversion: " ^ m) 0L)
-  | Dlz_passes.Inline.Unsupported m ->
-      finish (failed rel ("inlining: " ^ m) 0L)
-  | Failure m -> finish (failed rel m 0L)
   | Sys_error m ->
       (* An unreadable file (permissions, vanished mid-walk) is a row,
          not a crash; the strerror text is host-stable, so the report
          stays byte-identical across [--jobs N]. *)
       finish (failed rel ("io: " ^ m) 0L)
+  | e -> (
+      match Input_error.describe e with
+      | Some msg -> finish (failed rel msg 0L)
+      | None -> raise e)
 
 (* {2 NDJSON} *)
 

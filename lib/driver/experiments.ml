@@ -208,28 +208,7 @@ let e4 () =
       let eq = Fragments.fig5_equation () in
       para buf (Depeq.to_string eq);
       let r = Algo.run ~n_common:3 ~common_ubs:[| 8; 9; 8 |] eq in
-      let t =
-        Table.create
-          ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right;
-                    Table.Right; Table.Right; Table.Left ]
-          [ "k"; "c_Ik"; "smin"; "smax"; "g_k"; "r"; "separated equation" ]
-      in
-      List.iter
-        (fun (s : Algo.step) ->
-          Table.add_row t
-            [
-              string_of_int s.Algo.k;
-              (match s.Algo.coeff with Some c -> string_of_int c | None -> "-");
-              string_of_int s.Algo.smin;
-              string_of_int s.Algo.smax;
-              (match s.Algo.gk with Some g -> string_of_int g | None -> "inf");
-              string_of_int s.Algo.r;
-              (match s.Algo.separated with
-              | Some p -> Depeq.to_string p
-              | None -> if s.Algo.barrier then "(trivial 0 = 0)" else "");
-            ])
-        r.Algo.steps;
-      Buffer.add_string buf (Table.render t);
+      Buffer.add_string buf (Table.render (Algo.step_table r.Algo.steps));
       para buf "";
       para buf
         (Printf.sprintf "Verdict: %s; direction vectors: %s; distances: %s"
@@ -318,30 +297,8 @@ let e6 () =
       let eq = List.hd p.Problem.equations in
       para buf (Format.asprintf "Dependence equation: %a" Symeq.pp eq);
       let r = Symalgo.run ~env ~n_common:p.Problem.n_common eq in
-      let t =
-        Table.create
-          [ "k"; "c_Ik"; "smin"; "smax"; "g_k"; "r"; "separated equation" ]
-      in
-      List.iter
-        (fun (s : Symalgo.step) ->
-          Table.add_row t
-            [
-              string_of_int s.Symalgo.k;
-              (match s.Symalgo.coeff with
-              | Some c -> Poly.to_string c
-              | None -> "-");
-              Poly.to_string s.Symalgo.smin;
-              Poly.to_string s.Symalgo.smax;
-              (match s.Symalgo.gk with
-              | Some g -> Poly.to_string g
-              | None -> "inf");
-              Poly.to_string s.Symalgo.r;
-              (match s.Symalgo.separated with
-              | Some piece -> Format.asprintf "%a" Symeq.pp piece
-              | None -> if s.Symalgo.barrier then "(trivial 0 = 0)" else "");
-            ])
-        r.Symalgo.steps;
-      Buffer.add_string buf (Table.render t);
+      Buffer.add_string buf
+        (Table.render (Symalgo.step_table r.Symalgo.steps));
       para buf "";
       para buf
         (Printf.sprintf "Verdict: %s; direction vectors: %s"

@@ -1,10 +1,6 @@
-module Poly = Dlz_symbolic.Poly
-module Assume = Dlz_symbolic.Assume
 module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
 module Problem = Dlz_deptest.Problem
-module Depeq = Dlz_deptest.Depeq
-module Symeq = Dlz_deptest.Symeq
 module Hierarchy = Dlz_deptest.Hierarchy
 module Gcd_test = Dlz_deptest.Gcd_test
 module Banerjee = Dlz_deptest.Banerjee
@@ -14,63 +10,15 @@ module Residue = Dlz_deptest.Residue
 module Fm = Dlz_deptest.Fm
 module Exact = Dlz_deptest.Exact
 module Omega = Dlz_deptest.Omega
-module Algo = Dlz_core.Algo
 module Symalgo = Dlz_core.Symalgo
 
 (* --- the paper's algorithm (total: always decides) ---------------------- *)
 
-let meet_sets dvs nvs =
-  List.concat_map
-    (fun dv -> List.filter_map (fun nv -> Dirvec.meet dv nv) nvs)
-    dvs
-  |> List.sort_uniq Dirvec.compare
-
-let numeric_common_ubs (p : Problem.t) =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | u :: rest -> (
-        match Poly.to_const u with
-        | Some c -> go (c :: acc) rest
-        | None -> None)
-  in
-  go [] p.common_ubs
-
-(* The equation divided by the gcd of its coefficients and constant, as
-   the cache key divides it.  The solutions are the same, so the answer
-   cannot depend on which of two same-key problems is solved; a common
-   factor near max_int would otherwise overflow the scan. *)
-let reduced (eq : Depeq.t) =
-  let g = Dlz_base.Numth.gcd_list (eq.Depeq.c0 :: Depeq.coeffs eq) in
-  if g <= 1 then eq
-  else
-    {
-      Depeq.c0 = eq.Depeq.c0 / g;
-      terms =
-        List.map
-          (fun (t : Depeq.term) -> { t with Depeq.coeff = t.Depeq.coeff / g })
-          eq.Depeq.terms;
-    }
-
+(* Each equation through [Symalgo.equation]; the answers meet across
+   equations, and the first independent one ends the scan. *)
 let run_delinearize ~env ~budget (p : Problem.t) =
   let n_common = p.Problem.n_common in
-  let num_ubs = numeric_common_ubs p in
-  let analyze_eq (eq : Symeq.t) =
-    try
-      match (Symeq.to_numeric eq, num_ubs) with
-      | Some neq, Some ubs ->
-          let r =
-            Algo.run ~n_common ~common_ubs:(Array.of_list ubs) (reduced neq)
-          in
-          ( r.Algo.verdict,
-            r.Algo.dirvecs,
-            List.map (fun (l, d) -> (l, Poly.const d)) r.Algo.distances )
-      | _ ->
-          let r = Symalgo.run ~env ~n_common eq in
-          (r.Symalgo.verdict, r.Symalgo.dirvecs, r.Symalgo.distances)
-    with Dlz_base.Intx.Overflow _ ->
-      (* Coefficient/bound products past 63 bits: degrade soundly. *)
-      (Verdict.Dependent, [ Dirvec.all_star n_common ], [])
-  in
+  let solve = Symalgo.equation ~env p in
   let verdict, dirvecs, distances =
     List.fold_left
       (fun (v, dvs, dists) eq ->
@@ -78,10 +26,10 @@ let run_delinearize ~env ~budget (p : Problem.t) =
         | Verdict.Independent -> (v, dvs, dists)
         | _ ->
             Dlz_base.Budget.spend budget;
-            let ve, nv, de = analyze_eq eq in
+            let ve, nv, de = Symalgo.answer ~n_common (solve eq) in
             if ve = Verdict.Independent then (Verdict.Independent, [], dists)
             else
-              let met = meet_sets dvs nv in
+              let met = Dirvec.meet_sets dvs nv in
               if met = [] then (Verdict.Independent, [], dists)
               else (Verdict.Dependent, met, de @ dists))
       (Verdict.Dependent, [ Dirvec.all_star n_common ], [])

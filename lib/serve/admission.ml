@@ -10,8 +10,6 @@ type 'a t = {
   capacity : int;
   q : 'a Queue.t;
   mutable closed : bool;
-  admitted : int Atomic.t;
-  shed : int Atomic.t;
 }
 
 type verdict = Admitted | Shed | Closed
@@ -23,20 +21,7 @@ let create ~capacity =
     capacity = max 1 capacity;
     q = Queue.create ();
     closed = false;
-    admitted = Atomic.make 0;
-    shed = Atomic.make 0;
   }
-
-let capacity t = t.capacity
-
-let length t =
-  Mutex.lock t.lock;
-  let n = Queue.length t.q in
-  Mutex.unlock t.lock;
-  n
-
-let admitted t = Atomic.get t.admitted
-let shed t = Atomic.get t.shed
 
 let try_admit t x =
   Mutex.lock t.lock;
@@ -50,10 +35,6 @@ let try_admit t x =
     end
   in
   Mutex.unlock t.lock;
-  (match v with
-  | Admitted -> Atomic.incr t.admitted
-  | Shed -> Atomic.incr t.shed
-  | Closed -> ());
   v
 
 let take t =

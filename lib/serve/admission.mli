@@ -12,7 +12,8 @@ val create : capacity:int -> 'a t
 (** [capacity] is clamped to at least 1. *)
 
 val try_admit : 'a t -> 'a -> verdict
-(** Non-blocking.  Counts every [Admitted]/[Shed] outcome. *)
+(** Non-blocking.  The caller counts the outcome (the server counts
+    into its [Metrics.accepted]/[Metrics.shed]). *)
 
 val take : 'a t -> 'a option
 (** Blocks until an item or close.  After {!close}, drains remaining
@@ -20,8 +21,3 @@ val take : 'a t -> 'a option
 
 val close : 'a t -> unit
 (** Idempotent; wakes all blocked takers. *)
-
-val capacity : 'a t -> int
-val length : 'a t -> int
-val admitted : 'a t -> int
-val shed : 'a t -> int

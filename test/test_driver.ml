@@ -11,6 +11,7 @@ module Verdict = Dlz_deptest.Verdict
 module Problem = Dlz_deptest.Problem
 module Exact = Dlz_deptest.Exact
 module Symeq = Dlz_deptest.Symeq
+module Dirvec = Dlz_deptest.Dirvec
 module Access = Dlz_ir.Access
 module Ast = Dlz_ir.Ast
 module Prng = Dlz_base.Prng
@@ -148,6 +149,105 @@ let experiments_units =
           [ "e1"; "E1"; "e3"; "e4"; "e5"; "e6"; "e7" ]);
   ]
 
+(* [vic trace] shows, per equation, what [Symalgo.equation] answers;
+   the meet of those answers over a pair's equations must be the
+   engine's answer under the delin cascade, on every polybench kernel. *)
+let trace_units =
+  [
+    Alcotest.test_case "trace outcomes meet to the engine's delin answer"
+      `Quick (fun () ->
+        let module Engine = Dlz_engine.Engine in
+        let module Symalgo = Dlz_core.Symalgo in
+        let dirvecs = Alcotest.(list string) in
+        let cache = Dlz_engine.Query.create_cache () in
+        List.iter
+          (fun (k : Dlz_corpus.Polybench.kernel) ->
+            let prog =
+              Dlz_passes.Pipeline.prepare_program
+                (Dlz_passes.Pointers.lower
+                   (Dlz_frontend.C_parser.parse k.k_source))
+            in
+            let accs, env = Access.of_program prog in
+            Seq.iteri
+              (fun i (pr : Engine.pair) ->
+                let p = pr.problem in
+                let solve = Symalgo.equation ~env p in
+                let verdict, vectors =
+                  List.fold_left
+                    (fun (v, dvs) eq ->
+                      let ve, nv, _ =
+                        Symalgo.answer ~n_common:p.n_common (solve eq)
+                      in
+                      match Dirvec.meet_sets dvs nv with
+                      | met when ve = Verdict.Dependent && met <> [] -> (v, met)
+                      | _ -> (Verdict.Independent, []))
+                    (Verdict.Dependent, [ Dirvec.all_star p.n_common ])
+                    p.equations
+                in
+                let r =
+                  Engine.query ~cascade:Dlz_engine.Cascade.delin ~cache ~env p
+                in
+                let what = Printf.sprintf "%s pair %d" k.k_name (i + 1) in
+                Alcotest.(check string) (what ^ " verdict")
+                  (Verdict.to_string r.verdict) (Verdict.to_string verdict);
+                Alcotest.check dirvecs (what ^ " vectors")
+                  (List.map Dirvec.to_string r.dirvecs)
+                  (List.map Dirvec.to_string vectors))
+              (Engine.pairs_seq accs))
+          Dlz_corpus.Polybench.kernels);
+  ]
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* A pass's integer overflow is an input error: its file becomes an
+   ok:false row, and the other files are still reported. *)
+let bulk_units =
+  [
+    Alcotest.test_case "an overflowing kernel is a row, not a crash" `Quick
+      (fun () ->
+        let dir = Filename.temp_file "dlz_overflow_test" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o755;
+        let write name src =
+          let path = Filename.concat dir name in
+          let oc = open_out_bin path in
+          output_string oc src;
+          close_out oc;
+          path
+        in
+        (* Normalizing I = 1, 4 to 0, 3 adds 2^61 to a 2^61 offset. *)
+        let bad =
+          write "bad.f"
+            "      DIMENSION A(10)\n\
+            \      DO 10 I = 1, 4\n\
+             10    A(2305843009213693952*I+2305843009213693952) = A(1)\n\
+            \      END\n"
+        in
+        let good = write "good.f" Fragments.intro_serial in
+        Fun.protect
+          ~finally:(fun () ->
+            Sys.remove bad;
+            Sys.remove good;
+            Sys.rmdir dir)
+          (fun () ->
+            match Dlz_driver.Bulk.run dir with
+            | [ bad_row; good_row; summary ] ->
+                Alcotest.(check bool) "bad row flagged" true
+                  (contains ~sub:"\"ok\":false" bad_row
+                  && contains ~sub:"integer overflow in add" bad_row);
+                Alcotest.(check bool) "good row ok" true
+                  (contains ~sub:"\"ok\":true" good_row);
+                Alcotest.(check bool) "summary counts both" true
+                  (contains ~sub:"\"files\":2,\"ok\":1,\"errors\":1" summary)
+            | rows ->
+                Alcotest.failf "expected 3 rows, got %d" (List.length rows)));
+  ]
+
 let () =
   Alcotest.run "dlz_driver"
     [
@@ -156,4 +256,6 @@ let () =
       ("workload-props", List.map QCheck_alcotest.to_alcotest workload_props);
       ("dynamic", dynamic_units);
       ("experiments", experiments_units);
+      ("trace", trace_units);
+      ("bulk", bulk_units);
     ]
