@@ -82,12 +82,22 @@ let decompose env ~strides ~extents (f : Affine.t) loops =
       | Some k -> buckets.(k) <- (v, c) :: buckets.(k)
       | None -> raise No_plan)
     (Affine.terms f);
-  (* Mixed-radix split of the constant part. *)
+  (* Mixed-radix split of the constant part.  Below a numeric stride the
+     numeric part of the constant is its floor residue (the Figure-4
+     [c0 mod g]: 11 over strides 1, 10 splits as 1 + 10); the symbolic
+     part keeps the terms the stride does not divide. *)
+  let below stride p =
+    match Poly.to_const stride with
+    | Some s when s > 0 ->
+        let num = Poly.eval (fun _ -> 0) p in
+        let _, r = divmod (Poly.sub p (Poly.const num)) stride in
+        Poly.add r (Poly.const (Dlz_base.Numth.fmod num s))
+    | _ -> snd (divmod p stride)
+  in
   let consts = Array.make m Poly.zero in
   let rem = ref (Affine.konst f) in
   for k = 0 to m - 2 do
-    let q_div, r = divmod !rem (List.nth strides (k + 1)) in
-    ignore q_div;
+    let r = below (List.nth strides (k + 1)) !rem in
     consts.(k) <- r;
     rem := Poly.sub !rem r
   done;

@@ -327,13 +327,11 @@ let test_strike_on_worker_domain () =
      serial rows.  The cache is warmed by the clean serial pass, so in
      the chaotic pass only a struck problem misses (a struck problem
      skips the lookup, and its degraded answer is never cached); the
-     observer records the domain of every miss.  The pass is too small
-     for parked workers to wake before the caller drains it alone, so
-     the observer also slows the caller's queries down: the workers
-     then take the chunks the caller has not reached.  Which domain
-     runs what is still scheduling-dependent, so the run retries until
-     a struck query ran off the calling domain (each attempt asserting
-     the accounting regardless). *)
+     observer records the domain of every miss.  Until a miss has run
+     off the calling domain, the observer also slows the caller's
+     queries down to 1 ms each: each map then outlasts the pool's spawn
+     threshold, and the helpers, answering from the warm cache, take
+     the chunks the caller has not reached, struck ones included. *)
   let progs = workload_programs () in
   let cache = Query.create_cache () in
   let serial =
@@ -347,42 +345,39 @@ let test_strike_on_worker_domain () =
       progs
   in
   let caller = Domain.self () in
-  let rec attempt k =
-    let chaos = chaos_cfg (Int64.of_int (9000 + k)) in
-    let stats = Stats.create () in
-    let on_worker = Atomic.make false in
-    let observer d =
-      if Domain.self () = caller then Unix.sleepf 0.0005
-      else if d = Query.Miss then Atomic.set on_worker true
-    in
-    let par =
-      List.map
-        (fun prog ->
-          let accs, env = Access.of_program prog in
-          Width.with_pool (fun pool ->
-              List.map
-                (fun (_, (r : Strategy.result)) -> r.Strategy.verdict)
-                (Engine.query_all ~stats ~cache ~chaos ~observer ~pool ~env
-                   accs)))
-        progs
-    in
-    let strikes = Chaos.strikes chaos in
-    Alcotest.(check int)
-      "one degradation per strike, on any domain" strikes
-      (chaos_attributed stats);
-    (* Degraded-to-conservative only: never a dropped or extra row. *)
-    List.iter2
-      (fun s p ->
-        Alcotest.(check int) "row counts match serial" (List.length s)
-          (List.length p))
-      serial par;
-    let landed = Atomic.get on_worker in
-    if ((not landed) || strikes = 0) && k < 20 then attempt (k + 1)
-    else (landed, strikes)
+  let chaos = chaos_cfg 9001L in
+  let stats = Stats.create () in
+  let on_worker = Atomic.make false in
+  let observer d =
+    if Domain.self () <> caller then begin
+      if d = Query.Miss then Atomic.set on_worker true
+    end
+    else if not (Atomic.get on_worker) then Unix.sleepf 0.001
   in
-  let landed, strikes = attempt 1 in
-  Alcotest.(check bool) "a strike landed on a worker domain" true landed;
-  Alcotest.(check bool) "the seed struck" true (strikes > 0)
+  let par =
+    List.map
+      (fun prog ->
+        let accs, env = Access.of_program prog in
+        Width.with_pool (fun pool ->
+            List.map
+              (fun (_, (r : Strategy.result)) -> r.Strategy.verdict)
+              (Engine.query_all ~stats ~cache ~chaos ~observer ~pool ~env
+                 accs)))
+      progs
+  in
+  let strikes = Chaos.strikes chaos in
+  Alcotest.(check bool) "the seed struck" true (strikes > 0);
+  Alcotest.(check int)
+    "one degradation per strike, on any domain" strikes
+    (chaos_attributed stats);
+  (* Degraded-to-conservative only: never a dropped or extra row. *)
+  List.iter2
+    (fun s p ->
+      Alcotest.(check int) "row counts match serial" (List.length s)
+        (List.length p))
+    serial par;
+  Alcotest.(check bool) "a strike landed on a worker domain" true
+    (Atomic.get on_worker)
 
 (* --- chaos: zero-divisor strikes ------------------------------------------ *)
 

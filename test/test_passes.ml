@@ -534,6 +534,33 @@ let linearize_units =
             Alcotest.(check int) "independent" 0
               (List.length (Dlz_engine.Analyze.deps_of_program p)))
           [ original; linearized; reshaped ]);
+    Alcotest.test_case "reshape splits a constant offset per stride" `Quick
+      (fun () ->
+        (* Stencil offsets: 11 = 1 + 10 and 12 = 2 + 10 carry into the
+           outer dimension, which exact division alone left in the
+           inner index (out of range, so no plan). *)
+        let linear =
+          F77.parse
+            "      REAL A(0:99)\n\
+            \      DO J = 0, 7\n\
+            \      DO I = 0, 7\n\
+            \      A(I+10*J+11) = A(I+10*J+1) + A(I+10*J+12)\n\
+            \      ENDDO\n\
+            \      ENDDO\n\
+            \      END\n"
+        in
+        let reshaped, plans =
+          Dlz_core.Reshape.apply ~env:Dlz_symbolic.Assume.empty linear
+        in
+        Alcotest.(check (list (list int))) "A becomes A(0:9,0:9)"
+          [ [ 10; 10 ] ]
+          (List.map
+             (fun (p : Dlz_core.Reshape.plan) ->
+               List.map Dlz_symbolic.Poly.const_value p.extents)
+             plans);
+        Alcotest.(check bool) "offsets split per dimension" true
+          (contains (Ast.to_string reshaped) "A(1+I,1+J) = A(1+I,J)+A(2+I,1+J)");
+        check_preserves "constant offset" linear reshaped);
   ]
 
 (* --- COMMON sequence association ---------------------------------------------- *)

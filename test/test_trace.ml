@@ -19,6 +19,7 @@ module F77 = Dlz_frontend.F77_parser
 module Pipeline = Dlz_passes.Pipeline
 module Engine = Dlz_engine.Engine
 module Analyze = Dlz_engine.Analyze
+module Access = Dlz_ir.Access
 module Stats = Dlz_engine.Stats
 module Chaos = Dlz_engine.Chaos
 
@@ -701,10 +702,21 @@ let check_engine_trace c =
       end)
     queries
 
+(* The pair queries of a 10-statement program over a pool.  The caller
+   answers its queries slowly (1 ms each) until one has run on a helper
+   domain, so the map outlasts the pool's spawn threshold and the trace
+   always has worker tracks. *)
 let run_analysis () =
   Engine.reset_metrics ();
-  let prog = prepare (many_distances_src 10) in
-  Width.with_pool (fun pool -> ignore (Analyze.deps_of_program ~pool prog));
+  let accs, env = Access.of_program (prepare (many_distances_src 10)) in
+  let caller = Domain.self () in
+  let off_caller = Atomic.make false in
+  let observer _ =
+    if Domain.self () <> caller then Atomic.set off_caller true
+    else if not (Atomic.get off_caller) then Unix.sleepf 0.001
+  in
+  Width.with_pool (fun pool ->
+      ignore (Engine.query_all ~observer ~pool ~env accs));
   Alcotest.(check bool) "stats consistent" true (Stats.consistent Stats.global);
   if Stats.queries Stats.global = 0 then Alcotest.fail "workload ran no queries"
 
