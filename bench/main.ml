@@ -233,11 +233,12 @@ let e8_bounds =
 let e8_linearity_bound = 6.0
 
 (* Delinearization over the Banerjee filter on the corpus pairs, the
-   whole-strategy cost on a realistic mix.  Ten runs of this arm gave
-   16.2-17.6, median 16.7 (2-core host, OCaml 5.1.1; a hierarchy that
-   re-derived every bound per node gave 29.6-33.4); the bound is 1.5x
-   that median, rounded up. *)
-let e8_corpus_bound = 26.0
+   whole-strategy cost on a realistic mix.  Seven runs of this arm gave
+   7.26-7.85, median 7.53 (2-core host, OCaml 5.1.1; direction vectors
+   met as lists gave 16.2-17.6, and a hierarchy that re-derived every
+   bound per node 29.6-33.4); the bound is 1.5x that median, rounded
+   up. *)
+let e8_corpus_bound = 12.0
 
 let e8_report () =
   let corpus_pairs, corpus = corpus_testers () in

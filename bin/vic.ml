@@ -602,7 +602,8 @@ let trace_cmd =
             Printf.printf "verdict: %s\n"
               (String.concat " "
                  (Dlz_deptest.Verdict.to_string verdict
-                 :: List.map Dlz_deptest.Dirvec.to_string dirvecs)))
+                 :: List.map Dlz_deptest.Dirvec.to_string
+                      (Dlz_deptest.Dirvec.Set.to_list dirvecs))))
           (affine_positions 1 pr.src.subs pr.dst.subs)
           p.equations)
       (Dlz_engine.Engine.pairs_seq accs);

@@ -21,7 +21,7 @@ type step = {
 type result = {
   verdict : Verdict.t;
   pieces : Depeq.t list;
-  dirvecs : Dirvec.t list;
+  dirvecs : Dirvec.Set.t;
   distances : (int * int) list;
   steps : step list;
 }
@@ -73,7 +73,7 @@ let run ?(policy = Optimal) ~n_common ~common_ubs eq =
   let steps = ref [] in
   let pieces = ref [] in
   let distances = ref [] in
-  let dirvecs = ref [ Dirvec.all_star n_common ] in
+  let dirvecs = ref (Dirvec.Set.all_star n_common) in
   let independent = ref false in
   let smin = ref 0 and smax = ref 0 in
   let kbeg = ref 0 in
@@ -111,8 +111,8 @@ let run ?(policy = Optimal) ~n_common ~common_ubs eq =
             Hierarchy.directions
               (Problem.numeric_of_equations ~n_common ~common_ubs [ piece ])
           in
-          dirvecs := Dirvec.meet_sets !dirvecs nv;
-          if !dirvecs = [] then independent := true
+          dirvecs := Dirvec.Set.meet !dirvecs nv;
+          if Dirvec.Set.is_empty !dirvecs then independent := true
         end;
         smin := 0;
         smax := 0;
@@ -140,10 +140,11 @@ let run ?(policy = Optimal) ~n_common ~common_ubs eq =
     incr k
   done;
   let verdict =
-    if !independent || !dirvecs = [] then Verdict.Independent
-    else Verdict.Dependent
+    if !independent then Verdict.Independent else Verdict.Dependent
   in
-  let dirvecs = if verdict = Verdict.Independent then [] else !dirvecs in
+  let dirvecs =
+    if !independent then Dirvec.Set.empty n_common else !dirvecs
+  in
   {
     verdict;
     pieces = List.rev !pieces;

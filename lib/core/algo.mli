@@ -40,7 +40,7 @@ type step = {
 type result = {
   verdict : Verdict.t;
   pieces : Depeq.t list;  (** Separated equations, in emission order. *)
-  dirvecs : Dirvec.t list;
+  dirvecs : Dirvec.Set.t;
       (** Surviving basic direction vectors over the common loops. *)
   distances : (int * int) list;
       (** [(level, β-α)] distances proven constant by some piece. *)

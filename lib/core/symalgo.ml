@@ -22,7 +22,7 @@ type step = {
 type result = {
   verdict : Verdict.t;
   pieces : Symeq.t list;
-  dirvecs : Dirvec.t list;
+  dirvecs : Dirvec.Set.t;
   distances : (int * Poly.t) list;
   steps : step list;
 }
@@ -30,19 +30,22 @@ type result = {
 (* |x| < g without needing the sign of x: x < g and -x < g. *)
 let abs_lt env x g = Assume.lt env x g && Assume.lt env (Poly.neg x) g
 
+(* Each coefficient's [Assume.abs] is computed once, before the sort,
+   not in every comparison. *)
 let sort_terms env (eq : Symeq.t) =
-  let heuristic c =
-    (Poly.degree c, Intx.abs (Poly.content c))
-  in
-  let cmp (c1, _) (c2, _) =
-    let a1 = Assume.abs env c1 and a2 = Assume.abs env c2 in
-    match (a1, a2) with
-    | Some a1, Some a2 when Assume.lt env a1 a2 -> -1
-    | Some a1, Some a2 when Assume.lt env a2 a1 -> 1
-    | Some a1, Some a2 when Poly.equal a1 a2 -> 0
-    | _ -> Stdlib.compare (heuristic c1) (heuristic c2)
-  in
-  { eq with terms = List.stable_sort cmp eq.terms }
+  match eq.terms with
+  | [] | [ _ ] -> eq
+  | terms ->
+      let heuristic c = (Poly.degree c, Intx.abs (Poly.content c)) in
+      let cmp (a1, (c1, _)) (a2, (c2, _)) =
+        match (a1, a2) with
+        | Some a1, Some a2 when Assume.lt env a1 a2 -> -1
+        | Some a1, Some a2 when Assume.lt env a2 a1 -> 1
+        | Some a1, Some a2 when Poly.equal a1 a2 -> 0
+        | _ -> Stdlib.compare (heuristic c1) (heuristic c2)
+      in
+      let keyed = List.map (fun ((c, _) as t) -> (Assume.abs env c, t)) terms in
+      { eq with terms = List.map snd (List.stable_sort cmp keyed) }
 
 (* Residue of c0 modulo a single-term g.  For fully numeric data, shift
    into the representative closest to -(smin+smax)/2, as the numeric
@@ -58,16 +61,14 @@ let residue ~smin ~smax c0 g =
           Poly.const (Numth.nearest_residue rc gc target)
       | _ -> r)
 
-let all_star_set n = [ Dirvec.all_star n ]
-
 (* Feasibility of β - α = d within bounds β ≤ ub_dst, α ≤ ub_src:
    infeasible if d > ub_dst or -d > ub_src. *)
 let delta_feasible env ~ub_src ~ub_dst d =
   not (Assume.lt env ub_dst d || Assume.lt env ub_src (Poly.neg d))
 
 let solve_piece ~env ~n_common (piece : Symeq.t) =
-  let maybe = (Verdict.Dependent, all_star_set n_common, None) in
-  let independent = (Verdict.Independent, [], None) in
+  let maybe = (Verdict.Dependent, Dirvec.Set.all_star n_common, None) in
+  let independent = (Verdict.Independent, Dirvec.Set.empty n_common, None) in
   let numeric_common_ubs () = Array.make n_common max_int in
   match Symeq.to_numeric piece with
   | Some neq ->
@@ -76,7 +77,7 @@ let solve_piece ~env ~n_common (piece : Symeq.t) =
           (Problem.numeric_of_equations ~n_common
              ~common_ubs:(numeric_common_ubs ()) [ neq ])
       in
-      if nv = [] then independent
+      if Dirvec.Set.is_empty nv then independent
       else
         let dist =
           match Algo.piece_distance neq with
@@ -88,7 +89,7 @@ let solve_piece ~env ~n_common (piece : Symeq.t) =
       match piece.terms with
       | [] -> (
           match Assume.sign env piece.c0 with
-          | Assume.Zero -> (Verdict.Dependent, all_star_set n_common, None)
+          | Assume.Zero -> maybe
           | Assume.Positive | Assume.Negative -> independent
           | Assume.Unknown -> maybe)
       | [ (c, v) ] -> (
@@ -134,8 +135,8 @@ let solve_piece ~env ~n_common (piece : Symeq.t) =
                   | Some dir when lvl <= n_common ->
                       let dv = Dirvec.all_star n_common in
                       dv.(lvl - 1) <- dir;
-                      [ dv ]
-                  | _ -> all_star_set n_common
+                      Dirvec.Set.singleton dv
+                  | _ -> Dirvec.Set.all_star n_common
                 in
                 (Verdict.Dependent, nv, Some (lvl, d)))
       | _ -> maybe)
@@ -152,7 +153,7 @@ let run ?(check_independence = true) ~env ~n_common (eq : Symeq.t) =
   let steps = ref [] in
   let pieces = ref [] in
   let distances = ref [] in
-  let dirvecs = ref (all_star_set n_common) in
+  let dirvecs = ref (Dirvec.Set.all_star n_common) in
   let independent = ref false in
   let smin = ref Poly.zero and smax = ref Poly.zero in
   let poisoned = ref false in
@@ -192,8 +193,8 @@ let run ?(check_independence = true) ~env ~n_common (eq : Symeq.t) =
             | None -> ());
             if v = Verdict.Independent then independent := true
             else begin
-              dirvecs := Dirvec.meet_sets !dirvecs nv;
-              if !dirvecs = [] then independent := true
+              dirvecs := Dirvec.Set.meet !dirvecs nv;
+              if Dirvec.Set.is_empty !dirvecs then independent := true
             end
           end
         end;
@@ -228,13 +229,13 @@ let run ?(check_independence = true) ~env ~n_common (eq : Symeq.t) =
     incr k
   done;
   let verdict =
-    if !independent || !dirvecs = [] then Verdict.Independent
-    else Verdict.Dependent
+    if !independent then Verdict.Independent else Verdict.Dependent
   in
   {
     verdict;
     pieces = List.rev !pieces;
-    dirvecs = (if verdict = Verdict.Independent then [] else !dirvecs);
+    dirvecs =
+      (if !independent then Dirvec.Set.empty n_common else !dirvecs);
     distances = List.rev !distances;
     steps = List.rev !steps;
   }
@@ -315,4 +316,4 @@ let answer ~n_common = function
   | Symbolic r -> (r.verdict, r.dirvecs, r.distances)
   | Overflow _ ->
       (* Coefficient/bound products past 63 bits: degrade soundly. *)
-      (Verdict.Dependent, all_star_set n_common, [])
+      (Verdict.Dependent, Dirvec.Set.all_star n_common, [])

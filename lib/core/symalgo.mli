@@ -31,7 +31,7 @@ type step = {
 type result = {
   verdict : Verdict.t;
   pieces : Symeq.t list;
-  dirvecs : Dirvec.t list;
+  dirvecs : Dirvec.Set.t;
   distances : (int * Poly.t) list;
       (** [(level, β-α)] distances proven constant (possibly symbolic,
           e.g. [N]). *)
@@ -57,7 +57,7 @@ val run :
 
 val solve_piece :
   env:Assume.t -> n_common:int -> Symeq.t ->
-  Verdict.t * Dirvec.t list * (int * Poly.t) option
+  Verdict.t * Dirvec.Set.t * (int * Poly.t) option
 (** Direction-vector solving for one separated symbolic equation: exact
     for numeric pieces (via the classic techniques), pattern-based for
     the symbolic shapes linearized subscripts produce (single variable,
@@ -92,7 +92,7 @@ val equation : env:Assume.t -> Problem.t -> Symeq.t -> outcome
     Partial application to [p] computes the numeric bounds once. *)
 
 val answer :
-  n_common:int -> outcome -> Verdict.t * Dirvec.t list * (int * Poly.t) list
+  n_common:int -> outcome -> Verdict.t * Dirvec.Set.t * (int * Poly.t) list
 (** The verdict, direction vectors and [(level, β-α)] distances an
     outcome proves; [Overflow] answers dependent in every direction,
     with no distance. *)

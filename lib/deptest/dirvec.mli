@@ -35,11 +35,6 @@ val meet : t -> t -> t option
     length meet on their common prefix, keeping the longer tail (used
     when a separated equation constrains only some levels). *)
 
-val meet_sets : t list -> t list -> t list
-(** Every non-empty pairwise {!meet} of the two sets, sorted and
-    deduplicated: the direction vectors two conjoined constraints
-    admit together. *)
-
 val join : t -> t -> t
 (** Pointwise join of equal-length vectors. *)
 
@@ -76,3 +71,65 @@ val to_string : t -> string
 (** Printed like ( *, <, = ). *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Packed sets}
+
+    A set of direction vectors over [n] levels, as one sorted,
+    deduplicated [int array]: each vector is [⌈n/21⌉] ints (one int
+    for [n ≤ 21]), 3 bits per level with level 1 in the most
+    significant bits, each level coded by its {!dir}'s constructor
+    index ([Lt] = 0 … [Star] = 6).  Comparing the ints orders the
+    vectors as {!compare} does, so {!Set.to_list} is sorted by
+    {!compare}.  The solvers of the delinearize strategy keep their
+    direction vectors in this form, and meet them, without building a
+    list, an option or an array per vector. *)
+
+module Set : sig
+  type vec := t
+  type t
+
+  val all_star : int -> t
+  (** The one vector [( *, …, * )]. *)
+
+  val empty : int -> t
+
+  val singleton : vec -> t
+  (** The one vector, over its length's levels. *)
+
+  val cardinal : t -> int
+  val is_empty : t -> bool
+  val equal : t -> t -> bool
+
+  val meet : t -> t -> t
+  (** Every non-empty pairwise {!Dirvec.meet} of two sets over the same
+      levels (else [Invalid_argument]): the direction vectors two
+      conjoined constraints admit together.  Meeting the set that is
+      only [( *, …, * )] returns the other set itself. *)
+
+  val to_list : t -> vec list
+  (** The vectors, sorted by {!Dirvec.compare}. *)
+
+  (** {3 Building a set} *)
+
+  type builder
+
+  val builder : int -> builder
+  (** An empty set under construction, over the given number of
+      levels. *)
+
+  val add : builder -> vec -> unit
+  (** Adds one vector (a duplicate is dropped); [Invalid_argument] if
+      its length is not the builder's levels.  Vectors added in
+      {!Dirvec.compare} order cost one comparison each. *)
+
+  val count : builder -> int
+  (** The number of distinct vectors added so far; they occupy
+      positions [0] to [count - 1] in sorted order. *)
+
+  val add_copies : builder -> from:int -> upto:int -> level:int -> dir -> unit
+  (** [add_copies b ~from ~upto ~level d] adds a copy of each vector at
+      positions [from] to [upto - 1] with its level [level] (1-based)
+      set to [d]. *)
+
+  val finish : builder -> t
+end

@@ -177,7 +177,9 @@ let direction_vectors ?budget ~n_common eqs =
       in
       Hashtbl.replace seen dv ())
     eqs;
-  List.sort Dirvec.compare (Hashtbl.fold (fun dv () acc -> dv :: acc) seen [])
+  let b = Dirvec.Set.builder n_common in
+  Hashtbl.iter (fun dv () -> Dirvec.Set.add b dv) seen;
+  Dirvec.Set.finish b
 
 let level_values ?budget ~level ~side eqs =
   let seen = Hashtbl.create 16 in

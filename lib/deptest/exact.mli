@@ -30,7 +30,7 @@ val count_solutions : ?limit:int -> Depeq.t list -> int
     brute-force enumeration guarded by the same pruning. *)
 
 val direction_vectors :
-  ?budget:Dlz_base.Budget.t -> n_common:int -> Depeq.t list -> Dirvec.t list
+  ?budget:Dlz_base.Budget.t -> n_common:int -> Depeq.t list -> Dirvec.Set.t
 (** The exact set of basic direction vectors over the first [n_common]
     levels realized by integer solutions.  Exponential; small problems
     only.  Raises {!Dlz_base.Budget.Exhausted} when the budget runs out

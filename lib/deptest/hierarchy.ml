@@ -150,14 +150,6 @@ let rec mentions at = function
 let acc_key = Domain.DLS.new_key Ivl.Acc.create
 let children = [| Dirvec.Lt; Dirvec.Eq; Dirvec.Gt |]
 
-(* The leaves consed onto [leaves] since it was [mark]. *)
-let since mark leaves =
-  let rec go acc l =
-    if l == mark then acc
-    else match l with v :: rest -> go (v :: acc) rest | [] -> acc
-  in
-  go [] leaves
-
 let directions ?(budget = Budget.unlimited) (p : Problem.numeric) =
   let n = p.n_common in
   let eqs = List.map (compile_eq n) p.eqs in
@@ -167,14 +159,14 @@ let directions ?(budget = Budget.unlimited) (p : Problem.numeric) =
   in
   let acc = Domain.DLS.get acc_key in
   let dv = Dirvec.all_star n in
-  let leaves = ref [] in
+  let leaves = Dirvec.Set.builder n in
   (* [node level] tests the node whose levels below [level] are set in
      [dv] (already charged) and refines it; it returns the number of
      nodes its subtree charged, itself included. *)
   let rec node level =
     if not (dependent acc dv eqs) then 1
     else if level > n then begin
-      leaves := Array.copy dv :: !leaves;
+      Dirvec.Set.add leaves dv;
       1
     end
     else if mentions (level - 1) eqs then begin
@@ -192,33 +184,31 @@ let directions ?(budget = Budget.unlimited) (p : Problem.numeric) =
     dv.(level - 1) <- Dirvec.Star;
     k
   (* No equation mentions [level], so every feasible child roots the
-     same subtree: the first is solved, the others copy its leaves and
-     charge the nodes they stand for one spend at a time, so fuel runs
-     out at the same node as a full walk. *)
+     same subtree: the first is solved, the others copy its leaves with
+     [level] rewritten and charge the nodes they stand for one spend at
+     a time, so fuel runs out at the same node as a full walk.  The
+     walk visits children in [<], [=], [>] order, so the leaves, copies
+     included, arrive sorted. *)
   and unmentioned level =
     let total = ref 1 and model = ref None in
     for i = 0 to 2 do
       let d = children.(i) in
       match !model with
-      | Some (k, sub) when feasible level d ->
+      | Some (k, from, upto) when feasible level d ->
           for _ = 1 to k do
             Budget.spend budget
           done;
-          List.iter
-            (fun v ->
-              let v = Array.copy v in
-              v.(level - 1) <- d;
-              leaves := v :: !leaves)
-            sub;
+          Dirvec.Set.add_copies leaves ~from ~upto ~level d;
           total := !total + k
       | _ ->
-          let mark = !leaves in
+          let from = Dirvec.Set.count leaves in
           let k = child level d in
-          if feasible level d then model := Some (k, since mark !leaves);
+          if feasible level d then
+            model := Some (k, from, Dirvec.Set.count leaves);
           total := !total + k
     done;
     !total
   in
   Budget.spend budget;
   ignore (node 1 : int);
-  List.sort Dirvec.compare !leaves
+  Dirvec.Set.finish leaves

@@ -9,9 +9,12 @@
     "existing techniques" the paper's algorithm calls to solve
     separated equations. *)
 
-val directions : ?budget:Dlz_base.Budget.t -> Problem.numeric -> Dirvec.t list
-(** All basic direction vectors not disproven, sorted.  The empty list
-    means independence.  One [budget] unit is spent per refinement node,
+val directions : ?budget:Dlz_base.Budget.t -> Problem.numeric -> Dirvec.Set.t
+(** All basic direction vectors not disproven, as a packed set over the
+    [n_common] levels (sorted by {!Dirvec.compare}); the empty set
+    means independence.  Each leaf is packed where the walk reaches it,
+    and the leaves arrive in sorted order, so nothing is sorted
+    afterwards.  One [budget] unit is spent per refinement node,
     in the walk's order (children in [<], [=], [>] order); exhaustion
     raises {!Dlz_base.Budget.Exhausted} (a truncated set would read as
     proven independence).  A level no equation mentions is solved once

@@ -214,7 +214,8 @@ let e4 () =
         (Printf.sprintf "Verdict: %s; direction vectors: %s; distances: %s"
            (Verdict.to_string r.Algo.verdict)
            (String.concat " "
-              (List.map Dirvec.to_string r.Algo.dirvecs))
+              (List.map Dirvec.to_string
+                 (Dirvec.Set.to_list r.Algo.dirvecs)))
            (String.concat " "
               (List.map
                  (fun (l, d) -> Printf.sprintf "level %d: %+d" l d)
@@ -303,7 +304,9 @@ let e6 () =
       para buf
         (Printf.sprintf "Verdict: %s; direction vectors: %s"
            (Verdict.to_string r.Symalgo.verdict)
-           (String.concat " " (List.map Dirvec.to_string r.Symalgo.dirvecs)));
+           (String.concat " "
+              (List.map Dirvec.to_string
+                 (Dirvec.Set.to_list r.Symalgo.dirvecs))));
       para buf
         (Printf.sprintf "Symbolic distances: %s"
            (String.concat ", "
@@ -350,7 +353,8 @@ let e6 () =
             [
               string_of_int n;
               Verdict.to_string nr.Algo.verdict;
-              String.concat " " (List.map Dirvec.to_string nr.Algo.dirvecs);
+              String.concat " "
+                (List.map Dirvec.to_string (Dirvec.Set.to_list nr.Algo.dirvecs));
               (if consistent then "yes" else "NO");
             ])
         [ 2; 3; 4; 5; 6 ];

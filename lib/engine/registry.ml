@@ -19,27 +19,20 @@ module Symalgo = Dlz_core.Symalgo
 let run_delinearize ~env ~budget (p : Problem.t) =
   let n_common = p.Problem.n_common in
   let solve = Symalgo.equation ~env p in
-  let verdict, dirvecs, distances =
-    List.fold_left
-      (fun (v, dvs, dists) eq ->
-        match v with
-        | Verdict.Independent -> (v, dvs, dists)
-        | _ ->
-            Dlz_base.Budget.spend budget;
-            let ve, nv, de = Symalgo.answer ~n_common (solve eq) in
-            if ve = Verdict.Independent then (Verdict.Independent, [], dists)
-            else
-              let met = Dirvec.meet_sets dvs nv in
-              if met = [] then (Verdict.Independent, [], dists)
-              else (Verdict.Dependent, met, de @ dists))
-      (Verdict.Dependent, [ Dirvec.all_star n_common ], [])
-      p.Problem.equations
+  let rec fold dvs dists = function
+    | [] ->
+        Strategy.decided Verdict.Dependent ~dirvecs:dvs
+          ~distances:(List.sort_uniq Stdlib.compare dists)
+    | eq :: rest ->
+        Dlz_base.Budget.spend budget;
+        let ve, nv, de = Symalgo.answer ~n_common (solve eq) in
+        if ve = Verdict.Independent then Strategy.decided ve
+        else
+          let met = Dirvec.Set.meet dvs nv in
+          if Dirvec.Set.is_empty met then Strategy.decided Verdict.Independent
+          else fold met (de @ dists) rest
   in
-  match verdict with
-  | Verdict.Independent -> Strategy.decided verdict
-  | _ ->
-      Strategy.decided verdict ~dirvecs
-        ~distances:(List.sort_uniq Stdlib.compare distances)
+  fold (Dirvec.Set.all_star n_common) [] p.Problem.equations
 
 let delinearize =
   {
@@ -59,11 +52,12 @@ let run_classic ~env:_ ~budget (p : Problem.t) =
   | Some np ->
       let dvs = Hierarchy.directions ~budget np in
       Strategy.decided
-        (if dvs = [] then Verdict.Independent else Verdict.Dependent)
+        (if Dirvec.Set.is_empty dvs then Verdict.Independent
+         else Verdict.Dependent)
         ~dirvecs:dvs
   | None ->
       Strategy.decided Verdict.Dependent
-        ~dirvecs:[ Dirvec.all_star p.Problem.n_common ]
+        ~dirvecs:(Dirvec.Set.all_star p.Problem.n_common)
 
 let classic =
   {
@@ -82,7 +76,8 @@ let run_exact ~env:_ ~budget (p : Problem.t) =
           np.Problem.eqs
       in
       Strategy.decided
-        (if dvs = [] then Verdict.Independent else Verdict.Dependent)
+        (if Dirvec.Set.is_empty dvs then Verdict.Independent
+         else Verdict.Dependent)
         ~dirvecs:dvs
   | None -> Strategy.Pass
 

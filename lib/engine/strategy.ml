@@ -22,7 +22,10 @@ type t = {
   run : env:Assume.t -> budget:Dlz_base.Budget.t -> Problem.t -> status;
 }
 
-let decided ?(dirvecs = []) ?(distances = []) verdict =
+let decided ?dirvecs ?(distances = []) verdict =
+  let dirvecs =
+    match dirvecs with None -> [] | Some s -> Dirvec.Set.to_list s
+  in
   Decided (verdict, dirvecs, distances)
 
 let conservative ?(degraded = []) (p : Problem.t) =

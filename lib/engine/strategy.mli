@@ -43,10 +43,13 @@ type t = {
 }
 
 val decided :
-  ?dirvecs:Dirvec.t list ->
+  ?dirvecs:Dirvec.Set.t ->
   ?distances:(int * Poly.t) list ->
   Verdict.t ->
   status
+(** A decision.  The solvers keep direction vectors packed; this is
+    where they become the [Dirvec.t list] of the result (none when
+    [dirvecs] is absent). *)
 
 val conservative : ?degraded:(string * string) list -> Problem.t -> result
 (** The sound catch-all when every strategy passed: dependent under the

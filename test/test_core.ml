@@ -43,7 +43,7 @@ let test_eq1_independent () =
 let test_eq1_run () =
   let r = Algo.run ~n_common:2 ~common_ubs:[| 4; 9 |] (eq1 ()) in
   Alcotest.check verdict "run verdict" Verdict.Independent r.verdict;
-  Alcotest.(check int) "no dirvecs" 0 (List.length r.dirvecs)
+  Alcotest.(check int) "no dirvecs" 0 (Dirvec.Set.cardinal r.dirvecs)
 
 let test_fig5_pieces () =
   let r = Algo.run ~n_common:3 ~common_ubs:[| 8; 9; 8 |] (eq_fig5 ()) in
@@ -220,10 +220,10 @@ let policy_props =
         let n_common = 2 in
         let r = Algo.run ~n_common ~common_ubs:[| 6; 6 |] eq in
         let exact = Exact.direction_vectors ~n_common [ eq ] in
+        let hier = Dirvec.Set.to_list r.Algo.dirvecs in
         List.for_all
-          (fun dv ->
-            List.exists (fun h -> Dirvec.meet h dv <> None) r.Algo.dirvecs)
-          exact);
+          (fun dv -> List.exists (fun h -> Dirvec.meet h dv <> None) hier)
+          (Dirvec.Set.to_list exact));
   ]
 
 (* --- symbolic algorithm -------------------------------------------------------- *)
@@ -348,7 +348,7 @@ let symbolic_units =
         | [ (1, d) ] ->
             Alcotest.(check string) "distance -N" "-N" (Poly.to_string d)
         | _ -> Alcotest.fail "expected one symbolic distance");
-        match r.Symalgo.dirvecs with
+        match Dirvec.Set.to_list r.Symalgo.dirvecs with
         | [ dv ] -> Alcotest.(check string) "(>)" "(>)" (Dirvec.to_string dv)
         | _ -> Alcotest.fail "expected one direction");
     Alcotest.test_case "symbolic infeasible distance refuted" `Quick

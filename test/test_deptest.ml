@@ -415,7 +415,8 @@ let exact_units =
               (-1, var ~side:`Dst ~level:1 "i2" 3);
             ]
         in
-        match Exact.direction_vectors ~n_common:1 [ eq ] with
+        let dvs = Exact.direction_vectors ~n_common:1 [ eq ] in
+        match Dirvec.Set.to_list dvs with
         | [ dv ] -> Alcotest.(check string) "(<)" "(<)" (Dirvec.to_string dv)
         | _ -> Alcotest.fail "expected exactly one vector");
     Alcotest.test_case "distance_set" `Quick (fun () ->
@@ -469,7 +470,7 @@ let hierarchy_units =
         let p =
           Problem.numeric_of_equations ~n_common:1 ~common_ubs:[| 8 |] [ eq ]
         in
-        match Hierarchy.directions p with
+        match Dirvec.Set.to_list (Hierarchy.directions p) with
         | [ dv ] -> Alcotest.(check string) "(<)" "(<)" (Dirvec.to_string dv)
         | l -> Alcotest.failf "expected one vector, got %d" (List.length l));
     Alcotest.test_case "coupled subscripts intersect" `Quick (fun () ->
@@ -487,7 +488,7 @@ let hierarchy_units =
             [ mk 0; mk 1 ]
         in
         Alcotest.(check int) "no directions" 0
-          (List.length (Hierarchy.directions p)));
+          (Dirvec.Set.cardinal (Hierarchy.directions p)));
     Alcotest.test_case "tiny trip counts prune < and >" `Quick (fun () ->
         let eq =
           Depeq.make 0
@@ -499,7 +500,7 @@ let hierarchy_units =
         let p =
           Problem.numeric_of_equations ~n_common:1 ~common_ubs:[| 0 |] [ eq ]
         in
-        match Hierarchy.directions p with
+        match Dirvec.Set.to_list (Hierarchy.directions p) with
         | [ dv ] -> Alcotest.(check string) "(=)" "(=)" (Dirvec.to_string dv)
         | _ -> Alcotest.fail "expected only =");
   ]
@@ -520,12 +521,12 @@ let hierarchy_props =
             ~common_ubs:(Array.make n_common 7)
             [ eq ]
         in
-        let hier = Hierarchy.directions p in
+        let hier = Dirvec.Set.to_list (Hierarchy.directions p) in
         let exact = Exact.direction_vectors ~n_common [ eq ] in
         List.for_all
           (fun dv ->
             List.exists (fun h -> Dirvec.meet h dv <> None) hier)
-          exact);
+          (Dirvec.Set.to_list exact));
   ]
 
 (* --- the compiled hierarchy against a per-node reference ------------------ *)
@@ -645,7 +646,9 @@ let hier_outcome solve (p, (outer, inner)) =
     Dlz_base.Budget.remaining_fuel budget )
 
 let hier_agrees case =
-  hier_outcome (fun budget p -> Hierarchy.directions ~budget p) case
+  hier_outcome
+    (fun budget p -> Dirvec.Set.to_list (Hierarchy.directions ~budget p))
+    case
   = hier_outcome reference_directions case
 
 let hierarchy_reference_props =
@@ -701,7 +704,7 @@ let hierarchy_reference_units =
         (* Three common loops, two equations, level 3 unmentioned: 10
            nodes and three vectors.  The per-node test allocates
            nothing, so what remains is the compiled equations, the
-           memoized bounds and the result (about 330 words); walking
+           memoized bounds and the result (about 270 words); walking
            with a closure, an [Array.sub] and fresh Banerjee point
            lists per node took about 1700. *)
         let eq_a =
@@ -720,7 +723,8 @@ let hierarchy_reference_units =
         in
         Alcotest.(check (list string)) "vectors"
           [ "(<, =, <)"; "(<, =, =)"; "(<, =, >)" ]
-          (List.map Dirvec.to_string (Hierarchy.directions p));
+          (List.map Dirvec.to_string
+             (Dirvec.Set.to_list (Hierarchy.directions p)));
         let reps = 100 in
         let before = Gc.minor_words () in
         for _ = 1 to reps do
@@ -730,6 +734,153 @@ let hierarchy_reference_units =
         Alcotest.(check bool)
           (Printf.sprintf "minor words per call %.0f <= 800" per_call)
           true (per_call <= 800.));
+    Alcotest.test_case "delinearize allocates under 2000 minor words" `Quick
+      (fun () ->
+        (* A corpus-shaped pair, C[i][j] against itself in an (i, j, k)
+           nest: three common loops, two equations, level 3
+           unmentioned.  One strategy call solves both equations,
+           meets their packed vector sets and builds the result list
+           (about 1370 words).  Meeting lists with [List.sort_uniq]
+           and polymorphic compare, and sorting the hierarchy's
+           leaves, took about 2820. *)
+        let pair level =
+          Depeq.make 0
+            [ (1, var ~side:`Src ~level (Printf.sprintf "i%d" level) 9);
+              (-1, var ~side:`Dst ~level (Printf.sprintf "j%d" level) 9) ]
+        in
+        let p =
+          Problem.synthetic
+            (Problem.numeric_of_equations ~n_common:3
+               ~common_ubs:[| 9; 9; 9 |] [ pair 1; pair 2 ])
+        in
+        let module Strategy = Dlz_engine.Strategy in
+        let run () =
+          Dlz_engine.Registry.delinearize.Strategy.run
+            ~env:Dlz_symbolic.Assume.empty ~budget:Dlz_base.Budget.unlimited p
+        in
+        (match run () with
+        | Strategy.Decided (v, dvs, _) ->
+            Alcotest.(check (list string)) "answer"
+              [ "dependent"; "(=, =, <)"; "(=, =, =)"; "(=, =, >)" ]
+              (Verdict.to_string v :: List.map Dirvec.to_string dvs)
+        | Strategy.Pass -> Alcotest.fail "delinearize passed");
+        let reps = 100 in
+        let before = Gc.minor_words () in
+        for _ = 1 to reps do
+          ignore (run ())
+        done;
+        let per_call = (Gc.minor_words () -. before) /. float_of_int reps in
+        Alcotest.(check bool)
+          (Printf.sprintf "minor words per call %.0f <= 2000" per_call)
+          true (per_call <= 2000.));
+  ]
+
+(* --- packed direction-vector sets against lists --------------------------- *)
+
+let set_of_list n vs =
+  let b = Dirvec.Set.builder n in
+  List.iter (Dirvec.Set.add b) vs;
+  Dirvec.Set.finish b
+
+(* The reference meet of two vector lists: every non-empty pairwise
+   [Dirvec.meet], sorted and deduplicated. *)
+let reference_meet xs ys =
+  List.concat_map (fun x -> List.filter_map (fun y -> Dirvec.meet x y) ys) xs
+  |> List.sort_uniq Dirvec.compare
+
+(* Two vector lists over the same levels: 0-3 levels, or 21 (one int
+   exactly), 22 and 30 (past one int).  Each case draws its own share
+   of [*], so long vectors still meet; all seven directions occur. *)
+let gen_set_pair =
+  QCheck.Gen.(
+    let* n = frequency [ (6, int_range 0 3); (1, oneofl [ 21; 22; 30 ]) ] in
+    let* stars = oneofl [ 0; 2; 8; 40 ] in
+    let dir =
+      frequency
+        ((stars, return Dirvec.Star)
+        :: List.map (fun d -> (1, return d)) all_dirs)
+    in
+    let vec = map Array.of_list (list_repeat n dir) in
+    let set =
+      frequency
+        [ (6, list_size (int_range 0 6) vec); (1, return [ Dirvec.all_star n ]) ]
+    in
+    let* xs = set and* ys = set in
+    return (n, xs, ys))
+
+let print_set_pair (n, xs, ys) =
+  let show l = String.concat " " (List.map Dirvec.to_string l) in
+  Printf.sprintf "n=%d\nx: %s\ny: %s" n (show xs) (show ys)
+
+let dvset_props =
+  [
+    QCheck.Test.make ~name:"packed meet = list meet" ~count:3000
+      (QCheck.make ~print:print_set_pair gen_set_pair)
+      (fun (n, xs, ys) ->
+        let sx = set_of_list n xs and sy = set_of_list n ys in
+        let met = Dirvec.Set.meet sx sy and want = reference_meet xs ys in
+        Dirvec.Set.to_list sx = List.sort_uniq Dirvec.compare xs
+        && Dirvec.Set.to_list met = want
+        && Dirvec.Set.cardinal met = List.length want
+        && Dirvec.Set.is_empty met = (want = [])
+        && Dirvec.Set.equal met (set_of_list n want));
+    (* The packed set itself, not only its list, is the reference's:
+       leaves copied by an unmentioned level must pack canonically. *)
+    QCheck.Test.make ~name:"packed directions = reference" ~count:1000
+      (QCheck.make ~print:print_hier_case gen_hier_case)
+      (fun (p, _) ->
+        match reference_directions Dlz_base.Budget.unlimited p with
+        | reference ->
+            Dirvec.Set.equal (Hierarchy.directions p)
+              (set_of_list p.n_common reference)
+        | exception e -> (
+            match Hierarchy.directions p with
+            | _ -> false
+            | exception e' -> e = e'));
+  ]
+
+let dvset_units =
+  [
+    Alcotest.test_case "set order is Dirvec.compare" `Quick (fun () ->
+        let all = List.map (fun d -> [| d |]) all_dirs in
+        let s = set_of_list 1 (List.rev all) in
+        Alcotest.(check (list string)) "seven directions in order"
+          (List.map Dirvec.to_string all)
+          (List.map Dirvec.to_string (Dirvec.Set.to_list s));
+        let n = 21 in
+        let v d = Array.init n (fun i -> if i = 0 then d else Dirvec.Lt) in
+        Alcotest.(check (list string)) "level 1 in the top field of a full int"
+          (List.map (fun d -> Dirvec.to_string (v d)) all_dirs)
+          (List.map Dirvec.to_string
+             (Dirvec.Set.to_list
+                (set_of_list n (List.rev_map v all_dirs)))));
+    Alcotest.test_case "zero levels" `Quick (fun () ->
+        let top = Dirvec.Set.all_star 0 and none = Dirvec.Set.empty 0 in
+        Alcotest.(check int) "one vector" 1 (Dirvec.Set.cardinal top);
+        Alcotest.(check bool) "meet keeps it" false
+          (Dirvec.Set.is_empty (Dirvec.Set.meet top top));
+        Alcotest.(check bool) "meet with none" true
+          (Dirvec.Set.is_empty (Dirvec.Set.meet top none)));
+    Alcotest.test_case "directions past one int" `Quick (fun () ->
+        (* 23 common loops, all but the last two of one iteration: level
+           22 carries [<], and level 23, unmentioned, copies it across
+           into the second int of each vector. *)
+        let n = 23 in
+        let eq =
+          Depeq.make 1
+            [ (1, var ~side:`Src ~level:22 "i1" 9);
+              (-1, var ~side:`Dst ~level:22 "i2" 9) ]
+        in
+        let common_ubs = Array.init n (fun i -> if i >= 21 then 9 else 0) in
+        let p = Problem.numeric_of_equations ~n_common:n ~common_ubs [ eq ] in
+        let got = Hierarchy.directions p in
+        let want = reference_directions Dlz_base.Budget.unlimited p in
+        Alcotest.(check int) "three vectors" 3 (Dirvec.Set.cardinal got);
+        Alcotest.(check (list string)) "reference vectors"
+          (List.map Dirvec.to_string want)
+          (List.map Dirvec.to_string (Dirvec.Set.to_list got));
+        Alcotest.(check bool) "canonical packing" true
+          (Dirvec.Set.equal got (set_of_list n want)));
   ]
 
 (* --- ddvec / classify --------------------------------------------------------- *)
@@ -1067,6 +1218,8 @@ let () =
       ("hier-ref", hierarchy_reference_units);
       ( "hier-ref-props",
         List.map QCheck_alcotest.to_alcotest hierarchy_reference_props );
+      ("dvset", dvset_units);
+      ("dvset-props", List.map QCheck_alcotest.to_alcotest dvset_props);
       ("misc", misc_units);
       ("closed-form-props", List.map QCheck_alcotest.to_alcotest closed_form_props);
       ("pair-exhaustive", pair_exhaustive_units);

@@ -178,10 +178,11 @@ let trace_units =
                       let ve, nv, _ =
                         Symalgo.answer ~n_common:p.n_common (solve eq)
                       in
-                      match Dirvec.meet_sets dvs nv with
-                      | met when ve = Verdict.Dependent && met <> [] -> (v, met)
-                      | _ -> (Verdict.Independent, []))
-                    (Verdict.Dependent, [ Dirvec.all_star p.n_common ])
+                      let met = Dirvec.Set.meet dvs nv in
+                      if ve = Verdict.Dependent && not (Dirvec.Set.is_empty met)
+                      then (v, met)
+                      else (Verdict.Independent, Dirvec.Set.empty p.n_common))
+                    (Verdict.Dependent, Dirvec.Set.all_star p.n_common)
                     p.equations
                 in
                 let r =
@@ -192,7 +193,7 @@ let trace_units =
                   (Verdict.to_string r.verdict) (Verdict.to_string verdict);
                 Alcotest.check dirvecs (what ^ " vectors")
                   (List.map Dirvec.to_string r.dirvecs)
-                  (List.map Dirvec.to_string vectors))
+                  (List.map Dirvec.to_string (Dirvec.Set.to_list vectors)))
               (Engine.pairs_seq accs))
           Dlz_corpus.Polybench.kernels);
   ]
