@@ -2,7 +2,7 @@
    the load generator speak through.  Also the reference
    implementation for anyone scripting against the daemon. *)
 
-type t = { fd : Unix.file_descr }
+type t = { fd : Unix.file_descr; reader : Frame.reader; writer : Frame.writer }
 
 let connect ?(timeout_ms = 10_000) addr =
   match Addr.connect addr with
@@ -13,12 +13,12 @@ let connect ?(timeout_ms = 10_000) addr =
          Unix.setsockopt_float fd Unix.SO_RCVTIMEO to_s;
          Unix.setsockopt_float fd Unix.SO_SNDTIMEO to_s
        with Unix.Unix_error _ -> ());
-      Ok { fd }
+      Ok { fd; reader = Frame.reader fd; writer = Frame.writer fd }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let send t json =
-  match Frame.write t.fd (Jsonx.to_string json) with
+  match Frame.write t.writer (Jsonx.to_string json) with
   | Ok () -> Ok ()
   | Error e -> Error (Frame.error_to_string e)
 
@@ -38,7 +38,7 @@ let send_raw t s =
   go 0 (String.length s)
 
 let recv ?max_bytes t =
-  match Frame.read ?max_bytes t.fd with
+  match Frame.read ?max_bytes t.reader with
   | Error e -> Error (Frame.error_to_string e)
   | Ok payload -> (
       match Jsonx.parse payload with

@@ -77,10 +77,29 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let refuse metrics fd payload =
   (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0
    with Unix.Unix_error _ -> ());
-  (match Frame.write fd payload with
+  (match Frame.write (Frame.writer fd) payload with
   | Ok () -> Atomic.incr metrics.Metrics.errors
   | Error _ -> ());
   close_quiet fd
+
+(* The heap bound.  Under load the workers promote garbage faster than
+   the major collector's pacing retires it, and the heap grows with the
+   run.  The accept loop wakes at least every 100 ms; each wake it runs
+   a full major collection once the heap has grown this many words past
+   its size after the last forced one.  An idle daemon does not grow,
+   so it never collects.  1 MiB of slack held serve-mix's peak RSS
+   within 5% of a Nagle-bound daemon's; DESIGN §14 has the alternatives
+   measured. *)
+let heap_slack_words = 128 * 1024
+
+let heap_words () = (Gc.quick_stat ()).Gc.heap_words
+
+let bound_heap floor =
+  if heap_words () <= floor + heap_slack_words then floor
+  else begin
+    Gc.full_major ();
+    heap_words ()
+  end
 
 let accept_loop sh =
   let overloaded =
@@ -90,7 +109,7 @@ let accept_loop sh =
   let draining_reply =
     Proto.error ~id:Jsonx.Null ~reason:"draining" "server is shutting down"
   in
-  let rec loop () =
+  let rec loop heap_floor =
     if Atomic.get sh.draining then ()
     else begin
       (match Unix.select [ sh.lsock ] [] [] 0.1 with
@@ -99,6 +118,10 @@ let accept_loop sh =
           match Unix.accept sh.lsock with
           | fd, _ -> (
               Unix.clear_nonblock fd;
+              (* A reply that flushes more than once must not wait on
+                 Nagle for the peer's delayed acknowledgement. *)
+              (try Unix.setsockopt fd Unix.TCP_NODELAY true
+               with Unix.Unix_error _ -> ());
               (try
                  let to_s = float_of_int sh.cfg.idle_timeout_ms /. 1000. in
                  Unix.setsockopt_float fd Unix.SO_RCVTIMEO to_s;
@@ -121,10 +144,10 @@ let accept_loop sh =
                   _ ) ->
               ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
+      loop (bound_heap heap_floor)
     end
   in
-  loop ();
+  loop (heap_words ());
   (* Drain sequence: stop accepting, then let the workers run the
      queue dry ([Admission.take] hands out queued items after close). *)
   close_quiet sh.lsock;

@@ -1,8 +1,10 @@
 (** The overload-safe dependence-query daemon.
 
     Topology: one accept-loop domain multiplexing the listening socket
-    (100 ms poll of the drain flag), a {!Admission} bounded queue, and
-    [workers] session domains each owning one connection at a time.
+    (100 ms poll of the drain flag and of the heap bound), a
+    {!Admission} bounded queue, and [workers] session domains each
+    owning one connection at a time.  Accepted TCP sockets set
+    [TCP_NODELAY].
     Admission control is immediate and explicit — a full queue answers
     [{"ok":false,"reason":"overloaded","retry_after_ms":..}] and
     closes; nothing queues unboundedly.  Each request carves its

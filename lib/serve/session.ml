@@ -39,22 +39,27 @@ let fresh_rid () = Atomic.fetch_and_add next_rid 1
 
 exception Conn_dead
 
-(* Every frame we fail to deliver means the peer is gone; there is no
-   point writing further responses, so sends raise [Conn_dead] and the
-   per-connection loop winds down. *)
-let send ctx fd payload =
-  match Frame.write fd payload with
+(* Replies are queued on the connection's writer and written when the
+   request ends ([flush]), or earlier when the queue fills.  Every
+   frame we fail to deliver means the peer is gone; there is no point
+   writing further responses, so sends raise [Conn_dead] and the
+   per-connection loop winds down.  A frame is counted as sent once it
+   is queued. *)
+let delivered ctx = function
   | Ok () -> ()
   | Error _ ->
       Atomic.incr ctx.metrics.Metrics.disconnects;
       raise Conn_dead
 
-let send_ok ctx fd ?rid ~id ~op fields =
-  send ctx fd (Proto.ok ?rid ~id ~op fields);
+let send ctx w payload = delivered ctx (Frame.add w payload)
+let flush ctx w = delivered ctx (Frame.flush w)
+
+let send_ok ctx w ?rid ~id ~op fields =
+  send ctx w (Proto.ok ?rid ~id ~op fields);
   Atomic.incr ctx.metrics.Metrics.responses
 
-let send_error ctx fd ?rid ~id ~reason ?retry_after_ms msg =
-  send ctx fd (Proto.error ?rid ~id ~reason ?retry_after_ms msg);
+let send_error ctx w ?rid ~id ~reason ?retry_after_ms msg =
+  send ctx w (Proto.error ?rid ~id ~reason ?retry_after_ms msg);
   Atomic.incr ctx.metrics.Metrics.errors
 
 (* A client may ask for less budget than the server's per-request
@@ -77,7 +82,7 @@ let parse_program ~lang source =
   | `C -> Dlz_passes.Pointers.lower (Dlz_frontend.C_parser.parse source)
   | `F -> Dlz_passes.Inline.expand (Dlz_frontend.F77_parser.parse_units source)
 
-let run_analyze ctx fd ~rid ~client ~id ~lang ~source ~assume ~budget =
+let run_analyze ctx w ~rid ~client ~id ~lang ~source ~assume ~budget =
   let prog = Dlz_passes.Pipeline.prepare_program (parse_program ~lang source) in
   let env =
     List.fold_left (fun env (n, v) -> Assume.assume_ge n v env) Assume.empty
@@ -90,7 +95,8 @@ let run_analyze ctx fd ~rid ~client ~id ~lang ~source ~assume ~budget =
   let annot = [ ("rid", string_of_int rid); ("client", client) ] in
   let observer = Attrib.record_disposition ctx.attrib ~client in
   (* Streamed: one frame per candidate pair as it is answered, then a
-     summary whose counts and loop report read the same answers.
+     summary whose counts and loop report read the same answers; the
+     frames leave when the request ends or the write buffer fills.
      Serial on purpose — the daemon's parallelism is across
      connections, and a worker must not re-enter a pool. *)
   let answered = ref [] in
@@ -101,7 +107,7 @@ let run_analyze ctx fd ~rid ~client ~id ~lang ~source ~assume ~budget =
       answered := (p, r) :: !answered;
       if r.Strategy.degraded <> [] then
         Attrib.record_degraded ctx.attrib ~client;
-      send_ok ctx fd ~rid ~id ~op:"pair"
+      send_ok ctx w ~rid ~id ~op:"pair"
         ([
            ("src", Jsonx.Str p.Engine.src.Access.stmt_name);
            ("src_array", Jsonx.Str p.Engine.src.Access.array);
@@ -118,7 +124,7 @@ let run_analyze ctx fd ~rid ~client ~id ~lang ~source ~assume ~budget =
   in
   let loops = Parallel.of_graph prog (Depgraph.of_results accs results) in
   let par = List.length (List.filter (fun l -> l.Parallel.lr_parallel) loops) in
-  send_ok ctx fd ~rid ~id ~op:"analyze"
+  send_ok ctx w ~rid ~id ~op:"analyze"
     [
       ("pairs", Jsonx.Int (List.length results));
       ("independent", count Verdict.Independent);
@@ -131,16 +137,16 @@ let run_analyze ctx fd ~rid ~client ~id ~lang ~source ~assume ~budget =
     ]
 
 (* [true] to keep reading from this connection. *)
-let dispatch ctx fd ~rid ~client ~id req =
+let dispatch ctx w ~rid ~client ~id req =
   match req with
   | Proto.Ping ->
-      send_ok ctx fd ~rid ~id ~op:"ping" [];
+      send_ok ctx w ~rid ~id ~op:"ping" [];
       true
   | Proto.Metrics { format } ->
       (* The JSON body is the Snap object; the Prometheus body travels
          as a string field, so the frame is one JSON object either way. *)
       let samples = Dlz_obs.Registry.collect () in
-      send_ok ctx fd ~rid ~id ~op:"metrics"
+      send_ok ctx w ~rid ~id ~op:"metrics"
         (match format with
         | `Prom ->
             [ ("format", Jsonx.Str "prom");
@@ -150,7 +156,7 @@ let dispatch ctx fd ~rid ~client ~id req =
               ("metrics", Dlz_obs.Snap.to_json samples) ]);
       true
   | Proto.Shutdown ->
-      send_ok ctx fd ~rid ~id ~op:"shutdown" [ ("draining", Jsonx.Bool true) ];
+      send_ok ctx w ~rid ~id ~op:"shutdown" [ ("draining", Jsonx.Bool true) ];
       ctx.request_shutdown ();
       false
   | Proto.Query { problem; fuel; timeout_ms } ->
@@ -164,11 +170,11 @@ let dispatch ctx fd ~rid ~client ~id req =
       in
       if r.Strategy.degraded <> [] then
         Attrib.record_degraded ctx.attrib ~client;
-      send_ok ctx fd ~rid ~id ~op:"query" (Proto.result_fields r);
+      send_ok ctx w ~rid ~id ~op:"query" (Proto.result_fields r);
       true
   | Proto.Analyze { lang; source; assume; fuel; timeout_ms } ->
       let budget = request_budget ctx ~fuel ~timeout_ms in
-      run_analyze ctx fd ~rid ~client ~id ~lang ~source ~assume ~budget;
+      run_analyze ctx w ~rid ~client ~id ~lang ~source ~assume ~budget;
       true
 
 (* Faults the frontend can legitimately raise on bad input: one
@@ -184,7 +190,7 @@ let describe_input_fault = function
   | Failure m -> Some m
   | _ -> None
 
-let handle_request ctx fd ~rid ~client ~id req =
+let handle_request ctx w ~rid ~client ~id req =
   (* The request span (empty category — never masked out): the rid on
      its args is the same rid the response echoes, so a trace stream
      and a client log correlate line by line.  The thunk closes over
@@ -199,14 +205,14 @@ let handle_request ctx fd ~rid ~client ~id req =
   Fun.protect
     ~finally:(fun () -> Trace.finish sp)
     (fun () ->
-      try dispatch ctx fd ~rid ~client ~id req with
+      try dispatch ctx w ~rid ~client ~id req with
       | Conn_dead -> false
       | e -> (
           Atomic.incr ctx.metrics.Metrics.contained;
           let reply reason msg =
             Attrib.record_error ctx.attrib ~client ~reason;
             try
-              send_error ctx fd ~rid ~id ~reason msg;
+              send_error ctx w ~rid ~id ~reason msg;
               true
             with Conn_dead -> false
           in
@@ -221,29 +227,33 @@ let handle_request ctx fd ~rid ~client ~id req =
 
 let handle ctx fd =
   Atomic.incr ctx.metrics.Metrics.active;
+  let r = Frame.reader fd and w = Frame.writer fd in
+  (* The one reply before a connection closes, best effort. *)
+  let last_word reason msg =
+    try
+      send_error ctx w ~id:Jsonx.Null ~reason msg;
+      flush ctx w
+    with Conn_dead -> ()
+  in
   let rec loop () =
     if ctx.draining () then ()
     else
-      match Frame.read ~max_bytes:ctx.max_frame fd with
+      match Frame.read ~max_bytes:ctx.max_frame r with
       | Error Frame.Eof -> ()
       | Error Frame.Timeout ->
           (* Idle or slow-loris past the receive timeout: tell the
-             peer (best effort) and hang up. *)
+             peer and hang up. *)
           Atomic.incr ctx.metrics.Metrics.timeouts;
-          (try send_error ctx fd ~id:Jsonx.Null ~reason:"timeout" "read timed out"
-           with Conn_dead -> ())
+          last_word "timeout" "read timed out"
       | Error (Frame.Too_large n) ->
           Atomic.incr ctx.metrics.Metrics.malformed;
-          (try
-             send_error ctx fd ~id:Jsonx.Null ~reason:"protocol"
-               (Printf.sprintf "frame of %d bytes exceeds %d" n ctx.max_frame)
-           with Conn_dead -> ())
+          last_word "protocol"
+            (Printf.sprintf "frame of %d bytes exceeds %d" n ctx.max_frame)
       | Error (Frame.Malformed m) ->
           (* Framing is lost: the stream cannot resync, so one error
              frame and the connection closes. *)
           Atomic.incr ctx.metrics.Metrics.malformed;
-          (try send_error ctx fd ~id:Jsonx.Null ~reason:"protocol" m
-           with Conn_dead -> ())
+          last_word "protocol" m
       | Error (Frame.Io _) -> Atomic.incr ctx.metrics.Metrics.disconnects
       | Ok payload -> (
           Atomic.incr ctx.metrics.Metrics.requests;
@@ -262,7 +272,7 @@ let handle ctx fd =
                 Attrib.record_error ctx.attrib ~client:!client
                   ~reason:"bad-request";
                 (try
-                   send_error ctx fd ~rid ~id:Jsonx.Null ~reason:"bad-request"
+                   send_error ctx w ~rid ~id:Jsonx.Null ~reason:"bad-request"
                      ("json: " ^ m);
                    true
                  with Conn_dead -> false)
@@ -273,12 +283,18 @@ let handle ctx fd =
                     Attrib.record_error ctx.attrib ~client:!client
                       ~reason:"bad-request";
                     try
-                      send_error ctx fd ~rid ~id ~reason:"bad-request" m;
+                      send_error ctx w ~rid ~id ~reason:"bad-request" m;
                       true
                     with Conn_dead -> false)
                 | id, Ok req ->
                     verb := Proto.op_name req;
-                    handle_request ctx fd ~rid ~client:!client ~id req)
+                    handle_request ctx w ~rid ~client:!client ~id req)
+          in
+          (* The reply leaves in one write, a shutdown's too. *)
+          let continue =
+            match flush ctx w with
+            | () -> continue
+            | exception Conn_dead -> false
           in
           let dt = Int64.sub (Trace.now_ns ()) t0 in
           Trace.observe_ns "serve.request" dt;

@@ -483,6 +483,223 @@ let test_slow_loris_timed_out =
     "timeout counted" true
     (served "vic_serve_timeouts_total" >= 1)
 
+(* --- frame reader --------------------------------------------------------- *)
+
+(* One connection's two ends: the reader's socket (with a receive
+   timeout, so a reader that waits for bytes that never come fails as
+   [Timeout] instead of hanging the suite) and the peer's. *)
+let with_pair ?(timeout = 2.0) f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float a Unix.SO_RCVTIMEO timeout;
+  Fun.protect
+    ~finally:(fun () -> Unix.close a; Unix.close b)
+    (fun () -> f (Frame.reader a) b)
+
+let put fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let frame_result =
+  Alcotest.testable
+    (fun ppf -> function
+      | Ok p -> Format.fprintf ppf "Ok %S" p
+      | Error e -> Format.fprintf ppf "Error %s" (Frame.error_to_string e))
+    ( = )
+
+let read_is ?max_bytes what want r =
+  Alcotest.check frame_result what want (Frame.read ?max_bytes r)
+
+let test_frame_encode () =
+  Alcotest.(check (list string)) "length line, payload, terminator"
+    [ "0\n\n"; "3\nabc\n"; "10\n0123456789\n" ]
+    (List.map Frame.encode [ ""; "abc"; "0123456789" ])
+
+let test_frames_in_one_read =
+  without_chaos @@ fun () ->
+  with_pair @@ fun r peer ->
+  put peer (String.concat "" (List.map Frame.encode [ "ab"; ""; "cde" ]));
+  read_is "first" (Ok "ab") r;
+  read_is "empty payload" (Ok "") r;
+  read_is "third" (Ok "cde") r
+
+let test_split_length_line =
+  without_chaos @@ fun () ->
+  with_pair @@ fun r peer ->
+  put peer "1";
+  (* The rest after a pause, so it arrives in a later read. *)
+  let t = Thread.create (fun () -> Unix.sleepf 0.02; put peer "2\nhello, world\n") () in
+  read_is "reassembled" (Ok "hello, world") r;
+  Thread.join t
+
+let test_payload_past_buffer =
+  without_chaos @@ fun () ->
+  with_pair @@ fun r peer ->
+  let big = String.init ((3 * Frame.buffer_size) + 17) (fun i -> Char.chr (97 + (i mod 26))) in
+  let t = Thread.create (fun () -> put peer (Frame.encode big ^ Frame.encode "next")) () in
+  read_is "large payload intact" (Ok big) r;
+  read_is "the stream continues" (Ok "next") r;
+  Thread.join t
+
+let test_too_large_unread =
+  without_chaos @@ fun () ->
+  (* Only the length line is sent: a reader that waited for the
+     payload would time out instead. *)
+  with_pair @@ fun r peer ->
+  put peer "100000\n";
+  read_is ~max_bytes:1024 "refused on the length line" (Error (Frame.Too_large 100000)) r;
+  (* Nineteen digits pass the length-line cap but not [max_int]. *)
+  put peer (String.make 19 '9' ^ "\n");
+  read_is "a length past max_int saturates" (Error (Frame.Too_large max_int)) r
+
+let test_eof_and_io =
+  without_chaos @@ fun () ->
+  let closed_after s want what =
+    with_pair @@ fun r peer ->
+    put peer s;
+    Unix.shutdown peer Unix.SHUTDOWN_SEND;
+    let rec last () = match Frame.read r with Ok _ -> last () | Error e -> e in
+    Alcotest.check frame_result what (Error want) (Error (last ()))
+  in
+  closed_after (Frame.encode "ab") Frame.Eof "close between frames";
+  closed_after "" Frame.Eof "close before any frame";
+  closed_after "5\nab" (Frame.Io "eof inside frame") "close inside a payload";
+  closed_after "12" (Frame.Io "eof inside frame") "close inside a length line";
+  closed_after "2\nab" (Frame.Io "eof inside frame") "close before the terminator"
+
+let test_missing_terminator =
+  without_chaos @@ fun () ->
+  with_pair @@ fun r peer ->
+  put peer "2\nabX";
+  read_is "terminator checked" (Error (Frame.Malformed "missing frame terminator")) r
+
+let test_receive_timeout =
+  without_chaos @@ fun () ->
+  with_pair ~timeout:0.05 @@ fun r peer ->
+  read_is "idle" (Error Frame.Timeout) r;
+  put peer "3\nab";
+  read_is "stalled inside a frame" (Error Frame.Timeout) r
+
+(* The writer against the reader: frames of every size class, one of
+   them larger than the buffer, arrive whole and in order. *)
+let test_writer_round_trip =
+  without_chaos @@ fun () ->
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b) @@ fun () ->
+  let payloads =
+    List.init 40 (fun i -> String.make (i * 97) (Char.chr (65 + (i mod 26))))
+    @ [ String.make (Frame.buffer_size + 5) 'z'; "tail" ]
+  in
+  let w = Frame.writer b in
+  let t =
+    Thread.create
+      (fun () ->
+        List.iter (fun p -> ignore (Frame.add w p)) payloads;
+        ignore (Frame.flush w))
+      ()
+  in
+  let r = Frame.reader a in
+  List.iteri
+    (fun i p -> read_is (Printf.sprintf "frame %d" i) (Ok p) r)
+    payloads;
+  Thread.join t
+
+(* --- wire ------------------------------------------------------------------ *)
+
+let analyze_json ?(lang = "f") ~id source =
+  obj
+    [
+      ("op", Jsonx.Str "analyze");
+      ("id", Jsonx.Int id);
+      ("lang", Jsonx.Str lang);
+      ("source", Jsonx.Str source);
+    ]
+
+let stream c j =
+  match Client.send c j with
+  | Error m -> Alcotest.fail m
+  | Ok () -> (
+      match Client.read_stream c with Ok frames -> frames | Error m -> Alcotest.fail m)
+
+(* A reply of several frames must not wait on a TCP timer: Nagle holds
+   a small segment until the previous one is acknowledged, and the
+   client delays its acknowledgement about 40 ms.  Ten analyzes of a
+   kernel on one connection took over 400 ms that way; computing them
+   takes a few. *)
+let test_no_nagle_wait =
+  without_chaos @@ fun () ->
+  let kernel =
+    List.find
+      (fun (k : Dlz_corpus.Polybench.kernel) -> k.k_name = "gemm-linear")
+      Dlz_corpus.Polybench.kernels
+  in
+  let ms, _ =
+    with_server (fun addr ->
+        let c = connect addr in
+        let t0 = Trace.now_ns () in
+        for id = 1 to 10 do
+          let frames = stream c (analyze_json ~lang:"c" ~id kernel.k_source) in
+          Alcotest.(check bool) "several frames per reply" true (List.length frames > 2)
+        done;
+        let ns = Int64.sub (Trace.now_ns ()) t0 in
+        Client.close c;
+        Int64.to_float ns /. 1e6)
+  in
+  if ms > 200. then Alcotest.failf "10 analyzes took %.1f ms (bound 200 ms)" ms
+
+(* One loop of [n] statements over one array: every write meets every
+   access, so the reply has hundreds of pair frames. *)
+let many_pairs_source n =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "      DIMENSION A(1000)\n      DO I = 1, 100\n";
+  for k = 1 to n do
+    Buffer.add_string b (Printf.sprintf "        A(I+%d) = A(I+%d) + 1\n" k (2 * k))
+  done;
+  Buffer.add_string b "      ENDDO\n";
+  Buffer.contents b
+
+(* A reply past the write buffer leaves in more than one write: every
+   pair frame still arrives, in the engine's pair order, then the
+   summary. *)
+let test_reply_past_buffer =
+  without_chaos @@ fun () ->
+  let source = many_pairs_source 24 in
+  let expected =
+    let prog =
+      Dlz_passes.Pipeline.prepare_program
+        (Dlz_passes.Inline.expand (Dlz_frontend.F77_parser.parse_units source))
+    in
+    let accs, _ = Dlz_ir.Access.of_program ~env:Assume.empty prog in
+    let acc = ref [] in
+    Engine.iter_pairs
+      (fun (p : Engine.pair) ->
+        acc :=
+          (p.Engine.src.Dlz_ir.Access.stmt_name, p.Engine.dst.Dlz_ir.Access.stmt_name,
+           p.Engine.self)
+          :: !acc)
+      accs;
+    List.rev !acc
+  in
+  let frames, _ =
+    with_server (fun addr ->
+        let c = connect addr in
+        let frames = stream c (analyze_json ~id:1 source) in
+        ping ~id:2 c;
+        Client.close c;
+        frames)
+  in
+  let bytes =
+    List.fold_left (fun n j -> n + String.length (Frame.encode (Jsonx.to_string j))) 0 frames
+  in
+  Alcotest.(check bool) "reply larger than the write buffer" true (bytes > Frame.buffer_size);
+  let pairs, summary =
+    match List.rev frames with
+    | s :: ps -> (List.rev ps, s)
+    | [] -> Alcotest.fail "no reply"
+  in
+  Alcotest.(check string) "summary last" "analyze" (get_str summary "op");
+  Alcotest.(check int) "summary counts the pairs" (List.length pairs) (get_int summary "pairs");
+  Alcotest.(check (list (triple string string bool)))
+    "every pair frame, in order" expected
+    (List.map (fun p -> (get_str p "src", get_str p "dst", get_bool p "self")) pairs)
+
 (* --- admission ----------------------------------------------------------- *)
 
 let test_overload_sheds_explicitly =
@@ -1114,6 +1331,31 @@ let () =
             `Quick test_disconnect_mid_stream;
           Alcotest.test_case "slow-loris reclaimed by the idle timeout" `Quick
             test_slow_loris_timed_out;
+        ] );
+      ( "frame",
+        [
+          Alcotest.test_case "encode" `Quick test_frame_encode;
+          Alcotest.test_case "several frames in one read" `Quick
+            test_frames_in_one_read;
+          Alcotest.test_case "length line split across writes" `Quick
+            test_split_length_line;
+          Alcotest.test_case "payload larger than the buffer" `Quick
+            test_payload_past_buffer;
+          Alcotest.test_case "too large before any payload" `Quick
+            test_too_large_unread;
+          Alcotest.test_case "eof between frames, io inside" `Quick
+            test_eof_and_io;
+          Alcotest.test_case "missing terminator" `Quick
+            test_missing_terminator;
+          Alcotest.test_case "receive timeout" `Quick test_receive_timeout;
+          Alcotest.test_case "writer round trip" `Quick test_writer_round_trip;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "no Nagle wait on streamed replies" `Quick
+            test_no_nagle_wait;
+          Alcotest.test_case "reply past the write buffer" `Quick
+            test_reply_past_buffer;
         ] );
       ( "admission",
         [
