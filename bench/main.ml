@@ -452,8 +452,7 @@ let cache_report () =
 
 (* --- perf smoke gate -------------------------------------------------------- *)
 
-let prepare src =
-  Dlz_passes.Pipeline.prepare_program (Dlz_frontend.F77_parser.parse src)
+let prepare src = Dlz_passes.Pipeline.load `F77 src
 
 (* Small programs analyzed end-to-end at jobs=1 and jobs=4, best of two
    trials each.  On a multi-core host the gate fails when jobs=4 is

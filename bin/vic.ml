@@ -22,29 +22,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load ~lang path =
-  let src = read_file path in
-  let lang =
-    match lang with
-    | Some l -> l
-    | None -> if Filename.check_suffix path ".c" then `C else `F77
-  in
-  Trace.with_span ~cat:"frontend"
-    ~args:
-      [ ("file", path); ("lang", match lang with `C -> "c" | `F77 -> "f77") ]
-    "parse"
-  @@ fun () ->
-  match lang with
-  | `F77 -> Dlz_passes.Inline.expand (Dlz_frontend.F77_parser.parse_units src)
-  | `C -> Dlz_passes.Pointers.lower (Dlz_frontend.C_parser.parse src)
-
 let with_diagnostics f =
   try f () with
   | Dlz_driver.Dynamic.Error err ->
       prerr_endline ("dynamic: " ^ Dlz_driver.Dynamic.describe err);
       exit 1
   | e -> (
-      match Dlz_driver.Input_error.describe e with
+      match Dlz_passes.Input_error.describe e with
       | Some msg ->
           prerr_endline ("error: " ^ msg);
           exit 1
@@ -131,9 +115,11 @@ let input_term target =
   Term.(const make $ target $ lang_arg $ assume_arg)
 
 let prepare input =
-  let prog = load ~lang:input.lang input.target in
-  Trace.with_span ~cat:"passes" "normalize" @@ fun () ->
-  Dlz_passes.Pipeline.prepare_program prog
+  let lang =
+    Option.value input.lang
+      ~default:(Dlz_passes.Pipeline.lang_of_path input.target)
+  in
+  Dlz_passes.Pipeline.load lang (read_file input.target)
 
 (* --cache-load, --cache-save and --cache-auto, resolved to the snapshot
    paths to use: an explicit path wins, --cache-auto fills in the
@@ -730,6 +716,8 @@ let corpus_cmd =
 let fuzz_cmd =
   let module Eqgen = Dlz_oracle.Eqgen in
   let module Differ = Dlz_oracle.Differ in
+  let module Jsonx = Dlz_serve.Jsonx in
+  let module Proto = Dlz_serve.Proto in
   let seed_arg =
     Arg.(value & opt int64 1L
          & info [ "seed" ] ~docv:"S"
@@ -769,15 +757,15 @@ let fuzz_cmd =
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
-             ~doc:"Also write the divergences' replayable s-expressions\n\
-                   to FILE (one per divergence).")
+             ~doc:"Also write the divergences to FILE, one NDJSON line\n\
+                   each: {\"class\",\"strategy\",\"case\",\"problem\"},\n\
+                   the problem in the JSON the serve query verb takes.")
   in
   let replay_arg =
     Arg.(value & opt (some file) None
          & info [ "replay" ] ~docv:"FILE"
-             ~doc:"Instead of generating, read one counterexample\n\
-                   s-expression from FILE and cross-check just that\n\
-                   system.")
+             ~doc:"Instead of generating, cross-check the \"problem\" of\n\
+                   every non-blank line of FILE, a file --out wrote.")
   in
   let run seed count shrink corpus polybench limit out replay jobs fuel chaos
       telemetry =
@@ -786,15 +774,26 @@ let fuzz_cmd =
       with_telemetry telemetry @@ fun () ->
       let cases =
         match replay with
-        | Some path -> (
-            match Dlz_oracle.Sexp.problem_of_string (read_file path) with
-            | Ok np ->
-                [ { Eqgen.id = "replay:0"; family = "replay";
-                    problem = Dlz_deptest.Problem.synthetic np;
-                    ground = np; env = Assume.empty } ]
-            | Error msg ->
-                prerr_endline ("--replay: " ^ msg);
-                exit 1)
+        | Some path ->
+            String.split_on_char '\n' (read_file path)
+            |> List.mapi (fun i line -> (i + 1, line))
+            |> List.filter (fun (_, line) -> String.trim line <> "")
+            |> List.map (fun (n, line) ->
+                   let problem =
+                     Result.bind (Jsonx.parse line) (fun j ->
+                         match Jsonx.member "problem" j with
+                         | Some pj -> Proto.numeric_of_json pj
+                         | None -> Error "line needs a \"problem\" object")
+                   in
+                   match problem with
+                   | Ok np ->
+                       { Eqgen.id = Printf.sprintf "replay:%d" n;
+                         family = "replay";
+                         problem = Dlz_deptest.Problem.synthetic np;
+                         ground = np; env = Assume.empty }
+                   | Error msg ->
+                       Printf.eprintf "--replay: line %d: %s\n" n msg;
+                       exit 1)
         | None ->
             Eqgen.all ~seed ~count
             @ (if corpus then Eqgen.corpus () else [])
@@ -812,9 +811,13 @@ let fuzz_cmd =
           List.iter
             (fun (d : Differ.divergence) ->
               output_string oc
-                (Printf.sprintf "; %s %s %s\n%s\n"
-                   (Differ.cls_to_string d.Differ.d_class)
-                   d.Differ.d_strategy d.Differ.d_case d.Differ.d_replay))
+                (Jsonx.to_string
+                   (Jsonx.Obj
+                      [ ("class", Jsonx.Str (Differ.cls_to_string d.Differ.d_class));
+                        ("strategy", Jsonx.Str d.Differ.d_strategy);
+                        ("case", Jsonx.Str d.Differ.d_case);
+                        ("problem", Proto.problem_to_json d.Differ.d_ground) ]));
+              output_char oc '\n')
             report.Differ.r_divergences;
           close_out oc;
           Printf.printf "wrote %s\n" path

@@ -15,10 +15,7 @@ module Codegen = Dlz_vec.Codegen
 module Ast = Dlz_ir.Ast
 
 let () =
-  let prog =
-    Dlz_passes.Pipeline.prepare_program
-      (Dlz_frontend.F77_parser.parse Fragments.fig3_program)
-  in
+  let prog = Dlz_passes.Pipeline.load `F77 Fragments.fig3_program in
   Format.printf "Program:@.%s@.@." (Ast.to_string prog);
   Format.printf "Dependences (paper Figure 3):@.";
   List.iter

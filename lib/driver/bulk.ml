@@ -8,6 +8,7 @@ module Stats = Dlz_engine.Stats
 module Verdict = Dlz_deptest.Verdict
 module Depgraph = Dlz_vec.Depgraph
 module Parallel = Dlz_vec.Parallel
+module Pipeline = Dlz_passes.Pipeline
 module Jsonx = Dlz_obs.Jsonx
 
 let rec walk acc root rel =
@@ -86,12 +87,7 @@ let analyze_file ~cascade ~budget ~env root rel =
   Trace.with_span ~cat:"bulk" ~args:[ ("file", rel) ] "bulk.file" @@ fun () ->
   try
     let src = read_file (Filename.concat root rel) in
-    let prog =
-      if Filename.check_suffix rel ".c" then
-        Dlz_passes.Pointers.lower (Dlz_frontend.C_parser.parse src)
-      else Dlz_passes.Inline.expand (Dlz_frontend.F77_parser.parse_units src)
-    in
-    let prog = Dlz_passes.Pipeline.prepare_program prog in
+    let prog = Pipeline.load (Pipeline.lang_of_path rel) src in
     let accs, env' = Access.of_program ~env prog in
     (* Serial on purpose: the pool parallelism is across files, and a
        pool must not be entered from inside one of its own workers. *)
@@ -138,7 +134,7 @@ let analyze_file ~cascade ~budget ~env root rel =
          stays byte-identical across [--jobs N]. *)
       finish (failed rel ("io: " ^ m) 0L)
   | e -> (
-      match Input_error.describe e with
+      match Dlz_passes.Input_error.describe e with
       | Some msg -> finish (failed rel msg 0L)
       | None -> raise e)
 

@@ -28,9 +28,7 @@ module Reshape = Dlz_core.Reshape
 module Codegen = Dlz_vec.Codegen
 module Corpus = Dlz_corpus.Corpus
 module F77 = Dlz_frontend.F77_parser
-module C_parser = Dlz_frontend.C_parser
 module Pipeline = Dlz_passes.Pipeline
-module Pointers = Dlz_passes.Pointers
 
 let buf_report f =
   let buf = Buffer.create 1024 in
@@ -47,7 +45,7 @@ let para buf s =
   Buffer.add_string buf s;
   Buffer.add_string buf "\n\n"
 
-let prepare src = Pipeline.prepare_program (F77.parse src)
+let prepare src = Pipeline.load `F77 src
 
 (* ---------------------------------------------------------------- E1 -- *)
 
@@ -431,10 +429,7 @@ let e7 ?pool () =
         \      END\n"
       in
       Buffer.add_string buf assoc_src;
-      let inlined =
-        Dlz_passes.Inline.expand (F77.parse_units assoc_src)
-      in
-      let proga = Pipeline.prepare_program inlined in
+      let proga = prepare assoc_src in
       Buffer.add_string buf "\nAfter inlining + association + pipeline:\n";
       Buffer.add_string buf (Ast.to_string proga);
       Buffer.add_string buf "\n\n";
@@ -448,10 +443,7 @@ let e7 ?pool () =
       para buf "(e) C pointer traversal:";
       Buffer.add_string buf Fragments.c_pointers;
       Buffer.add_string buf "\nLowered and normalized:\n";
-      let progc =
-        Pipeline.prepare_program
-          (Pointers.lower (C_parser.parse Fragments.c_pointers))
-      in
+      let progc = Pipeline.load `C Fragments.c_pointers in
       Buffer.add_string buf (Ast.to_string progc);
       Buffer.add_string buf "\n\n";
       para buf

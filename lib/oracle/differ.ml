@@ -29,8 +29,10 @@ type divergence = {
   d_class : cls;
   d_detail : string;
   d_ground : Problem.numeric;  (** Minimized when shrinking was on. *)
-  d_replay : string;  (** S-expression of [d_ground]. *)
+  d_replay : string;  (** [d_ground] as a [query] problem, in JSON. *)
 }
+
+let replay np = Dlz_serve.Jsonx.to_string (Dlz_serve.Proto.problem_to_json np)
 
 type tally = {
   t_checks : int;
@@ -221,7 +223,7 @@ let check_case ?stats ~budget_fuel ~limit (case : Eqgen.case) =
                 d_class = cls;
                 d_detail = detail;
                 d_ground = case.Eqgen.ground;
-                d_replay = Sexp.problem_to_string case.Eqgen.ground;
+                d_replay = replay case.Eqgen.ground;
               }
         | None -> None)
       outcomes
@@ -258,7 +260,7 @@ let shrink_divergence ~budget_fuel ~limit (d : divergence) =
   if not (still_fails d.d_ground) then d
   else
     let ground = Shrink.minimize ~still_fails d.d_ground in
-    { d with d_ground = ground; d_replay = Sexp.problem_to_string ground }
+    { d with d_ground = ground; d_replay = replay ground }
 
 let default_fuel = 200_000
 let default_limit = 20_000

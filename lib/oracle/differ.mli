@@ -35,7 +35,11 @@ type divergence = {
   d_detail : string;
   d_ground : Dlz_deptest.Problem.numeric;
       (** Minimized when shrinking was on. *)
-  d_replay : string;  (** S-expression of [d_ground]. *)
+  d_replay : string;
+      (** [d_ground] in the one JSON encoding of a numeric problem, the
+          [problem] object the daemon's [query] verb takes
+          ({!Dlz_serve.Proto.problem_to_json}); read it back with
+          {!Dlz_serve.Proto.numeric_of_json}. *)
 }
 
 type tally = {

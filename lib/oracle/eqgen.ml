@@ -268,9 +268,7 @@ let polybench () =
   List.concat_map
     (fun (k : Dlz_corpus.Polybench.kernel) ->
       let prog =
-        Dlz_passes.Pipeline.prepare_program
-          (Dlz_passes.Pointers.lower
-             (Dlz_frontend.C_parser.parse k.Dlz_corpus.Polybench.k_source))
+        Dlz_passes.Pipeline.load `C k.Dlz_corpus.Polybench.k_source
       in
       let family = "polybench-" ^ k.Dlz_corpus.Polybench.k_name in
       cases_of_program ~family ~env:Assume.empty ~start:0 prog)

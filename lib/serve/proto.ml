@@ -13,7 +13,7 @@ type request =
   | Shutdown
   | Query of { problem : Problem.t; fuel : int option; timeout_ms : int option }
   | Analyze of {
-      lang : [ `F | `C ];
+      lang : Dlz_passes.Pipeline.lang;
       source : string;
       assume : (string * int) list;
       fuel : int option;
@@ -98,7 +98,7 @@ let eq_of_json j =
   | eq -> Ok eq
   | exception Invalid_argument m -> fail "bad equation: %s" m
 
-let problem_of_json j =
+let numeric_of_json j =
   let* n_common = int_field ~default:0 j "n_common" in
   let* opaque_dims = int_field ~default:0 j "opaque_dims" in
   let* common_ubs =
@@ -136,9 +136,9 @@ let problem_of_json j =
             (Ok []) es
           |> Result.map List.rev
     in
-    Ok
-      (Problem.synthetic
-         { Problem.n_common; common_ubs; eqs; opaque_dims })
+    Ok { Problem.n_common; common_ubs; eqs; opaque_dims }
+
+let problem_of_json j = Result.map Problem.synthetic (numeric_of_json j)
 
 let var_to_json (v : Depeq.var) =
   Jsonx.Obj
@@ -210,7 +210,7 @@ let parse_request j =
         let* timeout_ms = opt_int_field j "timeout_ms" in
         let* lang =
           match Option.bind (Jsonx.member "lang" j) Jsonx.to_str with
-          | None | Some "f" | Some "f77" -> Ok `F
+          | None | Some "f" | Some "f77" -> Ok `F77
           | Some "c" -> Ok `C
           | Some l -> fail "unknown lang %S" l
         in

@@ -22,7 +22,7 @@ type request =
       timeout_ms : int option;
     }
   | Analyze of {
-      lang : [ `F | `C ];
+      lang : Dlz_passes.Pipeline.lang;
       source : string;
       assume : (string * int) list;
       fuel : int option;
@@ -40,14 +40,20 @@ val client_of : Jsonx.t -> string
     per-client attribution; ["anon"] when absent, non-string, or
     blank. *)
 
+val numeric_of_json : Jsonx.t -> (Dlz_deptest.Problem.numeric, string) result
+(** Decodes the one encoding of a numeric dependence problem:
+    [{"n_common":N, "common_ubs":[..], "opaque_dims":N, "eqs":[{"c0":N,
+    "terms":[{"coeff":N,"side":"src"|"dst","level":N,"ub":N,"name":S?}]}]}],
+    within the wire bounds (no negative upper bound, levels ≤ 64, ≤ 64
+    terms per equation and ≤ 64 equations, one [common_ubs] entry per
+    common level).  The [query] verb and [vic fuzz --replay] read it. *)
+
 val problem_of_json : Jsonx.t -> (Dlz_deptest.Problem.t, string) result
-(** Decodes the native numeric-problem encoding: [{"n_common":N,
-    "common_ubs":[..], "opaque_dims":N, "eqs":[{"c0":N, "terms":
-    [{"coeff":N,"side":"src"|"dst","level":N,"ub":N,"name":S?}]}]}]
-    and lifts it via [Problem.synthetic]. *)
+(** {!numeric_of_json} lifted via [Problem.synthetic]. *)
 
 val problem_to_json : Dlz_deptest.Problem.numeric -> Jsonx.t
-(** Inverse direction, for clients and the load generator. *)
+(** Inverse of {!numeric_of_json}, for clients, the load generator and
+    fuzz counterexamples. *)
 
 val ok : ?rid:int -> id:Jsonx.t -> op:string -> (string * Jsonx.t) list -> string
 (** One rendered [{"id":..,"ok":true,"op":..,...}] response payload.

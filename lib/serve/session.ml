@@ -77,34 +77,28 @@ let request_budget ctx ~fuel ~timeout_ms =
     ?timeout_ms:(min_opt timeout_ms ctx.request_timeout_ms)
     ctx.budget
 
-let parse_program ~lang source =
-  match lang with
-  | `C -> Dlz_passes.Pointers.lower (Dlz_frontend.C_parser.parse source)
-  | `F -> Dlz_passes.Inline.expand (Dlz_frontend.F77_parser.parse_units source)
-
 let run_analyze ctx w ~rid ~client ~id ~lang ~source ~assume ~budget =
-  let prog = Dlz_passes.Pipeline.prepare_program (parse_program ~lang source) in
+  let prog = Dlz_passes.Pipeline.load lang source in
   let env =
     List.fold_left (fun env (n, v) -> Assume.assume_ge n v env) Assume.empty
       assume
   in
   let accs, env = Access.of_program ~env prog in
   let cascade = Option.value ctx.cascade ~default:Cascade.delin in
-  (* One annot list and observer closure for the whole request; every
-     query span it spawns carries the request id. *)
-  let annot = [ ("rid", string_of_int rid); ("client", client) ] in
-  let observer = Attrib.record_disposition ctx.attrib ~client in
-  (* Streamed: one frame per candidate pair as it is answered, then a
-     summary whose counts and loop report read the same answers; the
-     frames leave when the request ends or the write buffer fills.
-     Serial on purpose — the daemon's parallelism is across
-     connections, and a worker must not re-enter a pool. *)
-  let answered = ref [] in
-  Engine.iter_pairs
-    (fun (p : Engine.pair) ->
-      let r = Engine.query ~cascade ~budget ~annot ~observer ~env
-          p.Engine.problem in
-      answered := (p, r) :: !answered;
+  (* One pair pass, serial on purpose: the daemon's parallelism is
+     across connections, and a worker must not re-enter a pool.  Every
+     query span it spawns carries the request id.  Then one frame per
+     pair and a summary whose counts and loop report read the same
+     answers; the frames leave when the request ends or the write
+     buffer fills. *)
+  let results =
+    Engine.query_all ~cascade ~budget
+      ~annot:[ ("rid", string_of_int rid); ("client", client) ]
+      ~observer:(Attrib.record_disposition ctx.attrib ~client)
+      ~env accs
+  in
+  List.iter
+    (fun ((p : Engine.pair), r) ->
       if r.Strategy.degraded <> [] then
         Attrib.record_degraded ctx.attrib ~client;
       send_ok ctx w ~rid ~id ~op:"pair"
@@ -115,8 +109,7 @@ let run_analyze ctx w ~rid ~client ~id ~lang ~source ~assume ~budget =
            ("self", Jsonx.Bool p.Engine.self);
          ]
         @ Proto.result_fields r))
-    accs;
-  let results = List.rev !answered in
+    results;
   let count v =
     Jsonx.Int
       (List.length
@@ -177,19 +170,6 @@ let dispatch ctx w ~rid ~client ~id req =
       run_analyze ctx w ~rid ~client ~id ~lang ~source ~assume ~budget;
       true
 
-(* Faults the frontend can legitimately raise on bad input: one
-   bad-request reply, connection keeps going. *)
-let describe_input_fault = function
-  | Dlz_frontend.Diag.Parse_error _ as e ->
-      Some
-        (match Dlz_frontend.Diag.describe e with
-        | Some m -> m
-        | None -> "parse error")
-  | Dlz_passes.Pointers.Unsupported m -> Some ("pointer conversion: " ^ m)
-  | Dlz_passes.Inline.Unsupported m -> Some ("inlining: " ^ m)
-  | Failure m -> Some m
-  | _ -> None
-
 let handle_request ctx w ~rid ~client ~id req =
   (* The request span (empty category — never masked out): the rid on
      its args is the same rid the response echoes, so a trace stream
@@ -216,7 +196,7 @@ let handle_request ctx w ~rid ~client ~id req =
               true
             with Conn_dead -> false
           in
-          match describe_input_fault e with
+          match Dlz_passes.Input_error.describe e with
           | Some m -> reply "bad-request" m
           | None -> (
               match e with

@@ -1,5 +1,6 @@
 (* The differential soundness oracle (lib/oracle): the brute-force
-   enumerator against the exact solver, the s-expression replay codec,
+   enumerator against the exact solver, the JSON problem codec replays
+   are written in,
    the deterministic shrinker, and the cross-check driver — including a
    planted unsound strategy the driver must catch, pinned-seed sweeps
    that must stay clean, and checked-in counterexamples from the bugs
@@ -22,11 +23,17 @@ module Problem = Dlz_deptest.Problem
 module Strategy = Dlz_engine.Strategy
 module Registry = Dlz_engine.Registry
 module Stats = Dlz_engine.Stats
+module Jsonx = Dlz_serve.Jsonx
+module Proto = Dlz_serve.Proto
 
 let var ?(side = `Src) ~level name ub = Depeq.var ~side ~level name ub
 
 let numeric ?(n_common = 1) ?(common_ubs = [| 6 |]) eqs =
   Problem.numeric_of_equations ~n_common ~common_ubs eqs
+
+(* The one encoding of a numeric problem: the [query] verb's JSON. *)
+let to_json np = Jsonx.to_string (Proto.problem_to_json np)
+let of_json s = Result.bind (Jsonx.parse s) Proto.numeric_of_json
 
 let sweep_seed =
   match Sys.getenv_opt "DLZ_ORACLE_SEED" with
@@ -140,17 +147,16 @@ let oracle_vs_exact =
 
 (* --- the replay codec ----------------------------------------------------- *)
 
-let sexp_units =
+let codec_units =
   [
     Alcotest.test_case "round-trips and is canonical" `Quick (fun () ->
         List.iter
           (fun (c : Eqgen.case) ->
-            let s = Sexp.problem_to_string c.Eqgen.ground in
-            match Sexp.problem_of_string s with
+            let s = to_json c.Eqgen.ground in
+            match of_json s with
             | Error e -> Alcotest.failf "%s: no parse: %s" c.Eqgen.id e
             | Ok np ->
-                Alcotest.(check string)
-                  (c.Eqgen.id ^ " canonical") s (Sexp.problem_to_string np))
+                Alcotest.(check string) (c.Eqgen.id ^ " canonical") s (to_json np))
           (Eqgen.all ~seed:5L ~count:150));
     Alcotest.test_case "extreme magnitudes survive the text round-trip"
       `Quick (fun () ->
@@ -164,28 +170,46 @@ let sexp_units =
                 ];
             ]
         in
-        let s = Sexp.problem_to_string np in
-        match Sexp.problem_of_string s with
-        | Ok np' ->
-            Alcotest.(check string) "canonical" s (Sexp.problem_to_string np')
+        let s = to_json np in
+        match of_json s with
+        | Ok np' -> Alcotest.(check string) "canonical" s (to_json np')
         | Error e -> Alcotest.failf "no parse: %s" e);
     Alcotest.test_case "malformed inputs are rejected, not crashes" `Quick
       (fun () ->
+        let term ?(coeff = 1) ?(level = 1) ?(ub = 3) () =
+          Printf.sprintf
+            {|{"coeff":%d,"side":"src","level":%d,"ub":%d,"name":"i"}|}
+            coeff level ub
+        in
+        let problem ?(n_common = 1) ?(common_ubs = "[3]") eqs =
+          Printf.sprintf
+            {|{"n_common":%d,"common_ubs":%s,"opaque_dims":0,"eqs":[%s]}|}
+            n_common common_ubs (String.concat "," eqs)
+        in
+        let eq terms =
+          Printf.sprintf {|{"c0":1,"terms":[%s]}|} (String.concat "," terms)
+        in
         List.iter
           (fun s ->
-            match Sexp.problem_of_string s with
+            match of_json s with
             | Error _ -> ()
             | Ok _ -> Alcotest.failf "%S should not parse" s)
           [
+            (* the shapes a broken file or frame takes *)
             "";
-            "(problem";
-            "(problem)";
-            "problem (n-common 1)";
-            "(problem (n-common 1) (common-ubs) (opaque 0))";
-            "(problem (n-common 2) (common-ubs 3) (opaque 0))";
-            "(problem (n-common 1) (common-ubs x) (opaque 0))";
-            "(problem (n-common 1) (common-ubs 3) (opaque 0) (eq (c0 1) \
-             (term 1 src)))";
+            {|{"n_common":1|};
+            "{}";
+            {|"problem" {"n_common":1}|};
+            problem ~common_ubs:"[]" [];
+            problem ~n_common:2 [];
+            problem ~common_ubs:{|["x"]|} [];
+            problem [ eq [ {|{"coeff":1,"side":"src"}|} ] ];
+            (* the decoder's own limits *)
+            problem [ eq [ term ~ub:(-1) () ] ];
+            problem [ eq [ term ~level:65 () ] ];
+            problem [ eq (List.init 65 (fun _ -> term ())) ];
+            problem (List.init 65 (fun _ -> eq [ term () ]));
+            problem ~n_common:0 [];
           ]);
   ]
 
@@ -240,7 +264,7 @@ let liar_units =
            unsoundness needs. *)
         List.iter
           (fun s ->
-            match Sexp.problem_of_string s with
+            match of_json s with
             | Error e -> Alcotest.failf "minimized replay no parse: %s" e
             | Ok np -> (
                 match Oracle.decide np with
@@ -309,8 +333,7 @@ let shrink_units =
         Alcotest.(check bool) "starts failing" true (still_fails np);
         let a = Shrink.minimize ~still_fails np in
         let b = Shrink.minimize ~still_fails np in
-        Alcotest.(check string) "same fixpoint"
-          (Sexp.problem_to_string a) (Sexp.problem_to_string b);
+        Alcotest.(check string) "same fixpoint" (to_json a) (to_json b);
         Alcotest.(check bool) "still fails" true (still_fails a);
         Alcotest.(check int) "all equations gone" 0
           (List.length a.Problem.eqs));
@@ -323,8 +346,7 @@ let shrink_units =
            minimizer must return the original, not propagate. *)
         let still_fails c = if c == np then true else raise Exit in
         let m = Shrink.minimize ~still_fails np in
-        Alcotest.(check string) "unchanged"
-          (Sexp.problem_to_string np) (Sexp.problem_to_string m));
+        Alcotest.(check string) "unchanged" (to_json np) (to_json m));
     Alcotest.test_case "monotone: never grows the system" `Quick (fun () ->
         let size (np : Problem.numeric) =
           List.fold_left
@@ -439,41 +461,49 @@ let counterexamples =
       (* Residue arithmetic with a modulus above max_int/2: the old
          [2*r > g] midpoint comparison in Numth.symmetric_mod wrapped
          and picked the far representative. *)
-      "(problem (n-common 1) (common-ubs 2) (opaque 0) (eq (c0 \
-       -4611686018427387902) (term 4611686018427387901 src 1 2 i1) (term \
-       -2305843009213693951 dst 1 2 i2)))" );
+      {|{"n_common":1,"common_ubs":[2],"opaque_dims":0,"eqs":[{"c0":-4611686018427387902,"terms":[
+        {"coeff":4611686018427387901,"side":"src","level":1,"ub":2,"name":"i1"},
+        {"coeff":-2305843009213693951,"side":"dst","level":1,"ub":2,"name":"i2"}]}]}|}
+    );
     ( "near-overflow-balanced",
       (* Balanced huge coefficients: solutions exist on the diagonal,
          and every product overflows a naive interval evaluation. *)
-      "(problem (n-common 1) (common-ubs 2) (opaque 0) (eq (c0 0) (term \
-       4611686018427387900 src 1 2 i1) (term -4611686018427387900 dst 1 2 \
-       i2)))" );
+      {|{"n_common":1,"common_ubs":[2],"opaque_dims":0,"eqs":[{"c0":0,"terms":[
+        {"coeff":4611686018427387900,"side":"src","level":1,"ub":2,"name":"i1"},
+        {"coeff":-4611686018427387900,"side":"dst","level":1,"ub":2,"name":"i2"}]}]}|}
+    );
     ( "bezout-chain-extremes",
       (* GCD/Bezout chains over near-max coefficients: the unchecked
          egcd quotient chain wrapped its cofactors. *)
-      "(problem (n-common 1) (common-ubs 3) (opaque 0) (eq (c0 1) (term \
-       4611686018427387903 src 1 3 i1) (term -4611686018427387902 dst 1 3 \
-       i2)))" );
+      {|{"n_common":1,"common_ubs":[3],"opaque_dims":0,"eqs":[{"c0":1,"terms":[
+        {"coeff":4611686018427387903,"side":"src","level":1,"ub":3,"name":"i1"},
+        {"coeff":-4611686018427387902,"side":"dst","level":1,"ub":3,"name":"i2"}]}]}|}
+    );
     ( "linearized-crossing-stride",
       (* The paper's linearized shape with the row extent crossing the
          stride: i1 + 3*j1 - i2 - 3*j2 - 1 = 0 with i ranging past 3,
          so distinct (i, j) pairs alias the same cell. *)
-      "(problem (n-common 2) (common-ubs 5 4) (opaque 0) (eq (c0 -1) (term \
-       1 src 1 5 i1) (term 3 src 2 4 j1) (term -1 dst 1 5 i2) (term -3 dst \
-       2 4 j2)))" );
+      {|{"n_common":2,"common_ubs":[5,4],"opaque_dims":0,"eqs":[{"c0":-1,"terms":[
+        {"coeff":1,"side":"src","level":1,"ub":5,"name":"i1"},
+        {"coeff":3,"side":"src","level":2,"ub":4,"name":"j1"},
+        {"coeff":-1,"side":"dst","level":1,"ub":5,"name":"i2"},
+        {"coeff":-3,"side":"dst","level":2,"ub":4,"name":"j2"}]}]}|}
+    );
     ( "divisor-free-degenerate",
       (* All-zero-coefficient degenerate system: every gcd is 0, which
          used to reach the division helpers as a raw divisor. *)
-      "(problem (n-common 1) (common-ubs 0) (opaque 0) (eq (c0 0) (term 0 \
-       src 1 0 i1)) (eq (c0 7) (term 0 dst 1 0 i2)))" );
+      {|{"n_common":1,"common_ubs":[0],"opaque_dims":0,"eqs":[
+        {"c0":0,"terms":[{"coeff":0,"side":"src","level":1,"ub":0,"name":"i1"}]},
+        {"c0":7,"terms":[{"coeff":0,"side":"dst","level":1,"ub":0,"name":"i2"}]}]}|}
+    );
   ]
 
 let counterexample_units =
   List.map
-    (fun (name, sexp) ->
+    (fun (name, json) ->
       Alcotest.test_case (Printf.sprintf "replay %s" name) `Quick (fun () ->
-          match Sexp.problem_of_string sexp with
-          | Error e -> Alcotest.failf "checked-in sexp no parse: %s" e
+          match of_json json with
+          | Error e -> Alcotest.failf "checked-in problem no parse: %s" e
           | Ok np ->
               let case =
                 {
@@ -500,7 +530,7 @@ let () =
   Alcotest.run "dlz_oracle"
     [
       ("oracle", oracle_units @ [ oracle_vs_exact ]);
-      ("sexp", sexp_units);
+      ("json-codec", codec_units);
       ("liar", liar_units);
       ("shrink", shrink_units);
       ("sweep", sweep_units);

@@ -363,6 +363,39 @@ let test_bad_json_continues =
   in
   ()
 
+(* A program whose normalization overflows (test/cli.t's bad.f) is a
+   bad input like a parse error: the same message [vic analyze] prints,
+   reason "bad-request", and the connection keeps serving. *)
+let test_overflow_is_bad_request =
+  without_chaos @@ fun () ->
+  let (), _ =
+    with_server (fun addr ->
+        let c = connect addr in
+        let r =
+          request c
+            (obj
+               [
+                 ("op", Jsonx.Str "analyze");
+                 ("id", Jsonx.Int 5);
+                 ("lang", Jsonx.Str "f");
+                 ( "source",
+                   Jsonx.Str
+                     "      DIMENSION A(10)\n\
+                     \      DO 10 I = 1, 4\n\
+                      10    A(2305843009213693952*I+2305843009213693952) = \
+                      A(1)\n\
+                     \      END\n" );
+               ])
+        in
+        Alcotest.(check bool) "refused" false (get_bool r "ok");
+        Alcotest.(check string) "reason" "bad-request" (get_str r "reason");
+        Alcotest.(check string)
+          "message" "integer overflow in add" (get_str r "error");
+        ping ~id:6 c;
+        Client.close c)
+  in
+  ()
+
 let test_malformed_frame_closes =
   without_chaos @@ fun () ->
   let (), _ =
@@ -1323,6 +1356,8 @@ let () =
         [
           Alcotest.test_case "bad JSON costs one reply, not the connection"
             `Quick test_bad_json_continues;
+          Alcotest.test_case "an overflowing program is a bad request"
+            `Quick test_overflow_is_bad_request;
           Alcotest.test_case "framing violation closes only that connection"
             `Quick test_malformed_frame_closes;
           Alcotest.test_case "oversize frame refused" `Quick
