@@ -130,10 +130,14 @@ let e8_testers eq =
    testable pair of the polybench corpus, each run through a strategy's
    applicability screen and runner, one pass over all pairs per run.
    Delinearization refines direction vectors for every separated piece;
-   the Banerjee filter only screens. *)
+   the Banerjee filter only screens.  [views] times what bulk analysis
+   builds from each kernel's answered pairs (one untimed
+   [Engine.query_all] pass): the dependence rows and the vectorizer's
+   graph; it is reported, not gated. *)
 let corpus_testers () =
   let module Eqgen = Dlz_oracle.Eqgen in
   let module Strategy = Dlz_engine.Strategy in
+  let module Access = Dlz_ir.Access in
   let cases = Array.of_list (Eqgen.polybench ()) in
   let sweep (s : Strategy.t) () =
     Array.iter
@@ -143,9 +147,27 @@ let corpus_testers () =
           ignore (s.Strategy.run ~env ~budget:Dlz_base.Budget.unlimited p))
       cases
   in
+  let answered =
+    List.map
+      (fun (k : Dlz_corpus.Polybench.kernel) ->
+        let prog =
+          Dlz_passes.Pipeline.load `C k.Dlz_corpus.Polybench.k_source
+        in
+        let accs, env = Access.of_program prog in
+        (accs, Dlz_engine.Engine.query_all ~env accs))
+      Dlz_corpus.Polybench.kernels
+  in
+  let views () =
+    List.iter
+      (fun (accs, results) ->
+        ignore (An.deps_of_results results);
+        ignore (Dlz_vec.Depgraph.of_results accs results))
+      answered
+  in
   ( Array.length cases,
     [ ("delinearize", sweep Dlz_engine.Registry.delinearize);
-      ("banerjee", sweep Dlz_engine.Registry.banerjee) ] )
+      ("banerjee", sweep Dlz_engine.Registry.banerjee);
+      ("views", views) ] )
 
 let e8_depths = [ 1; 2; 3; 4; 5; 6 ]
 let family depth = Workload.paper_family ~depth ~extent:10 ~shifted:true

@@ -13,18 +13,12 @@ let bits = function
   | Ne -> 0b101
   | Star -> 0b111
 
-let of_bits = function
-  | 0b100 -> Some Lt
-  | 0b010 -> Some Eq
-  | 0b001 -> Some Gt
-  | 0b110 -> Some Le
-  | 0b011 -> Some Ge
-  | 0b101 -> Some Ne
-  | 0b111 -> Some Star
-  | _ -> None
+(* [by_bits.(bits d)] is [d]; 0 is no relation. *)
+let by_bits = [| Star; Gt; Eq; Ge; Lt; Ne; Le; Star |]
+let of_bits b = if b = 0 then None else Some by_bits.(b)
 
 let meet_dir a b = of_bits (bits a land bits b)
-let join_dir a b = Option.get (of_bits (bits a lor bits b))
+let join_dir a b = by_bits.(bits a lor bits b)
 let leq_dir a b = bits a land bits b = bits a
 
 let meet a b =
@@ -40,11 +34,6 @@ let meet a b =
     | None -> ok := false
   done;
   if !ok then Some result else None
-
-let join a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Dirvec.join: length mismatch";
-  Array.map2 join_dir a b
 
 let refinements = function
   | Star -> [ Lt; Eq; Gt ]
@@ -102,23 +91,116 @@ let to_string v =
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
+(* --- packed words --------------------------------------------------------- *)
+
+(* Both packed forms below lay a vector out as [stride n] words; word
+   [j] holds levels [21j + 1] to [21j + 21], 3 bits each, the first of
+   them in the highest field.  Unused low fields are 0. *)
+let per_word = 21
+let stride n = if n <= per_word then 1 else (n + per_word - 1) / per_word
+let shift i = 3 * (per_word - 1 - i)
+
+(* --- lattice masks -------------------------------------------------------- *)
+
+module Mask = struct
+  type vec = t
+
+  (* The field of level [l] (1-based). *)
+  let field w l =
+    (w.((l - 1) / per_word) lsr shift ((l - 1) mod per_word)) land 7
+
+  let get w l = by_bits.(field w l)
+
+  let pack (v : vec) =
+    let w = Array.make (stride (Array.length v)) 0 in
+    for l = 0 to Array.length v - 1 do
+      let j = l / per_word in
+      w.(j) <- w.(j) lor (bits v.(l) lsl shift (l mod per_word))
+    done;
+    w
+
+  let unpack n w = Array.init n (fun l -> get w (l + 1))
+
+  let join a b =
+    let w = Array.copy a in
+    for j = 0 to Array.length w - 1 do
+      w.(j) <- w.(j) lor b.(j)
+    done;
+    w
+
+  (* The functions below are closed, so their loops allocate
+     nothing. *)
+  let rec leq_from a b j =
+    j < 0 || (a.(j) land b.(j) = a.(j) && leq_from a b (j - 1))
+
+  let leq a b = leq_from a b (Array.length a - 1)
+  let rec equal_from a b j = j < 0 || (a.(j) = b.(j) && equal_from a b (j - 1))
+
+  let equal a b =
+    Array.length a = Array.length b && equal_from a b (Array.length a - 1)
+
+  let popcount = [| 0; 1; 1; 2; 1; 2; 2; 3 |]
+
+  let rec basics_from ~cap n w l p =
+    if p >= cap then cap
+    else if l > n then p
+    else basics_from ~cap n w (l + 1) (p * popcount.(field w l))
+
+  let basics ~cap n w = basics_from ~cap n w 1 1
+
+  (* Levels [l] to [n] of the basic vectors below [w], written into
+     [b] after the levels before [l]. *)
+  let rec basics_at f n w b l =
+    if l > n then f b
+    else
+      let j = (l - 1) / per_word and s = shift ((l - 1) mod per_word) in
+      each_bit f n w b l (field w l) j s (b.(j) land lnot (7 lsl s)) 0b100
+
+  (* [<], then [=], then [>] where the level admits it. *)
+  and each_bit f n w b l m j s keep bit =
+    if bit > 0 then begin
+      if m land bit <> 0 then begin
+        b.(j) <- keep lor (bit lsl s);
+        basics_at f n w b (l + 1)
+      end;
+      each_bit f n w b l m j s keep (bit lsr 1)
+    end
+
+  (* A basic vector is its one basic vector. *)
+  let iter_basics f n w =
+    if basics ~cap:2 n w = 1 then f w
+    else basics_at f n w (Array.make (Array.length w) 0) 1
+
+  let rec lead_from n w l =
+    if l > n then 0 else if field w l = 0b010 then lead_from n w (l + 1) else l
+
+  let lead n w = lead_from n w 1
+
+  (* Every field's [>] bit (one octal digit a field); shifted left
+     once, its [=] bit, twice its [<] bit. *)
+  let gts = 0o111_111_111_111_111_111_111
+
+  let reverse x =
+    ((x lsr 2) land gts) lor (x land (gts lsl 1)) lor ((x land gts) lsl 2)
+
+  (* A basic level holds 4, 2 or 1 for [<], [=] or [>]: {!compare}
+     order is the ints' unsigned order reversed.  [lnot] reverses it,
+     and flipping the sign bit back makes it [Int.compare]'s. *)
+  let rank x = x lxor max_int
+end
+
 (* --- packed sets ---------------------------------------------------------- *)
 
 module Set = struct
   type vec = t
 
-  (* A vector is [stride n] words; word [j] holds levels [21j + 1] to
-     [21j + 21], 3 bits each, the first of them in the highest field.
-     A level's code is its [dir]'s constructor index, so comparing the
+  (* A level's code is its [dir]'s constructor index, so comparing the
      words as unsigned numbers orders vectors as [compare] does; bit 62
      (the top field's high bit) is the sign bit, and flipping it makes
-     [Int.compare] that unsigned order.  Unused low fields are 0. *)
+     [Int.compare] that unsigned order. *)
   type t = { n : int; w : int array }
 
-  let per_word = 21
   let sign = min_int
-  let stride n = if n <= per_word then 1 else (n + per_word - 1) / per_word
-  let shift i = 3 * (per_word - 1 - i)
   let dirs = [| Lt; Eq; Gt; Le; Ge; Ne; Star |]
 
   let code = function

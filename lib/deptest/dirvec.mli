@@ -35,9 +35,6 @@ val meet : t -> t -> t option
     length meet on their common prefix, keeping the longer tail (used
     when a separated equation constrains only some levels). *)
 
-val join : t -> t -> t
-(** Pointwise join of equal-length vectors. *)
-
 val refinements : dir -> dir list
 (** Immediate children used by hierarchy testing:
     [refinements Star = [Lt; Eq; Gt]], a basic direction refines to
@@ -71,6 +68,60 @@ val to_string : t -> string
 (** Printed like ( *, <, = ). *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Lattice masks}
+
+    One vector over [n] levels as [⌈n/21⌉] ints (one for [n ≤ 21]), 3
+    bits per level with level 1 in the most significant bits; a level
+    holds the set of relations its direction admits, one bit each for
+    [<] (4), [=] (2) and [>] (1), so the levels of [( *, =)] hold
+    [0b111] and [0b010].  Unused fields are 0.  A join is [lor] and
+    containment [land], int for int, and the basic vectors a vector
+    admits are its choices of one bit per level.  The views of a
+    query's answer, the dependence rows ([Analyze]) and the
+    vectorizer's graph edges ([Depgraph]), work on vectors in this
+    form. *)
+
+module Mask : sig
+  type vec := t
+
+  val pack : vec -> int array
+  val unpack : int -> int array -> vec
+  (** [unpack n w] is the vector over [n] levels that [w] packs. *)
+
+  val get : int array -> int -> dir
+  (** [get w l]: level [l]'s (1-based) direction. *)
+
+  val join : int array -> int array -> int array
+  (** The join of vectors of one length: [lor], int for int. *)
+
+  val leq : int array -> int array -> bool
+  (** [leq a b] iff every level of [a] is contained in [b]'s. *)
+
+  val equal : int array -> int array -> bool
+
+  val basics : cap:int -> int -> int array -> int
+  (** [basics ~cap n w] is the number of basic vectors [w] admits over
+      its [n] levels (the product of its levels' bit counts), or [cap]
+      when that is more; [cap ≤ max_int / 3]. *)
+
+  val iter_basics : (int array -> unit) -> int -> int array -> unit
+  (** [iter_basics f n w] applies [f] to each basic vector [w] admits
+      over its [n] levels, in {!Dirvec.compare} order; every call may
+      get the same array, overwritten. *)
+
+  val lead : int -> int array -> int
+  (** [lead n w]: the first of the [n] levels (1-based) that is not
+      [=], or 0. *)
+
+  val reverse : int -> int
+  (** {!Dirvec.reverse} of an int: [<] and [>] swap in every level. *)
+
+  val rank : int -> int
+  (** An int whose [Int.compare] order, int by int, is
+      {!Dirvec.compare} order among basic vectors of one length.
+      [rank (rank x) = x]. *)
+end
 
 (** {2 Packed sets}
 

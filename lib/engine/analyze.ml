@@ -3,6 +3,7 @@ module Assume = Dlz_symbolic.Assume
 module Access = Dlz_ir.Access
 module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
+module Mask = Dirvec.Mask
 module Ddvec = Dlz_deptest.Ddvec
 module Classify = Dlz_deptest.Classify
 
@@ -23,45 +24,53 @@ let cascade_of_mode = function
   | Classic -> Cascade.classic
   | ExactMode -> Cascade.exact
 
-(* Basic direction vectors admitted by a (possibly non-basic) vector. *)
-let decomposition dv =
-  Array.fold_right
-    (fun d acc ->
-      List.concat_map
-        (fun child -> List.map (fun tail -> child :: tail) acc)
-        (Dirvec.refinements d))
-    dv [ [] ]
-  |> List.map Array.of_list
-
+(* Figure 3's greedy merge on lattice masks: the first vector, in
+   [Dirvec.compare] order, with a later partner whose join is covered
+   becomes the join, every copy of the partner leaves, and the search
+   starts again.  A join is covered when every basic vector it admits
+   is in the cover (the input's basic members and a self pair's
+   identity): when as many cover members lie below it as it admits
+   basic vectors. *)
 let summarize ~self vecs =
-  let identity n = Array.make n Dirvec.Eq in
-  let covered set dv =
-    List.for_all
-      (fun basic ->
-        List.exists (Dirvec.equal basic) set
-        || (self && Dirvec.equal basic (identity (Array.length basic))))
-      (decomposition dv)
-  in
-  let rec merge groups =
-    let rec try_pairs = function
-      | [] -> None
-      | g :: rest -> (
-          let candidate =
-            List.find_opt (fun h -> covered vecs (Dirvec.join g h)) rest
-          in
-          match candidate with
-          | Some h ->
-              Some
-                (Dirvec.join g h
-                :: List.filter (fun x -> not (Dirvec.equal x h)) rest)
-          | None -> (
-              match try_pairs rest with
-              | Some rest' -> Some (g :: rest')
-              | None -> None))
-    in
-    match try_pairs groups with Some g' -> merge g' | None -> groups
-  in
-  merge (List.sort_uniq Dirvec.compare vecs)
+  match List.sort_uniq Dirvec.compare vecs with
+  | [] -> []
+  | v :: _ as vecs ->
+      let n = Array.length v in
+      if List.exists (fun v -> Array.length v <> n) vecs then
+        invalid_arg "Analyze.summarize: length mismatch";
+      let packed = List.map Mask.pack vecs in
+      let cover =
+        let members =
+          List.filter (fun w -> Mask.basics ~cap:2 n w = 1) packed
+        in
+        let identity = Mask.pack (Array.make n Dirvec.Eq) in
+        if self && not (List.exists (Mask.equal identity) members) then
+          identity :: members
+        else members
+      in
+      let nc = List.length cover in
+      let covered m =
+        let s = Mask.basics ~cap:(nc + 1) n m in
+        s <= nc
+        && List.fold_left (fun c b -> if Mask.leq b m then c + 1 else c) 0 cover
+           = s
+      in
+      let rec merge groups =
+        let rec try_pairs = function
+          | [] -> None
+          | g :: rest -> (
+              let joined h =
+                let m = Mask.join g h in
+                if covered m then Some (h, m) else None
+              in
+              match List.find_map joined rest with
+              | Some (h, m) ->
+                  Some (m :: List.filter (fun x -> not (Mask.equal x h)) rest)
+              | None -> Option.map (fun rest' -> g :: rest') (try_pairs rest))
+        in
+        match try_pairs groups with Some g' -> merge g' | None -> groups
+      in
+      List.map (Mask.unpack n) (merge packed)
 
 let apply_distances dv distances =
   List.fold_left

@@ -48,14 +48,13 @@ val cascade_of_mode : mode -> Cascade.t
     Kept, with [mode], because the perfbench harness names its cascade
     through them. *)
 
-val decomposition : Dirvec.t -> Dirvec.t list
-(** All basic direction vectors admitted by a vector (3^k worst case for
-    k [*] components). *)
-
 val summarize : self:bool -> Dirvec.t list -> Dirvec.t list
-(** Greedy sound summarization: vectors are merged when the join's
-    decomposition is covered by the set ([self] pairs implicitly cover
-    the all-[=] identity vector). *)
+(** Greedy sound summarization of vectors of one length
+    ([Invalid_argument] otherwise): two vectors are merged when every
+    basic vector their join admits is covered.  The cover is the basic
+    vectors that are members of the input, and for a [self] pair the
+    all-[=] identity; a non-basic member such as [( * )] covers nothing,
+    so [(<)] and [( * )] stay two rows. *)
 
 val deps_of_results : (Engine.pair * Strategy.result) list -> dep list
 (** The dependence rows of answered pairs (input dependences and

@@ -485,6 +485,95 @@ let summarize_units =
         match An.summarize ~self:false [ [| Dirvec.Gt |]; [| Dirvec.Lt |] ] with
         | [ v ] -> Alcotest.(check string) "(!=)" "(!=)" (Dirvec.to_string v)
         | _ -> Alcotest.fail "expected one row");
+    Alcotest.test_case "(<) and (*) stay two rows" `Quick (fun () ->
+        (* Only basic members cover: ( * ) itself admits (=) and (>),
+           which no member is, so the join (the same ( * )) is not
+           covered. *)
+        let out =
+          An.summarize ~self:false [ [| Dirvec.Lt |]; [| Dirvec.Star |] ]
+        in
+        Alcotest.(check (list string)) "both rows" [ "(<)"; "(*)" ]
+          (List.map Dirvec.to_string out));
+  ]
+
+(* The list algorithm [An.summarize] replaced, kept as its reference:
+   a join is covered when each basic vector of its decomposition is a
+   member of the input (or, for a self pair, the identity). *)
+let reference_summarize ~self vecs =
+  let decomposition dv =
+    Array.fold_right
+      (fun d acc ->
+        List.concat_map
+          (fun child -> List.map (fun tail -> child :: tail) acc)
+          (Dirvec.refinements d))
+      dv [ [] ]
+    |> List.map Array.of_list
+  in
+  let join = Array.map2 Dirvec.join_dir in
+  let covered dv =
+    List.for_all
+      (fun basic ->
+        List.exists (Dirvec.equal basic) vecs
+        || (self && Array.for_all (( = ) Dirvec.Eq) basic))
+      (decomposition dv)
+  in
+  let rec merge groups =
+    let rec try_pairs = function
+      | [] -> None
+      | g :: rest -> (
+          match List.find_opt (fun h -> covered (join g h)) rest with
+          | Some h ->
+              Some
+                (join g h
+                :: List.filter (fun x -> not (Dirvec.equal x h)) rest)
+          | None -> Option.map (fun rest' -> g :: rest') (try_pairs rest))
+    in
+    match try_pairs groups with Some g' -> merge g' | None -> groups
+  in
+  merge (List.sort_uniq Dirvec.compare vecs)
+
+(* Random sets over 0-5 levels and over 22 (two ints a vector), with
+   non-basic members, duplicates and self pairs.  At 22 levels one to
+   four levels vary and the rest hold one basic direction throughout,
+   which keeps the reference's decompositions small. *)
+let gen_summarize_case =
+  QCheck.Gen.(
+    let* n = oneofl [ 0; 1; 2; 3; 4; 5; 22 ] in
+    let* varying =
+      if n <= 5 then return (List.init n Fun.id)
+      else
+        let* count = int_range 1 4 in
+        let* picks = list_repeat count (int_range 0 (n - 1)) in
+        return (List.sort_uniq compare (n - 1 :: picks))
+    in
+    let* fixed = array_repeat n (oneofl Dirvec.[ Lt; Eq; Eq; Gt ]) in
+    let dir =
+      frequency
+        [ (6, oneofl Dirvec.[ Lt; Eq; Gt ]);
+          (1, oneofl Dirvec.[ Le; Ge; Ne; Star ]) ]
+    in
+    let vec =
+      let+ dirs = flatten_l (List.map (fun _ -> dir) varying) in
+      let v = Array.copy fixed in
+      List.iter2 (fun l d -> v.(l) <- d) varying dirs;
+      v
+    in
+    let* vecs = list_size (int_range 0 9) vec in
+    let* dups = list_size (int_range 0 2) (oneofl (fixed :: vecs)) in
+    let* self = bool in
+    return (self, vecs @ dups))
+
+let summarize_props =
+  [
+    QCheck.Test.make ~name:"packed summarize = list reference" ~count:12_000
+      (QCheck.make
+         ~print:(fun (self, vecs) ->
+           Printf.sprintf "self=%b [%s]" self
+             (String.concat "; " (List.map Dirvec.to_string vecs)))
+         gen_summarize_case)
+      (fun (self, vecs) ->
+        List.map Dirvec.to_string (An.summarize ~self vecs)
+        = List.map Dirvec.to_string (reference_summarize ~self vecs));
   ]
 
 (* Overflow robustness: gigantic strides must degrade conservatively
@@ -531,5 +620,7 @@ let () =
       ("symbolic", symbolic_units);
       ("reshape", reshape_units);
       ("overflow", overflow_units);
-      ("summarize", summarize_units);
+      ( "summarize",
+        summarize_units @ List.map QCheck_alcotest.to_alcotest summarize_props
+      );
     ]

@@ -8,6 +8,8 @@ module Analyze = Dlz_engine.Analyze
 module Dirvec = Dlz_deptest.Dirvec
 module F77 = Dlz_frontend.F77_parser
 module Pipeline = Dlz_passes.Pipeline
+module Access = Dlz_ir.Access
+module Strategy = Dlz_engine.Strategy
 
 let prepare src = Pipeline.prepare_program (F77.parse src)
 
@@ -93,6 +95,130 @@ let graph_units =
             (List.map (fun (e : Depgraph.edge) -> e.Depgraph.e_level) c_edges)
         in
         Alcotest.(check (list int)) "levels 1 and 3" [ 1; 3 ] levels);
+  ]
+
+(* The list construction [Depgraph.of_results] replaced, kept as its
+   reference: every basic vector of each answered pair's decomposition,
+   oriented by its first non-[=] level, as edge records sorted and
+   deduplicated by [Stdlib.compare]. *)
+let reference_edges results =
+  let module Engine = Dlz_engine.Engine in
+  let module Strategy = Dlz_engine.Strategy in
+  let decomposition dv =
+    Array.fold_right
+      (fun d acc ->
+        List.concat_map
+          (fun child -> List.map (fun tail -> child :: tail) acc)
+          (Dirvec.refinements d))
+      dv [ [] ]
+    |> List.map Array.of_list
+  in
+  let edges_of ((pr : Engine.pair), (r : Strategy.result)) =
+    let a = pr.Engine.src and b = pr.Engine.dst in
+    let edge (src : Access.t) (dst : Access.t) vec level =
+      [ { Depgraph.e_src = src.stmt_id; e_dst = dst.stmt_id; e_vec = vec;
+          e_level = level;
+          e_kind = Dlz_deptest.Classify.kind ~src:src.rw ~dst:dst.rw } ]
+    in
+    let rec lead v i =
+      if i = Array.length v then None
+      else if v.(i) = Dirvec.Eq then lead v (i + 1)
+      else Some (i + 1, v.(i))
+    in
+    if r.Strategy.verdict = Dlz_deptest.Verdict.Independent then []
+    else
+      List.concat_map decomposition r.Strategy.dirvecs
+      |> List.sort_uniq Dirvec.compare
+      |> List.filter (fun v ->
+             not (pr.Engine.self && Array.for_all (( = ) Dirvec.Eq) v))
+      |> List.concat_map (fun v ->
+             match lead v 0 with
+             | Some (lvl, Dirvec.Lt) -> edge a b v lvl
+             | Some (lvl, _) -> edge b a (Dirvec.reverse v) lvl
+             | None ->
+                 if a.stmt_id < b.stmt_id then edge a b v max_int
+                 else if b.stmt_id < a.stmt_id then edge b a v max_int
+                 else [])
+  in
+  List.sort_uniq Stdlib.compare (List.concat_map edges_of results)
+
+(* Random answered pairs among the write and the read of up to four
+   statements: self pairs, pairs inside one statement, independent
+   verdicts, and vectors over 0-3 levels or over 22 (two ints a
+   vector; one or two levels vary there), mixed in one graph. *)
+let gen_answered =
+  let module Engine = Dlz_engine.Engine in
+  let module Strategy = Dlz_engine.Strategy in
+  QCheck.Gen.(
+    let* nstmts = int_range 1 4 in
+    let accs =
+      List.concat_map
+        (fun s ->
+          List.map
+            (fun rw ->
+              { Access.acc_id = (2 * s) + if rw = `Write then 0 else 1;
+                stmt_id = s; stmt_name = Printf.sprintf "S%d" (s + 1);
+                array = "A"; rw; loops = []; subs = [] })
+            [ `Write; `Read ])
+        (List.init nstmts Fun.id)
+    in
+    let vec n =
+      let* varying =
+        if n <= 3 then return (List.init n Fun.id)
+        else
+          let+ l = int_range 0 (n - 1) in
+          List.sort_uniq compare [ l; n - 1 ]
+      in
+      let* fixed = array_repeat n (oneofl Dirvec.[ Lt; Eq; Eq; Gt ]) in
+      let+ dirs =
+        flatten_l
+          (List.map
+             (fun _ -> oneofl Dirvec.[ Lt; Eq; Gt; Le; Ge; Ne; Star ])
+             varying)
+      in
+      let v = Array.copy fixed in
+      List.iter2 (fun l d -> v.(l) <- d) varying dirs;
+      v
+    in
+    let pair =
+      let* src = oneofl (List.filter (fun a -> a.Access.rw = `Write) accs) in
+      let* self = bool in
+      let* dst = if self then return src else oneofl accs in
+      let* n = oneofl [ 0; 1; 2; 3; 22 ] in
+      let* dirvecs = list_size (int_range 0 4) (vec n) in
+      let+ independent = frequencyl [ (1, true); (6, false) ] in
+      ( { Engine.src; dst; self;
+          problem =
+            { Dlz_deptest.Problem.src; dst; n_common = n; common_ubs = [];
+              equations = []; opaque_dims = 0 } },
+        { Strategy.verdict =
+            (if independent then Dlz_deptest.Verdict.Independent
+             else Dlz_deptest.Verdict.Dependent);
+          dirvecs; distances = []; decided_by = "test"; degraded = [] } )
+    in
+    let+ results = list_size (int_range 0 8) pair in
+    (accs, results))
+
+let graph_props =
+  [
+    QCheck.Test.make ~name:"packed edges = list reference" ~count:3000
+      (QCheck.make
+         ~print:(fun (_, results) ->
+           let rw (a : Access.t) = if a.rw = `Write then "w" else "r" in
+           String.concat "\n"
+             (List.map
+                (fun ((pr : Dlz_engine.Engine.pair), (r : Strategy.result)) ->
+                  Printf.sprintf "%s%s -> %s%s%s %s: %s"
+                    pr.src.stmt_name (rw pr.src) pr.dst.stmt_name
+                    (rw pr.dst)
+                    (if pr.self then " self" else "")
+                    (Dlz_deptest.Verdict.to_string r.verdict)
+                    (String.concat " " (List.map Dirvec.to_string r.dirvecs)))
+                results))
+         gen_answered)
+      (fun (accs, results) ->
+        (Depgraph.of_results accs results).Depgraph.edges
+        = reference_edges results);
   ]
 
 (* --- codegen ---------------------------------------------------------------- *)
@@ -249,7 +375,7 @@ let () =
   Alcotest.run "dlz_vec"
     [
       ("scc", scc_units);
-      ("graph", graph_units);
+      ("graph", graph_units @ List.map QCheck_alcotest.to_alcotest graph_props);
       ("codegen", codegen_units);
       ("parallel", parallel_units);
     ]
