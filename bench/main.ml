@@ -428,7 +428,11 @@ let cache_report () =
      requires that sweep to be served entirely by snapshot entries. *)
   let st = Dlz_engine.Stats.global in
   let queries = Dlz_engine.Stats.queries st in
-  let warm_hits = Dlz_engine.Stats.warm_hits st in
+  let warm_hits =
+    Option.value ~default:0
+      (Dlz_obs.Registry.counter ~labels:[ ("temp", "warm") ]
+         (Dlz_engine.Stats.samples st) "vic_engine_cache_hits_total")
+  in
   let misses = Dlz_engine.Stats.cache_misses st in
   let cold = median populate and warm = median warmload in
   let fc = median full_cold and fw = median full_warm in

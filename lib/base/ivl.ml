@@ -76,8 +76,6 @@ module Acc = struct
     a.hi <- v;
     a.empty <- false
 
-  let set_empty a = a.empty <- true
-
   let add_scaled a c ub =
     (* a += c * [0, ub]  (the lhs-interval step), empty absorbing. *)
     if not a.empty then
@@ -88,15 +86,13 @@ module Acc = struct
         a.lo <- Intx.add a.lo (Intx.mul c ub)
       end
 
-  let add_bounds a l h =
-    if not a.empty then begin
-      a.lo <- Intx.add a.lo l;
-      a.hi <- Intx.add a.hi h
-    end
-
   let add_ivl a = function
     | Empty -> a.empty <- true
-    | Range (l, h) -> add_bounds a l h
+    | Range (l, h) ->
+        if not a.empty then begin
+          a.lo <- Intx.add a.lo l;
+          a.hi <- Intx.add a.hi h
+        end
 
   let contains_zero a = (not a.empty) && a.lo <= 0 && 0 <= a.hi
   let to_ivl a = if a.empty then Empty else make a.lo a.hi

@@ -70,15 +70,9 @@ module Acc : sig
   val set_point : acc -> int -> unit
   (** Reset to the singleton [[v, v]]. *)
 
-  val set_empty : acc -> unit
-
   val add_scaled : acc -> int -> int -> unit
   (** [add_scaled a c ub] adds [c * [0, ub]] (Minkowski), the
       lhs-interval step.  Requires [ub >= 0]; empty absorbs. *)
-
-  val add_bounds : acc -> int -> int -> unit
-  (** [add_bounds a lo hi] adds the interval [[lo, hi]] (Minkowski);
-      requires [lo <= hi]; empty absorbs. *)
 
   val add_ivl : acc -> t -> unit
   (** Minkowski-add an immutable interval (empty absorbs). *)

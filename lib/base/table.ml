@@ -1,10 +1,9 @@
 type align = Left | Right | Center
-type line = Row of string list | Sep
 
 type t = {
   headers : string list;
   aligns : align array;
-  mutable lines : line list; (* reversed *)
+  mutable lines : string list list; (* reversed *)
 }
 
 let create ?(aligns = []) headers =
@@ -18,9 +17,7 @@ let add_row t row =
   let k = List.length row in
   if k > n then invalid_arg "Table.add_row: too many cells";
   let row = if k < n then row @ List.init (n - k) (fun _ -> "") else row in
-  t.lines <- Row row :: t.lines
-
-let add_sep t = t.lines <- Sep :: t.lines
+  t.lines <- row :: t.lines
 
 let utf8_length s =
   (* Count code points, not bytes: headers use characters like ≤. *)
@@ -48,7 +45,7 @@ let render t =
     List.iteri (fun i c -> widths.(i) <- max widths.(i) (utf8_length c)) row
   in
   measure t.headers;
-  List.iter (function Row r -> measure r | Sep -> ()) lines;
+  List.iter measure lines;
   let buf = Buffer.create 256 in
   let emit_row row =
     Buffer.add_string buf "|";
@@ -60,18 +57,15 @@ let render t =
       row;
     Buffer.add_char buf '\n'
   in
-  let emit_sep () =
-    Buffer.add_string buf "|";
-    Array.iter
-      (fun w ->
-        Buffer.add_string buf (String.make (w + 2) '-');
-        Buffer.add_char buf '|')
-      widths;
-    Buffer.add_char buf '\n'
-  in
   emit_row t.headers;
-  emit_sep ();
-  List.iter (function Row r -> emit_row r | Sep -> emit_sep ()) lines;
+  Buffer.add_string buf "|";
+  Array.iter
+    (fun w ->
+      Buffer.add_string buf (String.make (w + 2) '-');
+      Buffer.add_char buf '|')
+    widths;
+  Buffer.add_char buf '\n';
+  List.iter emit_row lines;
   Buffer.contents buf
 
 let pp ppf t = Format.pp_print_string ppf (render t)

@@ -18,9 +18,6 @@ val add_row : t -> string list -> unit
 (** Appends a row.  Rows shorter than the header are padded with empty
     cells; longer rows raise [Invalid_argument]. *)
 
-val add_sep : t -> unit
-(** Appends a horizontal separator line. *)
-
 val render : t -> string
 (** Renders with box-drawing ASCII (pipes and dashes), GitHub-markdown
     compatible. *)

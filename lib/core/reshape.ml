@@ -148,7 +148,7 @@ let accesses_of prog name =
   let accs, env = Access.of_program prog in
   (List.filter (fun (a : Access.t) -> String.equal a.Access.array name) accs, env)
 
-let plan_rich ~env prog name =
+let plan_of ~env prog name =
   match array_size prog name with
   | None -> None
   | Some size -> (
@@ -198,9 +198,6 @@ let plan_rich ~env prog name =
             end
       with No_plan -> None)
 
-let plan_for ~env prog name =
-  Option.map (fun (p, _, _) -> p) (plan_rich ~env prog name)
-
 let apply ~env prog =
   let arrays =
     List.filter_map
@@ -212,7 +209,7 @@ let apply ~env prog =
   let plans =
     List.filter_map
       (fun name ->
-        match plan_rich ~env prog name with
+        match plan_of ~env prog name with
         | Some (plan, strides, env') -> Some (name, plan, strides, env')
         | None -> None)
       arrays

@@ -24,12 +24,6 @@ type plan = {
           the last entry is the leftover outer extent. *)
 }
 
-val plan_for :
-  env:Assume.t -> Dlz_ir.Ast.program -> string -> plan option
-(** Computes a common reshape plan for every reference of the given
-    (1-dimensional, declared) array, or [None] when some reference does
-    not decompose or a range check fails. *)
-
 val apply : env:Assume.t -> Dlz_ir.Ast.program -> Dlz_ir.Ast.program * plan list
 (** Reshapes every array with a valid plan: declarations get the
     recovered dimensions (0-based), references get one subscript per

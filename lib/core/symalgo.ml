@@ -66,6 +66,11 @@ let residue ~smin ~smax c0 g =
 let delta_feasible env ~ub_src ~ub_dst d =
   not (Assume.lt env ub_dst d || Assume.lt env ub_src (Poly.neg d))
 
+(* Direction-vector solving for one separated symbolic equation: exact
+   for numeric pieces (via the classic techniques), pattern-based for
+   the symbolic shapes linearized subscripts produce (single variable,
+   and [c·x - c·y + r = 0] pairs, which also yield symbolic
+   distances). *)
 let solve_piece ~env ~n_common (piece : Symeq.t) =
   let maybe = (Verdict.Dependent, Dirvec.Set.all_star n_common, None) in
   let independent = (Verdict.Independent, Dirvec.Set.empty n_common, None) in

@@ -55,15 +55,6 @@ val run :
     the dimensions of a single reference for array reshaping (the §4
     example), where the "equation" is not a dependence equation. *)
 
-val solve_piece :
-  env:Assume.t -> n_common:int -> Symeq.t ->
-  Verdict.t * Dirvec.Set.t * (int * Poly.t) option
-(** Direction-vector solving for one separated symbolic equation: exact
-    for numeric pieces (via the classic techniques), pattern-based for
-    the symbolic shapes linearized subscripts produce (single variable,
-    and [c·x - c·y + r = 0] pairs, which also yield symbolic
-    distances). *)
-
 val step_table : step list -> Dlz_base.Table.t
 (** The §4 table of a scan: {!Algo.step_table}'s columns with
     polynomial cells, all left-aligned. *)

@@ -37,4 +37,4 @@ val split : Depeq.t -> m:int -> d0:int -> split option
 
 val product_solutions_agree : Depeq.t -> split -> bool
 (** Brute-force check (small boxes only) that the Cartesian-product
-    characterization holds: used by tests and the E8 property bench. *)
+    characterization holds; the core tests run it. *)

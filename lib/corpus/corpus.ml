@@ -237,10 +237,12 @@ let is_linearized_access (a : Access.t) =
       | Access.Opaque -> false)
     a.Access.subs
 
+(* Outermost loop nests containing at least one linearized reference,
+   measured after the normalization/induction/aliasing pipeline.  One
+   extraction per outermost loop nest, so nests are counted by position
+   rather than by accidental structural equality. *)
 let count_linearized_nests prog =
   let prog = Dlz_passes.Pipeline.prepare_program prog in
-  (* One extraction per outermost loop nest, so nests are counted by
-     position rather than by accidental structural equality. *)
   List.fold_left
     (fun acc stmt ->
       match stmt with

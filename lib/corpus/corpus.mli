@@ -31,10 +31,6 @@ val is_linearized_access : Dlz_ir.Access.t -> bool
     at two or more distinct coefficient magnitudes (e.g. [i + 10*j] or
     [K + J*KK]) — the shape delinearization can break. *)
 
-val count_linearized_nests : Dlz_ir.Ast.program -> int
-(** Outermost loop nests containing at least one linearized reference,
-    measured after the normalization/induction/aliasing pipeline. *)
-
 type row = {
   r_spec : spec;
   r_lines : int;  (** Actual generated line count. *)

@@ -129,8 +129,6 @@ let common_pairs eq =
       (lvl, find `Src, find `Dst))
     levels
 
-let pp_var ppf v = Format.pp_print_string ppf v.v_name
-
 let pp ppf eq =
   let pp_term first ppf t =
     let sign = if t.coeff < 0 then "- " else if first then "" else "+ " in

@@ -60,7 +60,6 @@ val common_pairs : t -> (int * (int * var) option * (int * var) option) list
     with the [`Src] and [`Dst] terms at that level (coefficient 0 terms
     are absent). *)
 
-val pp_var : Format.formatter -> var -> unit
 val pp : Format.formatter -> t -> unit
 (** E.g. [i1 + 10*j1 - i2 - 10*j2 - 5 = 0 ; i1,i2 in [0,4], j1,j2 in [0,9]]. *)
 

@@ -182,16 +182,22 @@ let summary_line ~timings ~dir ~elapsed_ns frs =
   let timing =
     if not timings then []
     else
-      let s = Stats.global in
+      let samples = Stats.samples Stats.global in
+      let count ?labels name =
+        Option.value ~default:0
+          (Dlz_obs.Registry.counter ?labels samples ("vic_engine_" ^ name))
+      in
+      let hits temp = count ~labels:[ ("temp", temp) ] "cache_hits_total" in
       [ ("elapsed_ns", Jsonx.Int (Int64.to_int elapsed_ns));
         ( "cache",
           Jsonx.ints
-            [ ("queries", Stats.queries s); ("hits", Stats.cache_hits s);
-              ("warm_hits", Stats.warm_hits s); ("cold_hits", Stats.cold_hits s);
-              ("misses", Stats.cache_misses s);
-              ("snapshot_loaded", Stats.snapshot_loaded s);
-              ("snapshot_loads", Stats.snapshot_loads s);
-              ("snapshot_rejects", Stats.snapshot_rejects s) ] ) ]
+            [ ("queries", count "queries_total");
+              ("hits", hits "warm" + hits "cold");
+              ("warm_hits", hits "warm"); ("cold_hits", hits "cold");
+              ("misses", count "cache_misses_total");
+              ("snapshot_loaded", count "snapshot_loaded_entries_total");
+              ("snapshot_loads", count "snapshot_loads_total");
+              ("snapshot_rejects", count "snapshot_rejects_total") ] ) ]
   in
   Jsonx.Obj
     ([ ("summary", Jsonx.Bool true); ("dir", Jsonx.Str dir);

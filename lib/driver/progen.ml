@@ -9,6 +9,8 @@ type profile = {
   p_coeffs : int array;  (* the "large magnitude" coefficient pool *)
 }
 
+(* Depth 1–3, trips ≤ 4, coefficients in [-12, 12]: the historical
+   [random] distribution. *)
 let default_profile =
   {
     p_depth = (1, 3);

@@ -15,10 +15,6 @@ type profile = {
 (** Generation knobs, the hook the differential oracle's program family
     uses to steer the distribution. *)
 
-val default_profile : profile
-(** Depth 1–3, trips ≤ 4, coefficients in [-12, 12] — the historical
-    {!random} distribution. *)
-
 val linearized_profile : profile
 (** Deeper nests with trip-count-scale strides, so subscripts
     frequently look hand-linearized. *)
@@ -26,6 +22,6 @@ val linearized_profile : profile
 val random_profiled : profile -> Dlz_base.Prng.t -> Dlz_ir.Ast.program
 
 val random : Dlz_base.Prng.t -> Dlz_ir.Ast.program
-(** [random_profiled default_profile]: a program with 1–2 nests of
-    depth 1–3 (trip counts ≤ 5), 1–3 assignment statements over 1–2
-    shared arrays, subscript coefficients in [-12, 12]. *)
+(** A program with 1–2 nests of depth 1–3 (trip counts ≤ 5), 1–3
+    assignment statements over 1–2 shared arrays, subscript
+    coefficients in [-12, 12]. *)

@@ -43,14 +43,8 @@ let state =
 let current () = !state
 let set_current c = state := c
 let strikes t = Atomic.get t.hits
-let reset_strikes t = Atomic.set t.hits 0
 
 type io_fault = Torn_frame | Disconnect | Slow_write
-
-let io_fault_to_string = function
-  | Torn_frame -> "torn-frame"
-  | Disconnect -> "disconnect"
-  | Slow_write -> "slow-write"
 
 let io_strike t ~point ~key =
   if t.rate_ppm = 0 then None

@@ -49,8 +49,6 @@ val strikes : t -> int
 (** Total faults injected through this configuration so far — each one
     is matched by exactly one degradation recorded in {!Stats}. *)
 
-val reset_strikes : t -> unit
-
 val strike : t -> strategy:string -> Dlz_deptest.Problem.t -> unit
 (** Called by the cascade just before running [strategy] on the
     problem.  Deterministically decides whether to inject a fault for
@@ -76,8 +74,6 @@ type io_fault =
   | Torn_frame  (** deliver a corrupted frame / abort mid-write *)
   | Disconnect  (** the connection drops at this boundary *)
   | Slow_write  (** the transfer proceeds in tiny stalled pieces *)
-
-val io_fault_to_string : io_fault -> string
 
 val io_strike : t -> point:string -> key:string -> io_fault option
 (** Content-keyed like {!strike} on (point, key) — [point] names the

@@ -5,6 +5,8 @@ module Dirvec = Dlz_deptest.Dirvec
 module Problem = Dlz_deptest.Problem
 module Poly = Dlz_symbolic.Poly
 
+(* Bumped on any change to the binary layout or to the meaning of a
+   cached result; old files are then refused by the [tag] check. *)
 let format_version = 1
 
 (* Eight bytes: seven of name, one of format version.  A file whose

@@ -19,10 +19,6 @@
     solve, so a warm run's verdicts are byte-identical to a cold
     run's. *)
 
-val format_version : int
-(** Bumped on any change to the binary layout or to the meaning of a
-    cached result; old files are then refused by the {!tag} check. *)
-
 val tag : unit -> int
 (** The invalidation hash: format version, result ABI, and the sorted
     registered strategy names.  Adding, removing, or renaming a

@@ -14,13 +14,6 @@ type strategy_cell = {
   a_passed : int Atomic.t;
 }
 
-type strategy_counters = {
-  attempts : int;
-  independent : int;
-  dependent : int;
-  passed : int;
-}
-
 type t = {
   group : F.group;
   q_queries : int Atomic.t;
@@ -158,59 +151,24 @@ let record_divergence t name ~cls =
   Atomic.incr (F.cell t.divergences [ name; cls ])
 
 let record_oracle_check t = Atomic.incr t.o_checks
-let oracle_checks t = Atomic.get t.o_checks
-
-let pair_rows f =
-  List.map
-    (function
-      | [ a; b ], c -> ((a, b), Atomic.get c)
-      | _ -> invalid_arg "Stats.pair_rows")
-    (F.cells f)
-
-let degradation_rows t = pair_rows t.degradations
-let divergence_rows t = pair_rows t.divergences
+let samples t = F.collect t.group
 
 let degradations t =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (degradation_rows t)
+  List.fold_left
+    (fun acc (_, c) -> acc + Atomic.get c)
+    0 (F.cells t.degradations)
 
 let queries t = Atomic.get t.q_queries
 let alloc_words t = Atomic.get t.q_alloc_words
 let hit_alloc_words t = Atomic.get t.q_hit_alloc_words
-let warm_hits t = Atomic.get t.q_warm_hits
-let cold_hits t = Atomic.get t.q_cold_hits
-let cache_hits t = warm_hits t + cold_hits t
+let cache_hits t = Atomic.get t.q_warm_hits + Atomic.get t.q_cold_hits
 let cache_misses t = Atomic.get t.q_misses
 let cache_uncacheable t = Atomic.get t.q_uncacheable
-let cache_flushes t = Atomic.get t.q_flushes
-let snapshot_loaded t = Atomic.get t.s_loaded
-let snapshot_loads t = Atomic.get t.s_loads
-let snapshot_rejects t = Atomic.get t.s_rejects
-let snapshot_saves t = Atomic.get t.s_saves
-let snapshot_save_fails t = Atomic.get t.s_save_fails
 
 let consistent t =
   queries t = cache_hits t + cache_misses t + cache_uncacheable t
-
-let per q n = if n = 0 then 0.0 else float_of_int q /. float_of_int n
-let allocs_per_hit t = per (hit_alloc_words t) (cache_hits t)
-
-let hit_ratio t =
-  let total = cache_hits t + cache_misses t in
-  if total = 0 then 0.0 else float_of_int (cache_hits t) /. float_of_int total
 
 let query_hist () =
   Trace.Hist.merged
     [ Trace.hist "cache.hit"; Trace.hist "cache.miss";
       Trace.hist "cache.uncacheable" ]
-
-let rows t =
-  List.map
-    (fun (labels, c) ->
-      ( List.hd labels,
-        {
-          attempts = Atomic.get c.a_attempts;
-          independent = Atomic.get c.a_independent;
-          dependent = Atomic.get c.a_dependent;
-          passed = Atomic.get c.a_passed;
-        } ))
-    (F.cells t.strategies)

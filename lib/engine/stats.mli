@@ -11,20 +11,12 @@
     the default engine entry points so that command-line tools
     ([vic --stats]) and the bench harness can report without threading
     state.  {!global}'s families are the ["engine"] collector in
-    {!Dlz_obs.Registry}: [--stats], [--stats-json] and the daemon's
-    [metrics] verb all read that one sample list, and a registry reset
-    zeroes them and forgets which strategies ran. *)
+    {!Dlz_obs.Registry}: [--stats], [--stats-json], the daemon's
+    [metrics] verb and bulk [--timings] all read that one sample list
+    ({!samples}), and a registry reset zeroes them and forgets which
+    strategies ran. *)
 
 type t
-
-type strategy_counters = {
-  attempts : int;  (** Times the strategy was run. *)
-  independent : int;  (** Decisions proving independence. *)
-  dependent : int;  (** Decisions reporting (possible) dependence. *)
-  passed : int;  (** Runs that declined to decide. *)
-}
-(** A consistent snapshot of one strategy's counters (plain ints, read
-    atomically when the row is taken). *)
 
 val create : unit -> t
 val global : t
@@ -75,44 +67,38 @@ val record_degradation : t -> string -> reason:string -> unit
     run): the result was degraded conservatively for [reason]
     ("overflow:mul", "budget:fuel", "chaos:raise", …). *)
 
-val queries : t -> int
-val cache_hits : t -> int
+val record_oracle_check : t -> unit
+(** One differential-oracle cross-check completed (any outcome). *)
 
-val warm_hits : t -> int
-(** The slice of {!cache_hits} served by snapshot-loaded entries. *)
+val record_divergence : t -> string -> cls:string -> unit
+(** The named strategy diverged from the oracle with class [cls]
+    ("unsound", "imprecise", or "internal"). *)
 
-val cold_hits : t -> int
-(** [cache_hits - warm_hits]: hits on entries solved this run. *)
-
-val cache_misses : t -> int
-
-val snapshot_loaded : t -> int
-(** Entries admitted from snapshot files since the last reset. *)
-
-val snapshot_loads : t -> int
-(** Snapshot files accepted (validated, bulk-loaded). *)
-
-val snapshot_rejects : t -> int
-(** Snapshot files refused; each refusal cold-starts the cache. *)
-
-val snapshot_saves : t -> int
-(** Snapshot files written. *)
-
-val snapshot_save_fails : t -> int
-(** Snapshot writes that failed and were contained. *)
-
-val cache_uncacheable : t -> int
-(** Queries on problems with no canonical numeric form. *)
-
-val cache_flushes : t -> int
-(** Times a bounded cache shard was emptied. *)
+val samples : t -> Dlz_obs.Registry.sample list
+(** Every counter of [t] as a sample ({!Dlz_obs.Family.collect} of its
+    families): the one way to read them.  For {!global} this is exactly
+    the ["engine"] collector. *)
 
 val consistent : t -> bool
 (** [queries t = cache_hits t + cache_misses t + cache_uncacheable t] —
     every query records exactly one disposition, serial or parallel. *)
 
-val hit_ratio : t -> float
-(** Hits over (hits + misses); [0.] before any cacheable query. *)
+val query_hist : unit -> Dlz_base.Trace.Hist.t
+(** End-to-end query latency: a snapshot merge of the per-disposition
+    "cache.hit" / "cache.miss" / "cache.uncacheable" histograms (the
+    hot path records each query into exactly one of those). *)
+
+(** {2 Counter reads for the bench harnesses}
+
+    Kept for [perfbench] and [bench/main.ml], which read these totals
+    directly. *)
+
+val queries : t -> int
+val cache_hits : t -> int
+val cache_misses : t -> int
+
+val cache_uncacheable : t -> int
+(** Queries on problems with no canonical numeric form. *)
 
 val alloc_words : t -> int
 (** Total minor words allocated inside queries (see {!record_alloc}). *)
@@ -120,34 +106,5 @@ val alloc_words : t -> int
 val hit_alloc_words : t -> int
 (** The slice of {!alloc_words} spent on cache hits. *)
 
-val allocs_per_hit : t -> float
-(** [hit_alloc_words / cache_hits]; [0.] before any hit.  Trends to ~0
-    once the per-domain key buffers are warm. *)
-
-val rows : t -> (string * strategy_counters) list
-(** Per-strategy counter snapshots, sorted by strategy name. *)
-
-val degradation_rows : t -> ((string * string) * int) list
-(** [((strategy, reason), count)] for every recorded degradation,
-    sorted. *)
-
 val degradations : t -> int
-(** Total contained faults: the sum over {!degradation_rows}. *)
-
-val record_oracle_check : t -> unit
-(** One differential-oracle cross-check completed (any outcome). *)
-
-val oracle_checks : t -> int
-
-val record_divergence : t -> string -> cls:string -> unit
-(** The named strategy diverged from the oracle with class [cls]
-    ("unsound", "imprecise", or "internal"). *)
-
-val divergence_rows : t -> ((string * string) * int) list
-(** [((strategy, class), count)] for every recorded divergence,
-    sorted. *)
-
-val query_hist : unit -> Dlz_base.Trace.Hist.t
-(** End-to-end query latency: a snapshot merge of the per-disposition
-    "cache.hit" / "cache.miss" / "cache.uncacheable" histograms (the
-    hot path records each query into exactly one of those). *)
+(** Total contained faults, over every strategy and reason. *)

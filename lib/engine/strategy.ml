@@ -41,16 +41,3 @@ let result_of_status ?(degraded = []) name = function
   | Decided (verdict, dirvecs, distances) ->
       Some { verdict; dirvecs; distances; decided_by = name; degraded }
   | Pass -> None
-
-let pp_result ppf r =
-  Format.fprintf ppf "@[<h>%a [%s]%s%s@]" Verdict.pp r.verdict r.decided_by
-    (match r.dirvecs with
-    | [] -> ""
-    | dvs -> " " ^ String.concat " " (List.map Dirvec.to_string dvs))
-    (match r.degraded with
-    | [] -> ""
-    | ds ->
-        String.concat ""
-          (List.map
-             (fun (s, why) -> Printf.sprintf " degraded_by: %s %s" s why)
-             ds))

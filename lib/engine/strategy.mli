@@ -58,5 +58,3 @@ val conservative : ?degraded:(string * string) list -> Problem.t -> result
 val result_of_status :
   ?degraded:(string * string) list -> string -> status -> result option
 (** Stamps provenance onto a decision; [None] on [Pass]. *)
-
-val pp_result : Format.formatter -> result -> unit

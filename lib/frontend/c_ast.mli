@@ -41,5 +41,4 @@ type stmt =
 
 type program = stmt list
 
-val pp_expr : Format.formatter -> expr -> unit
 val pp : Format.formatter -> program -> unit

@@ -5,9 +5,9 @@ exception Parse_error of loc * string
 let error loc fmt =
   Format.kasprintf (fun msg -> raise (Parse_error (loc, msg))) fmt
 
-let pp_loc ppf loc = Format.fprintf ppf "line %d, column %d" loc.line loc.col
-
 let describe = function
   | Parse_error (loc, msg) ->
-      Some (Format.asprintf "parse error at %a: %s" pp_loc loc msg)
+      Some
+        (Format.asprintf "parse error at line %d, column %d: %s" loc.line
+           loc.col msg)
   | _ -> None

@@ -7,8 +7,6 @@ exception Parse_error of loc * string
 val error : loc -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Formats a message and raises {!Parse_error}. *)
 
-val pp_loc : Format.formatter -> loc -> unit
-
 val describe : exn -> string option
 (** Human-readable rendering of a {!Parse_error}; [None] for other
     exceptions. *)

@@ -304,4 +304,3 @@ let to_int = function
 
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function List xs -> Some xs | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None

@@ -47,4 +47,3 @@ val member : string -> t -> t option
 val to_int : t -> int option
 val to_str : t -> string option
 val to_list : t -> t list option
-val to_bool : t -> bool option

@@ -67,6 +67,14 @@ let compare_sample a b =
   | 0 -> compare a.s_labels b.s_labels
   | c -> c
 
+let counter ?(labels = []) samples name =
+  List.find_map
+    (fun s ->
+      match s.s_value with
+      | Counter n when s.s_name = name && s.s_labels = labels -> Some n
+      | _ -> None)
+    samples
+
 let collect () =
   snapshot_collectors ()
   |> List.concat_map (fun (_, c) -> c.c_collect ())

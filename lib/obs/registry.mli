@@ -54,6 +54,12 @@ val unregister : string -> unit
 val compare_sample : sample -> sample -> int
 (** Order by (name, labels) — the exposition order. *)
 
+val counter :
+  ?labels:(string * string) list -> sample list -> string -> int option
+(** [counter ~labels samples name] is the count of the counter sample
+    [name] with exactly [labels] (default none), if [samples] holds
+    one. *)
+
 val collect : unit -> sample list
 (** Every registered collector's samples, sorted by (name, labels).
     Collector thunks run outside the registry lock. *)

@@ -193,6 +193,8 @@ let near_overflow_ground g =
   Problem.numeric_of_equations ~n_common ~common_ubs
     [ Depeq.make c0 terms ]
 
+(* Coefficients within a few bits of [max_int] over tiny boxes:
+   punishes raw arithmetic in any strategy. *)
 let near_overflow ~seed ~count =
   let g = Prng.create seed in
   List.init count (fun idx ->

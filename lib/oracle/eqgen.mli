@@ -33,10 +33,6 @@ val symbolic : seed:int64 -> count:int -> case list
 (** Symbolic-coefficient equations over a symbol [N] with an assumed
     lower bound; grounded at an admissible [N]. *)
 
-val near_overflow : seed:int64 -> count:int -> case list
-(** Coefficients within a few bits of [max_int] over tiny boxes —
-    punishes raw arithmetic in any strategy. *)
-
 val progen : seed:int64 -> count:int -> case list
 (** Whole random programs ({!Dlz_driver.Progen.linearized_profile})
     pushed through the real front-end pipeline; one case per testable

@@ -198,15 +198,13 @@ let distances_hold distances point =
       | None -> true)
     distances
 
-let pp_point ppf point =
-  Format.fprintf ppf "@[<h>%a@]"
+let point_to_string point =
+  Format.asprintf "@[<h>%a@]"
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
        (fun ppf ((v : Depeq.var), x) ->
          Format.fprintf ppf "%s=%d" v.v_name x))
     point
-
-let point_to_string point = Format.asprintf "%a" pp_point point
 
 let verify ?budget ?limit np ~verdict ~dirvecs ~distances =
   let module Verdict = Dlz_deptest.Verdict in

@@ -57,9 +57,4 @@ val verify :
     are skipped — they admit any direction, so no claim about them can
     be refuted pointwise. *)
 
-val delta_at : point -> int -> int option
-(** [delta_at p level] is [β − α] at the 1-based common [level], when
-    the point binds both instances. *)
-
-val pp_point : Format.formatter -> point -> unit
 val point_to_string : point -> string

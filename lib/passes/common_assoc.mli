@@ -21,5 +21,5 @@ type block = {
 val linearize : Dlz_ir.Ast.program -> Dlz_ir.Ast.program * block list
 (** Rewrites every COMMON block whose members are all declared with
     constant bounds and referenced with their declared rank; other
-    blocks are left untouched.  Run after
-    {!Normalize.fold_parameters}. *)
+    blocks are left untouched.  Run after the [PARAMETER] fold that
+    {!Pipeline.prepare} starts with. *)

@@ -26,4 +26,4 @@ val linearize : Dlz_ir.Ast.program -> Dlz_ir.Ast.program * group list
 (** Rewrites every EQUIVALENCE group whose members alias at their base
     element and whose total leading extents agree; other groups are left
     untouched (and reported with [kept_dims = -1]).  Bounds must be
-    constants (run {!Normalize.fold_parameters} first). *)
+    constants (fold [PARAMETER]s first, as {!Pipeline.prepare} does). *)

@@ -17,8 +17,8 @@ val program : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
 (** Linearizes every declared array of rank ≥ 2 whose dimension bounds
     are integer constants; rank-1 arrays are rebased to [0:size-1].
     References with a subscript count different from the declared rank
-    are left untouched (and keep the old declaration).  Run after
-    {!Normalize.fold_parameters}. *)
+    are left untouched (and keep the old declaration).  Run after the
+    [PARAMETER] fold that {!Pipeline.prepare} starts with. *)
 
 val array : Dlz_ir.Ast.program -> string -> Dlz_ir.Ast.program
 (** Linearizes a single array by name (no-op when impossible). *)

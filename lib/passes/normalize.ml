@@ -80,6 +80,8 @@ let loop (p : Ast.program) =
   in
   { p with body = List.concat_map go p.body }
 
+(* Substitutes [PARAMETER] constants into bounds, subscripts and
+   declarations, then constant-folds. *)
 let fold_parameters (p : Ast.program) =
   let params =
     List.concat_map

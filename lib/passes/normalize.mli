@@ -11,10 +11,6 @@ val loop : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
     constant bounds give an empty range are deleted.  Raises [Failure]
     on a zero step. *)
 
-val fold_parameters : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
-(** Substitutes [PARAMETER] constants into bounds, subscripts and
-    declarations, then constant-folds. *)
-
 val simplify : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
 (** Canonicalizes affine subscripts and bounds through the polynomial
     form: [(I*(JJ-1+1)+J)*(KK-1+1)+K] renders as the paper's
@@ -22,5 +18,6 @@ val simplify : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
     tests). *)
 
 val all : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
-(** [fold_parameters], [loop], then [simplify]: the standard pipeline
-    prefix. *)
+(** Substitutes [PARAMETER] constants into bounds, subscripts and
+    declarations and constant-folds, then {!loop}, then {!simplify}: the
+    standard pipeline prefix. *)

@@ -138,8 +138,6 @@ let numeric_of_json j =
     in
     Ok { Problem.n_common; common_ubs; eqs; opaque_dims }
 
-let problem_of_json j = Result.map Problem.synthetic (numeric_of_json j)
-
 let var_to_json (v : Depeq.var) =
   Jsonx.Obj
     [
@@ -203,7 +201,8 @@ let parse_request j =
         match Jsonx.member "problem" j with
         | None -> fail "query needs a \"problem\" object"
         | Some pj ->
-            let* problem = problem_of_json pj in
+            let* np = numeric_of_json pj in
+            let problem = Problem.synthetic np in
             Ok (Query { problem; fuel; timeout_ms }))
     | Some "analyze" -> (
         let* fuel = opt_int_field j "fuel" in

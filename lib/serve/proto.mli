@@ -48,9 +48,6 @@ val numeric_of_json : Jsonx.t -> (Dlz_deptest.Problem.numeric, string) result
     terms per equation and ≤ 64 equations, one [common_ubs] entry per
     common level).  The [query] verb and [vic fuzz --replay] read it. *)
 
-val problem_of_json : Jsonx.t -> (Dlz_deptest.Problem.t, string) result
-(** {!numeric_of_json} lifted via [Problem.synthetic]. *)
-
 val problem_to_json : Dlz_deptest.Problem.numeric -> Jsonx.t
 (** Inverse of {!numeric_of_json}, for clients, the load generator and
     fuzz counterexamples. *)

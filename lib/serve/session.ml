@@ -35,7 +35,6 @@ type ctx = {
    it causes) — the correlation key between a client-observed response
    and the daemon's own telemetry. *)
 let next_rid = Atomic.make 1
-let fresh_rid () = Atomic.fetch_and_add next_rid 1
 
 exception Conn_dead
 
@@ -239,7 +238,7 @@ let handle ctx fd =
           Atomic.incr ctx.metrics.Metrics.requests;
           (* Every well-framed request gets a rid, even one whose JSON
              or shape turns out bad — the error reply still correlates. *)
-          let rid = fresh_rid () in
+          let rid = Atomic.fetch_and_add next_rid 1 in
           let t0 = Trace.now_ns () in
           let client = ref Attrib.default_client in
           let verb = ref "invalid" in

@@ -31,12 +31,6 @@ type ctx = {
   request_shutdown : unit -> unit;  (** Wired to the server's [stop]. *)
 }
 
-val fresh_rid : unit -> int
-(** The next server-side request id: one process-wide monotonic
-    counter, so a rid names a request uniquely across connections and
-    workers.  Echoed as the ["rid"] response field and attached to the
-    request's trace span and the engine query spans it causes. *)
-
 val handle : ctx -> Unix.file_descr -> unit
 (** Serve one connection to completion.  Never raises; does not close
     [fd] (the caller owns it). *)

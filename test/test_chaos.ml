@@ -122,6 +122,10 @@ let test_overflow_contained_every_mode () =
            d.Analyze.degraded)
        classic)
 
+(* [stats]' contained faults: one cell per (strategy, reason). *)
+let degradation_cells stats =
+  Counters.cells (Stats.samples stats) "vic_engine_degradations_total"
+
 let test_overflow_counted_in_stats () =
   with_chaos None @@ fun () ->
   let prog = prepare Fragments.overflow_stress_program in
@@ -132,9 +136,10 @@ let test_overflow_counted_in_stats () =
     (Engine.query_all ~cascade:Cascade.classic ~stats ~cache ~env accs);
   Alcotest.(check bool) "degradations recorded" true (Stats.degradations stats > 0);
   List.iter
-    (fun ((_, reason), _) ->
-      Alcotest.(check string) "reason is overflow:mul" "overflow:mul" reason)
-    (Stats.degradation_rows stats)
+    (fun (labels, _) ->
+      Alcotest.(check string) "reason is overflow:mul" "overflow:mul"
+        (List.assoc "reason" labels))
+    (degradation_cells stats)
 
 (* --- budget containment --------------------------------------------------- *)
 
@@ -283,10 +288,10 @@ let chaos_reasons =
 
 let chaos_attributed stats =
   List.fold_left
-    (fun acc ((_, reason), n) ->
-      if List.mem reason chaos_reasons then acc + n else acc)
-    0
-    (Stats.degradation_rows stats)
+    (fun acc (labels, n) ->
+      if List.mem (List.assoc "reason" labels) chaos_reasons then acc + n
+      else acc)
+    0 (degradation_cells stats)
 
 let test_every_strike_accounted () =
   let chaos = chaos_cfg 2024L in
@@ -404,9 +409,9 @@ let test_div0_strikes_contained () =
   Alcotest.(check bool) "the seed struck" true (Chaos.strikes chaos > 0);
   let div0_rows =
     List.fold_left
-      (fun acc ((_, reason), n) -> if reason = "div0:chaos" then acc + n else acc)
-      0
-      (Stats.degradation_rows stats)
+      (fun acc (labels, n) ->
+        if List.assoc "reason" labels = "div0:chaos" then acc + n else acc)
+      0 (degradation_cells stats)
   in
   Alcotest.(check bool)
     "at least one div0 strike degraded, none escaped" true (div0_rows > 0)

@@ -123,7 +123,7 @@ let test_cache_flush_on_capacity () =
   let cache = Query.create_cache ~capacity:1 ~shards:1 () in
   List.iter (fun p -> ignore (Engine.query ~stats ~cache ~env p)) distinct;
   Alcotest.(check bool) "flushed at least once" true
-    (Stats.cache_flushes stats >= 1);
+    (Counters.get (Stats.samples stats) "vic_engine_cache_flushes_total" >= 1);
   Alcotest.(check bool) "size bounded" true (Query.size cache <= 1)
 
 let test_key_of_none_for_symbolic () =
@@ -252,8 +252,9 @@ let test_conservative_fallthrough () =
   Alcotest.(check bool)
     "filters were attempted" true
     (List.for_all
-       (fun (_, (c : Stats.strategy_counters)) -> c.Stats.attempts = 1)
-       (Stats.rows stats))
+       (fun (_, attempts) -> attempts = 1)
+       (Counters.cells (Stats.samples stats)
+          "vic_engine_strategy_attempts_total"))
 
 (* --- provenance ----------------------------------------------------------- *)
 
@@ -289,15 +290,23 @@ let test_stats_reporting () =
   let st = Stats.global in
   Alcotest.(check bool) "queries counted" true (Stats.queries st > 0);
   Alcotest.(check bool) "repeat run hits" true (Stats.cache_hits st > 0);
+  let engine = Stats.samples st in
+  let hits = Counters.hits engine in
+  let looked_up =
+    hits + Counters.get engine "vic_engine_cache_misses_total"
+  in
+  let hit_ratio =
+    if looked_up = 0 then 0. else float_of_int hits /. float_of_int looked_up
+  in
   Alcotest.(check bool)
     "hit ratio in (0,1]" true
-    (Stats.hit_ratio st > 0. && Stats.hit_ratio st <= 1.);
+    (hit_ratio > 0. && hit_ratio <= 1.);
   Alcotest.(check bool)
     "delinearize counted" true
     (List.exists
-       (fun (n, (c : Stats.strategy_counters)) ->
-         n = "delinearize" && c.Stats.attempts > 0)
-       (Stats.rows st));
+       (fun (labels, attempts) ->
+         labels = [ ("strategy", "delinearize") ] && attempts > 0)
+       (Counters.cells engine "vic_engine_strategy_attempts_total"));
   (* The --stats-json line: the Snap rendering of the registry, whose
      "engine" collector reads [Stats.global]. *)
   let line =

@@ -617,6 +617,19 @@ let test_engine_collector_golden () =
         ignore (Engine.query ?cascade ?budget ~env p)
       in
       let exhausted () = Dlz_base.Budget.create ~fuel:0 () in
+      (* [Stats.samples] of the global instance is the registry's
+         engine rows, sample for sample. *)
+      let one_source () =
+        check_str "Stats.samples = the vic_engine_ rows"
+          (Prom.to_string
+             (List.filter
+                (fun s ->
+                  String.starts_with ~prefix:"vic_engine_" s.Registry.s_name)
+                (Registry.collect ())))
+          (Prom.to_string
+             (List.stable_sort Registry.compare_sample
+                (Stats.samples Stats.global)))
+      in
       let render () =
         Registry.collect ()
         |> counter_rows ~prefixes:[ "vic_engine_"; "vic_pool_" ]
@@ -640,6 +653,7 @@ let test_engine_collector_golden () =
       Stats.record_oracle_check Stats.global;
       Stats.record_divergence Stats.global "banerjee" ~cls:"imprecise";
       check_str "exposition before the reset" engine_golden_before (render ());
+      one_source ();
       (* Reset, then workload 2 through the gcd filter alone: a pair gcd
          decides, pairs it passes, repeats that hit, and one degraded
          query. *)
@@ -660,7 +674,8 @@ let test_engine_collector_golden () =
       List.iter (fun p -> q ~cascade:gcd ~env p) strided;
       List.iter (fun p -> q ~cascade:gcd p) probs;
       q ~cascade:gcd ~budget:(exhausted ()) (family ~depth:4 ~extent:6 ~shifted:true);
-      check_str "exposition after the reset" engine_golden (render ()))
+      check_str "exposition after the reset" engine_golden (render ());
+      one_source ())
 
 let () =
   Alcotest.run "obs"

@@ -434,13 +434,15 @@ let sweep_units =
         with_liar @@ fun () ->
         let stats = Stats.create () in
         let report = Differ.run ~stats (Eqgen.random ~seed:3L ~count:40) in
+        let engine = Stats.samples stats in
         Alcotest.(check int) "one oracle check recorded per strategy run"
           report.Differ.r_tally.Differ.t_checks
-          (Stats.oracle_checks stats);
+          (Counters.get engine "vic_engine_oracle_checks_total");
         let unsound_rows =
           List.filter
-            (fun ((name, cls), _) -> name = liar_name && cls = "unsound")
-            (Stats.divergence_rows stats)
+            (fun (labels, _) ->
+              labels = [ ("strategy", liar_name); ("class", "unsound") ])
+            (Counters.cells engine "vic_engine_divergences_total")
         in
         match unsound_rows with
         | [ (_, n) ] ->

@@ -345,7 +345,11 @@ let test_hit_path_allocation_free () =
   Alcotest.(check int) "warmed passes are all hits"
     (reps * List.length ps)
     (Stats.cache_hits stats);
-  let per_hit = Stats.allocs_per_hit stats in
+  let engine = Stats.samples stats in
+  let per_hit =
+    float_of_int (Counters.get engine "vic_engine_hit_alloc_minor_words_total")
+    /. float_of_int (Counters.hits engine)
+  in
   Alcotest.(check bool)
     (Printf.sprintf "allocations per hit ~0 (got %.2f minor words)" per_hit)
     true (per_hit <= 8.0)
@@ -432,7 +436,7 @@ let test_capacity_one_per_shard_flushes () =
   Alcotest.(check int) "survivors + flushes = distinct inserts" n
     (sizes + flushes);
   Alcotest.(check int) "stats agree with per-shard counters" flushes
-    (Stats.cache_flushes stats);
+    (Counters.get (Stats.samples stats) "vic_engine_cache_flushes_total");
   Array.iter
     (fun s -> Alcotest.(check bool) "shard bounded" true (s <= 1))
     (Query.shard_sizes cache);

@@ -105,6 +105,14 @@ let results_str rs = List.map result_str rs
 
 let check_strings = Alcotest.(check (list string))
 
+(* A counter of the global engine, read through [Stats.samples]. *)
+let counter ?labels name =
+  Counters.get ?labels (Stats.samples Stats.global) name
+
+(* Cache hits of one temperature, ["warm"] or ["cold"]. *)
+let hits temp =
+  counter ~labels:[ ("temp", temp) ] "vic_engine_cache_hits_total"
+
 let save_exn ?stats ?cache path =
   match Persist.save ?stats ?cache path with
   | Ok n -> n
@@ -126,26 +134,29 @@ let test_round_trip_identical =
   without_chaos @@ fun () ->
   let ps, cold, snap, saved = populate_and_save () in
   Alcotest.(check bool) "entries saved" true (saved > 0);
-  Alcotest.(check int) "save counted" 1 (Stats.snapshot_saves Stats.global);
+  Alcotest.(check int) "save counted" 1
+    (counter "vic_engine_snapshot_saves_total");
   Engine.reset_metrics ();
   Alcotest.(check int) "cache cleared" 0 (Query.size Query.global_cache);
   (match Persist.load snap with
   | Ok n -> Alcotest.(check int) "loaded = saved" saved n
   | Error e -> Alcotest.fail ("load refused a clean snapshot: " ^ e));
-  Alcotest.(check int) "one load" 1 (Stats.snapshot_loads Stats.global);
+  Alcotest.(check int) "one load" 1
+    (counter "vic_engine_snapshot_loads_total");
   Alcotest.(check int) "loaded counter" saved
-    (Stats.snapshot_loaded Stats.global);
-  Alcotest.(check int) "no rejects" 0 (Stats.snapshot_rejects Stats.global);
+    (counter "vic_engine_snapshot_loaded_entries_total");
+  Alcotest.(check int) "no rejects" 0
+    (counter "vic_engine_snapshot_rejects_total");
   let warm = query_all ps in
   check_strings "warm results byte-identical to cold" (results_str cold)
     (results_str warm);
   Alcotest.(check bool) "warm hits recorded" true
-    (Stats.warm_hits Stats.global > 0);
+    (hits "warm" > 0);
   Alcotest.(check int) "no misses on the warm run" 0
     (Stats.cache_misses Stats.global);
   Alcotest.(check int) "warm + cold hits = hits"
     (Stats.cache_hits Stats.global)
-    (Stats.warm_hits Stats.global + Stats.cold_hits Stats.global);
+    (hits "warm" + hits "cold");
   Alcotest.(check bool) "stats consistent" true (Stats.consistent Stats.global);
   Sys.remove snap
 
@@ -203,7 +214,7 @@ let test_capacity_bounded_load =
 (* Every corruption must produce [Error], bump the reject counter, touch
    nothing in the cache, and leave the engine able to answer queries. *)
 let check_refused ~name path =
-  let before_rejects = Stats.snapshot_rejects Stats.global in
+  let before_rejects = counter "vic_engine_snapshot_rejects_total" in
   let before_size = Query.size Query.global_cache in
   (match Persist.load path with
   | Error _ -> ()
@@ -213,7 +224,7 @@ let check_refused ~name path =
   Alcotest.(check int)
     (name ^ ": reject counted")
     (before_rejects + 1)
-    (Stats.snapshot_rejects Stats.global);
+    (counter "vic_engine_snapshot_rejects_total");
   Alcotest.(check int)
     (name ^ ": cache untouched")
     before_size
@@ -267,7 +278,7 @@ let test_chaos_strike_during_load =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "chaos strike did not refuse the load");
   Alcotest.(check int) "reject counted" 1
-    (Stats.snapshot_rejects Stats.global);
+    (counter "vic_engine_snapshot_rejects_total");
   Alcotest.(check int) "cache cold" 0 (Query.size Query.global_cache);
   Chaos.set_current None;
   (* Injection off again: the same file loads fine. *)
@@ -287,17 +298,20 @@ let test_reset_clears_snapshot_counters =
      p);
   ignore (query_all (all_problems ()));
   Alcotest.(check bool) "counters nonzero before reset" true
-    (Stats.snapshot_loads Stats.global > 0
-    && Stats.snapshot_loaded Stats.global > 0
-    && Stats.snapshot_rejects Stats.global > 0
-    && Stats.warm_hits Stats.global > 0);
+    (counter "vic_engine_snapshot_loads_total" > 0
+    && counter "vic_engine_snapshot_loaded_entries_total" > 0
+    && counter "vic_engine_snapshot_rejects_total" > 0
+    && hits "warm" > 0);
   Engine.reset_metrics ();
-  Alcotest.(check int) "loads cleared" 0 (Stats.snapshot_loads Stats.global);
-  Alcotest.(check int) "loaded cleared" 0 (Stats.snapshot_loaded Stats.global);
+  Alcotest.(check int) "loads cleared" 0
+    (counter "vic_engine_snapshot_loads_total");
+  Alcotest.(check int) "loaded cleared" 0
+    (counter "vic_engine_snapshot_loaded_entries_total");
   Alcotest.(check int) "rejects cleared" 0
-    (Stats.snapshot_rejects Stats.global);
-  Alcotest.(check int) "saves cleared" 0 (Stats.snapshot_saves Stats.global);
-  Alcotest.(check int) "warm hits cleared" 0 (Stats.warm_hits Stats.global);
+    (counter "vic_engine_snapshot_rejects_total");
+  Alcotest.(check int) "saves cleared" 0
+    (counter "vic_engine_snapshot_saves_total");
+  Alcotest.(check int) "warm hits cleared" 0 (hits "warm");
   Sys.remove snap
 
 let test_tag_sensitivity =
@@ -421,10 +435,10 @@ let test_save_chaos_no_partial_file =
     "pre-existing snapshot untouched" before (read_file snap);
   Alcotest.(check int)
     "failure counted" 1
-    (Stats.snapshot_save_fails Stats.global);
+    (counter "vic_engine_snapshot_save_fails_total");
   Alcotest.(check int)
     "no save counted" 1
-    (Stats.snapshot_saves Stats.global);
+    (counter "vic_engine_snapshot_saves_total");
   Sys.remove snap
 
 let test_save_unwritable_path_is_error =
@@ -443,7 +457,7 @@ let test_save_unwritable_path_is_error =
   Alcotest.(check bool) "no file created" false (Sys.file_exists path);
   Alcotest.(check int)
     "failure counted" 1
-    (Stats.snapshot_save_fails Stats.global);
+    (counter "vic_engine_snapshot_save_fails_total");
   Sys.remove blocker
 
 (* --- bulk edge cases ------------------------------------------------------ *)
@@ -492,10 +506,20 @@ let test_bulk_unreadable_file () =
   check_strings "byte-identical at width 8" serial
     (Pool.with_pool ~domains:8 (fun pool -> Bulk.run ~pool dir))
 
+(* A warm run: the cache block must read the registry's counters, so
+   --timings and a metrics scrape cannot disagree.  Under chaos the
+   load may be refused; the fields must match the counters either way. *)
 let test_bulk_timings_fields () =
   let dir = make_kernel_tree () in
   Engine.reset_metrics ();
+  ignore (Bulk.run dir);
+  let snap = temp_snap () in
+  ignore (Persist.save snap);
+  Engine.reset_metrics ();
+  let loaded = Result.is_ok (Persist.load snap) in
+  Sys.remove snap;
   let lines = Bulk.run ~timings:true dir in
+  let registry = Dlz_obs.Registry.collect () in
   let has_frag frag l =
     let rec go i =
       i + String.length frag <= String.length l
@@ -517,8 +541,26 @@ let test_bulk_timings_fields () =
          (Some summary) path)
       Jsonx.to_int
   in
-  Alcotest.(check bool) "summary carries the cache disposition" true
-    (field [ "cache"; "warm_hits" ] <> None);
+  List.iter
+    (fun (key, labels, name) ->
+      Alcotest.(check (option int))
+        ("cache." ^ key ^ " = " ^ name)
+        (Some (Counters.get ~labels registry name))
+        (field [ "cache"; key ]))
+    [ ("queries", [], "vic_engine_queries_total");
+      ("warm_hits", [ ("temp", "warm") ], "vic_engine_cache_hits_total");
+      ("cold_hits", [ ("temp", "cold") ], "vic_engine_cache_hits_total");
+      ("misses", [], "vic_engine_cache_misses_total");
+      ("snapshot_loaded", [], "vic_engine_snapshot_loaded_entries_total");
+      ("snapshot_loads", [], "vic_engine_snapshot_loads_total");
+      ("snapshot_rejects", [], "vic_engine_snapshot_rejects_total") ];
+  Alcotest.(check (option int)) "hits = warm_hits + cold_hits"
+    (Option.bind (field [ "cache"; "warm_hits" ]) (fun w ->
+         Option.map (( + ) w) (field [ "cache"; "cold_hits" ])))
+    (field [ "cache"; "hits" ]);
+  if loaded then
+    Alcotest.(check bool) "a loaded snapshot serves warm hits" true
+      (Option.value ~default:0 (field [ "cache"; "warm_hits" ]) > 0);
   (* Counts, dep rows and the loop report read one query pass. *)
   Alcotest.(check (option int)) "one query per pair" (field [ "pairs" ])
     (field [ "cache"; "queries" ])

@@ -845,7 +845,10 @@ let test_shutdown_drains_and_warm_restarts =
             let r = request c (query_json ~id:i np) in
             Alcotest.(check bool) "warm query ok" true (get_bool r "ok"))
           probs;
-        let warm = Stats.warm_hits Stats.global in
+        let warm =
+          Counters.get ~labels:[ ("temp", "warm") ]
+            (Stats.samples Stats.global) "vic_engine_cache_hits_total"
+        in
         Alcotest.(check bool) "warm-start hits > 0" true (warm > 0);
         Client.close c)
   in
