@@ -23,16 +23,13 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let with_diagnostics f =
-  try f () with
-  | Dlz_driver.Dynamic.Error err ->
-      prerr_endline ("dynamic: " ^ Dlz_driver.Dynamic.describe err);
-      exit 1
-  | e -> (
-      match Dlz_passes.Input_error.describe e with
-      | Some msg ->
-          prerr_endline ("error: " ^ msg);
-          exit 1
-      | None -> raise e)
+  try f ()
+  with e -> (
+    match Dlz_passes.Input_error.describe e with
+    | Some msg ->
+        prerr_endline ("error: " ^ msg);
+        exit 1
+    | None -> raise e)
 
 (* --- converters --------------------------------------------------------- *)
 

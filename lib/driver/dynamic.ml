@@ -1,38 +1,8 @@
-module Ast = Dlz_ir.Ast
-module Expr = Dlz_ir.Expr
 module Access = Dlz_ir.Access
+module Interp = Dlz_passes.Interp
 module Dirvec = Dlz_deptest.Dirvec
 module Classify = Dlz_deptest.Classify
 module Analyze = Dlz_engine.Analyze
-
-type error =
-  | Out_of_fuel of int
-  | Zero_step
-  | Undeclared_array of string
-  | Arity_mismatch of string
-  | Subscript_out_of_range of { array : string; sub : int; lo : int; hi : int }
-  | Non_constant_bound of string
-  | Unknown_statement
-
-exception Error of error
-
-let err e = raise (Error e)
-
-let describe = function
-  | Out_of_fuel fuel -> Printf.sprintf "out of fuel (%d steps)" fuel
-  | Zero_step -> "DO loop with zero step"
-  | Undeclared_array a -> Printf.sprintf "undeclared array %s" a
-  | Arity_mismatch a -> Printf.sprintf "subscript arity mismatch on %s" a
-  | Subscript_out_of_range { array; sub; lo; hi } ->
-      Printf.sprintf "subscript %d of %s out of [%d,%d]" sub array lo hi
-  | Non_constant_bound a ->
-      Printf.sprintf "non-constant bound on %s (missing ?syms entry?)" a
-  | Unknown_statement -> "statement outside the program body"
-
-let () =
-  Printexc.register_printer (function
-    | Error e -> Some ("Dynamic.Error: " ^ describe e)
-    | _ -> None)
 
 type dep = {
   src_stmt : int;
@@ -41,217 +11,65 @@ type dep = {
   vec : Dirvec.t;
 }
 
-type instance = { i_stmt : int; i_iter : (string * int) list }
-(* Iteration vector: (loop var, value), outermost first. *)
-
 (* Direction vector between two instances over their common loops
    (longest common prefix by variable name), from the earlier one. *)
-let vec_between a b =
+let vec_between (a : Interp.instance) (b : Interp.instance) =
   let rec go = function
     | (va, xa) :: ra, (vb, xb) :: rb when String.equal va vb ->
         Dirvec.of_delta (xb - xa) :: go (ra, rb)
     | _ -> []
   in
-  Array.of_list (go (a.i_iter, b.i_iter))
+  Array.of_list (go (a.iter, b.iter))
 
-let same_instance a b = a.i_stmt = b.i_stmt && a.i_iter = b.i_iter
-
-(* Static ids of the assignment statements, in program order, matching
-   Access extraction.  Physical equality identifies the node at run
-   time (the interpreter walks the same immutable tree). *)
-let collect_assigns (p : Ast.program) =
-  let acc = ref [] in
-  let rec go = function
-    | Ast.Assign _ as s -> acc := s :: !acc
-    | Ast.Continue _ -> ()
-    | Ast.Do d -> List.iter go d.body
+let dependences ?syms ?fuel p =
+  let last_write : (string * int, Interp.instance) Hashtbl.t =
+    Hashtbl.create 64
   in
-  List.iter go p.body;
-  Array.of_list (List.rev !acc)
-
-let dependences ?(syms = []) ?(fuel = 20_000_000) (p : Ast.program) =
-  let assigns = collect_assigns p in
-  let stmt_id s =
-    let rec find i =
-      if i >= Array.length assigns then err Unknown_statement
-      else if assigns.(i) == s then i
-      else find (i + 1)
-    in
-    find 0
+  let readers : (string * int, Interp.instance list) Hashtbl.t =
+    Hashtbl.create 64
   in
-  (* Memory layout mirrors Interp: arrays with EQUIVALENCE-shared blocks. *)
-  let layout = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Ast.Array a ->
-          let dims =
-            List.map
-              (fun (d : Ast.dim) ->
-                let eval e =
-                  match Expr.to_const e with
-                  | Some c -> c
-                  | None -> (
-                      try Expr.eval (fun v -> List.assoc v syms) e
-                      with Not_found | Failure _ ->
-                        err (Non_constant_bound a.a_name))
-                in
-                (eval d.lo, eval d.hi - eval d.lo + 1))
-              a.a_dims
-          in
-          Hashtbl.replace layout a.a_name (dims, a.a_name, 0)
-      | _ -> ())
-    p.decls;
-  List.iter
-    (function
-      | Ast.Common (blk, members) ->
-          let base = ref 0 in
-          List.iter
-            (fun name ->
-              match Hashtbl.find_opt layout name with
-              | None -> ()
-              | Some (dims, _, _) ->
-                  let sz =
-                    List.fold_left (fun acc (_, e) -> acc * e) 1 dims
-                  in
-                  Hashtbl.replace layout name (dims, "/" ^ blk, !base);
-                  base := !base + sz)
-            members
-      | _ -> ())
-    p.decls;
-  List.iter
-    (function
-      | Ast.Equivalence groups ->
-          List.iter
-            (fun group ->
-              match group with
-              | (first, _) :: rest when Hashtbl.mem layout first ->
-                  let _, blk, base = Hashtbl.find layout first in
-                  List.iter
-                    (fun (name, _) ->
-                      match Hashtbl.find_opt layout name with
-                      | Some (dims, _, _) ->
-                          Hashtbl.replace layout name (dims, blk, base)
-                      | None -> ())
-                    rest
-              | _ -> ())
-            groups
-      | _ -> ())
-    p.decls;
-  let address name subs =
-    match Hashtbl.find_opt layout name with
-    | None -> None
-    | Some (dims, blk, base) ->
-        let rec go dims subs stride acc =
-          match (dims, subs) with
-          | [], [] -> acc
-          | (lo, extent) :: dims, s :: subs ->
-              if s < lo || s >= lo + extent then
-                err
-                  (Subscript_out_of_range
-                     { array = name; sub = s; lo; hi = lo + extent - 1 })
-              else go dims subs (stride * extent) (acc + ((s - lo) * stride))
-          | _ -> err (Arity_mismatch name)
-        in
-        Some (blk, base + go dims subs 1 0)
-  in
-  let scalars : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (s, v) -> Hashtbl.replace scalars s v) syms;
-  List.iter
-    (function
-      | Ast.Parameter ps ->
-          List.iter (fun (n, v) -> Hashtbl.replace scalars n v) ps
-      | _ -> ())
-    p.decls;
-  let memory : (string * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let last_write : (string * int, instance) Hashtbl.t = Hashtbl.create 64 in
-  let readers : (string * int, instance list) Hashtbl.t = Hashtbl.create 64 in
   let deps = Hashtbl.create 64 in
   let dep_order = ref [] in
-  let emit src dst kind =
+  let emit (src : Interp.instance) (dst : Interp.instance) kind =
     (* src executes first by construction; a statement instance's own
        read feeding its own write is not a dependence. *)
-    if not (same_instance src dst) then begin
+    if src <> dst then begin
       let vec = vec_between src dst in
-      let key = (src.i_stmt, dst.i_stmt, kind, vec) in
+      let key = (src.stmt, dst.stmt, kind, vec) in
       if not (Hashtbl.mem deps key) then begin
         Hashtbl.replace deps key ();
         dep_order :=
-          { src_stmt = src.i_stmt; dst_stmt = dst.i_stmt; kind; vec }
-          :: !dep_order
+          { src_stmt = src.stmt; dst_stmt = dst.stmt; kind; vec } :: !dep_order
       end
     end
   in
-  let steps = ref 0 in
-  let iter_stack = ref [] in
-  let current_instance stmt =
-    { i_stmt = stmt; i_iter = List.rev !iter_stack }
-  in
-  let rec eval me e =
-    match e with
-    | Expr.Const c -> c
-    | Expr.Var v -> Option.value (Hashtbl.find_opt scalars v) ~default:0
-    | Expr.Neg a -> -eval me a
-    | Expr.Bin (op, a, b) -> (
-        let x = eval me a and y = eval me b in
-        match op with
-        | Expr.Add -> x + y
-        | Expr.Sub -> x - y
-        | Expr.Mul -> x * y
-        | Expr.Div -> if y = 0 then 0 else x / y)
-    | Expr.Call ("%REAL", _) -> 0
-    | Expr.Call (f, args) -> (
-        let vals = List.map (eval me) args in
-        match address f vals with
-        | Some cell ->
-            (match Hashtbl.find_opt last_write cell with
-            | Some w -> emit w me Classify.True
-            | None -> ());
-            Hashtbl.replace readers cell
-              (me :: Option.value (Hashtbl.find_opt readers cell) ~default:[]);
-            Option.value (Hashtbl.find_opt memory cell) ~default:0
-        | None ->
-            List.fold_left (fun acc v -> (acc * 31) + v) (Hashtbl.hash f) vals
-            land 0x7)
-  in
-  let rec exec s =
-    incr steps;
-    if !steps > fuel then err (Out_of_fuel fuel);
-    match s with
-    | Ast.Continue _ -> ()
-    | Ast.Assign { lhs; rhs; _ } -> (
-        let me = current_instance (stmt_id s) in
-        let v = eval me rhs in
-        let subs = List.map (eval me) lhs.subs in
-        match address lhs.name subs with
-        | Some cell ->
-            List.iter
-              (fun r -> if not (same_instance r me) then emit r me Classify.Anti)
-              (Option.value (Hashtbl.find_opt readers cell) ~default:[]);
-            (match Hashtbl.find_opt last_write cell with
-            | Some w -> emit w me Classify.Output
-            | None -> ());
-            Hashtbl.replace readers cell [];
-            Hashtbl.replace last_write cell me;
-            Hashtbl.replace memory cell v
-        | None ->
-            if lhs.subs <> [] then err (Undeclared_array lhs.name)
-            else Hashtbl.replace scalars lhs.name v)
-    | Ast.Do d ->
-        let lo = eval (current_instance 0) d.lo
-        and hi = eval (current_instance 0) d.hi
-        and step = eval (current_instance 0) d.step in
-        if step = 0 then err Zero_step;
-        let continue v = if step > 0 then v <= hi else v >= hi in
-        let v = ref lo in
-        while continue !v do
-          Hashtbl.replace scalars d.var !v;
-          iter_stack := (d.var, !v) :: !iter_stack;
-          List.iter exec d.body;
-          iter_stack := List.tl !iter_stack;
-          v := !v + step
-        done
-  in
-  List.iter exec p.body;
+  Interp.iter ?syms ?fuel
+    (fun me (e : Interp.event) ->
+      match me with
+      | None ->
+          (* A DO-bound read belongs to no statement, so no static row
+             can cover it. *)
+          ()
+      | Some me -> (
+          let cell = (e.block, e.addr) in
+          match e.kind with
+          | Interp.Read ->
+              Option.iter
+                (fun w -> emit w me Classify.True)
+                (Hashtbl.find_opt last_write cell);
+              Hashtbl.replace readers cell
+                (me
+                :: Option.value (Hashtbl.find_opt readers cell) ~default:[])
+          | Interp.Write ->
+              List.iter
+                (fun r -> emit r me Classify.Anti)
+                (Option.value (Hashtbl.find_opt readers cell) ~default:[]);
+              Option.iter
+                (fun w -> emit w me Classify.Output)
+                (Hashtbl.find_opt last_write cell);
+              Hashtbl.replace readers cell [];
+              Hashtbl.replace last_write cell me))
+    p;
   List.rev !dep_order
 
 let covers (s : Analyze.dep) (d : dep) =

@@ -1,32 +1,15 @@
 (** Dynamic (trace-based) dependences: ground truth for the analyzer.
 
-    Executes a constant-bound program, tracking for every memory cell
-    the last writing instance and the reading instances since, and emits
-    every flow, anti and output dependence that actually happens,
-    summarized as basic direction vectors over the two statements'
-    common loops.  The integration tests check that every dynamic
-    dependence is covered by some statically reported one — the
-    soundness statement for the whole pipeline, per program. *)
+    A fold over {!Dlz_passes.Interp}'s access stream: for every memory
+    cell it tracks the last writing statement instance and the reading
+    instances since, and emits every flow, anti and output dependence
+    that actually happens, summarized as basic direction vectors over
+    the two statements' common loops.  The integration tests check that
+    every dynamic dependence is covered by some statically reported one
+    — the soundness statement for the whole pipeline, per program. *)
 
 module Dirvec = Dlz_deptest.Dirvec
 module Classify = Dlz_deptest.Classify
-
-type error =
-  | Out_of_fuel of int  (** The step budget ran out: not an input error. *)
-  | Zero_step
-  | Undeclared_array of string
-  | Arity_mismatch of string
-  | Subscript_out_of_range of { array : string; sub : int; lo : int; hi : int }
-  | Non_constant_bound of string
-  | Unknown_statement
-
-exception Error of error
-(** Typed execution failure: callers can tell budget exhaustion
-    ([Out_of_fuel]) apart from malformed input (everything else)
-    instead of string-matching a [Failure]. *)
-
-val describe : error -> string
-(** Human-readable one-liner (also installed as an exception printer). *)
 
 type dep = {
   src_stmt : int;  (** Statement id (program order of assignments). *)
@@ -39,8 +22,10 @@ val dependences :
   ?syms:(string * int) list -> ?fuel:int -> Dlz_ir.Ast.program -> dep list
 (** All distinct dynamic dependences, in first-occurrence order.
     Within-statement same-instance flows (the read feeding its own
-    write) are omitted, matching the static convention.  Raises
-    {!Error} on non-executable input or fuel exhaustion. *)
+    write) are omitted, matching the static convention, and so are
+    reads in DO bounds, which belong to no statement.  Raises
+    {!Dlz_passes.Interp.Error} on non-executable input or fuel
+    exhaustion. *)
 
 val uncovered :
   dep list -> Dlz_engine.Analyze.dep list -> dep list

@@ -2,9 +2,10 @@
 
     Generates small normalized programs with affine (frequently
     linearized) subscripts whose array declarations are sized to the
-    hull of the subscript values, so interpretation never faults.  Used
-    by the property tests that compare the static analyzer and the
-    vectorizer against {!Dynamic} ground truth. *)
+    hull of the subscript values, so {!Dlz_passes.Interp} never faults
+    on them.  Used by the property tests that compare the static
+    analyzer and the vectorizer against {!Dynamic} ground truth, the
+    fold over that interpreter's access stream. *)
 
 type profile = {
   p_depth : int * int;  (** Nest depth range. *)

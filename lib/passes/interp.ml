@@ -3,6 +3,39 @@ module Expr = Dlz_ir.Expr
 
 type kind = Read | Write
 type event = { block : string; addr : int; kind : kind }
+type instance = { stmt : int; iter : (string * int) list }
+
+type error =
+  | Out_of_fuel of int
+  | Zero_step
+  | Undeclared_array of string
+  | Arity_mismatch of string
+  | Subscript_out_of_range of { array : string; sub : int; lo : int; hi : int }
+  | Non_constant_bound of string
+  | Empty_dimension of string
+  | Conflicting_equivalence of string
+
+exception Error of error
+
+let err e = raise (Error e)
+
+let describe = function
+  | Out_of_fuel fuel -> Printf.sprintf "out of fuel (%d steps)" fuel
+  | Zero_step -> "DO loop with zero step"
+  | Undeclared_array a -> Printf.sprintf "undeclared array %s" a
+  | Arity_mismatch a -> Printf.sprintf "subscript arity mismatch on %s" a
+  | Subscript_out_of_range { array; sub; lo; hi } ->
+      Printf.sprintf "subscript %d of %s out of [%d,%d]" sub array lo hi
+  | Non_constant_bound a ->
+      Printf.sprintf "non-constant bound on %s (missing ?syms entry?)" a
+  | Empty_dimension a -> Printf.sprintf "empty dimension on %s" a
+  | Conflicting_equivalence a ->
+      Printf.sprintf "EQUIVALENCE places %s at two addresses" a
+
+let () =
+  Printexc.register_printer (function
+    | Error e -> Some ("Interp.Error: " ^ describe e)
+    | _ -> None)
 
 type array_info = {
   dims : (int * int) list; (* (lo, extent) per dimension *)
@@ -10,15 +43,31 @@ type array_info = {
   base : int; (* offset of the array within its block *)
 }
 
-let const_exn syms what e =
-  match Expr.to_const e with
-  | Some c -> c
-  | None -> (
-      match Expr.eval (fun v -> List.assoc v syms) e with
-      | c -> c
-      | exception _ -> failwith ("Interp: non-constant " ^ what))
+(* Column-major offset of [subs] within the array, range-checked. *)
+let offset name info subs =
+  let rec go dims subs stride acc =
+    match (dims, subs) with
+    | [], [] -> acc
+    | (lo, extent) :: dims, s :: subs ->
+        if s < lo || s >= lo + extent then
+          err
+            (Subscript_out_of_range
+               { array = name; sub = s; lo; hi = lo + extent - 1 });
+        go dims subs (stride * extent) (acc + ((s - lo) * stride))
+    | _ -> err (Arity_mismatch name)
+  in
+  go info.dims subs 1 0
 
 let build_layout ~syms (p : Ast.program) =
+  let const name e =
+    match Expr.to_const e with
+    | Some c -> c
+    | None -> (
+        try Expr.eval (fun v -> List.assoc v syms) e
+        with Not_found | Failure _ | Division_by_zero
+        | Dlz_base.Intx.Overflow _ ->
+          err (Non_constant_bound name))
+  in
   let arrays = Hashtbl.create 16 in
   List.iter
     (function
@@ -26,9 +75,8 @@ let build_layout ~syms (p : Ast.program) =
           let dims =
             List.map
               (fun (d : Ast.dim) ->
-                let lo = const_exn syms "dimension bound" d.lo in
-                let hi = const_exn syms "dimension bound" d.hi in
-                if hi < lo then failwith "Interp: empty dimension";
+                let lo = const a.a_name d.lo and hi = const a.a_name d.hi in
+                if hi < lo then err (Empty_dimension a.a_name);
                 (lo, hi - lo + 1))
               a.a_dims
           in
@@ -56,49 +104,78 @@ let build_layout ~syms (p : Ast.program) =
             members
       | _ -> ())
     p.decls;
-  (* Base-aliasing EQUIVALENCE: union the blocks (offsets all 0). *)
+  (* EQUIVALENCE: each member's anchor element takes the address of the
+     first member's, and the member's whole block moves with it. *)
+  let anchor (name, subs) =
+    let info = Hashtbl.find arrays name in
+    let at =
+      if subs = [] then 0 else offset name info (List.map (const name) subs)
+    in
+    (info, info.base + at)
+  in
   List.iter
     (function
       | Ast.Equivalence groups ->
           List.iter
             (fun group ->
-              match group with
+              match List.filter (fun (n, _) -> Hashtbl.mem arrays n) group with
               | [] -> ()
-              | (first, _) :: rest -> (
-                  match Hashtbl.find_opt arrays first with
-                  | None -> ()
-                  | Some info0 ->
-                      List.iter
-                        (fun (name, subs) ->
-                          if subs <> [] then
-                            failwith
-                              "Interp: only base EQUIVALENCE is supported";
-                          match Hashtbl.find_opt arrays name with
-                          | None -> ()
-                          | Some info ->
-                              Hashtbl.replace arrays name
-                                { info with block = info0.block })
-                        rest))
+              | first :: rest ->
+                  List.iter
+                    (fun member ->
+                      let target, want = anchor first in
+                      let info, at = anchor member in
+                      if info.block <> target.block then
+                        Hashtbl.filter_map_inplace
+                          (fun _ i ->
+                            if i.block = info.block then
+                              Some
+                                {
+                                  i with
+                                  block = target.block;
+                                  base = i.base + want - at;
+                                }
+                            else Some i)
+                          arrays
+                      else if at <> want then
+                        err (Conflicting_equivalence (fst member)))
+                    rest)
             groups
       | _ -> ())
     p.decls;
+  (* An anchor may place a member before the start of its block: rebase
+     every block to start at address 0. *)
+  let start = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun _ i ->
+      let s = Option.value (Hashtbl.find_opt start i.block) ~default:0 in
+      Hashtbl.replace start i.block (min s i.base))
+    arrays;
+  Hashtbl.filter_map_inplace
+    (fun _ i -> Some { i with base = i.base - Hashtbl.find start i.block })
+    arrays;
   arrays
 
-let address info subs =
-  let rec go dims subs stride acc =
-    match (dims, subs) with
-    | [], [] -> acc
-    | (lo, extent) :: dims, s :: subs ->
-        if s < lo || s >= lo + extent then
-          failwith
-            (Printf.sprintf "Interp: subscript %d out of range [%d,%d]" s lo
-               (lo + extent - 1));
-        go dims subs (stride * extent) (acc + ((s - lo) * stride))
-    | _ -> failwith "Interp: subscript arity mismatch"
-  in
-  info.base + go info.dims subs 1 0
+(* The body with each assignment numbered in program order, as
+   [Access] numbers statements. *)
+type node =
+  | Skip
+  | Set of int * Ast.aref * Expr.t
+  | Loop of string * Expr.t * Expr.t * Expr.t * node list
 
-let run ?(syms = []) ?(fuel = 20_000_000) (p : Ast.program) =
+let number body =
+  let next = ref 0 in
+  let rec go = function
+    | Ast.Continue _ -> Skip
+    | Ast.Assign { lhs; rhs; _ } ->
+        let id = !next in
+        incr next;
+        Set (id, lhs, rhs)
+    | Ast.Do d -> Loop (d.var, d.lo, d.hi, d.step, List.map go d.body)
+  in
+  List.map go body
+
+let iter ?(syms = []) ?(fuel = 20_000_000) f (p : Ast.program) =
   let arrays = build_layout ~syms p in
   let scalars : (string, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (s, v) -> Hashtbl.replace scalars s v) syms;
@@ -109,16 +186,16 @@ let run ?(syms = []) ?(fuel = 20_000_000) (p : Ast.program) =
       | _ -> ())
     p.decls;
   let memory : (string * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let trace = ref [] in
   let steps = ref 0 in
-  let emit block addr kind = trace := { block; addr; kind } :: !trace in
-  let rec eval e =
+  (* Enclosing loop variables and their values, innermost first. *)
+  let loops = ref [] in
+  let rec eval me e =
     match e with
     | Expr.Const c -> c
     | Expr.Var v -> Option.value (Hashtbl.find_opt scalars v) ~default:0
-    | Expr.Neg a -> -eval a
+    | Expr.Neg a -> -eval me a
     | Expr.Bin (op, a, b) -> (
-        let x = eval a and y = eval b in
+        let x = eval me a and y = eval me b in
         match op with
         | Expr.Add -> x + y
         | Expr.Sub -> x - y
@@ -126,17 +203,17 @@ let run ?(syms = []) ?(fuel = 20_000_000) (p : Ast.program) =
         | Expr.Div -> if y = 0 then 0 else x / y)
     | Expr.Call ("%REAL", _) -> 0
     | Expr.Call ("%POW", [ b; e ]) ->
-        let be = eval b and ee = eval e in
+        let be = eval me b and ee = eval me e in
         if ee < 0 then 0
         else
           let rec pw acc n = if n = 0 then acc else pw (acc * be) (n - 1) in
           pw 1 ee
-    | Expr.Call (f, args) -> (
-        let vals = List.map eval args in
-        match Hashtbl.find_opt arrays f with
+    | Expr.Call (name, args) -> (
+        let vals = List.map (eval me) args in
+        match Hashtbl.find_opt arrays name with
         | Some info ->
-            let addr = address info vals in
-            emit info.block addr Read;
+            let addr = info.base + offset name info vals in
+            f me { block = info.block; addr; kind = Read };
             Option.value
               (Hashtbl.find_opt memory (info.block, addr))
               ~default:0
@@ -144,38 +221,46 @@ let run ?(syms = []) ?(fuel = 20_000_000) (p : Ast.program) =
             (* Opaque call: deterministic small pseudo-value, kept in
                [0, 7] so the paper fragments' opaque subscripts (e.g.
                IFUN(10) indexing a 0:9 dimension) stay in range. *)
-            List.fold_left (fun acc v -> (acc * 31) + v) (Hashtbl.hash f) vals
+            List.fold_left
+              (fun acc v -> (acc * 31) + v)
+              (Hashtbl.hash name) vals
             land 0x7)
   in
-  let rec exec s =
+  let rec exec node =
     incr steps;
-    if !steps > fuel then failwith "Interp: out of fuel";
-    match s with
-    | Ast.Continue _ -> ()
-    | Ast.Assign { lhs; rhs; _ } -> (
-        let v = eval rhs in
+    if !steps > fuel then err (Out_of_fuel fuel);
+    match node with
+    | Skip -> ()
+    | Set (stmt, lhs, rhs) -> (
+        let me = Some { stmt; iter = List.rev !loops } in
+        let v = eval me rhs in
         match Hashtbl.find_opt arrays lhs.name with
         | Some info ->
-            let subs = List.map eval lhs.subs in
-            let addr = address info subs in
-            emit info.block addr Write;
+            let subs = List.map (eval me) lhs.subs in
+            let addr = info.base + offset lhs.name info subs in
+            f me { block = info.block; addr; kind = Write };
             Hashtbl.replace memory (info.block, addr) v
         | None ->
-            if lhs.subs <> [] then
-              failwith ("Interp: assignment to undeclared array " ^ lhs.name);
+            if lhs.subs <> [] then err (Undeclared_array lhs.name);
             Hashtbl.replace scalars lhs.name v)
-    | Ast.Do d ->
-        let lo = eval d.lo and hi = eval d.hi and step = eval d.step in
-        if step = 0 then failwith "Interp: zero step";
+    | Loop (var, lo, hi, step, body) ->
+        let lo = eval None lo and hi = eval None hi and step = eval None step in
+        if step = 0 then err Zero_step;
         let continue v = if step > 0 then v <= hi else v >= hi in
         let v = ref lo in
         while continue !v do
-          Hashtbl.replace scalars d.var !v;
-          List.iter exec d.body;
+          Hashtbl.replace scalars var !v;
+          loops := (var, !v) :: !loops;
+          List.iter exec body;
+          loops := List.tl !loops;
           v := !v + step
         done
   in
-  List.iter exec p.body;
+  List.iter exec (number p.body)
+
+let run ?syms ?fuel p =
+  let trace = ref [] in
+  iter ?syms ?fuel (fun _ e -> trace := e :: !trace) p;
   List.rev !trace
 
 let normalized (events : event list) =

@@ -116,7 +116,7 @@ let workload_props =
         let prog = Progen.random (Prng.create (Int64.of_int seed)) in
         match Dlz_passes.Interp.run prog with
         | _ -> true
-        | exception Failure _ -> false);
+        | exception Dlz_passes.Interp.Error _ -> false);
   ]
 
 let dynamic_units =
