@@ -95,8 +95,8 @@ let write_report arm fields checks =
    cheaper than Fourier-Motzkin or an exact solver.  Bechamel times
    every tester on equation (1) (group e1) and on the shifted
    linearized family (integer-infeasible, real-feasible) at depths 1-6
-   (group e8), and the delinearize and banerjee strategies over the
-   polybench corpus pairs (group corpus). *)
+   (group e8), and the delinearize, classic and banerjee strategies
+   over the polybench corpus pairs (group corpus). *)
 
 let e1_testers =
   let open Dlz_deptest in
@@ -129,8 +129,9 @@ let e8_testers eq =
 (* The realistic mix behind perfbench's baseline finding 6: every
    testable pair of the polybench corpus, each run through a strategy's
    applicability screen and runner, one pass over all pairs per run.
-   Delinearization refines direction vectors for every separated piece;
-   the Banerjee filter only screens.  [views] times what bulk analysis
+   Delinearization and classic compute direction vectors (delinearize
+   refines classic's hierarchy by the separated pieces); the Banerjee
+   filter only screens.  [views] times what bulk analysis
    builds from each kernel's answered pairs (one untimed
    [Engine.query_all] pass): the dependence rows and the vectorizer's
    graph; it is reported, not gated. *)
@@ -166,6 +167,7 @@ let corpus_testers () =
   in
   ( Array.length cases,
     [ ("delinearize", sweep Dlz_engine.Registry.delinearize);
+      ("classic", sweep Dlz_engine.Registry.classic);
       ("banerjee", sweep Dlz_engine.Registry.banerjee);
       ("views", views) ] )
 
@@ -255,12 +257,22 @@ let e8_bounds =
 let e8_linearity_bound = 6.0
 
 (* Delinearization over the Banerjee filter on the corpus pairs, the
-   whole-strategy cost on a realistic mix.  Seven runs of this arm gave
+   whole strategy, which computes direction vectors, against a filter
+   that only screens.  Seven runs of this arm gave
    7.26-7.85, median 7.53 (2-core host, OCaml 5.1.1; direction vectors
    met as lists gave 16.2-17.6, and a hierarchy that re-derived every
    bound per node 29.6-33.4); the bound is 1.5x that median, rounded
    up. *)
 let e8_corpus_bound = 12.0
+
+(* The delinearize strategy over [classic], the hierarchy it refines,
+   on the same pairs: both compute direction vectors, so this is the
+   like-for-like cost of delinearization.  Seven runs of this arm gave
+   1.48-1.61, median 1.535 (2-core host, OCaml 5.1.1); the bound is
+   1.5x that median, rounded up to one decimal.  Walking each separated
+   piece on its own and meeting the sets, the strategy read 2.5-3.2
+   (two runs). *)
+let e8_corpus_classic_bound = 2.4
 
 let e8_report () =
   let corpus_pairs, corpus = corpus_testers () in
@@ -315,6 +327,8 @@ let e8_report () =
           "d1/delinearize";
         check ~at_most:true e8_corpus_bound "corpus/delinearize"
           "corpus/banerjee";
+        check ~at_most:true e8_corpus_classic_bound "corpus/delinearize"
+          "corpus/classic";
       ]
   in
   write_report "e8"

@@ -68,6 +68,37 @@ val run :
     pair (used to size direction vectors and check direction
     feasibility). *)
 
+val reduced : Depeq.t -> Depeq.t
+(** The equation divided by the gcd of its coefficients and constant,
+    as the cache key divides it: same solutions, smaller numbers. *)
+
+val solve :
+  ?policy:residue_policy ->
+  ?budget:Dlz_base.Budget.t ->
+  Dlz_deptest.Problem.numeric ->
+  Verdict.t * Dirvec.Set.t * (int * int) list
+(** The ["delinearize"] strategy on a numeric problem: the verdict, the
+    direction vectors (empty when independent) and the sorted
+    [(level, β-α)] distances.  Each equation is {!reduced} and scanned
+    as {!run} scans it, with no step records and no walk; then one
+    {!Dlz_deptest.Hierarchy.directions} call walks the separated pieces
+    of every equation together.  A basic vector survives that walk
+    exactly when it survives each piece's own walk, so the answer is
+    the meet of the equations' {!run} answers, the first independent
+    one ending the meet:
+    - with no piece at all it is the unexpanded [(*, …, *)];
+    - an equation whose scan overflows is independent when the pieces
+      it separated before the overflow walk empty ({!run} stops there,
+      before the overflow), and adds nothing otherwise;
+    - an equation with a piece whose walk might overflow takes {!run}'s
+      answer (a joint walk could skip the node where that piece's own
+      walk overflows), and adds nothing when {!run} overflows.
+
+    One [budget] unit is spent per equation up to the one that settles
+    the answer: all of them when dependent; when independent and the
+    budget carries fuel, the first whose prefix of equations leaves no
+    vector. *)
+
 val test : ?policy:residue_policy -> Depeq.t -> Verdict.t
 (** Independence-only entry point (no direction vectors computed for the
     pieces — only the inline GCD/Banerjee-equivalent check), matching the

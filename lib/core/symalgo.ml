@@ -286,21 +286,6 @@ let numeric_common_ubs (p : Problem.t) =
   in
   go [] p.common_ubs
 
-(* The equation divided by the gcd of its coefficients and constant, as
-   the cache key divides it.  The solutions are the same, so the answer
-   cannot depend on which of two same-key problems is solved; a common
-   factor near max_int would otherwise overflow the scan. *)
-let reduced (eq : Depeq.t) =
-  let g = Numth.gcd_list (eq.c0 :: Depeq.coeffs eq) in
-  if g <= 1 then eq
-  else
-    {
-      c0 = eq.c0 / g;
-      terms =
-        List.map (fun (t : Depeq.term) -> { t with coeff = t.coeff / g })
-          eq.terms;
-    }
-
 let equation ~env (p : Problem.t) =
   let n_common = p.n_common in
   let common_ubs = numeric_common_ubs p in
@@ -308,7 +293,7 @@ let equation ~env (p : Problem.t) =
     try
       match (Symeq.to_numeric eq, common_ubs) with
       | Some neq, Some common_ubs ->
-          let neq = reduced neq in
+          let neq = Algo.reduced neq in
           Numeric (neq, Algo.run ~n_common ~common_ubs neq)
       | _ -> Symbolic (run ~env ~n_common eq)
     with Intx.Overflow op -> Overflow op

@@ -61,9 +61,11 @@ val step_table : step list -> Dlz_base.Table.t
 
 (** {2 One equation of a dependence problem}
 
-    The per-equation decision of the ["delinearize"] strategy, shared
-    by the engine and [vic trace] so the trace shows the scan the
-    engine ran. *)
+    The per-equation decision of the ["delinearize"] strategy.  The
+    engine folds it over the equations of a symbolic or mixed problem;
+    a numeric problem goes to {!Algo.solve}, whose answer is the meet
+    of these per-equation answers.  [vic trace] shows each equation's
+    scan through it. *)
 
 type outcome =
   | Numeric of Depeq.t * Algo.result

@@ -138,14 +138,8 @@ let rec dependent acc dv = function
       let gcd = Numth.divides (effective_gcd dv 0 e.slots) e.c0 in
       ban && gcd && dependent acc dv rest
 
-(* Whether some equation has a term at vector entry [at]. *)
-let rec slots_mention at = function
-  | [] -> false
-  | s :: rest -> s.at = at || slots_mention at rest
-
-let rec mentions at = function
-  | [] -> false
-  | e :: rest -> slots_mention at e.slots || mentions at rest
+(* Whether the equation has a term at vector entry [at]. *)
+let mentions at e = List.exists (fun s -> s.at = at) e.slots
 
 let acc_key = Domain.DLS.new_key Ivl.Acc.create
 let children = [| Dirvec.Lt; Dirvec.Eq; Dirvec.Gt |]
@@ -153,6 +147,12 @@ let children = [| Dirvec.Lt; Dirvec.Eq; Dirvec.Gt |]
 let directions ?(budget = Budget.unlimited) (p : Problem.numeric) =
   let n = p.n_common in
   let eqs = List.map (compile_eq n) p.eqs in
+  (* The equations with a term at each vector entry.  A child differs
+     from its parent only at its own level, so only these equations can
+     fail where the parent passed.  The others would compute what they
+     computed at the parent, without overflowing, so skipping them moves
+     no overflow to another node or operation. *)
+  let at_level = Array.init n (fun at -> List.filter (mentions at) eqs) in
   let feasible level d =
     level > Array.length p.common_ubs
     || feasible_dir ~ub:p.common_ubs.(level - 1) d
@@ -160,16 +160,17 @@ let directions ?(budget = Budget.unlimited) (p : Problem.numeric) =
   let acc = Domain.DLS.get acc_key in
   let dv = Dirvec.all_star n in
   let leaves = Dirvec.Set.builder n in
-  (* [node level] tests the node whose levels below [level] are set in
-     [dv] (already charged) and refines it; it returns the number of
-     nodes its subtree charged, itself included. *)
-  let rec node level =
-    if not (dependent acc dv eqs) then 1
+  (* [node level tested] tests the node whose levels below [level] are
+     set in [dv] (already charged) against the equations [tested] and
+     refines it; it returns the number of nodes its subtree charged,
+     itself included. *)
+  let rec node level tested =
+    if not (dependent acc dv tested) then 1
     else if level > n then begin
       Dirvec.Set.add leaves dv;
       1
     end
-    else if mentions (level - 1) eqs then begin
+    else if at_level.(level - 1) <> [] then begin
       let total = ref 1 in
       for i = 0 to 2 do
         total := !total + child level children.(i)
@@ -180,7 +181,9 @@ let directions ?(budget = Budget.unlimited) (p : Problem.numeric) =
   and child level d =
     dv.(level - 1) <- d;
     Budget.spend budget;
-    let k = if feasible level d then node (level + 1) else 1 in
+    let k =
+      if feasible level d then node (level + 1) at_level.(level - 1) else 1
+    in
     dv.(level - 1) <- Dirvec.Star;
     k
   (* No equation mentions [level], so every feasible child roots the
@@ -210,5 +213,5 @@ let directions ?(budget = Budget.unlimited) (p : Problem.numeric) =
     !total
   in
   Budget.spend budget;
-  ignore (node 1 : int);
+  ignore (node 1 eqs : int);
   Dirvec.Set.finish leaves

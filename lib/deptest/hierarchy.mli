@@ -3,7 +3,9 @@
     Starting from [(*, ..., *)], each [*] is refined into [<], [=], [>];
     a subtree is pruned as soon as a level's direction is infeasible in
     its loop or GCD-with-directions ∧ Banerjee-with-directions disproves
-    dependence for some equation under the partial vector — the
+    dependence for some equation under the partial vector (a child
+    re-tests only the equations with a term at its own level: the
+    others see the vector its parent passed with) — the
     combination the paper proves its algorithm matches per dimension.
     The surviving leaves are the reported direction vectors: the
     "existing techniques" the paper's algorithm calls to solve

@@ -10,29 +10,46 @@ module Residue = Dlz_deptest.Residue
 module Fm = Dlz_deptest.Fm
 module Exact = Dlz_deptest.Exact
 module Omega = Dlz_deptest.Omega
+module Algo = Dlz_core.Algo
 module Symalgo = Dlz_core.Symalgo
+module Poly = Dlz_symbolic.Poly
 
 (* --- the paper's algorithm (total: always decides) ---------------------- *)
 
-(* Each equation through [Symalgo.equation]; the answers meet across
-   equations, and the first independent one ends the scan. *)
+(* A numeric problem goes to [Algo.solve]: every equation's scan, then
+   one hierarchy walk over all the separated pieces.  A symbolic or
+   mixed one folds [Symalgo.equation] over its equations: the answers
+   meet, and the first independent equation ends the fold. *)
 let run_delinearize ~env ~budget (p : Problem.t) =
-  let n_common = p.Problem.n_common in
-  let solve = Symalgo.equation ~env p in
-  let rec fold dvs dists = function
-    | [] ->
-        Strategy.decided Verdict.Dependent ~dirvecs:dvs
-          ~distances:(List.sort_uniq Stdlib.compare dists)
-    | eq :: rest ->
-        Dlz_base.Budget.spend budget;
-        let ve, nv, de = Symalgo.answer ~n_common (solve eq) in
-        if ve = Verdict.Independent then Strategy.decided ve
-        else
-          let met = Dirvec.Set.meet dvs nv in
-          if Dirvec.Set.is_empty met then Strategy.decided Verdict.Independent
-          else fold met (de @ dists) rest
-  in
-  fold (Dirvec.Set.all_star n_common) [] p.Problem.equations
+  match Problem.to_numeric p with
+  | Some np -> (
+      match Algo.solve ~budget np with
+      | Verdict.Independent, _, _ -> Strategy.decided Verdict.Independent
+      | v, dvs, dists ->
+          (* Sorted again: polymorphic compare does not order
+             [Poly.const] maps as it orders their ints. *)
+          Strategy.decided v ~dirvecs:dvs
+            ~distances:
+              (List.sort_uniq Stdlib.compare
+                 (List.map (fun (l, d) -> (l, Poly.const d)) dists)))
+  | None ->
+      let n_common = p.Problem.n_common in
+      let solve = Symalgo.equation ~env p in
+      let rec fold dvs dists = function
+        | [] ->
+            Strategy.decided Verdict.Dependent ~dirvecs:dvs
+              ~distances:(List.sort_uniq Stdlib.compare dists)
+        | eq :: rest ->
+            Dlz_base.Budget.spend budget;
+            let ve, nv, de = Symalgo.answer ~n_common (solve eq) in
+            if ve = Verdict.Independent then Strategy.decided ve
+            else
+              let met = Dirvec.Set.meet dvs nv in
+              if Dirvec.Set.is_empty met then
+                Strategy.decided Verdict.Independent
+              else fold met (de @ dists) rest
+      in
+      fold (Dirvec.Set.all_star n_common) [] p.Problem.equations
 
 let delinearize =
   {

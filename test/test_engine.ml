@@ -478,6 +478,151 @@ let test_equal_keys_equal_answers () =
   Alcotest.(check (list string)) "same-key problems that answer differently"
     [] !differ
 
+(* --- the delinearize strategy: one walk over every separated piece ------ *)
+
+module Budget = Dlz_base.Budget
+module Depeq = Dlz_deptest.Depeq
+module Symalgo = Dlz_core.Symalgo
+
+let numeric_problem ~n_common ~common_ubs eqs =
+  Problem.synthetic (Problem.numeric_of_equations ~n_common ~common_ubs eqs)
+
+(* Two equations of only [0 = 0]: nothing is separated. *)
+let trivial_problem () =
+  numeric_problem ~n_common:2 ~common_ubs:[| 3; 3 |]
+    [ Depeq.make 0 []; Depeq.make 0 [] ]
+
+(* [i = j], [i = j + 1] and [i = j + 2]: each equation alone is
+   dependent, the first two together are not. *)
+let three_equation_problem () =
+  let i = Depeq.var ~side:`Src ~level:1 "i" 5
+  and j = Depeq.var ~side:`Dst ~level:1 "j" 5 in
+  numeric_problem ~n_common:1 ~common_ubs:[| 5 |]
+    (List.map (fun c0 -> Depeq.make c0 [ (1, i); (-1, j) ]) [ 0; -1; -2 ])
+
+(* [2x - 2y + 1 + H·z + H·w = 0] with [H = 2^61 + 1] and every bound 3:
+   the scan separates [2x - 2y + 1 = 0], which the gcd test disproves,
+   and then overflows accumulating [H·z]. *)
+let overflow_after_empty_piece () =
+  let h = (1 lsl 61) + 1 in
+  let v name = Depeq.var name 3 in
+  numeric_problem ~n_common:0 ~common_ubs:[||]
+    [ Depeq.make 1 [ (2, v "x"); (-2, v "y"); (h, v "z"); (h, v "w") ] ]
+
+(* [a·i + b·j + c·z = 0] with [a, b, c = 2^61 + 1, 3, 5] and [j], [z]
+   bounded by 0: the scan separates [a·i + b·j = 0] without
+   overflowing, but the hierarchy overflows forming [a + b] under [=],
+   so the equation answers dependent in every direction. *)
+let walk_overflow_only () =
+  let h = 1 lsl 61 in
+  let i = Depeq.var ~side:`Src ~level:1 "i" 1
+  and j = Depeq.var ~side:`Dst ~level:1 "j" 0 in
+  numeric_problem ~n_common:1 ~common_ubs:[| 1 |]
+    [ Depeq.make 0 [ (h + 1, i); (h + 3, j); (h + 5, Depeq.var "z" 0) ] ]
+
+let delinearize ?(budget = Budget.unlimited) p =
+  match Registry.delinearize.Strategy.run ~env:Assume.empty ~budget p with
+  | Strategy.Decided (v, dvs, _) -> (v, List.map Dirvec.to_string dvs)
+  | Strategy.Pass -> Alcotest.fail "delinearize passed"
+
+let test_trivial_equations_answer_all_star () =
+  let v, dvs = delinearize (trivial_problem ()) in
+  Alcotest.check verdict "dependent" Verdict.Dependent v;
+  Alcotest.(check (list string)) "unexpanded vector" [ "(*, *)" ] dvs
+
+let test_fuel_up_to_settling_equation () =
+  let budget = Budget.create ~fuel:10 () in
+  let v, _ = delinearize ~budget (three_equation_problem ()) in
+  Alcotest.check verdict "independent" Verdict.Independent v;
+  Alcotest.(check (option int)) "one unit for each of equations 1-2"
+    (Some 8) (Budget.remaining_fuel budget)
+
+let test_overflow_after_empty_piece () =
+  let v, _ = delinearize (overflow_after_empty_piece ()) in
+  Alcotest.check verdict "independent" Verdict.Independent v
+
+(* The reference model: the per-equation fold.  Each equation goes
+   through [Symalgo.equation] for one fuel unit, the answers meet, and
+   the first independent equation (or empty meet) ends the fold. *)
+let reference_delinearize =
+  let run ~env ~budget (p : Problem.t) =
+    let n_common = p.Problem.n_common in
+    let solve = Symalgo.equation ~env p in
+    let rec fold dvs dists = function
+      | [] ->
+          Strategy.decided Verdict.Dependent ~dirvecs:dvs
+            ~distances:(List.sort_uniq Stdlib.compare dists)
+      | eq :: rest ->
+          Budget.spend budget;
+          let ve, nv, de = Symalgo.answer ~n_common (solve eq) in
+          if ve = Verdict.Independent then Strategy.decided ve
+          else
+            let met = Dirvec.Set.meet dvs nv in
+            if Dirvec.Set.is_empty met then
+              Strategy.decided Verdict.Independent
+            else fold met (de @ dists) rest
+    in
+    fold (Dirvec.Set.all_star n_common) [] p.Problem.equations
+  in
+  { Strategy.name = "delinearize"; applies = (fun ~env:_ _ -> true); run }
+
+(* [Cascade.delin] against the reference model on the oracle's mixed
+   batch (its near-overflow and whole-program families included), the
+   polybench pairs and the four problems above, with fuel unset and
+   0-3: verdict, vectors, distances, provenance and the fuel left must
+   all agree. *)
+let test_delinearize_matches_reference () =
+  let module Eqgen = Dlz_oracle.Eqgen in
+  let module Chaos = Dlz_engine.Chaos in
+  let module Poly = Dlz_symbolic.Poly in
+  let saved = Chaos.current () in
+  Chaos.set_current None;
+  Fun.protect ~finally:(fun () -> Chaos.set_current saved) @@ fun () ->
+  let reference = Cascade.make ~name:"delin" [ reference_delinearize ] in
+  let handmade =
+    List.map
+      (fun (id, p) -> (id, Assume.empty, p))
+      [ ("trivial", trivial_problem ());
+        ("three-equations", three_equation_problem ());
+        ("overflow-after-empty-piece", overflow_after_empty_piece ());
+        ("walk-overflow-only", walk_overflow_only ()) ]
+  in
+  let cases =
+    List.map
+      (fun (c : Eqgen.case) -> (c.id, c.env, c.problem))
+      (Eqgen.all ~seed:11L ~count:2000 @ Eqgen.polybench ())
+    @ handmade
+  in
+  let answer cascade fuel (id, env, p) =
+    let budget =
+      match fuel with None -> Budget.unlimited | Some f -> Budget.create ~fuel:f ()
+    in
+    let r = Cascade.run ~stats:(Stats.create ()) ~budget ~env cascade p in
+    String.concat " "
+      ((id :: Verdict.to_string r.Strategy.verdict :: r.Strategy.decided_by
+        :: List.map Dirvec.to_string r.Strategy.dirvecs)
+      @ List.map
+          (fun (l, d) -> Printf.sprintf "%d:%s" l (Poly.to_string d))
+          r.Strategy.distances
+      @ List.map (fun (s, why) -> s ^ "!" ^ why) r.Strategy.degraded
+      @ [ (match Budget.remaining_fuel budget with
+          | None -> "fuel:-"
+          | Some f -> "fuel:" ^ string_of_int f) ])
+  in
+  let differ = ref [] in
+  List.iter
+    (fun fuel ->
+      List.iter
+        (fun case ->
+          let want = answer reference fuel case
+          and got = answer Cascade.delin fuel case in
+          if got <> want then differ := (want ^ " / " ^ got) :: !differ)
+        cases)
+    [ None; Some 0; Some 1; Some 2; Some 3 ];
+  Alcotest.(check bool) "over 2,000 problems" true (List.length cases > 2000);
+  Alcotest.(check (list string)) "answers unlike the reference" []
+    (List.rev !differ)
+
 let () =
   Alcotest.run "engine"
     [
@@ -495,6 +640,17 @@ let () =
             test_key_of_none_for_symbolic;
           Alcotest.test_case "equal keys, equal cold answers" `Quick
             test_equal_keys_equal_answers;
+        ] );
+      ( "delinearize",
+        [
+          Alcotest.test_case "only 0 = 0 equations answer (*, *)" `Quick
+            test_trivial_equations_answer_all_star;
+          Alcotest.test_case "fuel up to the settling equation" `Quick
+            test_fuel_up_to_settling_equation;
+          Alcotest.test_case "overflow after an empty piece" `Quick
+            test_overflow_after_empty_piece;
+          Alcotest.test_case "matches the per-equation reference" `Quick
+            test_delinearize_matches_reference;
         ] );
       ( "presets",
         [
