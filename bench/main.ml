@@ -1,17 +1,20 @@
-(* Benchmark harness.  Each arm writes one committed BENCH_<arm>.json
-   and gates ratios in it (never absolute ns, which do not transfer
-   across hosts); `dune build @perf-ci` runs every gate.
+(* Benchmark harness.  Each arm gates what it exists to show and
+   writes one committed BENCH_<arm>.json (perf-smoke writes none);
+   `dune build @perf-ci` runs every gate.
 
-   - e8: the paper's efficiency claim (§3), timed with Bechamel;
-   - cache: what a persisted warm-start snapshot is worth;
-   - perf-smoke: parallel analysis must not be slower than serial.
+   - e8: the paper's efficiency claim (§3), timed with Bechamel and
+     gated on ratios (never absolute ns, which do not transfer across
+     hosts);
+   - cache: a persisted warm-start snapshot answers every query of the
+     sweep that saved it, gated on exact counts;
+   - perf-smoke: short parallel maps never leave the calling domain,
+     gated on a count of trace events.
 
    Run with: dune exec bench/main.exe -- [e8|cache|perf-smoke]
-   (no argument: e8, then cache). *)
+   (no argument: all three, the set @perf-ci runs). *)
 
 open Bechamel
 open Toolkit
-module Tbl = Dlz_base.Table
 module Prng = Dlz_base.Prng
 module Depeq = Dlz_deptest.Depeq
 module Verdict = Dlz_deptest.Verdict
@@ -22,10 +25,6 @@ module Trace = Dlz_base.Trace
 module Fragments = Dlz_driver.Fragments
 module Workload = Dlz_driver.Workload
 module Jsonx = Dlz_obs.Jsonx
-
-(* The one wall-clock source of the cache and perf-smoke arms: the same
-   monotonic clock the budgets and the recorder use. *)
-let now_s () = Int64.to_float (Trace.now_ns ()) /. 1e9
 
 (* The upper median of a sample (the middle element for odd sizes). *)
 let median a =
@@ -44,28 +43,52 @@ let host =
         ("ocaml", Jsonx.Str Sys.ocaml_version);
       ] )
 
-(* --- ratio gates ------------------------------------------------------------ *)
+(* --- gates ------------------------------------------------------------------ *)
 
-(* One gated ratio: [value] must be at most (or at least) [bound]. *)
-type check = { what : string; value : float; bound : float; at_most : bool }
+(* One gated value: at most, at least or exactly [bound]. *)
+type cmp = At_most | At_least | Equals
+type check = { what : string; value : float; bound : float; cmp : cmp }
 
-let ratio what num den ~at_most bound =
-  { what; value = num /. den; bound; at_most }
+(* A gate on a count, which no clock feeds. *)
+let count what ~cmp value bound =
+  { what; value = float_of_int value; bound = float_of_int bound; cmp }
 
-let passes c = if c.at_most then c.value <= c.bound else c.value >= c.bound
+let passes c =
+  match c.cmp with
+  | At_most -> c.value <= c.bound
+  | At_least -> c.value >= c.bound
+  | Equals -> c.value = c.bound
+
+(* The bound's key in BENCH_<arm>.json and its operator on stdout. *)
+let cmp_names = function
+  | At_most -> ("at_most", "<=")
+  | At_least -> ("at_least", ">=")
+  | Equals -> ("equals", "=")
+
+let rounded c = Jsonx.Float (Float.round (c.value *. 1000.) /. 1000.)
 
 let check_json c =
   Jsonx.(
     Obj
-      [ ("check", Str c.what);
-        ("value", Float (Float.round (c.value *. 1000.) /. 1000.));
-        ((if c.at_most then "at_most" else "at_least"), Float c.bound);
+      [ ("check", Str c.what); ("value", rounded c);
+        (fst (cmp_names c.cmp), Float c.bound);
         ("ok", Bool (passes c)) ])
 
-(* Every arm reports through here: the host header, the arm's own
-   fields and its gate checks, as one line in BENCH_<arm>.json and on
-   stdout, then one PASS/FAIL line per check.  Returns whether every
-   check passed. *)
+(* One PASS/FAIL line per check; whether every check passed. *)
+let gate arm checks =
+  List.iter
+    (fun c ->
+      Printf.printf "%s gate: %s %s = %s (%s %g)\n" arm
+        (if passes c then "PASS" else "FAIL")
+        c.what
+        (Jsonx.to_string (rounded c))
+        (snd (cmp_names c.cmp))
+        c.bound)
+    checks;
+  List.for_all passes checks
+
+(* The host header, the arm's own fields and its gate checks, as one
+   line in BENCH_<arm>.json and on stdout, then {!gate}. *)
 let write_report arm fields checks =
   let line =
     Jsonx.to_string
@@ -78,15 +101,7 @@ let write_report arm fields checks =
   output_char oc '\n';
   close_out oc;
   print_endline line;
-  List.iter
-    (fun c ->
-      Printf.printf "%s gate: %s %s = %.3f (%s %g)\n" arm
-        (if passes c then "PASS" else "FAIL")
-        c.what c.value
-        (if c.at_most then "<=" else ">=")
-        c.bound)
-    checks;
-  List.for_all passes checks
+  gate arm checks
 
 (* --- E8: cost of delinearization vs the baselines (BENCH_e8.json) ---------- *)
 
@@ -308,7 +323,7 @@ let e8_report () =
       what = num ^ " / " ^ den;
       value = stat (fun est -> est ("e8/" ^ num) /. est ("e8/" ^ den));
       bound;
-      at_most;
+      cmp = (if at_most then At_most else At_least);
     }
   in
   let checks =
@@ -345,161 +360,76 @@ let e8_report () =
         ("residue_policy", List (residue_policies ())) ]
     checks
 
-(* --- warm-start snapshot speedup (BENCH_cache.json) ------------------------ *)
+(* --- warm-start snapshot (BENCH_cache.json) --------------------------------- *)
 
-(* What a persisted cache is worth.  The headline comparison is
-   apples-to-apples by construction: both arms take the cache from
-   empty to the {e identical} fully-warm state (every distinct
-   canonical form of the oracle corpus resident).
-
-   - cold: query each distinct canonical form once from an empty cache
-     — every query is a miss, so this times exactly the solving work a
-     first run pays to populate;
-   - warm: [Persist.load] of the snapshot holding the same entries.
-
-   Their median ratio is the warm-start speedup.  The corpus's raw
-   29k-pair sweep is also timed cold and warm (load included) for
-   context — there the intra-run hit traffic, identical in both arms,
-   dilutes the ratio toward 1.  Trials are interleaved so machine
-   drift hits every arm alike. *)
+(* What a persisted cache must do: answer, from its own entries, every
+   query of the sweep that saved it.  Sweep the oracle corpus from an
+   empty cache, save the snapshot, empty the cache (and the counters),
+   load the snapshot and sweep again.  Every entry saved must load,
+   and the second sweep must be all warm hits: not one miss, so not one
+   re-solve.  The gates are exact counts; what a snapshot is worth in
+   time is perfbench's bulk-warm against bulk-cold. *)
 let cache_report () =
   let module Eqgen = Dlz_oracle.Eqgen in
   let module Persist = Dlz_engine.Persist in
   let module Engine = Dlz_engine.Engine in
-  let module Query = Dlz_engine.Query in
+  let module Stats = Dlz_engine.Stats in
   let probs =
-    Array.of_list
-      (List.map
-         (fun (c : Eqgen.case) -> Problem.synthetic c.Eqgen.ground)
-         (Eqgen.corpus ()))
-  in
-  (* The distinct canonical forms behind those pairs — "delin" is the
-     cascade Engine.query defaults to, so these keys are the ones the
-     sweep populates. *)
-  let uniq =
-    let seen = Hashtbl.create 4096 in
-    Array.of_list
-      (List.filter
-         (fun p ->
-           match Query.key_of ~cascade:"delin" p with
-           | Some k ->
-               if Hashtbl.mem seen k then false
-               else begin
-                 Hashtbl.add seen k ();
-                 true
-               end
-           | None -> false)
-         (Array.to_list probs))
+    List.map
+      (fun (c : Eqgen.case) -> Problem.synthetic c.Eqgen.ground)
+      (Eqgen.corpus ())
   in
   let env = Dlz_symbolic.Assume.empty in
-  let sweep arr = Array.iter (fun p -> ignore (Engine.query ~env p)) arr in
+  let sweep () = List.iter (fun p -> ignore (Engine.query ~env p)) probs in
+  let ok what = function
+    | Ok n -> n
+    | Error e -> failwith ("bench: snapshot " ^ what ^ " failed: " ^ e)
+  in
   let snap = Filename.temp_file "dlz_bench_cache" ".snap" in
-  (* Seed the snapshot (and fault in the corpus pages) once, untimed. *)
   Engine.reset_metrics ();
-  sweep probs;
-  let entries =
-    match Persist.save snap with
-    | Ok n -> n
-    | Error e -> failwith ("bench: snapshot save failed: " ^ e)
-  in
-  let snapshot_bytes =
-    let ic = open_in_bin snap in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> in_channel_length ic)
-  in
-  let load () =
-    match Persist.load snap with
-    | Ok n -> n
-    | Error e -> failwith ("bench: snapshot load failed: " ^ e)
-  in
-  let timed f =
-    Engine.reset_metrics ();
-    let t0 = now_s () in
-    f ();
-    now_s () -. t0
-  in
-  let populate_trial () = timed (fun () -> sweep uniq) in
-  let warmload_trial () = timed (fun () -> ignore (load ())) in
-  let full_cold_trial () = timed (fun () -> sweep probs) in
-  let full_warm_trial () =
-    timed (fun () ->
-        ignore (load ());
-        sweep probs)
-  in
-  let trials = 9 in
-  ignore (populate_trial ());
-  ignore (warmload_trial ());
-  let populate = Array.make trials 0. and warmload = Array.make trials 0. in
-  let full_cold = Array.make trials 0. and full_warm = Array.make trials 0. in
-  for i = 0 to trials - 1 do
-    populate.(i) <- populate_trial ();
-    warmload.(i) <- warmload_trial ();
-    full_cold.(i) <- full_cold_trial ();
-    full_warm.(i) <- full_warm_trial ()
-  done;
-  (* The last full-warm trial's stats are still live: the gate below
-     requires that sweep to be served entirely by snapshot entries. *)
-  let st = Dlz_engine.Stats.global in
-  let queries = Dlz_engine.Stats.queries st in
-  let warm_hits =
-    Option.value ~default:0
-      (Dlz_obs.Registry.counter ~labels:[ ("temp", "warm") ]
-         (Dlz_engine.Stats.samples st) "vic_engine_cache_hits_total")
-  in
-  let misses = Dlz_engine.Stats.cache_misses st in
-  let cold = median populate and warm = median warmload in
-  let fc = median full_cold and fw = median full_warm in
-  let t =
-    Tbl.create
-      ~aligns:[ Tbl.Left; Tbl.Right; Tbl.Right ]
-      [ "cache from empty to warm"; "median (s)"; "vs cold" ]
-  in
-  Tbl.add_row t
-    [
-      Printf.sprintf "cold (solve %d unique forms)" (Array.length uniq);
-      Printf.sprintf "%.4f" cold;
-      "1.00x";
-    ];
-  Tbl.add_row t
-    [
-      "warm (snapshot load)";
-      Printf.sprintf "%.4f" warm;
-      Printf.sprintf "%.2fx" (cold /. warm);
-    ];
-  print_string (Tbl.render t);
+  sweep ();
+  let saved = ok "save" (Persist.save snap) in
+  let snapshot_bytes = In_channel.with_open_bin snap In_channel.length in
+  Engine.reset_metrics ();
+  let loaded = ok "load" (Persist.load snap) in
   Sys.remove snap;
-  Engine.reset_metrics ();
-  let fruns a =
-    Jsonx.List (List.map (fun x -> Jsonx.Float x) (Array.to_list a))
+  sweep ();
+  let counter ?labels name =
+    Option.value ~default:0
+      (Dlz_obs.Registry.counter ?labels (Stats.samples Stats.global) name)
   in
+  let queries = counter "vic_engine_queries_total" in
+  let warm_hits =
+    counter ~labels:[ ("temp", "warm") ] "vic_engine_cache_hits_total"
+  in
+  let misses = counter "vic_engine_cache_misses_total" in
+  Engine.reset_metrics ();
   write_report "cache"
     Jsonx.
-      [ ("workload", Str "eqgen-corpus"); ("pairs", Int (Array.length probs));
-        ("unique_forms", Int (Array.length uniq)); ("trials", Int trials);
-        ("snapshot_entries", Int entries);
-        ("snapshot_bytes", Int snapshot_bytes);
-        ("cold_median_sec", Float cold); ("warm_median_sec", Float warm);
-        ("warm_speedup", Float (cold /. warm));
-        ("full_sweep", Obj [ ("cold_sec", Float fc); ("warm_sec", Float fw) ]);
-        ("warm_queries", Int queries); ("warm_hits", Int warm_hits);
-        ("warm_misses", Int misses); ("cold_runs_sec", fruns populate);
-        ("warm_runs_sec", fruns warmload) ]
+      [ ("workload", Str "eqgen-corpus"); ("pairs", Int (List.length probs));
+        ("snapshot_entries", Int saved);
+        ("snapshot_bytes", Int (Int64.to_int snapshot_bytes));
+        ("loaded_entries", Int loaded); ("warm_queries", Int queries);
+        ("warm_hits", Int warm_hits); ("warm_misses", Int misses) ]
     [
-      ratio "warm_speedup" cold warm ~at_most:false 3.0;
-      ratio "warm_misses" (float_of_int misses) 1. ~at_most:true 0.;
+      count "loaded_entries" ~cmp:Equals loaded saved;
+      count "warm_misses" ~cmp:Equals misses 0;
+      count "warm_hits" ~cmp:Equals warm_hits (List.length probs);
     ]
 
 (* --- perf smoke gate -------------------------------------------------------- *)
 
 let prepare src = Dlz_passes.Pipeline.load `F77 src
 
-(* Small programs analyzed end-to-end at jobs=1 and jobs=4, best of two
-   trials each.  On a multi-core host the gate fails when jobs=4 is
-   more than 10% slower than jobs=1: the scheduler must never make
-   parallel analysis slower than serial.  On a single-core host the
-   comparison can only measure oversubscription, so the gate prints
-   both numbers and passes with a note. *)
+(* A pool must never make short parallel work pay for a domain.  Five
+   small programs, analyzed three times each at pool width 4, all with
+   maps far shorter than a spawn, under a Full trace masked to the
+   "pool" category.  Every chunk records a [pool.chunk] span on the
+   domain that ran it, and every spawned helper a [pool.worker] span,
+   so an event from a domain other than the caller's is a helper these
+   maps did not pay for.  The caller's own chunks show that the maps
+   ran through the pool and were recorded.  Both are counts, true on
+   any host and core count. *)
 let perf_smoke () =
   let progs =
     List.map prepare
@@ -507,41 +437,39 @@ let perf_smoke () =
         Workload.family_program ~depth:3 ~extent:10; Fragments.fig3_program;
         Fragments.mhl_program; Fragments.ib_program ]
   in
-  let reps = 3 in
-  let measure jobs =
-    Dlz_engine.Engine.reset_metrics ();
-    Dlz_base.Pool.with_pool ~domains:jobs (fun pool ->
-        let t0 = now_s () in
-        for _ = 1 to reps do
-          List.iter (fun p -> ignore (An.deps_of_program ~pool p)) progs
-        done;
-        now_s () -. t0)
+  let caller = (Domain.self () :> int) in
+  let level = Trace.level () and mask = Trace.mask () in
+  Dlz_engine.Engine.reset_metrics ();
+  Trace.set_mask (Some [ "pool" ]);
+  Trace.set_level Trace.Full;
+  (* A domain's first event allocates its ring buffer, a few ms on a
+     slow host: record one before the maps so that no map pays it. *)
+  Trace.instant ~cat:"pool" "perf-smoke.start";
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_level level;
+      Trace.set_mask mask)
+    (fun () ->
+      Dlz_base.Pool.with_pool ~domains:4 (fun pool ->
+          for _ = 1 to 3 do
+            List.iter (fun p -> ignore (An.deps_of_program ~pool p)) progs
+          done));
+  let on_caller, elsewhere =
+    List.partition (fun (d, _) -> d = caller) (Trace.events ())
   in
-  ignore (measure 1) (* warm-up: first-touch costs out of the window *);
-  let t1 = Float.min (measure 1) (measure 1) in
-  let t4 = Float.min (measure 4) (measure 4) in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "perf-smoke: cores=%d jobs1=%.4fs jobs4=%.4fs ratio=%.3fx\n"
-    cores
-    (Float.max t1 1e-9) (Float.max t4 1e-9)
-    (if t4 > 0. then t1 /. t4 else 0.);
-  if cores < 2 then begin
-    print_endline
-      "perf-smoke: PASS (single-core host: jobs=4 runs oversubscribed, \
-       scaling not enforced)";
-    true
-  end
-  else if t4 > t1 *. 1.10 then begin
-    Printf.printf
-      "perf-smoke: FAIL (jobs=4 is %.1f%% slower than jobs=1 on %d cores)\n"
-      (((t4 /. t1) -. 1.) *. 100.)
-      cores;
-    false
-  end
-  else begin
-    print_endline "perf-smoke: PASS";
-    true
-  end
+  let caller_chunks =
+    List.length
+      (List.filter
+         (fun (_, (e : Trace.event)) ->
+           e.ev_ph = Trace.B && e.ev_name = "pool.chunk")
+         on_caller)
+  in
+  Dlz_engine.Engine.reset_metrics ();
+  gate "perf-smoke"
+    [
+      count "helper_events" ~cmp:Equals (List.length elsewhere) 0;
+      count "caller_chunks" ~cmp:At_least caller_chunks 1;
+    ]
 
 let () =
   let arms =
@@ -549,7 +477,7 @@ let () =
     | [ _; "e8" ] -> [ e8_report ]
     | [ _; "cache" ] -> [ cache_report ]
     | [ _; "perf-smoke" ] -> [ perf_smoke ]
-    | [ _ ] -> [ e8_report; cache_report ]
+    | [ _ ] -> [ e8_report; cache_report; perf_smoke ]
     | _ ->
         prerr_endline "usage: bench/main.exe [e8|cache|perf-smoke]";
         exit 2

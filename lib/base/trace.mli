@@ -13,9 +13,7 @@
     return — unmeasurable on the analysis workloads; {!Timing} records
     histograms only (one clock read and a handful of plain writes to
     domain-local memory per observation); {!Full} additionally records
-    span/instant events into the ring buffers.  The enabled-overhead
-    budget is < 3% on the whole-corpus analysis (measured by
-    [bench/main.exe -- trace]).
+    span/instant events into the ring buffers.
 
     High-volume spans can be {e sampled}: a span started with
     [~sample:true] consults the deterministic sampling knob

@@ -14,14 +14,9 @@ let format_version = 1
    snapshot for the wrong strategy set, which fails the tag check). *)
 let magic = "DLZSNAP" ^ String.make 1 (Char.chr format_version)
 
-let djb2 s =
-  let h = ref 5381 in
-  String.iter (fun c -> h := ((!h lsl 5) + !h) lxor Char.code c) s;
-  !h land max_int
-
 let tag () =
   let names = List.sort compare (Registry.names ()) in
-  djb2
+  Query.hash_of_key
     (Printf.sprintf "dlz-snapshot|v%d|%s" format_version
        (String.concat "," names))
 
@@ -195,7 +190,7 @@ let decode data =
   if payload_len < 0 || len - 40 < payload_len then bad "truncated payload";
   if len - 40 > payload_len then bad "trailing garbage";
   let payload = String.sub data 40 payload_len in
-  if djb2 payload <> checksum then bad "checksum mismatch";
+  if Query.hash_of_key payload <> checksum then bad "checksum mismatch";
   if count < 0 || count > payload_len then bad "implausible entry count %d" count;
   let r = { data = payload; limit = payload_len; pos = 0 } in
   let entries = Array.init count (fun _ -> decode_entry r) in
@@ -238,7 +233,7 @@ let save ?(stats = Stats.global) ?(cache = Query.global_cache) path =
           put_i64 header (tag ());
           put_i64 header count;
           put_i64 header (String.length payload);
-          put_i64 header (djb2 payload);
+          put_i64 header (Query.hash_of_key payload);
           mkdirs (Filename.dirname path);
           Out_channel.with_open_bin tmp (fun oc ->
               Out_channel.output_string oc (Buffer.contents header);

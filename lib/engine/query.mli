@@ -22,6 +22,12 @@ val key_of : cascade:string -> Problem.t -> string option
     materialized form is what miss-path inserts store, and what tests
     use to count distinct keys. *)
 
+val hash_of_key : string -> int
+(** The cache's hash of a materialized key: djb2-xor over its bytes
+    (from 5381, [h * 33 lxor byte]), masked nonnegative.  The
+    snapshot format uses the same fold for its tag and payload
+    checksum. *)
+
 type cache
 (** A domain-safe sharded cache: entries are distributed over
     [hash key mod shards] shards.  Each shard is an open-hashed bucket

@@ -84,37 +84,35 @@ let anchor_offset shapes subs =
       (0, 1) shapes subs
     |> fst
 
+(* The trailing subscripts a fold keeps, rebased to 0. *)
+let trailing_subs shapes kept subs =
+  let lead_n = List.length shapes - kept in
+  List.filteri (fun i _ -> i >= lead_n) (List.combine subs shapes)
+  |> List.map (fun (sb, sh) ->
+         Expr.fold_consts (Expr.Bin (Expr.Sub, sb, Expr.Const sh.lo)))
+
+(* [infos] maps each folded member to its replacement array and the
+   rewrite of a full subscript list. *)
 let rewrite_refs prog
-    (infos : (string * (shape list * int * string * int)) list) =
-  let find name = List.assoc_opt name infos in
-  let trailing_subs shapes kept subs =
-    let lead_n = List.length shapes - kept in
-    List.filteri (fun i _ -> i >= lead_n) (List.combine subs shapes)
-    |> List.map (fun (sb, sh) ->
-           Expr.fold_consts (Expr.Bin (Expr.Sub, sb, Expr.Const sh.lo)))
+    (infos : (string * (string * (Expr.t list -> Expr.t list))) list) =
+  let rw name subs =
+    match (List.assoc_opt name infos, Ast.find_array prog name) with
+    | Some (repl, f), Some d when List.length subs = List.length d.a_dims ->
+        (repl, f subs)
+    | _ -> (name, subs)
   in
   let rec rw_expr e =
     match e with
     | Expr.Const _ | Expr.Var _ -> e
     | Expr.Neg a -> Expr.Neg (rw_expr a)
     | Expr.Bin (op, a, b) -> Expr.Bin (op, rw_expr a, rw_expr b)
-    | Expr.Call (f, args) -> (
-        let args = List.map rw_expr args in
-        match find f with
-        | Some (shapes, kept, repl, start)
-          when List.length args = List.length shapes ->
-            let lin = linear_subscript start shapes kept args in
-            Expr.Call (repl, lin :: trailing_subs shapes kept args)
-        | _ -> Expr.Call (f, args))
+    | Expr.Call (f, args) ->
+        let f, args = rw f (List.map rw_expr args) in
+        Expr.Call (f, args)
   in
   let rw_aref (r : Ast.aref) =
-    let subs = List.map rw_expr r.subs in
-    match find r.name with
-    | Some (shapes, kept, repl, start)
-      when List.length subs = List.length shapes ->
-        let lin = linear_subscript start shapes kept subs in
-        { Ast.name = repl; subs = lin :: trailing_subs shapes kept subs }
-    | _ -> { r with subs }
+    let name, subs = rw r.name (List.map rw_expr r.subs) in
+    { Ast.name; subs }
   in
   Ast.map_stmts
     (function
@@ -158,72 +156,129 @@ let place shape pos group =
       | None -> pos @ [ (n, at - a) ])
     pos anchored
 
+(* A class's members in order of first appearance. *)
+let members cls =
+  List.fold_left
+    (fun acc (n, _) -> if List.mem n acc then acc else acc @ [ n ])
+    [] (List.concat cls)
+
+(* A fold of a class: its members, the dimensions of the replacement
+   array, how many of them are kept member dimensions, and each
+   member's subscript rewrite. *)
+type fold = {
+  names : string list;
+  dims : Ast.dim list;
+  kept : int;
+  rewrites : (Expr.t list -> Expr.t list) list;
+}
+
+(* Constant bounds: each member at its storage offset in one array that
+   folds the leading dimensions column-major.  [Exit] on a non-constant
+   bound or anchor, or on anchors that disagree. *)
+let fold_constant decl cls =
+  let placed = List.fold_left (place (fun n -> shapes_of (decl n))) [] cls in
+  let names = List.map fst placed in
+  let shapes = List.map (fun n -> shapes_of (decl n)) names in
+  let lowest = List.fold_left (fun acc (_, s) -> min acc s) 0 placed in
+  let starts = List.map (fun (_, s) -> s - lowest) placed in
+  (* Members that start together with equal leading totals keep their
+     common trailing dimensions; any other class folds fully. *)
+  let kept =
+    let kept = common_suffix shapes in
+    match List.map (fun s -> leading_product s kept) shapes with
+    | p0 :: rest
+      when List.for_all (( = ) 0) starts && List.for_all (( = ) p0) rest ->
+        kept
+    | _ -> 0
+  in
+  let total =
+    List.fold_left2
+      (fun acc s start -> max acc (start + leading_product s kept))
+      0 shapes starts
+  in
+  (* Trailing dims are shared by construction. *)
+  let trailing =
+    match shapes with
+    | s :: _ -> List.filteri (fun i _ -> i >= List.length s - kept) s
+    | [] -> []
+  in
+  let dim n = { Ast.lo = Expr.Const 0; hi = Expr.Const (n - 1) } in
+  {
+    names;
+    dims = dim total :: List.map (fun sh -> dim sh.extent) trailing;
+    kept;
+    rewrites =
+      List.map2
+        (fun s start subs ->
+          linear_subscript start s kept subs :: trailing_subs s kept subs)
+        shapes starts;
+  }
+
+(* Members that declare Expr-equal dimensions and are all anchored at
+   their first element overlay each other element for element, whatever
+   the bounds: they become one array with those dimensions, every
+   subscript as written.  [Exit] for any other class. *)
+let fold_same_shape decl cls =
+  let names = members cls in
+  let dims = (decl (List.hd names)).Ast.a_dims in
+  let same (a : Ast.dim) (b : Ast.dim) =
+    Expr.equal a.lo b.lo && Expr.equal a.hi b.hi
+  in
+  let at_base subs =
+    subs = []
+    || List.length subs = List.length dims
+       && List.for_all2
+            (fun sb (d : Ast.dim) ->
+              Expr.equal (Expr.fold_consts sb) (Expr.fold_consts d.lo))
+            subs dims
+  in
+  List.iter
+    (fun (n, subs) ->
+      if not (List.equal same (decl n).Ast.a_dims dims && at_base subs) then
+        raise Exit)
+    (List.concat cls);
+  {
+    names;
+    dims;
+    kept = List.length dims;
+    rewrites = List.map (fun _ -> Fun.id) names;
+  }
+
 let linearize (prog : Ast.program) =
   let groups =
     List.concat_map
       (function Ast.Equivalence gs -> gs | _ -> [])
       prog.decls
   in
+  let decl n =
+    match Ast.find_array prog n with Some d -> d | None -> raise Exit
+  in
+  let fold cls =
+    try Some (fold_constant decl cls)
+    with Exit -> ( try Some (fold_same_shape decl cls) with Exit -> None)
+  in
   let results = ref [] in
   let infos = ref [] in
   let new_decls = ref [] in
   let counter = ref 0 in
-  let decl n =
-    match Ast.find_array prog n with Some d -> d | None -> raise Exit
-  in
   List.iter
     (fun cls ->
-      try
-        let placed =
-          List.fold_left (place (fun n -> shapes_of (decl n))) [] cls
-        in
-        let names = List.map fst placed in
-        let shapes = List.map (fun n -> shapes_of (decl n)) names in
-        let lowest = List.fold_left (fun acc (_, s) -> min acc s) 0 placed in
-        let starts = List.map (fun (_, s) -> s - lowest) placed in
-        (* Members that start together with equal leading totals keep
-           their common trailing dimensions; any other class folds
-           fully. *)
-        let kept =
-          let kept = common_suffix shapes in
-          match List.map (fun s -> leading_product s kept) shapes with
-          | p0 :: rest
-            when List.for_all (( = ) 0) starts
-                 && List.for_all (( = ) p0) rest ->
-              kept
-          | _ -> 0
-        in
-        incr counter;
-        let repl = Printf.sprintf "LIN%d" !counter in
-        let total =
-          List.fold_left2
-            (fun acc s start -> max acc (start + leading_product s kept))
-            0 shapes starts
-        in
-        let kind = (decl (List.hd names)).a_kind in
-        (* Trailing dims are shared by construction. *)
-        let trailing =
-          match shapes with
-          | s :: _ ->
-              List.filteri (fun i _ -> i >= List.length s - kept) s
-          | [] -> []
-        in
-        let dim n = { Ast.lo = Expr.Const 0; hi = Expr.Const (n - 1) } in
-        let dims = dim total :: List.map (fun sh -> dim sh.extent) trailing in
-        new_decls := Ast.Array { a_name = repl; a_kind = kind; a_dims = dims } :: !new_decls;
-        List.iter2
-          (fun (name, s) start ->
-            infos := (name, (s, kept, repl, start)) :: !infos)
-          (List.combine names shapes)
-          starts;
-        results := { members = names; repl; kept_dims = kept } :: !results
-      with Exit ->
-        let names =
-          List.fold_left
-            (fun acc (n, _) -> if List.mem n acc then acc else acc @ [ n ])
-            [] (List.concat cls)
-        in
-        results := { members = names; repl = ""; kept_dims = -1 } :: !results)
+      match fold cls with
+      | Some f ->
+          incr counter;
+          let repl = Printf.sprintf "LIN%d" !counter in
+          let kind = (decl (List.hd f.names)).a_kind in
+          new_decls :=
+            Ast.Array { a_name = repl; a_kind = kind; a_dims = f.dims }
+            :: !new_decls;
+          List.iter2
+            (fun name rw -> infos := (name, (repl, rw)) :: !infos)
+            f.names f.rewrites;
+          results :=
+            { members = f.names; repl; kept_dims = f.kept } :: !results
+      | None ->
+          results :=
+            { members = members cls; repl = ""; kept_dims = -1 } :: !results)
     (classes groups);
   let prog = rewrite_refs prog !infos in
   (* Drop the folded arrays' declarations and the handled EQUIVALENCEs;

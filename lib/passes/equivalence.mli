@@ -33,8 +33,13 @@ val linearize : Dlz_ir.Ast.program -> Dlz_ir.Ast.program * group list
     dimensions are kept; any other group (unequal totals, as the inliner
     makes for a dummy smaller than its actual, or anchors at different
     offsets) is folded fully ([kept_dims = 0]) into one 1-d array that
-    holds each member at its storage offset.  Groups with an undeclared
-    member, a non-constant bound or anchor, or two anchors that place one
+    holds each member at its storage offset.  A group with a
+    non-constant bound folds only when every member declares the same
+    dimension list (equal as expressions, as in [REAL A(0:N-1),
+    B(0:N-1)]) and is anchored at its first element: the members become
+    one array with those dimensions and every subscript stays as written
+    ([kept_dims] = the rank).  Groups with an undeclared member, any
+    other non-constant bound or anchor, or two anchors that place one
     member at different offsets are left untouched (and reported with
     [kept_dims = -1]).  Fold [PARAMETER]s first, as
     {!Pipeline.prepare} does. *)

@@ -113,6 +113,14 @@ let check_folded written prog =
   Alcotest.(check (list string)) "uncovered" []
     (show_deps (Dynamic.uncovered dyn (Analyze.deps_of_program prog)))
 
+(* Same-shape members with a symbolic bound: B(I+1) is A(I+1). *)
+let symbolic_equivalence_src =
+  "      REAL A(0:N-1), B(0:N-1)\n\
+  \      EQUIVALENCE (A, B)\n\
+  \      DO 1 I = 0, N-2\n\
+   1     A(I) = B(I+1)\n\
+  \      END\n"
+
 (* C(I) is A(I+2) through B, which both groups name. *)
 let shared_member_src =
   "      REAL A(0:9), B(0:9), C(0:9)\n\
@@ -187,6 +195,23 @@ let aliasing_units =
         check_folded
           (Dlz_frontend.F77_parser.parse shared_member_src)
           (prepare shared_member_src));
+    Alcotest.test_case "EQUIVALENCE with symbolic bounds" `Quick (fun () ->
+        let prog = Dlz_passes.Pipeline.load `F77 symbolic_equivalence_src in
+        let syms = [ ("N", 10) ] in
+        let dyn = Dynamic.dependences ~syms prog in
+        Alcotest.(check (list string)) "folded" [ "S1->S1 anti (<)" ]
+          (show_deps dyn);
+        Alcotest.(check (list string)) "as written" (show_deps dyn)
+          (show_deps
+             (Dynamic.dependences ~syms
+                (Dlz_frontend.F77_parser.parse symbolic_equivalence_src)));
+        Alcotest.(check (list string)) "static rows"
+          [ "S1:LIN1 -> S1:LIN1  (>)  (-1)  [true]" ]
+          (List.map
+             (Format.asprintf "%a" Analyze.pp_dep)
+             (Analyze.deps_of_program prog));
+        Alcotest.(check (list string)) "uncovered" []
+          (show_deps (Dynamic.uncovered dyn (Analyze.deps_of_program prog))));
     Alcotest.test_case "two inlined calls with the same actual" `Quick
       (fun () ->
         check_folded

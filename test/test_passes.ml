@@ -484,6 +484,53 @@ let equivalence_units =
             Alcotest.(check int) "not folded" (-1) g.Equivalence.kept_dims
         | _ -> Alcotest.fail "expected one merged group");
         Alcotest.(check bool) "unchanged" true (after = before));
+    Alcotest.test_case "same symbolic shape keeps every dim" `Quick
+      (fun () ->
+        (* Anchored at their first elements, written out or not. *)
+        let before =
+          Normalize.all
+            (F77.parse
+               "      REAL A(0:N-1,M), B(0:N-1,M)\n\
+               \      EQUIVALENCE (A(0,1), B)\n\
+               \      DO 1 J = 1, M\n\
+               \      DO 1 I = 0, N-2\n\
+                1     A(I,J) = B(I+1,J)\n\
+               \      END\n")
+        in
+        let after, groups = Equivalence.linearize before in
+        (match groups with
+        | [ g ] ->
+            Alcotest.(check (list string)) "members" [ "A"; "B" ]
+              g.Equivalence.members;
+            Alcotest.(check int) "keeps 2 dims" 2 g.Equivalence.kept_dims
+        | _ -> Alcotest.fail "expected one group");
+        Alcotest.(check bool) "B gone" true (Ast.find_array after "B" = None);
+        check_preserves ~syms:[ ("N", 5); ("M", 3) ] "same symbolic shape"
+          before after);
+    Alcotest.test_case "other symbolic classes left alone" `Quick (fun () ->
+        List.iter
+          (fun (what, decls, eq) ->
+            let before =
+              Normalize.all
+                (F77.parse
+                   ("      REAL " ^ decls ^ "\n\
+                    \      EQUIVALENCE " ^ eq
+                  ^ "\n\
+                     \      DO 1 I = 0, N-2\n\
+                      1     A(I) = B(I+1)\n\
+                     \      END\n"))
+            in
+            let after, groups = Equivalence.linearize before in
+            (match groups with
+            | [ g ] ->
+                Alcotest.(check int) (what ^ ": not folded") (-1)
+                  g.Equivalence.kept_dims
+            | _ -> Alcotest.fail "expected one group");
+            Alcotest.(check bool) (what ^ ": unchanged") true (after = before))
+          [
+            ("different dims", "A(0:N-1), B(0:M-1)", "(A, B)");
+            ("offset anchor", "A(0:N-1), B(0:N-1)", "(A(1), B)");
+          ]);
     Alcotest.test_case "1-based trailing dims shift" `Quick (fun () ->
         (* Trailing dims with lo=1 must be rebased to 0. *)
         let before =
