@@ -31,18 +31,23 @@ type result = {
 let abs_lt env x g = Assume.lt env x g && Assume.lt env (Poly.neg x) g
 
 (* Each coefficient's [Assume.abs] is computed once, before the sort,
-   not in every comparison. *)
+   not in every comparison; a comparison is one sign decision on the
+   difference ([Zero] exactly when the two are equal). *)
 let sort_terms env (eq : Symeq.t) =
   match eq.terms with
   | [] | [ _ ] -> eq
   | terms ->
       let heuristic c = (Poly.degree c, Intx.abs (Poly.content c)) in
       let cmp (a1, (c1, _)) (a2, (c2, _)) =
+        let by_heuristic () = Stdlib.compare (heuristic c1) (heuristic c2) in
         match (a1, a2) with
-        | Some a1, Some a2 when Assume.lt env a1 a2 -> -1
-        | Some a1, Some a2 when Assume.lt env a2 a1 -> 1
-        | Some a1, Some a2 when Poly.equal a1 a2 -> 0
-        | _ -> Stdlib.compare (heuristic c1) (heuristic c2)
+        | Some a1, Some a2 -> (
+            match Assume.sign env (Poly.sub a2 a1) with
+            | Assume.Positive -> -1
+            | Assume.Negative -> 1
+            | Assume.Zero -> 0
+            | Assume.Unknown -> by_heuristic ())
+        | _ -> by_heuristic ()
       in
       let keyed = List.map (fun ((c, _) as t) -> (Assume.abs env c, t)) terms in
       { eq with terms = List.map snd (List.stable_sort cmp keyed) }

@@ -138,12 +138,11 @@ let rec classes = function
 
 (* Adds a group to [pos], which holds each member's first element
    relative to the class's first anchor: the group's anchors share the
-   address of its member already placed.  [Exit] when the group places a
-   member elsewhere. *)
-let place shape pos group =
-  let anchored =
-    List.map (fun (n, subs) -> (n, anchor_offset (shape n) subs)) group
-  in
+   address of its member already placed.  [anchor n subs] is the offset
+   of [n]'s anchor from its first element.  [Exit] when the group places
+   a member elsewhere. *)
+let place anchor pos group =
+  let anchored = List.map (fun (n, subs) -> (n, anchor n subs)) group in
   let at =
     match List.find_opt (fun (n, _) -> List.mem_assoc n pos) anchored with
     | Some (n, a) -> List.assoc n pos + a
@@ -176,7 +175,8 @@ type fold = {
    folds the leading dimensions column-major.  [Exit] on a non-constant
    bound or anchor, or on anchors that disagree. *)
 let fold_constant decl cls =
-  let placed = List.fold_left (place (fun n -> shapes_of (decl n))) [] cls in
+  let anchor n subs = anchor_offset (shapes_of (decl n)) subs in
+  let placed = List.fold_left (place anchor) [] cls in
   let names = List.map fst placed in
   let shapes = List.map (fun n -> shapes_of (decl n)) names in
   let lowest = List.fold_left (fun acc (_, s) -> min acc s) 0 placed in
@@ -244,6 +244,59 @@ let fold_same_shape decl cls =
     rewrites = List.map (fun _ -> Fun.id) names;
   }
 
+(* Rank-1 members with constant lower bounds, extents [hi - lo] equal
+   as expressions and constant anchors lie at constant offsets of one
+   storage sequence, whatever the extent: each member at its start in
+   one array [0 : max start + extent - 1], each subscript shifted by
+   [start - lo].  [Exit] for any other class. *)
+let fold_offset decl cls =
+  let bounds n =
+    match (decl n).Ast.a_dims with
+    | [ { Ast.lo; hi } ] -> (
+        match Expr.to_const lo with
+        | Some lo ->
+            (lo, Expr.fold_consts (Expr.Bin (Expr.Sub, hi, Expr.Const lo)))
+        | None -> raise Exit)
+    | _ -> raise Exit
+  in
+  let anchor n subs =
+    let lo, _ = bounds n in
+    match subs with
+    | [] -> 0
+    | [ sb ] -> (
+        match Expr.to_const (Expr.fold_consts sb) with
+        | Some c when c >= lo -> c - lo
+        | _ -> raise Exit)
+    | _ -> raise Exit
+  in
+  let placed = List.fold_left (place anchor) [] cls in
+  let names = List.map fst placed in
+  let span = snd (bounds (List.hd names)) in
+  if not (List.for_all (fun n -> Expr.equal (snd (bounds n)) span) names)
+  then raise Exit;
+  let lowest = List.fold_left (fun acc (_, s) -> min acc s) 0 placed in
+  let starts = List.map (fun (_, s) -> s - lowest) placed in
+  let last = List.fold_left max 0 starts in
+  {
+    names;
+    dims =
+      [
+        {
+          Ast.lo = Expr.Const 0;
+          hi = Expr.fold_consts (Expr.Bin (Expr.Add, Expr.Const last, span));
+        };
+      ];
+    kept = 1;
+    rewrites =
+      List.map2
+        (fun n start subs ->
+          let shift = Expr.Const (start - fst (bounds n)) in
+          List.map
+            (fun sb -> Expr.fold_consts (Expr.Bin (Expr.Add, sb, shift)))
+            subs)
+        names starts;
+  }
+
 let linearize (prog : Ast.program) =
   let groups =
     List.concat_map
@@ -254,8 +307,9 @@ let linearize (prog : Ast.program) =
     match Ast.find_array prog n with Some d -> d | None -> raise Exit
   in
   let fold cls =
-    try Some (fold_constant decl cls)
-    with Exit -> ( try Some (fold_same_shape decl cls) with Exit -> None)
+    List.find_map
+      (fun fold -> try Some (fold decl cls) with Exit -> None)
+      [ fold_constant; fold_same_shape; fold_offset ]
   in
   let results = ref [] in
   let infos = ref [] in

@@ -38,8 +38,14 @@ val linearize : Dlz_ir.Ast.program -> Dlz_ir.Ast.program * group list
     dimension list (equal as expressions, as in [REAL A(0:N-1),
     B(0:N-1)]) and is anchored at its first element: the members become
     one array with those dimensions and every subscript stays as written
-    ([kept_dims] = the rank).  Groups with an undeclared member, any
-    other non-constant bound or anchor, or two anchors that place one
-    member at different offsets are left untouched (and reported with
-    [kept_dims = -1]).  Fold [PARAMETER]s first, as
+    ([kept_dims] = the rank).  A group of rank-1 members with constant
+    lower bounds, extents [hi - lo] equal as expressions and constant
+    anchors (as in [REAL A(0:N-1), B(0:N-1)] with
+    [EQUIVALENCE (A(1), B)]) folds into one array
+    [0 : max start + extent - 1] that holds each member at its storage
+    offset, every subscript shifted by [start - lo] ([kept_dims = 1]).
+    Groups with an undeclared member, any other non-constant bound or
+    anchor (members of extents [N] and [M] need a symbolic maximum), or
+    two anchors that place one member at different offsets are left
+    untouched (and reported with [kept_dims = -1]).  Fold [PARAMETER]s first, as
     {!Pipeline.prepare} does. *)

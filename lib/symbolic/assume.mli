@@ -9,7 +9,18 @@
     coefficients of the result — a sound, incomplete procedure that
     resolves every comparison the paper's §4 example needs, and returns
     {!sign-unknown} otherwise (the algorithm then conservatively declines
-    to split). *)
+    to split).
+
+    A linear [p] (every term of degree at most 1) is shifted once per
+    decision, in one pass over its terms that builds nothing: {!sign}
+    and {!abs} read [p > 0], [p < 0] and [p >= 0] off one summary (the
+    signs of the shifted non-constant coefficients and the shifted
+    constant).  Any other [p], or one whose summary would reach
+    [min_int] or overflow, is decided one question at a time, as
+    [p - 1 >= 0], [-p - 1 >= 0] or [p >= 0] of the polynomial rewritten
+    through {!Poly.subst}.  Either way the answers, and the
+    {!Dlz_base.Intx.Overflow}s raised, are those of the rewriting
+    procedure. *)
 
 type t
 (** An assumption environment. *)

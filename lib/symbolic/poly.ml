@@ -62,6 +62,8 @@ let const_value p =
 let terms p =
   List.rev_map (fun (m, c) -> (c, m)) (Mmap.bindings p)
 
+let fold f p init = Mmap.fold f p init
+
 let degree p =
   Mmap.fold (fun m _ acc -> max acc (Monomial.degree m)) p (-1)
 

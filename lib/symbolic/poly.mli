@@ -40,6 +40,11 @@ val const_value : t -> int
 val terms : t -> (int * Monomial.t) list
 (** Terms in descending monomial order; coefficients are nonzero. *)
 
+val fold : (Monomial.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold f p init] folds [f m c] over the terms [c·m] of [p] in
+    {e ascending} monomial order (the constant term first, then the
+    degree-1 terms by symbol name), without building a list. *)
+
 val degree : t -> int
 (** Total degree; the zero polynomial has degree [-1] by convention. *)
 

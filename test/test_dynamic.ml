@@ -121,6 +121,14 @@ let symbolic_equivalence_src =
    1     A(I) = B(I+1)\n\
   \      END\n"
 
+(* B(I+1) is A(I+2): B's first element is A(1), whatever N is. *)
+let symbolic_offset_src =
+  "      REAL A(0:N-1), B(0:N-1)\n\
+  \      EQUIVALENCE (A(1), B)\n\
+  \      DO 1 I = 0, N-3\n\
+   1     A(I) = B(I+1)\n\
+  \      END\n"
+
 (* C(I) is A(I+2) through B, which both groups name. *)
 let shared_member_src =
   "      REAL A(0:9), B(0:9), C(0:9)\n\
@@ -207,6 +215,24 @@ let aliasing_units =
                 (Dlz_frontend.F77_parser.parse symbolic_equivalence_src)));
         Alcotest.(check (list string)) "static rows"
           [ "S1:LIN1 -> S1:LIN1  (>)  (-1)  [true]" ]
+          (List.map
+             (Format.asprintf "%a" Analyze.pp_dep)
+             (Analyze.deps_of_program prog));
+        Alcotest.(check (list string)) "uncovered" []
+          (show_deps (Dynamic.uncovered dyn (Analyze.deps_of_program prog))));
+    Alcotest.test_case "symbolic EQUIVALENCE at an offset anchor" `Quick
+      (fun () ->
+        let prog = Dlz_passes.Pipeline.load `F77 symbolic_offset_src in
+        let syms = [ ("N", 10) ] in
+        let dyn = Dynamic.dependences ~syms prog in
+        Alcotest.(check (list string)) "folded" [ "S1->S1 anti (<)" ]
+          (show_deps dyn);
+        Alcotest.(check (list string)) "as written" (show_deps dyn)
+          (show_deps
+             (Dynamic.dependences ~syms
+                (Dlz_frontend.F77_parser.parse symbolic_offset_src)));
+        Alcotest.(check (list string)) "static rows"
+          [ "S1:LIN1 -> S1:LIN1  (>)  (-2)  [true]" ]
           (List.map
              (Format.asprintf "%a" Analyze.pp_dep)
              (Analyze.deps_of_program prog));

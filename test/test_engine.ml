@@ -623,6 +623,47 @@ let test_delinearize_matches_reference () =
   Alcotest.(check (list string)) "answers unlike the reference" []
     (List.rev !differ)
 
+(* --- symbolic answers pinned ------------------------------------------- *)
+
+(* Every [Engine.query] answer of the symbolic family of the oracle's
+   mixed batch (seed 1, 5,000 cases), rendered one line per case
+   (verdict, deciding strategy, direction vectors, distances) and
+   digested.  The digest was taken before [Assume] decided a comparison
+   in one pass.  A sign procedure that answered [Unknown] more often
+   would still be sound and pass every oracle check; this pin is what
+   notices the lost precision. *)
+let symbolic_answers_md5 = "1d45da1e2d3163a9e8d4e047fc6bae6e"
+
+let test_symbolic_answers_pinned () =
+  let module Eqgen = Dlz_oracle.Eqgen in
+  let module Chaos = Dlz_engine.Chaos in
+  let module Poly = Dlz_symbolic.Poly in
+  let saved = Chaos.current () in
+  Chaos.set_current None;
+  Fun.protect ~finally:(fun () -> Chaos.set_current saved) @@ fun () ->
+  let cases =
+    List.filter
+      (fun (c : Eqgen.case) -> c.family = "symbolic")
+      (Eqgen.all ~seed:1L ~count:5000)
+  in
+  let render (c : Eqgen.case) =
+    let r =
+      Engine.query ~stats:(Stats.create ()) ~cache:(Query.create_cache ())
+        ~env:c.env c.problem
+    in
+    String.concat " "
+      (c.id :: Verdict.to_string r.Strategy.verdict :: r.Strategy.decided_by
+       :: List.map Dirvec.to_string r.Strategy.dirvecs
+      @ List.map
+          (fun (l, d) -> Printf.sprintf "%d:%s" l (Poly.to_string d))
+          r.Strategy.distances)
+  in
+  let text = String.concat "\n" (List.map render cases) in
+  Alcotest.(check int) "750 symbolic cases" 750 (List.length cases);
+  Alcotest.(check string) "digest of the rendered answers"
+    symbolic_answers_md5
+    (Digest.to_hex (Digest.string text))
+
 let () =
   Alcotest.run "engine"
     [
@@ -651,6 +692,8 @@ let () =
             test_overflow_after_empty_piece;
           Alcotest.test_case "matches the per-equation reference" `Quick
             test_delinearize_matches_reference;
+          Alcotest.test_case "symbolic answers pinned" `Quick
+            test_symbolic_answers_pinned;
         ] );
       ( "presets",
         [

@@ -527,10 +527,27 @@ let equivalence_units =
                   g.Equivalence.kept_dims
             | _ -> Alcotest.fail "expected one group");
             Alcotest.(check bool) (what ^ ": unchanged") true (after = before))
-          [
-            ("different dims", "A(0:N-1), B(0:M-1)", "(A, B)");
-            ("offset anchor", "A(0:N-1), B(0:N-1)", "(A(1), B)");
-          ]);
+          [ ("different dims", "A(0:N-1), B(0:M-1)", "(A, B)") ]);
+    Alcotest.test_case "offset anchor folds" `Quick (fun () ->
+        (* B's first element is A(1): one array 0:N, B(I+1) at I+2. *)
+        let before =
+          Normalize.all
+            (F77.parse
+               "      REAL A(0:N-1), B(0:N-1)\n\
+               \      EQUIVALENCE (A(1), B)\n\
+               \      DO 1 I = 0, N-2\n\
+                1     A(I) = B(I+1)\n\
+               \      END\n")
+        in
+        let after, groups = Equivalence.linearize before in
+        (match groups with
+        | [ g ] ->
+            Alcotest.(check (list string)) "members" [ "A"; "B" ]
+              g.Equivalence.members;
+            Alcotest.(check int) "keeps 1 dim" 1 g.Equivalence.kept_dims
+        | _ -> Alcotest.fail "expected one group");
+        Alcotest.(check bool) "B gone" true (Ast.find_array after "B" = None);
+        check_preserves ~syms:[ ("N", 5) ] "offset anchor" before after);
     Alcotest.test_case "1-based trailing dims shift" `Quick (fun () ->
         (* Trailing dims with lo=1 must be rebased to 0. *)
         let before =

@@ -252,6 +252,210 @@ let assume_props =
              [ 0; 1; 3 ]);
   ]
 
+(* --- one shift per decision, against the subst-based reference ---------- *)
+
+module Intx = Dlz_base.Intx
+
+(* The procedure [Assume] used before it decided a comparison in one
+   pass, kept as the reference: each question rebuilds the shifted
+   polynomial through [Poly.subst], and [is_pos], [is_neg], [sign] and
+   [abs] ask [is_nonneg] of [p - 1], [-p - 1] and [p] in turn. *)
+module Reference = struct
+  let shifted env p =
+    List.fold_left
+      (fun q s ->
+        match Assume.lower_bound s env with
+        | None -> q
+        | Some lb -> Poly.subst s (Poly.add (Poly.const lb) (Poly.sym s)) q)
+      p (Poly.vars p)
+
+  let all_bounded env p =
+    List.for_all (fun s -> Assume.lower_bound s env <> None) (Poly.vars p)
+
+  let coeff_signs p =
+    List.fold_left
+      (fun (has_pos, has_neg, konst) (c, m) ->
+        if Monomial.is_unit m then (has_pos, has_neg, c)
+        else (has_pos || c > 0, has_neg || c < 0, konst))
+      (false, false, 0) (Poly.terms p)
+
+  let is_nonneg env p =
+    match Poly.to_const p with
+    | Some c -> c >= 0
+    | None ->
+        all_bounded env p
+        &&
+        let _, has_neg, konst = coeff_signs (shifted env p) in
+        (not has_neg) && konst >= 0
+
+  let is_pos env p = is_nonneg env (Poly.sub p Poly.one)
+  let is_nonpos env p = is_nonneg env (Poly.neg p)
+  let is_neg env p = is_pos env (Poly.neg p)
+
+  let sign env p =
+    if Poly.is_zero p then Assume.Zero
+    else if is_pos env p then Assume.Positive
+    else if is_neg env p then Assume.Negative
+    else Assume.Unknown
+
+  let lt env p q = is_pos env (Poly.sub q p)
+  let le env p q = is_nonneg env (Poly.sub q p)
+
+  let abs env p =
+    match sign env p with
+    | Assume.Zero -> Some Poly.zero
+    | Assume.Positive -> Some p
+    | Assume.Negative -> Some (Poly.neg p)
+    | Assume.Unknown -> if is_nonneg env p then Some p else None
+
+  let max2 env p q =
+    if le env q p then Some p else if le env p q then Some q else None
+end
+
+(* [Poly.pp] negates negative coefficients, which fails on [min_int]. *)
+let show p =
+  match Poly.terms p with
+  | [] -> "0"
+  | terms ->
+      String.concat " + "
+        (List.map
+           (fun (c, m) -> Format.asprintf "%d*%a" c Monomial.pp m)
+           terms)
+
+(* Every public decision on [p] (and the pair [p], [q]), rendered, with
+   [Intx.Overflow] as its own answer. *)
+let decisions ~is_nonneg ~is_pos ~is_nonpos ~is_neg ~sign ~lt ~le ~abs ~max2
+    env p q =
+  let run name f =
+    name ^ "="
+    ^ match f () with s -> s | exception Intx.Overflow _ -> "overflow"
+  in
+  let b f () = string_of_bool (f ()) in
+  let o f () = Option.fold ~none:"none" ~some:show (f ()) in
+  let sign_name () =
+    match sign env p with
+    | Assume.Zero -> "zero"
+    | Assume.Positive -> "positive"
+    | Assume.Negative -> "negative"
+    | Assume.Unknown -> "unknown"
+  in
+  [ run "is_nonneg" (b (fun () -> is_nonneg env p));
+    run "is_pos" (b (fun () -> is_pos env p));
+    run "is_nonpos" (b (fun () -> is_nonpos env p));
+    run "is_neg" (b (fun () -> is_neg env p));
+    run "sign" sign_name;
+    run "lt" (b (fun () -> lt env p q));
+    run "le" (b (fun () -> le env p q));
+    run "abs" (o (fun () -> abs env p));
+    run "max2" (o (fun () -> max2 env p q)) ]
+
+let answers_new =
+  decisions ~is_nonneg:Assume.is_nonneg ~is_pos:Assume.is_pos
+    ~is_nonpos:Assume.is_nonpos ~is_neg:Assume.is_neg ~sign:Assume.sign
+    ~lt:Assume.lt ~le:Assume.le ~abs:Assume.abs ~max2:Assume.max2
+
+let answers_reference =
+  Reference.(
+    decisions ~is_nonneg ~is_pos ~is_nonpos ~is_neg ~sign ~lt ~le ~abs ~max2)
+
+(* Integers from a mixture: small ones, and ones within a few bits of
+   [max_int] or [min_int] (the extremes themselves included). *)
+let gen_int st =
+  match Random.State.int st 4 with
+  | 0 | 1 -> Random.State.int st 13 - 6
+  | 2 ->
+      let big = max_int asr Random.State.int st 4 - Random.State.int st 3 in
+      if Random.State.bool st then big else -big
+  | _ -> if Random.State.bool st then max_int else min_int
+
+(* A polynomial of degree at most [deg] over [syms]: up to four terms,
+   each a random coefficient times a random monomial.  [None] when the
+   terms' sum itself overflows. *)
+let gen_poly st ~deg syms =
+  let monomial () =
+    let rec go d acc =
+      if d = 0 || Random.State.int st 3 = 0 then acc
+      else
+        go (d - 1)
+          ((List.nth syms (Random.State.int st (List.length syms)), 1) :: acc)
+    in
+    Monomial.of_list (go deg [])
+  in
+  match
+    Poly.sum
+      (List.init (Random.State.int st 5) (fun _ ->
+           Poly.monomial (gen_int st) (monomial ())))
+  with
+  | p -> Some p
+  | exception Intx.Overflow _ -> None
+
+(* An environment over 1-3 of [N], [M], [K]: each bounded with
+   probability 3/4, by a small bound (negative ones included) or one
+   near the extremes. *)
+let gen_env st =
+  let n = Random.State.int st 3 in
+  let syms = List.filteri (fun i _ -> i <= n) [ "N"; "M"; "K" ] in
+  let env =
+    List.fold_left
+      (fun env s ->
+        if Random.State.int st 4 = 0 then env
+        else Assume.assume_ge s (gen_int st) env)
+      Assume.empty syms
+  in
+  (syms, env)
+
+(* Hand-made cases at the edges the two procedures reach in different
+   orders: a constant of [min_int] (the reference's [p - 1] and [-p]
+   overflow), shifted constants that land on [max_int + 1] or
+   [min_int], and an unbounded symbol next to a [min_int] coefficient. *)
+let edge_cases =
+  let n = Poly.sym "N" and m = Poly.sym "M" in
+  let env = Assume.assume_ge "N" 1 (Assume.assume_ge "M" 1 Assume.empty) in
+  let c = Poly.const in
+  let only_n = Assume.assume_ge "N" 5 Assume.empty in
+  [ (env, c min_int, n);
+    (env, c max_int, c min_int);
+    (only_n, Poly.add (c min_int) n, n);
+    (env, Poly.sub (Poly.add (c max_int) n) m, m);
+    (env, Poly.add (c (max_int - 1)) n, c 1);
+    (env, Poly.sub (c (min_int + 1)) n, Poly.neg n);
+    (only_n, Poly.add (Poly.monomial min_int (Monomial.of_sym "M")) n, m);
+    (Assume.assume_ge "N" min_int Assume.empty, Poly.neg n, n);
+    (Assume.assume_ge "N" max_int Assume.empty, Poly.add n (c (-1)), n) ]
+
+let test_decisions_match_reference () =
+  let st = Random.State.make [| 30 |] in
+  let cases = ref edge_cases and made = ref 0 in
+  while !made < 20_000 do
+    let syms, env = gen_env st in
+    let deg = Random.State.int st 4 in
+    match (gen_poly st ~deg syms, gen_poly st ~deg syms) with
+    | Some p, Some q ->
+        incr made;
+        cases := (env, p, q) :: !cases
+    | _ -> ()
+  done;
+  let overflowed = ref 0 and decided = ref 0 and differ = ref [] in
+  List.iter
+    (fun (env, p, q) ->
+      let want = answers_reference env p q and got = answers_new env p q in
+      List.iter
+        (fun a ->
+          if String.ends_with ~suffix:"=overflow" a then incr overflowed;
+          if String.ends_with ~suffix:"=true" a then incr decided)
+        want;
+      if got <> want then
+        differ :=
+          Format.asprintf "p = %s, q = %s, env = %a: %s / %s" (show p)
+            (show q) Assume.pp env (String.concat " " want)
+            (String.concat " " got)
+          :: !differ)
+    !cases;
+  Alcotest.(check bool) "some answers overflow" true (!overflowed > 0);
+  Alcotest.(check bool) "some answers decided" true (!decided > 0);
+  Alcotest.(check (list string)) "answers unlike the reference" []
+    (List.rev !differ)
+
 let () =
   Alcotest.run "dlz_symbolic"
     [
@@ -260,4 +464,7 @@ let () =
       ("poly-props", List.map QCheck_alcotest.to_alcotest poly_props);
       ("assume", assume_units);
       ("assume-props", List.map QCheck_alcotest.to_alcotest assume_props);
+      ( "assume-reference",
+        [ Alcotest.test_case "decisions = subst-based reference" `Quick
+            test_decisions_match_reference ] );
     ]
