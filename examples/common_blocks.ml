@@ -2,33 +2,34 @@
 
    COMMON lays its members out consecutively, so member references are
    really offsets into one storage sequence — and "correctly working
-   programs which may be not standard conforming" rely on it.  The pass
-   makes the layout explicit (one linearized block array), the analyzer
-   then sees cross-member collisions it would otherwise miss, and
-   delinearization keeps the precision for the well-behaved references.
+   programs which may be not standard conforming" rely on it.  The
+   pipeline's storage step makes the layout explicit (one linearized
+   block array), the analyzer then sees cross-member collisions it would
+   otherwise miss, and delinearization keeps the precision for the
+   well-behaved references.  An EQUIVALENCE onto a block member joins
+   the same storage area, even where it runs past the member's end.
 
    Run with: dune exec examples/common_blocks.exe *)
 
 module Ast = Dlz_ir.Ast
 module Analyze = Dlz_engine.Analyze
 module Parallel = Dlz_vec.Parallel
-module Normalize = Dlz_passes.Normalize
-module Common_assoc = Dlz_passes.Common_assoc
+module Storage = Dlz_passes.Storage
 
 let show src =
-  let before = Normalize.all (Dlz_frontend.F77_parser.parse src) in
+  let before = Dlz_frontend.F77_parser.parse src in
   Format.printf "Source:@.%s@.@." (Ast.to_string before);
-  let after, blocks = Common_assoc.linearize before in
+  let after, areas = Dlz_passes.Pipeline.prepare before in
   List.iter
-    (fun (b : Common_assoc.block) ->
-      Format.printf "Block /%s/ -> %s, member bases: %s@." b.Common_assoc.b_name
-        b.Common_assoc.b_array
+    (fun (a : Storage.area) ->
+      Format.printf "Area {%s} -> %s, member bases: %s@."
+        (String.concat ", " a.Storage.members)
+        a.Storage.repl
         (String.concat ", "
-           (List.map
-              (fun (m, off) -> Printf.sprintf "%s@%d" m off)
-              b.Common_assoc.b_members)))
-    blocks;
-  let after = Normalize.simplify after in
+           (List.map2
+              (fun m off -> Printf.sprintf "%s@%d" m off)
+              a.Storage.members a.Storage.bases)))
+    areas;
   Format.printf "After sequence association:@.%s@.@." (Ast.to_string after);
   let deps = Analyze.deps_of_program after in
   if deps = [] then Format.printf "No dependences.@."
@@ -62,5 +63,16 @@ let () =
       COMMON /BUF/ A, B
       DO 1 I = 0, 9
 1     A(I+10) = B(I) + 1
+      END
+|};
+  (* C overlays A and runs on into B: C(I+11) is B(I+1), so each
+     iteration reads what the next one writes. *)
+  show
+    {|
+      REAL A(0:9), B(0:9), C(0:19)
+      COMMON /X/ A, B
+      EQUIVALENCE (C, A)
+      DO 1 I = 0, 8
+1     B(I) = C(I+11)
       END
 |}

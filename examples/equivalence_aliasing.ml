@@ -15,14 +15,14 @@ module Ast = Dlz_ir.Ast
 let show title src =
   Format.printf "=== %s ===@.Source:@.%s@." title src;
   let prog = Dlz_frontend.F77_parser.parse src in
-  let prog', groups = Dlz_passes.Pipeline.prepare prog in
+  let prog', areas = Dlz_passes.Pipeline.prepare prog in
   List.iter
-    (fun (g : Dlz_passes.Equivalence.group) ->
-      if g.Dlz_passes.Equivalence.kept_dims >= 0 then
+    (fun (a : Dlz_passes.Storage.area) ->
+      if a.Dlz_passes.Storage.kept_dims >= 0 then
         Format.printf "Linearized {%s} into %s, keeping %d trailing dim(s)@."
-          (String.concat ", " g.Dlz_passes.Equivalence.members)
-          g.Dlz_passes.Equivalence.repl g.Dlz_passes.Equivalence.kept_dims)
-    groups;
+          (String.concat ", " a.Dlz_passes.Storage.members)
+          a.Dlz_passes.Storage.repl a.Dlz_passes.Storage.kept_dims)
+    areas;
   Format.printf "After the pipeline:@.%s@.@." (Ast.to_string prog');
   let deps = Analyze.deps_of_program prog' in
   if deps = [] then Format.printf "Result: independent — fully parallel.@.@."

@@ -10,8 +10,8 @@
 
     - a dummy array whose declared shape equals the actual's is renamed;
     - a dummy array of a {e different} shape becomes a fresh array
-      EQUIVALENCE'd to the actual — the aliasing pass
-      ({!Equivalence.linearize}, part of the standard pipeline) then
+      EQUIVALENCE'd to the actual — storage association
+      ({!Storage.associate}, part of the standard pipeline) then
       linearizes exactly the dimensions that differ, as the standard
       prescribes and delinearization later undoes;
     - scalar dummies are substituted by their actual expressions

@@ -84,76 +84,22 @@ let build_layout ~syms (p : Ast.program) =
             { dims; block = a.a_name; base = 0 }
       | _ -> ())
     p.decls;
-  (* COMMON sequence association: members share a block at consecutive
-     base offsets. *)
-  List.iter
-    (function
-      | Ast.Common (blk, members) ->
-          let base = ref 0 in
-          List.iter
-            (fun name ->
-              match Hashtbl.find_opt arrays name with
-              | None -> ()
-              | Some info ->
-                  let sz =
-                    List.fold_left (fun acc (_, e) -> acc * e) 1 info.dims
-                  in
-                  Hashtbl.replace arrays name
-                    { info with block = "/" ^ blk; base = !base };
-                  base := !base + sz)
-            members
-      | _ -> ())
-    p.decls;
-  (* EQUIVALENCE: each member's anchor element takes the address of the
-     first member's, and the member's whole block moves with it. *)
-  let anchor (name, subs) =
-    let info = Hashtbl.find arrays name in
-    let at =
-      if subs = [] then 0 else offset name info (List.map (const name) subs)
-    in
-    (info, info.base + at)
+  let info name = Hashtbl.find arrays name in
+  let size name =
+    List.fold_left (fun acc (_, e) -> acc * e) 1 (info name).dims
+  in
+  let anchor name subs = offset name (info name) (List.map (const name) subs) in
+  let areas =
+    try Storage.layout ~size ~anchor p
+    with Storage.Conflict name -> err (Conflicting_equivalence name)
   in
   List.iter
-    (function
-      | Ast.Equivalence groups ->
-          List.iter
-            (fun group ->
-              match List.filter (fun (n, _) -> Hashtbl.mem arrays n) group with
-              | [] -> ()
-              | first :: rest ->
-                  List.iter
-                    (fun member ->
-                      let target, want = anchor first in
-                      let info, at = anchor member in
-                      if info.block <> target.block then
-                        Hashtbl.filter_map_inplace
-                          (fun _ i ->
-                            if i.block = info.block then
-                              Some
-                                {
-                                  i with
-                                  block = target.block;
-                                  base = i.base + want - at;
-                                }
-                            else Some i)
-                          arrays
-                      else if at <> want then
-                        err (Conflicting_equivalence (fst member)))
-                    rest)
-            groups
-      | _ -> ())
-    p.decls;
-  (* An anchor may place a member before the start of its block: rebase
-     every block to start at address 0. *)
-  let start = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ i ->
-      let s = Option.value (Hashtbl.find_opt start i.block) ~default:0 in
-      Hashtbl.replace start i.block (min s i.base))
-    arrays;
-  Hashtbl.filter_map_inplace
-    (fun _ i -> Some { i with base = i.base - Hashtbl.find start i.block })
-    arrays;
+    (fun (block, bases) ->
+      List.iter
+        (fun (name, base) ->
+          Hashtbl.replace arrays name { (info name) with block; base })
+        bases)
+    areas;
   arrays
 
 (* The body with each assignment numbered in program order, as

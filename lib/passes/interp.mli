@@ -8,7 +8,7 @@
     modelled FORTRAN-style: each array occupies a storage block at a
     column-major linear address; COMMON members follow each other in
     their block, and an EQUIVALENCE gives its anchor elements one
-    address, so a trace is a sequence of (block, address, read/write)
+    address (the layout is {!Storage.layout}'s), so a trace is a sequence of (block, address, read/write)
     events independent of how references are spelled — exactly the
     invariant linearization must preserve. *)
 

@@ -3,9 +3,8 @@ module Trace = Dlz_base.Trace
 let prepare p =
   let p = Normalize.all p in
   let p = Induction.substitute p in
-  let p, groups = Equivalence.linearize p in
-  let p, _blocks = Common_assoc.linearize p in
-  (Normalize.simplify p, groups)
+  let p, areas = Storage.associate p in
+  (Normalize.simplify p, areas)
 
 let prepare_program p = fst (prepare p)
 

@@ -4,11 +4,12 @@
     Order matters: parameters fold into bounds first, loops normalize to
     [0..ub] step 1 (a precondition of induction recognition and access
     extraction), induction variables turn into closed forms (creating
-    linearized references), and EQUIVALENCE groups linearize last. *)
+    linearized references), and the storage areas of COMMON and
+    EQUIVALENCE fold last, in one step. *)
 
-val prepare : Dlz_ir.Ast.program -> Dlz_ir.Ast.program * Equivalence.group list
+val prepare : Dlz_ir.Ast.program -> Dlz_ir.Ast.program * Storage.area list
 (** [fold_parameters → loop-normalize → induction-substitute →
-    equivalence-linearize → COMMON-sequence-associate → simplify]. *)
+    storage-associate → simplify], with {!Storage.associate}'s report. *)
 
 val prepare_program : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
 (** {!prepare} without the report. *)

@@ -135,15 +135,18 @@ let pp ppf p =
     let first = ref true in
     List.iter
       (fun (c, m) ->
+        (* The magnitude's digits, read off [c]'s: [-min_int] has none. *)
+        let digits = string_of_int c in
         let sign_str, mag =
-          if c < 0 then ("-", Intx.neg c) else ((if !first then "" else "+"), c)
+          if c < 0 then ("-", String.sub digits 1 (String.length digits - 1))
+          else ((if !first then "" else "+"), digits)
         in
         if not !first then Format.pp_print_char ppf ' ';
         if sign_str <> "" then
           Format.fprintf ppf "%s%s" sign_str (if !first then "" else " ");
-        if Monomial.is_unit m then Format.fprintf ppf "%d" mag
-        else if mag = 1 then Monomial.pp ppf m
-        else Format.fprintf ppf "%d*%a" mag Monomial.pp m;
+        if Monomial.is_unit m then Format.pp_print_string ppf mag
+        else if mag = "1" then Monomial.pp ppf m
+        else Format.fprintf ppf "%s*%a" mag Monomial.pp m;
         first := false)
       (terms p)
 

@@ -156,8 +156,42 @@ let same_actual_src =
    3     C(I+1) = C(I)\n\
   \      END\n"
 
+(* C overlays A and runs on into B: C(I+11) is B(I+1). *)
+let equivalence_on_common_src =
+  "      REAL A(0:9), B(0:9), C(0:19)\n\
+  \      COMMON /X/ A, B\n\
+  \      EQUIVALENCE (C, A)\n\
+  \      DO 1 I = 0, 8\n\
+   1     B(I) = C(I+11)\n\
+  \      END\n"
+
+(* C(1) is B(0), so C(0) is A(9). *)
+let offset_on_common_src =
+  "      REAL A(0:9), B(0:9), C(0:9)\n\
+  \      COMMON /X/ A, B\n\
+  \      EQUIVALENCE (C(1), B)\n\
+  \      DO 1 I = 0, 9\n\
+   1     A(I) = C(I)\n\
+  \      END\n"
+
+(* The loaded program's static rows cover the dynamic dependences of
+   the program as written: a fold that loses an alias also loses it
+   from its own dynamic side, so only this comparison sees it. *)
+let check_as_written src =
+  let dyn = Dynamic.dependences (Dlz_frontend.F77_parser.parse src) in
+  Alcotest.(check (list string)) "as written" [ "S1->S1 anti (<)" ]
+    (show_deps dyn);
+  Alcotest.(check (list string)) "uncovered" []
+    (show_deps
+       (Dynamic.uncovered dyn
+          (Analyze.deps_of_program (Dlz_passes.Pipeline.load `F77 src))))
+
 let aliasing_units =
   [
+    Alcotest.test_case "EQUIVALENCE onto a COMMON member" `Quick (fun () ->
+        check_as_written equivalence_on_common_src);
+    Alcotest.test_case "offset EQUIVALENCE onto a COMMON member" `Quick
+      (fun () -> check_as_written offset_on_common_src);
     exact_case "** with a loop-variable exponent" pow_src [];
     exact_case "DO-bound read charged to no statement" do_bound_src
       [ "S1->S3 output ()" ];

@@ -1,5 +1,5 @@
 (* Tests for dlz_passes: loop normalization, induction-variable
-   substitution, EQUIVALENCE linearization, pointer conversion, and the
+   substitution, storage association, pointer conversion, and the
    interpreter used to prove all of them semantics-preserving. *)
 
 module F77 = Dlz_frontend.F77_parser
@@ -8,7 +8,7 @@ module Ast = Dlz_ir.Ast
 module Expr = Dlz_ir.Expr
 module Normalize = Dlz_passes.Normalize
 module Induction = Dlz_passes.Induction
-module Equivalence = Dlz_passes.Equivalence
+module Storage = Dlz_passes.Storage
 module Pointers = Dlz_passes.Pointers
 module Interp = Dlz_passes.Interp
 module Pipeline = Dlz_passes.Pipeline
@@ -327,19 +327,83 @@ let induction_units =
           "paper IB" before after);
   ]
 
-(* --- EQUIVALENCE linearization ---------------------------------------------------- *)
+(* --- storage association: EQUIVALENCE ------------------------------------------- *)
+
+(* Arrays whose declaration [after] dropped but still names. *)
+let dangling before after =
+  let names = ref [] in
+  let rec expr = function
+    | Expr.Call (f, args) ->
+        names := f :: !names;
+        List.iter expr args
+    | Expr.Neg a -> expr a
+    | Expr.Bin (_, a, b) ->
+        expr a;
+        expr b
+    | Expr.Const _ | Expr.Var _ -> ()
+  in
+  Ast.iter_assigns after ~f:(fun ~loops s ->
+      List.iter (fun (_, lo, hi, step) -> List.iter expr [ lo; hi; step ]) loops;
+      List.iter
+        (fun ((r : Ast.aref), _) -> names := r.name :: !names)
+        (Ast.assign_refs s));
+  List.sort_uniq compare
+    (List.filter
+       (fun n ->
+         Ast.find_array before n <> None && Ast.find_array after n = None)
+       !names)
+
+(* A(I+1) names a 2-D array with one subscript. *)
+let wrong_rank_src =
+  "      REAL A(0:9,0:9), B(0:99)\n\
+  \      EQUIVALENCE (A, B)\n\
+  \      DO 1 I = 0, 8\n\
+   1     B(I) = A(I+1)\n\
+  \      END\n"
 
 let equivalence_units =
   [
+    Alcotest.test_case "wrong-rank reference leaves the area alone" `Quick
+      (fun () ->
+        let before = Normalize.all (F77.parse wrong_rank_src) in
+        let after, groups = Storage.associate before in
+        (match groups with
+        | [ g ] ->
+            Alcotest.(check int) "not folded" (-1) g.Storage.kept_dims
+        | _ -> Alcotest.fail "expected one area");
+        Alcotest.(check bool) "unchanged" true (after = before));
+    Alcotest.test_case "no reference outlives its declaration" `Quick
+      (fun () ->
+        List.iter
+          (fun src ->
+            let before = F77.parse src in
+            Alcotest.(check (list string)) "dangling" []
+              (dangling before (Pipeline.prepare_program before)))
+          [
+            wrong_rank_src;
+            "      REAL A(0:9), B(0:9), C(0:19)\n\
+             \      COMMON /X/ A, B\n\
+             \      EQUIVALENCE (C, A)\n\
+             \      DO 1 I = 0, 8\n\
+              1     B(I) = C(I+11)\n\
+             \      END\n";
+            "      REAL A(0:9), B(0:9), M(0:1)\n\
+             \      EQUIVALENCE (A, B, M)\n\
+             \      DO 1 I = 0, M(1)\n\
+              1     A(I) = B(I)\n\
+             \      END\n";
+            Dlz_driver.Fragments.equivalence_2d;
+            Dlz_driver.Fragments.equivalence_4d;
+          ]);
     Alcotest.test_case "full linearization (2-D)" `Quick (fun () ->
         let before = F77.parse Dlz_driver.Fragments.equivalence_2d in
         let before = Normalize.all before in
-        let after, groups = Equivalence.linearize before in
+        let after, groups = Storage.associate before in
         (match groups with
         | [ g ] ->
-            Alcotest.(check int) "keeps 0 dims" 0 g.Equivalence.kept_dims;
+            Alcotest.(check int) "keeps 0 dims" 0 g.Storage.kept_dims;
             Alcotest.(check (list string)) "members" [ "A"; "B" ]
-              g.Equivalence.members
+              g.Storage.members
         | _ -> Alcotest.fail "expected one group");
         (* A and B declarations replaced by the linearized array. *)
         Alcotest.(check bool) "A gone" true (Ast.find_array after "A" = None);
@@ -348,9 +412,9 @@ let equivalence_units =
         let before =
           Normalize.all (F77.parse Dlz_driver.Fragments.equivalence_4d)
         in
-        let after, groups = Equivalence.linearize before in
+        let after, groups = Storage.associate before in
         (match groups with
-        | [ g ] -> Alcotest.(check int) "keeps 2 dims" 2 g.Equivalence.kept_dims
+        | [ g ] -> Alcotest.(check int) "keeps 2 dims" 2 g.Storage.kept_dims
         | _ -> Alcotest.fail "expected one group");
         (* IFUN is opaque to the interpreter but deterministic, so the
            trace comparison still holds. *)
@@ -366,9 +430,9 @@ let equivalence_units =
                 1     A(I) = B(I+1)\n\
                \      END\n")
         in
-        let after, groups = Equivalence.linearize before in
+        let after, groups = Storage.associate before in
         (match groups with
-        | [ g ] -> Alcotest.(check int) "fully folded" 0 g.Equivalence.kept_dims
+        | [ g ] -> Alcotest.(check int) "fully folded" 0 g.Storage.kept_dims
         | _ -> Alcotest.fail "expected one group");
         Alcotest.(check bool) "B gone" true (Ast.find_array after "B" = None);
         check_preserves "mismatched totals" before after);
@@ -388,11 +452,11 @@ let equivalence_units =
                       1     A(I) = B(I) + A(I+2)\n\
                      \      END\n"))
             in
-            let after, groups = Equivalence.linearize before in
+            let after, groups = Storage.associate before in
             (match groups with
             | [ g ] ->
                 Alcotest.(check int) (eq ^ " fully folded") 0
-                  g.Equivalence.kept_dims
+                  g.Storage.kept_dims
             | _ -> Alcotest.fail "expected one group");
             check_preserves eq before after)
           [ "(A(2), B)"; "(A, B(3))"; "(A(1), B(1))" ]);
@@ -410,12 +474,12 @@ let equivalence_units =
                 1     A(I,J) = B(I,2*J+1) + C(I+10*J)\n\
                \      END\n")
         in
-        let after, groups = Equivalence.linearize before in
+        let after, groups = Storage.associate before in
         (match groups with
         | [ g ] ->
             Alcotest.(check (list string)) "members" [ "A"; "B"; "C" ]
-              g.Equivalence.members;
-            Alcotest.(check int) "fully folded" 0 g.Equivalence.kept_dims
+              g.Storage.members;
+            Alcotest.(check int) "fully folded" 0 g.Storage.kept_dims
         | _ -> Alcotest.fail "one group");
         check_preserves "three members" before after);
     Alcotest.test_case "groups sharing a member fold together" `Quick
@@ -430,12 +494,12 @@ let equivalence_units =
                 1     A(I) = B(I+1) + C(I)\n\
                \      END\n")
         in
-        let after, groups = Equivalence.linearize before in
+        let after, groups = Storage.associate before in
         (match groups with
         | [ g ] ->
             Alcotest.(check (list string)) "members" [ "A"; "B"; "C" ]
-              g.Equivalence.members;
-            Alcotest.(check int) "fully folded" 0 g.Equivalence.kept_dims
+              g.Storage.members;
+            Alcotest.(check int) "fully folded" 0 g.Storage.kept_dims
         | _ -> Alcotest.fail "expected one merged group");
         check_preserves "shared member" before after);
     Alcotest.test_case "two inlined calls with the same actual" `Quick
@@ -461,11 +525,11 @@ let equivalence_units =
                    3     C(I+1) = C(I)\n\
                   \      END\n"))
         in
-        let after, groups = Equivalence.linearize before in
+        let after, groups = Storage.associate before in
         (match groups with
         | [ g ] ->
             Alcotest.(check (list string)) "members" [ "A"; "B__1"; "C__2" ]
-              g.Equivalence.members
+              g.Storage.members
         | _ -> Alcotest.fail "expected one merged group");
         check_preserves "same actual twice" before after);
     Alcotest.test_case "conflicting anchors left alone" `Quick (fun () ->
@@ -478,10 +542,10 @@ let equivalence_units =
                \      A(1) = C(1)\n\
                \      END\n")
         in
-        let after, groups = Equivalence.linearize before in
+        let after, groups = Storage.associate before in
         (match groups with
         | [ g ] ->
-            Alcotest.(check int) "not folded" (-1) g.Equivalence.kept_dims
+            Alcotest.(check int) "not folded" (-1) g.Storage.kept_dims
         | _ -> Alcotest.fail "expected one merged group");
         Alcotest.(check bool) "unchanged" true (after = before));
     Alcotest.test_case "same symbolic shape keeps every dim" `Quick
@@ -497,12 +561,12 @@ let equivalence_units =
                 1     A(I,J) = B(I+1,J)\n\
                \      END\n")
         in
-        let after, groups = Equivalence.linearize before in
+        let after, groups = Storage.associate before in
         (match groups with
         | [ g ] ->
             Alcotest.(check (list string)) "members" [ "A"; "B" ]
-              g.Equivalence.members;
-            Alcotest.(check int) "keeps 2 dims" 2 g.Equivalence.kept_dims
+              g.Storage.members;
+            Alcotest.(check int) "keeps 2 dims" 2 g.Storage.kept_dims
         | _ -> Alcotest.fail "expected one group");
         Alcotest.(check bool) "B gone" true (Ast.find_array after "B" = None);
         check_preserves ~syms:[ ("N", 5); ("M", 3) ] "same symbolic shape"
@@ -520,11 +584,11 @@ let equivalence_units =
                       1     A(I) = B(I+1)\n\
                      \      END\n"))
             in
-            let after, groups = Equivalence.linearize before in
+            let after, groups = Storage.associate before in
             (match groups with
             | [ g ] ->
                 Alcotest.(check int) (what ^ ": not folded") (-1)
-                  g.Equivalence.kept_dims
+                  g.Storage.kept_dims
             | _ -> Alcotest.fail "expected one group");
             Alcotest.(check bool) (what ^ ": unchanged") true (after = before))
           [ ("different dims", "A(0:N-1), B(0:M-1)", "(A, B)") ]);
@@ -539,12 +603,12 @@ let equivalence_units =
                 1     A(I) = B(I+1)\n\
                \      END\n")
         in
-        let after, groups = Equivalence.linearize before in
+        let after, groups = Storage.associate before in
         (match groups with
         | [ g ] ->
             Alcotest.(check (list string)) "members" [ "A"; "B" ]
-              g.Equivalence.members;
-            Alcotest.(check int) "keeps 1 dim" 1 g.Equivalence.kept_dims
+              g.Storage.members;
+            Alcotest.(check int) "keeps 1 dim" 1 g.Storage.kept_dims
         | _ -> Alcotest.fail "expected one group");
         Alcotest.(check bool) "B gone" true (Ast.find_array after "B" = None);
         check_preserves ~syms:[ ("N", 5) ] "offset anchor" before after);
@@ -561,9 +625,9 @@ let equivalence_units =
                \      ENDDO\n\
                \      END\n")
         in
-        let after, groups = Equivalence.linearize before in
+        let after, groups = Storage.associate before in
         (match groups with
-        | [ g ] -> Alcotest.(check int) "keeps 1 dim" 1 g.Equivalence.kept_dims
+        | [ g ] -> Alcotest.(check int) "keeps 1 dim" 1 g.Storage.kept_dims
         | _ -> Alcotest.fail "group");
         check_preserves "rebased" before after);
   ]
@@ -729,7 +793,7 @@ let linearize_units =
         check_preserves "constant offset" linear reshaped);
   ]
 
-(* --- COMMON sequence association ---------------------------------------------- *)
+(* --- storage association: COMMON ------------------------------------------------ *)
 
 let common_units =
   [
@@ -745,12 +809,12 @@ let common_units =
                \      ENDDO\n\
                \      END\n")
         in
-        let after, blocks = Dlz_passes.Common_assoc.linearize before in
-        (match blocks with
+        let after, areas = Storage.associate before in
+        (match areas with
         | [ b ] ->
             Alcotest.(check (list (pair string int)))
               "bases" [ ("A", 0); ("B", 10) ]
-              b.Dlz_passes.Common_assoc.b_members
+              (List.combine b.Storage.members b.Storage.bases)
         | _ -> Alcotest.fail "one block expected");
         Alcotest.(check bool) "B ref at base 10" true
           (contains (Ast.to_string after) "CBBLK(10+I)");
@@ -769,8 +833,7 @@ let common_units =
         in
         (* NB: A(I+10) is out of A's declared range; sequence association
            legitimizes it as an access to the block. *)
-        let prog, _ = Dlz_passes.Common_assoc.linearize
-            (Normalize.all (F77.parse src)) in
+        let prog, _ = Storage.associate (Normalize.all (F77.parse src)) in
         let deps = Dlz_engine.Analyze.deps_of_program (Normalize.simplify prog) in
         Alcotest.(check bool) "dependence found" true (deps <> []));
     Alcotest.test_case "multi-dimensional members linearize column-major"
@@ -783,7 +846,7 @@ let common_units =
                \      A(1,1) = B(2)\n\
                \      END\n")
         in
-        let after, _ = Dlz_passes.Common_assoc.linearize before in
+        let after, _ = Storage.associate before in
         (* A(1,1) = 1 + 1*3 = 4; B(2) = 6 + 2 = 8. *)
         Alcotest.(check bool) "A(1,1) -> CBC2(4)" true
           (contains (Ast.to_string after) "CBC2(4)");
@@ -800,10 +863,39 @@ let common_units =
                \      A(1) = B(2)\n\
                \      END\n")
         in
-        let after, blocks = Dlz_passes.Common_assoc.linearize before in
-        Alcotest.(check int) "no blocks handled" 0 (List.length blocks);
+        let after, areas = Storage.associate before in
+        Alcotest.(check int) "no blocks handled" 0
+          (List.length (List.filter (fun a -> a.Storage.kept_dims >= 0) areas));
+        Alcotest.(check (list int)) "reported unfolded" [ -1 ]
+          (List.map (fun a -> a.Storage.kept_dims) areas);
         Alcotest.(check bool) "A survives" true
           (Ast.find_array after "A" <> None));
+    Alcotest.test_case "EQUIVALENCE onto a member joins the block" `Quick
+      (fun () ->
+        (* C overlays A and runs on into B. *)
+        let before =
+          Normalize.all
+            (F77.parse
+               "      REAL A(0:9), B(0:9), C(0:19)\n\
+               \      COMMON /X/ A, B\n\
+               \      EQUIVALENCE (C, A)\n\
+               \      DO 1 I = 0, 8\n\
+                1     B(I) = C(I+11)\n\
+               \      END\n")
+        in
+        let after, areas = Storage.associate before in
+        (match areas with
+        | [ a ] ->
+            Alcotest.(check string) "area" "CBX" a.Storage.repl;
+            Alcotest.(check (list (pair string int)))
+              "bases" [ ("A", 0); ("B", 10); ("C", 0) ]
+              (List.combine a.Storage.members a.Storage.bases)
+        | _ -> Alcotest.fail "one folded area expected");
+        Alcotest.(check bool) "C(I+11) -> CBX(I+11)" true
+          (contains (Ast.to_string after) "CBX(I+11)");
+        Alcotest.(check bool) "COMMON lists CBX" true
+          (List.mem (Ast.Common ("X", [ "CBX" ])) after.Ast.decls);
+        check_preserves "EQUIVALENCE onto a member" before after);
   ]
 
 (* --- procedure inlining / argument association --------------------------------- *)

@@ -104,6 +104,15 @@ let poly_units =
         Alcotest.(check int) "neg" (-1)
           (Poly.leading_sign (Poly.sub n (Poly.mul n n)));
         Alcotest.(check int) "zero" 0 (Poly.leading_sign Poly.zero));
+    Alcotest.test_case "printing min_int coefficients" `Quick (fun () ->
+        Alcotest.(check string) "constant" "-4611686018427387904"
+          (Poly.to_string (Poly.const min_int));
+        Alcotest.(check string) "on a monomial"
+          "-4611686018427387904*N - 4611686018427387904"
+          (Poly.to_string
+             (Poly.add (Poly.scale min_int n) (Poly.const min_int)));
+        Alcotest.(check string) "after a term" "N^2 - 4611686018427387904*N"
+          (Poly.to_string (Poly.add (Poly.mul n n) (Poly.scale min_int n))));
     Alcotest.test_case "printing" `Quick (fun () ->
         Alcotest.(check string) "zero" "0" (Poly.to_string Poly.zero);
         Alcotest.(check string) "descending" "N^2 + N - 2"
@@ -312,16 +321,6 @@ module Reference = struct
     if le env q p then Some p else if le env p q then Some q else None
 end
 
-(* [Poly.pp] negates negative coefficients, which fails on [min_int]. *)
-let show p =
-  match Poly.terms p with
-  | [] -> "0"
-  | terms ->
-      String.concat " + "
-        (List.map
-           (fun (c, m) -> Format.asprintf "%d*%a" c Monomial.pp m)
-           terms)
-
 (* Every public decision on [p] (and the pair [p], [q]), rendered, with
    [Intx.Overflow] as its own answer. *)
 let decisions ~is_nonneg ~is_pos ~is_nonpos ~is_neg ~sign ~lt ~le ~abs ~max2
@@ -331,7 +330,7 @@ let decisions ~is_nonneg ~is_pos ~is_nonpos ~is_neg ~sign ~lt ~le ~abs ~max2
     ^ match f () with s -> s | exception Intx.Overflow _ -> "overflow"
   in
   let b f () = string_of_bool (f ()) in
-  let o f () = Option.fold ~none:"none" ~some:show (f ()) in
+  let o f () = Option.fold ~none:"none" ~some:Poly.to_string (f ()) in
   let sign_name () =
     match sign env p with
     | Assume.Zero -> "zero"
@@ -446,8 +445,8 @@ let test_decisions_match_reference () =
         want;
       if got <> want then
         differ :=
-          Format.asprintf "p = %s, q = %s, env = %a: %s / %s" (show p)
-            (show q) Assume.pp env (String.concat " " want)
+          Format.asprintf "p = %s, q = %s, env = %a: %s / %s" (Poly.to_string p)
+            (Poly.to_string q) Assume.pp env (String.concat " " want)
             (String.concat " " got)
           :: !differ)
     !cases;
