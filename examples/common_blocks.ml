@@ -27,7 +27,8 @@ let show src =
         a.Storage.repl
         (String.concat ", "
            (List.map2
-              (fun m off -> Printf.sprintf "%s@%d" m off)
+              (fun m off ->
+                Printf.sprintf "%s@%s" m (Dlz_symbolic.Poly.to_string off))
               a.Storage.members a.Storage.bases)))
     areas;
   Format.printf "After sequence association:@.%s@.@." (Ast.to_string after);

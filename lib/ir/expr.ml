@@ -95,24 +95,27 @@ let of_poly p =
         (fun (s, e) -> List.init e (fun _ -> Var s))
         (Monomial.to_list m)
     in
+    (* [min_int] has no magnitude: that term keeps its sign. *)
+    let neg = c < 0 && c <> min_int in
+    let mag = if neg then -c else c in
     let base =
       match factors with
-      | [] -> Const (Intx.abs c)
+      | [] -> Const mag
       | f0 :: fs ->
           let prod = List.fold_left (fun acc f -> Bin (Mul, acc, f)) f0 fs in
-          if Intx.abs c = 1 then prod else Bin (Mul, Const (Intx.abs c), prod)
+          if mag = 1 then prod else Bin (Mul, Const mag, prod)
     in
-    (Stdlib.compare c 0, base)
+    (neg, base)
   in
   match Poly.terms p with
   | [] -> Const 0
   | t0 :: ts ->
-      let sgn0, e0 = term_expr t0 in
-      let init = if sgn0 < 0 then Neg e0 else e0 in
+      let neg0, e0 = term_expr t0 in
+      let init = if neg0 then Neg e0 else e0 in
       List.fold_left
         (fun acc t ->
-          let sgn, e = term_expr t in
-          if sgn < 0 then Bin (Sub, acc, e) else Bin (Add, acc, e))
+          let neg, e = term_expr t in
+          if neg then Bin (Sub, acc, e) else Bin (Add, acc, e))
         init ts
 
 (* Precedence: Add/Sub = 1, Mul/Div = 2, Neg = 3, atoms = 4. *)

@@ -6,6 +6,7 @@
 val describe : exn -> string option
 (** The message for an expected input error — a parse error, a
     pointer or inlining construct outside the supported subset, a
+    storage area {!Storage.associate} refuses, a
     [Failure] from a pass, or a pass's 63-bit {!Dlz_base.Intx.Overflow}
     or {!Dlz_base.Intx.Div_by_zero} — and [None] for any other
     exception. *)

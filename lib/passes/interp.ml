@@ -91,7 +91,8 @@ let build_layout ~syms (p : Ast.program) =
   let anchor name subs = offset name (info name) (List.map (const name) subs) in
   let areas =
     try Storage.layout ~size ~anchor p
-    with Storage.Conflict name -> err (Conflicting_equivalence name)
+    with Storage.Error (Storage.Conflict name) ->
+      err (Conflicting_equivalence name)
   in
   List.iter
     (fun (block, bases) ->

@@ -1,14 +1,21 @@
 module Ast = Dlz_ir.Ast
 module Expr = Dlz_ir.Expr
+module Poly = Dlz_symbolic.Poly
+module Assume = Dlz_symbolic.Assume
 
 type area = {
   members : string list;
-  bases : int list;
+  bases : Poly.t list;
   repl : string;
   kept_dims : int;
 }
 
-exception Conflict of string
+type error =
+  | Conflict of string
+  | Two_blocks of string * string
+  | Unplaced of string
+
+exception Error of error
 
 (* What joins arrays into one storage sequence: a COMMON block (its
    statements concatenated, as F77 does) or an EQUIVALENCE group. *)
@@ -70,10 +77,11 @@ let regions (p : Ast.program) =
 
 (* Each member's base: a block's members follow each other, and every
    EQUIVALENCE anchor takes the address of its group's first; an anchor
-   joining two units moves the whole of one.  Rebased to start at 0. *)
-let place ~size ~anchor r =
+   joining two units moves the whole of one.  Rebased to start at 0, the
+   lowest base decided under [env]. *)
+let place ~env ~size ~anchor r =
   let at = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace at n (n, 0)) r.members;
+  List.iter (fun n -> Hashtbl.replace at n (n, Poly.zero)) r.members;
   List.iter
     (function
       | Block (blk, ms) ->
@@ -82,14 +90,14 @@ let place ~size ~anchor r =
                (fun base n ->
                  if Hashtbl.mem at n then (
                    Hashtbl.replace at n ("/" ^ blk, base);
-                   base + size n)
+                   Poly.add base (size n))
                  else base)
-               0 ms)
+               Poly.zero ms)
       | Group _ -> ())
     r.links;
   let addr (n, subs) =
     let unit, base = Hashtbl.find at n in
-    (unit, if subs = [] then base else base + anchor n subs)
+    (unit, if subs = [] then base else Poly.add base (anchor n subs))
   in
   List.iter
     (function
@@ -103,15 +111,24 @@ let place ~size ~anchor r =
                   if unit <> target then
                     Hashtbl.filter_map_inplace
                       (fun _ (u, b) ->
-                        if u = unit then Some (target, b + want - got)
+                        if u = unit then
+                          Some (target, Poly.add b (Poly.sub want got))
                         else Some (u, b))
                       at
-                  else if got <> want then raise (Conflict (fst m)))
+                  else if not (Poly.equal got want) then
+                    raise (Error (Conflict (fst m))))
                 rest)
       | Block _ -> ())
     r.links;
-  let lowest = Hashtbl.fold (fun _ (_, b) acc -> min acc b) at 0 in
-  List.map (fun n -> (n, snd (Hashtbl.find at n) - lowest)) r.members
+  let bases = List.map (fun n -> snd (Hashtbl.find at n)) r.members in
+  let candidates = Poly.zero :: bases in
+  match
+    List.find_opt
+      (fun b -> List.for_all (Assume.le env b) candidates)
+      candidates
+  with
+  | Some lowest -> List.map (fun b -> Poly.sub b lowest) bases
+  | None -> raise (Error (Unplaced (List.hd r.members)))
 
 let blocks r =
   List.filter_map (function Block (b, _) -> Some b | Group _ -> None) r.links
@@ -122,236 +139,146 @@ let layout ~size ~anchor p =
       let name =
         match blocks r with b :: _ -> "/" ^ b | [] -> List.hd r.members
       in
-      (name, place ~size ~anchor r))
+      let bases =
+        place ~env:Assume.empty
+          ~size:(fun n -> Poly.const (size n))
+          ~anchor:(fun n subs -> Poly.const (anchor n subs))
+          r
+      in
+      (name, List.combine r.members (List.map Poly.const_value bases)))
     (regions p)
 
 (* --- folding -------------------------------------------------------------- *)
 
-type shape = { lo : int; extent : int }
 (* One dimension: declared [lo : lo+extent-1]. *)
+type dim = { lo : Poly.t; extent : Poly.t }
 
-let shapes_of (a : Ast.array_decl) =
-  List.map
-    (fun (d : Ast.dim) ->
-      match (Expr.to_const d.lo, Expr.to_const d.hi) with
-      | Some l, Some h when h >= l -> { lo = l; extent = h - l + 1 }
-      | _ -> raise Exit)
-    a.a_dims
+let size dims =
+  List.fold_left (fun acc d -> Poly.mul acc d.extent) Poly.one dims
 
-(* Longest trailing run of dimensions with identical extents across all
-   member shapes (ranks may differ: compare from the end). *)
-let common_suffix shapes_list =
-  match shapes_list with
-  | [] -> 0
-  | first :: rest ->
-      let extents s = List.rev_map (fun d -> d.extent) s in
-      let firsts = extents first in
-      let min_rank =
-        List.fold_left
-          (fun acc s -> min acc (List.length s))
-          (List.length first) rest
-      in
-      let rec run k =
-        if k >= min_rank then k
-        else
-          let ok =
-            List.for_all
-              (fun s -> List.nth (extents s) k = List.nth firsts k)
-              rest
-          in
-          if ok then run (k + 1) else k
-      in
-      (* Never keep every dimension of every member: at least one leading
-         dimension must fold or there is nothing to do. *)
-      min (run 0) (min_rank - 1)
+let leading kept l = List.filteri (fun i _ -> i < List.length l - kept) l
+let trailing kept l = List.filteri (fun i _ -> i >= List.length l - kept) l
+let expr p = Expr.fold_consts (Expr.of_poly p)
 
-let leading_product shapes kept =
-  let lead = List.filteri (fun i _ -> i < List.length shapes - kept) shapes in
-  List.fold_left (fun acc d -> acc * d.extent) 1 lead
+(* [e] of member [n] as a polynomial over its symbols. *)
+let poly n e =
+  match
+    Dlz_ir.Affine.of_expr ~is_loop_var:(fun _ -> false) (Expr.fold_consts e)
+  with
+  | Some f -> Dlz_ir.Affine.konst f
+  | None -> raise (Error (Unplaced n))
 
-(* Column-major linear offset of the leading subscripts (0-based), from
-   the member's base [start]. *)
-let linear_subscript start shapes kept subs =
-  let n = List.length shapes in
-  let lead_n = n - kept in
-  let rec go i stride acc shapes subs =
-    if i >= lead_n then acc
-    else
-      match (shapes, subs) with
-      | sh :: shs, sb :: sbs ->
-          let zero_based =
-            Expr.fold_consts (Expr.Bin (Expr.Sub, sb, Expr.Const sh.lo))
-          in
-          let term =
-            Expr.fold_consts
-              (Expr.Bin (Expr.Mul, Expr.Const stride, zero_based))
-          in
-          go (i + 1) (stride * sh.extent)
-            (Expr.fold_consts (Expr.Bin (Expr.Add, acc, term)))
-            shs sbs
-      | _ -> failwith "linear_subscript: arity mismatch"
-  in
-  go 0 1 (Expr.Const start) shapes subs
+(* Folds [term acc dim stride sub] over [dims] and [subs] from [init],
+   each stride the product of the extents before it: column-major. *)
+let column_major term init dims subs =
+  fst
+    (List.fold_left2
+       (fun (acc, stride) d sb ->
+         (term acc d stride sb, Poly.mul stride d.extent))
+       (init, Poly.one) dims subs)
 
-(* Offset of a member's anchor element from its first element; [Exit]
-   unless the anchor is a constant element of the declared shape. *)
-let anchor_offset shapes subs =
-  if List.length subs <> List.length shapes then raise Exit
-  else
-    List.fold_left2
-      (fun (acc, stride) sh sb ->
-        match Expr.to_const (Expr.fold_consts sb) with
-        | Some c when c >= sh.lo && c < sh.lo + sh.extent ->
-            (acc + ((c - sh.lo) * stride), stride * sh.extent)
-        | _ -> raise Exit)
-      (0, 1) shapes subs
-    |> fst
-
-(* The trailing subscripts a fold keeps, rebased to 0. *)
-let trailing_subs shapes kept subs =
-  let lead_n = List.length shapes - kept in
-  List.filteri (fun i _ -> i >= lead_n) (List.combine subs shapes)
-  |> List.map (fun (sb, sh) ->
-         Expr.fold_consts (Expr.Bin (Expr.Sub, sb, Expr.Const sh.lo)))
-
-(* A fold of a region: the dimensions of the replacement array, how many
-   of them are kept member dimensions, and each member's base and
-   subscript rewrite, in member order. *)
+(* The dimensions of an area's replacement array, how many of them are
+   kept member dimensions, and each member's base and subscript rewrite,
+   in member order. *)
 type fold = {
   dims : Ast.dim list;
   kept : int;
-  bases : int list;
+  bases : Poly.t list;
   rewrites : (Expr.t list -> Expr.t list) list;
 }
 
-(* Constant bounds: each member at its base in one array that folds the
-   leading dimensions column-major.  [Exit] on a non-constant bound or
-   anchor. *)
-let fold_constant decl r =
-  let shapes = List.map (fun n -> shapes_of (decl n)) r.members in
+(* One fold for every area: each member at its base, its leading
+   dimensions column-major in the first subscript of one array that keeps
+   the trailing dimensions every member shares, when all start together
+   with equal leading totals.  Bounds, bases and the total are
+   polynomials, compared under the facts that every declared extent is
+   at least 1. *)
+let fold decl r =
+  let shapes =
+    List.map
+      (fun n ->
+        List.map
+          (fun (d : Ast.dim) ->
+            let lo = poly n d.lo in
+            { lo; extent = Poly.add (Poly.sub (poly n d.hi) lo) Poly.one })
+          (decl n).Ast.a_dims)
+      r.members
+  in
   let shape n = List.assoc n (List.combine r.members shapes) in
-  let size n = leading_product (shape n) 0 in
-  let starts =
-    List.map snd
-      (place ~size ~anchor:(fun n subs -> anchor_offset (shape n) subs) r)
-  in
-  (* Members that start together with equal leading totals keep their
-     common trailing dimensions; any other region folds fully. *)
-  let kept =
-    let kept = common_suffix shapes in
-    match List.map (fun s -> leading_product s kept) shapes with
-    | p0 :: rest
-      when List.for_all (( = ) 0) starts && List.for_all (( = ) p0) rest ->
-        kept
-    | _ -> 0
-  in
-  let total =
-    List.fold_left2
-      (fun acc s start -> max acc (start + leading_product s kept))
-      0 shapes starts
-  in
-  (* Trailing dims are shared by construction. *)
-  let trailing =
-    match shapes with
-    | s :: _ -> List.filteri (fun i _ -> i >= List.length s - kept) s
-    | [] -> []
-  in
-  let dim n = { Ast.lo = Expr.Const 0; hi = Expr.Const (n - 1) } in
-  {
-    dims = dim total :: List.map (fun sh -> dim sh.extent) trailing;
-    kept;
-    bases = starts;
-    rewrites =
-      List.map2
-        (fun s start subs ->
-          linear_subscript start s kept subs :: trailing_subs s kept subs)
-        shapes starts;
-  }
-
-(* Members that declare Expr-equal dimensions and are all anchored at
-   their first element overlay each other element for element, whatever
-   the bounds: they become one array with those dimensions, every
-   subscript as written.  [Exit] for any other region. *)
-let fold_same_shape decl r =
-  let dims = (decl (List.hd r.members)).Ast.a_dims in
-  let same (a : Ast.dim) (b : Ast.dim) =
-    Expr.equal a.lo b.lo && Expr.equal a.hi b.hi
-  in
-  let at_base subs =
-    subs = []
-    || List.length subs = List.length dims
-       && List.for_all2
-            (fun sb (d : Ast.dim) ->
-              Expr.equal (Expr.fold_consts sb) (Expr.fold_consts d.lo))
-            subs dims
-  in
-  List.iter
-    (function
-      | Block _ -> raise Exit
-      | Group g ->
-          List.iter
-            (fun (n, subs) ->
-              if not (List.equal same (decl n).Ast.a_dims dims && at_base subs)
-              then raise Exit)
-            g)
-    r.links;
-  {
-    dims;
-    kept = List.length dims;
-    bases = List.map (fun _ -> 0) r.members;
-    rewrites = List.map (fun _ -> Fun.id) r.members;
-  }
-
-(* Rank-1 members with constant lower bounds, extents [hi - lo] equal
-   as expressions and constant anchors lie at constant offsets of one
-   storage sequence, whatever the extent: each member at its base in
-   one array [0 : max base + extent - 1], each subscript shifted by
-   [base - lo].  [Exit] for any other region, and for any COMMON
-   block, whose offsets would be symbolic. *)
-let fold_offset decl r =
-  let bounds n =
-    match (decl n).Ast.a_dims with
-    | [ { Ast.lo; hi } ] -> (
-        match Expr.to_const lo with
-        | Some lo ->
-            (lo, Expr.fold_consts (Expr.Bin (Expr.Sub, hi, Expr.Const lo)))
-        | None -> raise Exit)
-    | _ -> raise Exit
+  let env =
+    List.fold_left
+      (fun env d -> Assume.assume_nonneg (Poly.sub d.extent Poly.one) env)
+      Assume.empty (List.concat shapes)
   in
   let anchor n subs =
-    let lo, _ = bounds n in
-    match subs with
-    | [ sb ] -> (
-        match Expr.to_const (Expr.fold_consts sb) with
-        | Some c when c >= lo -> c - lo
-        | _ -> raise Exit)
-    | _ -> raise Exit
+    if List.length subs <> List.length (shape n) then
+      raise (Error (Unplaced n));
+    column_major
+      (fun acc d stride sb ->
+        Poly.add acc (Poly.mul stride (Poly.sub (poly n sb) d.lo)))
+      Poly.zero (shape n) subs
   in
-  let starts =
-    List.map snd (place ~size:(fun _ -> raise Exit) ~anchor r)
+  let bases = place ~env ~size:(fun n -> size (shape n)) ~anchor r in
+  (* Longest trailing run of Poly-equal extents (ranks may differ, so
+     compare from the end), short of every dimension of a member. *)
+  let kept =
+    let rev = List.map List.rev shapes in
+    let min_rank =
+      List.fold_left (fun m s -> min m (List.length s)) max_int rev
+    in
+    let extent k s = (List.nth s k).extent in
+    let rec run k =
+      if
+        k < min_rank - 1
+        && List.for_all
+             (fun s -> Poly.equal (extent k s) (extent k (List.hd rev)))
+             rev
+      then run (k + 1)
+      else k
+    in
+    let k = run 0 in
+    match List.map (fun s -> size (leading k s)) shapes with
+    | p0 :: rest
+      when List.for_all Poly.is_zero bases
+           && List.for_all (Poly.equal p0) rest ->
+        k
+    | _ -> 0
   in
-  let span = snd (bounds (List.hd r.members)) in
-  if not (List.for_all (fun n -> Expr.equal (snd (bounds n)) span) r.members)
-  then raise Exit;
-  let last = List.fold_left max 0 starts in
+  let ends =
+    List.map2 (fun s b -> Poly.add b (size (leading kept s))) shapes bases
+  in
+  (* The largest end, or their sum when none provably dominates. *)
+  let total =
+    match
+      List.fold_left
+        (fun acc e -> Option.bind acc (Assume.max2 env e))
+        (Some (List.hd ends)) (List.tl ends)
+    with
+    | Some t -> t
+    | None -> Poly.sum ends
+  in
+  let dim n = { Ast.lo = Expr.Const 0; hi = expr (Poly.sub n Poly.one) } in
+  let rewrite s base subs =
+    let linear =
+      column_major
+        (fun acc d stride sb ->
+          let zero_based = Expr.Bin (Expr.Sub, sb, expr d.lo) in
+          let term = Expr.Bin (Expr.Mul, expr stride, zero_based) in
+          Expr.Bin (Expr.Add, acc, term))
+        (expr base) (leading kept s) (leading kept subs)
+    in
+    Expr.fold_consts linear
+    :: List.map2
+         (fun d sb -> Expr.fold_consts (Expr.Bin (Expr.Sub, sb, expr d.lo)))
+         (trailing kept s) (trailing kept subs)
+  in
   {
     dims =
-      [
-        {
-          Ast.lo = Expr.Const 0;
-          hi = Expr.fold_consts (Expr.Bin (Expr.Add, Expr.Const last, span));
-        };
-      ];
-    kept = 1;
-    bases = starts;
-    rewrites =
-      List.map2
-        (fun n start subs ->
-          let shift = Expr.Const (start - fst (bounds n)) in
-          List.map
-            (fun sb -> Expr.fold_consts (Expr.Bin (Expr.Add, sb, shift)))
-            subs)
-        r.members starts;
+      dim total
+      :: List.map (fun d -> dim d.extent) (trailing kept (List.hd shapes));
+    kept;
+    bases;
+    rewrites = List.map2 rewrite shapes bases;
   }
 
 (* Rewrites every array reference of the program, in assignments and in
@@ -377,11 +304,11 @@ let map_refs f (p : Ast.program) =
     p
 
 let associate (p : Ast.program) =
-  match List.filter (fun r -> List.length r.members >= 2) (regions p) with
+  match regions p with
   | [] -> (p, [])
-  | regions ->
+  | all ->
       let decl n = Option.get (Ast.find_array p n) in
-      let members = List.concat_map (fun r -> r.members) regions in
+      let members = List.concat_map (fun r -> r.members) all in
       (* Members referenced with a subscript count other than their rank. *)
       let wrong_rank = Hashtbl.create 4 in
       ignore
@@ -394,16 +321,26 @@ let associate (p : Ast.program) =
              (n, subs))
            p);
       let fold r =
+        (match blocks r with
+        | x :: y :: _ -> raise (Error (Two_blocks (x, y)))
+        | _ -> ());
         if
           List.for_all (fun n -> Ast.find_array p n <> None)
             (List.concat_map names r.links)
-          && List.length (blocks r) <= 1
           && not (List.exists (Hashtbl.mem wrong_rank) r.members)
-        then
-          List.find_map
-            (fun fold -> try Some (fold decl r) with Exit | Conflict _ -> None)
-            [ fold_constant; fold_same_shape; fold_offset ]
+        then Some (fold decl r)
         else None
+      in
+      (* A lone member stays as it is, but its anchors must agree. *)
+      let regions =
+        List.filter
+          (fun r ->
+            match r.members with
+            | [ _ ] ->
+                (try ignore (fold r) with Error (Unplaced _) -> ());
+                false
+            | _ -> true)
+          all
       in
       let lin = ref 0 in
       let folded, areas =

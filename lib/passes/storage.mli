@@ -11,10 +11,11 @@
     compared through that sequence; delinearization then recovers the
     per-member precision.
 
-    This module holds the layout rules once.  {!layout} places every
-    member of every area, and both {!Interp} (which executes the layout
-    exactly) and {!associate} (which makes it explicit in the program)
-    read it.  Following the paper's advice, [associate] linearizes only
+    This module holds the layout rules once, over polynomial offsets:
+    {!layout} places every member of every area with constant sizes for
+    {!Interp} (which executes the layout exactly), and {!associate}
+    places them with symbolic ones to make the layout explicit in the
+    program.  Following the paper's advice, [associate] linearizes only
     the dimensions that differ: in
 
     {v REAL A(0:9,0:9)  REAL B(0:4,0:19)  EQUIVALENCE (A, B) v}
@@ -28,16 +29,28 @@ type area = {
   members : string list;
       (** The declared arrays of the area, in order of first appearance
           in its COMMON and EQUIVALENCE statements. *)
-  bases : int list;
+  bases : Dlz_symbolic.Poly.t list;
       (** Each member's offset in [repl], in elements of [repl]'s first
-          dimension; [[]] when the area is left unfolded. *)
+          dimension (a polynomial in the program's symbols); [[]] when
+          the area is left unfolded. *)
   repl : string;  (** The replacement array; [""] when unfolded. *)
   kept_dims : int;
       (** Trailing member dimensions [repl] keeps; [-1] when unfolded. *)
 }
 
-exception Conflict of string
-(** Two EQUIVALENCE anchors place the named array at two addresses. *)
+type error =
+  | Conflict of string
+      (** Two EQUIVALENCE anchors place the named array at two
+          addresses. *)
+  | Two_blocks of string * string
+      (** An area joins COMMON blocks [x] and [y], which F77 forbids. *)
+  | Unplaced of string
+      (** The named member has a bound or anchor that is not a
+          polynomial or an anchor of the wrong subscript count, or it
+          is the first member of an area whose lowest base
+          {!Dlz_symbolic.Assume} cannot decide. *)
+
+exception Error of error
 
 val layout :
   size:(string -> int) ->
@@ -52,32 +65,30 @@ val layout :
     follow each other, and each EQUIVALENCE anchor element takes the
     address of its group's first one.  [size a] is [a]'s element count
     and [anchor a subs] the offset of the element [a(subs)] from [a]'s
-    first; names that no array declaration gives are skipped.  Raises
-    {!Conflict}, or whatever [size] and [anchor] raise. *)
+    first; names that no array declaration gives are skipped.  The same
+    rules place {!associate}'s symbolic bases.  Raises [Error (Conflict
+    _)], or whatever [size] and [anchor] raise. *)
 
 val associate : Dlz_ir.Ast.program -> Dlz_ir.Ast.program * area list
 (** Folds every storage area of two or more members into one array and
-    reports each such area, folded or not.  Members that start together
-    with equal leading totals keep their common trailing dimensions
-    (the leading ones fold column-major into the first subscript); any
-    other area with constant bounds and anchors folds into one 1-d array
-    that holds each member at its base ([kept_dims = 0]).  An area
-    without COMMON whose bounds are symbolic folds in two cases: every
-    member declares the same dimension list (equal as expressions) and
-    is anchored at its first element (one array with those dimensions,
-    subscripts as written, [kept_dims] = the rank); or every member has
-    rank 1, a constant lower bound, an extent [hi - lo] equal as an
-    expression and constant anchors (one array
-    [0 : max base + extent - 1], each subscript shifted by
-    [base - lo], [kept_dims = 1]).  An area that holds a COMMON block
-    [X] becomes [CBX], and [X]'s COMMON statement lists only [CBX]; any
+    reports each such area, by one rule over polynomial bounds: each
+    member sits at its base (placed as {!layout} places it), its leading
+    dimensions fold column-major into the first subscript, and members
+    that start together with equal leading totals keep the trailing
+    dimensions whose extents are equal polynomials (the paper's partial
+    linearization).  Bases, strides and the replacement's extent are
+    polynomials compared under the facts that every declared extent is
+    at least 1: the extent is the largest member end, or the sum of the
+    ends when none provably dominates (members [A(0:N-1)] and
+    [B(0:M-1)] give [0 : N+M-1]).  An area that holds a COMMON block [X]
+    becomes [CBX], and [X]'s COMMON statement lists only [CBX]; any
     other becomes [LINk], [k] counting from 1.
 
     An area stays as written ([kept_dims = -1]) when a statement of it
-    names an array no declaration gives, a member is referenced with a
-    subscript count other than its rank, two anchors place a member at
-    two addresses, it joins two COMMON blocks, or its offsets would be
-    symbolic (a COMMON block or EQUIVALENCE of non-constant size,
-    extents [N] and [M] needing a symbolic maximum).  A program without
-    COMMON or EQUIVALENCE comes back as it is.  Fold [PARAMETER]s first,
-    as {!Pipeline.prepare} does. *)
+    names an array no declaration gives or a member is referenced with
+    a subscript count other than its rank.  An area that joins two
+    COMMON blocks, places a member at two addresses, or whose bases
+    cannot be placed raises {!Error}; of an array alone in its area,
+    which stays as it is, only the first two are checked.  A program
+    without COMMON or EQUIVALENCE comes back as it is.  Fold
+    [PARAMETER]s first, as {!Pipeline.prepare} does. *)

@@ -174,13 +174,40 @@ let offset_on_common_src =
    1     A(I) = C(I)\n\
   \      END\n"
 
+(* A(0:N-1,0:N-1) and B(0:N*N-1) share storage: B(J*N+I+1) is
+   A(I+1,J), so the fold's column-major A(I,J) must meet B's subscript. *)
+let symbolic_ranks_src =
+  "      REAL A(0:N-1,0:N-1), B(0:N*N-1)\n\
+  \      EQUIVALENCE (A, B)\n\
+  \      DO 1 J = 0, N-1\n\
+  \      DO 1 I = 0, N-2\n\
+   1     A(I,J) = B(J*N+I+1)\n\
+  \      END\n"
+
+(* Neither extent dominates the other: B(I+1) is A(I+1). *)
+let symbolic_extents_src =
+  "      REAL A(0:N-1), B(0:M-1)\n\
+  \      EQUIVALENCE (A, B)\n\
+  \      DO 1 I = 0, N-2\n\
+   1     A(I) = B(I+1)\n\
+  \      END\n"
+
+(* A block of symbolic size: B starts at N+1, so C(I+N+2) is B(I+1). *)
+let symbolic_common_src =
+  "      REAL A(0:N), B(0:4), C(0:N+5)\n\
+  \      COMMON /X/ A, B\n\
+  \      EQUIVALENCE (C, A)\n\
+  \      DO 1 I = 0, 3\n\
+   1     B(I) = C(I+N+2)\n\
+  \      END\n"
+
 (* The loaded program's static rows cover the dynamic dependences of
-   the program as written: a fold that loses an alias also loses it
-   from its own dynamic side, so only this comparison sees it. *)
-let check_as_written src =
-  let dyn = Dynamic.dependences (Dlz_frontend.F77_parser.parse src) in
-  Alcotest.(check (list string)) "as written" [ "S1->S1 anti (<)" ]
-    (show_deps dyn);
+   the program as written, which are [expected]: a fold that loses an
+   alias also loses it from its own dynamic side, so only this
+   comparison sees it. *)
+let check_as_written ?syms ?(expected = [ "S1->S1 anti (<)" ]) src =
+  let dyn = Dynamic.dependences ?syms (Dlz_frontend.F77_parser.parse src) in
+  Alcotest.(check (list string)) "as written" expected (show_deps dyn);
   Alcotest.(check (list string)) "uncovered" []
     (show_deps
        (Dynamic.uncovered dyn
@@ -192,6 +219,22 @@ let aliasing_units =
         check_as_written equivalence_on_common_src);
     Alcotest.test_case "offset EQUIVALENCE onto a COMMON member" `Quick
       (fun () -> check_as_written offset_on_common_src);
+    Alcotest.test_case "symbolic EQUIVALENCE of different ranks" `Quick
+      (fun () ->
+        check_as_written ~syms:[ ("N", 4) ] ~expected:[ "S1->S1 anti (=, <)" ]
+          symbolic_ranks_src;
+        (* Delinearization splits I + N*J back: a row per dimension. *)
+        Alcotest.(check (list string)) "static rows"
+          [ "S1:LIN1 -> S1:LIN1  (=, >)  (0, -1)  [true]" ]
+          (List.map
+             (Format.asprintf "%a" Analyze.pp_dep)
+             (Analyze.deps_of_program
+                (Dlz_passes.Pipeline.load `F77 symbolic_ranks_src))));
+    Alcotest.test_case "symbolic EQUIVALENCE of different extents" `Quick
+      (fun () ->
+        check_as_written ~syms:[ ("N", 10); ("M", 10) ] symbolic_extents_src);
+    Alcotest.test_case "COMMON block of symbolic size" `Quick (fun () ->
+        check_as_written ~syms:[ ("N", 3) ] symbolic_common_src);
     exact_case "** with a loop-variable exponent" pow_src [];
     exact_case "DO-bound read charged to no statement" do_bound_src
       [ "S1->S3 output ()" ];
@@ -319,6 +362,121 @@ let carrying_level (v : Dirvec.t) =
   in
   go 0
 
+(* Random storage areas: 2-4 arrays of rank 1 or 2 whose extents are
+   constants or N, M, N+1 (each at least 3 at the sampled sizes), some
+   in COMMON blocks, some EQUIVALENCEd at constant anchors, under a
+   2x2 nest whose references reach both ends of every dimension. *)
+let storage_program =
+  let open QCheck.Gen in
+  let names = [ "A"; "B"; "C"; "D" ] in
+  let dim =
+    pair (int_range 0 1) (oneofl [ "3"; "4"; "6"; "N"; "M"; "N+1" ])
+  in
+  let hi (lo, e) =
+    match int_of_string_opt e with
+    | Some e -> string_of_int (lo + e - 1)
+    | None -> if lo = 1 then e else e ^ "-1"
+  in
+  let decl (n, dims) =
+    n ^ "("
+    ^ String.concat ","
+        (List.map (fun d -> Printf.sprintf "%d:%s" (fst d) (hi d)) dims)
+    ^ ")"
+  in
+  let anchor (n, dims) =
+    oneof
+      [
+        return n;
+        map
+          (fun cs ->
+            n ^ "("
+            ^ String.concat ","
+                (List.map2 (fun (lo, _) c -> string_of_int (lo + c)) dims cs)
+            ^ ")")
+          (list_repeat (List.length dims) (int_range 0 1));
+      ]
+  in
+  let reference (n, dims) =
+    map
+      (fun subs -> n ^ "(" ^ String.concat "," subs ^ ")")
+      (flatten_l
+         (List.map
+            (fun ((lo, _) as d) ->
+              map2
+                (fun far v ->
+                  if far then hi d ^ "-(" ^ v ^ ")"
+                  else string_of_int lo ^ "+" ^ v)
+                bool
+                (oneofl [ "I"; "J"; "I+J" ]))
+            dims))
+  in
+  int_range 2 4 >>= fun k ->
+  let arrays = List.filteri (fun i _ -> i < k) names in
+  list_repeat k (list_size (int_range 1 2) dim) >>= fun shapes ->
+  let arrays = List.combine arrays shapes in
+  let pick = oneofl arrays in
+  let distinct n = shuffle_l arrays >|= List.filteri (fun i _ -> i < n) in
+  frequency [ (2, return 0); (2, return 1); (1, return 2) ] >>= fun nb ->
+  list_repeat nb (int_range 1 3 >>= distinct) >>= fun blocks ->
+  list_size (int_range 0 2)
+    (int_range 2 (min 3 k) >>= distinct >>= fun g ->
+     flatten_l (List.map anchor g))
+  >>= fun groups ->
+  let groups =
+    if blocks = [] && groups = [] then [ [ "A"; "B" ] ] else groups
+  in
+  list_size (int_range 1 2) (pair pick (list_size (int_range 1 2) pick))
+  >>= fun stmts ->
+  flatten_l
+    (List.map
+       (fun (lhs, rhs) ->
+         map2
+           (fun l rs ->
+             Printf.sprintf "      %s = %s\n" l (String.concat "+" rs))
+           (reference lhs)
+           (flatten_l (List.map reference rhs)))
+       stmts)
+  >>= fun body ->
+  pair (int_range 3 5) (int_range 3 5) >>= fun (n, m) ->
+  let src =
+    "      REAL "
+    ^ String.concat ", " (List.map decl arrays)
+    ^ "\n"
+    ^ String.concat ""
+        (List.mapi
+           (fun i ms ->
+             Printf.sprintf "      COMMON /%c/ %s\n"
+               (Char.chr (Char.code 'X' + i))
+               (String.concat ", " (List.map fst ms)))
+           blocks)
+    ^ (if groups = [] then ""
+       else
+         "      EQUIVALENCE "
+         ^ String.concat ", "
+             (List.map (fun g -> "(" ^ String.concat ", " g ^ ")") groups)
+         ^ "\n")
+    ^ "      DO I = 0, 1\n      DO J = 0, 1\n" ^ String.concat "" body
+    ^ "      ENDDO\n      ENDDO\n      END\n"
+  in
+  return (src, [ ("N", n); ("M", m) ])
+
+let storage_prop =
+  QCheck.Test.make ~name:"storage areas fold or are refused" ~count:300
+    (QCheck.make
+       ~print:(fun (src, syms) ->
+         src
+         ^ String.concat " "
+             (List.map (fun (s, v) -> Printf.sprintf "%s=%d" s v) syms))
+       storage_program)
+    (fun (src, syms) ->
+      match Dlz_passes.Pipeline.load `F77 src with
+      | exception Dlz_passes.Storage.Error _ -> true
+      | prog ->
+          Dynamic.uncovered
+            (Dynamic.dependences ~syms (Dlz_frontend.F77_parser.parse src))
+            (Analyze.deps_of_program prog)
+          = [])
+
 let props =
   let arb_seed =
     QCheck.make
@@ -416,5 +574,10 @@ let () =
       ("fragments", fragment_units);
       ("aliasing", aliasing_units);
       ("polybench", polybench_units);
-      ("props", List.map QCheck_alcotest.to_alcotest props);
+      ( "props",
+        List.map QCheck_alcotest.to_alcotest props
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 33 |])
+              storage_prop;
+          ] );
     ]

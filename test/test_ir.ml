@@ -62,6 +62,19 @@ let expr_units =
         let e = Expr.of_poly p in
         let env = function "N" -> 5 | "K" -> 2 | _ -> 0 in
         Alcotest.(check int) "same value" (Poly.eval env p) (Expr.eval env e));
+    Alcotest.test_case "of_poly renders min_int coefficients" `Quick
+      (fun () ->
+        let env = function "N" -> 1 | _ -> 0 in
+        List.iter
+          (fun p ->
+            Alcotest.(check int) (Poly.to_string p) (Poly.eval env p)
+              (Expr.eval env (Expr.of_poly p)))
+          [
+            Poly.const min_int;
+            Poly.scale min_int (Poly.sym "N");
+            Poly.add (Poly.sym "N") (Poly.const min_int);
+            Poly.add (Poly.scale min_int (Poly.sym "N")) (Poly.const 5);
+          ]);
   ]
 
 (* --- affine forms ---------------------------------------------------------- *)

@@ -353,6 +353,15 @@ let dangling before after =
          Ast.find_array before n <> None && Ast.find_array after n = None)
        !names)
 
+(* [src] is refused through the one front door, with [msg]. *)
+let refused msg src =
+  match Pipeline.load `F77 src with
+  | exception (Storage.Error _ as e) ->
+      Alcotest.(check (option string)) "refused"
+        (Some ("storage association: " ^ msg))
+        (Dlz_passes.Input_error.describe e)
+  | _ -> Alcotest.fail "expected a storage refusal"
+
 (* A(I+1) names a 2-D array with one subscript. *)
 let wrong_rank_src =
   "      REAL A(0:9,0:9), B(0:99)\n\
@@ -532,23 +541,27 @@ let equivalence_units =
               g.Storage.members
         | _ -> Alcotest.fail "expected one merged group");
         check_preserves "same actual twice" before after);
-    Alcotest.test_case "conflicting anchors left alone" `Quick (fun () ->
+    Alcotest.test_case "conflicting anchors refused" `Quick (fun () ->
         (* The groups place C at A(2) and at A(3). *)
-        let before =
-          Normalize.all
-            (F77.parse
-               "      REAL A(0:9), B(0:9), C(0:9)\n\
-               \      EQUIVALENCE (A, B), (B(2), C), (A(3), C)\n\
-               \      A(1) = C(1)\n\
-               \      END\n")
-        in
-        let after, groups = Storage.associate before in
-        (match groups with
-        | [ g ] ->
-            Alcotest.(check int) "not folded" (-1) g.Storage.kept_dims
-        | _ -> Alcotest.fail "expected one merged group");
-        Alcotest.(check bool) "unchanged" true (after = before));
-    Alcotest.test_case "same symbolic shape keeps every dim" `Quick
+        refused "EQUIVALENCE places C at two addresses"
+          "      REAL A(0:9), B(0:9), C(0:9)\n\
+          \      EQUIVALENCE (A, B), (B(2), C), (A(3), C)\n\
+          \      A(1) = C(1)\n\
+          \      END\n";
+        (* A lone array is never folded, but its anchors must agree. *)
+        refused "EQUIVALENCE places A at two addresses"
+          "      REAL A(0:9)\n\
+          \      EQUIVALENCE (A(1), A)\n\
+          \      A(1) = A(2)\n\
+          \      END\n");
+    Alcotest.test_case "undecidable lowest base refused" `Quick (fun () ->
+        (* B starts at N-4, before or after A depending on N. *)
+        refused "cannot place A"
+          "      REAL A(0:N-1,0:3), B(0:9)\n\
+          \      EQUIVALENCE (A(1,1), B(5))\n\
+          \      A(1,1) = B(1)\n\
+          \      END\n");
+    Alcotest.test_case "same symbolic shape keeps the trailing dim" `Quick
       (fun () ->
         (* Anchored at their first elements, written out or not. *)
         let before =
@@ -566,32 +579,33 @@ let equivalence_units =
         | [ g ] ->
             Alcotest.(check (list string)) "members" [ "A"; "B" ]
               g.Storage.members;
-            Alcotest.(check int) "keeps 2 dims" 2 g.Storage.kept_dims
+            Alcotest.(check int) "keeps 1 dim" 1 g.Storage.kept_dims
         | _ -> Alcotest.fail "expected one group");
         Alcotest.(check bool) "B gone" true (Ast.find_array after "B" = None);
         check_preserves ~syms:[ ("N", 5); ("M", 3) ] "same symbolic shape"
           before after);
-    Alcotest.test_case "other symbolic classes left alone" `Quick (fun () ->
-        List.iter
-          (fun (what, decls, eq) ->
-            let before =
-              Normalize.all
-                (F77.parse
-                   ("      REAL " ^ decls ^ "\n\
-                    \      EQUIVALENCE " ^ eq
-                  ^ "\n\
-                     \      DO 1 I = 0, N-2\n\
-                      1     A(I) = B(I+1)\n\
-                     \      END\n"))
-            in
-            let after, groups = Storage.associate before in
-            (match groups with
-            | [ g ] ->
-                Alcotest.(check int) (what ^ ": not folded") (-1)
-                  g.Storage.kept_dims
-            | _ -> Alcotest.fail "expected one group");
-            Alcotest.(check bool) (what ^ ": unchanged") true (after = before))
-          [ ("different dims", "A(0:N-1), B(0:M-1)", "(A, B)") ]);
+    Alcotest.test_case "different symbolic extents fold" `Quick (fun () ->
+        (* Neither N nor M provably dominates: the sum of the ends. *)
+        let before =
+          Normalize.all
+            (F77.parse
+               "      REAL A(0:N-1), B(0:M-1)\n\
+               \      EQUIVALENCE (A, B)\n\
+               \      DO 1 I = 0, N-2\n\
+                1     A(I) = B(I+1)\n\
+               \      END\n")
+        in
+        let after, groups = Storage.associate before in
+        (match groups with
+        | [ g ] ->
+            Alcotest.(check int) "fully folded" 0 g.Storage.kept_dims;
+            Alcotest.(check (list string)) "bases" [ "0"; "0" ]
+              (List.map Dlz_symbolic.Poly.to_string g.Storage.bases)
+        | _ -> Alcotest.fail "expected one group");
+        Alcotest.(check bool) "LIN1(0:N+M-1)" true
+          (contains (Ast.to_string after) "LIN1(0:N+M-1)");
+        check_preserves ~syms:[ ("N", 5); ("M", 7) ] "different extents"
+          before after);
     Alcotest.test_case "offset anchor folds" `Quick (fun () ->
         (* B's first element is A(1): one array 0:N, B(I+1) at I+2. *)
         let before =
@@ -608,7 +622,7 @@ let equivalence_units =
         | [ g ] ->
             Alcotest.(check (list string)) "members" [ "A"; "B" ]
               g.Storage.members;
-            Alcotest.(check int) "keeps 1 dim" 1 g.Storage.kept_dims
+            Alcotest.(check int) "fully folded" 0 g.Storage.kept_dims
         | _ -> Alcotest.fail "expected one group");
         Alcotest.(check bool) "B gone" true (Ast.find_array after "B" = None);
         check_preserves ~syms:[ ("N", 5) ] "offset anchor" before after);
@@ -795,6 +809,10 @@ let linearize_units =
 
 (* --- storage association: COMMON ------------------------------------------------ *)
 
+let bases (a : Storage.area) =
+  List.combine a.Storage.members
+    (List.map Dlz_symbolic.Poly.to_string a.Storage.bases)
+
 let common_units =
   [
     Alcotest.test_case "members become offsets in one block array" `Quick
@@ -812,9 +830,9 @@ let common_units =
         let after, areas = Storage.associate before in
         (match areas with
         | [ b ] ->
-            Alcotest.(check (list (pair string int)))
-              "bases" [ ("A", 0); ("B", 10) ]
-              (List.combine b.Storage.members b.Storage.bases)
+            Alcotest.(check (list (pair string string)))
+              "bases" [ ("A", "0"); ("B", "10") ]
+              (bases b)
         | _ -> Alcotest.fail "one block expected");
         Alcotest.(check bool) "B ref at base 10" true
           (contains (Ast.to_string after) "CBBLK(10+I)");
@@ -853,8 +871,7 @@ let common_units =
         Alcotest.(check bool) "B(2) -> CBC2(8)" true
           (contains (Ast.to_string after) "CBC2(8)");
         check_preserves "md members" before after);
-    Alcotest.test_case "symbolic member bounds leave the block alone" `Quick
-      (fun () ->
+    Alcotest.test_case "symbolic member bounds fold" `Quick (fun () ->
         let before =
           Normalize.all
             (F77.parse
@@ -864,12 +881,26 @@ let common_units =
                \      END\n")
         in
         let after, areas = Storage.associate before in
-        Alcotest.(check int) "no blocks handled" 0
-          (List.length (List.filter (fun a -> a.Storage.kept_dims >= 0) areas));
-        Alcotest.(check (list int)) "reported unfolded" [ -1 ]
-          (List.map (fun a -> a.Storage.kept_dims) areas);
-        Alcotest.(check bool) "A survives" true
-          (Ast.find_array after "A" <> None));
+        (match areas with
+        | [ a ] ->
+            Alcotest.(check (list (pair string string)))
+              "bases" [ ("A", "0"); ("B", "N + 1") ] (bases a);
+            Alcotest.(check int) "fully folded" 0 a.Storage.kept_dims
+        | _ -> Alcotest.fail "one block expected");
+        Alcotest.(check bool) "CBBLK(0:N+5)" true
+          (contains (Ast.to_string after) "CBBLK(0:N+5)");
+        Alcotest.(check bool) "A gone" true (Ast.find_array after "A" = None);
+        check_preserves ~syms:[ ("N", 3) ] "symbolic block" before after);
+    Alcotest.test_case "EQUIVALENCE joining two blocks refused" `Quick
+      (fun () ->
+        refused "one area joins COMMON blocks /X/ and /Y/"
+          "      REAL A(0:3), B(1:6)\n\
+          \      COMMON /X/ A\n\
+          \      COMMON /Y/ B\n\
+          \      EQUIVALENCE (B(3), A)\n\
+          \      DO 1 I = 0, 2\n\
+           1     B(I+2) = A(I)\n\
+          \      END\n");
     Alcotest.test_case "EQUIVALENCE onto a member joins the block" `Quick
       (fun () ->
         (* C overlays A and runs on into B. *)
@@ -887,9 +918,9 @@ let common_units =
         (match areas with
         | [ a ] ->
             Alcotest.(check string) "area" "CBX" a.Storage.repl;
-            Alcotest.(check (list (pair string int)))
-              "bases" [ ("A", 0); ("B", 10); ("C", 0) ]
-              (List.combine a.Storage.members a.Storage.bases)
+            Alcotest.(check (list (pair string string)))
+              "bases" [ ("A", "0"); ("B", "10"); ("C", "0") ]
+              (bases a)
         | _ -> Alcotest.fail "one folded area expected");
         Alcotest.(check bool) "C(I+11) -> CBX(I+11)" true
           (contains (Ast.to_string after) "CBX(I+11)");
