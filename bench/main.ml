@@ -273,12 +273,13 @@ let e8_linearity_bound = 6.0
 
 (* Delinearization over the Banerjee filter on the corpus pairs, the
    whole strategy, which computes direction vectors, against a filter
-   that only screens.  Seven runs of this arm gave
-   7.26-7.85, median 7.53 (2-core host, OCaml 5.1.1; direction vectors
-   met as lists gave 16.2-17.6, and a hierarchy that re-derived every
-   bound per node 29.6-33.4); the bound is 1.5x that median, rounded
-   up. *)
-let e8_corpus_bound = 12.0
+   that only screens.  Seven runs of this arm gave 3.30-3.57, median
+   3.51 (2-core host, OCaml 5.1.1); the bound is 1.5x that median,
+   rounded up to one decimal.  Earlier figures: 7.26-7.85 when the
+   bound was last set, 16.2-17.6 with direction vectors met as lists,
+   and 29.6-33.4 with a hierarchy that re-derived every bound per
+   node. *)
+let e8_corpus_bound = 5.3
 
 (* The delinearize strategy over [classic], the hierarchy it refines,
    on the same pairs: both compute direction vectors, so this is the
@@ -442,9 +443,6 @@ let perf_smoke () =
   Dlz_engine.Engine.reset_metrics ();
   Trace.set_mask (Some [ "pool" ]);
   Trace.set_level Trace.Full;
-  (* A domain's first event allocates its ring buffer, a few ms on a
-     slow host: record one before the maps so that no map pays it. *)
-  Trace.instant ~cat:"pool" "perf-smoke.start";
   Fun.protect
     ~finally:(fun () ->
       Trace.set_level level;

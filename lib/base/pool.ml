@@ -74,6 +74,7 @@ let map width f arr =
         else
           match
             Domain.spawn (fun () ->
+                Trace.prepare_domain ();
                 Trace.with_span ~cat:"pool" "pool.worker" (fun () ->
                     drain ignore))
           with

@@ -18,7 +18,6 @@ let level_state =
     | Some s -> ( match level_of_string s with Some l -> l | None -> Off))
 
 let level () = Atomic.get level_state
-let set_level l = Atomic.set level_state l
 let timing_on () = Atomic.get level_state <> Off
 let recording_on () = Atomic.get level_state = Full
 
@@ -189,6 +188,16 @@ let dls_key =
       b)
 
 let buffer () = Domain.DLS.get dls_key
+
+(* A ring costs a few ms to allocate, so it is allocated where no span
+   is being timed: here, for the domain that turns recording on, and at
+   the start of a pool helper.  Any other domain allocates its ring at
+   its first record. *)
+let prepare_domain () = if recording_on () then ignore (buffer () : buffer)
+
+let set_level l =
+  Atomic.set level_state l;
+  prepare_domain ()
 
 (* Phase bytes in the ring. *)
 let ph_b = '\000'

@@ -39,6 +39,14 @@ type level =
 
 val level : unit -> level
 val set_level : level -> unit
+(** Sets the level; at [Full], also allocates the calling domain's ring
+    buffer (see {!prepare_domain}). *)
+
+val prepare_domain : unit -> unit
+(** Allocates the calling domain's ring buffer now if recording is on,
+    so that no span it times later pays for the allocation (a few ms).
+    {!set_level} calls it; a pool helper calls it before its first
+    span. *)
 
 val timing_on : unit -> bool
 (** [level () <> Off]. *)
@@ -153,8 +161,9 @@ val instant :
 (** {1 Buffers} *)
 
 val set_buffer_capacity : int -> unit
-(** Ring capacity (events) for buffers of domains that first record
-    {e after} this call; existing buffers keep their size.  Rounded up
+(** Ring capacity (events) for buffers allocated {e after} this call
+    (by {!set_level}, {!prepare_domain} or a domain's first record);
+    existing buffers keep their size.  Rounded up
     to a power of two (index masking keeps the push path division
     free).  Default 65536, or [DLZ_TRACE_BUF].  When a ring wraps, the
     oldest events are overwritten and counted as dropped. *)

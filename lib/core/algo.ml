@@ -180,20 +180,6 @@ let run ?(policy = Optimal) ~n_common ~common_ubs eq =
 
 (* --- a whole numeric problem: one hierarchy walk ------------------------ *)
 
-(* Whether no walk over [piece] can overflow.  Every value GCD- and
-   Banerjee-with-directions form for it (a merged coefficient [a+b], a
-   pair's vertex values, the running sum from [c0]) is at most
-   [|c0| + Σ|c|·max ub] in absolute value. *)
-let walk_safe (piece : Depeq.t) =
-  let rec bound s u = function
-    | [] -> Intx.add (Intx.abs piece.c0) (Intx.mul s u)
-    | (t : Depeq.term) :: rest ->
-        bound (Intx.add s (Intx.abs t.coeff)) (max u t.var.v_ub) rest
-  in
-  match bound 0 0 piece.terms with
-  | _ -> true
-  | exception Intx.Overflow _ -> false
-
 (* What one equation adds to the problem's answer. *)
 type contribution =
   | Pieces of Depeq.t list  (** Its pieces, walked with the others'. *)
@@ -213,7 +199,7 @@ let contribution ~policy ~n_common ~common_ubs eq =
   let pieces = ref [] and safe = ref true in
   let separate piece =
     pieces := piece :: !pieces;
-    safe := !safe && walk_safe piece;
+    safe := !safe && Hierarchy.bounded piece;
     false
   in
   let ends =

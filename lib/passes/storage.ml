@@ -78,7 +78,9 @@ let regions (p : Ast.program) =
 (* Each member's base: a block's members follow each other, and every
    EQUIVALENCE anchor takes the address of its group's first; an anchor
    joining two units moves the whole of one.  Rebased to start at 0, the
-   lowest base decided under [env]. *)
+   lowest base decided under [env]; when no base provably is, at minus
+   the sum of the member sizes, a bound below every base of an area
+   whose anchors lie inside their arrays. *)
 let place ~env ~size ~anchor r =
   let at = Hashtbl.create 8 in
   List.iter (fun n -> Hashtbl.replace at n (n, Poly.zero)) r.members;
@@ -122,13 +124,14 @@ let place ~env ~size ~anchor r =
     r.links;
   let bases = List.map (fun n -> snd (Hashtbl.find at n)) r.members in
   let candidates = Poly.zero :: bases in
-  match
-    List.find_opt
-      (fun b -> List.for_all (Assume.le env b) candidates)
-      candidates
-  with
-  | Some lowest -> List.map (fun b -> Poly.sub b lowest) bases
-  | None -> raise (Error (Unplaced (List.hd r.members)))
+  let lowest b = List.for_all (Assume.le env b) candidates in
+  let rebase lowest = List.map (fun b -> Poly.sub b lowest) bases in
+  match List.find_opt lowest candidates with
+  | Some b -> rebase b
+  | None ->
+      let below = Poly.neg (Poly.sum (List.map size r.members)) in
+      if lowest below then rebase below
+      else raise (Error (Unplaced (List.hd r.members)))
 
 let blocks r =
   List.filter_map (function Block (b, _) -> Some b | Group _ -> None) r.links

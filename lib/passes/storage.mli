@@ -48,7 +48,8 @@ type error =
       (** The named member has a bound or anchor that is not a
           polynomial or an anchor of the wrong subscript count, or it
           is the first member of an area whose lowest base
-          {!Dlz_symbolic.Assume} cannot decide. *)
+          {!Dlz_symbolic.Assume} cannot decide and whose bases it cannot
+          prove to lie above minus the sum of the member sizes. *)
 
 exception Error of error
 
@@ -78,8 +79,10 @@ val associate : Dlz_ir.Ast.program -> Dlz_ir.Ast.program * area list
     dimensions whose extents are equal polynomials (the paper's partial
     linearization).  Bases, strides and the replacement's extent are
     polynomials compared under the facts that every declared extent is
-    at least 1: the extent is the largest member end, or the sum of the
-    ends when none provably dominates (members [A(0:N-1)] and
+    at least 1: the area starts at the lowest base, or, when no base
+    provably is, at minus the sum of the member sizes; the extent is the
+    largest member end, or the sum of the ends when none provably
+    dominates (members [A(0:N-1)] and
     [B(0:M-1)] give [0 : N+M-1]).  An area that holds a COMMON block [X]
     becomes [CBX], and [X]'s COMMON statement lists only [CBX]; any
     other becomes [LINk], [k] counting from 1.

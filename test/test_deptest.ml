@@ -664,8 +664,10 @@ let hierarchy_reference_units =
     Alcotest.test_case "reference agreement reaches every edge" `Quick
       (fun () ->
         (* A fixed batch, so the edges the property relies on are
-           known to be drawn: overflow, fuel exhaustion, and a level no
-           equation mentions that still has three feasible children. *)
+           known to be drawn: overflow, fuel exhaustion, a level no
+           equation mentions that still has three feasible children,
+           and walks on both of [directions]' paths: bounded ones read
+           tables, the others sum term by term. *)
         let cases =
           QCheck.Gen.generate ~rand:(Random.State.make [| 19 |]) ~n:3000
             gen_hier_case
@@ -698,13 +700,21 @@ let hierarchy_reference_units =
           (count (raised "Dlz_base.Intx.Overflow") > 0);
         Alcotest.(check bool) "some exhaustion" true
           (count (raised "Dlz_base.Budget.Exhausted") > 0);
-        Alcotest.(check bool) "some skipped level" true (count skips > 0));
+        Alcotest.(check bool) "some skipped level" true (count skips > 0);
+        let bounded ((p : Problem.numeric), _) =
+          List.for_all Hierarchy.bounded p.eqs
+        in
+        Alcotest.(check bool) "some bounded walk" true (count bounded > 0);
+        Alcotest.(check bool) "some unbounded walk" true
+          (count (fun c -> not (bounded c)) > 0));
     Alcotest.test_case "directions allocates under 800 minor words" `Quick
       (fun () ->
         (* Three common loops, two equations, level 3 unmentioned: 10
            nodes and three vectors.  The per-node test allocates
            nothing, so what remains is the compiled equations, the
-           memoized bounds and the result (about 270 words); walking
+           tables built from them (every level's four ranges, once)
+           and the result (about 410 words; the per-term walk, with
+           its bounds memoized instead, takes about 330); walking
            with a closure, an [Array.sub] and fresh Banerjee point
            lists per node took about 1700. *)
         let eq_a =

@@ -201,6 +201,15 @@ let symbolic_common_src =
    1     B(I) = C(I+N+2)\n\
   \      END\n"
 
+(* C starts at M-5, before or after A depending on M, so no member's
+   base is provably the lowest: C(I+2,1) is D(I+1). *)
+let undecided_base_src =
+  "      REAL A(0:M-1,1:6), B(0:5,1:6), C(0:3,0:3), D(0:5)\n\
+  \      EQUIVALENCE (A(0,2), D, B), (C(1,1), D(0))\n\
+  \      DO 1 I = 0, 1\n\
+   1     D(I) = C(I+2,1)\n\
+  \      END\n"
+
 (* The loaded program's static rows cover the dynamic dependences of
    the program as written, which are [expected]: a fold that loses an
    alias also loses it from its own dynamic side, so only this
@@ -235,6 +244,9 @@ let aliasing_units =
         check_as_written ~syms:[ ("N", 10); ("M", 10) ] symbolic_extents_src);
     Alcotest.test_case "COMMON block of symbolic size" `Quick (fun () ->
         check_as_written ~syms:[ ("N", 3) ] symbolic_common_src);
+    Alcotest.test_case "no provably lowest base" `Quick (fun () ->
+        check_as_written ~syms:[ ("M", 3) ] undecided_base_src;
+        check_as_written ~syms:[ ("M", 9) ] undecided_base_src);
     exact_case "** with a loop-variable exponent" pow_src [];
     exact_case "DO-bound read charged to no statement" do_bound_src
       [ "S1->S3 output ()" ];

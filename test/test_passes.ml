@@ -555,12 +555,54 @@ let equivalence_units =
           \      A(1) = A(2)\n\
           \      END\n");
     Alcotest.test_case "undecidable lowest base refused" `Quick (fun () ->
-        (* B starts at N-4, before or after A depending on N. *)
+        (* B starts at N+1-K, and K may lie outside B: neither a base
+           nor minus the total size provably lies below both. *)
         refused "cannot place A"
           "      REAL A(0:N-1,0:3), B(0:9)\n\
-          \      EQUIVALENCE (A(1,1), B(5))\n\
+          \      EQUIVALENCE (A(1,1), B(K))\n\
           \      A(1,1) = B(1)\n\
           \      END\n");
+    Alcotest.test_case "undecidable lowest base folds below every base"
+      `Quick (fun () ->
+        (* B starts at N-4, before or after A depending on N: the area
+           starts at minus the total size, -(4N+10), below both. *)
+        let before =
+          Normalize.all
+            (F77.parse
+               "      REAL A(0:N-1,0:3), B(0:9)\n\
+               \      EQUIVALENCE (A(1,1), B(5))\n\
+               \      DO 1 I = 0, 3\n\
+                1     A(1,I) = B(I+1)\n\
+               \      END\n")
+        in
+        let after, groups = Storage.associate before in
+        (match groups with
+        | [ g ] ->
+            Alcotest.(check (list string)) "bases" [ "4*N + 10"; "5*N + 6" ]
+              (List.map Dlz_symbolic.Poly.to_string g.Storage.bases)
+        | _ -> Alcotest.fail "expected one group");
+        (* The fold starts the area lower than the interpreter, which
+           knows N and starts it at its lowest base: the same trace,
+           every address moved by one shift. *)
+        let shifted n =
+          match
+            ( Interp.normalized (Interp.run ~syms:[ ("N", n) ] before),
+              Interp.normalized (Interp.run ~syms:[ ("N", n) ] after) )
+          with
+          | ((_, x, _) :: _ as a), ((_, y, _) :: _ as b)
+            when List.length a = List.length b ->
+              List.for_all2
+                (fun (ba, xa, ka) (bb, xb, kb) ->
+                  ba = bb && ka = kb && xb - xa = y - x)
+                a b
+          | _ -> false
+        in
+        List.iter
+          (fun n ->
+            Alcotest.(check bool)
+              (Printf.sprintf "trace shifted at N=%d" n)
+              true (shifted n))
+          [ 2; 4; 9 ]);
     Alcotest.test_case "same symbolic shape keeps the trailing dim" `Quick
       (fun () ->
         (* Anchored at their first elements, written out or not. *)
