@@ -2,6 +2,7 @@ module Poly = Dlz_symbolic.Poly
 module Access = Dlz_ir.Access
 module Intx = Dlz_base.Intx
 module Numth = Dlz_base.Numth
+module Varint = Dlz_base.Varint
 
 type t = {
   src : Access.t;
@@ -185,30 +186,16 @@ module Keybuf = struct
     if kb.eqlen + n > Bytes.length kb.eqbuf then
       kb.eqbuf <- grow_bytes kb.eqbuf (kb.eqlen + n)
 
-  (* Eight bytes little-endian from the native int, written byte by
-     byte: [Bytes.set_int64_le] would box an [Int64] per field, and the
-     encoder runs on every query including cache hits.  Injective on
-     63-bit ints (byte 7 carries bits 56-62 sign-extended), which is
-     all a cache key needs. *)
-  let set_le8 b off v =
-    Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff));
-    Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v asr 8) land 0xff));
-    Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v asr 16) land 0xff));
-    Bytes.unsafe_set b (off + 3) (Char.unsafe_chr ((v asr 24) land 0xff));
-    Bytes.unsafe_set b (off + 4) (Char.unsafe_chr ((v asr 32) land 0xff));
-    Bytes.unsafe_set b (off + 5) (Char.unsafe_chr ((v asr 40) land 0xff));
-    Bytes.unsafe_set b (off + 6) (Char.unsafe_chr ((v asr 48) land 0xff));
-    Bytes.unsafe_set b (off + 7) (Char.unsafe_chr ((v asr 56) land 0xff))
-
+  (* Ints are zigzag varints ({!Varint}): one or two bytes for the
+     coefficients, bounds and counts a key holds, and prefix-free, so
+     the concatenated fields stay an injective encoding. *)
   let put_int kb v =
-    reserve_main kb 8;
-    set_le8 kb.buf kb.len v;
-    kb.len <- kb.len + 8
+    reserve_main kb Varint.max_bytes;
+    kb.len <- Varint.write kb.buf kb.len v
 
   let put_eq_int kb v =
-    reserve_eq kb 8;
-    set_le8 kb.eqbuf kb.eqlen v;
-    kb.eqlen <- kb.eqlen + 8
+    reserve_eq kb Varint.max_bytes;
+    kb.eqlen <- Varint.write kb.eqbuf kb.eqlen v
 
   let put_eq_string kb s =
     let n = String.length s in
@@ -300,16 +287,18 @@ module Keybuf = struct
           let c = Int.compare kb.t_ub.(a) kb.t_ub.(b) in
           if c <> 0 then c < 0 else kb.t_coeff.(a) < kb.t_coeff.(b)
 
+  (* Top-level, not a local closure over [i] and [j]: that closure
+     was a fresh minor-heap block on every swap. *)
+  let swap_ints (a : int array) i j =
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+
   let swap_terms kb i j =
-    let sw a =
-      let t = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- t
-    in
-    sw kb.t_coeff;
-    sw kb.t_level;
-    sw kb.t_side;
-    sw kb.t_ub;
+    swap_ints kb.t_coeff i j;
+    swap_ints kb.t_level i j;
+    swap_ints kb.t_side i j;
+    swap_ints kb.t_ub i j;
     let t = kb.t_name.(i) in
     kb.t_name.(i) <- kb.t_name.(j);
     kb.t_name.(j) <- t
@@ -393,19 +382,18 @@ module Keybuf = struct
     end
 
   (* Lexicographic compare of two staged segments (ties by length):
-     any total order works, it just has to be content-determined. *)
+     any total order works, it just has to be content-determined.  The
+     scan is top-level for the same reason as [swap_ints]. *)
+  let rec bytes_less b oa la ob lb i =
+    if i >= la || i >= lb then la < lb
+    else
+      let ca = Bytes.unsafe_get b (oa + i) in
+      let cb = Bytes.unsafe_get b (ob + i) in
+      if ca <> cb then ca < cb else bytes_less b oa la ob lb (i + 1)
+
   let seg_less kb a b =
-    let oa = kb.eq_off.(a) and la = kb.eq_len.(a) in
-    let ob = kb.eq_off.(b) and lb = kb.eq_len.(b) in
-    let n = min la lb in
-    let rec go i =
-      if i >= n then la < lb
-      else
-        let ca = Bytes.unsafe_get kb.eqbuf (oa + i) in
-        let cb = Bytes.unsafe_get kb.eqbuf (ob + i) in
-        if ca <> cb then ca < cb else go (i + 1)
-    in
-    go 0
+    bytes_less kb.eqbuf kb.eq_off.(a) kb.eq_len.(a) kb.eq_off.(b)
+      kb.eq_len.(b) 0
 
   let rec sift_eq kb j =
     if j > 0 && seg_less kb kb.eq_ord.(j) kb.eq_ord.(j - 1) then begin

@@ -48,11 +48,17 @@ val synthetic : numeric -> t
 
     Packs the same canonical form the memo cache keys on — terms
     sorted, global sign fixed, coefficients divided by their gcd,
-    equations sorted — computed directly from the symbolic problem
-    with no intermediate {!numeric}/list/option structures.  A buffer
-    is meant to be long-lived (one per domain): after warm-up,
-    {!Keybuf.encode} allocates nothing, which is what makes a memo
-    cache {e hit} allocation-free. *)
+    equations sorted by their encoded bytes — computed directly from
+    the symbolic problem with no intermediate {!numeric}/list/option
+    structures.  Every int (counts, bounds, constants, coefficients,
+    levels, sides, name lengths) is a zigzag varint
+    ({!Dlz_base.Varint}), one or two bytes for the values keys usually
+    hold; the encoding is prefix-free, so two problems get the same
+    bytes exactly when their canonical forms are equal.  A buffer is
+    meant to be long-lived (one per domain): after warm-up,
+    {!Keybuf.encode} allocates nothing, whatever the number of
+    equations, which is what makes a memo cache {e hit}
+    allocation-free. *)
 module Keybuf : sig
   type buf
 

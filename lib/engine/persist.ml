@@ -4,10 +4,11 @@ module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
 module Problem = Dlz_deptest.Problem
 module Poly = Dlz_symbolic.Poly
+module Varint = Dlz_base.Varint
 
 (* Bumped on any change to the binary layout or to the meaning of a
    cached result; old files are then refused by the [tag] check. *)
-let format_version = 1
+let format_version = 2
 
 (* Eight bytes: seven of name, one of format version.  A file whose
    first bytes differ is not a snapshot at all (as opposed to a
@@ -38,14 +39,17 @@ let default_path () =
      magic (8) | tag (8, LE) | entry count (8, LE)
      | payload length (8, LE) | payload djb2 (8, LE)
    payload, per entry:
-     key (len LE8 + bytes, the materialized {!Query.key_of} form)
-     | verdict (1 byte) | decided_by (len LE8 + bytes)
-     | dirvec count LE8, each: length LE8 + one byte per direction
-     | distance count LE8, each: level LE8 + constant LE8
+     key (len + bytes, the materialized {!Query.key_of} form)
+     | verdict (1 byte) | decided_by (len + bytes)
+     | dirvec count, each: length + one byte per direction
+     | distance count, each: level + constant
 
-   All integers are 8-byte little-endian native ints (two's complement
-   of the 63-bit value, high byte sign-extended), same convention as
-   [Problem.Keybuf]. *)
+   Header fields are 8-byte little-endian native ints (two's
+   complement of the 63-bit value, high byte sign-extended), so every
+   field sits at a fixed offset.  Every payload int is a zigzag varint
+   ({!Varint}), the encoding [Problem.Keybuf] writes the keys' own ints
+   in.  A version-1 file (8-byte payload ints) fails the magic
+   check. *)
 
 let put_i64 b v =
   for i = 0 to 7 do
@@ -53,7 +57,7 @@ let put_i64 b v =
   done
 
 let put_str b s =
-  put_i64 b (String.length s);
+  Varint.add b (String.length s);
   Buffer.add_string b s
 
 let dir_byte : Dirvec.dir -> char = function
@@ -101,17 +105,17 @@ let encode_entry b key (r : Strategy.result) =
   put_str b key;
   Buffer.add_char b (verdict_byte r.verdict);
   put_str b r.decided_by;
-  put_i64 b (List.length r.dirvecs);
+  Varint.add b (List.length r.dirvecs);
   List.iter
     (fun dv ->
-      put_i64 b (Array.length dv);
+      Varint.add b (Array.length dv);
       Array.iter (fun d -> Buffer.add_char b (dir_byte d)) dv)
     r.dirvecs;
-  put_i64 b (List.length r.distances);
+  Varint.add b (List.length r.distances);
   List.iter
     (fun (lvl, p) ->
-      put_i64 b lvl;
-      put_i64 b (match Poly.to_const p with Some c -> c | None -> 0))
+      Varint.add b lvl;
+      Varint.add b (match Poly.to_const p with Some c -> c | None -> 0))
     r.distances
 
 (* {2 Decoding} *)
@@ -121,14 +125,12 @@ type reader = { data : string; limit : int; mutable pos : int }
 let need r n =
   if n < 0 || r.limit - r.pos < n then bad "truncated payload"
 
-let get_i64 r =
-  need r 8;
-  let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code r.data.[r.pos + i]
-  done;
-  r.pos <- r.pos + 8;
-  !v
+let get_int r =
+  match Varint.read r.data ~limit:r.limit r.pos with
+  | v, pos ->
+      r.pos <- pos;
+      v
+  | exception Varint.Malformed m -> bad "%s" m
 
 let get_byte r =
   need r 1;
@@ -137,14 +139,14 @@ let get_byte r =
   c
 
 let get_str r =
-  let n = get_i64 r in
+  let n = get_int r in
   need r n;
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
 
 let get_count r what =
-  let n = get_i64 r in
+  let n = get_int r in
   (* Each counted item costs at least one payload byte, so a count
      beyond the remaining bytes is a lie, not just big. *)
   if n < 0 || n > r.limit - r.pos then bad "implausible %s count %d" what n;
@@ -163,8 +165,8 @@ let decode_entry r =
   let nd = get_count r "distance" in
   let distances =
     List.init nd (fun _ ->
-        let lvl = get_i64 r in
-        let c = get_i64 r in
+        let lvl = get_int r in
+        let c = get_int r in
         (lvl, Poly.const c))
   in
   (key, { Strategy.verdict; dirvecs; distances; decided_by; degraded = [] })

@@ -67,6 +67,83 @@ let intx_props =
         Intx.add a b = a + b && Intx.sub a b = a - b && Intx.mul a b = a * b);
   ]
 
+(* --- Varint -------------------------------------------------------------- *)
+
+let varint_bytes v =
+  let b = Bytes.create Varint.max_bytes in
+  Bytes.sub_string b 0 (Varint.write b 0 v)
+
+let check_malformed name reason s ~limit =
+  match Varint.read s ~limit 0 with
+  | exception Varint.Malformed m -> Alcotest.(check string) name reason m
+  | v, _ -> Alcotest.failf "%s: decoded %d" name v
+
+let varint_units =
+  [
+    Alcotest.test_case "round-trip at the length steps" `Quick (fun () ->
+        List.iter
+          (fun (v, len) ->
+            let s = varint_bytes v in
+            let name = string_of_int v in
+            Alcotest.(check int) (name ^ ": length") len (String.length s);
+            let b = Buffer.create 9 in
+            Varint.add b v;
+            Alcotest.(check string) (name ^ ": add = write") s
+              (Buffer.contents b);
+            Alcotest.(check (pair int int)) (name ^ ": read") (v, len)
+              (Varint.read s ~limit:len 0))
+          [ (0, 1); (1, 1); (-1, 1); (63, 1); (-63, 1); (64, 2); (-64, 1);
+            (8191, 2); (-8191, 2); (8192, 3); (-8192, 2); (max_int, 9);
+            (min_int, 9) ]);
+    Alcotest.test_case "zigzag interleaves signs" `Quick (fun () ->
+        Alcotest.(check (list int)) "0, -1, 1, -2, 2" [ 0; 1; 2; 3; 4 ]
+          (List.map Varint.zigzag [ 0; -1; 1; -2; 2 ]);
+        (* The top codes, read unsigned: 2^63 - 2 and 2^63 - 1. *)
+        Alcotest.(check (list int)) "max_int, min_int" [ -2; -1 ]
+          (List.map Varint.zigzag [ max_int; min_int ]);
+        List.iter
+          (fun v ->
+            Alcotest.(check int) "unzigzag (zigzag v)" v
+              (Varint.unzigzag (Varint.zigzag v));
+            Alcotest.(check int) "zigzag (unzigzag u)" v
+              (Varint.zigzag (Varint.unzigzag v)))
+          [ 0; 1; -1; 2; -2; max_int; min_int; max_int - 1; min_int + 1 ]);
+    Alcotest.test_case "truncated and over-long refused" `Quick (fun () ->
+        check_malformed "empty" "truncated varint" "" ~limit:0;
+        check_malformed "continuation at the end" "truncated varint" "\x80"
+          ~limit:1;
+        check_malformed "cut by the limit" "truncated varint"
+          (varint_bytes 8192) ~limit:2;
+        check_malformed "max_int less its last byte" "truncated varint"
+          (varint_bytes max_int) ~limit:8;
+        check_malformed "ten bytes" "over-long varint"
+          (String.make 9 '\xff' ^ "\x00")
+          ~limit:10;
+        Alcotest.(check (pair int int)) "read from an offset" (-8192, 4)
+          (Varint.read ("\x7f\x00" ^ varint_bytes (-8192)) ~limit:4 2));
+  ]
+
+let varint_props =
+  [
+    QCheck.Test.make ~name:"zigzag is a bijection" ~count:1000 QCheck.int
+      (fun v ->
+        Varint.unzigzag (Varint.zigzag v) = v
+        && Varint.zigzag (Varint.unzigzag v) = v);
+    QCheck.Test.make ~name:"concatenations decode back" ~count:500
+      QCheck.(list int)
+      (fun vs ->
+        let b = Buffer.create 64 in
+        List.iter (Varint.add b) vs;
+        let s = Buffer.contents b in
+        let rec back pos acc =
+          if pos = String.length s then List.rev acc
+          else
+            let v, pos = Varint.read s ~limit:(String.length s) pos in
+            back pos (v :: acc)
+        in
+        back 0 [] = vs);
+  ]
+
 (* --- Numth --------------------------------------------------------------- *)
 
 let numth_units =
@@ -460,6 +537,7 @@ let () =
     [
       ("intx", intx_units);
       ("intx-props", List.map QCheck_alcotest.to_alcotest intx_props);
+      ("varint", varint_units @ List.map QCheck_alcotest.to_alcotest varint_props);
       ("numth", numth_units);
       ("numth-props", List.map QCheck_alcotest.to_alcotest numth_props);
       ("ivl", ivl_units);

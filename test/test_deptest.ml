@@ -1209,6 +1209,100 @@ let rangevec_units =
           (Rangevec.subsumes tight [| Dlz_base.Ivl.empty |]));
   ]
 
+(* --- flat canonical keys ---------------------------------------------------- *)
+
+let key_of p =
+  let kb = Problem.Keybuf.create () in
+  if Problem.Keybuf.encode kb p then
+    Some (Bytes.sub_string (Problem.Keybuf.contents kb) 0
+            (Problem.Keybuf.length kb))
+  else None
+
+(* The ints either side of each varint length step, and the ends. *)
+let extremes =
+  [ 0; 1; -1; 63; -63; 64; -64; 8191; -8191; 8192; -8192; max_int; min_int ]
+
+let keybuf_units =
+  [
+    Alcotest.test_case "encode allocates nothing after warm-up" `Quick
+      (fun () ->
+        (* Terms listed out of canonical order and a negative first
+           coefficient, so the encode sorts, flips and divides by the
+           gcd; two equations, so it also sorts the segments. *)
+        let eq k =
+          Depeq.make (-4 * k)
+            [ (-10, var ~side:`Dst ~level:2 "j2" 9);
+              (2, var ~side:`Src ~level:2 "j1" 9);
+              (-2 * k, var ~side:`Src ~level:1 "i1" 4);
+              (6, var ~side:`Dst ~level:1 "i2" 4) ]
+        in
+        let problem eqs =
+          Problem.synthetic
+            (Problem.numeric_of_equations ~n_common:2 ~common_ubs:[| 4; 9 |]
+               eqs)
+        in
+        let kb = Problem.Keybuf.create () in
+        let words f =
+          let before = Gc.minor_words () in
+          for _ = 1 to 100 do
+            f ()
+          done;
+          Gc.minor_words () -. before
+        in
+        let nothing = words (fun () -> ()) in
+        List.iter
+          (fun (what, p) ->
+            Alcotest.(check bool) (what ^ " encodes") true
+              (Problem.Keybuf.encode kb p);
+            let per_call =
+              (words (fun () -> ignore (Problem.Keybuf.encode kb p))
+              -. nothing)
+              /. 100.
+            in
+            Alcotest.(check (float 0.))
+              (what ^ ": minor words per encode") 0. per_call)
+          [ ("one equation", problem [ eq 1 ]);
+            ("two equations", problem [ eq 3; eq 1 ]) ]);
+    Alcotest.test_case "extreme values give distinct keys" `Quick (fun () ->
+        (* [a] leads the canonical term order (by name) with
+           coefficient 1, so the sign flip and the gcd division leave
+           the varied field as written. *)
+        let problem ~c0 ~coeff ~ub =
+          Problem.synthetic
+            (Problem.numeric_of_equations ~n_common:0 ~common_ubs:[||]
+               [ Depeq.make c0 [ (1, var "a" 9); (coeff, var "x" ub) ] ])
+        in
+        let distinct what keys =
+          let keys = List.filter_map Fun.id keys in
+          Alcotest.(check int) (what ^ ": one key per value")
+            (List.length keys)
+            (List.length (List.sort_uniq String.compare keys))
+        in
+        let coeffs =
+          List.map (fun c -> key_of (problem ~c0:5 ~coeff:c ~ub:9))
+            (List.filter (( <> ) 0) extremes)
+        in
+        Alcotest.(check bool) "every nonzero coefficient encodes" true
+          (List.for_all Option.is_some coeffs);
+        distinct "coefficient" coeffs;
+        let ubs =
+          List.map (fun ub -> key_of (problem ~c0:5 ~coeff:3 ~ub))
+            (List.filter (fun v -> v >= 0) extremes)
+        in
+        Alcotest.(check bool) "every bound encodes" true
+          (List.for_all Option.is_some ubs);
+        distinct "bound" ubs;
+        (* |min_int| overflows the gcd step: that constant has no
+           canonical form, every other one does. *)
+        let c0s =
+          List.map (fun c0 -> key_of (problem ~c0 ~coeff:3 ~ub:9)) extremes
+        in
+        Alcotest.(check int) "every constant but min_int encodes"
+          (List.length extremes - 1)
+          (List.length (List.filter Option.is_some c0s));
+        distinct "constant" c0s);
+  ]
+
 let () =
   Alcotest.run "dlz_deptest"
     [
@@ -1238,4 +1332,5 @@ let () =
       ("omega", omega_units);
       ("omega-props", List.map QCheck_alcotest.to_alcotest omega_props);
       ("rangevec", rangevec_units);
+      ("keybuf", keybuf_units);
     ]

@@ -480,7 +480,7 @@ let engine_golden_before =
    vic_engine_divergences_total{strategy=\"banerjee\",class=\"imprecise\"} 1\n\
    # HELP vic_engine_hit_alloc_minor_words_total minor words allocated by cache hits\n\
    # TYPE vic_engine_hit_alloc_minor_words_total counter\n\
-   vic_engine_hit_alloc_minor_words_total 120\n\
+   vic_engine_hit_alloc_minor_words_total 0\n\
    # HELP vic_engine_oracle_checks_total differential oracle checks\n\
    # TYPE vic_engine_oracle_checks_total counter\n\
    vic_engine_oracle_checks_total 1\n\

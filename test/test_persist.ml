@@ -197,6 +197,33 @@ let test_parallel_load_matches_serial =
   check_strings "parallel shard load = serial load" serial parallel;
   Sys.remove snap
 
+(* Levels and constants at the varint length steps and the int
+   range's ends survive a save and a load. *)
+let test_extreme_distances_round_trip =
+  without_chaos @@ fun () ->
+  let extremes =
+    [ 0; 1; -1; 63; -63; 64; -64; 8191; -8191; 8192; -8192; max_int; min_int ]
+  in
+  let r =
+    { Strategy.verdict = Verdict.Dependent;
+      dirvecs = [ [| Dirvec.Lt; Dirvec.Star |] ];
+      distances = List.map (fun v -> (v, Poly.const v)) extremes;
+      decided_by = "delinearize"; degraded = [] }
+  in
+  let cache = Query.create_cache () in
+  Alcotest.(check int) "entry inserted" 1
+    (Query.load_entries cache [| ("delin\x00extremes", r) |]);
+  let snap = temp_snap () in
+  Alcotest.(check (result int string)) "saved" (Ok 1)
+    (Persist.save ~cache snap);
+  let loaded = Query.create_cache () in
+  Alcotest.(check (result int string)) "loaded" (Ok 1)
+    (Persist.load ~cache:loaded snap);
+  check_strings "entry round-trips"
+    [ "delin\x00extremes=" ^ result_str r ]
+    (List.map (fun (k, r) -> k ^ "=" ^ result_str r) (Query.dump loaded));
+  Sys.remove snap
+
 let test_capacity_bounded_load =
   without_chaos @@ fun () ->
   let _, _, snap, saved = populate_and_save () in
@@ -213,11 +240,14 @@ let test_capacity_bounded_load =
 
 (* Every corruption must produce [Error], bump the reject counter, touch
    nothing in the cache, and leave the engine able to answer queries. *)
-let check_refused ~name path =
+let check_refused ~name ?reason path =
   let before_rejects = counter "vic_engine_snapshot_rejects_total" in
   let before_size = Query.size Query.global_cache in
   (match Persist.load path with
-  | Error _ -> ()
+  | Error got ->
+      Option.iter
+        (fun want -> Alcotest.(check string) (name ^ ": reason") want got)
+        reason
   | Ok n ->
       Alcotest.failf "%s: load accepted a corrupt snapshot (%d entries)" name
         n);
@@ -265,6 +295,68 @@ let test_corrupt_snapshots_refused =
     (query_all ps <> []);
   Alcotest.(check bool) "stats consistent" true (Stats.consistent Stats.global);
   Sys.remove snap
+
+(* A snapshot file built by hand: [magic], then the four fixed-width
+   header fields around [payload], its checksum valid. *)
+let le8 v = String.init 8 (fun i -> Char.chr ((v asr (8 * i)) land 0xff))
+
+let snapshot_file ~magic ~tag ~count payload =
+  magic ^ le8 tag ^ le8 count
+  ^ le8 (String.length payload)
+  ^ le8 (Query.hash_of_key payload)
+  ^ payload
+
+let check_refused_file ~name ?reason contents =
+  let path = temp_snap () in
+  write_file path contents;
+  check_refused ~name ?reason path;
+  Sys.remove path
+
+(* A well-formed version-1 file (8-byte payload ints): one entry, under
+   the version-1 magic and tag. *)
+let test_v1_snapshot_refused =
+  without_chaos @@ fun () ->
+  let _, _, snap, _ = populate_and_save () in
+  Alcotest.(check string) "a save writes the version-2 magic" "DLZSNAP\x02"
+    (String.sub (read_file snap) 0 8);
+  Sys.remove snap;
+  Alcotest.(check bool) "cache populated" true
+    (Query.size Query.global_cache > 0);
+  let v1_tag =
+    Query.hash_of_key
+      (Printf.sprintf "dlz-snapshot|v1|%s"
+         (String.concat ","
+            (List.sort compare (Dlz_engine.Registry.names ()))))
+  in
+  let str s = le8 (String.length s) ^ s in
+  let entry =
+    str "delin\x00key" ^ "\001" ^ str "delinearize" ^ le8 1 ^ le8 1
+    ^ "\006" ^ le8 0
+  in
+  check_refused_file ~name:"version-1 file" ~reason:"bad magic"
+    (snapshot_file ~magic:"DLZSNAP\x01" ~tag:v1_tag ~count:1 entry);
+  check_refused_file ~name:"version-1 tag under the new magic"
+    (snapshot_file ~magic:"DLZSNAP\x02" ~tag:v1_tag ~count:1 entry)
+
+(* A checksum-valid payload that ends inside a varint, or holds one
+   longer than nine bytes: a refusal with the varint's reason. *)
+let test_malformed_varint_refused =
+  without_chaos @@ fun () ->
+  let _, _, snap, _ = populate_and_save () in
+  Sys.remove snap;
+  let file = snapshot_file ~magic:"DLZSNAP\x02" ~tag:(Persist.tag ()) ~count:1 in
+  check_refused_file ~name:"key length cut" ~reason:"truncated varint"
+    (file "\x80");
+  check_refused_file ~name:"ten-byte key length" ~reason:"over-long varint"
+    (file (String.make 9 '\xff' ^ "\x00"));
+  (* A whole entry but the last byte of its last distance (zigzag: 4
+     encodes a length of 2, 2 a count of 1). *)
+  let entry =
+    "\x04ky" ^ "\001" ^ "\x04dz" ^ "\x00" ^ "\x02\x00"
+    ^ String.make 8 '\xfe'
+  in
+  check_refused_file ~name:"distance cut" ~reason:"truncated varint"
+    (file entry)
 
 let test_chaos_strike_during_load =
   without_chaos @@ fun () ->
@@ -321,6 +413,8 @@ let test_tag_sensitivity =
      format version. *)
   Alcotest.(check int) "tag stable" (Persist.tag ()) (Persist.tag ());
   let p = Persist.default_path () in
+  Alcotest.(check bool) "default path names format version 2" true
+    (String.starts_with ~prefix:"cache-v2-" (Filename.basename p));
   Alcotest.(check bool) "default path embeds the tag" true
     (String.length p > 0
     && String.ends_with ~suffix:".snap" p
@@ -578,11 +672,17 @@ let () =
             test_parallel_load_matches_serial;
           Alcotest.test_case "capacity-bounded load" `Quick
             test_capacity_bounded_load;
+          Alcotest.test_case "extreme distances round-trip" `Quick
+            test_extreme_distances_round_trip;
         ] );
       ( "refusal",
         [
           Alcotest.test_case "corrupt snapshots refused, never raise" `Quick
             test_corrupt_snapshots_refused;
+          Alcotest.test_case "version-1 snapshot refused" `Quick
+            test_v1_snapshot_refused;
+          Alcotest.test_case "malformed varint refused, never raises" `Quick
+            test_malformed_varint_refused;
           Alcotest.test_case "chaos strike during load = cold start" `Quick
             test_chaos_strike_during_load;
           Alcotest.test_case "reset_metrics clears snapshot counters" `Quick
