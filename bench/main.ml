@@ -370,9 +370,12 @@ let e8_report () =
    and the second sweep must be all warm hits: not one miss, so not one
    re-solve.  The file's size is gated too, at the size of the varint
    format: the snapshot is the sweep's canonical keys and answers, so a
-   wider key or payload encoding shows here first.  The gates are
-   exact counts; what a snapshot is worth in time is perfbench's
-   bulk-warm against bulk-cold. *)
+   wider key or payload encoding shows here first.  So are the minor
+   words per query of the first sweep: a query keys and solves from
+   the integer form its problem was built with, and a query that
+   projected the problem again would show here.  The gates are exact
+   counts; what a snapshot is worth in time is perfbench's bulk-warm
+   against bulk-cold. *)
 let cache_report () =
   let module Eqgen = Dlz_oracle.Eqgen in
   let module Persist = Dlz_engine.Persist in
@@ -389,9 +392,20 @@ let cache_report () =
     | Ok n -> n
     | Error e -> failwith ("bench: snapshot " ^ what ^ " failed: " ^ e)
   in
+  let counter ?labels name =
+    Option.value ~default:0
+      (Dlz_obs.Registry.counter ?labels (Stats.samples Stats.global) name)
+  in
   let snap = Filename.temp_file "dlz_bench_cache" ".snap" in
   Engine.reset_metrics ();
   sweep ();
+  (* Minor words per query of the cold sweep, rounded up: what the
+     engine allocates to key, solve and insert a problem it has not
+     seen (the problems are built before the sweep). *)
+  let cold_words_per_query =
+    let q = counter "vic_engine_queries_total" in
+    (counter "vic_engine_alloc_minor_words_total" + q - 1) / q
+  in
   let saved = ok "save" (Persist.save snap) in
   let snapshot_bytes =
     Int64.to_int (In_channel.with_open_bin snap In_channel.length)
@@ -400,10 +414,6 @@ let cache_report () =
   let loaded = ok "load" (Persist.load snap) in
   Sys.remove snap;
   sweep ();
-  let counter ?labels name =
-    Option.value ~default:0
-      (Dlz_obs.Registry.counter ?labels (Stats.samples Stats.global) name)
-  in
   let queries = counter "vic_engine_queries_total" in
   let warm_hits =
     counter ~labels:[ ("temp", "warm") ] "vic_engine_cache_hits_total"
@@ -416,12 +426,14 @@ let cache_report () =
         ("snapshot_entries", Int saved);
         ("snapshot_bytes", Int snapshot_bytes);
         ("loaded_entries", Int loaded); ("warm_queries", Int queries);
-        ("warm_hits", Int warm_hits); ("warm_misses", Int misses) ]
+        ("warm_hits", Int warm_hits); ("warm_misses", Int misses);
+        ("cold_words_per_query", Int cold_words_per_query) ]
     [
       count "loaded_entries" ~cmp:Equals loaded saved;
       count "warm_misses" ~cmp:Equals misses 0;
       count "warm_hits" ~cmp:Equals warm_hits (List.length probs);
       count "snapshot_bytes" ~cmp:At_most snapshot_bytes 68_239;
+      count "cold_words_per_query" ~cmp:At_most cold_words_per_query 35;
     ]
 
 (* --- perf smoke gate -------------------------------------------------------- *)

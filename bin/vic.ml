@@ -388,7 +388,7 @@ let analyze_one ~cascade ~budget ~pool ~ranges input =
           let module Rangevec = Dlz_deptest.Rangevec in
           match Problem.of_accesses d.Analyze.src d.Analyze.dst with
           | Some p -> (
-              match Problem.to_numeric p with
+              match p.Problem.numeric with
               | Some np -> (
                   match
                     Rangevec.of_exact ~common_ubs:np.Problem.common_ubs

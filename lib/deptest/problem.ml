@@ -4,6 +4,13 @@ module Intx = Dlz_base.Intx
 module Numth = Dlz_base.Numth
 module Varint = Dlz_base.Varint
 
+type numeric = {
+  n_common : int;
+  common_ubs : int array;
+  eqs : Depeq.t list;
+  opaque_dims : int;
+}
+
 type t = {
   src : Access.t;
   dst : Access.t;
@@ -11,14 +18,37 @@ type t = {
   common_ubs : Poly.t list;
   equations : Symeq.t list;
   opaque_dims : int;
+  numeric : numeric option;
 }
 
-type numeric = {
-  n_common : int;
-  common_ubs : int array;
-  eqs : Depeq.t list;
-  opaque_dims : int;
-}
+(* The integer form of the symbolic fields: every coefficient, bound
+   and constant an integer and every variable bound nonnegative, else
+   [None].  Computed once, when the problem is built. *)
+let project ~n_common ~common_ubs ~opaque_dims equations =
+  let rec eqs acc = function
+    | [] -> Some (List.rev acc)
+    | e :: rest -> (
+        match Symeq.to_numeric e with
+        | None -> None
+        | Some n -> eqs (n :: acc) rest)
+  in
+  match Array.of_list (List.map Poly.const_value common_ubs) with
+  | exception Not_found -> None
+  | common_ubs -> (
+      match eqs [] equations with
+      | None -> None
+      | Some eqs -> Some { n_common; common_ubs; eqs; opaque_dims })
+
+let make ~src ~dst ~n_common ~common_ubs ~opaque_dims equations =
+  {
+    src;
+    dst;
+    n_common;
+    common_ubs;
+    equations;
+    opaque_dims;
+    numeric = project ~n_common ~common_ubs ~opaque_dims equations;
+  }
 
 let of_accesses (src : Access.t) (dst : Access.t) =
   if not (String.equal src.array dst.array) then None
@@ -39,42 +69,13 @@ let of_accesses (src : Access.t) (dst : Access.t) =
     in
     let equations, opaque = zip ([], 0) src.subs dst.subs in
     Some
-      {
-        src;
-        dst;
-        n_common = List.length common;
-        common_ubs = List.map (fun (l : Access.loop) -> l.l_ub) common;
-        equations = List.rev equations;
-        opaque_dims = opaque;
-      }
+      (make ~src ~dst ~n_common:(List.length common)
+         ~common_ubs:(List.map (fun (l : Access.loop) -> l.l_ub) common)
+         ~opaque_dims:opaque (List.rev equations))
   end
 
 let numeric_of_equations ~n_common ~common_ubs eqs =
   { n_common; common_ubs; eqs; opaque_dims = 0 }
-
-let to_numeric (p : t) =
-  let ( let* ) = Option.bind in
-  let rec ubs acc = function
-    | [] -> Some (List.rev acc)
-    | u :: rest ->
-        let* c = Poly.to_const u in
-        ubs (c :: acc) rest
-  in
-  let* common_ubs = ubs [] p.common_ubs in
-  let rec eqs acc = function
-    | [] -> Some (List.rev acc)
-    | e :: rest ->
-        let* n = Symeq.to_numeric e in
-        eqs (n :: acc) rest
-  in
-  let* eqs = eqs [] p.equations in
-  Some
-    {
-      n_common = p.n_common;
-      common_ubs = Array.of_list common_ubs;
-      eqs;
-      opaque_dims = p.opaque_dims;
-    }
 
 let synthetic (np : numeric) =
   let loops =
@@ -98,14 +99,10 @@ let synthetic (np : numeric) =
                (Poly.const t.Depeq.var.v_ub) ))
          eq.Depeq.terms)
   in
-  {
-    src = access 0 "Ssrc" `Write;
-    dst = access 1 "Sdst" `Read;
-    n_common = np.n_common;
-    common_ubs = List.map Poly.const (Array.to_list np.common_ubs);
-    equations = List.map lift_eq np.eqs;
-    opaque_dims = np.opaque_dims;
-  }
+  make ~src:(access 0 "Ssrc" `Write) ~dst:(access 1 "Sdst" `Read)
+    ~n_common:np.n_common
+    ~common_ubs:(List.map Poly.const (Array.to_list np.common_ubs))
+    ~opaque_dims:np.opaque_dims (List.map lift_eq np.eqs)
 
 let instantiate env (p : t) =
   {
@@ -117,13 +114,12 @@ let instantiate env (p : t) =
 
 (* --- flat canonical encoding ---------------------------------------------- *)
 
-(* [Keybuf] packs the canonical form of a problem — the same
-   normalization [to_numeric] + term sorting + sign flip + gcd division
-   used to perform, but computed directly from the symbolic form into a
-   reusable [Bytes] buffer, with no intermediate [Depeq.t]/list/option
+(* [Keybuf] packs the canonical form of a problem's integer form —
+   terms sorted, sign flipped, coefficients divided by their gcd —
+   into a reusable [Bytes] buffer, with no intermediate list or option
    structures.  One buffer per domain makes the encode step
    allocation-free after warm-up, which is what lets a cache hit cost
-   ~0 minor words. *)
+   0 minor words. *)
 module Keybuf = struct
   type buf = {
     (* final encoding *)
@@ -228,51 +224,6 @@ module Keybuf = struct
     kb.eq_len <- g kb.eq_len;
     kb.eq_ord <- g kb.eq_ord
 
-  (* Merge criterion of [Depeq.same_var]: side and level, with names
-     distinguishing only level-0 variables (the canonical name of a
-     paired loop variable is ""). *)
-  let rec find_term kb side level name i =
-    if i >= kb.nterms then -1
-    else if
-      kb.t_side.(i) = side
-      && kb.t_level.(i) = level
-      && (level <> 0 || String.equal kb.t_name.(i) name)
-    then i
-    else find_term kb side level name (i + 1)
-
-  let add_term kb coeff level side ub name =
-    let i = find_term kb side level name 0 in
-    if i >= 0 then kb.t_coeff.(i) <- Intx.add kb.t_coeff.(i) coeff
-    else begin
-      if kb.nterms = Array.length kb.t_coeff then grow_terms kb;
-      let i = kb.nterms in
-      kb.t_coeff.(i) <- coeff;
-      kb.t_level.(i) <- level;
-      kb.t_side.(i) <- side;
-      kb.t_ub.(i) <- ub;
-      kb.t_name.(i) <- name;
-      kb.nterms <- i + 1
-    end
-
-  (* Drop zero coefficients in place (the [Depeq.make] filter).
-     Recursive with explicit indices: a [ref] here would be a fresh
-     minor-heap cell on every encode. *)
-  let rec drop_zeros_from kb i j =
-    if i >= kb.nterms then kb.nterms <- j
-    else if kb.t_coeff.(i) = 0 then drop_zeros_from kb (i + 1) j
-    else begin
-      if j <> i then begin
-        kb.t_coeff.(j) <- kb.t_coeff.(i);
-        kb.t_level.(j) <- kb.t_level.(i);
-        kb.t_side.(j) <- kb.t_side.(i);
-        kb.t_ub.(j) <- kb.t_ub.(i);
-        kb.t_name.(j) <- kb.t_name.(i)
-      end;
-      drop_zeros_from kb (i + 1) (j + 1)
-    end
-
-  let drop_zeros kb = drop_zeros_from kb 0 0
-
   (* (level, side, name, ub, coeff) — the canonical term order. *)
   let term_less kb a b =
     let c = Int.compare kb.t_level.(a) kb.t_level.(b) in
@@ -315,71 +266,60 @@ module Keybuf = struct
       sift_term kb i
     done
 
-  let rec walk_terms kb = function
-    | [] -> true
-    | (c, (v : Symeq.svar)) :: rest ->
-        if not (Poly.is_const c && Poly.is_const v.Symeq.s_ub) then false
-        else begin
-          let ub = Poly.const_value v.Symeq.s_ub in
-          if ub < 0 then false
-          else begin
-            add_term kb (Poly.const_value c) v.Symeq.s_level
-              (match v.Symeq.s_side with `Src -> 0 | `Dst -> 1)
-              ub
-              (if v.Symeq.s_level = 0 then v.Symeq.s_name else "");
-            walk_terms kb rest
-          end
-        end
+  (* Stage one equation's terms.  [Depeq.make] has already merged
+     duplicate variables (same side and level, and the same name at
+     level 0) and dropped zero coefficients, so each term lands as it
+     is; a paired loop variable's name is display only and is written
+     as "". *)
+  let rec stage_terms kb i = function
+    | [] -> kb.nterms <- i
+    | (t : Depeq.term) :: rest ->
+        if i = Array.length kb.t_coeff then grow_terms kb;
+        let v = t.Depeq.var in
+        kb.t_coeff.(i) <- t.Depeq.coeff;
+        kb.t_level.(i) <- v.Depeq.v_level;
+        kb.t_side.(i) <- (match v.Depeq.v_side with `Src -> 0 | `Dst -> 1);
+        kb.t_ub.(i) <- v.Depeq.v_ub;
+        kb.t_name.(i) <- (if v.Depeq.v_level = 0 then v.Depeq.v_name else "");
+        stage_terms kb (i + 1) rest
 
   let rec gcd_coeffs kb i g =
     if i >= kb.nterms then g
     else gcd_coeffs kb (i + 1) (Numth.gcd g kb.t_coeff.(i))
 
-  (* One equation from its symbolic form; false = not all-constant. *)
-  let encode_eq kb (eq : Symeq.t) =
-    if not (Poly.is_const eq.Symeq.c0) then false
-    else begin
-      kb.nterms <- 0;
-      if not (walk_terms kb eq.Symeq.terms) then false
-      else begin
-        drop_zeros kb;
-        sort_terms kb;
-        let c0 = Poly.const_value eq.Symeq.c0 in
-        (* Global sign flip: first coefficient positive (the constant
-           decides for the empty equation). *)
-        let flip =
-          if kb.nterms > 0 then kb.t_coeff.(0) < 0 else c0 < 0
-        in
-        let c0 = if flip then Intx.neg c0 else c0 in
-        if flip then
-          for i = 0 to kb.nterms - 1 do
-            kb.t_coeff.(i) <- Intx.neg kb.t_coeff.(i)
-          done;
-        (* Divide through by the gcd of every coefficient and c0. *)
-        let g = gcd_coeffs kb 0 (Intx.abs c0) in
-        let c0 = if g > 1 then c0 / g else c0 in
-        if g > 1 then
-          for i = 0 to kb.nterms - 1 do
-            kb.t_coeff.(i) <- kb.t_coeff.(i) / g
-          done;
-        if kb.neqs = Array.length kb.eq_off then grow_eqs kb;
-        let off = kb.eqlen in
-        put_eq_int kb c0;
-        put_eq_int kb kb.nterms;
-        for i = 0 to kb.nterms - 1 do
-          put_eq_int kb kb.t_level.(i);
-          put_eq_int kb kb.t_side.(i);
-          put_eq_int kb kb.t_ub.(i);
-          put_eq_int kb kb.t_coeff.(i);
-          put_eq_string kb kb.t_name.(i)
-        done;
-        kb.eq_off.(kb.neqs) <- off;
-        kb.eq_len.(kb.neqs) <- kb.eqlen - off;
-        kb.eq_ord.(kb.neqs) <- kb.neqs;
-        kb.neqs <- kb.neqs + 1;
-        true
-      end
-    end
+  let encode_eq kb (eq : Depeq.t) =
+    stage_terms kb 0 eq.Depeq.terms;
+    sort_terms kb;
+    (* Global sign flip: first coefficient positive (the constant
+       decides for the empty equation). *)
+    let flip = if kb.nterms > 0 then kb.t_coeff.(0) < 0 else eq.Depeq.c0 < 0 in
+    let c0 = if flip then Intx.neg eq.Depeq.c0 else eq.Depeq.c0 in
+    if flip then
+      for i = 0 to kb.nterms - 1 do
+        kb.t_coeff.(i) <- Intx.neg kb.t_coeff.(i)
+      done;
+    (* Divide through by the gcd of every coefficient and c0. *)
+    let g = gcd_coeffs kb 0 (Intx.abs c0) in
+    let c0 = if g > 1 then c0 / g else c0 in
+    if g > 1 then
+      for i = 0 to kb.nterms - 1 do
+        kb.t_coeff.(i) <- kb.t_coeff.(i) / g
+      done;
+    if kb.neqs = Array.length kb.eq_off then grow_eqs kb;
+    let off = kb.eqlen in
+    put_eq_int kb c0;
+    put_eq_int kb kb.nterms;
+    for i = 0 to kb.nterms - 1 do
+      put_eq_int kb kb.t_level.(i);
+      put_eq_int kb kb.t_side.(i);
+      put_eq_int kb kb.t_ub.(i);
+      put_eq_int kb kb.t_coeff.(i);
+      put_eq_string kb kb.t_name.(i)
+    done;
+    kb.eq_off.(kb.neqs) <- off;
+    kb.eq_len.(kb.neqs) <- kb.eqlen - off;
+    kb.eq_ord.(kb.neqs) <- kb.neqs;
+    kb.neqs <- kb.neqs + 1
 
   (* Lexicographic compare of two staged segments (ties by length):
      any total order works, it just has to be content-determined.  The
@@ -408,38 +348,28 @@ module Keybuf = struct
       sift_eq kb i
     done
 
-  (* Counting helpers return -1 for "not encodable" instead of an
-     option so the success path builds no [Some]. *)
-  let rec count_const_ubs n = function
-    | [] -> n
-    | u :: rest -> if Poly.is_const u then count_const_ubs (n + 1) rest else -1
-
-  let rec put_const_ubs kb = function
+  let rec encode_eqs kb = function
     | [] -> ()
-    | u :: rest ->
-        put_int kb (Poly.const_value u);
-        put_const_ubs kb rest
-
-  let rec encode_eqs kb n = function
-    | [] -> n
-    | e :: rest -> if encode_eq kb e then encode_eqs kb (n + 1) rest else -1
+    | e :: rest ->
+        encode_eq kb e;
+        encode_eqs kb rest
 
   let encode kb (p : t) =
-    kb.len <- 0;
-    kb.eqlen <- 0;
-    kb.neqs <- 0;
-    try
-      put_int kb p.n_common;
-      put_int kb p.opaque_dims;
-      let nubs = count_const_ubs 0 p.common_ubs in
-      if nubs < 0 then false
-      else begin
-        put_int kb nubs;
-        put_const_ubs kb p.common_ubs;
-        let neqs = encode_eqs kb 0 p.equations in
-        if neqs < 0 then false
-        else begin
-          put_int kb neqs;
+    match p.numeric with
+    | None -> false
+    | Some np -> (
+        kb.len <- 0;
+        kb.eqlen <- 0;
+        kb.neqs <- 0;
+        try
+          put_int kb np.n_common;
+          put_int kb np.opaque_dims;
+          put_int kb (Array.length np.common_ubs);
+          for i = 0 to Array.length np.common_ubs - 1 do
+            put_int kb np.common_ubs.(i)
+          done;
+          encode_eqs kb np.eqs;
+          put_int kb kb.neqs;
           sort_eqs kb;
           for i = 0 to kb.neqs - 1 do
             let s = kb.eq_ord.(i) in
@@ -449,9 +379,7 @@ module Keybuf = struct
             kb.len <- kb.len + l
           done;
           true
-        end
-      end
-    with Intx.Overflow _ -> false
+        with Intx.Overflow _ -> false)
 end
 
 let pp ppf (p : t) =

@@ -48,21 +48,18 @@ let of_affine_pair ~src ~src_loops ~dst ~dst_loops =
     (Poly.sub (Affine.konst src) (Affine.konst dst))
     (src_terms @ dst_terms)
 
+(* One walk per polynomial: [Poly.const_value] raises [Not_found] on
+   a symbolic one, and a negative bound ends the projection the same
+   way. *)
+let numeric_term (c, v) =
+  let ub = Poly.const_value v.s_ub in
+  if ub < 0 then raise_notrace Not_found;
+  (Poly.const_value c, Depeq.var ~side:v.s_side ~level:v.s_level v.s_name ub)
+
 let to_numeric eq =
-  let ( let* ) = Option.bind in
-  let* c0 = Poly.to_const eq.c0 in
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | (c, v) :: rest ->
-        let* ci = Poly.to_const c in
-        let* ub = Poly.to_const v.s_ub in
-        go
-          ((ci, Depeq.var ~side:v.s_side ~level:v.s_level v.s_name ub) :: acc)
-          rest
-  in
-  let* terms = go [] eq.terms in
-  if List.exists (fun (_, (v : Depeq.var)) -> v.v_ub < 0) terms then None
-  else Some (Depeq.make c0 terms)
+  match (Poly.const_value eq.c0, List.map numeric_term eq.terms) with
+  | c0, terms -> Some (Depeq.make c0 terms)
+  | exception Not_found -> None
 
 let instantiate env eq =
   let terms =

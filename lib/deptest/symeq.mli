@@ -29,7 +29,8 @@ val of_affine_pair :
     the respective loop stacks. *)
 
 val to_numeric : t -> Depeq.t option
-(** Defined when every coefficient and bound is an integer constant. *)
+(** Defined when every coefficient and bound is an integer constant and
+    every bound is nonnegative; the terms pass through {!Depeq.make}. *)
 
 val instantiate : (string -> int) -> t -> Depeq.t
 (** Substitutes symbol values everywhere; raises [Invalid_argument] if

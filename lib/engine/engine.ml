@@ -64,14 +64,7 @@ let candidate_indices arr =
 
 let query ?(cascade = Cascade.delin) ?stats ?cache ?budget ?chaos ?annot
     ?observer ~env p =
-  (* A problem chaos strikes is solved on every query, never answered
-     from the cache: a same-key problem's cached result would otherwise
-     decide, by cache order, whether the strike lands. *)
-  Query.memoize ?stats ?cache ?annot ?observer
-    ~fresh:(Cascade.struck ?chaos cascade p)
-    ~cascade_name:cascade.Cascade.name ~env
-    (fun ~env p -> Cascade.run ?stats ?budget ?chaos ~env cascade p)
-    p
+  Query.memoize ?stats ?cache ~budget ~chaos ?annot ?observer ~env cascade p
 
 let query_all ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ?pool
     ~env accs =

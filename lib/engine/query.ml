@@ -346,8 +346,14 @@ let settled stats sp t0 w0 ~hit disposition h (r : Strategy.result) =
 let notify observer d =
   match observer with None -> () | Some f -> f d
 
-let memoize ?(stats = Stats.global) ?(cache = global_cache) ?(annot = [])
-    ?observer ?(fresh = false) ~cascade_name ~env run p =
+(* The solve behind a miss or an uncacheable query.  [Some stats] is
+   built here, off the hit path. *)
+let solve stats budget chaos ~env cascade p =
+  Cascade.run ~stats ?budget ?chaos ~env cascade p
+
+let memoize ?(stats = Stats.global) ?(cache = global_cache) ~budget ~chaos
+    ?(annot = []) ?observer ~env (cascade : Cascade.t) p =
+  let cascade_name = cascade.Cascade.name in
   Stats.record_query stats;
   (* One span per query (the high-volume span class — subject to the
      sampling knob); cache disposition and verdict provenance land as
@@ -372,13 +378,17 @@ let memoize ?(stats = Stats.global) ?(cache = global_cache) ?(annot = [])
       Stats.record_uncacheable stats;
       notify observer Uncacheable;
       settled stats sp t0 w0 ~hit:false "uncacheable" h_uncacheable
-        (run ~env p)
+        (solve stats budget chaos ~env cascade p)
     end
     else begin
       let h = hash_key cascade_name kb in
       let sh = shard_of cache h in
       match
-        if fresh then raise_notrace Not_found
+        (* A problem chaos strikes is solved on every query, never
+           answered from the cache: a same-key problem's cached result
+           would otherwise decide, by cache order, whether the strike
+           lands. *)
+        if Cascade.struck ?chaos cascade p then raise_notrace Not_found
         else find_cached cache sh h cascade_name kb
       with
       | e ->
@@ -393,7 +403,7 @@ let memoize ?(stats = Stats.global) ?(cache = global_cache) ?(annot = [])
              of hit/miss/uncacheable. *)
           Stats.record_miss stats;
           notify observer Miss;
-          let r = run ~env p in
+          let r = solve stats budget chaos ~env cascade p in
           if r.Strategy.degraded <> [] then
             (* A degraded result reflects a contained fault (budget,
                chaos, overflow), not the problem's answer; caching it

@@ -16,11 +16,11 @@ module Problem = Dlz_deptest.Problem
 
 val key_of : cascade:string -> Problem.t -> string option
 (** The cache key: cascade name, a NUL byte, then the flat canonical
-    encoding ({!Problem.Keybuf}); [None] for problems with no numeric
-    projection (uncacheable).  The hot path never builds this string —
-    it hashes and compares the per-domain key buffer in place — but the
-    materialized form is what miss-path inserts store, and what tests
-    use to count distinct keys. *)
+    encoding ({!Problem.Keybuf}); [None] for problems with no integer
+    form, or whose normalization overflows (uncacheable).  The hot path
+    never builds this string — it hashes and compares the per-domain
+    key buffer in place — but the materialized form is what miss-path
+    inserts store, and what tests use to count distinct keys. *)
 
 val hash_of_key : string -> int
 (** The cache's hash of a materialized key: djb2-xor over its bytes
@@ -93,26 +93,30 @@ type disposition = Hit_warm | Hit_cold | Miss | Uncacheable
 val memoize :
   ?stats:Stats.t ->
   ?cache:cache ->
+  budget:Dlz_base.Budget.t option ->
+  chaos:Chaos.t option ->
   ?annot:(string * string) list ->
   ?observer:(disposition -> unit) ->
-  ?fresh:bool ->
-  cascade_name:string ->
   env:Dlz_symbolic.Assume.t ->
-  (env:Dlz_symbolic.Assume.t -> Problem.t -> Strategy.result) ->
+  Cascade.t ->
   Problem.t ->
   Strategy.result
-(** [memoize ~cascade_name ~env run p] returns the cached result for
-    [p]'s canonical form, or runs [run ~env p] and stores it.  Records
-    query/hit/miss/uncacheable counters and the query's minor-heap
-    allocation delta ({!Stats.record_alloc}); the hit path itself
-    allocates nothing — flat key encoding into a per-domain buffer,
-    in-place hash and compare, lock-free bucket load.
+(** [memoize ~budget ~chaos ~env cascade p] returns the cached result
+    for [p]'s canonical form under [cascade], or solves it with
+    {!Cascade.run} and stores it; [budget] and [chaos] are
+    {!Engine.query}'s own options, passed through ([None] takes
+    {!Cascade.run}'s defaults).  Records query/hit/miss/uncacheable
+    counters and the query's minor-heap allocation delta
+    ({!Stats.record_alloc}); the hit path allocates nothing — flat key
+    encoding into a per-domain buffer, in-place hash and compare,
+    lock-free bucket load — and neither does the call itself, so a hit
+    through {!Engine.query} costs 0 minor words.
 
     [annot] appends attributes to the query span's begin event (the
     serve daemon threads the request id through here); the list must
     be immutable data fixed at call time, since span args render at
     export.  [observer], when given, is called once per query with the
     cache {!disposition} — the hook per-client attribution hangs off
-    without touching the shared counters.  [fresh] (default [false])
-    skips the lookup: the query counts as a miss and is solved, and
-    its result cached unless degraded. *)
+    without touching the shared counters.  A problem [chaos] strikes
+    ({!Cascade.struck}) skips the lookup: the query counts as a miss
+    and is solved, and its result cached unless degraded. *)

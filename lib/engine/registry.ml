@@ -21,7 +21,7 @@ module Poly = Dlz_symbolic.Poly
    mixed one folds [Symalgo.equation] over its equations: the answers
    meet, and the first independent equation ends the fold. *)
 let run_delinearize ~env ~budget (p : Problem.t) =
-  match Problem.to_numeric p with
+  match p.Problem.numeric with
   | Some np -> (
       match Algo.solve ~budget np with
       | Verdict.Independent, _, _ -> Strategy.decided Verdict.Independent
@@ -65,7 +65,7 @@ let delinearize =
    counter — one uniform fault path instead of per-strategy ad-hoc
    catches. *)
 let run_classic ~env:_ ~budget (p : Problem.t) =
-  match Problem.to_numeric p with
+  match p.Problem.numeric with
   | Some np ->
       let dvs = Hierarchy.directions ~budget np in
       Strategy.decided
@@ -86,7 +86,7 @@ let classic =
 (* --- exact solver (passes on symbolics and overflow) -------------------- *)
 
 let run_exact ~env:_ ~budget (p : Problem.t) =
-  match Problem.to_numeric p with
+  match p.Problem.numeric with
   | Some np ->
       let dvs =
         Exact.direction_vectors ~budget ~n_common:np.Problem.n_common
@@ -107,7 +107,7 @@ let exact =
 
 (* --- conservative filters: decide only on proven independence ----------- *)
 
-let numeric_applies ~env:_ (p : Problem.t) = Problem.to_numeric p <> None
+let numeric_applies ~env:_ (p : Problem.t) = Option.is_some p.Problem.numeric
 
 (* A whole-problem verdict from a sound single-equation test: the system
    is infeasible as soon as one conjunct is.  The per-equation test gets
@@ -115,7 +115,7 @@ let numeric_applies ~env:_ (p : Problem.t) = Problem.to_numeric p <> None
    elimination) stay bounded. *)
 let filter_of_eq_test name test =
   let run ~env:_ ~budget (p : Problem.t) =
-    match Problem.to_numeric p with
+    match p.Problem.numeric with
     | None -> Strategy.Pass
     | Some np ->
         let indep =
@@ -144,7 +144,7 @@ let fm =
 
 let omega =
   let run ~env:_ ~budget (p : Problem.t) =
-    match Problem.to_numeric p with
+    match p.Problem.numeric with
     | None -> Strategy.Pass
     | Some np ->
         let v = Omega.test ~budget np.Problem.eqs in

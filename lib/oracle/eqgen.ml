@@ -14,11 +14,14 @@ type case = {
   env : Assume.t;
 }
 
-let mk_case ~family ~idx ?(env = Assume.empty) ?problem ground =
-  let problem =
-    match problem with Some p -> p | None -> Problem.synthetic ground
-  in
-  { id = Printf.sprintf "%s:%d" family idx; family; problem; ground; env }
+(* The oracle decides the integer form the strategies see: the ground
+   rebuilt by [Depeq.make], equal to it for every generator here.  So
+   a generated case holds one integer form, not two. *)
+let mk_case ~family ~idx ground =
+  let problem = Problem.synthetic ground in
+  { id = Printf.sprintf "%s:%d" family idx; family; problem;
+    ground = Option.value problem.Problem.numeric ~default:ground;
+    env = Assume.empty }
 
 (* A symbolic problem over placeholder accesses, for families whose
    coefficients are genuinely polynomial (Problem.synthetic only lifts
@@ -33,14 +36,8 @@ let mk_symbolic_problem ~n_common ~common_ubs equations =
     { Access.acc_id; stmt_id = acc_id; stmt_name; array = "synthetic";
       rw; loops; subs = [] }
   in
-  {
-    Problem.src = access 0 "Ssrc" `Write;
-    dst = access 1 "Sdst" `Read;
-    n_common;
-    common_ubs;
-    equations;
-    opaque_dims = 0;
-  }
+  Problem.make ~src:(access 0 "Ssrc" `Write) ~dst:(access 1 "Sdst" `Read)
+    ~n_common ~common_ubs ~opaque_dims:0 equations
 
 (* --- random numeric systems --------------------------------------------- *)
 
@@ -208,7 +205,7 @@ let cases_of_program ~family ~env ~start prog =
   List.of_seq @@ Seq.filter_map
     (fun (pr : Dlz_engine.Engine.pair) ->
       let p = pr.Dlz_engine.Engine.problem in
-      match Problem.to_numeric p with
+      match p.Problem.numeric with
       | Some np ->
           incr idx;
           Some { id = Printf.sprintf "%s:%d" family !idx; family;

@@ -206,7 +206,7 @@ let point_to_string point =
          Format.fprintf ppf "%s=%d" v.v_name x))
     point
 
-let verify ?budget ?limit np ~verdict ~dirvecs ~distances =
+let verify ?budget ?limit (np : Problem.numeric) ~verdict ~dirvecs ~distances =
   let module Verdict = Dlz_deptest.Verdict in
   let violation = ref None in
   let check point =

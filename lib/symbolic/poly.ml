@@ -49,15 +49,15 @@ let to_const p =
     | [ (m, c) ] when Monomial.is_unit m -> Some c
     | _ -> None
 
-(* Allocation-free variants of [to_const] for the cache-key hot path.
-   Keyed lookups ([Mmap.mem]/[find]) compare monomials via
-   [Smap.compare], whose tree enumerators cons on every probe, so we
-   walk the structure directly instead. *)
-let is_const p =
-  Mmap.cardinal p <= 1 && Mmap.for_all (fun m _ -> Monomial.is_unit m) p
-
+(* Allocation-free variant of [to_const] for the integer projection
+   every problem gets when it is built: one walk of the map, and a
+   non-unit monomial ends it.  Keyed lookups ([Mmap.mem]/[find])
+   compare monomials via [Smap.compare], whose tree enumerators cons
+   on every probe, so we walk the structure directly instead. *)
 let const_value p =
-  Mmap.fold (fun m c acc -> if Monomial.is_unit m then c else acc) p 0
+  Mmap.fold
+    (fun m c _ -> if Monomial.is_unit m then c else raise_notrace Not_found)
+    p 0
 
 let terms p =
   List.rev_map (fun (m, c) -> (c, m)) (Mmap.bindings p)

@@ -30,12 +30,9 @@ val is_zero : t -> bool
 val to_const : t -> int option
 (** [to_const p] is [Some c] iff [p] is the constant polynomial [c]. *)
 
-val is_const : t -> bool
-(** [is_const p = Option.is_some (to_const p)], without allocating. *)
-
 val const_value : t -> int
-(** The value of a constant polynomial ({!is_const} must hold; raises
-    [Not_found] otherwise).  Allocation-free. *)
+(** The value of a constant polynomial; raises [Not_found] on any
+    other.  Allocation-free. *)
 
 val terms : t -> (int * Monomial.t) list
 (** Terms in descending monomial order; coefficients are nonzero. *)

@@ -1222,8 +1222,165 @@ let key_of p =
 let extremes =
   [ 0; 1; -1; 63; -63; 64; -64; 8191; -8191; 8192; -8192; max_int; min_int ]
 
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+(* Over one common loop of bound 4 when [n] is 1, two of bounds 4, 9
+   when it is 2. *)
+let lifted ?(n = 1) eqs =
+  Problem.synthetic
+    (Problem.numeric_of_equations ~n_common:n
+       ~common_ubs:(if n = 1 then [| 4 |] else [| 4; 9 |])
+       eqs)
+
+let i1 = var ~side:`Src ~level:1 "i1" 4
+let i2 = var ~side:`Dst ~level:1 "i2" 4
+
+(* [c*i1 - c*i2 + c0 = 0]. *)
+let shift c c0 = Depeq.make c0 [ (c, i1); (-c, i2) ]
+
+(* The integer form as [Problem.t] defined it when strategies projected
+   it on every call: every bound and coefficient a constant, every
+   variable bound nonnegative, and each equation rebuilt by merging
+   duplicate variables into their first occurrence and dropping zero
+   coefficients. *)
+let reference_numeric (p : Problem.t) =
+  let ints ps =
+    let cs = List.map Poly.to_const ps in
+    if List.mem None cs then None else Some (List.map Option.get cs)
+  in
+  let equation (e : Symeq.t) =
+    match (Poly.to_const e.Symeq.c0, ints (List.map fst e.Symeq.terms),
+           ints (List.map (fun (_, v) -> v.Symeq.s_ub) e.Symeq.terms))
+    with
+    | Some c0, Some cs, Some ubs when List.for_all (fun u -> u >= 0) ubs ->
+        let merged =
+          List.fold_left2
+            (fun acc c ((_, v), ub) ->
+              let v =
+                Depeq.var ~side:v.Symeq.s_side ~level:v.Symeq.s_level
+                  v.Symeq.s_name ub
+              in
+              if List.exists (fun (t : Depeq.term) -> Depeq.same_var t.var v) acc
+              then
+                List.map
+                  (fun (t : Depeq.term) ->
+                    if Depeq.same_var t.var v then
+                      { t with coeff = Dlz_base.Intx.add t.coeff c }
+                    else t)
+                  acc
+              else acc @ [ { Depeq.coeff = c; var = v } ])
+            [] cs
+            (List.combine e.Symeq.terms ubs)
+        in
+        Some
+          { Depeq.c0;
+            terms = List.filter (fun (t : Depeq.term) -> t.coeff <> 0) merged }
+    | _ -> None
+  in
+  match ints p.common_ubs with
+  | None -> None
+  | Some ubs ->
+      let eqs = List.map equation p.equations in
+      if List.mem None eqs then None
+      else
+        Some
+          { Problem.n_common = p.n_common; common_ubs = Array.of_list ubs;
+            eqs = List.map Option.get eqs; opaque_dims = p.opaque_dims }
+
 let keybuf_units =
   [
+    Alcotest.test_case "pinned key bytes" `Quick (fun () ->
+        (* The canonical form, byte for byte: a change here is a change
+           of every cache key and of the snapshot format. *)
+        let pin what expected p =
+          Alcotest.(check (option string)) what (Some expected)
+            (Option.map hex (key_of p))
+        in
+        pin "one equation" "04000408120209080200080200020208010004001214000402121300"
+          (lifted ~n:2 [ eq1 () ]);
+        let two = "04000408120406040200080400020208030009080200080200020208010004001214000402121300" in
+        pin "two equations" two (lifted ~n:2 [ eq1 (); shift 2 3 ]);
+        pin "two equations, reordered" two (lifted ~n:2 [ shift 2 3; eq1 () ]);
+        (* -2*i1 + 2*i2 + 3 = 0 flips to 2*i1 - 2*i2 - 3 = 0. *)
+        let flipped = "0200020802050402000804000202080300" in
+        pin "sign flip" flipped (lifted [ shift (-2) 3 ]);
+        pin "sign flip, written flipped" flipped (lifted [ shift 2 (-3) ]);
+        let divided = "0200020802040402000802000202080100" in
+        pin "gcd division" divided (lifted [ shift 4 8 ]);
+        pin "gcd division, written divided" divided (lifted [ shift 1 2 ]);
+        let named name paired =
+          lifted
+            [ Depeq.make (-1)
+                [ (3, var name 7); (1, var ~side:`Src ~level:1 paired 4);
+                  (-1, i2) ] ]
+        in
+        pin "level-0 named variable" "0200020802010600000e06026e02000802000202080100"
+          (named "n" "i1");
+        pin "a paired loop variable's name is display only"
+          "0200020802010600000e06026e02000802000202080100" (named "n" "p");
+        Alcotest.(check bool) "a level-0 variable's name is part of the key"
+          true
+          (key_of (named "n" "i1") <> key_of (named "m" "i1"));
+        (* 2*i1 - 5*i2 + 3*i1 + 1 = 0 merges to 5*i1 - 5*i2 + 1 = 0. *)
+        let merged = "020002080202040200080a000202080900" in
+        pin "merged duplicate variables" merged
+          (lifted
+             [ { Depeq.c0 = 1;
+                 terms =
+                   [ { Depeq.coeff = 2; var = i1 }; { Depeq.coeff = -5; var = i2 };
+                     { Depeq.coeff = 3; var = i1 } ] } ]);
+        pin "merged duplicate variables, written merged" merged
+          (lifted [ shift 5 1 ]));
+    Alcotest.test_case "no integer form, or no canonical form: uncacheable"
+      `Quick (fun () ->
+        let n = Poly.sym "N" in
+        let symbolic =
+          Problem.make ~src:(lifted []).src ~dst:(lifted []).dst ~n_common:1
+            ~common_ubs:[ Poly.const 4 ] ~opaque_dims:0
+            [ Symeq.make Poly.zero
+                [ (n, Symeq.var ~side:`Src ~level:1 "i1" (Poly.const 4));
+                  (Poly.neg n, Symeq.var ~side:`Dst ~level:1 "i2" (Poly.const 4)) ] ]
+        in
+        let negative =
+          lifted
+            [ { Depeq.c0 = 0; terms = [ { Depeq.coeff = 1; var = var "x" (-1) } ] } ]
+        in
+        (* The sign flip negates min_int. *)
+        let overflow = lifted [ Depeq.make 0 [ (min_int, var "a" 1) ] ] in
+        List.iter
+          (fun (what, p, has_numeric) ->
+            Alcotest.(check bool) (what ^ ": integer form") has_numeric
+              (Option.is_some p.Problem.numeric);
+            Alcotest.(check (option string)) (what ^ ": no key") None
+              (key_of p))
+          [ ("symbolic coefficient", symbolic, false);
+            ("negative bound", negative, false);
+            ("normalization overflow", overflow, true) ]);
+    Alcotest.test_case "integer form = the reference projection" `Quick
+      (fun () ->
+        let module Eqgen = Dlz_oracle.Eqgen in
+        List.iter
+          (fun (what, cases) ->
+            let differ =
+              List.filter
+                (fun (c : Eqgen.case) ->
+                  c.Eqgen.problem.Problem.numeric
+                  <> reference_numeric c.Eqgen.problem)
+                cases
+            in
+            Alcotest.(check (list string))
+              (what ^ ": cases whose integer form differs") []
+              (List.map (fun (c : Eqgen.case) -> c.Eqgen.id) differ);
+            Alcotest.(check bool) (what ^ ": some symbolic") true
+              (what = "polybench"
+              || List.exists
+                   (fun (c : Eqgen.case) -> c.Eqgen.problem.Problem.numeric = None)
+                   cases))
+          [ ("corpus", Eqgen.corpus ()); ("polybench", Eqgen.polybench ());
+            ("all seed 1", Eqgen.all ~seed:1L ~count:5000) ]);
     Alcotest.test_case "encode allocates nothing after warm-up" `Quick
       (fun () ->
         (* Terms listed out of canonical order and a negative first

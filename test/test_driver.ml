@@ -30,7 +30,7 @@ let fragment_units =
         match accs with
         | [ w; r ] -> (
             let p = Option.get (Problem.of_accesses w r) in
-            match Problem.to_numeric p with
+            match p.Problem.numeric with
             | Some np -> (
                 match np.Problem.eqs with
                 | [ derived ] ->

@@ -560,7 +560,7 @@ let props =
                 match Problem.of_accesses a b with
                 | None -> true
                 | Some p -> (
-                    match Problem.to_numeric p with
+                    match p.Problem.numeric with
                     | None -> true
                     | Some np -> (
                         let r = Dlz_engine.Engine.query ~env p in

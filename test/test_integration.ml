@@ -140,7 +140,7 @@ let e5_units =
         match accs with
         | [ w; r ] -> (
             let p = Option.get (Problem.of_accesses w r) in
-            match Problem.to_numeric p with
+            match p.Problem.numeric with
             | Some np ->
                 Alcotest.(check (option (list int)))
                   "level 1 distances" (Some [ -2 ])

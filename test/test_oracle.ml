@@ -220,7 +220,7 @@ let liar_name = "zz-test-liar"
 let liar_strategy ~active =
   {
     Strategy.name = liar_name;
-    applies = (fun ~env:_ p -> active && Problem.to_numeric p <> None);
+    applies = (fun ~env:_ p -> active && Option.is_some p.Problem.numeric);
     run =
       (fun ~env:_ ~budget:_ _ -> Strategy.Decided (Verdict.Independent, [], []));
   }

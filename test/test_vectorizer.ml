@@ -189,8 +189,8 @@ let gen_answered =
       let+ independent = frequencyl [ (1, true); (6, false) ] in
       ( { Engine.src; dst; self;
           problem =
-            { Dlz_deptest.Problem.src; dst; n_common = n; common_ubs = [];
-              equations = []; opaque_dims = 0 } },
+            Dlz_deptest.Problem.make ~src ~dst ~n_common:n ~common_ubs:[]
+              ~opaque_dims:0 [] },
         { Strategy.verdict =
             (if independent then Dlz_deptest.Verdict.Independent
              else Dlz_deptest.Verdict.Dependent);
