@@ -721,7 +721,7 @@ let fuzz_cmd =
              ~doc:"Generator seed; the run is fully deterministic in it.")
   in
   let count_arg =
-    Arg.(value & opt int 500
+    Arg.(value & opt (non_negative "case count") 500
          & info [ "count" ] ~docv:"N"
              ~doc:"Number of generated cases (mixed families: random,\n\
                    linearized, symbolic-coefficient, near-overflow, whole\n\
@@ -746,7 +746,8 @@ let fuzz_cmd =
                    polybench-style mini-C corpus.")
   in
   let limit_arg =
-    Arg.(value & opt int Dlz_oracle.Differ.default_limit
+    Arg.(value & opt (non_negative "point count")
+           Dlz_oracle.Differ.default_limit
          & info [ "limit" ] ~docv:"POINTS"
              ~doc:"Oracle box-size cap: systems with more integer points\n\
                    are reported as unknown rather than enumerated.")

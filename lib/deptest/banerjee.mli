@@ -24,7 +24,8 @@ val interval : ?dirs:(int -> Dirvec.dir) -> Depeq.t -> Dlz_base.Ivl.t
     infeasible (e.g. [<] inside a 1-trip loop). *)
 
 val test : ?dirs:(int -> Dirvec.dir) -> Depeq.t -> Verdict.t
-(** [Independent] iff {!interval} excludes zero. *)
+(** [Independent] iff {!interval} excludes zero.  With {!Gcd_test.test},
+    the node test of {!Hierarchy.directions}' checked walk. *)
 
 val interval_closed : ?dirs:(int -> Dirvec.dir) -> Depeq.t -> Dlz_base.Ivl.t
 (** The same range computed with Banerjee's closed-form direction bounds

@@ -9,4 +9,5 @@ val test : ?dirs:(int -> Dirvec.dir) -> Depeq.t -> Verdict.t
 (** [test eq] is [Independent] iff the divisibility condition fails.
     With [dirs], loop pairs constrained to [=] are merged into a single
     variable (coefficient [a+b]) before taking the gcd, which is how the
-    test sharpens inside hierarchy refinement. *)
+    test sharpens inside hierarchy refinement.  With {!Banerjee.test},
+    the node test of {!Hierarchy.directions}' checked walk. *)

@@ -6,143 +6,6 @@ let feasible_dir ~ub dir =
   | Dirvec.Ne -> ub >= 1
   | Dirvec.Eq | Dirvec.Le | Dirvec.Ge | Dirvec.Star -> true
 
-(* Each equation is compiled once per [directions] call into one slot
-   per term, in term order, holding what GCD-with-directions and
-   Banerjee-with-directions read of that term: the lookups
-   ([Depeq.has_side]/[find_coeff]/[find_ub]) are done here, not at every
-   node.  A slot's direction is the vector entry [at], or [*] when
-   [at < 0] (level 0, or a level outside the common loops). *)
-
-(* Banerjee's range of one common level's [a*α + b*β], memoized per
-   direction the first time a node asks for it. *)
-type pair = {
-  a : int;
-  ub_a : int;
-  b : int;
-  ub_b : int;
-  mutable lt : Ivl.t option;
-  mutable eq : Ivl.t option;
-  mutable gt : Ivl.t option;
-  mutable star : Ivl.t option;
-}
-
-type ban =
-  | Box of int * int  (** level 0: [coeff * [0, ub]] *)
-  | Pair of pair  (** the level's pair range, added at its [`Src] term *)
-  | Skip  (** a [`Dst] term whose [`Src] term carries the pair *)
-
-(* The merged coefficient [a + b] of a level with both instances, which
-   the gcd test uses under [=]; computed once, when first needed. *)
-type merged = { coeff : int; other : int; mutable sum : int option }
-
-type gcd =
-  | Coeff of int  (** always its own coefficient *)
-  | Merged of merged  (** a [`Src] term: [a + b] under [=], else [a] *)
-  | Dropped of int  (** a [`Dst] term: nothing under [=] (merged at [`Src]) *)
-
-type slot = { at : int; ban : ban; gcd : gcd }
-type ceq = { c0 : int; slots : slot list }
-
-let compile_eq n (eq : Depeq.t) =
-  let pair a ub_a b ub_b =
-    Pair { a; ub_a; b; ub_b; lt = None; eq = None; gt = None; star = None }
-  in
-  let slot (t : Depeq.term) =
-    let v = t.var and c = t.coeff in
-    let lvl = v.v_level in
-    let at = if lvl >= 1 && lvl <= n then lvl - 1 else -1 in
-    if lvl = 0 then { at = -1; ban = Box (c, v.v_ub); gcd = Coeff c }
-    else
-      match v.v_side with
-      | `Src ->
-          if Depeq.has_side eq ~level:lvl `Dst then
-            let b = Depeq.find_coeff eq ~level:lvl `Dst in
-            {
-              at;
-              ban = pair c v.v_ub b (Depeq.find_ub eq ~level:lvl `Dst);
-              gcd = Merged { coeff = c; other = b; sum = None };
-            }
-          else { at; ban = pair c v.v_ub 0 max_int; gcd = Coeff c }
-      | `Dst ->
-          if Depeq.has_side eq ~level:lvl `Src then
-            { at; ban = Skip; gcd = Dropped c }
-          else { at; ban = pair 0 max_int c v.v_ub; gcd = Coeff c }
-  in
-  { c0 = eq.c0; slots = List.map slot eq.terms }
-
-let dir_at (dv : Dirvec.t) at = if at < 0 then Dirvec.Star else dv.(at)
-
-(* The refinement writes only [<], [=], [>] and [*] into the vector, so
-   [_] below is [*]. *)
-let pair_range p (dir : Dirvec.dir) =
-  let memo =
-    match dir with Lt -> p.lt | Eq -> p.eq | Gt -> p.gt | _ -> p.star
-  in
-  match memo with
-  | Some iv -> iv
-  | None ->
-      let iv = Banerjee.pair_interval p.a p.ub_a p.b p.ub_b dir in
-      (match dir with
-      | Lt -> p.lt <- Some iv
-      | Eq -> p.eq <- Some iv
-      | Gt -> p.gt <- Some iv
-      | _ -> p.star <- Some iv);
-      iv
-
-let merged_sum m =
-  match m.sum with
-  | Some s -> s
-  | None ->
-      let s = Intx.add m.coeff m.other in
-      m.sum <- Some s;
-      s
-
-(* Banerjee-with-directions: the equation's range contains zero. *)
-let rec banerjee_range acc dv = function
-  | [] -> ()
-  | s :: rest ->
-      (match s.ban with
-      | Box (c, ub) -> Ivl.Acc.add_scaled acc c ub
-      | Pair p -> Ivl.Acc.add_ivl acc (pair_range p (dir_at dv s.at))
-      | Skip -> ());
-      banerjee_range acc dv rest
-
-let banerjee_dep acc dv e =
-  Ivl.Acc.set_point acc e.c0;
-  banerjee_range acc dv e.slots;
-  Ivl.Acc.contains_zero acc
-
-(* GCD-with-directions: the gcd of the effective coefficients divides
-   the constant. *)
-let rec effective_gcd dv g = function
-  | [] -> g
-  | s :: rest ->
-      let g =
-        match s.gcd with
-        | Coeff c -> Numth.gcd g c
-        | Merged m ->
-            Numth.gcd g
-              (if dir_at dv s.at = Dirvec.Eq then merged_sum m else m.coeff)
-        | Dropped c -> if dir_at dv s.at = Dirvec.Eq then g else Numth.gcd g c
-      in
-      effective_gcd dv g rest
-
-(* The node test, equation by equation until one is independent; per
-   equation Banerjee runs before the gcd test and both always run, so an
-   overflow fires at the same node with the same operation as the
-   per-equation [Verdict.both (Gcd_test.test) (Banerjee.test)]. *)
-let rec dependent acc dv = function
-  | [] -> true
-  | e :: rest ->
-      let ban = banerjee_dep acc dv e in
-      let gcd = Numth.divides (effective_gcd dv 0 e.slots) e.c0 in
-      ban && gcd && dependent acc dv rest
-
-(* Whether the equation has a term at vector entry [at]. *)
-let mentions at e = List.exists (fun s -> s.at = at) e.slots
-
-let acc_key = Domain.DLS.new_key Ivl.Acc.create
-
 (* --- the table path ------------------------------------------------------- *)
 
 let bounded (eq : Depeq.t) =
@@ -183,16 +46,26 @@ let slot_of (d : Dirvec.dir) =
 (* The walks a table can serve: the mask has a bit per level. *)
 let max_table_levels = Sys.int_size - 1
 
-(* [compile_eq]'s slots folded per level: each pair's range under
-   every direction and each level's gcd under [=] and otherwise; a slot
+(* The equation's terms folded per level, with the lookups
+   {!Banerjee.test} and {!Gcd_test.test} make: a common level's pair
+   range, carried by its [`Src] term (or its [`Dst] term when the
+   source instance is absent), under every direction, and each level's
+   gcd under [=] (the merged [a + b] at the [`Src] term, nothing at the
+   [`Dst] one) and otherwise (each term's own coefficient); a term
    outside the common loops joins the constant part under [*].  The
    sums are checked, so a table that breaks {!bounded}'s promise raises
    here rather than wrapping. *)
-let table n (e : ceq) =
+let table n (eq : Depeq.t) =
+  let at (t : Depeq.term) =
+    let lvl = t.var.v_level in
+    if lvl >= 1 && lvl <= n then lvl - 1 else -1
+  in
   let mask =
     List.fold_left
-      (fun m s -> if s.at >= 0 then m lor (1 lsl s.at) else m)
-      0 e.slots
+      (fun m t ->
+        let at = at t in
+        if at >= 0 then m lor (1 lsl at) else m)
+      0 eq.terms
   in
   let rec bits m = if m = 0 then 0 else 1 + bits (m land (m - 1)) in
   let ats = Array.make (bits mask) 0 in
@@ -203,8 +76,20 @@ let table n (e : ceq) =
       incr k
     end
   done;
+  (* The term's row in [tab], or [-1] outside the common loops. *)
+  let row t =
+    let at = at t in
+    if at < 0 then -1
+    else begin
+      let k = ref 0 in
+      while ats.(!k) <> at do
+        incr k
+      done;
+      !k * stride
+    end
+  in
   let tab = Array.make (Array.length ats * stride) 0 in
-  let lo0 = ref e.c0 and hi0 = ref e.c0 and g0 = ref 0 in
+  let lo0 = ref eq.c0 and hi0 = ref eq.c0 and g0 = ref 0 in
   let add_const iv =
     lo0 := Intx.add !lo0 (Ivl.lo iv);
     hi0 := Intx.add !hi0 (Ivl.hi iv)
@@ -219,44 +104,46 @@ let table n (e : ceq) =
       tab.(i + 1) <- Intx.add tab.(i + 1) (Ivl.hi iv)
     end
   in
-  let range p d = Banerjee.pair_interval p.a p.ub_a p.b p.ub_b d in
+  let add_pair r a ub_a b ub_b =
+    let range d = Banerjee.pair_interval a ub_a b ub_b d in
+    if r < 0 then add_const (range Star)
+    else begin
+      add_range r (range Lt);
+      add_range (r + 2) (range Eq);
+      add_range (r + 4) (range Gt);
+      add_range (r + 6) (range Star)
+    end
+  in
   List.iter
-    (fun s ->
-      if s.at < 0 then begin
-        (match s.ban with
-        | Box (c, ub) -> add_const (Ivl.scale c (Ivl.make 0 ub))
-        | Pair p -> add_const (range p Star)
-        | Skip -> ());
-        g0 :=
-          Numth.gcd !g0
-            (match s.gcd with Coeff c | Dropped c -> c | Merged m -> m.coeff)
-      end
+    (fun (t : Depeq.term) ->
+      let v = t.var and c = t.coeff in
+      let lvl = v.v_level and r = row t in
+      let g_eq =
+        if lvl = 0 then begin
+          add_const (Ivl.scale c (Ivl.make 0 v.v_ub));
+          c
+        end
+        else
+          match v.v_side with
+          | `Src when Depeq.has_side eq ~level:lvl `Dst ->
+              let b = Depeq.find_coeff eq ~level:lvl `Dst in
+              add_pair r c v.v_ub b (Depeq.find_ub eq ~level:lvl `Dst);
+              Intx.add c b
+          | `Src ->
+              add_pair r c v.v_ub 0 max_int;
+              c
+          | `Dst when Depeq.has_side eq ~level:lvl `Src -> 0
+          | `Dst ->
+              add_pair r 0 max_int c v.v_ub;
+              c
+      in
+      if r < 0 then g0 := Numth.gcd !g0 c
       else begin
-        let r =
-          let k = ref 0 in
-          while ats.(!k) <> s.at do
-            incr k
-          done;
-          !k * stride
-        in
-        (match s.ban with
-        | Pair p ->
-            add_range r (range p Lt);
-            add_range (r + 2) (range p Eq);
-            add_range (r + 4) (range p Gt);
-            add_range (r + 6) (range p Star)
-        | Box _ | Skip -> ());
-        let g_eq, g =
-          match s.gcd with
-          | Coeff c -> (c, c)
-          | Merged m -> (Intx.add m.coeff m.other, m.coeff)
-          | Dropped c -> (0, c)
-        in
         tab.(r + 8) <- Numth.gcd tab.(r + 8) g_eq;
-        tab.(r + 9) <- Numth.gcd tab.(r + 9) g
+        tab.(r + 9) <- Numth.gcd tab.(r + 9) c
       end)
-    e.slots;
-  { t_c0 = e.c0; lo0 = !lo0; hi0 = !hi0; g0 = !g0; mask; ats; tab }
+    eq.terms;
+  { t_c0 = eq.c0; lo0 = !lo0; hi0 = !hi0; g0 = !g0; mask; ats; tab }
 
 (* Native arithmetic from here on: every value is at most the
    equation's {!bounded} sum in absolute value, and gcds are
@@ -370,9 +257,8 @@ let walk ~budget (p : Problem.numeric) dv ~mentioned ~test =
 let directions ?(budget = Budget.unlimited) (p : Problem.numeric) =
   let n = p.n_common in
   let dv = Dirvec.all_star n in
-  let eqs = List.map (compile_eq n) p.eqs in
   if n <= max_table_levels && List.for_all bounded p.eqs then
-    let eqs = Array.of_list (List.map (table n) eqs) in
+    let eqs = Array.of_list (List.map (table n) p.eqs) in
     let at_level =
       Array.init n (fun at ->
           let bit = 1 lsl at in
@@ -391,9 +277,28 @@ let directions ?(budget = Budget.unlimited) (p : Problem.numeric) =
             (dv.(level - 1) = Dirvec.Eq)
             at_level.(level - 1) 0)
   else
-    let at_level = Array.init n (fun at -> List.filter (mentions at) eqs) in
-    let acc = Domain.DLS.get acc_key in
+    (* The checked walk: the node test is the per-equation
+       {!Banerjee.test} then {!Gcd_test.test}, both run, until one proves
+       independence, so an overflow fires where theirs would. *)
+    let dirs lvl =
+      if lvl >= 1 && lvl <= n then dv.(lvl - 1) else Dirvec.Star
+    in
+    let dependent eq =
+      let ban = Banerjee.test ~dirs eq in
+      let gcd = Gcd_test.test ~dirs eq in
+      Verdict.both gcd ban <> Verdict.Independent
+    in
+    let at_level =
+      Array.init n (fun at ->
+          List.filter
+            (fun (eq : Depeq.t) ->
+              List.exists
+                (fun (t : Depeq.term) -> t.var.v_level = at + 1)
+                eq.terms)
+            p.eqs)
+    in
     walk ~budget p dv
       ~mentioned:(fun level -> at_level.(level - 1) <> [])
       ~test:(fun level ->
-        dependent acc dv (if level = 0 then eqs else at_level.(level - 1)))
+        List.for_all dependent
+          (if level = 0 then p.eqs else at_level.(level - 1)))

@@ -25,22 +25,24 @@ val directions : ?budget:Dlz_base.Budget.t -> Problem.numeric -> Dirvec.Set.t
     [common_ubs] gives the bounds of the first [n_common] levels.
 
     When every equation is {!bounded}, the walk reads a table built once
-    per call: per equation, its constant part ([c0], the level-0 terms
-    and the terms beyond [n_common], as one interval and one gcd) and,
-    for each common level it mentions, the four
-    {!Banerjee.pair_interval} ranges under [<], [=], [>] and [*] and
-    the gcd of its coefficients under [=] and under any other
-    direction.  A node then sums one table entry per mentioned level in
-    native [int]s, and recomputes the gcd only at the root and at [=]
-    children: a [<] or [>] child's equations last passed at an ancestor
-    that saw its level as [*], and the gcd reads the same coefficients
-    under all three.  No value the walk forms can exceed the bound, so
-    native arithmetic gives what the checked one would, and no overflow
-    can fire: the answer, the fuel spent and the exhaustion point are
-    those of the per-term walk.  Any other walk (the near-overflow
-    family) takes that per-term walk, whose checked arithmetic raises
-    {!Dlz_base.Intx.Overflow} at the node and operation where the
-    per-equation {!Gcd_test.test} and {!Banerjee.test} would. *)
+    per call, folded straight from the equations' terms: per equation,
+    its constant part ([c0], the level-0 terms and the terms beyond
+    [n_common], as one interval and one gcd) and, for each common level
+    it mentions, the four {!Banerjee.pair_interval} ranges under [<],
+    [=], [>] and [*] and the gcd of its coefficients under [=] and
+    under any other direction.  A node then sums one table entry per
+    mentioned level in native [int]s, and recomputes the gcd only at
+    the root and at [=] children: a [<] or [>] child's equations last
+    passed at an ancestor that saw its level as [*], and the gcd reads
+    the same coefficients under all three.  No value the walk forms can
+    exceed the bound, so native arithmetic gives what the checked one
+    would, and no overflow can fire.  Any other walk (the near-overflow
+    family) is the checked walk: its node test is {!Banerjee.test} and
+    then {!Gcd_test.test} with directions, both run, per tested
+    equation, so an {!Dlz_base.Intx.Overflow} fires at the node and
+    operation where testing every equation at every node would raise
+    it.  On both paths the answer, the fuel spent and the exhaustion
+    point are those of that per-node formulation. *)
 
 val bounded : Depeq.t -> bool
 (** Whether [|c0| + Σ|c|·max(ub, 1)] fits in an [int] (every bound

@@ -505,20 +505,17 @@ let e8 () =
             Banerjee %d, tightened FM %d."
            n !indep_total !delin_ok !ban_ok !fmt_ok))
 
-let all ?pool () =
+(* Every experiment by id, in report order. *)
+let table =
   [
-    ("e1", e1 ()); ("e2", e2 ()); ("e3", e3 ?pool ()); ("e4", e4 ());
-    ("e5", e5 ?pool ()); ("e6", e6 ()); ("e7", e7 ?pool ()); ("e8", e8 ());
+    ("e1", fun _ -> e1 ()); ("e2", fun _ -> e2 ());
+    ("e3", fun pool -> e3 ?pool ()); ("e4", fun _ -> e4 ());
+    ("e5", fun pool -> e5 ?pool ()); ("e6", fun _ -> e6 ());
+    ("e7", fun pool -> e7 ?pool ()); ("e8", fun _ -> e8 ());
   ]
 
+let all ?pool () = List.map (fun (id, render) -> (id, render pool)) table
+
 let run ?pool id =
-  match String.lowercase_ascii id with
-  | "e1" -> Some (e1 ())
-  | "e2" -> Some (e2 ())
-  | "e3" -> Some (e3 ?pool ())
-  | "e4" -> Some (e4 ())
-  | "e5" -> Some (e5 ?pool ())
-  | "e6" -> Some (e6 ())
-  | "e7" -> Some (e7 ?pool ())
-  | "e8" -> Some (e8 ())
-  | _ -> None
+  List.assoc_opt (String.lowercase_ascii id) table
+  |> Option.map (fun render -> render pool)
