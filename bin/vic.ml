@@ -1000,7 +1000,7 @@ let stats_cmd =
                    at least 100).")
   in
   let count_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt (non_negative "scrape count") 0
          & info [ "count" ] ~docv:"N"
              ~doc:"--watch: stop after N scrapes (0 = until\n\
                    interrupted).  Useful for scripted sampling.")

@@ -15,7 +15,6 @@ let hi = function
   | Range (_, h) -> h
 
 let mem x = function Empty -> false | Range (l, h) -> l <= x && x <= h
-let contains_zero iv = mem 0 iv
 
 let add a b =
   match (a, b) with
@@ -61,39 +60,3 @@ let equal a b =
 let pp ppf = function
   | Empty -> Format.pp_print_string ppf "[]"
   | Range (l, h) -> Format.fprintf ppf "[%d, %d]" l h
-
-(* Mutable interval accumulator: the hot tests fold dozens of scaled
-   boxes per equation, and building a [Range] block per fold step is
-   pure garbage.  An [Acc.t] is allocated once (per domain, typically)
-   and reused; all the combinators below are allocation-free. *)
-module Acc = struct
-  type acc = { mutable lo : int; mutable hi : int; mutable empty : bool }
-
-  let create () = { lo = 0; hi = 0; empty = false }
-
-  let set_point a v =
-    a.lo <- v;
-    a.hi <- v;
-    a.empty <- false
-
-  let add_scaled a c ub =
-    (* a += c * [0, ub]  (the lhs-interval step), empty absorbing. *)
-    if not a.empty then
-      if c >= 0 then begin
-        a.hi <- Intx.add a.hi (Intx.mul c ub)
-      end
-      else begin
-        a.lo <- Intx.add a.lo (Intx.mul c ub)
-      end
-
-  let add_ivl a = function
-    | Empty -> a.empty <- true
-    | Range (l, h) ->
-        if not a.empty then begin
-          a.lo <- Intx.add a.lo l;
-          a.hi <- Intx.add a.hi h
-        end
-
-  let contains_zero a = (not a.empty) && a.lo <= 0 && 0 <= a.hi
-  let to_ivl a = if a.empty then Empty else make a.lo a.hi
-end

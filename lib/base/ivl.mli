@@ -26,7 +26,6 @@ val hi : t -> int
 (** Upper bound; raises [Invalid_argument] on the empty interval. *)
 
 val mem : int -> t -> bool
-val contains_zero : t -> bool
 
 val add : t -> t -> t
 (** Minkowski sum. *)
@@ -53,30 +52,3 @@ val shift : int -> t -> t
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-(** Mutable interval accumulator for the per-query hot paths.
-
-    The classic tests fold a scaled box per equation term; doing that
-    with immutable {!t} values allocates one block per step.  An
-    {!Acc.acc} is created once (typically per domain) and reused: every
-    combinator here is allocation-free, and {!Acc.to_ivl} converts back
-    to an immutable interval only when a caller needs one. *)
-module Acc : sig
-  type acc
-
-  val create : unit -> acc
-  (** A fresh accumulator holding the point [0]. *)
-
-  val set_point : acc -> int -> unit
-  (** Reset to the singleton [[v, v]]. *)
-
-  val add_scaled : acc -> int -> int -> unit
-  (** [add_scaled a c ub] adds [c * [0, ub]] (Minkowski), the
-      lhs-interval step.  Requires [ub >= 0]; empty absorbs. *)
-
-  val add_ivl : acc -> t -> unit
-  (** Minkowski-add an immutable interval (empty absorbs). *)
-
-  val contains_zero : acc -> bool
-  val to_ivl : acc -> t
-end

@@ -84,56 +84,36 @@ let rec pair_interval_closed a ub_a b ub_b (dir : Dirvec.dir) =
         (fun acc d -> Ivl.join acc (pair_interval_closed a ub_a b ub_b d))
         Ivl.empty (Dirvec.refinements dir)
 
-(* Accumulate the equation's range into [acc] (reset here), walking
-   the terms directly: level-0 terms contribute their scaled box with
-   no allocation at all, and each common level contributes one
-   [pair_fn] interval, added at its [`Src] term (or at the [`Dst]
-   term when the source instance is absent).  A missing side means the
-   variable's coefficient is 0 in this equation; its bound is unknown
-   here, so its instance is left unconstrained (conservative: never
-   shrinks the range below what the true bound would give).  Level
-   feasibility against real bounds is enforced by the hierarchy
-   driver. *)
-let accumulate_gen pair_fn dirs acc (eq : Depeq.t) =
-  Ivl.Acc.set_point acc eq.c0;
-  let rec go = function
-    | [] -> ()
-    | (t : Depeq.term) :: rest ->
-        let v = t.var in
-        (if v.v_level = 0 then Ivl.Acc.add_scaled acc t.coeff v.v_ub
-         else
-           let lvl = v.v_level in
-           match v.v_side with
-           | `Src ->
-               Ivl.Acc.add_ivl acc
-                 (if Depeq.has_side eq ~level:lvl `Dst then
-                    pair_fn t.coeff v.v_ub
-                      (Depeq.find_coeff eq ~level:lvl `Dst)
-                      (Depeq.find_ub eq ~level:lvl `Dst)
-                      (dirs lvl)
-                  else pair_fn t.coeff v.v_ub 0 max_int (dirs lvl))
-           | `Dst ->
-               if not (Depeq.has_side eq ~level:lvl `Src) then
-                 Ivl.Acc.add_ivl acc
-                   (pair_fn 0 max_int t.coeff v.v_ub (dirs lvl)));
-        go rest
-  in
-  go eq.terms
+(* The range [lo, hi] of the left-hand side on plain ints, [lo > hi]
+   once some level's range under its direction is empty.  Each common
+   level adds its [pair_fn] range at the pair {!Depeq.fold_levels}
+   gives; a missing side means the variable's coefficient is
+   0 in this equation, and its bound, unknown here, leaves that
+   instance unconstrained (conservative: never shrinks the range below
+   what the true bound would give).  Level feasibility against real
+   bounds is enforced by the hierarchy walk.  Once the range is
+   empty a level-0 product is skipped, but each later pair range is
+   still computed, so an overflow in it still fires. *)
+let range pair_fn dirs (eq : Depeq.t) =
+  Depeq.fold_levels eq (eq.c0, eq.c0)
+    ~free:(fun ((lo, hi) as r) c ub ->
+      if lo > hi then r
+      else if c >= 0 then (lo, Intx.add hi (Intx.mul c ub))
+      else (Intx.add lo (Intx.mul c ub), hi))
+    ~pair:(fun ((lo, hi) as r) level a ub_a b ub_b ->
+      let iv = pair_fn a ub_a b ub_b (dirs level) in
+      if lo > hi then r
+      else if Ivl.is_empty iv then (max_int, min_int)
+      else (Intx.add lo (Ivl.lo iv), Intx.add hi (Ivl.hi iv)))
+    ~sink:(fun r _ _ -> r)
 
-(* One reusable accumulator per domain: [test] decides containment on
-   plain ints and allocates nothing beyond [pair_fn]'s intervals. *)
-let acc_key = Domain.DLS.new_key (fun () -> Ivl.Acc.create ())
-
-let interval_gen pair_fn ?(dirs = fun _ -> Dirvec.Star) (eq : Depeq.t) =
-  let acc = Domain.DLS.get acc_key in
-  accumulate_gen pair_fn dirs acc eq;
-  Ivl.Acc.to_ivl acc
+let interval_gen pair_fn ?(dirs = fun _ -> Dirvec.Star) eq =
+  let lo, hi = range pair_fn dirs eq in
+  Ivl.make lo hi
 
 let interval ?dirs eq = interval_gen pair_interval ?dirs eq
 let interval_closed ?dirs eq = interval_gen pair_interval_closed ?dirs eq
 
 let test ?(dirs = fun _ -> Dirvec.Star) eq =
-  let acc = Domain.DLS.get acc_key in
-  accumulate_gen pair_interval dirs acc eq;
-  if Ivl.Acc.contains_zero acc then Verdict.Dependent
-  else Verdict.Independent
+  let lo, hi = range pair_interval dirs eq in
+  if lo <= 0 && 0 <= hi then Verdict.Dependent else Verdict.Independent

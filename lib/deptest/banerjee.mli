@@ -21,7 +21,12 @@ val pair_interval_closed :
 val interval : ?dirs:(int -> Dirvec.dir) -> Depeq.t -> Dlz_base.Ivl.t
 (** Exact range of the left-hand side over the (integer-vertexed) region
     selected by [dirs]; the empty interval when some direction is
-    infeasible (e.g. [<] inside a 1-trip loop). *)
+    infeasible (e.g. [<] inside a 1-trip loop).  Each common level
+    contributes its {!pair_interval} at the pair {!Depeq.fold_levels}
+    gives it, in term order with the level-0 boxes; once the range is
+    empty a level-0 product is skipped, but each later pair range is
+    still computed (so an overflow in it still raises).  Without
+    [dirs] it is the hull of [c0 + Σ ck·[0, Zk]]. *)
 
 val test : ?dirs:(int -> Dirvec.dir) -> Depeq.t -> Verdict.t
 (** [Independent] iff {!interval} excludes zero.  With {!Gcd_test.test},

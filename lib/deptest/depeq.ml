@@ -40,48 +40,40 @@ let make c0 terms =
 let nvars eq = List.length eq.terms
 let coeffs eq = List.map (fun t -> t.coeff) eq.terms
 
-(* Allocation-free per-(level, side) lookups: [make] merged duplicate
-   variables, so at most one term matches.  The option-returning
-   [common_pairs] below stays for callers that want the paired view;
-   these are for the hot tests, which must not cons per equation. *)
+(* The pairing rule, written once.  [make] merged duplicate variables,
+   so a level has at most one term per side; an absent side is
+   [absent]: coefficient 0, bound [max_int]. *)
+let absent = { coeff = 0; var = var "" max_int }
 
-let has_side eq ~level side =
-  let rec go = function
-    | [] -> false
-    | t :: rest ->
-        (t.var.v_level = level && t.var.v_side = side) || go rest
-  in
-  go eq.terms
+let rec other level side = function
+  | [] -> absent
+  | t :: rest ->
+      if t.var.v_level = level && t.var.v_side = side then t
+      else other level side rest
 
-let find_coeff eq ~level side =
-  let rec go = function
-    | [] -> 0
-    | t :: rest ->
-        if t.var.v_level = level && t.var.v_side = side then t.coeff
-        else go rest
-  in
-  go eq.terms
+let rec fold_from ~free ~pair ~sink terms acc = function
+  | [] -> acc
+  | t :: rest ->
+      let v = t.var in
+      let acc =
+        if v.v_level = 0 then free acc t.coeff v.v_ub
+        else
+          match v.v_side with
+          | `Src ->
+              let d = other v.v_level `Dst terms in
+              pair acc v.v_level t.coeff v.v_ub d.coeff d.var.v_ub
+          | `Dst ->
+              let acc =
+                if other v.v_level `Src terms == absent then
+                  pair acc v.v_level 0 max_int t.coeff v.v_ub
+                else acc
+              in
+              sink acc v.v_level t.coeff
+      in
+      fold_from ~free ~pair ~sink terms acc rest
 
-let find_ub eq ~level side =
-  let rec go = function
-    | [] -> 0
-    | t :: rest ->
-        if t.var.v_level = level && t.var.v_side = side then t.var.v_ub
-        else go rest
-  in
-  go eq.terms
-
-let lhs_interval eq =
-  (* [c0 + Σ coeff*[0, ub]] accumulated on two plain ints — same hull
-     as folding [Ivl.scale]/[Ivl.add], without a [Range] per step. *)
-  let rec go lo hi = function
-    | [] -> Ivl.make lo hi
-    | t :: rest ->
-        if t.coeff >= 0 then
-          go lo (Intx.add hi (Intx.mul t.coeff t.var.v_ub)) rest
-        else go (Intx.add lo (Intx.mul t.coeff t.var.v_ub)) hi rest
-  in
-  go eq.c0 eq.c0 eq.terms
+let fold_levels ~free ~pair ~sink eq init =
+  fold_from ~free ~pair ~sink eq.terms init eq.terms
 
 let lookup asg v =
   match List.find_opt (fun (w, _) -> same_var w v) asg with
@@ -108,26 +100,6 @@ let assignments eq =
           tails
   in
   go eq.terms
-
-let common_pairs eq =
-  let levels =
-    List.sort_uniq Int.compare
-      (List.filter_map
-         (fun t -> if t.var.v_level > 0 then Some t.var.v_level else None)
-         eq.terms)
-  in
-  List.map
-    (fun lvl ->
-      let find side =
-        List.find_map
-          (fun t ->
-            if t.var.v_level = lvl && t.var.v_side = side then
-              Some (t.coeff, t.var)
-            else None)
-          eq.terms
-      in
-      (lvl, find `Src, find `Dst))
-    levels
 
 let pp ppf eq =
   let pp_term first ppf t =

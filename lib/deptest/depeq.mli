@@ -31,19 +31,26 @@ val make : int -> (int * var) list -> t
 val nvars : t -> int
 val coeffs : t -> int list
 
-val lhs_interval : t -> Dlz_base.Ivl.t
-(** Range of [c0 + Σ ck*zk] over the box. *)
-
-val has_side : t -> level:int -> [ `Src | `Dst ] -> bool
-(** Whether a term with that level and side occurs.  Allocation-free
-    (so are the two finders below — the hot tests use them instead of
-    the consing {!common_pairs} view). *)
-
-val find_coeff : t -> level:int -> [ `Src | `Dst ] -> int
-(** Coefficient of the (level, side) term; [0] when absent. *)
-
-val find_ub : t -> level:int -> [ `Src | `Dst ] -> int
-(** Bound of the (level, side) term's variable; [0] when absent. *)
+val fold_levels :
+  free:('a -> int -> int -> 'a) ->
+  pair:('a -> int -> int -> int -> int -> int -> 'a) ->
+  sink:('a -> int -> int -> 'a) ->
+  t ->
+  'a ->
+  'a
+(** [fold_levels ~free ~pair ~sink eq init] walks [eq]'s terms in order
+    and pairs the source and sink instances of each loop level: the
+    one pairing rule the Banerjee and GCD tests and the hierarchy's
+    tables share.  A level-0 term [c*z], [z ∈ [0, ub]], goes to
+    [free acc c ub].  Each level [l ≥ 1] goes once to
+    [pair acc l a ub_a b ub_b], [a*α + b*β] with [α ∈ [0, ub_a]] the
+    source instance and [β ∈ [0, ub_b]] the sink, at its [`Src] term,
+    or at its [`Dst] term when the source is absent; an absent side
+    counts as coefficient 0 with bound [max_int].  Each [`Dst] term at
+    a level [l ≥ 1] also goes to [sink acc l b] at its own position
+    (after [pair] when that sits there): the GCD test folds a sink's
+    own coefficient where it stands, so that an overflow fires where
+    a fold in term order would raise it.  Allocation-free itself. *)
 
 val eval : t -> (var * int) list -> int
 (** Value of the left-hand side under an assignment (variables matched
@@ -54,11 +61,6 @@ val holds : t -> (var * int) list -> bool
 val assignments : t -> (var * int) list Seq.t
 (** All points of the box, for brute-force ground truth in tests.  The
     box size must be modest. *)
-
-val common_pairs : t -> (int * (int * var) option * (int * var) option) list
-(** For each loop level that occurs on either side, the level together
-    with the [`Src] and [`Dst] terms at that level (coefficient 0 terms
-    are absent). *)
 
 val pp : Format.formatter -> t -> unit
 (** E.g. [i1 + 10*j1 - i2 - 10*j2 - 5 = 0 ; i1,i2 in [0,4], j1,j2 in [0,9]]. *)

@@ -1,32 +1,16 @@
 open Dlz_base
 
-(* The gcd of the effective coefficients, folded directly over the
-   terms so the per-query hot path builds no lists: a level whose
-   direction is '=' and which has both instances contributes the merged
-   [a + b] once (at its [`Src] term); everything else contributes its
-   own coefficient. *)
+(* The gcd of the effective coefficients, folded over the terms: a
+   level whose direction is '=' contributes its merged [a + b] once, at
+   its pair; under any other direction each instance contributes its
+   own coefficient where it stands (the source's at the pair, the
+   sink's at its [sink] step; an absent source's 0 changes nothing). *)
 let effective_gcd dirs (eq : Depeq.t) =
-  let rec go g = function
-    | [] -> g
-    | (t : Depeq.term) :: rest ->
-        let lvl = t.var.Depeq.v_level in
-        let g =
-          if lvl = 0 then Numth.gcd g t.coeff
-          else if dirs lvl <> Dirvec.Eq then Numth.gcd g t.coeff
-          else
-            match t.var.Depeq.v_side with
-            | `Src ->
-                if Depeq.has_side eq ~level:lvl `Dst then
-                  Numth.gcd g
-                    (Intx.add t.coeff (Depeq.find_coeff eq ~level:lvl `Dst))
-                else Numth.gcd g t.coeff
-            | `Dst ->
-                if Depeq.has_side eq ~level:lvl `Src then g
-                else Numth.gcd g t.coeff
-        in
-        go g rest
-  in
-  go 0 eq.terms
+  Depeq.fold_levels eq 0
+    ~free:(fun g c _ -> Numth.gcd g c)
+    ~pair:(fun g level a _ b _ ->
+      Numth.gcd g (if dirs level = Dirvec.Eq then Intx.add a b else a))
+    ~sink:(fun g level b -> if dirs level = Dirvec.Eq then g else Numth.gcd g b)
 
 let test ?(dirs = fun _ -> Dirvec.Star) (eq : Depeq.t) =
   let g = effective_gcd dirs eq in

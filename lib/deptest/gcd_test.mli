@@ -8,6 +8,8 @@
 val test : ?dirs:(int -> Dirvec.dir) -> Depeq.t -> Verdict.t
 (** [test eq] is [Independent] iff the divisibility condition fails.
     With [dirs], loop pairs constrained to [=] are merged into a single
-    variable (coefficient [a+b]) before taking the gcd, which is how the
-    test sharpens inside hierarchy refinement.  With {!Banerjee.test},
+    variable (coefficient [a+b], at the pair {!Depeq.fold_levels}
+    gives) before taking the gcd, which is how the test sharpens inside
+    hierarchy refinement; every other coefficient is folded in term
+    order.  With {!Banerjee.test},
     the node test of {!Hierarchy.directions}' checked walk. *)

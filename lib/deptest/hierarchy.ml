@@ -46,24 +46,19 @@ let slot_of (d : Dirvec.dir) =
 (* The walks a table can serve: the mask has a bit per level. *)
 let max_table_levels = Sys.int_size - 1
 
-(* The equation's terms folded per level, with the lookups
-   {!Banerjee.test} and {!Gcd_test.test} make: a common level's pair
-   range, carried by its [`Src] term (or its [`Dst] term when the
-   source instance is absent), under every direction, and each level's
-   gcd under [=] (the merged [a + b] at the [`Src] term, nothing at the
-   [`Dst] one) and otherwise (each term's own coefficient); a term
-   outside the common loops joins the constant part under [*].  The
-   sums are checked, so a table that breaks {!bounded}'s promise raises
-   here rather than wrapping. *)
+(* The equation folded per level with {!Depeq.fold_levels}, as
+   {!Banerjee.test} and {!Gcd_test.test} fold it: each common level's
+   pair range under every direction, and its gcd under [=] (the merged
+   [a + b]) and otherwise (each instance's own coefficient); a level-0
+   term, or a level beyond the common loops, joins the constant part
+   under [*].  The sums are checked, so a table that breaks
+   {!bounded}'s promise raises here rather than wrapping. *)
 let table n (eq : Depeq.t) =
-  let at (t : Depeq.term) =
-    let lvl = t.var.v_level in
-    if lvl >= 1 && lvl <= n then lvl - 1 else -1
-  in
+  let at level = if level >= 1 && level <= n then level - 1 else -1 in
   let mask =
     List.fold_left
-      (fun m t ->
-        let at = at t in
+      (fun m (t : Depeq.term) ->
+        let at = at t.var.v_level in
         if at >= 0 then m lor (1 lsl at) else m)
       0 eq.terms
   in
@@ -76,9 +71,9 @@ let table n (eq : Depeq.t) =
       incr k
     end
   done;
-  (* The term's row in [tab], or [-1] outside the common loops. *)
-  let row t =
-    let at = at t in
+  (* The level's row in [tab], or [-1] outside the common loops. *)
+  let row level =
+    let at = at level in
     if at < 0 then -1
     else begin
       let k = ref 0 in
@@ -104,45 +99,26 @@ let table n (eq : Depeq.t) =
       tab.(i + 1) <- Intx.add tab.(i + 1) (Ivl.hi iv)
     end
   in
-  let add_pair r a ub_a b ub_b =
-    let range d = Banerjee.pair_interval a ub_a b ub_b d in
-    if r < 0 then add_const (range Star)
-    else begin
-      add_range r (range Lt);
-      add_range (r + 2) (range Eq);
-      add_range (r + 4) (range Gt);
-      add_range (r + 6) (range Star)
-    end
-  in
-  List.iter
-    (fun (t : Depeq.term) ->
-      let v = t.var and c = t.coeff in
-      let lvl = v.v_level and r = row t in
-      let g_eq =
-        if lvl = 0 then begin
-          add_const (Ivl.scale c (Ivl.make 0 v.v_ub));
-          c
-        end
-        else
-          match v.v_side with
-          | `Src when Depeq.has_side eq ~level:lvl `Dst ->
-              let b = Depeq.find_coeff eq ~level:lvl `Dst in
-              add_pair r c v.v_ub b (Depeq.find_ub eq ~level:lvl `Dst);
-              Intx.add c b
-          | `Src ->
-              add_pair r c v.v_ub 0 max_int;
-              c
-          | `Dst when Depeq.has_side eq ~level:lvl `Src -> 0
-          | `Dst ->
-              add_pair r 0 max_int c v.v_ub;
-              c
-      in
-      if r < 0 then g0 := Numth.gcd !g0 c
+  Depeq.fold_levels eq ()
+    ~free:(fun () c ub ->
+      add_const (Ivl.scale c (Ivl.make 0 ub));
+      g0 := Numth.gcd !g0 c)
+    ~pair:(fun () level a ub_a b ub_b ->
+      let range d = Banerjee.pair_interval a ub_a b ub_b d in
+      let r = row level in
+      if r < 0 then begin
+        add_const (range Star);
+        g0 := Numth.gcd (Numth.gcd !g0 a) b
+      end
       else begin
-        tab.(r + 8) <- Numth.gcd tab.(r + 8) g_eq;
-        tab.(r + 9) <- Numth.gcd tab.(r + 9) c
+        add_range r (range Lt);
+        add_range (r + 2) (range Eq);
+        add_range (r + 4) (range Gt);
+        add_range (r + 6) (range Star);
+        tab.(r + 8) <- Numth.gcd tab.(r + 8) (Intx.add a b);
+        tab.(r + 9) <- Numth.gcd (Numth.gcd tab.(r + 9) a) b
       end)
-    eq.terms;
+    ~sink:(fun () _ _ -> ());
   { t_c0 = eq.c0; lo0 = !lo0; hi0 = !hi0; g0 = !g0; mask; ats; tab }
 
 (* Native arithmetic from here on: every value is at most the

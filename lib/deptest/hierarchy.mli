@@ -25,7 +25,8 @@ val directions : ?budget:Dlz_base.Budget.t -> Problem.numeric -> Dirvec.Set.t
     [common_ubs] gives the bounds of the first [n_common] levels.
 
     When every equation is {!bounded}, the walk reads a table built once
-    per call, folded straight from the equations' terms: per equation,
+    per call, folded from each equation by {!Depeq.fold_levels} as the
+    two tests fold it: per equation,
     its constant part ([c0], the level-0 terms and the terms beyond
     [n_common], as one interval and one gcd) and, for each common level
     it mentions, the four {!Banerjee.pair_interval} ranges under [<],

@@ -37,19 +37,31 @@ let depeq_units =
     Alcotest.test_case "lhs_interval" `Quick (fun () ->
         let eq = Depeq.make (-5) [ (2, var "x" 3); (-1, var ~level:2 "y" 4) ] in
         Alcotest.(check bool) "[-9, 1]" true
-          (Ivl.equal (Ivl.make (-9) 1) (Depeq.lhs_interval eq)));
+          (Ivl.equal (Ivl.make (-9) 1) (Banerjee.interval eq)));
     Alcotest.test_case "assignments enumerates the box" `Quick (fun () ->
         let eq = Depeq.make 0 [ (1, var "x" 2); (1, var ~level:2 "y" 1) ] in
         Alcotest.(check int) "3*2 points" 6
           (List.length (List.of_seq (Depeq.assignments eq))));
     Alcotest.test_case "common_pairs" `Quick (fun () ->
-        let eq = eq1 () in
-        let pairs = Depeq.common_pairs eq in
-        Alcotest.(check int) "two levels" 2 (List.length pairs);
-        match pairs with
-        | [ (1, Some (1, _), Some (-1, _)); (2, Some (10, _), Some (-10, _)) ] ->
-            ()
-        | _ -> Alcotest.fail "unexpected pairing");
+        let eq =
+          Depeq.make 0
+            [ (-1, var ~side:`Dst ~level:1 "i2" 4); (7, var "x" 3);
+              (1, var ~side:`Src ~level:1 "i1" 4);
+              (10, var ~side:`Src ~level:2 "j1" 9);
+              (-10, var ~side:`Dst ~level:3 "k2" 2) ]
+        in
+        let steps =
+          Depeq.fold_levels eq []
+            ~free:(fun acc c ub -> Printf.sprintf "free %d %d" c ub :: acc)
+            ~pair:(fun acc l a ub_a b ub_b ->
+              Printf.sprintf "pair %d %d %d %d %d" l a ub_a b ub_b :: acc)
+            ~sink:(fun acc l b -> Printf.sprintf "sink %d %d" l b :: acc)
+        in
+        Alcotest.(check (list string)) "steps in term order"
+          [ "sink 1 -1"; "free 7 3"; "pair 1 1 4 -1 4";
+            Printf.sprintf "pair 2 10 9 0 %d" max_int;
+            Printf.sprintf "pair 3 0 %d -10 2" max_int; "sink 3 -10" ]
+          (List.rev steps));
   ]
 
 (* --- Dirvec lattice ------------------------------------------------------- *)
@@ -1464,6 +1476,90 @@ let keybuf_units =
         distinct "constant" c0s);
   ]
 
+(* --- pairing edge cases pinned ------------------------------------------ *)
+
+(* Equations whose terms stress how a common level's two instances are
+   paired: the sink before the source, one instance only, a level
+   beyond the common loops, an empty range ahead of an overflowing
+   product or pair, and [min_int] at either instance.  Each line is one
+   equation: [Banerjee.interval] and [Gcd_test.test] under each
+   direction at level 1 ([*] elsewhere), then [Hierarchy.directions]
+   with fuel unset and with fuel 5 (its vectors or exception, and the
+   fuel left).  The expected lines were taken before the three tests
+   shared one pairing fold; an [Intx.Overflow] reads [!op]. *)
+let pairing_cases () =
+  let s l ub = var ~side:`Src ~level:l (Printf.sprintf "i%d" l) ub
+  and d l ub = var ~side:`Dst ~level:l (Printf.sprintf "j%d" l) ub in
+  [
+    ("dst-first", 1, [| 5 |], Depeq.make 1 [ (-3, d 1 5); (4, var "x" 2); (2, s 1 5) ]);
+    ("src-only, dst-only", 2, [| 4; 6 |],
+      Depeq.make (-2) [ (2, s 1 4); (-3, d 2 6); (1, var "x" 3) ]);
+    ("beyond n_common", 1, [| 3 |],
+      Depeq.make (-1) [ (1, s 1 3); (-1, d 1 3); (5, s 2 2); (-2, d 3 4) ]);
+    ("empty <, then level-0 overflow", 1, [| 0 |],
+      Depeq.make 0 [ (1, s 1 0); (1, d 1 0); (max_int, var "x" 2) ]);
+    ("empty <, then pair overflow", 2, [| 0; 2 |],
+      Depeq.make 0 [ (1, s 1 0); (1, d 1 0); (max_int, s 2 2); (1, d 2 2) ]);
+    ("min_int at src", 1, [| 1 |], Depeq.make 1 [ (min_int, s 1 1); (1, d 1 1) ]);
+    ("min_int at dst", 1, [| 1 |], Depeq.make 1 [ (1, s 1 1); (min_int, d 1 1) ]);
+    ("min_int at a leading dst", 1, [| 1 |],
+      Depeq.make 1 [ (min_int, d 1 1); (3, s 1 1) ]);
+    ("min_int between dst and src", 1, [| 1 |],
+      Depeq.make 1 [ (3, d 1 1); (min_int, var "x" 1); (5, s 1 1) ]);
+  ]
+
+let pairing_outcome (_, n, common_ubs, eq) =
+  let guard f =
+    try f () with
+    | Dlz_base.Intx.Overflow op -> "!" ^ op
+    | Dlz_base.Budget.Exhausted _ -> "exhausted"
+  in
+  let at_1 dir l = if l = 1 then dir else Dirvec.Star in
+  let tests =
+    List.map
+      (fun dir ->
+        let dirs = at_1 dir in
+        Printf.sprintf "%s:%s/%s" (Dirvec.dir_to_string dir)
+          (guard (fun () ->
+               Format.asprintf "%a" Ivl.pp (Banerjee.interval ~dirs eq)))
+          (guard (fun () -> Verdict.to_string (Gcd_test.test ~dirs eq))))
+      all_dirs
+  in
+  let walk fuel =
+    let budget = Dlz_base.Budget.create ?fuel () in
+    let p = Problem.numeric_of_equations ~n_common:n ~common_ubs [ eq ] in
+    let vs =
+      guard (fun () ->
+          String.concat ","
+            (List.map Dirvec.to_string
+               (Dirvec.Set.to_list (Hierarchy.directions ~budget p))))
+    in
+    match Dlz_base.Budget.remaining_fuel budget with
+    | None -> vs
+    | Some f -> Printf.sprintf "%s fuel:%d" vs f
+  in
+  String.concat " " (tests @ [ walk None; walk (Some 5) ])
+
+let pairing_expected =
+  [
+    "<:[-14, 6]/dependent =:[-4, 9]/dependent >:[-1, 19]/dependent <=:[-14, 9]/dependent >=:[-4, 19]/dependent !=:[-14, 19]/dependent *:[-14, 19]/dependent (<),(=),(>) (<),(=),(>) fuel:1";
+    "<:[-20, 9]/dependent =:[-20, 9]/dependent >:[-18, 9]/dependent <=:[-20, 9]/dependent >=:[-20, 9]/dependent !=:[-20, 9]/dependent *:[-20, 9]/dependent (<, <),(<, =),(<, >),(=, <),(=, =),(=, >),(>, <),(>, =),(>, >) exhausted fuel:0";
+    "<:[-12, 8]/dependent =:[-9, 9]/dependent >:[-8, 12]/dependent <=:[-12, 9]/dependent >=:[-9, 12]/dependent !=:[-12, 12]/dependent *:[-12, 12]/dependent (<),(=),(>) (<),(=),(>) fuel:1";
+    "<:[]/dependent =:!mul/dependent >:[]/dependent <=:!mul/dependent >=:!mul/dependent !=:[]/dependent *:!mul/dependent !mul !mul fuel:4";
+    "<:!mul/dependent =:!mul/dependent >:!mul/dependent <=:!mul/dependent >=:!mul/dependent !=:!mul/dependent *:!mul/dependent !mul !mul fuel:4";
+    "<:[2, 2]/!neg =:[-4611686018427387902, 1]/independent >:[-4611686018427387903, -4611686018427387903]/!neg <=:[-4611686018427387902, 2]/!neg >=:[-4611686018427387903, 1]/!neg !=:[-4611686018427387903, 2]/!neg *:[-4611686018427387903, 2]/!neg !neg !neg fuel:4";
+    "<:[-4611686018427387903, -4611686018427387903]/dependent =:[-4611686018427387902, 1]/independent >:[2, 2]/dependent <=:[-4611686018427387903, 1]/dependent >=:[-4611686018427387902, 2]/dependent !=:[-4611686018427387903, 2]/dependent *:[-4611686018427387903, 2]/dependent   fuel:1";
+    "<:[-4611686018427387903, -4611686018427387903]/!neg =:[-4611686018427387900, 1]/independent >:[4, 4]/!neg <=:[-4611686018427387903, 1]/!neg >=:[-4611686018427387900, 4]/!neg !=:[-4611686018427387903, 4]/!neg *:[-4611686018427387903, 4]/!neg !neg !neg fuel:4";
+    "<:[-4611686018427387900, 4]/dependent =:[-4611686018427387903, 9]/!neg >:[-4611686018427387898, 6]/dependent <=:[-4611686018427387903, 9]/dependent >=:[-4611686018427387903, 9]/dependent !=:[-4611686018427387900, 6]/dependent *:[-4611686018427387903, 9]/dependent !neg !neg fuel:2";
+  ]
+
+let pairing_units =
+  [
+    Alcotest.test_case "edge cases answer as pinned" `Quick (fun () ->
+        Alcotest.(check (list string)) "outcomes" pairing_expected
+          (List.map pairing_outcome (pairing_cases ())));
+  ]
+
 let () =
   Alcotest.run "dlz_deptest"
     [
@@ -1488,6 +1584,7 @@ let () =
       ("misc", misc_units);
       ("closed-form-props", List.map QCheck_alcotest.to_alcotest closed_form_props);
       ("pair-exhaustive", pair_exhaustive_units);
+      ("pairing-pins", pairing_units);
       ("lambda", lambda_units);
       ("lambda-props", List.map QCheck_alcotest.to_alcotest lambda_props);
       ("omega", omega_units);

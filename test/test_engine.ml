@@ -664,6 +664,67 @@ let test_symbolic_answers_pinned () =
     symbolic_answers_md5
     (Digest.to_hex (Digest.string text))
 
+(* --- numeric answers pinned -------------------------------------------- *)
+
+(* One line per answer: the case id, verdict, deciding strategy,
+   direction vectors, distances, degradations and the fuel left. *)
+let render_answer cascade fuel (id, env, p) =
+  let module Poly = Dlz_symbolic.Poly in
+  let budget =
+    match fuel with None -> Budget.unlimited | Some f -> Budget.create ~fuel:f ()
+  in
+  let r = Cascade.run ~stats:(Stats.create ()) ~budget ~env cascade p in
+  String.concat " "
+    ((id :: Verdict.to_string r.Strategy.verdict :: r.Strategy.decided_by
+      :: List.map Dirvec.to_string r.Strategy.dirvecs)
+    @ List.map
+        (fun (l, d) -> Printf.sprintf "%d:%s" l (Poly.to_string d))
+        r.Strategy.distances
+    @ List.map (fun (s, why) -> s ^ "!" ^ why) r.Strategy.degraded
+    @ [ (match Budget.remaining_fuel budget with
+        | None -> "fuel:-"
+        | Some f -> "fuel:" ^ string_of_int f) ])
+
+(* Every numeric answer of the oracle's mixed batch (seed 1, 5,000
+   cases, the symbolic family left out) and of the polybench pairs,
+   under [delin], [classic] and [gcd,banerjee,delinearize], each with
+   fuel unset and with fuel 3, rendered by [render_answer] and
+   digested.  The reference models above call the same Banerjee and
+   GCD tests the strategies do, so a change to those tests moves both
+   sides of every comparison; this digest, taken before the tests
+   shared one pairing fold, does not move with them. *)
+let numeric_answers_md5 = "ae4ea04c85761ce8d99aed1a7907e842"
+
+let test_numeric_answers_pinned () =
+  let module Eqgen = Dlz_oracle.Eqgen in
+  let module Chaos = Dlz_engine.Chaos in
+  let saved = Chaos.current () in
+  Chaos.set_current None;
+  Fun.protect ~finally:(fun () -> Chaos.set_current saved) @@ fun () ->
+  let cases =
+    List.filter_map
+      (fun (c : Eqgen.case) ->
+        if c.family = "symbolic" then None else Some (c.id, c.env, c.problem))
+      (Eqgen.all ~seed:1L ~count:5000 @ Eqgen.polybench ())
+  in
+  let screened =
+    match Cascade.of_names [ "gcd"; "banerjee"; "delinearize" ] with
+    | Ok c -> c
+    | Error e -> failwith e
+  in
+  let lines =
+    List.concat_map
+      (fun cascade ->
+        List.concat_map
+          (fun fuel -> List.map (render_answer cascade fuel) cases)
+          [ None; Some 3 ])
+      [ Cascade.delin; Cascade.classic; screened ]
+  in
+  Alcotest.(check int) "4,516 numeric cases" 4516 (List.length cases);
+  Alcotest.(check string) "digest of the rendered answers"
+    numeric_answers_md5
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let () =
   Alcotest.run "engine"
     [
@@ -694,6 +755,8 @@ let () =
             test_delinearize_matches_reference;
           Alcotest.test_case "symbolic answers pinned" `Quick
             test_symbolic_answers_pinned;
+          Alcotest.test_case "numeric answers pinned" `Quick
+            test_numeric_answers_pinned;
         ] );
       ( "presets",
         [
