@@ -159,18 +159,15 @@ let plan_of ~env prog name =
           env (Assume.bindings env')
       in
       try
-        let forms =
-          List.map
-            (fun (a : Access.t) ->
-              match a.Access.subs with
-              | [ Access.Aff f ] -> (f, a.Access.loops)
-              | _ -> raise No_plan)
-            accs
-        in
-        match forms with
+        match accs with
         | [] -> None
-        | (f0, loops0) :: _ ->
-            let strides = strides_of env f0 loops0 in
+        | a0 :: _ ->
+            let f0 =
+              match a0.Access.subs with
+              | [ Access.Aff f ] -> f
+              | _ -> raise No_plan
+            in
+            let strides = strides_of env f0 a0.Access.loops in
             let m = List.length strides in
             if m < 2 then None
             else begin
@@ -189,11 +186,6 @@ let plan_of ~env prog name =
                     q)
                   strides
               in
-              (* Every reference must decompose and range-check. *)
-              List.iter
-                (fun (f, loops) ->
-                  ignore (decompose env ~strides ~extents f loops))
-                forms;
               Some ({ array = name; extents }, strides, env)
             end
       with No_plan -> None)
@@ -206,94 +198,53 @@ let apply ~env prog =
         | _ -> None)
       prog.Ast.decls
   in
-  let plans =
-    List.filter_map
-      (fun name ->
-        match plan_of ~env prog name with
-        | Some (plan, strides, env') -> Some (name, plan, strides, env')
-        | None -> None)
-      arrays
+  let plans = List.filter_map (plan_of ~env prog) arrays in
+  (* Every reference, DO bounds included, is rewritten through
+     [decompose], which range-checks it; one that does not decompose
+     drops the plan. *)
+  let rewrite (prog, applied) ((plan : plan), strides, env') =
+    let reshape ~loops (r : Ast.aref) =
+      if not (String.equal r.name plan.array) then r
+      else
+        let loops =
+          List.map
+            (fun (var, _, hi, _) ->
+              let ub =
+                match Affine.of_expr ~is_loop_var:(fun _ -> false) hi with
+                | Some f when Affine.is_const f -> Affine.konst f
+                | _ -> Poly.sym ("UB" ^ var)
+              in
+              { Access.l_var = var; l_ub = ub })
+            loops
+        in
+        let is_loop_var v =
+          List.exists (fun (l : Access.loop) -> String.equal l.l_var v) loops
+        in
+        match List.map (Affine.of_expr ~is_loop_var) r.subs with
+        | [ Some f ] ->
+            let indices =
+              decompose env' ~strides ~extents:plan.extents f loops
+            in
+            let index idx = Expr.fold_consts (Affine.to_expr idx) in
+            { r with subs = List.map index indices }
+        | _ -> raise No_plan
+    in
+    let dim extent =
+      let hi = Expr.Bin (Expr.Sub, Expr.of_poly extent, Expr.Const 1) in
+      { Ast.lo = Expr.Const 0; hi = Expr.fold_consts hi }
+    in
+    match Ast.map_refs reshape prog with
+    | exception No_plan -> (prog, applied)
+    | reshaped ->
+        let decls =
+          List.map
+            (function
+              | Ast.Array a when String.equal a.a_name plan.array ->
+                  Ast.Array { a with a_dims = List.map dim plan.extents }
+              | d -> d)
+            prog.Ast.decls
+        in
+        ({ reshaped with Ast.decls }, plan :: applied)
   in
-  let rewrite prog (name, (plan : plan), strides, env') =
-    let loops_stack = ref [] in
-    let is_loop_var v =
-      List.exists
-        (fun (l : Access.loop) -> String.equal l.Access.l_var v)
-        !loops_stack
-    in
-    let rw_subs subs =
-      match subs with
-      | [ e ] -> (
-          match Affine.of_expr ~is_loop_var e with
-          | None -> subs
-          | Some f -> (
-              try
-                let indices =
-                  decompose env' ~strides ~extents:plan.extents f !loops_stack
-                in
-                List.map
-                  (fun idx -> Expr.fold_consts (Affine.to_expr idx))
-                  indices
-              with No_plan -> subs))
-      | _ -> subs
-    in
-    let rec rw_expr e =
-      match e with
-      | Expr.Const _ | Expr.Var _ -> e
-      | Expr.Neg a -> Expr.Neg (rw_expr a)
-      | Expr.Bin (op, a, b) -> Expr.Bin (op, rw_expr a, rw_expr b)
-      | Expr.Call (f, args) when String.equal f name ->
-          Expr.Call (f, rw_subs (List.map rw_expr args))
-      | Expr.Call (f, args) -> Expr.Call (f, List.map rw_expr args)
-    in
-    let rec rw_stmt s =
-      match s with
-      | Ast.Assign { label; lhs; rhs } ->
-          let lhs =
-            if String.equal lhs.Ast.name name then
-              { lhs with Ast.subs = rw_subs (List.map rw_expr lhs.Ast.subs) }
-            else { lhs with Ast.subs = List.map rw_expr lhs.Ast.subs }
-          in
-          Ast.Assign { label; lhs; rhs = rw_expr rhs }
-      | Ast.Continue _ -> s
-      | Ast.Do d ->
-          (* Maintain the normalized-loop context for decomposition. *)
-          let ub =
-            match Affine.of_expr ~is_loop_var:(fun _ -> false) d.hi with
-            | Some f when Affine.is_const f -> Affine.konst f
-            | _ -> Poly.sym ("UB" ^ d.var)
-          in
-          let saved = !loops_stack in
-          loops_stack := saved @ [ { Access.l_var = d.var; l_ub = ub } ];
-          let body = List.map rw_stmt d.body in
-          loops_stack := saved;
-          Ast.Do { d with body }
-    in
-    let decls =
-      List.map
-        (function
-          | Ast.Array a when String.equal a.a_name name ->
-              Ast.Array
-                {
-                  a with
-                  a_dims =
-                    List.map
-                      (fun extent ->
-                        {
-                          Ast.lo = Expr.Const 0;
-                          hi =
-                            Expr.fold_consts
-                              (Expr.Bin
-                                 ( Expr.Sub,
-                                   Expr.of_poly extent,
-                                   Expr.Const 1 ));
-                        })
-                      plan.extents;
-                }
-          | d -> d)
-        prog.Ast.decls
-    in
-    { prog with Ast.decls; body = List.map rw_stmt prog.Ast.body }
-  in
-  let prog' = List.fold_left rewrite prog plans in
-  (prog', List.map (fun (_, p, _, _) -> p) plans)
+  let prog', applied = List.fold_left rewrite (prog, []) plans in
+  (prog', List.rev applied)

@@ -27,4 +27,9 @@ type plan = {
 val apply : env:Assume.t -> Dlz_ir.Ast.program -> Dlz_ir.Ast.program * plan list
 (** Reshapes every array with a valid plan: declarations get the
     recovered dimensions (0-based), references get one subscript per
-    dimension. *)
+    dimension.  The plan is all or nothing: every reference to the
+    array, those in DO bounds and steps too ({!Dlz_ir.Ast.map_refs}),
+    is rewritten by decomposing its subscript over the recovered
+    strides and range-checking each index against its extent, and one
+    reference that does not decompose leaves the array as written.
+    Returns the plans applied, in declaration order. *)

@@ -101,12 +101,17 @@ let assignments eq =
   in
   go eq.terms
 
+(* The magnitude's digits, read off [c]'s: [-min_int] has none. *)
+let magnitude c =
+  let digits = string_of_int c in
+  if c < 0 then String.sub digits 1 (String.length digits - 1) else digits
+
 let pp ppf eq =
   let pp_term first ppf t =
     let sign = if t.coeff < 0 then "- " else if first then "" else "+ " in
-    let mag = Intx.abs t.coeff in
-    if mag = 1 then Format.fprintf ppf "%s%s" sign t.var.v_name
-    else Format.fprintf ppf "%s%d*%s" sign mag t.var.v_name
+    let mag = magnitude t.coeff in
+    if mag = "1" then Format.fprintf ppf "%s%s" sign t.var.v_name
+    else Format.fprintf ppf "%s%s*%s" sign mag t.var.v_name
   in
   (match eq.terms with
   | [] -> Format.fprintf ppf "%d" eq.c0
@@ -114,9 +119,9 @@ let pp ppf eq =
       pp_term true ppf t0;
       List.iter (fun t -> Format.fprintf ppf " %a" (pp_term false) t) rest;
       if eq.c0 <> 0 then
-        Format.fprintf ppf " %s %d"
+        Format.fprintf ppf " %s %s"
           (if eq.c0 < 0 then "-" else "+")
-          (Intx.abs eq.c0));
+          (magnitude eq.c0));
   Format.fprintf ppf " = 0";
   if eq.terms <> [] then begin
     Format.fprintf ppf " ; ";

@@ -24,6 +24,7 @@ type stmt =
   | Continue of int
 
 type program = { p_name : string; decls : decl list; body : stmt list }
+type loops = (string * Expr.t * Expr.t * Expr.t) list
 
 let assign ?label lhs rhs = Assign { label; lhs; rhs }
 
@@ -46,6 +47,40 @@ let rec map_stmt f s =
   | Do d -> f (Do { d with body = List.map (map_stmt f) d.body })
 
 let map_stmts f p = { p with body = List.map (map_stmt f) p.body }
+
+(* The one statement walker.  [expr ~loops e] maps each expression a
+   statement holds, [lhs ~loops r] each assignment's target once its
+   subscripts are mapped; [loops] are the loops around the position,
+   outermost first, with their bounds as written. *)
+let rec walk ~expr ~lhs loops s =
+  match s with
+  | Assign a ->
+      let subs = List.map (expr ~loops) a.lhs.subs in
+      let target = lhs ~loops { a.lhs with subs } in
+      Assign { a with lhs = target; rhs = expr ~loops a.rhs }
+  | Continue _ -> s
+  | Do d ->
+      let lo = expr ~loops d.lo in
+      let hi = expr ~loops d.hi in
+      let step = expr ~loops d.step in
+      let inner = loops @ [ (d.var, d.lo, d.hi, d.step) ] in
+      Do { d with lo; hi; step; body = List.map (walk ~expr ~lhs inner) d.body }
+
+let map_exprs f s = walk ~expr:f ~lhs:(fun ~loops:_ r -> r) [] s
+
+let map_refs f p =
+  let rec calls ~loops e =
+    match e with
+    | Expr.Const _ | Expr.Var _ -> e
+    | Expr.Neg a -> Expr.Neg (calls ~loops a)
+    | Expr.Bin (op, a, b) ->
+        let a = calls ~loops a in
+        Expr.Bin (op, a, calls ~loops b)
+    | Expr.Call (name, args) ->
+        let r = f ~loops { name; subs = List.map (calls ~loops) args } in
+        Expr.Call (r.name, r.subs)
+  in
+  { p with body = List.map (walk ~expr:calls ~lhs:f []) p.body }
 
 let iter_assigns p ~f =
   let rec go loops = function

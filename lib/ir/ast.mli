@@ -50,10 +50,29 @@ val find_array : program -> string -> array_decl option
 val map_stmts : (stmt -> stmt) -> program -> program
 (** Bottom-up statement rewriting over the whole program body. *)
 
-val iter_assigns :
-  program -> f:(loops:(string * Expr.t * Expr.t * Expr.t) list -> stmt -> unit) -> unit
-(** Visits every [Assign] with its surrounding loop context
-    [(var, lo, hi, step)], outermost first. *)
+type loops = (string * Expr.t * Expr.t * Expr.t) list
+(** The loops around a position, [(var, lo, hi, step)] with the bounds
+    as written, outermost first. *)
+
+val map_exprs : (loops:loops -> Expr.t -> Expr.t) -> stmt -> stmt
+(** The one expression walker of every pass.  [map_exprs f s] applies
+    [f] to every expression [s] holds, in this order: an assignment's
+    lhs subscripts, left to right, then its rhs; a DO's [lo], [hi] and
+    [step], then its body, statement by statement.  [loops] are the
+    loops around the expression within [s]: a DO's own bounds lie
+    outside it, its body inside. *)
+
+val map_refs : (loops:loops -> aref -> aref) -> program -> program
+(** The one array-reference walker of every pass.  [map_refs f p]
+    rewrites, through [f], each assignment's [lhs] (after its
+    subscripts) and each [Expr.Call] at any depth (after its arguments,
+    so inner calls first), in assignments and in DO bounds and steps,
+    in {!map_exprs}' order.  Scalar targets are [aref]s with no
+    subscripts; [f] sees calls of undeclared functions too, so it
+    filters on names. *)
+
+val iter_assigns : program -> f:(loops:loops -> stmt -> unit) -> unit
+(** Visits every [Assign] with the {!loops} around it. *)
 
 val assign_refs : stmt -> (aref * [ `Read | `Write ]) list
 (** All array/scalar references of an assignment: the written [lhs]

@@ -31,29 +31,12 @@ let rec stmt_mentions v = function
       || List.mem v (Expr.free_vars d.step)
       || List.exists (stmt_mentions v) d.body
 
+(* [v := e] in [s], where [e] does not mention [v]: a mention left
+   over is [s] assigning [v] or looping over it. *)
 let subst_in_stmt v e s =
-  let rec go = function
-    | Ast.Assign { label; lhs; rhs } ->
-        if String.equal lhs.name v then raise Reject;
-        Ast.Assign
-          {
-            label;
-            lhs = { lhs with subs = List.map (Expr.subst v e) lhs.subs };
-            rhs = Expr.subst v e rhs;
-          }
-    | Ast.Continue _ as s -> s
-    | Ast.Do d ->
-        if String.equal d.var v then raise Reject;
-        Ast.Do
-          {
-            d with
-            lo = Expr.subst v e d.lo;
-            hi = Expr.subst v e d.hi;
-            step = Expr.subst v e d.step;
-            body = List.map go d.body;
-          }
-  in
-  go s
+  let s = Ast.map_exprs (fun ~loops:_ -> Expr.subst v e) s in
+  if stmt_mentions v s then raise Reject;
+  s
 
 (* Value of the variable right after the increment executes in iteration
    (z1, ..., zm) of the normalized loops (outermost first):

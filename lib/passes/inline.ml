@@ -27,10 +27,10 @@ let total_size (a : Ast.array_decl) =
       | _ -> raise Exit)
     1 a.a_dims
 
-(* Rename every occurrence of array/scalar names via [f] in a statement
-   list (array reads are Call nodes, writes are arefs, scalars are
-   Vars). *)
-let rename_stmts f stmts =
+(* The body of [p] with every name renamed through [f]: array reads
+   (Call nodes), assignment targets, scalar reads (Vars) and loop
+   variables. *)
+let rename_body f (p : Ast.program) =
   let rec rn_expr e =
     match e with
     | Expr.Const _ -> e
@@ -39,53 +39,31 @@ let rename_stmts f stmts =
     | Expr.Bin (op, a, b) -> Expr.Bin (op, rn_expr a, rn_expr b)
     | Expr.Call (g, args) -> Expr.Call (f g, List.map rn_expr args)
   in
-  let rec rn_stmt = function
-    | Ast.Assign { label; lhs; rhs } ->
-        Ast.Assign
-          {
-            label;
-            lhs = { Ast.name = f lhs.Ast.name; subs = List.map rn_expr lhs.Ast.subs };
-            rhs = rn_expr rhs;
-          }
-    | Ast.Continue _ as s -> s
-    | Ast.Do d ->
-        Ast.Do
-          {
-            d with
-            var = f d.var;
-            lo = rn_expr d.lo;
-            hi = rn_expr d.hi;
-            step = rn_expr d.step;
-            body = List.map rn_stmt d.body;
-          }
+  let named =
+    Ast.map_stmts
+      (function
+        | Ast.Assign a ->
+            let lhs = { a.lhs with Ast.name = f a.lhs.Ast.name } in
+            Ast.Assign { a with lhs }
+        | Ast.Do d -> Ast.Do { d with var = f d.var }
+        | s -> s)
+      p
   in
-  List.map rn_stmt stmts
+  List.map (Ast.map_exprs (fun ~loops:_ -> rn_expr)) named.Ast.body
 
+(* [v := e] in a callee body, refused, at the first statement in
+   program order, when that body assigns [v] or loops over it. *)
 let subst_scalar_stmts v e stmts =
-  let rec go = function
-    | Ast.Assign { label; lhs; rhs } ->
-        if String.equal lhs.Ast.name v then
-          unsupported "scalar dummy %s is assigned in the callee" v;
-        Ast.Assign
-          {
-            label;
-            lhs = { lhs with Ast.subs = List.map (Expr.subst v e) lhs.Ast.subs };
-            rhs = Expr.subst v e rhs;
-          }
-    | Ast.Continue _ as s -> s
-    | Ast.Do d ->
-        if String.equal d.var v then
-          unsupported "scalar dummy %s is a loop variable in the callee" v;
-        Ast.Do
-          {
-            d with
-            lo = Expr.subst v e d.lo;
-            hi = Expr.subst v e d.hi;
-            step = Expr.subst v e d.step;
-            body = List.map go d.body;
-          }
+  let rec check = function
+    | Ast.Assign { lhs; _ } when String.equal lhs.Ast.name v ->
+        unsupported "scalar dummy %s is assigned in the callee" v
+    | Ast.Do d when String.equal d.var v ->
+        unsupported "scalar dummy %s is a loop variable in the callee" v
+    | Ast.Do d -> List.iter check d.body
+    | Ast.Assign _ | Ast.Continue _ -> ()
   in
-  List.map go stmts
+  List.iter check stmts;
+  List.map (Ast.map_exprs (fun ~loops:_ -> Expr.subst v e)) stmts
 
 type callee = { c_params : string list; c_prog : Ast.program }
 
@@ -183,7 +161,7 @@ let expand units =
               if is_param n || String.length n > 0 && n.[0] = '%' then n
               else n ^ tag
         in
-        let body = rename_stmts rename callee.c_prog.Ast.body in
+        let body = rename_body rename callee.c_prog in
         let body =
           List.fold_left
             (fun body (dummy, actual) -> subst_scalar_stmts dummy actual body)

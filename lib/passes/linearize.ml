@@ -35,80 +35,25 @@ let linear_subscript { lin_dims } subs =
   in
   go lin_dims subs 1 (Expr.Const 0)
 
-(* Every reference to the array must use exactly the declared rank for
-   the rewrite to be applied at all (otherwise the program is left
-   untouched for that array rather than half-rewritten). *)
-let all_refs_conform prog name rank =
-  let ok = ref true in
-  let rec check_expr e =
-    match e with
-    | Expr.Const _ | Expr.Var _ -> ()
-    | Expr.Neg a -> check_expr a
-    | Expr.Bin (_, a, b) ->
-        check_expr a;
-        check_expr b
-    | Expr.Call (f, args) ->
-        if String.equal f name && List.length args <> rank then ok := false;
-        List.iter check_expr args
-  in
-  let check_stmt = function
-    | Ast.Assign { lhs; rhs; _ } ->
-        if String.equal lhs.Ast.name name && List.length lhs.Ast.subs <> rank
-        then ok := false;
-        List.iter check_expr lhs.Ast.subs;
-        check_expr rhs
-    | _ -> ()
-  in
-  ignore
-    (Ast.map_stmts
-       (fun s ->
-         check_stmt s;
-         s)
-       prog);
-  !ok
-
 let rewrite_program prog targets =
-  let rec rw_expr e =
-    match e with
-    | Expr.Const _ | Expr.Var _ -> e
-    | Expr.Neg a -> Expr.Neg (rw_expr a)
-    | Expr.Bin (op, a, b) -> Expr.Bin (op, rw_expr a, rw_expr b)
-    | Expr.Call (f, args) -> (
-        let args = List.map rw_expr args in
-        match List.assoc_opt f targets with
-        | Some layout -> Expr.Call (f, [ linear_subscript layout args ])
-        | None -> Expr.Call (f, args))
-  in
-  let rw_aref (r : Ast.aref) =
-    let subs = List.map rw_expr r.subs in
-    match List.assoc_opt r.name targets with
-    | Some layout -> { r with Ast.subs = [ linear_subscript layout subs ] }
-    | None -> { r with Ast.subs = subs }
-  in
   let prog' =
-    Ast.map_stmts
-      (function
-        | Ast.Assign { label; lhs; rhs } ->
-            Ast.Assign { label; lhs = rw_aref lhs; rhs = rw_expr rhs }
-        | s -> s)
+    Ast.map_refs
+      (fun ~loops:_ (r : Ast.aref) ->
+        match Hashtbl.find_opt targets r.name with
+        | Some layout -> { r with subs = [ linear_subscript layout r.subs ] }
+        | None -> r)
       prog
+  in
+  let dim layout =
+    { Ast.lo = Expr.Const 0; hi = Expr.Const (total layout - 1) }
   in
   let decls =
     List.map
       (function
-        | Ast.Array a when List.mem_assoc a.a_name targets ->
-            let layout = List.assoc a.a_name targets in
-            Ast.Array
-              {
-                a with
-                a_dims =
-                  [
-                    {
-                      Ast.lo = Expr.Const 0;
-                      hi = Expr.Const (total layout - 1);
-                    };
-                  ];
-              }
+        | Ast.Array a as d -> (
+            match Hashtbl.find_opt targets a.a_name with
+            | Some layout -> Ast.Array { a with a_dims = [ dim layout ] }
+            | None -> d)
         | d -> d)
       prog.Ast.decls
   in
@@ -121,31 +66,36 @@ let equivalenced prog =
       | _ -> [])
     prog.Ast.decls
 
-let targets_of prog names =
-  (* EQUIVALENCE'd arrays are the Equivalence pass's business. *)
-  let skip = equivalenced prog in
-  List.filter_map
-    (fun name ->
-      if List.mem name skip then None
-      else
-        match Ast.find_array prog name with
-        | Some a -> (
-            match layout_of a with
-            | layout
-              when all_refs_conform prog name (List.length layout.lin_dims) ->
-                Some (name, layout)
-            | _ | (exception Exit) -> None)
-        | None -> None)
-    names
-
 let program prog =
-  let names =
-    List.filter_map
-      (function
-        | Ast.Array a when List.length a.a_dims >= 1 -> Some a.a_name
-        | _ -> None)
-      prog.Ast.decls
-  in
-  rewrite_program prog (targets_of prog names)
-
-let array prog name = rewrite_program prog (targets_of prog [ name ])
+  (* Each array's first declaration, the one [Ast.find_array] reads. *)
+  let decl = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Ast.Array a when not (Hashtbl.mem decl a.a_name) ->
+          Hashtbl.add decl a.a_name a
+      | _ -> ())
+    prog.Ast.decls;
+  (* An array referenced anywhere, DO bounds included, at another rank
+     than declared is left as written rather than half-rewritten. *)
+  let wrong_rank = Hashtbl.create 8 in
+  ignore
+    (Ast.map_refs
+       (fun ~loops:_ (r : Ast.aref) ->
+         (match Hashtbl.find_opt decl r.name with
+         | Some a when List.length a.a_dims <> List.length r.subs ->
+             Hashtbl.replace wrong_rank r.name ()
+         | _ -> ());
+         r)
+       prog);
+  (* EQUIVALENCE'd arrays are the storage pass's business. *)
+  let skip = equivalenced prog in
+  let targets = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun name (a : Ast.array_decl) ->
+      let kept = List.mem name skip || Hashtbl.mem wrong_rank name in
+      if a.a_dims <> [] && not kept then
+        match layout_of a with
+        | layout -> Hashtbl.replace targets name layout
+        | exception Exit -> ())
+    decl;
+  rewrite_program prog targets

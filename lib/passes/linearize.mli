@@ -16,9 +16,8 @@
 val program : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
 (** Linearizes every declared array of rank ≥ 2 whose dimension bounds
     are integer constants; rank-1 arrays are rebased to [0:size-1].
-    References with a subscript count different from the declared rank
-    are left untouched (and keep the old declaration).  Run after the
+    Every reference is rewritten, those in DO bounds and steps too
+    ({!Dlz_ir.Ast.map_refs}).  An array with a reference of a subscript
+    count other than its declared rank, wherever it stands, is left
+    untouched, declaration and references alike.  Run after the
     [PARAMETER] fold that {!Pipeline.prepare} starts with. *)
-
-val array : Dlz_ir.Ast.program -> string -> Dlz_ir.Ast.program
-(** Linearizes a single array by name (no-op when impossible). *)

@@ -1,31 +1,13 @@
 module Ast = Dlz_ir.Ast
 module Expr = Dlz_ir.Expr
 
+(* [v := e] in [s]; an inner loop redefining [v] shadows it in its body. *)
 let subst_stmt v e s =
-  let rec go = function
-    | Ast.Assign { label; lhs; rhs } ->
-        Ast.Assign
-          {
-            label;
-            lhs = { lhs with subs = List.map (Expr.subst v e) lhs.subs };
-            rhs = Expr.subst v e rhs;
-          }
-    | Ast.Continue _ as s -> s
-    | Ast.Do d ->
-        (* An inner loop redefining [v] shadows it. *)
-        if String.equal d.var v then
-          Ast.Do { d with lo = Expr.subst v e d.lo; hi = Expr.subst v e d.hi }
-        else
-          Ast.Do
-            {
-              d with
-              lo = Expr.subst v e d.lo;
-              hi = Expr.subst v e d.hi;
-              step = Expr.subst v e d.step;
-              body = List.map go d.body;
-            }
-  in
-  go s
+  Ast.map_exprs
+    (fun ~loops x ->
+      if List.exists (fun (w, _, _, _) -> String.equal w v) loops then x
+      else Expr.subst v e x)
+    s
 
 let loop (p : Ast.program) =
   let rec go = function
@@ -92,25 +74,6 @@ let fold_parameters (p : Ast.program) =
     Expr.fold_consts
       (List.fold_left (fun e (n, v) -> Expr.subst n (Expr.Const v) e) e params)
   in
-  let rec go_stmt = function
-    | Ast.Assign { label; lhs; rhs } ->
-        Ast.Assign
-          {
-            label;
-            lhs = { lhs with subs = List.map subst_all lhs.subs };
-            rhs = subst_all rhs;
-          }
-    | Ast.Continue _ as s -> s
-    | Ast.Do d ->
-        Ast.Do
-          {
-            d with
-            lo = subst_all d.lo;
-            hi = subst_all d.hi;
-            step = subst_all d.step;
-            body = List.map go_stmt d.body;
-          }
-  in
   let go_decl = function
     | Ast.Array a ->
         Ast.Array
@@ -124,7 +87,11 @@ let fold_parameters (p : Ast.program) =
           }
     | d -> d
   in
-  { p with decls = List.map go_decl p.decls; body = List.map go_stmt p.body }
+  {
+    p with
+    decls = List.map go_decl p.decls;
+    body = List.map (Ast.map_exprs (fun ~loops:_ -> subst_all)) p.body;
+  }
 
 (* Canonicalize (loop-invariant-symbol) affine expressions through the
    polynomial form: turns [10*(1+I)+(1+J)] into [11+10*I+J] and
@@ -143,20 +110,8 @@ let rec simplify_in_expr e =
       simplify_expr (Expr.Bin (op, simplify_in_expr a, simplify_in_expr b))
   | Expr.Call (f, args) -> Expr.Call (f, List.map simplify_in_expr args)
 
-let simplify p =
-  Ast.map_stmts
-    (function
-      | Ast.Assign { label; lhs; rhs } ->
-          Ast.Assign
-            {
-              label;
-              lhs = { lhs with subs = List.map simplify_in_expr lhs.subs };
-              rhs = simplify_in_expr rhs;
-            }
-      | Ast.Do d ->
-          Ast.Do
-            { d with lo = simplify_in_expr d.lo; hi = simplify_in_expr d.hi }
-      | s -> s)
-    p
+let simplify (p : Ast.program) =
+  let simplify_stmt = Ast.map_exprs (fun ~loops:_ -> simplify_in_expr) in
+  { p with body = List.map simplify_stmt p.body }
 
 let all p = simplify (loop (fold_parameters p))

@@ -12,10 +12,10 @@ val loop : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
     on a zero step. *)
 
 val simplify : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
-(** Canonicalizes affine subscripts and bounds through the polynomial
-    form: [(I*(JJ-1+1)+J)*(KK-1+1)+K] renders as the paper's
-    [K+J*KK+I*JJ*KK].  Semantics-preserving (checked by the interpreter
-    tests). *)
+(** Canonicalizes affine subscripts, right-hand sides, bounds and
+    steps through the polynomial form: [(I*(JJ-1+1)+J)*(KK-1+1)+K]
+    renders as the paper's [K+J*KK+I*JJ*KK].  Semantics-preserving
+    (checked by the interpreter tests). *)
 
 val all : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
 (** Substitutes [PARAMETER] constants into bounds, subscripts and

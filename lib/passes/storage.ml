@@ -284,28 +284,6 @@ let fold decl r =
     rewrites = List.map2 rewrite shapes bases;
   }
 
-(* Rewrites every array reference of the program, in assignments and in
-   DO bounds, through [f name subs]. *)
-let map_refs f (p : Ast.program) =
-  let rec expr e =
-    match e with
-    | Expr.Const _ | Expr.Var _ -> e
-    | Expr.Neg a -> Expr.Neg (expr a)
-    | Expr.Bin (op, a, b) -> Expr.Bin (op, expr a, expr b)
-    | Expr.Call (name, args) ->
-        let name, subs = f name (List.map expr args) in
-        Expr.Call (name, subs)
-  in
-  Ast.map_stmts
-    (function
-      | Ast.Assign { label; lhs; rhs } ->
-          let name, subs = f lhs.name (List.map expr lhs.subs) in
-          Ast.Assign { label; lhs = { name; subs }; rhs = expr rhs }
-      | Ast.Do d ->
-          Ast.Do { d with lo = expr d.lo; hi = expr d.hi; step = expr d.step }
-      | s -> s)
-    p
-
 let associate (p : Ast.program) =
   match regions p with
   | [] -> (p, [])
@@ -315,13 +293,13 @@ let associate (p : Ast.program) =
       (* Members referenced with a subscript count other than their rank. *)
       let wrong_rank = Hashtbl.create 4 in
       ignore
-        (map_refs
-           (fun n subs ->
+        (Ast.map_refs
+           (fun ~loops:_ (r : Ast.aref) ->
              if
-               List.mem n members
-               && List.length subs <> List.length (decl n).a_dims
-             then Hashtbl.replace wrong_rank n ();
-             (n, subs))
+               List.mem r.name members
+               && List.length r.subs <> List.length (decl r.name).a_dims
+             then Hashtbl.replace wrong_rank r.name ();
+             r)
            p);
       let fold r =
         (match blocks r with
@@ -374,11 +352,11 @@ let associate (p : Ast.program) =
           folded
       in
       let p =
-        map_refs
-          (fun n subs ->
-            match List.assoc_opt n infos with
-            | Some (repl, rw) -> (repl, rw subs)
-            | None -> (n, subs))
+        Ast.map_refs
+          (fun ~loops:_ (r : Ast.aref) ->
+            match List.assoc_opt r.name infos with
+            | Some (repl, rw) -> { Ast.name = repl; subs = rw r.subs }
+            | None -> r)
           p
       in
       (* Drop the folded members' declarations and EQUIVALENCEs; a folded

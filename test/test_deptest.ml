@@ -34,6 +34,17 @@ let depeq_units =
         match Depeq.make 0 [ (1, var "x" (-1)) ] with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
+    Alcotest.test_case "pp prints min_int" `Quick (fun () ->
+        (* [Intx.abs] has no [min_int]: the digits come off the value. *)
+        let eq =
+          Depeq.make min_int
+            [ (min_int, var "x" 3); (1, var ~level:2 "y" 4);
+              (-2, var ~level:3 "z" 1) ]
+        in
+        Alcotest.(check string) "text"
+          "- 4611686018427387904*x + y - 2*z - 4611686018427387904 = 0 ; \
+           x in [0,3], y in [0,4], z in [0,1]"
+          (Depeq.to_string eq));
     Alcotest.test_case "lhs_interval" `Quick (fun () ->
         let eq = Depeq.make (-5) [ (2, var "x" 3); (-1, var ~level:2 "y" 4) ] in
         Alcotest.(check bool) "[-9, 1]" true

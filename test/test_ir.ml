@@ -386,6 +386,46 @@ let ast_units =
         match prog'.Ast.body with
         | [ Ast.Do { body = [ Ast.Assign { rhs = Expr.Const 2; _ } ]; _ } ] -> ()
         | _ -> Alcotest.fail "rewrite missed nested assign");
+    Alcotest.test_case "map_exprs and map_refs positions and order" `Quick
+      (fun () ->
+        (* DO I = B(0), C(D(1)), 2 / A(E(I)) = F(I) *)
+        let call f args = Expr.Call (f, args) in
+        let prog =
+          mk_prog
+            [
+              Ast.do_ ~step:(c 2) "I"
+                (call "B" [ c 0 ])
+                (call "C" [ call "D" [ c 1 ] ])
+                [ Ast.assign (Ast.ref_ "A" [ call "E" [ v "I" ] ])
+                    (call "F" [ v "I" ]) ];
+            ]
+            []
+        in
+        let seen = ref [] in
+        let note name loops = seen := (name, List.length loops) :: !seen in
+        ignore
+          (List.map
+             (Ast.map_exprs (fun ~loops e ->
+                  note (Expr.to_string e) loops;
+                  e))
+             prog.Ast.body);
+        Alcotest.(check (list (pair string int))) "expressions"
+          [ ("B(0)", 0); ("C(D(1))", 0); ("2", 0); ("E(I)", 1); ("F(I)", 1) ]
+          (List.rev !seen);
+        seen := [];
+        let renamed =
+          Ast.map_refs
+            (fun ~loops r ->
+              note r.Ast.name loops;
+              { r with Ast.name = String.lowercase_ascii r.Ast.name })
+            prog
+        in
+        Alcotest.(check (list (pair string int))) "references, inner first"
+          [ ("B", 0); ("D", 0); ("C", 0); ("E", 1); ("A", 1); ("F", 1) ]
+          (List.rev !seen);
+        Alcotest.(check string) "rewritten in place"
+          "    DO I = b(0), c(d(1)), 2\n      a(e(I)) = f(I)\n    ENDDO"
+          (Format.asprintf "%a" Ast.pp_stmt (List.hd renamed.Ast.body)));
     Alcotest.test_case "count_lines counts rendering" `Quick (fun () ->
         let prog = mk_prog [ Ast.assign (Ast.scalar_ref "X") (c 1) ] [] in
         Alcotest.(check int) "3 lines" 3 (Ast.count_lines prog));
