@@ -18,10 +18,9 @@ let show title src =
   let prog', areas = Dlz_passes.Pipeline.prepare prog in
   List.iter
     (fun (a : Dlz_passes.Storage.area) ->
-      if a.Dlz_passes.Storage.kept_dims >= 0 then
-        Format.printf "Linearized {%s} into %s, keeping %d trailing dim(s)@."
-          (String.concat ", " a.Dlz_passes.Storage.members)
-          a.Dlz_passes.Storage.repl a.Dlz_passes.Storage.kept_dims)
+      Format.printf "Linearized {%s} into %s, keeping %d trailing dim(s)@."
+        (String.concat ", " a.Dlz_passes.Storage.members)
+        a.Dlz_passes.Storage.repl a.Dlz_passes.Storage.kept_dims)
     areas;
   Format.printf "After the pipeline:@.%s@.@." (Ast.to_string prog');
   let deps = Analyze.deps_of_program prog' in

@@ -47,10 +47,6 @@ let max_abs = function
   | Empty -> invalid_arg "Ivl.max_abs: empty interval"
   | Range (l, h) -> max (Intx.abs l) (Intx.abs h)
 
-let shift c = function
-  | Empty -> Empty
-  | Range (l, h) -> Range (Intx.add c l, Intx.add c h)
-
 let equal a b =
   match (a, b) with
   | Empty, Empty -> true

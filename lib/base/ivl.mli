@@ -47,8 +47,5 @@ val max_abs : t -> int
 (** [max_abs iv] is [max |lo| |hi|]; raises [Invalid_argument] on the
     empty interval. *)
 
-val shift : int -> t -> t
-(** [shift c iv] translates [iv] by [c]. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

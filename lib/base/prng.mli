@@ -10,7 +10,6 @@ type t
 val create : int64 -> t
 (** [create seed] is a fresh generator. *)
 
-val copy : t -> t
 val next64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -144,61 +144,66 @@ let array_size (p : Ast.program) name =
       | _ -> None)
   | _ -> None
 
-let accesses_of prog name =
-  let accs, env = Access.of_program prog in
-  (List.filter (fun (a : Access.t) -> String.equal a.Access.array name) accs, env)
-
-let plan_of ~env prog name =
-  match array_size prog name with
-  | None -> None
-  | Some size -> (
-      let accs, env' = accesses_of prog name in
-      let env =
-        List.fold_left
-          (fun acc (s, b) -> Assume.assume_ge s b acc)
-          env (Assume.bindings env')
-      in
-      try
-        match accs with
-        | [] -> None
-        | a0 :: _ ->
-            let f0 =
-              match a0.Access.subs with
-              | [ Access.Aff f ] -> f
-              | _ -> raise No_plan
-            in
-            let strides = strides_of env f0 a0.Access.loops in
-            let m = List.length strides in
-            if m < 2 then None
-            else begin
-              (* Innermost stride must be 1 for a literal reshape. *)
-              (match Poly.to_const (List.hd strides) with
-              | Some 1 -> ()
-              | _ -> raise No_plan);
-              let extents =
-                List.mapi
-                  (fun k s ->
-                    let next =
-                      if k + 1 < m then List.nth strides (k + 1) else size
-                    in
-                    let q, r = divmod next s in
-                    if not (Poly.is_zero r) then raise No_plan;
-                    q)
-                  strides
-              in
-              Some ({ array = name; extents }, strides, env)
-            end
-      with No_plan -> None)
+(* The strides come from the array's first access, [first name]. *)
+let plan_of ~env first (name, size) =
+  try
+    match first name with
+    | None -> None
+    | Some (a0 : Access.t) ->
+        let f0 =
+          match a0.Access.subs with
+          | [ Access.Aff f ] -> f
+          | _ -> raise No_plan
+        in
+        let strides = strides_of env f0 a0.Access.loops in
+        let m = List.length strides in
+        if m < 2 then None
+        else begin
+          (* Innermost stride must be 1 for a literal reshape. *)
+          (match Poly.to_const (List.hd strides) with
+          | Some 1 -> ()
+          | _ -> raise No_plan);
+          let extents =
+            List.mapi
+              (fun k s ->
+                let next =
+                  if k + 1 < m then List.nth strides (k + 1) else size
+                in
+                let q, r = divmod next s in
+                if not (Poly.is_zero r) then raise No_plan;
+                q)
+              strides
+          in
+          Some ({ array = name; extents }, strides, env)
+        end
+  with No_plan -> None
 
 let apply ~env prog =
-  let arrays =
-    List.filter_map
-      (function
-        | Ast.Array a when List.length a.a_dims = 1 -> Some a.a_name
-        | _ -> None)
-      prog.Ast.decls
+  (* One extraction serves every 1-d array of constant size. *)
+  let plans =
+    match
+      List.filter_map
+        (function
+          | Ast.Array a when List.length a.a_dims = 1 ->
+              Option.map (fun s -> (a.a_name, s)) (array_size prog a.a_name)
+          | _ -> None)
+        prog.Ast.decls
+    with
+    | [] -> []
+    | arrays ->
+        let accs, env' = Access.of_program prog in
+        let env =
+          List.fold_left
+            (fun acc (s, b) -> Assume.assume_ge s b acc)
+            env (Assume.bindings env')
+        in
+        let first = Hashtbl.create 64 in
+        List.iter
+          (fun (a : Access.t) ->
+            if not (Hashtbl.mem first a.array) then Hashtbl.add first a.array a)
+          accs;
+        List.filter_map (plan_of ~env (Hashtbl.find_opt first)) arrays
   in
-  let plans = List.filter_map (plan_of ~env prog) arrays in
   (* Every reference, DO bounds included, is rewritten through
      [decompose], which range-checks it; one that does not decompose
      drops the plan. *)

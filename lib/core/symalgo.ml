@@ -30,9 +30,12 @@ type result = {
 (* |x| < g without needing the sign of x: x < g and -x < g. *)
 let abs_lt env x g = Assume.lt env x g && Assume.lt env (Poly.neg x) g
 
-(* Each coefficient's [Assume.abs] is computed once, before the sort,
-   not in every comparison; a comparison is one sign decision on the
-   difference ([Zero] exactly when the two are equal). *)
+(* Terms by (provable) ascending absolute coefficient, by a
+   degree/content heuristic where [env] cannot order two (the order
+   affects precision only: every step re-checks the barrier).  Each
+   coefficient's [Assume.abs] is computed once, before the sort, not in
+   every comparison; a comparison is one sign decision on the difference
+   ([Zero] exactly when the two are equal). *)
 let sort_terms env (eq : Symeq.t) =
   match eq.terms with
   | [] | [ _ ] -> eq

@@ -38,12 +38,6 @@ type result = {
   steps : step list;
 }
 
-val sort_terms : Assume.t -> Symeq.t -> Symeq.t
-(** Terms reordered by (provable) ascending absolute coefficient; falls
-    back to a degree/content heuristic where the environment cannot
-    order two coefficients (ordering affects only precision, never
-    soundness — the barrier condition is re-verified at every step). *)
-
 val run :
   ?check_independence:bool ->
   env:Assume.t ->

@@ -12,5 +12,3 @@ let to_string = function
   | Anti -> "anti"
   | Output -> "output"
   | Input -> "input"
-
-let pp ppf k = Format.pp_print_string ppf (to_string k)

@@ -7,4 +7,3 @@ val kind : src:[ `Read | `Write ] -> dst:[ `Read | `Write ] -> kind
 (** [src] is the access that executes first. *)
 
 val to_string : kind -> string
-val pp : Format.formatter -> kind -> unit

@@ -26,14 +26,9 @@ let join a b =
       | _ -> Dir (Dirvec.join_dir (elt_dir x) (elt_dir y)))
     a b
 
-let equal a b = a = b
-let compare = Stdlib.compare
-
 let elt_to_string = function
   | Dist d -> if d > 0 then Printf.sprintf "+%d" d else string_of_int d
   | Dir d -> Dirvec.dir_to_string d
 
 let to_string v =
   "(" ^ String.concat ", " (Array.to_list (Array.map elt_to_string v)) ^ ")"
-
-let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -27,9 +27,5 @@ val join : t -> t -> t
 (** Componentwise summary: equal distances stay exact, everything else
     widens to the direction join. *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val to_string : t -> string
 (** Printed like ( *, +1 ); positive distances print with an explicit sign. *)
-
-val pp : Format.formatter -> t -> unit

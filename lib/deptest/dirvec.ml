@@ -89,8 +89,6 @@ let dir_to_string = function
 let to_string v =
   "(" ^ String.concat ", " (Array.to_list (Array.map dir_to_string v)) ^ ")"
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 (* --- packed words --------------------------------------------------------- *)
 
 (* Both packed forms below lay a vector out as [stride n] words; word

@@ -67,8 +67,6 @@ val dir_to_string : dir -> string
 val to_string : t -> string
 (** Printed like ( *, <, = ). *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Lattice masks}
 
     One vector over [n] levels as [⌈n/21⌉] ints (one for [n ≤ 21]), 3

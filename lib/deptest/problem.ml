@@ -381,11 +381,3 @@ module Keybuf = struct
           true
         with Intx.Overflow _ -> false)
 end
-
-let pp ppf (p : t) =
-  Format.fprintf ppf "@[<v>%s:%s -> %s:%s, %d common loop(s)" p.src.stmt_name
-    p.src.array p.dst.stmt_name p.dst.array p.n_common;
-  List.iter (fun e -> Format.fprintf ppf "@,  %a" Symeq.pp e) p.equations;
-  if p.opaque_dims > 0 then
-    Format.fprintf ppf "@,  (%d opaque dimension(s))" p.opaque_dims;
-  Format.fprintf ppf "@]"

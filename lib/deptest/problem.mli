@@ -100,5 +100,3 @@ module Keybuf : sig
 
   val length : buf -> int
 end
-
-val pp : Format.formatter -> t -> unit

@@ -85,5 +85,3 @@ let to_string t =
   ^ String.concat ", "
       (Array.to_list (Array.map (Format.asprintf "%a" Ivl.pp) t))
   ^ ")"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

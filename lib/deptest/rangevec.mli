@@ -33,5 +33,3 @@ val subsumes : t -> t -> bool
 
 val to_string : t -> string
 (** Printed like [([0,4], [1,1])]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,13 @@
 (** The paper's experiments, E1–E8 (see DESIGN.md §3).
 
-    Each [eN] renders a plain-text report reproducing the corresponding
-    table/figure/claim; the [*_rows] variants expose the raw data the
-    test suite asserts on. *)
+    Each renders a plain-text report reproducing the corresponding
+    table/figure/claim, by id through {!all} and {!run}: E1 equation (1)
+    under every test, E2 Figure 1, E3 Figure 3, E4 Figure 5's
+    per-iteration trace, E5 the MHL91 distance-vector claim, E6 symbolic
+    delinearization (§4), E7 the induction-variable and aliasing
+    rewrites end-to-end, E8 the deterministic part of the efficiency
+    claims (the timings are [bench/main.exe e8]'s).  The [*_rows]
+    variants expose the raw data the test suite asserts on. *)
 
 module Verdict = Dlz_deptest.Verdict
 
@@ -12,8 +17,6 @@ val e1_rows : unit -> (string * Verdict.t) list
     tightened FM, delinearization and the exact solver prove
     independence. *)
 
-val e1 : unit -> string
-
 val e2 : unit -> string
 (** Figure 1 on the synthetic corpus. *)
 
@@ -21,28 +24,7 @@ val e3_rows : ?pool:Dlz_base.Pool.t -> unit -> (string * string * string) list
 (** Figure 3's dependence table: (pair, direction vector,
     distance-direction vector). *)
 
-val e3 : ?pool:Dlz_base.Pool.t -> unit -> string
-
-val e4 : unit -> string
-(** Figure 5: the per-iteration trace of the algorithm. *)
-
-val e5 : ?pool:Dlz_base.Pool.t -> unit -> string
-(** The MHL91 distance-vector claim: exact (2, 0). *)
-
 val e5_distances : unit -> (int * int) list
-
-val e6 : unit -> string
-(** Symbolic delinearization (§4): trace, recovered 3-D program, and
-    numeric cross-check for sampled [N]. *)
-
-val e7 : ?pool:Dlz_base.Pool.t -> unit -> string
-(** Induction-variable and aliasing rewrites end-to-end, with the
-    vectorizer's parallelization verdicts. *)
-
-val e8 : unit -> string
-(** Efficiency, deterministic part: FM system growth and the precision
-    of delinearization vs the baseline tests on the linearized family.
-    The timings are [bench/main.exe e8]'s. *)
 
 val all : ?pool:Dlz_base.Pool.t -> unit -> (string * string) list
 (** [(id, report)] for every experiment.  [pool] parallelizes the

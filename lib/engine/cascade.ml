@@ -28,7 +28,6 @@ let classic = make ~name:"classic" [ Registry.classic ]
 let exact = make ~name:"exact" [ Registry.exact; Registry.delinearize ]
 
 let presets = [ ("delin", delin); ("classic", classic); ("exact", exact) ]
-let preset name = List.assoc_opt name presets
 
 (* Per-strategy histogram handles, memoized by bare strategy name so
    the per-attempt Timing path skips the ["strategy." ^ name]

@@ -30,7 +30,6 @@ val classic : t
 val exact : t
 
 val presets : (string * t) list
-val preset : string -> t option
 
 val run :
   ?stats:Stats.t ->

@@ -30,15 +30,10 @@ val all : unit -> Strategy.t list
 (** Every registered strategy, sorted by name — the introspection hook
     the differential oracle iterates over. *)
 
-(** The built-in strategies, also available directly. *)
+(** The built-in strategies that callers also use directly; the other
+    filters are reached by name. *)
 
 val delinearize : Strategy.t
 val classic : Strategy.t
 val exact : Strategy.t
-val gcd : Strategy.t
 val banerjee : Strategy.t
-val svpc : Strategy.t
-val acyclic : Strategy.t
-val residue : Strategy.t
-val fm : Strategy.t
-val omega : Strategy.t

@@ -104,18 +104,3 @@ let of_program ?(env = Assume.empty) ?(arrays_only = true) (p : Ast.program) =
   in
   List.iter (go []) p.body;
   (List.rev !accs, !env)
-
-let pp ppf a =
-  Format.fprintf ppf "%s:%s%s(%s) in [%s]" a.stmt_name
-    (match a.rw with `Write -> "W:" | `Read -> "R:")
-    a.array
-    (String.concat ","
-       (List.map
-          (function
-            | Aff f -> Format.asprintf "%a" Affine.pp f
-            | Opaque -> "?")
-          a.subs))
-    (String.concat ","
-       (List.map
-          (fun l -> Format.asprintf "%s<=%a" l.l_var Poly.pp l.l_ub)
-          a.loops))

@@ -42,5 +42,3 @@ val of_program :
 
     Raises [Failure] if a loop is not normalized (nonzero lower bound or
     non-unit step): run {!Dlz_passes} normalization first. *)
-
-val pp : Format.formatter -> t -> unit

@@ -38,9 +38,6 @@ let loop_vars a = List.map fst (Smap.bindings a.coeffs)
 let terms a = Smap.bindings a.coeffs
 let is_const a = Smap.is_empty a.coeffs
 
-let equal a b =
-  Smap.equal Poly.equal a.coeffs b.coeffs && Poly.equal a.konst b.konst
-
 let rename f a =
   let coeffs =
     Smap.fold
@@ -108,19 +105,3 @@ let to_expr a =
       | _ -> Expr.Bin (Expr.Add, acc, term_e))
     a.coeffs e
   |> Expr.fold_consts
-
-let pp ppf a =
-  let parts =
-    List.map
-      (fun (v, c) ->
-        match Poly.to_const c with
-        | Some 1 -> v
-        | Some k -> Printf.sprintf "%d*%s" k v
-        | None -> Format.asprintf "(%a)*%s" Poly.pp c v)
-      (terms a)
-  in
-  let parts =
-    if Poly.is_zero a.konst && parts <> [] then parts
-    else parts @ [ Poly.to_string a.konst ]
-  in
-  Format.pp_print_string ppf (String.concat " + " parts)

@@ -18,9 +18,6 @@ val term : Poly.t -> string -> t
 (** [term c v] is the form [c·v]. *)
 
 val add : t -> t -> t
-val sub : t -> t -> t
-val neg : t -> t
-val scale : Poly.t -> t -> t
 
 val coeff : t -> string -> Poly.t
 (** Coefficient of a loop variable ([zero] when absent). *)
@@ -33,7 +30,6 @@ val terms : t -> (string * Poly.t) list
 (** Nonzero [(variable, coefficient)] pairs, sorted by variable. *)
 
 val is_const : t -> bool
-val equal : t -> t -> bool
 
 val rename : (string -> string) -> t -> t
 (** Renames loop variables (used to give the two references of a
@@ -54,4 +50,3 @@ val of_expr : is_loop_var:(string -> bool) -> Expr.t -> t option
     symbols. *)
 
 val to_expr : t -> Expr.t
-val pp : Format.formatter -> t -> unit

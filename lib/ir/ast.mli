@@ -83,7 +83,5 @@ val count_lines : program -> int
     the corpus experiment to report program sizes. *)
 
 val pp_stmt : Format.formatter -> stmt -> unit
-val pp : Format.formatter -> program -> unit
-(** FORTRAN-77-style rendering of the whole program. *)
-
 val to_string : program -> string
+(** FORTRAN-77-style rendering of the whole program. *)

@@ -27,8 +27,6 @@ let rec equal a b =
       && List.for_all2 equal xs ys
   | _ -> false
 
-let compare = Stdlib.compare
-
 module Sset = Set.Make (String)
 
 let free_vars e =

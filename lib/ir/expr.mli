@@ -22,7 +22,6 @@ val ( - ) : t -> t -> t
 val ( * ) : t -> t -> t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val free_vars : t -> string list
 (** Scalar variables read, sorted, without duplicates (call arguments

@@ -15,6 +15,4 @@ val escape_label_value : string -> string
 (** Escape backslash, double-quote and newline for a label value
     body. *)
 
-val write : Buffer.t -> Registry.sample list -> unit
-
 val to_string : Registry.sample list -> string

@@ -27,19 +27,6 @@ val random : seed:int64 -> count:int -> case list
 (** Random numeric systems: 1–3 common loops, bounds ≤ 6, coefficients
     in [-8, 8]. *)
 
-val linearized : seed:int64 -> count:int -> case list
-(** Row-major linearized pairs [i + N*j (+ N*M*k)], with the row extent
-    sometimes crossing the stride. *)
-
-val symbolic : seed:int64 -> count:int -> case list
-(** Symbolic-coefficient equations over a symbol [N] with an assumed
-    lower bound; grounded at an admissible [N]. *)
-
-val progen : seed:int64 -> count:int -> case list
-(** Whole random programs ({!Dlz_driver.Progen.linearized_profile})
-    pushed through the real front-end pipeline; one case per testable
-    reference pair. *)
-
 val corpus : unit -> case list
 (** Every testable pair of the synthetic RiCEPS corpus; symbolic pairs
     are grounded at their assumption lower bounds. *)
@@ -50,5 +37,10 @@ val polybench : unit -> case list
     pass and the real pipeline. *)
 
 val all : seed:int64 -> count:int -> case list
-(** The default mixed batch: 40% random, 25% linearized, 15% symbolic,
-    10% near-overflow, the rest whole programs. *)
+(** The default mixed batch: 40% random; 25% row-major linearized
+    pairs [i + N*j (+ N*M*k)], the row extent sometimes crossing the
+    stride; 15% symbolic-coefficient equations over a symbol [N] with
+    an assumed lower bound, grounded at an admissible [N]; 10%
+    near-overflow; the rest every testable reference pair of whole
+    random programs ({!Dlz_driver.Progen.linearized_profile}) pushed
+    through the real front-end pipeline. *)

@@ -5,12 +5,6 @@
     assumes this form for the dependence definition; the substitution is
     exact, so the access trace is unchanged. *)
 
-val loop : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
-(** Normalizes every loop.  Loops with a non-constant step are left
-    untouched (none of the paper's programs need them); loops whose
-    constant bounds give an empty range are deleted.  Raises [Failure]
-    on a zero step. *)
-
 val simplify : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
 (** Canonicalizes affine subscripts, right-hand sides, bounds and
     steps through the polynomial form: [(I*(JJ-1+1)+J)*(KK-1+1)+K]
@@ -19,5 +13,8 @@ val simplify : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
 
 val all : Dlz_ir.Ast.program -> Dlz_ir.Ast.program
 (** Substitutes [PARAMETER] constants into bounds, subscripts and
-    declarations and constant-folds, then {!loop}, then {!simplify}: the
-    standard pipeline prefix. *)
+    declarations and constant-folds, then normalizes every loop, then
+    {!simplify}: the standard pipeline prefix.  Loops with a non-constant
+    step are left untouched (none of the paper's programs need them);
+    loops whose constant bounds give an empty range are deleted.  Raises
+    [Failure] on a zero step. *)

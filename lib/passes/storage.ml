@@ -14,6 +14,8 @@ type error =
   | Conflict of string
   | Two_blocks of string * string
   | Unplaced of string
+  | Undeclared of string
+  | Wrong_rank of string
 
 exception Error of error
 
@@ -305,12 +307,17 @@ let associate (p : Ast.program) =
         (match blocks r with
         | x :: y :: _ -> raise (Error (Two_blocks (x, y)))
         | _ -> ());
-        if
-          List.for_all (fun n -> Ast.find_array p n <> None)
-            (List.concat_map names r.links)
-          && not (List.exists (Hashtbl.mem wrong_rank) r.members)
-        then Some (fold decl r)
-        else None
+        (match
+           List.find_opt
+             (fun n -> Ast.find_array p n = None)
+             (List.concat_map names r.links)
+         with
+        | Some n -> raise (Error (Undeclared n))
+        | None -> ());
+        (match List.find_opt (Hashtbl.mem wrong_rank) r.members with
+        | Some n -> raise (Error (Wrong_rank n))
+        | None -> ());
+        fold decl r
       in
       (* A lone member stays as it is, but its anchors must agree. *)
       let regions =
@@ -318,33 +325,33 @@ let associate (p : Ast.program) =
           (fun r ->
             match r.members with
             | [ _ ] ->
-                (try ignore (fold r) with Error (Unplaced _) -> ());
+                (try ignore (fold r)
+                 with Error (Unplaced _ | Undeclared _ | Wrong_rank _) -> ());
                 false
             | _ -> true)
           all
       in
       let lin = ref 0 in
-      let folded, areas =
-        List.split
-          (List.map
-             (fun r ->
-               let area bases repl kept_dims =
-                 { members = r.members; bases; repl; kept_dims }
-               in
-               match fold r with
-               | None -> (None, area [] "" (-1))
-               | Some f ->
-                   let repl =
-                     match blocks r with
-                     | [ b ] -> "CB" ^ b
-                     | _ ->
-                         incr lin;
-                         Printf.sprintf "LIN%d" !lin
-                   in
-                   (Some (r, repl, f), area f.bases repl f.kept))
-             regions)
+      let folded =
+        List.map
+          (fun r ->
+            let f = fold r in
+            let repl =
+              match blocks r with
+              | [ b ] -> "CB" ^ b
+              | _ ->
+                  incr lin;
+                  Printf.sprintf "LIN%d" !lin
+            in
+            (r, repl, f))
+          regions
       in
-      let folded = List.filter_map Fun.id folded in
+      let areas =
+        List.map
+          (fun (r, repl, f) ->
+            { members = r.members; bases = f.bases; repl; kept_dims = f.kept })
+          folded
+      in
       let infos =
         List.concat_map
           (fun (r, repl, f) ->

@@ -31,11 +31,9 @@ type area = {
           in its COMMON and EQUIVALENCE statements. *)
   bases : Dlz_symbolic.Poly.t list;
       (** Each member's offset in [repl], in elements of [repl]'s first
-          dimension (a polynomial in the program's symbols); [[]] when
-          the area is left unfolded. *)
-  repl : string;  (** The replacement array; [""] when unfolded. *)
-  kept_dims : int;
-      (** Trailing member dimensions [repl] keeps; [-1] when unfolded. *)
+          dimension (a polynomial in the program's symbols). *)
+  repl : string;  (** The replacement array. *)
+  kept_dims : int;  (** Trailing member dimensions [repl] keeps. *)
 }
 
 type error =
@@ -50,6 +48,12 @@ type error =
           is the first member of an area whose lowest base
           {!Dlz_symbolic.Assume} cannot decide and whose bases it cannot
           prove to lie above minus the sum of the member sizes. *)
+  | Undeclared of string
+      (** A COMMON or EQUIVALENCE statement of an area names an array
+          no declaration gives. *)
+  | Wrong_rank of string
+      (** The named member is referenced with a subscript count other
+          than its rank. *)
 
 exception Error of error
 
@@ -87,11 +91,10 @@ val associate : Dlz_ir.Ast.program -> Dlz_ir.Ast.program * area list
     becomes [CBX], and [X]'s COMMON statement lists only [CBX]; any
     other becomes [LINk], [k] counting from 1.
 
-    An area stays as written ([kept_dims = -1]) when a statement of it
-    names an array no declaration gives or a member is referenced with
-    a subscript count other than its rank.  An area that joins two
-    COMMON blocks, places a member at two addresses, or whose bases
-    cannot be placed raises {!Error}; of an array alone in its area,
-    which stays as it is, only the first two are checked.  A program
+    An area that joins two COMMON blocks, places a member at two
+    addresses, names an array no declaration gives, has a member
+    referenced with a subscript count other than its rank, or whose
+    bases cannot be placed raises {!Error}; of an array alone in its
+    area, which stays as it is, only the first two are checked.  A program
     without COMMON or EQUIVALENCE comes back as it is.  Fold
     [PARAMETER]s first, as {!Pipeline.prepare} does. *)

@@ -56,6 +56,25 @@ let units =
               Alcotest.failf "%s: counted %d vs paper %s" r.r_spec.Corpus.name
                 r.r_counted reported)
           (Corpus.figure1 ()));
+    (* [Reshape.apply] must extract a program's accesses once: once per
+       1-d array, this case would not finish on BOAST or CCM. *)
+    Alcotest.test_case "reshape every program" `Quick (fun () ->
+        let expected =
+          [ ("BOAST", 14); ("CCM", 13); ("TRACK", 2); ("WANAL1", 2) ]
+        in
+        List.iter
+          (fun s ->
+            let name = s.Corpus.name in
+            let prog =
+              Dlz_passes.Pipeline.prepare_program (Corpus.generate s)
+            in
+            let _, plans =
+              Dlz_core.Reshape.apply ~env:Dlz_symbolic.Assume.empty prog
+            in
+            Alcotest.(check int) (name ^ " plans")
+              (Option.value (List.assoc_opt name expected) ~default:0)
+              (List.length plans))
+          Corpus.riceps);
   ]
 
 (* Detection unit cases for is_linearized_access. *)

@@ -372,15 +372,17 @@ let wrong_rank_src =
 
 let equivalence_units =
   [
-    Alcotest.test_case "wrong-rank reference leaves the area alone" `Quick
+    Alcotest.test_case "wrong-rank reference refused" `Quick (fun () ->
+        refused "A is referenced with the wrong number of subscripts"
+          wrong_rank_src);
+    Alcotest.test_case "undeclared EQUIVALENCE name refused" `Quick
       (fun () ->
-        let before = Normalize.all (F77.parse wrong_rank_src) in
-        let after, groups = Storage.associate before in
-        (match groups with
-        | [ g ] ->
-            Alcotest.(check int) "not folded" (-1) g.Storage.kept_dims
-        | _ -> Alcotest.fail "expected one area");
-        Alcotest.(check bool) "unchanged" true (after = before));
+        refused "C in COMMON or EQUIVALENCE is not a declared array"
+          "      REAL A(0:9), B(0:9)\n\
+          \      EQUIVALENCE (A, B, C)\n\
+          \      DO 1 I = 0, 9\n\
+           1     A(I) = B(I)\n\
+          \      END\n");
     Alcotest.test_case "no reference outlives its declaration" `Quick
       (fun () ->
         List.iter
@@ -389,7 +391,6 @@ let equivalence_units =
             Alcotest.(check (list string)) "dangling" []
               (dangling before (Pipeline.prepare_program before)))
           [
-            wrong_rank_src;
             "      REAL A(0:9), B(0:9), C(0:19)\n\
              \      COMMON /X/ A, B\n\
              \      EQUIVALENCE (C, A)\n\
