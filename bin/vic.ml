@@ -387,19 +387,15 @@ let analyze_one ~cascade ~budget ~pool ~ranges input =
           let module Problem = Dlz_deptest.Problem in
           let module Rangevec = Dlz_deptest.Rangevec in
           match Problem.of_accesses d.Analyze.src d.Analyze.dst with
-          | Some p -> (
-              match p.Problem.numeric with
-              | Some np -> (
-                  match
-                    Rangevec.of_exact ~common_ubs:np.Problem.common_ubs
-                      np.Problem.eqs
-                  with
-                  | Some r ->
-                      Printf.printf "    delta ranges: %s\n"
-                        (Rangevec.to_string r)
-                  | None -> ())
+          | Some { form = Problem.Numeric np; _ } -> (
+              match
+                Rangevec.of_exact ~common_ubs:np.Problem.common_ubs
+                  np.Problem.eqs
+              with
+              | Some r ->
+                  Printf.printf "    delta ranges: %s\n" (Rangevec.to_string r)
               | None -> ())
-          | None -> ()
+          | Some { form = Problem.Symbolic _; _ } | None -> ()
         end)
       deps;
   print_newline ();
@@ -540,55 +536,60 @@ let trace_cmd =
     let module Depeq = Dlz_deptest.Depeq in
     let module Symeq = Dlz_deptest.Symeq in
     let module Symalgo = Dlz_core.Symalgo in
+    let module Problem = Dlz_deptest.Problem in
     let endpoint (a : Access.t) =
       Printf.sprintf "%s:%s %s" a.stmt_name a.array
         (match a.rw with `Read -> "read" | `Write -> "write")
-    in
-    (* The 1-based positions of the subscripts that have an equation:
-       both sides affine, as [Problem.of_accesses] pairs them. *)
-    let rec affine_positions i (ss : Access.sub list) (ds : Access.sub list) =
-      match (ss, ds) with
-      | Aff _ :: ss, Aff _ :: ds -> i :: affine_positions (i + 1) ss ds
-      | _ :: ss, _ :: ds -> affine_positions (i + 1) ss ds
-      | _ -> []
     in
     let symbolic eq = Format.asprintf "(symbolic) %a" Symeq.pp eq in
     let shown = ref 0 in
     Seq.iteri
       (fun i (pr : Dlz_engine.Engine.pair) ->
-        let p = pr.problem in
-        let solve = Symalgo.equation ~env p in
-        List.iter2
-          (fun sub eq ->
-            incr shown;
-            Printf.printf "=== pair %d: %s -> %s, subscript %d\n" (i + 1)
-              (endpoint pr.src) (endpoint pr.dst) sub;
-            let outcome = solve eq in
-            let equation, table =
-              match outcome with
-              | Symalgo.Numeric (reduced, r) ->
-                  ( Depeq.to_string reduced,
-                    Dlz_base.Table.render (Dlz_core.Algo.step_table r.steps) )
-              | Symalgo.Symbolic r ->
-                  ( symbolic eq,
-                    Dlz_base.Table.render (Symalgo.step_table r.steps) )
-              | Symalgo.Overflow op ->
-                  ( (match Symeq.to_numeric eq with
-                    | Some neq -> Depeq.to_string neq
-                    | None -> symbolic eq),
-                    Printf.sprintf "integer overflow in %s: degraded\n" op )
-            in
-            Printf.printf "equation: %s\n%s" equation table;
-            let verdict, dirvecs, _ =
-              Symalgo.answer ~n_common:p.n_common outcome
-            in
-            Printf.printf "verdict: %s\n"
-              (String.concat " "
-                 (Dlz_deptest.Verdict.to_string verdict
-                 :: List.map Dlz_deptest.Dirvec.to_string
-                      (Dlz_deptest.Dirvec.Set.to_list dirvecs))))
-          (affine_positions 1 pr.src.subs pr.dst.subs)
-          p.equations)
+        let show sub n_common solve eq =
+          incr shown;
+          Printf.printf "=== pair %d: %s -> %s, subscript %d\n" (i + 1)
+            (endpoint pr.src) (endpoint pr.dst) sub;
+          let outcome = solve eq in
+          let equation, table =
+            match outcome with
+            | Symalgo.Numeric (reduced, r) ->
+                ( Depeq.to_string reduced,
+                  Dlz_base.Table.render (Dlz_core.Algo.step_table r.steps) )
+            | Symalgo.Symbolic r ->
+                (symbolic eq, Dlz_base.Table.render (Symalgo.step_table r.steps))
+            | Symalgo.Overflow op ->
+                ( (match Symeq.to_numeric eq with
+                  | Some neq -> Depeq.to_string neq
+                  | None -> symbolic eq),
+                  Printf.sprintf "integer overflow in %s: degraded\n" op )
+          in
+          Printf.printf "equation: %s\n%s" equation table;
+          let verdict, dirvecs, _ = Symalgo.answer ~n_common outcome in
+          Printf.printf "verdict: %s\n"
+            (String.concat " "
+               (Dlz_deptest.Verdict.to_string verdict
+               :: List.map Dlz_deptest.Dirvec.to_string
+                    (Dlz_deptest.Dirvec.Set.to_list dirvecs)))
+        in
+        (* Each subscript position as a problem of its own, so an opaque
+           one (unanalyzable, or overflowing while its equation is
+           built) shows nothing. *)
+        let rec positions sub ss ds =
+          match (ss, ds) with
+          | s :: ss, d :: ds ->
+              Option.iter
+                (fun (p : Problem.t) ->
+                  let n_common, common_ubs, equations, _ =
+                    Problem.polynomial p.form
+                  in
+                  let solve = Symalgo.equation ~env ~n_common ~common_ubs in
+                  List.iter (show sub n_common solve) equations)
+                (Problem.of_accesses { pr.src with subs = [ s ] }
+                   { pr.dst with subs = [ d ] });
+              positions (sub + 1) ss ds
+          | _ -> ()
+        in
+        positions 1 pr.src.subs pr.dst.subs)
       (Dlz_engine.Engine.pairs_seq accs);
     if !shown = 0 then print_endline "No testable reference pairs."
   in

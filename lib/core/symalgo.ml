@@ -284,22 +284,14 @@ type outcome =
   | Symbolic of result
   | Overflow of string
 
-let numeric_common_ubs (p : Problem.t) =
-  let rec go acc = function
-    | [] -> Some (Array.of_list (List.rev acc))
-    | u :: rest -> (
-        match Poly.to_const u with
-        | Some c -> go (c :: acc) rest
-        | None -> None)
+let equation ~env ~n_common ~common_ubs =
+  let ubs =
+    try Some (Array.of_list (List.map Poly.const_value common_ubs))
+    with Not_found -> None
   in
-  go [] p.common_ubs
-
-let equation ~env (p : Problem.t) =
-  let n_common = p.n_common in
-  let common_ubs = numeric_common_ubs p in
   fun eq ->
     try
-      match (Symeq.to_numeric eq, common_ubs) with
+      match (Symeq.to_numeric eq, ubs) with
       | Some neq, Some common_ubs ->
           let neq = Algo.reduced neq in
           Numeric (neq, Algo.run ~n_common ~common_ubs neq)

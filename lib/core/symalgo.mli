@@ -56,10 +56,10 @@ val step_table : step list -> Dlz_base.Table.t
 (** {2 One equation of a dependence problem}
 
     The per-equation decision of the ["delinearize"] strategy.  The
-    engine folds it over the equations of a symbolic or mixed problem;
-    a numeric problem goes to {!Algo.solve}, whose answer is the meet
-    of these per-equation answers.  [vic trace] shows each equation's
-    scan through it. *)
+    engine folds it over the equations of a [Symbolic] problem; a
+    [Numeric] one goes to {!Algo.solve}, whose answer is the meet of
+    these per-equation answers over {!Problem.polynomial}'s equations.
+    [vic trace] shows each equation's scan through it. *)
 
 type outcome =
   | Numeric of Depeq.t * Algo.result
@@ -71,12 +71,13 @@ type outcome =
   | Overflow of string
       (** A scan overflowed 63 bits in the named operation. *)
 
-val equation : env:Assume.t -> Problem.t -> Symeq.t -> outcome
-(** [equation ~env p eq] delinearizes [eq], one of [p]'s equations:
-    numerically over [p]'s common loops when the equation and every
-    common bound are constants, symbolically otherwise.  An
-    {!Dlz_base.Intx.Overflow} becomes [Overflow], never an exception.
-    Partial application to [p] computes the numeric bounds once. *)
+val equation :
+  env:Assume.t -> n_common:int -> common_ubs:Poly.t list -> Symeq.t -> outcome
+(** Delinearizes one equation of a system with these common loops:
+    numerically when it and every common bound are constants,
+    symbolically otherwise.  An {!Dlz_base.Intx.Overflow} becomes
+    [Overflow], never an exception.  Partial application to the bounds
+    computes their integer values once. *)
 
 val answer :
   n_common:int -> outcome -> Verdict.t * Dirvec.Set.t * (int * Poly.t) list

@@ -1,4 +1,5 @@
 module Poly = Dlz_symbolic.Poly
+module Affine = Dlz_ir.Affine
 module Access = Dlz_ir.Access
 module Intx = Dlz_base.Intx
 module Numth = Dlz_base.Numth
@@ -11,106 +12,163 @@ type numeric = {
   opaque_dims : int;
 }
 
-type t = {
-  src : Access.t;
-  dst : Access.t;
-  n_common : int;
-  common_ubs : Poly.t list;
-  equations : Symeq.t list;
-  opaque_dims : int;
-  numeric : numeric option;
-}
+type form =
+  | Numeric of numeric
+  | Symbolic of {
+      n_common : int;
+      common_ubs : Poly.t list;
+      equations : Symeq.t list;
+      opaque_dims : int;
+    }
 
-(* The integer form of the symbolic fields: every coefficient, bound
-   and constant an integer and every variable bound nonnegative, else
-   [None].  Computed once, when the problem is built. *)
-let project ~n_common ~common_ubs ~opaque_dims equations =
-  let rec eqs acc = function
-    | [] -> Some (List.rev acc)
-    | e :: rest -> (
-        match Symeq.to_numeric e with
-        | None -> None
-        | Some n -> eqs (n :: acc) rest)
-  in
-  match Array.of_list (List.map Poly.const_value common_ubs) with
-  | exception Not_found -> None
-  | common_ubs -> (
-      match eqs [] equations with
-      | None -> None
-      | Some eqs -> Some { n_common; common_ubs; eqs; opaque_dims })
+type t = { src : Access.t; dst : Access.t; form : form }
 
-let make ~src ~dst ~n_common ~common_ubs ~opaque_dims equations =
+let n_common p =
+  match p.form with Numeric np -> np.n_common | Symbolic s -> s.n_common
+
+(* The integer system with the symbols valued by [env]. *)
+let ground env ~n_common ~common_ubs ~opaque_dims equations =
   {
-    src;
-    dst;
     n_common;
-    common_ubs;
-    equations;
+    common_ubs = Array.of_list (List.map (Poly.eval env) common_ubs);
+    eqs = List.map (Symeq.instantiate env) equations;
     opaque_dims;
-    numeric = project ~n_common ~common_ubs ~opaque_dims equations;
   }
 
-let of_accesses (src : Access.t) (dst : Access.t) =
-  if not (String.equal src.array dst.array) then None
-  else begin
-    let common = Access.common_loops src dst in
-    let rec zip (eqs, opq) ss ds =
-      match (ss, ds) with
-      | [], [] -> (eqs, opq)
-      | Access.Aff fs :: ss, Access.Aff fd :: ds ->
-          zip
-            ( Symeq.of_affine_pair ~src:fs ~src_loops:src.loops ~dst:fd
-                ~dst_loops:dst.loops
-              :: eqs,
-              opq )
-            ss ds
-      | _ :: ss, _ :: ds -> zip (eqs, opq + 1) ss ds
-      | rest, [] | [], rest -> (eqs, opq + List.length rest)
-    in
-    let equations, opaque = zip ([], 0) src.subs dst.subs in
-    Some
-      (make ~src ~dst ~n_common:(List.length common)
-         ~common_ubs:(List.map (fun (l : Access.loop) -> l.l_ub) common)
-         ~opaque_dims:opaque (List.rev equations))
-  end
+(* Integer when grounding needs no symbol and meets no negative
+   variable bound. *)
+let classify ~n_common ~common_ubs ~opaque_dims equations =
+  let no_symbol _ = raise_notrace Not_found in
+  match ground no_symbol ~n_common ~common_ubs ~opaque_dims equations with
+  | np -> Numeric np
+  | exception (Not_found | Invalid_argument _) ->
+      Symbolic { n_common; common_ubs; equations; opaque_dims }
 
-let numeric_of_equations ~n_common ~common_ubs eqs =
-  { n_common; common_ubs; eqs; opaque_dims = 0 }
-
-let synthetic (np : numeric) =
+(* Placeholder accesses over common loops [z1, z2, ...] with these
+   bounds, for problems that come from no program. *)
+let placeholders common_ubs =
   let loops =
-    List.init np.n_common (fun i ->
-        {
-          Access.l_var = Printf.sprintf "z%d" (i + 1);
-          l_ub = Poly.const np.common_ubs.(i);
-        })
+    List.mapi
+      (fun i ub -> { Access.l_var = Printf.sprintf "z%d" (i + 1); l_ub = ub })
+      common_ubs
   in
   let access acc_id stmt_name rw =
     { Access.acc_id; stmt_id = acc_id; stmt_name; array = "synthetic";
       rw; loops; subs = [] }
   in
-  let lift_eq (eq : Depeq.t) =
-    Symeq.make (Poly.const eq.Depeq.c0)
-      (List.map
-         (fun (t : Depeq.term) ->
-           ( Poly.const t.Depeq.coeff,
-             Symeq.var ~side:t.Depeq.var.v_side ~level:t.Depeq.var.v_level
-               t.Depeq.var.v_name
-               (Poly.const t.Depeq.var.v_ub) ))
-         eq.Depeq.terms)
-  in
-  make ~src:(access 0 "Ssrc" `Write) ~dst:(access 1 "Sdst" `Read)
-    ~n_common:np.n_common
-    ~common_ubs:(List.map Poly.const (Array.to_list np.common_ubs))
-    ~opaque_dims:np.opaque_dims (List.map lift_eq np.eqs)
+  (access 0 "Ssrc" `Write, access 1 "Sdst" `Read)
 
-let instantiate env (p : t) =
-  {
-    n_common = p.n_common;
-    common_ubs = Array.of_list (List.map (Poly.eval env) p.common_ubs);
-    eqs = List.map (Symeq.instantiate env) p.equations;
-    opaque_dims = p.opaque_dims;
-  }
+let make ~n_common ~common_ubs ~opaque_dims equations =
+  let src, dst = placeholders common_ubs in
+  { src; dst; form = classify ~n_common ~common_ubs ~opaque_dims equations }
+
+(* The integer equation [src(α) - dst(β) = 0] of one subscript
+   position, as {!Symeq.of_affine_pair} and {!Symeq.to_numeric} would
+   build it: source terms then sink terms, zero coefficients dropped,
+   the constant [ks + (-kd)] (so it overflows where [Poly.sub] does).
+   [Not_found] when a constant, or a kept term's coefficient or bound,
+   is not an integer, or a kept bound is negative. *)
+let int_equation (src : Access.t) (dst : Access.t) fs fd =
+  let rec terms form side suffix negate level loops tail =
+    match loops with
+    | [] -> tail
+    | (l : Access.loop) :: rest ->
+        let c = Poly.const_value (Affine.coeff form l.l_var) in
+        let tail = terms form side suffix negate (level + 1) rest tail in
+        if c = 0 then tail
+        else
+          let v_ub = Poly.const_value l.l_ub in
+          if v_ub < 0 then raise_notrace Not_found;
+          let v_name = l.l_var ^ suffix in
+          { Depeq.coeff = (if negate then Intx.neg c else c);
+            var = { v_name; v_ub; v_side = side; v_level = level } }
+          :: tail
+  in
+  let c0 = Poly.const_value (Affine.konst fs) in
+  let c0 = Intx.add c0 (Intx.neg (Poly.const_value (Affine.konst fd))) in
+  let sink = terms fd `Dst "2" true 1 dst.loops [] in
+  { Depeq.c0; terms = terms fs `Src "1" false 1 src.loops sink }
+
+let of_accesses (src : Access.t) (dst : Access.t) =
+  if not (String.equal src.array dst.array) then None
+  else begin
+    let common = Access.common_loops src dst in
+    let n_common = List.length common in
+    (* One equation per subscript position with both sides affine.
+       Every other position is opaque, and so is one whose equation
+       overflows while it is built: as sound as an unanalyzable
+       subscript. *)
+    let rec zip eq eqs opq ss ds =
+      match (ss, ds) with
+      | [], [] -> (List.rev eqs, opq)
+      | Access.Aff fs :: ss, Access.Aff fd :: ds -> (
+          match eq fs fd with
+          | e -> zip eq (e :: eqs) opq ss ds
+          | exception Intx.Overflow _ -> zip eq eqs (opq + 1) ss ds)
+      | _ :: ss, _ :: ds -> zip eq eqs (opq + 1) ss ds
+      | rest, [] | [], rest -> (List.rev eqs, opq + List.length rest)
+    in
+    let ubs = List.map (fun (l : Access.loop) -> l.l_ub) common in
+    let form =
+      match
+        ( Array.of_list (List.map Poly.const_value ubs),
+          zip (int_equation src dst) [] 0 src.subs dst.subs )
+      with
+      | common_ubs, (eqs, opaque_dims) ->
+          Numeric { n_common; common_ubs; eqs; opaque_dims }
+      | exception Not_found ->
+          let equations, opaque_dims =
+            zip
+              (fun fs fd ->
+                Symeq.of_affine_pair ~src:fs ~src_loops:src.loops ~dst:fd
+                  ~dst_loops:dst.loops)
+              [] 0 src.subs dst.subs
+          in
+          classify ~n_common ~common_ubs:ubs ~opaque_dims equations
+    in
+    Some { src; dst; form }
+  end
+
+let numeric_of_equations ~n_common ~common_ubs eqs =
+  { n_common; common_ubs; eqs; opaque_dims = 0 }
+
+let polynomial = function
+  | Symbolic { n_common; common_ubs; equations; opaque_dims } ->
+      (n_common, common_ubs, equations, opaque_dims)
+  | Numeric np ->
+      let lift (eq : Depeq.t) =
+        Symeq.make (Poly.const eq.c0)
+          (List.map
+             (fun ({ coeff; var = v } : Depeq.term) ->
+               ( Poly.const coeff,
+                 Symeq.var ~side:v.v_side ~level:v.v_level v.v_name
+                   (Poly.const v.v_ub) ))
+             eq.terms)
+      in
+      ( np.n_common,
+        List.map Poly.const (Array.to_list np.common_ubs),
+        List.map lift np.eqs,
+        np.opaque_dims )
+
+let synthetic (np : numeric) =
+  let renormalize (eq : Depeq.t) =
+    Depeq.make eq.c0 (List.map (fun (t : Depeq.term) -> (t.coeff, t.var)) eq.terms)
+  in
+  match List.map renormalize np.eqs with
+  | eqs ->
+      let src, dst =
+        placeholders (List.map Poly.const (Array.to_list np.common_ubs))
+      in
+      { src; dst; form = Numeric { np with eqs } }
+  | exception Invalid_argument _ ->
+      let n_common, common_ubs, equations, opaque_dims = polynomial (Numeric np) in
+      make ~n_common ~common_ubs ~opaque_dims equations
+
+let instantiate env p =
+  match p.form with
+  | Numeric np -> np
+  | Symbolic { n_common; common_ubs; equations; opaque_dims } ->
+      ground env ~n_common ~common_ubs ~opaque_dims equations
 
 (* --- flat canonical encoding ---------------------------------------------- *)
 
@@ -355,9 +413,9 @@ module Keybuf = struct
         encode_eqs kb rest
 
   let encode kb (p : t) =
-    match p.numeric with
-    | None -> false
-    | Some np -> (
+    match p.form with
+    | Symbolic _ -> false
+    | Numeric np -> (
         kb.len <- 0;
         kb.eqlen <- 0;
         kb.neqs <- 0;

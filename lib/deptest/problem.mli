@@ -1,10 +1,9 @@
 (** Dependence problems: everything known about one pair of references.
 
-    A problem packages the two accesses, their common loops, and one
-    (symbolic) dependence equation per analyzable subscript position —
-    the system (2) of the paper.  Its integer form, decided once when
-    the problem is built, feeds the classic tests, the exact solvers
-    and the cache key. *)
+    A problem packages the two accesses and the system (2) of the
+    paper over their common loops, one equation per analyzable
+    subscript position, in exactly one form decided when it is built:
+    integer, or polynomial where §4's symbolic sizes come in. *)
 
 module Poly = Dlz_symbolic.Poly
 module Access = Dlz_ir.Access
@@ -18,63 +17,66 @@ type numeric = {
 (** The integer form of a problem: the numeric system the classic
     tests, the exact solvers and the cache key read. *)
 
-type t = private {
-  src : Access.t;
-  dst : Access.t;
-  n_common : int;
-  common_ubs : Poly.t list;  (** Bounds of the common loops, outermost first. *)
-  equations : Symeq.t list;
-  opaque_dims : int;
-      (** Subscript positions skipped because either side was
-          unanalyzable; each skipped dimension weakens precision but
-          never soundness. *)
-  numeric : numeric option;
-      (** The integer form of the fields above, decided once when the
-          problem is built: [Some] exactly when every coefficient,
-          constant and bound is an integer and every variable bound is
-          nonnegative.  Its equations are {!Symeq.to_numeric} of
-          [equations], in order, and its bounds [common_ubs] as ints.
-          [None] marks a symbolic (or negative-bound) problem. *)
-}
-(** Private: a problem is built by {!make}, {!of_accesses} or
-    {!synthetic}, so [numeric] always agrees with the symbolic fields. *)
+type form =
+  | Numeric of numeric
+      (** Every coefficient, constant and bound is an integer and every
+          variable bound is nonnegative. *)
+  | Symbolic of {
+      n_common : int;
+      common_ubs : Poly.t list;  (** Outermost first. *)
+      equations : Symeq.t list;
+      opaque_dims : int;
+    }
+(** [opaque_dims] counts the subscript positions skipped because a side
+    was unanalyzable or the equation overflowed while it was built:
+    less precision, never less soundness. *)
+
+type t = private { src : Access.t; dst : Access.t; form : form }
+(** Built only by {!make}, {!of_accesses} or {!synthetic}. *)
+
+val n_common : t -> int
 
 val make :
-  src:Access.t ->
-  dst:Access.t ->
   n_common:int ->
   common_ubs:Poly.t list ->
   opaque_dims:int ->
   Symeq.t list ->
   t
-(** A problem over the given equations, with its integer form. *)
+(** A problem over placeholder accesses, with common loops
+    [z1, z2, ...]: [Numeric] (the equations' {!Symeq.to_numeric}, in
+    order) when the system has an integer form, else [Symbolic]. *)
 
 val of_accesses : Access.t -> Access.t -> t option
 (** [None] when the accesses name different arrays (no dependence
     possible through distinct storage — aliasing must have been resolved
-    by the linearization pass beforehand). *)
+    by the linearization pass beforehand).  An integer pair's equations
+    come straight from the affine subscripts; only the others are built
+    as polynomials and classified as by {!make}. *)
 
 val instantiate : (string -> int) -> t -> numeric
+(** A [Symbolic] form with the symbols valued, or the [Numeric] one;
+    raises [Invalid_argument] if some bound evaluates negative. *)
+
 val numeric_of_equations : n_common:int -> common_ubs:int array -> Depeq.t list -> numeric
 
+val polynomial : form -> int * Poly.t list * Symeq.t list * int
+(** [n_common], the common bounds, the equations and [opaque_dims]; a
+    [Numeric] form's bounds and equations are lifted to constant
+    polynomials, each equation through {!Symeq.make}. *)
+
 val synthetic : numeric -> t
-(** Lifts a numeric problem into a full [t] with placeholder accesses
-    (constant-polynomial coefficients and bounds), so generated
-    equations can be fed to any strategy.  What round-trips is the
-    integer form, up to {!Depeq.make}'s normalization:
-    [(synthetic np).numeric] is [Some np'], where [np'] is [np] with
-    each equation rebuilt by {!Depeq.make} from its own terms —
-    duplicate variables merged into their first occurrence, zero
-    coefficients dropped, the remaining terms in their order — unless
-    a term left after that merge has a negative bound, when it is
-    [None]. *)
+(** [Numeric np'] over {!make}'s placeholder accesses, where [np'] is
+    [np] with each equation rebuilt by {!Depeq.make} from its own terms
+    (duplicate variables merged into their first occurrence, zero
+    coefficients dropped); but {!make} over
+    {!polynomial}[ (Numeric np)] if a term has a negative bound. *)
 
 (** Flat canonical encoding of a problem into a reusable byte buffer.
 
     Packs the canonical form the memo cache keys on — terms sorted,
     global sign fixed, coefficients divided by their gcd, equations
-    sorted by their encoded bytes — from the integer form
-    (the [numeric] field) with no intermediate list or option structures.
+    sorted by their encoded bytes — from the [Numeric] form, with no
+    intermediate list or option structures.
     Every int (counts, bounds, constants, coefficients, levels, sides,
     name lengths) is a zigzag varint ({!Dlz_base.Varint}), one or two
     bytes for the values keys usually hold; the encoding is
@@ -90,9 +92,9 @@ module Keybuf : sig
 
   val encode : buf -> t -> bool
   (** [encode kb p] replaces [kb]'s contents with [p]'s canonical
-      encoding; [false] when [p] has no integer form ([numeric] is
-      [None]) or its normalization overflows — the problems the cache
-      treats as uncacheable. *)
+      encoding; [false] when [p]'s form is [Symbolic] or its
+      normalization overflows — the problems the cache treats as
+      uncacheable. *)
 
   val contents : buf -> Bytes.t
   (** The backing buffer; valid up to {!length} until the next

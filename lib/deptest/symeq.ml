@@ -48,19 +48,6 @@ let of_affine_pair ~src ~src_loops ~dst ~dst_loops =
     (Poly.sub (Affine.konst src) (Affine.konst dst))
     (src_terms @ dst_terms)
 
-(* One walk per polynomial: [Poly.const_value] raises [Not_found] on
-   a symbolic one, and a negative bound ends the projection the same
-   way. *)
-let numeric_term (c, v) =
-  let ub = Poly.const_value v.s_ub in
-  if ub < 0 then raise_notrace Not_found;
-  (Poly.const_value c, Depeq.var ~side:v.s_side ~level:v.s_level v.s_name ub)
-
-let to_numeric eq =
-  match (Poly.const_value eq.c0, List.map numeric_term eq.terms) with
-  | c0, terms -> Some (Depeq.make c0 terms)
-  | exception Not_found -> None
-
 let instantiate env eq =
   let terms =
     List.map
@@ -72,6 +59,12 @@ let instantiate env eq =
       eq.terms
   in
   Depeq.make (Poly.eval env eq.c0) terms
+
+(* A symbol anywhere, or a negative bound, leaves no integer form. *)
+let to_numeric eq =
+  match instantiate (fun _ -> raise_notrace Not_found) eq with
+  | neq -> Some neq
+  | exception (Not_found | Invalid_argument _) -> None
 
 module Sset = Set.Make (String)
 

@@ -293,9 +293,10 @@ let e6 () =
       para buf
         (Format.asprintf "Derived assumptions from loop bounds: %a" Assume.pp
            env);
-      let eq = List.hd p.Problem.equations in
+      let n_common, _, equations, _ = Problem.polynomial p.Problem.form in
+      let eq = List.hd equations in
       para buf (Format.asprintf "Dependence equation: %a" Symeq.pp eq);
-      let r = Symalgo.run ~env ~n_common:p.Problem.n_common eq in
+      let r = Symalgo.run ~env ~n_common eq in
       Buffer.add_string buf
         (Table.render (Symalgo.step_table r.Symalgo.steps));
       para buf "";

@@ -69,20 +69,20 @@ let io_strike t ~point ~key =
    raise, if any.  Content-keyed: the decision depends only on seed +
    (strategy, problem), so every domain, run, and replay sees the same
    fault at the same query.  [hash_param] with deep limits keeps
-   distinct problems from aliasing.  It hashes the problem's six
-   symbolic fields as one 6-tuple, not the record: the tuple has the
-   block layout (tag 0, six fields) the record had before it carried
-   its integer form, so the same queries are struck as then, and the
-   integer form, a function of those fields, adds nothing to the
-   hash. *)
+   distinct problems from aliasing.  It hashes a 6-tuple of the two
+   accesses and {!Problem.polynomial}'s fields, the block layout (tag
+   0, six fields) of the problem record before it held one form, so
+   the same queries are struck as then; a [Numeric] form is lifted to
+   polynomials only when the rate is nonzero. *)
 let draw t ~strategy (p : Problem.t) =
   if t.rate_ppm = 0 then None
   else begin
+    let n_common, common_ubs, equations, opaque_dims =
+      Problem.polynomial p.form
+    in
     let h =
       Hashtbl.hash_param 256 1024
-        ( strategy,
-          ( p.src, p.dst, p.n_common, p.common_ubs, p.equations,
-            p.opaque_dims ) )
+        (strategy, (p.src, p.dst, n_common, common_ubs, equations, opaque_dims))
     in
     let g = Prng.create (Int64.logxor t.seed (Int64.of_int h)) in
     if Prng.int g 1_000_000 < t.rate_ppm then Some (Prng.int g 5) else None

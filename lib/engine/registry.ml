@@ -17,12 +17,12 @@ module Poly = Dlz_symbolic.Poly
 (* --- the paper's algorithm (total: always decides) ---------------------- *)
 
 (* A numeric problem goes to [Algo.solve]: every equation's scan, then
-   one hierarchy walk over all the separated pieces.  A symbolic or
-   mixed one folds [Symalgo.equation] over its equations: the answers
-   meet, and the first independent equation ends the fold. *)
+   one hierarchy walk over all the separated pieces.  A symbolic one
+   folds [Symalgo.equation] over its equations: the answers meet, and
+   the first independent equation ends the fold. *)
 let run_delinearize ~env ~budget (p : Problem.t) =
-  match p.Problem.numeric with
-  | Some np -> (
+  match p.form with
+  | Problem.Numeric np -> (
       match Algo.solve ~budget np with
       | Verdict.Independent, _, _ -> Strategy.decided Verdict.Independent
       | v, dvs, dists ->
@@ -32,9 +32,8 @@ let run_delinearize ~env ~budget (p : Problem.t) =
             ~distances:
               (List.sort_uniq Stdlib.compare
                  (List.map (fun (l, d) -> (l, Poly.const d)) dists)))
-  | None ->
-      let n_common = p.Problem.n_common in
-      let solve = Symalgo.equation ~env p in
+  | Problem.Symbolic { n_common; common_ubs; equations; _ } ->
+      let solve = Symalgo.equation ~env ~n_common ~common_ubs in
       let rec fold dvs dists = function
         | [] ->
             Strategy.decided Verdict.Dependent ~dirvecs:dvs
@@ -49,7 +48,7 @@ let run_delinearize ~env ~budget (p : Problem.t) =
                 Strategy.decided Verdict.Independent
               else fold met (de @ dists) rest
       in
-      fold (Dirvec.Set.all_star n_common) [] p.Problem.equations
+      fold (Dirvec.Set.all_star n_common) [] equations
 
 let delinearize =
   {
@@ -60,21 +59,22 @@ let delinearize =
 
 (* --- classic hierarchy (total: degrades to all-star on symbolics) ------- *)
 
+(* What a set of direction vectors proves: independence when empty. *)
+let of_dirvecs dvs =
+  Strategy.decided
+    (if Dirvec.Set.is_empty dvs then Verdict.Independent else Verdict.Dependent)
+    ~dirvecs:dvs
+
 (* Overflow and budget exhaustion are no longer swallowed here: they
    propagate to the cascade, which contains them with a degradation
    counter — one uniform fault path instead of per-strategy ad-hoc
    catches. *)
 let run_classic ~env:_ ~budget (p : Problem.t) =
-  match p.Problem.numeric with
-  | Some np ->
-      let dvs = Hierarchy.directions ~budget np in
-      Strategy.decided
-        (if Dirvec.Set.is_empty dvs then Verdict.Independent
-         else Verdict.Dependent)
-        ~dirvecs:dvs
-  | None ->
+  match p.form with
+  | Problem.Numeric np -> of_dirvecs (Hierarchy.directions ~budget np)
+  | Problem.Symbolic { n_common; _ } ->
       Strategy.decided Verdict.Dependent
-        ~dirvecs:(Dirvec.Set.all_star p.Problem.n_common)
+        ~dirvecs:(Dirvec.Set.all_star n_common)
 
 let classic =
   {
@@ -83,51 +83,46 @@ let classic =
     run = run_classic;
   }
 
-(* --- exact solver (passes on symbolics and overflow) -------------------- *)
+(* The strategies below read only the integer form: they pass on a
+   symbolic problem. *)
+let on_numeric run ~env:_ ~budget (p : Problem.t) =
+  match p.form with
+  | Problem.Numeric np -> run ~budget np
+  | Problem.Symbolic _ -> Strategy.Pass
 
-let run_exact ~env:_ ~budget (p : Problem.t) =
-  match p.Problem.numeric with
-  | Some np ->
-      let dvs =
-        Exact.direction_vectors ~budget ~n_common:np.Problem.n_common
-          np.Problem.eqs
-      in
-      Strategy.decided
-        (if Dirvec.Set.is_empty dvs then Verdict.Independent
-         else Verdict.Dependent)
-        ~dirvecs:dvs
-  | None -> Strategy.Pass
+(* --- exact solver (passes on symbolics and overflow) -------------------- *)
 
 let exact =
   {
     Strategy.name = "exact";
     applies = (fun ~env:_ _ -> true);
-    run = run_exact;
+    run =
+      on_numeric (fun ~budget (np : Problem.numeric) ->
+          of_dirvecs
+            (Exact.direction_vectors ~budget ~n_common:np.n_common np.eqs));
   }
 
 (* --- conservative filters: decide only on proven independence ----------- *)
 
-let numeric_applies ~env:_ (p : Problem.t) = Option.is_some p.Problem.numeric
+let numeric_applies ~env:_ (p : Problem.t) =
+  match p.form with Problem.Numeric _ -> true | Problem.Symbolic _ -> false
 
 (* A whole-problem verdict from a sound single-equation test: the system
    is infeasible as soon as one conjunct is.  The per-equation test gets
    the cascade budget so tests with their own search loops (FM
    elimination) stay bounded. *)
 let filter_of_eq_test name test =
-  let run ~env:_ ~budget (p : Problem.t) =
-    match p.Problem.numeric with
-    | None -> Strategy.Pass
-    | Some np ->
-        let indep =
-          List.exists
-            (fun eq ->
-              Dlz_base.Budget.spend budget;
-              Verdict.conservative (test ~budget eq) = Verdict.Independent)
-            np.Problem.eqs
-        in
-        if indep then Strategy.decided Verdict.Independent else Strategy.Pass
+  let run ~budget (np : Problem.numeric) =
+    let indep =
+      List.exists
+        (fun eq ->
+          Dlz_base.Budget.spend budget;
+          Verdict.conservative (test ~budget eq) = Verdict.Independent)
+        np.eqs
+    in
+    if indep then Strategy.decided Verdict.Independent else Strategy.Pass
   in
-  { Strategy.name; applies = numeric_applies; run }
+  { Strategy.name; applies = numeric_applies; run = on_numeric run }
 
 let gcd = filter_of_eq_test "gcd" (fun ~budget:_ eq -> Gcd_test.test eq)
 let banerjee = filter_of_eq_test "banerjee" (fun ~budget:_ eq -> Banerjee.test eq)
@@ -143,16 +138,12 @@ let fm =
   filter_of_eq_test "fm" (fun ~budget eq -> Fm.test ~budget Fm.Tightened eq)
 
 let omega =
-  let run ~env:_ ~budget (p : Problem.t) =
-    match p.Problem.numeric with
-    | None -> Strategy.Pass
-    | Some np ->
-        let v = Omega.test ~budget np.Problem.eqs in
-        if Verdict.conservative v = Verdict.Independent then
-          Strategy.decided Verdict.Independent
-        else Strategy.Pass
+  let run ~budget (np : Problem.numeric) =
+    if Verdict.conservative (Omega.test ~budget np.eqs) = Verdict.Independent
+    then Strategy.decided Verdict.Independent
+    else Strategy.Pass
   in
-  { Strategy.name = "omega"; applies = numeric_applies; run }
+  { Strategy.name = "omega"; applies = numeric_applies; run = on_numeric run }
 
 (* --- the registry ------------------------------------------------------- *)
 

@@ -31,7 +31,7 @@ let decided ?dirvecs ?(distances = []) verdict =
 let conservative ?(degraded = []) (p : Problem.t) =
   {
     verdict = Verdict.Dependent;
-    dirvecs = [ Dirvec.all_star p.Problem.n_common ];
+    dirvecs = [ Dirvec.all_star (Problem.n_common p) ];
     distances = [];
     decided_by = "conservative";
     degraded;

@@ -14,30 +14,16 @@ type case = {
   env : Assume.t;
 }
 
-(* The oracle decides the integer form the strategies see: the ground
-   rebuilt by [Depeq.make], equal to it for every generator here.  So
-   a generated case holds one integer form, not two. *)
+(* The strategies see [Problem.synthetic ground], whose integer form is
+   the ground rebuilt by [Depeq.make].  Every generator here builds its
+   equations with [Depeq.make], so that form equals the ground and the
+   case holds it once, as the oracle's ground too. *)
 let mk_case ~family ~idx ground =
-  let problem = Problem.synthetic ground in
-  { id = Printf.sprintf "%s:%d" family idx; family; problem;
-    ground = Option.value problem.Problem.numeric ~default:ground;
-    env = Assume.empty }
-
-(* A symbolic problem over placeholder accesses, for families whose
-   coefficients are genuinely polynomial (Problem.synthetic only lifts
-   numerics). *)
-let mk_symbolic_problem ~n_common ~common_ubs equations =
-  let loops =
-    List.mapi
-      (fun i ub -> { Access.l_var = Printf.sprintf "z%d" (i + 1); l_ub = ub })
-      common_ubs
-  in
-  let access acc_id stmt_name rw =
-    { Access.acc_id; stmt_id = acc_id; stmt_name; array = "synthetic";
-      rw; loops; subs = [] }
-  in
-  Problem.make ~src:(access 0 "Ssrc" `Write) ~dst:(access 1 "Sdst" `Read)
-    ~n_common ~common_ubs ~opaque_dims:0 equations
+  match Problem.synthetic ground with
+  | { form = Problem.Numeric ground; _ } as problem ->
+      { id = Printf.sprintf "%s:%d" family idx; family; problem; ground;
+        env = Assume.empty }
+  | _ -> invalid_arg "Eqgen: a generated system with a negative bound"
 
 (* --- random numeric systems --------------------------------------------- *)
 
@@ -139,7 +125,7 @@ let symbolic_case g idx =
         (Poly.neg n, svar `Dst 2 "j2" jub) ]
   in
   let problem =
-    mk_symbolic_problem ~n_common:2 ~common_ubs:[ iub; jub ] [ eq ]
+    Problem.make ~n_common:2 ~common_ubs:[ iub; jub ] ~opaque_dims:0 [ eq ]
   in
   let nval = lb + Prng.int g 4 in
   let ground = Problem.instantiate (fun _ -> nval) problem in
@@ -205,17 +191,17 @@ let cases_of_program ~family ~env ~start prog =
   List.of_seq @@ Seq.filter_map
     (fun (pr : Dlz_engine.Engine.pair) ->
       let p = pr.Dlz_engine.Engine.problem in
-      match p.Problem.numeric with
-      | Some np ->
+      match p.Problem.form with
+      | Problem.Numeric np ->
           incr idx;
           Some { id = Printf.sprintf "%s:%d" family !idx; family;
                  problem = p; ground = np; env }
-      | None -> (
+      | Problem.Symbolic { equations; common_ubs; _ } -> (
           (* Symbolic pair: ground it at the assumption lower bounds. *)
           let syms =
             List.sort_uniq String.compare
-              (List.concat_map Symeq.symbols p.Problem.equations
-              @ List.concat_map Poly.vars p.Problem.common_ubs)
+              (List.concat_map Symeq.symbols equations
+              @ List.concat_map Poly.vars common_ubs)
           in
           if syms = [] then None
           else

@@ -2,13 +2,12 @@
 
     Each case pairs the problem a strategy sees with the numeric ground
     problem the oracle decides.  For purely numeric families the two
-    coincide (the problem is the {!Dlz_deptest.Problem.synthetic} lift
-    of the generated system, and the ground is that problem's own
-    [numeric] field, held once); the symbolic family keeps polynomial
-    coefficients on the strategy side and grounds them at a concrete
-    instantiation its assumptions admit — a strategy claiming
-    independence under the assumptions must survive every such
-    instantiation.
+    coincide (the problem is {!Dlz_deptest.Problem.synthetic} of the
+    generated system, whose [Numeric] form equals it); the symbolic
+    family keeps polynomial coefficients on the strategy side and
+    grounds them at a concrete instantiation its assumptions admit — a
+    strategy claiming independence under the assumptions must survive
+    every such instantiation.
 
     All generators are deterministic in [seed]. *)
 

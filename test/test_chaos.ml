@@ -416,6 +416,38 @@ let test_div0_strikes_contained () =
   Alcotest.(check bool)
     "at least one div0 strike degraded, none escaped" true (div0_rows > 0)
 
+(* --- strike decisions pinned ------------------------------------------ *)
+
+(* Whether [7:0.1] strikes [delinearize], [classic] and [gcd] on every
+   case of the oracle's mixed batch (seed 1, 5,000 cases), the
+   polybench pairs and the RiCEPS corpus pairs, one line per decision,
+   digested.  The decision hashes the problem's content, so this pins
+   that content as the hash sees it: a change to how a problem is
+   stored must leave every decision where it was, or every chaos run
+   (and [GOLDEN-chaos.ndjson]) meets different faults. *)
+let strike_decisions_md5 = "b3d92de5c170c8b69fff16803f99e08d"
+
+let test_strike_decisions_pinned () =
+  let module Eqgen = Dlz_oracle.Eqgen in
+  let chaos = Chaos.make ~seed:7L ~rate:0.1 in
+  let cases =
+    Eqgen.all ~seed:1L ~count:5000 @ Eqgen.polybench () @ Eqgen.corpus ()
+  in
+  let lines =
+    List.concat_map
+      (fun strategy ->
+        List.map
+          (fun (c : Eqgen.case) ->
+            Printf.sprintf "%s %s %b" c.Eqgen.id strategy
+              (Chaos.would_strike chaos ~strategy c.Eqgen.problem))
+          cases)
+      [ "delinearize"; "classic"; "gcd" ]
+  in
+  Alcotest.(check int) "decisions" (3 * List.length cases) (List.length lines);
+  Alcotest.(check string) "digest of the strike decisions"
+    strike_decisions_md5
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let () =
   Alcotest.run "chaos"
     [
@@ -425,6 +457,8 @@ let () =
             test_of_string_roundtrip;
           Alcotest.test_case "of_string rejects garbage" `Quick
             test_of_string_rejects_garbage;
+          Alcotest.test_case "strike decisions pinned" `Quick
+            test_strike_decisions_pinned;
           Alcotest.test_case "rate clamped to [0,1]" `Quick test_rate_clamped;
         ] );
       ( "overflow",

@@ -1273,7 +1273,7 @@ let shift c c0 = Depeq.make c0 [ (c, i1); (-c, i2) ]
    variable bound nonnegative, and each equation rebuilt by merging
    duplicate variables into their first occurrence and dropping zero
    coefficients. *)
-let reference_numeric (p : Problem.t) =
+let reference_numeric (n_common, common_ubs, equations, opaque_dims) =
   let ints ps =
     let cs = List.map Poly.to_const ps in
     if List.mem None cs then None else Some (List.map Option.get cs)
@@ -1307,15 +1307,63 @@ let reference_numeric (p : Problem.t) =
             terms = List.filter (fun (t : Depeq.term) -> t.coeff <> 0) merged }
     | _ -> None
   in
-  match ints p.common_ubs with
+  match ints common_ubs with
   | None -> None
   | Some ubs ->
-      let eqs = List.map equation p.equations in
+      let eqs = List.map equation equations in
       if List.mem None eqs then None
       else
         Some
-          { Problem.n_common = p.n_common; common_ubs = Array.of_list ubs;
-            eqs = List.map Option.get eqs; opaque_dims = p.opaque_dims }
+          { Problem.n_common; common_ubs = Array.of_list ubs;
+            eqs = List.map Option.get eqs; opaque_dims }
+
+(* The polynomial system an Eqgen case's problem stands for, rebuilt
+   without [Problem]: a program pair's subscripts through
+   [Symeq.of_affine_pair] over the common loops, a generated numeric
+   system's ground lifted to constant polynomials, and a generated
+   symbolic system's own equations. *)
+let reference_system (c : Dlz_oracle.Eqgen.case) =
+  let module Access = Dlz_ir.Access in
+  let p = c.problem in
+  if not (String.equal p.src.array "synthetic") then begin
+    let rec zip (eqs, opq) ss ds =
+      match (ss, ds) with
+      | [], [] -> (List.rev eqs, opq)
+      | Access.Aff fs :: ss, Access.Aff fd :: ds ->
+          zip
+            ( Symeq.of_affine_pair ~src:fs ~src_loops:p.src.loops ~dst:fd
+                ~dst_loops:p.dst.loops
+              :: eqs,
+              opq )
+            ss ds
+      | _ :: ss, _ :: ds -> zip (eqs, opq + 1) ss ds
+      | rest, [] | [], rest -> (List.rev eqs, opq + List.length rest)
+    in
+    let common = Access.common_loops p.src p.dst in
+    let equations, opaque = zip ([], 0) p.src.subs p.dst.subs in
+    ( List.length common,
+      List.map (fun (l : Access.loop) -> l.l_ub) common,
+      equations,
+      opaque )
+  end
+  else
+    match p.form with
+    | Problem.Symbolic s -> (s.n_common, s.common_ubs, s.equations, s.opaque_dims)
+    | Problem.Numeric _ ->
+        let g = c.ground in
+        let lift (eq : Depeq.t) =
+          Symeq.make (Poly.const eq.c0)
+            (List.map
+               (fun (t : Depeq.term) ->
+                 ( Poly.const t.coeff,
+                   Symeq.var ~side:t.var.v_side ~level:t.var.v_level
+                     t.var.v_name (Poly.const t.var.v_ub) ))
+               eq.terms)
+        in
+        ( g.n_common,
+          List.map Poly.const (Array.to_list g.common_ubs),
+          List.map lift g.eqs,
+          g.opaque_dims )
 
 let keybuf_units =
   [
@@ -1365,7 +1413,7 @@ let keybuf_units =
       `Quick (fun () ->
         let n = Poly.sym "N" in
         let symbolic =
-          Problem.make ~src:(lifted []).src ~dst:(lifted []).dst ~n_common:1
+          Problem.make ~n_common:1
             ~common_ubs:[ Poly.const 4 ] ~opaque_dims:0
             [ Symeq.make Poly.zero
                 [ (n, Symeq.var ~side:`Src ~level:1 "i1" (Poly.const 4));
@@ -1378,9 +1426,9 @@ let keybuf_units =
         (* The sign flip negates min_int. *)
         let overflow = lifted [ Depeq.make 0 [ (min_int, var "a" 1) ] ] in
         List.iter
-          (fun (what, p, has_numeric) ->
+          (fun (what, (p : Problem.t), has_numeric) ->
             Alcotest.(check bool) (what ^ ": integer form") has_numeric
-              (Option.is_some p.Problem.numeric);
+              (match p.form with Problem.Numeric _ -> true | _ -> false);
             Alcotest.(check (option string)) (what ^ ": no key") None
               (key_of p))
           [ ("symbolic coefficient", symbolic, false);
@@ -1394,8 +1442,12 @@ let keybuf_units =
             let differ =
               List.filter
                 (fun (c : Eqgen.case) ->
-                  c.Eqgen.problem.Problem.numeric
-                  <> reference_numeric c.Eqgen.problem)
+                  match
+                    (c.problem.form, reference_numeric (reference_system c))
+                  with
+                  | Problem.Numeric np, Some r -> np <> r
+                  | Problem.Symbolic _, None -> false
+                  | _ -> true)
                 cases
             in
             Alcotest.(check (list string))
@@ -1404,7 +1456,10 @@ let keybuf_units =
             Alcotest.(check bool) (what ^ ": some symbolic") true
               (what = "polybench"
               || List.exists
-                   (fun (c : Eqgen.case) -> c.Eqgen.problem.Problem.numeric = None)
+                   (fun (c : Eqgen.case) ->
+                     match c.problem.form with
+                     | Problem.Symbolic _ -> true
+                     | Problem.Numeric _ -> false)
                    cases))
           [ ("corpus", Eqgen.corpus ()); ("polybench", Eqgen.polybench ());
             ("all seed 1", Eqgen.all ~seed:1L ~count:5000) ]);

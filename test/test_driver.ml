@@ -30,8 +30,8 @@ let fragment_units =
         match accs with
         | [ w; r ] -> (
             let p = Option.get (Problem.of_accesses w r) in
-            match p.Problem.numeric with
-            | Some np -> (
+            match p.Problem.form with
+            | Problem.Numeric np -> (
                 match np.Problem.eqs with
                 | [ derived ] ->
                     let hand = Fragments.eq1 () in
@@ -45,7 +45,7 @@ let fragment_units =
                       ((Exact.solve [ hand ] = Exact.Infeasible)
                       = (Exact.solve [ derived ] = Exact.Infeasible))
                 | _ -> Alcotest.fail "expected one equation")
-            | None -> Alcotest.fail "expected numeric problem")
+            | Problem.Symbolic _ -> Alcotest.fail "expected numeric problem")
         | _ -> Alcotest.fail "expected two accesses");
     Alcotest.test_case "fig5 equation matches the paper's constants" `Quick
       (fun () ->
@@ -171,19 +171,20 @@ let trace_units =
             Seq.iteri
               (fun i (pr : Engine.pair) ->
                 let p = pr.problem in
-                let solve = Symalgo.equation ~env p in
+                let n_common, common_ubs, equations, _ =
+                  Problem.polynomial p.form
+                in
+                let solve = Symalgo.equation ~env ~n_common ~common_ubs in
                 let verdict, vectors =
                   List.fold_left
                     (fun (v, dvs) eq ->
-                      let ve, nv, _ =
-                        Symalgo.answer ~n_common:p.n_common (solve eq)
-                      in
+                      let ve, nv, _ = Symalgo.answer ~n_common (solve eq) in
                       let met = Dirvec.Set.meet dvs nv in
                       if ve = Verdict.Dependent && not (Dirvec.Set.is_empty met)
                       then (v, met)
-                      else (Verdict.Independent, Dirvec.Set.empty p.n_common))
-                    (Verdict.Dependent, Dirvec.Set.all_star p.n_common)
-                    p.equations
+                      else (Verdict.Independent, Dirvec.Set.empty n_common))
+                    (Verdict.Dependent, Dirvec.Set.all_star n_common)
+                    equations
                 in
                 let r =
                   Engine.query ~cascade:Dlz_engine.Cascade.delin ~cache ~env p

@@ -560,9 +560,9 @@ let props =
                 match Problem.of_accesses a b with
                 | None -> true
                 | Some p -> (
-                    match p.Problem.numeric with
-                    | None -> true
-                    | Some np -> (
+                    match p.Problem.form with
+                    | Problem.Symbolic _ -> true
+                    | Problem.Numeric np -> (
                         let r = Dlz_engine.Engine.query ~env p in
                         match
                           Rangevec.of_exact ~common_ubs:np.Problem.common_ubs

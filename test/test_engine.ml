@@ -541,13 +541,14 @@ let test_overflow_after_empty_piece () =
   let v, _ = delinearize (overflow_after_empty_piece ()) in
   Alcotest.check verdict "independent" Verdict.Independent v
 
-(* The reference model: the per-equation fold.  Each equation goes
-   through [Symalgo.equation] for one fuel unit, the answers meet, and
-   the first independent equation (or empty meet) ends the fold. *)
+(* The reference model: the per-equation fold over the problem's
+   polynomial equations.  Each equation goes through [Symalgo.equation]
+   for one fuel unit, the answers meet, and the first independent
+   equation (or empty meet) ends the fold. *)
 let reference_delinearize =
   let run ~env ~budget (p : Problem.t) =
-    let n_common = p.Problem.n_common in
-    let solve = Symalgo.equation ~env p in
+    let n_common, common_ubs, equations, _ = Problem.polynomial p.form in
+    let solve = Symalgo.equation ~env ~n_common ~common_ubs in
     let rec fold dvs dists = function
       | [] ->
           Strategy.decided Verdict.Dependent ~dirvecs:dvs
@@ -562,7 +563,7 @@ let reference_delinearize =
               Strategy.decided Verdict.Independent
             else fold met (de @ dists) rest
     in
-    fold (Dirvec.Set.all_star n_common) [] p.Problem.equations
+    fold (Dirvec.Set.all_star n_common) [] equations
   in
   { Strategy.name = "delinearize"; applies = (fun ~env:_ _ -> true); run }
 

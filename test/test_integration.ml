@@ -140,15 +140,15 @@ let e5_units =
         match accs with
         | [ w; r ] -> (
             let p = Option.get (Problem.of_accesses w r) in
-            match p.Problem.numeric with
-            | Some np ->
+            match p.Problem.form with
+            | Problem.Numeric np ->
                 Alcotest.(check (option (list int)))
                   "level 1 distances" (Some [ -2 ])
                   (Exact.distance_set ~level:1 np.Problem.eqs);
                 Alcotest.(check (option (list int)))
                   "level 2 distances" (Some [ 0 ])
                   (Exact.distance_set ~level:2 np.Problem.eqs)
-            | None -> Alcotest.fail "expected numeric problem")
+            | Problem.Symbolic _ -> Alcotest.fail "expected numeric problem")
         | _ -> Alcotest.fail "expected two accesses");
   ]
 
@@ -158,7 +158,11 @@ let e6_problem () =
   let prog = prepare Fragments.symbolic_program in
   let accs, env = Access.of_program prog in
   match accs with
-  | [ w; r ] -> (Option.get (Problem.of_accesses w r), env)
+  | [ w; r ] -> (
+      match Problem.of_accesses w r with
+      | Some { form = Problem.Symbolic { equations = eq :: _; _ }; _ } ->
+          (eq, env)
+      | _ -> Alcotest.fail "expected a symbolic equation")
   | _ -> Alcotest.fail "expected two accesses"
 
 let e6_units =
@@ -169,8 +173,7 @@ let e6_units =
         Alcotest.(check (option int)) "N >= 2" (Some 2)
           (Assume.lower_bound "N" env));
     Alcotest.test_case "three barriers drawn symbolically" `Quick (fun () ->
-        let p, env = e6_problem () in
-        let eq = List.hd p.Problem.equations in
+        let eq, env = e6_problem () in
         let r = Symalgo.run ~env ~n_common:3 eq in
         Alcotest.(check int) "three pieces" 3 (List.length r.Symalgo.pieces);
         Alcotest.check verdict "dependent" Verdict.Dependent r.Symalgo.verdict;
@@ -180,8 +183,7 @@ let e6_units =
              (fun (lvl, d) -> lvl = 3 && Poly.equal d (Poly.const (-1)))
              r.Symalgo.distances));
     Alcotest.test_case "gcds are 1, N, N^2" `Quick (fun () ->
-        let p, env = e6_problem () in
-        let eq = List.hd p.Problem.equations in
+        let eq, env = e6_problem () in
         let r = Symalgo.run ~env ~n_common:3 eq in
         let barrier_gs =
           List.filter_map
@@ -220,8 +222,7 @@ let e6_units =
         Alcotest.(check bool) "read is A(J,1+I,1+K)" true
           (contains text "A(J,1+I,1+K)"));
     Alcotest.test_case "symbolic sound for sampled N" `Quick (fun () ->
-        let p, env = e6_problem () in
-        let eq = List.hd p.Problem.equations in
+        let eq, env = e6_problem () in
         let r = Symalgo.run ~env ~n_common:3 eq in
         List.iter
           (fun n ->

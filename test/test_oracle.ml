@@ -220,7 +220,10 @@ let liar_name = "zz-test-liar"
 let liar_strategy ~active =
   {
     Strategy.name = liar_name;
-    applies = (fun ~env:_ p -> active && Option.is_some p.Problem.numeric);
+    applies =
+      (fun ~env:_ p ->
+        active
+        && match p.Problem.form with Problem.Numeric _ -> true | _ -> false);
     run =
       (fun ~env:_ ~budget:_ _ -> Strategy.Decided (Verdict.Independent, [], []));
   }

@@ -189,7 +189,7 @@ let gen_answered =
       let+ independent = frequencyl [ (1, true); (6, false) ] in
       ( { Engine.src; dst; self;
           problem =
-            Dlz_deptest.Problem.make ~src ~dst ~n_common:n ~common_ubs:[]
+            Dlz_deptest.Problem.make ~n_common:n ~common_ubs:[]
               ~opaque_dims:0 [] },
         { Strategy.verdict =
             (if independent then Dlz_deptest.Verdict.Independent
